@@ -21,6 +21,7 @@ from .crossed import h_minus_one, h_zero, validate_crossed_module
 from .groups import (DEFAULT_SIZE_LIMIT, MembershipError, SizeLimitError,
                      SubgroupHandle, sylow_all_cyclic)
 from . import intlinalg as la
+from .lattice import EquivarianceError
 from .patching import (ModelError, crossed_six_term_report,
                        nine_term_report, refine_graph, remark_compare, sha)
 from .serialize import FormatError
@@ -35,7 +36,7 @@ class CliInputError(Exception):
     pass
 
 
-def _load(flag_value: str, kind: str, size_limit: int):
+def _read(flag_value: str, kind: str, size_limit: int):
     if flag_value.startswith("fixtures:"):
         try:
             return fixtures.lookup(kind, flag_value[len("fixtures:"):])
@@ -53,6 +54,24 @@ def _load(flag_value: str, kind: str, size_limit: int):
         "graph": serialize.load_graph,
     }
     return loaders[kind](obj, size_limit)
+
+
+def _load(flag_value: str, kind: str, size_limit: int):
+    """Read an object and reject it unless it is what it claims to be:
+    the cohomology code relies on a genuine group action."""
+    obj = _read(flag_value, kind, size_limit)
+    if kind == "lattice":
+        obj.validate()
+    elif kind == "complex":
+        obj.l1.validate()
+        obj.l2.validate()
+        obj.differential.validate()
+    elif kind == "crossed":
+        verdict = validate_crossed_module(obj)
+        if not verdict.ok:
+            raise CliInputError(
+                f"invalid crossed module: {verdict.failure[0]}")
+    return obj
 
 
 def _subgroup_members(text: str) -> tuple[int, ...]:
@@ -188,9 +207,6 @@ def cmd_invariants(args, size_limit):
 
 def cmd_crossed_h0(args, size_limit):
     c = _load(args.crossed, "crossed", size_limit)
-    verdict = validate_crossed_module(c)
-    if not verdict.ok:
-        raise CliInputError(f"invalid crossed module: {verdict.failure[0]}")
     bound = args.size_limit if args.size_limit else 10 ** 6
     hz = h_zero(c, bound)
     hm = h_minus_one(c)
@@ -463,8 +479,8 @@ def main(argv=None) -> int:
         print(f"size limit exceeded: {e}", file=sys.stderr)
         return EXIT_SIZE
     except (CliInputError, FormatError, ModelError, MembershipError,
-            UnsupportedDegreeError, UnsupportedCoefficientsError,
-            ValueError, KeyError) as e:
+            EquivarianceError, UnsupportedDegreeError,
+            UnsupportedCoefficientsError, ValueError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -3,8 +3,18 @@
 H^n (n = 0, 1, 2) and Tate H^-1/H^0 for lattices, hypercohomology of
 two-term complexes in degrees -1..1, restriction maps, and a Shapiro
 comparator.  Cochains are normalized (they vanish whenever an argument is
-the identity), cutting C^n from |H|^n to (|H|-1)^n coordinate blocks; the
-unnormalized complex is kept around as an independent oracle for tests.
+the identity), cutting C^n from |H|^n to (|H|-1)^n coordinate blocks.
+
+For a lattice L and n >= 1, H^n(H, L) is killed by |H| (Brown,
+Cohomology of Groups, III.10.2), so the cocycles Z^n are the saturation
+of the coboundaries B^n and H^n is the torsion of C^n / B^n.  It is read
+from the Smith form of d^{n-1} alone (intlinalg.torsion_cokernel); the
+larger d^n is never built.  Hypercohomology in degree 1 is finite too
+and is read from the total d^0.  Degree 0, Tate cohomology,
+hypercohomology in degrees -1 and 0, and FgModule coefficients (whose
+cochains carry torsion of their own) take ker d^n / im d^{n-1}.  The
+unnormalized complex (normalized=False) always takes the kernel route
+and is kept as an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ from typing import Sequence, Union
 
 from . import intlinalg as la
 from .groups import FiniteGroup, SubgroupHandle
-from .intlinalg import AbGroupPresentation, IntMatrix
+from .intlinalg import AbGroupPresentation, IntMatrix, TorsionCokernel
 from .lattice import FgModule, GLattice, LatticeMap, induce
 
 
@@ -40,7 +50,7 @@ class CohomologyGroup:
     degree: int
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    presentation: AbGroupPresentation
+    presentation: Union[AbGroupPresentation, TorsionCokernel]
     group_order: int
     coeff_dim: int
     normalized: bool = True
@@ -239,7 +249,12 @@ def group_cohomology(h, a: Coefficient, n: int,
         return hit[2]
     sub, parent_ids = _acting(h)
     rank, mats, rel = _coefficient_data(a, parent_ids)
-    pres = _cohomology_presentation(sub, rank, mats, rel, n, normalized)
+    if n > 0 and normalized and isinstance(a, GLattice):
+        # finite, so Z^n is the saturation of B^n: d^n is never needed
+        pres = la.torsion_cokernel(
+            bar_differential(sub, mats, rank, n - 1, normalized))
+    else:
+        pres = _cohomology_presentation(sub, rank, mats, rel, n, normalized)
     out = CohomologyGroup(n, pres.factors, pres.generators, pres,
                           sub.order, rank, normalized)
     # pin h and a so their ids (part of the key) cannot be recycled
@@ -357,17 +372,24 @@ def hypercohomology(h, t, n: int, normalized: bool = True) -> CohomologyGroup:
     r2, mats2, _ = _coefficient_data(l2, parent_ids)
     diff = t.differential.matrix
     order = sub.order
-    d_n = total_differential(sub, mats1, mats2, r1, r2, diff, n, normalized)
-    dim_n = (cochain_dim(order, r1, n + 1, normalized)
-             + cochain_dim(order, r2, n, normalized))
-    ker = la.kernel_basis(d_n)
-    if n >= 0:
-        d_prev = total_differential(sub, mats1, mats2, r1, r2, diff, n - 1,
-                                    normalized)
-        im = la.columns(d_prev)
+    if n == 1 and normalized:
+        # finite (it sits between H^1(L2) and H^2(L1)), as in
+        # group_cohomology
+        pres = la.torsion_cokernel(total_differential(
+            sub, mats1, mats2, r1, r2, diff, 0, normalized))
     else:
-        im = []
-    pres = la.abgroup_from_subquotient(ker, im, dim_n)
+        d_n = total_differential(sub, mats1, mats2, r1, r2, diff, n,
+                                 normalized)
+        dim_n = (cochain_dim(order, r1, n + 1, normalized)
+                 + cochain_dim(order, r2, n, normalized))
+        ker = la.kernel_basis(d_n)
+        if n >= 0:
+            d_prev = total_differential(sub, mats1, mats2, r1, r2, diff,
+                                        n - 1, normalized)
+            im = la.columns(d_prev)
+        else:
+            im = []
+        pres = la.abgroup_from_subquotient(ker, im, dim_n)
     out = CohomologyGroup(n, pres.factors, pres.generators, pres,
                           order, r1 + r2)
     _COH_CACHE[key] = (h, t, out)

@@ -346,21 +346,6 @@ def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return smith_normal_form(a).invariant_factors
 
 
-def mat_rank(a: Sequence[Sequence[int]]) -> int:
-    return len(_column_echelon(columns(a))[0])
-
-
-def det_sign_unimodular(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a matrix known to be square; raises if not ±1."""
-    n, c = shape(a)
-    if n != c:
-        raise ValueError("not square")
-    d = _det_pm1(a)
-    if abs(d) != 1:
-        raise ValueError("matrix is not unimodular")
-    return d
-
-
 def _det_pm1(a: Sequence[Sequence[int]]) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
     m = thaw(a)
@@ -660,11 +645,71 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     )
 
 
-def quotient_group(kernel_cols: Sequence[Sequence[int]],
-                   image_cols: Sequence[Sequence[int]],
-                   ambient_dim: int) -> AbGroupPresentation:
-    """ker/im quotient for a cochain complex position."""
-    return abgroup_from_subquotient(kernel_cols, image_cols, ambient_dim)
+@dataclass(frozen=True)
+class TorsionCokernel:
+    """Torsion subgroup of Z^m / span(A), read from U @ A @ V = D.
+
+    In the coordinates y = U x the image of A is {y_i in d_i Z for
+    i < rank, y_j = 0 for j >= rank} and its saturation drops the d_i, so
+    the torsion is the sum of the Z/d_i with d_i > 1.  Generator i is
+    U^{-1} e_i = (A @ V[:, i]) / d_i.  Same surface as
+    AbGroupPresentation; every class has finite order.
+    """
+
+    ambient_dim: int
+    factors: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...]
+    # rows of U at the factors > 1, then at the positions j >= rank
+    _rows: tuple[tuple[int, ...], ...]
+    _moduli: tuple[int, ...]  # d_i per row; 0 where (U x)_j must vanish
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.factors
+
+    @property
+    def order(self) -> int:
+        n = 1
+        for f in self.factors:
+            n *= f
+        return n
+
+    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
+        """Coordinates of the class of ``vec`` on the stored generators.
+
+        Raises SolveError unless ``vec`` lies in the saturation of the
+        image, i.e. unless some multiple of it is in span(A).
+        """
+        coords = []
+        for row, d in zip(self._rows, self._moduli):
+            y = sum(x * v for x, v in zip(row, vec) if x)
+            if d:
+                coords.append(y % d)
+            elif y:
+                raise SolveError("vector is not in the saturated image")
+        return tuple(coords)
+
+    def contains_class_zero(self, vec: Sequence[int]) -> bool:
+        return all(c == 0 for c in self.reduce(vec))
+
+
+def torsion_cokernel(a: Sequence[Sequence[int]]) -> TorsionCokernel:
+    """The torsion subgroup of coker(a), with generators and reduction."""
+    res = smith_normal_form(a)
+    m, n = shape(a)
+    diag = res.diagonal
+    rank = res.rank
+    keep = [i for i in range(rank) if diag[i] > 1]
+    gens = []
+    for i in keep:
+        col = [res.V[j][i] for j in range(n)]
+        d = diag[i]
+        gens.append(tuple(sum(x * y for x, y in zip(row, col) if x) // d
+                          for row in a))
+    rows = [res.U[i] for i in keep] + list(res.U[rank:])
+    moduli = [diag[i] for i in keep] + [0] * (m - rank)
+    return TorsionCokernel(m, tuple(diag[i] for i in keep), tuple(gens),
+                           tuple(rows), tuple(moduli))
 
 
 def relation_columns(factors: Sequence[int], dim: int) -> list[list[int]]:

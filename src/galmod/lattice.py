@@ -41,18 +41,23 @@ class GLattice:
 
     def validate(self) -> None:
         """Check unimodularity and that the action respects the full
-        multiplication table."""
+        multiplication table.
+
+        Only M(a) M(s) = M(a s) is tested, for every element a and
+        generator s.  That suffices: each c != 1 is c = b s with
+        word(c) = word(b) + (s,), so M(c) = M(b) M(s), and by induction
+        on the length of word(c), M(a) M(c) = M(a b) M(s) = M(a c).
+        """
         for m in self.action:
             if self.rank and not la.is_unimodular(m):
                 raise EquivarianceError("action matrix is not unimodular")
         mats = self.element_matrices()
         g = self.group
         for a in g.elements():
-            for b in g.elements():
-                if not la.mat_eq(la.mat_mul(mats[a], mats[b]),
-                                 mats[g.mul(a, b)]):
+            for m, s in zip(self.action, g.generators):
+                if not la.mat_eq(la.mat_mul(mats[a], m), mats[g.mul(a, s)]):
                     raise EquivarianceError(
-                        f"action violates the relation {a}*{b}")
+                        f"action violates the relation {a}*{s}")
 
     def element_matrices(self) -> tuple[IntMatrix, ...]:
         cached = getattr(self, "_elem_mats", None)

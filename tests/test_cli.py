@@ -2,9 +2,13 @@
 
 import json
 
+import pytest
+
 from galmod import serialize
 from galmod.cli import main
-from galmod.groups import symmetric_group_3
+from galmod.complexes import TwoTermComplex
+from galmod.groups import cyclic_group, symmetric_group_3
+from galmod.lattice import GLattice, LatticeMap, trivial_lattice
 
 
 def run(capsys, *argv):
@@ -164,3 +168,36 @@ def test_group_table_mismatch(capsys):
                        "--lattice", "fixtures:sign", "--degree", "1")
     assert code == 2
     assert "does not match" in err
+
+
+
+# Matrices that are not a group action: an involution for the generator
+# of Z3, and a non-unimodular matrix for the generator of Z2.
+NOT_AN_ACTION = {
+    "z3-swap": (cyclic_group(3), 2, (((0, 1), (1, 0)),)),
+    "z2-triple": (cyclic_group(2), 1, (((3,),),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_AN_ACTION))
+def test_lattice_not_a_group_action_exit_two(capsys, tmp_path, name):
+    lat = GLattice(*NOT_AN_ACTION[name])
+    path = tmp_path / "lattice.json"
+    path.write_text(serialize.to_json(serialize.dump_lattice(lat)))
+    for degree in ("1", "2"):
+        code, _, err = run(capsys, "cohomology", "--lattice", str(path),
+                           "--degree", degree)
+        assert code == 2
+        assert "input error" in err
+
+
+def test_complex_with_bad_lattice_exit_two(capsys, tmp_path):
+    swap = GLattice(*NOT_AN_ACTION["z3-swap"])
+    triv = trivial_lattice(swap.group)
+    t = TwoTermComplex(swap, triv, LatticeMap(swap, triv, ((1, 1),)))
+    path = tmp_path / "complex.json"
+    path.write_text(serialize.to_json(serialize.dump_complex(t)))
+    code, _, err = run(capsys, "hyper", "--complex", str(path),
+                       "--degree", "1")
+    assert code == 2
+    assert "input error" in err

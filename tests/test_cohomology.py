@@ -2,7 +2,10 @@
 unnormalized-complex oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from galmod import fixtures
 from galmod import intlinalg as la
 from galmod.cohomology import (UnsupportedDegreeError, bar_differential,
                                cochain_dim, group_cohomology,
@@ -12,7 +15,8 @@ from galmod.cohomology import (UnsupportedDegreeError, bar_differential,
 from galmod.complexes import TwoTermComplex
 from galmod.groups import (cyclic_group, enumerate_subgroups, subgroup,
                            symmetric_group_3, whole_subgroup)
-from galmod.lattice import (FgModule, LatticeMap, regular_lattice,
+from galmod.lattice import (FgModule, LatticeMap, conjugate_lattice,
+                            direct_sum, dual_lattice, regular_lattice,
                             sign_lattice, trivial_lattice)
 
 
@@ -159,3 +163,94 @@ def test_generators_are_cocycles():
     d2 = bar_differential(z4, triv.element_matrices(), 1, 2)
     for gen in cg.generators:
         assert all(x == 0 for x in la.mat_vec(d2, gen))
+
+
+def _check_torsion_reduce(cg, order):
+    """reduce is the identity on generators and kills |H| times each."""
+    assert isinstance(cg.presentation, la.TorsionCokernel)
+    k = len(cg.invariant_factors)
+    for i, gen in enumerate(cg.generators):
+        assert cg.reduce(gen) == tuple(int(j == i) for j in range(k))
+        assert cg.reduce([order * x for x in gen]) == (0,) * k
+
+
+def test_finite_cohomology_matches_kernel_oracle():
+    """H^1 and H^2 of lattices come from SNF(d^{n-1}); the unnormalized
+    kernel route must give the same groups."""
+    for lat in fixtures.lattice_catalog().values():
+        for h in enumerate_subgroups(lat.group)[0]:
+            for n in (1, 2):
+                cg = group_cohomology(h, lat, n)
+                raw = group_cohomology(h, lat, n, normalized=False)
+                assert cg.invariant_factors == raw.invariant_factors
+                _check_torsion_reduce(cg, h.order)
+
+
+def test_finite_hypercohomology_matches_kernel_oracle():
+    for t in fixtures.complex_catalog().values():
+        for h in enumerate_subgroups(t.group)[0]:
+            cg = hypercohomology(h, t, 1)
+            raw = hypercohomology(h, t, 1, normalized=False)
+            assert cg.invariant_factors == raw.invariant_factors
+            _check_torsion_reduce(cg, h.order)
+
+
+def test_torsion_reduce_rejects_non_cocycles():
+    s3 = symmetric_group_3()
+    for lat in (trivial_lattice(s3), sign_lattice(s3, [-1, 1]),
+                regular_lattice(s3)):
+        mats = lat.element_matrices()
+        for n in (1, 2):
+            cg = group_cohomology(s3, lat, n)
+            d_n = bar_differential(s3, mats, lat.rank, n)
+            dim = cochain_dim(s3.order, lat.rank, n)
+            for k, image in enumerate(la.columns(d_n)):
+                unit = [int(j == k) for j in range(dim)]
+                if not any(image):
+                    cg.reduce(unit)
+                else:
+                    with pytest.raises(la.SolveError):
+                        cg.reduce(unit)
+
+
+SMALL_LATTICES = [lat for lat in fixtures.lattice_catalog().values()
+                  if lat.group.order <= 6]
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """Products of elementary row operations."""
+    m = la.thaw(la.identity(n))
+    if n > 1:
+        ops = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                      st.integers(0, n - 1),
+                                      st.integers(-2, 2)), max_size=6))
+        for i, j, k in ops:
+            if i != j:
+                m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+    return la.freeze(m)
+
+
+@st.composite
+def small_lattices(draw):
+    """Catalog lattices over groups of order <= 6, summed with a second
+    one up to rank 4, maybe dualized, then rebased."""
+    lat = draw(st.sampled_from(SMALL_LATTICES))
+    others = [x for x in SMALL_LATTICES if x.group is lat.group
+              and x.rank + lat.rank <= 4]
+    if others and draw(st.booleans()):
+        lat = direct_sum(lat, draw(st.sampled_from(others)))
+    if draw(st.booleans()):
+        lat = dual_lattice(lat)
+    return conjugate_lattice(lat, draw(unimodular_matrices(lat.rank)))
+
+
+@given(small_lattices())
+@settings(max_examples=10, deadline=None)
+def test_finite_cohomology_property(lat):
+    lat.validate()
+    for n in (1, 2):
+        cg = group_cohomology(lat.group, lat, n)
+        raw = group_cohomology(lat.group, lat, n, normalized=False)
+        assert cg.invariant_factors == raw.invariant_factors
+        _check_torsion_reduce(cg, lat.group.order)

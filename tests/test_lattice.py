@@ -2,13 +2,15 @@
 
 import pytest
 
+from galmod import fixtures
 from galmod import intlinalg as la
-from galmod.groups import (cyclic_group, enumerate_subgroups, subgroup,
+from galmod.groups import (cyclic_group, dihedral_group_4,
+                           enumerate_subgroups, subgroup,
                            symmetric_group_3, trivial_subgroup,
                            whole_subgroup)
-from galmod.lattice import (FgModule, FgModuleMap, GLattice, LatticeMap,
-                            direct_sum, dual_lattice, dual_map,
-                            fg_iso_check, fixed_points, induce,
+from galmod.lattice import (EquivarianceError, FgModule, FgModuleMap,
+                            GLattice, LatticeMap, direct_sum, dual_lattice,
+                            dual_map, fg_iso_check, fixed_points, induce,
                             lattice_as_module, make_permutation_lattice,
                             module_fixed_points, regular_lattice,
                             restrict_lattice, sign_lattice,
@@ -21,6 +23,37 @@ def test_lattice_validation():
     sign.validate()
     with pytest.raises(Exception):
         GLattice(z2, 1, (((2,),),)).validate()  # not unimodular
+
+
+def _respects_full_table(lat: GLattice) -> bool:
+    """The exhaustive check M(a) M(b) = M(ab) over all pairs."""
+    mats = lat.element_matrices()
+    g = lat.group
+    return all(la.mat_eq(la.mat_mul(mats[a], mats[b]), mats[g.mul(a, b)])
+               for a in g.elements() for b in g.elements())
+
+
+def test_validate_on_generators_matches_full_table():
+    s3 = symmetric_group_3()
+    lats = list(fixtures.lattice_catalog().values()) + [
+        GLattice(cyclic_group(3), 2, (((0, 1), (1, 0)),)),
+        GLattice(cyclic_group(2), 1, (((3,),),)),
+        GLattice(s3, 1, (((-1,),), ((-1,),))),  # (1 2 3) of order 3
+        # a rotation of order 4 for the reflection generator of D4; only
+        # products with the second generator expose it
+        GLattice(dihedral_group_4(), 2,
+                 (la.identity(2), ((0, -1), (1, 0)))),
+    ]
+    verdicts = []
+    for lat in lats:
+        try:
+            lat.validate()
+            ok = True
+        except EquivarianceError:
+            ok = False
+        assert ok == _respects_full_table(lat)
+        verdicts.append(ok)
+    assert verdicts.count(False) == 4
 
 
 def test_permutation_lattice_is_certified():
