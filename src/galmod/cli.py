@@ -2,7 +2,8 @@
 
 Every object flag takes either a file path or a ``fixtures:NAME``
 reference into the built-in catalog.  Exit codes: 0 success, 1 a check
-computed the verdict "false", 2 input error, 3 size-limit exceeded.
+computed the verdict "false", 2 input error, 3 size-limit exceeded, 4
+internal error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_SIZE = 3
+EXIT_INTERNAL = 4
 
 
 class CliInputError(Exception):
@@ -483,6 +485,10 @@ def main(argv=None) -> int:
             UnsupportedCoefficientsError, ValueError, KeyError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        # never let a failure pass for the negative verdict of exit 1
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,6 +15,10 @@ hypercohomology in degrees -1 and 0, and FgModule coefficients (whose
 cochains carry torsion of their own) take ker d^n / im d^{n-1}.  The
 unnormalized complex (normalized=False) always takes the kernel route
 and is kept as an independent oracle for tests.
+
+Results are cached on the coefficient object (lattice, module or
+complex), keyed by the kind of cohomology, the subgroup's members, the
+degree and ``normalized``; they live as long as the coefficient does.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Sequence, Union
 from . import intlinalg as la
 from .groups import FiniteGroup, SubgroupHandle
 from .intlinalg import AbGroupPresentation, IntMatrix, TorsionCokernel
-from .lattice import FgModule, GLattice, LatticeMap, induce
+from .lattice import FgModule, GLattice, induce
 
 
 class UnsupportedDegreeError(Exception):
@@ -185,23 +189,6 @@ def bar_differential(group: FiniteGroup, mats: Sequence[IntMatrix],
     return la.freeze(rows)
 
 
-def _block_relations(rel: IntMatrix, blocks: int) -> list[list[int]]:
-    """Relation columns of C^n with module coefficients: one copy of the
-    relation lattice per tuple block."""
-    n_rel = la.shape(rel)[1]
-    if n_rel == 0 or blocks == 0:
-        return []
-    r = la.shape(rel)[0]
-    cols = []
-    for blk in range(blocks):
-        for j in range(n_rel):
-            col = [0] * (blocks * r)
-            for i in range(r):
-                col[blk * r + i] = rel[i][j]
-            cols.append(col)
-    return cols
-
-
 def _cohomology_presentation(group: FiniteGroup, rank: int,
                              mats: Sequence[IntMatrix], rel: IntMatrix,
                              n: int, normalized: bool) -> AbGroupPresentation:
@@ -209,14 +196,10 @@ def _cohomology_presentation(group: FiniteGroup, rank: int,
     q = order - 1 if normalized else order
     dim_n = cochain_dim(order, rank, n, normalized)
     d_n = bar_differential(group, mats, rank, n, normalized)
-    rel_n = _block_relations(rel, q ** n)
-    rel_np1 = _block_relations(rel, q ** (n + 1))
-    if rel_np1:
-        big = la.hstack(d_n, la.from_columns(rel_np1, la.shape(d_n)[0]))
-        kb = la.kernel_basis(big)
-        ker_cols = [[v[i] for i in range(dim_n)] for v in kb]
-    else:
-        ker_cols = la.kernel_basis(d_n)
+    # relation columns of C^n: one copy of the relation lattice per tuple
+    rel_n = la.columns(la.block_diag(*[rel] * q ** n))
+    rel_np1 = la.columns(la.block_diag(*[rel] * q ** (n + 1)))
+    ker_cols = la.preimage(d_n, rel_np1, dim_n)
     if n > 0:
         d_prev = bar_differential(group, mats, rank, n - 1, normalized)
         im_cols = la.columns(d_prev)
@@ -227,15 +210,23 @@ def _cohomology_presentation(group: FiniteGroup, rank: int,
     return la.abgroup_from_subquotient(num, den, dim_n)
 
 
-_COH_CACHE: dict = {}
+def _cached(coeff, kind: str, h, n: int, normalized: bool, compute):
+    """Look a result up in, or add it to, the cache stored on ``coeff``.
 
-
-def _cache_key(h, a, n, normalized):
-    if isinstance(h, SubgroupHandle):
-        hk = (id(h.parent), h.members)
-    else:
-        hk = (id(h), None)
-    return (hk, id(a), n, normalized)
+    The key holds the subgroup's members, not the identity of its parent
+    group: callers may pass handles into a different group object with
+    the same multiplication table, and answers depend only on the table.
+    """
+    cache = getattr(coeff, "_coh_cache", None)
+    if cache is None:
+        cache = {}
+        object.__setattr__(coeff, "_coh_cache", cache)
+    key = (kind, h.members if isinstance(h, SubgroupHandle) else None, n,
+           normalized)
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = compute()
+    return out
 
 
 def group_cohomology(h, a: Coefficient, n: int,
@@ -243,10 +234,12 @@ def group_cohomology(h, a: Coefficient, n: int,
     """H^n(H, A) from the (normalized) bar-resolution cochain complex."""
     if n not in (0, 1, 2):
         raise UnsupportedDegreeError(f"degree {n} not in {{0, 1, 2}}")
-    key = _cache_key(h, a, n, normalized)
-    hit = _COH_CACHE.get(key)
-    if hit is not None:
-        return hit[2]
+    return _cached(a, "group", h, n, normalized,
+                   lambda: _group_cohomology(h, a, n, normalized))
+
+
+def _group_cohomology(h, a: Coefficient, n: int,
+                      normalized: bool) -> CohomologyGroup:
     sub, parent_ids = _acting(h)
     rank, mats, rel = _coefficient_data(a, parent_ids)
     if n > 0 and normalized and isinstance(a, GLattice):
@@ -255,11 +248,8 @@ def group_cohomology(h, a: Coefficient, n: int,
             bar_differential(sub, mats, rank, n - 1, normalized))
     else:
         pres = _cohomology_presentation(sub, rank, mats, rel, n, normalized)
-    out = CohomologyGroup(n, pres.factors, pres.generators, pres,
-                          sub.order, rank, normalized)
-    # pin h and a so their ids (part of the key) cannot be recycled
-    _COH_CACHE[key] = (h, a, out)
-    return out
+    return CohomologyGroup(n, pres.factors, pres.generators, pres,
+                           sub.order, rank, normalized)
 
 
 def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
@@ -268,10 +258,11 @@ def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
         raise UnsupportedDegreeError(f"Tate degree {n} not in {{-1, 0}}")
     if not isinstance(lat, GLattice):
         raise UnsupportedCoefficientsError("Tate cohomology needs a lattice")
-    key = _cache_key(h, lat, ("tate", n), True)
-    hit = _COH_CACHE.get(key)
-    if hit is not None:
-        return hit[2]
+    return _cached(lat, "tate", h, n, True,
+                   lambda: _tate_cohomology(h, lat, n))
+
+
+def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
     sub, parent_ids = _acting(h)
     rank, mats, _ = _coefficient_data(lat, parent_ids)
     norm = la.zeros(rank, rank)
@@ -285,14 +276,11 @@ def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
             den.extend(la.columns(la.mat_add(m, la.mat_neg(ident))))
     else:
         blocks = [la.mat_add(m, la.mat_neg(ident)) for m in mats[1:]]
-        num = (la.kernel_basis(la.vstack(*blocks)) if blocks
-               else la.columns(ident))
+        num = la.preimage(la.vstack(*blocks), [], rank)
         den = la.columns(norm)
     pres = la.abgroup_from_subquotient(num, den, rank)
-    out = CohomologyGroup(n, pres.factors, pres.generators, pres,
-                          sub.order, rank)
-    _COH_CACHE[key] = (h, lat, out)
-    return out
+    return CohomologyGroup(n, pres.factors, pres.generators, pres,
+                           sub.order, rank)
 
 
 def restriction(gamma: FiniteGroup, h: SubgroupHandle, a: Coefficient,
@@ -362,10 +350,11 @@ def hypercohomology(h, t, n: int, normalized: bool = True) -> CohomologyGroup:
     """Hypercohomology of a two-term complex of lattices, degrees -1..1."""
     if n not in (-1, 0, 1):
         raise UnsupportedDegreeError(f"degree {n} not in {{-1, 0, 1}}")
-    key = _cache_key(h, t, ("hyper", n), normalized)
-    hit = _COH_CACHE.get(key)
-    if hit is not None:
-        return hit[2]
+    return _cached(t, "hyper", h, n, normalized,
+                   lambda: _hypercohomology(h, t, n, normalized))
+
+
+def _hypercohomology(h, t, n: int, normalized: bool) -> CohomologyGroup:
     sub, parent_ids = _acting(h)
     l1, l2 = t.l1, t.l2
     r1, mats1, _ = _coefficient_data(l1, parent_ids)
@@ -382,7 +371,7 @@ def hypercohomology(h, t, n: int, normalized: bool = True) -> CohomologyGroup:
                                  normalized)
         dim_n = (cochain_dim(order, r1, n + 1, normalized)
                  + cochain_dim(order, r2, n, normalized))
-        ker = la.kernel_basis(d_n)
+        ker = la.preimage(d_n, [], dim_n)
         if n >= 0:
             d_prev = total_differential(sub, mats1, mats2, r1, r2, diff,
                                         n - 1, normalized)
@@ -390,10 +379,8 @@ def hypercohomology(h, t, n: int, normalized: bool = True) -> CohomologyGroup:
         else:
             im = []
         pres = la.abgroup_from_subquotient(ker, im, dim_n)
-    out = CohomologyGroup(n, pres.factors, pres.generators, pres,
-                          order, r1 + r2)
-    _COH_CACHE[key] = (h, t, out)
-    return out
+    return CohomologyGroup(n, pres.factors, pres.generators, pres,
+                           order, r1 + r2)
 
 
 def hyper_restriction(gamma: FiniteGroup, h: SubgroupHandle, t, n: int,

@@ -83,16 +83,9 @@ class ComplexMap:
             raise ValueError("square does not commute")
 
 
-def _kernel_cols(mat: IntMatrix, ncols: int) -> list[list[int]]:
-    """Kernel basis that survives zero-row matrices (whole space)."""
-    if la.shape(mat)[0] == 0:
-        return la.columns(la.identity(ncols))
-    return la.kernel_basis(mat)
-
-
 def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
     """(H^-1, H^0): the saturated kernel lattice and the cokernel module."""
-    kb = _kernel_cols(t.differential.matrix, t.l1.rank)
+    kb = la.preimage(t.differential.matrix, [], t.l1.rank)
     hminus = induced_action_on_sublattice(t.l1, kb)
     h0 = FgModule(t.group, t.l2.rank, t.differential.matrix, t.l2.action)
     return hminus, h0
@@ -126,15 +119,11 @@ def _half(t: TwoTermComplex) -> HalfComplex:
 
 def _cycle_basis(h: HalfComplex) -> list[list[int]]:
     """Basis of H^-1 = {a : d(a) lies in the relation span of B}."""
-    if h.b.ngens == 0:
-        return la.columns(la.identity(h.a.rank))
-    nrel = la.shape(h.b.relations)[1]
-    if nrel:
-        big = la.hstack(h.d, h.b.relations)
-        kb = la.kernel_basis(big)
-        proj = [[v[i] for i in range(h.a.rank)] for v in kb]
-        return la.image_basis(la.from_columns(proj, h.a.rank)) if proj else []
-    return la.kernel_basis(h.d)
+    rel = la.columns(h.b.relations)
+    proj = la.preimage(h.d, rel, h.a.rank)
+    if rel and proj:
+        return la.image_basis(la.from_columns(proj, h.a.rank))
+    return proj
 
 
 def verify_square(src: HalfComplex, tgt: HalfComplex,
@@ -227,7 +216,7 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     if f.source is not d.source:
         raise GroupMismatchError("moves must share the corner lattice")
     a, aprime, b = f.source, f.target, d.target
-    if _kernel_cols(f.matrix, a.rank):
+    if la.preimage(f.matrix, [], a.rank):
         raise PreconditionError("pushout requires a monomorphism")
     n = aprime.rank + b.rank
     anti = la.vstack(f.matrix, la.mat_neg(d.matrix)) if n else la.zeros(0, a.rank)
@@ -291,7 +280,7 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
         raise PreconditionError("pullback requires an epimorphism")
     amb = direct_sum(bprime, aprime)
     diff = la.hstack(g.matrix, la.mat_neg(dprime.matrix))
-    kb = _kernel_cols(diff, amb.rank)
+    kb = la.preimage(diff, [], amb.rank)
     fibre = induced_action_on_sublattice(amb, kb)
     incl = la.from_columns(kb, amb.rank)
     top = la.freeze([[incl[i][j] for j in range(fibre.rank)]
@@ -427,14 +416,7 @@ def cts_cover_coflasque(m: Union[GLattice, FgModule]) -> CoverSequence:
         cb = la.kernel_basis(proj_mat)
     else:
         projection = FgModuleMap(lattice_as_module(q), m, proj_mat)
-        nrel = la.shape(m.relations)[1]
-        if nrel:
-            big = la.hstack(proj_mat, m.relations)
-            kb = la.kernel_basis(big)
-            proj = [[v[i] for i in range(q.rank)] for v in kb]
-            cb = la.image_basis(la.from_columns(proj, q.rank)) if proj else []
-        else:
-            cb = la.kernel_basis(proj_mat)
+        cb = _cycle_basis(HalfComplex(q, proj_mat, m))
     c = induced_action_on_sublattice(q, cb)
     inclusion = LatticeMap(c, q, la.from_columns(cb, q.rank))
     verdict = classify(c, "coflasque")

@@ -2,7 +2,7 @@
 modules, patching graphs, and test batteries.
 
 Catalog objects are constructed once per process and cached, so repeated
-lookups share the cohomology caches keyed on object identity.
+lookups share the cohomology results cached on each object.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, saturation,
+"""Exact integer linear algebra: Smith normal form, kernels, preimages
 and finitely generated abelian group presentations.
 
 All matrices are row-major sequences of rows with Python ``int`` entries,
@@ -178,42 +178,71 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
     value, ties broken in row-major order.
     """
     m = thaw(a)
-    rows, cols = shape(m) if m else (0, 0)
-    if m and cols == 0:
-        rows, cols = len(m), 0
-    u = [list(r) for r in identity(rows)]
-    v = [list(r) for r in identity(cols)]
+    rows, cols = shape(m)
+    u = thaw(identity(rows))
+    v = thaw(identity(cols))
+    _eliminate(m, u, v, 0, rows, cols)
+    # second pass: fix divisibility chain
+    r = min(rows, cols)
+    changed = True
+    while changed:
+        changed = False
+        for t in range(r - 1):
+            if m[t][t] == 0:
+                continue
+            for i in range(t + 1, r):
+                if m[i][i] % m[t][t] != 0:
+                    # bring the offending entry into reach and eliminate again
+                    _add_col(m, v, i, t, 1)
+                    _eliminate(m, u, v, t, rows, cols)
+                    changed = True
+    for t in range(r):
+        if m[t][t] < 0:
+            for j in range(cols):
+                m[t][j] = -m[t][j]
+            for j in range(rows):
+                u[t][j] = -u[t][j]
+    return SnfResult(freeze(u), freeze(m), freeze(v))
 
-    def swap_rows(i, j):
-        if i != j:
-            m[i], m[j] = m[j], m[i]
-            u[i], u[j] = u[j], u[i]
 
-    def swap_cols(i, j):
-        if i != j:
-            for row in m:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+def _swap_rows(m, u, i, j):
+    if i != j:
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
 
-    def add_row(src, dst, k):
-        # row[dst] += k * row[src]
-        mr = m[src]
-        md = m[dst]
-        for j in range(cols):
-            md[j] += k * mr[j]
-        ur = u[src]
-        ud = u[dst]
-        for j in range(rows):
-            ud[j] += k * ur[j]
 
-    def add_col(src, dst, k):
+def _swap_cols(m, v, i, j):
+    if i != j:
         for row in m:
-            row[dst] += k * row[src]
+            row[i], row[j] = row[j], row[i]
         for row in v:
-            row[dst] += k * row[src]
+            row[i], row[j] = row[j], row[i]
 
-    t = 0
+
+def _add_row(m, u, src, dst, k):
+    """row[dst] += k * row[src] in m and in U."""
+    mr = m[src]
+    md = m[dst]
+    for j in range(len(md)):
+        md[j] += k * mr[j]
+    ur = u[src]
+    ud = u[dst]
+    for j in range(len(ud)):
+        ud[j] += k * ur[j]
+
+
+def _add_col(m, v, src, dst, k):
+    """col[dst] += k * col[src] in m and in V."""
+    for row in m:
+        row[dst] += k * row[src]
+    for row in v:
+        row[dst] += k * row[src]
+
+
+def _eliminate(m, u, v, start, rows, cols):
+    """Diagonalize m from row/column ``start`` on by pivot-and-clear,
+    recording row operations in U and column operations in V."""
+    t = start
     while t < rows and t < cols:
         # locate pivot: smallest |entry| != 0, row-major tie-break
         piv = None
@@ -229,9 +258,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
             if best == 1:
                 break
         if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+            return
+        _swap_rows(m, u, t, piv[0])
+        _swap_cols(m, v, t, piv[1])
         while True:
             # clear column t
             dirty = False
@@ -239,9 +268,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
                 if m[i][t] != 0:
                     q = _round_div(m[i][t], m[t][t])
                     if q:
-                        add_row(t, i, -q)
+                        _add_row(m, u, t, i, -q)
                     if m[i][t] != 0:
-                        swap_rows(t, i)
+                        _swap_rows(m, u, t, i)
                         dirty = True
             if dirty:
                 continue
@@ -249,92 +278,9 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
                 if m[t][j] != 0:
                     q = _round_div(m[t][j], m[t][t])
                     if q:
-                        add_col(t, j, -q)
+                        _add_col(m, v, t, j, -q)
                     if m[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            break
-        t += 1
-    # second pass: fix divisibility chain
-    r = min(rows, cols)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(r - 1):
-            if m[t][t] == 0:
-                continue
-            for i in range(t + 1, r):
-                if m[i][i] % m[t][t] != 0:
-                    # bring the offending entry into reach and rediagonalize
-                    add_col(i, t, 1)
-                    _rediagonalize(m, u, v, t, rows, cols)
-                    changed = True
-    for t in range(r):
-        if m[t][t] < 0:
-            for j in range(cols):
-                m[t][j] = -m[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-    return SnfResult(freeze(u), freeze(m), freeze(v))
-
-
-def _rediagonalize(m, u, v, start, rows, cols):
-    """Re-run elimination from column/row ``start`` after a chain fix."""
-    t = start
-    while t < rows and t < cols:
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            return
-        if piv[0] != t:
-            m[t], m[piv[0]] = m[piv[0]], m[t]
-            u[t], u[piv[0]] = u[piv[0]], u[t]
-        if piv[1] != t:
-            for row in m:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-            for row in v:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = _round_div(m[i][t], m[t][t])
-                    if q:
-                        for j in range(cols):
-                            m[i][j] -= q * m[t][j]
-                        for j in range(len(u)):
-                            u[i][j] -= q * u[t][j]
-                    if m[i][t] != 0:
-                        m[t], m[i] = m[i], m[t]
-                        u[t], u[i] = u[i], u[t]
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = _round_div(m[t][j], m[t][t])
-                    if q:
-                        for row in m:
-                            row[j] -= q * row[t]
-                        for row in v:
-                            row[j] -= q * row[t]
-                    if m[t][j] != 0:
-                        for row in m:
-                            row[t], row[j] = row[j], row[t]
-                        for row in v:
-                            row[t], row[j] = row[j], row[t]
+                        _swap_cols(m, v, t, j)
                         dirty = True
             if dirty:
                 continue
@@ -475,6 +421,21 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
     return out
 
 
+def preimage(a: Sequence[Sequence[int]], rel_cols: Sequence[Sequence[int]],
+             ncols: int) -> list[list[int]]:
+    """Generators (columns) of {x in Z^ncols : a @ x in span(rel_cols)}.
+
+    ``ncols`` is explicit because a matrix with no rows cannot carry its
+    column count; its preimage is all of Z^ncols.
+    """
+    if not a:
+        return columns(identity(ncols))
+    if not rel_cols:
+        return kernel_basis(a)
+    kb = kernel_basis(hstack(a, from_columns(rel_cols, len(a))))
+    return [v[:ncols] for v in kb]
+
+
 def image_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis (columns) of the lattice spanned by the columns of ``a``.
 
@@ -489,17 +450,6 @@ def image_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
             vec[r] = v
         out.append(vec)
     return out
-
-
-def saturate(cols: Sequence[Sequence[int]], ambient_rows: int) -> list[list[int]]:
-    """Basis of the saturation of the column span inside Z^ambient_rows."""
-    if not cols:
-        return []
-    a = from_columns(cols, ambient_rows)
-    left = kernel_basis(transpose(a))  # vectors y orthogonal to all columns
-    if not left:
-        return columns(identity(ambient_rows))
-    return kernel_basis(freeze(left))
 
 
 def solve_columns(basis_cols: Sequence[Sequence[int]],
@@ -729,11 +679,9 @@ def hom_kernel(matrix: Sequence[Sequence[int]],
                tgt_factors: Sequence[int]) -> AbGroupPresentation:
     """Kernel of a homomorphism of f.g. abelian groups in generator
     coordinates."""
-    tr, sc = shape(matrix)
-    tgt_rel = relation_columns(tgt_factors, tr)
-    big = hstack(matrix, from_columns(tgt_rel, tr)) if tgt_rel else freeze(matrix)
-    kb = kernel_basis(big) if shape(big)[1] else []
-    proj = [[v[i] for i in range(sc)] for v in kb]
+    sc = len(src_factors)
+    proj = preimage(matrix, relation_columns(tgt_factors, len(tgt_factors)),
+                    sc)
     src_rel = relation_columns(src_factors, sc)
     return abgroup_from_subquotient(proj + src_rel, src_rel, sc)
 

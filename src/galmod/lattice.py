@@ -9,12 +9,12 @@ free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import intlinalg as la
 from .groups import (FiniteGroup, MembershipError, SubgroupHandle,
-                     coset_action, enumerate_subgroups)
+                     coset_action)
 from .intlinalg import IntMatrix
 
 
@@ -60,21 +60,7 @@ class GLattice:
                         f"action violates the relation {a}*{s}")
 
     def element_matrices(self) -> tuple[IntMatrix, ...]:
-        cached = getattr(self, "_elem_mats", None)
-        if cached is None:
-            mats = []
-            ident = la.identity(self.rank)
-            for e in self.group.elements():
-                m = ident
-                for gi in self.group.word(e):
-                    m = la.mat_mul(m, self.action[gi])
-                mats.append(m)
-            cached = tuple(mats)
-            object.__setattr__(self, "_elem_mats", cached)
-        return cached
-
-    def element_matrix(self, e: int) -> IntMatrix:
-        return self.element_matrices()[e]
+        return _element_matrices(self, self.rank)
 
     @property
     def is_permutation_certified(self) -> bool:
@@ -142,30 +128,33 @@ class FgModule:
             self.ngens)
         return pres.factors
 
-    def presentation(self) -> la.AbGroupPresentation:
-        return la.abgroup_from_subquotient(
-            la.columns(la.identity(self.ngens)), la.columns(self.relations),
-            self.ngens)
-
     def is_trivial(self) -> bool:
         return not self.invariant_factors
 
-    def is_torsion_free(self) -> bool:
-        return all(f == 0 for f in self.invariant_factors)
-
     def element_matrices(self) -> tuple[IntMatrix, ...]:
-        cached = getattr(self, "_elem_mats", None)
-        if cached is None:
-            mats = []
-            ident = la.identity(self.ngens)
-            for e in self.group.elements():
-                m = ident
-                for gi in self.group.word(e):
-                    m = la.mat_mul(m, self.action[gi])
-                mats.append(m)
-            cached = tuple(mats)
-            object.__setattr__(self, "_elem_mats", cached)
-        return cached
+        return _element_matrices(self, self.ngens)
+
+
+def _element_matrices(obj, dim: int) -> tuple[IntMatrix, ...]:
+    """Matrices of all group elements for a GLattice or FgModule, cached
+    on the object.
+
+    The BFS words satisfy word(e s) = word(e) + (s,), so M(e s) =
+    M(e) M(s) costs one product per non-identity element.
+    """
+    cached = getattr(obj, "_elem_mats", None)
+    if cached is None:
+        group = obj.group
+        words = [group.word(e) for e in group.elements()]
+        by_word = {w: e for e, w in enumerate(words)}
+        mats = [la.identity(dim)] * group.order
+        for e in sorted(group.elements(), key=lambda e: len(words[e])):
+            w = words[e]
+            if w:
+                mats[e] = la.mat_mul(mats[by_word[w[:-1]]], obj.action[w[-1]])
+        cached = tuple(mats)
+        object.__setattr__(obj, "_elem_mats", cached)
+    return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,30 +261,6 @@ def induced_action_on_sublattice(lat: GLattice,
     return GLattice(lat.group, k, tuple(action))
 
 
-@dataclass(frozen=True)
-class MapDecomposition:
-    kernel: GLattice
-    kernel_inclusion: LatticeMap
-    image: GLattice
-    image_inclusion: LatticeMap
-    cokernel: FgModule
-    # cokernel projection is the identity on target coordinates
-
-
-def map_decompose(f: LatticeMap) -> MapDecomposition:
-    """Saturated kernel, exact image, and cokernel presentation of an
-    equivariant map."""
-    kb = la.kernel_basis(f.matrix)
-    kernel = induced_action_on_sublattice(f.source, kb)
-    kinc = LatticeMap(kernel, f.source, la.from_columns(kb, f.source.rank))
-    ib = la.image_basis(f.matrix)
-    image = induced_action_on_sublattice(f.target, ib)
-    iinc = LatticeMap(image, f.target, la.from_columns(ib, f.target.rank))
-    coker = FgModule(f.target.group, f.target.rank, f.matrix,
-                     f.target.action)
-    return MapDecomposition(kernel, kinc, image, iinc, coker)
-
-
 def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
     """Saturated basis (columns) of the H-fixed sublattice."""
     mats = lat.element_matrices()
@@ -305,9 +270,7 @@ def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
         if m == 0:
             continue
         blocks.append(la.mat_add(mats[m], la.mat_neg(ident)))
-    if not blocks:
-        return la.columns(la.identity(lat.rank))
-    return la.kernel_basis(la.vstack(*blocks))
+    return la.preimage(la.vstack(*blocks), [], lat.rank)
 
 
 def module_fixed_points(mod: FgModule, h: SubgroupHandle) -> list[list[int]]:
@@ -322,17 +285,12 @@ def module_fixed_points(mod: FgModule, h: SubgroupHandle) -> list[list[int]]:
         blocks.append(la.mat_add(mats[m], la.mat_neg(ident)))
     if not blocks:
         return la.columns(la.identity(mod.ngens))
-    nrel = la.shape(mod.relations)[1]
-    stacked = la.vstack(*blocks)
-    if nrel:
-        rel_stack = la.vstack(*[mod.relations for _ in blocks])
-        big = la.hstack(stacked, rel_stack)
-        kb = la.kernel_basis(big)
-        proj = [[v[i] for i in range(mod.ngens)] for v in kb]
-    else:
-        proj = la.kernel_basis(stacked)
-    return la.image_basis(la.from_columns(proj + la.columns(mod.relations),
-                                          mod.ngens)) if (proj or nrel) else []
+    # (M(g) - 1) x may be a different relation for each g: one copy of
+    # the relation lattice per block
+    rel_blocks = la.columns(la.block_diag(*[mod.relations] * len(blocks)))
+    proj = la.preimage(la.vstack(*blocks), rel_blocks, mod.ngens)
+    return la.image_basis(la.from_columns(
+        proj + la.columns(mod.relations), mod.ngens))
 
 
 def restrict_lattice(lat: GLattice, h: SubgroupHandle) -> GLattice:
@@ -342,13 +300,6 @@ def restrict_lattice(lat: GLattice, h: SubgroupHandle) -> GLattice:
     action = tuple(mats[h.to_parent(g)] for g in sub.generators)
     return GLattice(sub, lat.rank, action,
                     permutation_subgroups=None)
-
-
-def restrict_module(mod: FgModule, h: SubgroupHandle) -> FgModule:
-    sub = h.as_group()
-    mats = mod.element_matrices()
-    action = tuple(mats[h.to_parent(g)] for g in sub.generators)
-    return FgModule(sub, mod.ngens, mod.relations, action)
 
 
 def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
@@ -400,13 +351,7 @@ def fg_iso_check(phi: FgModuleMap) -> bool:
         return False
     # injectivity: kernel (preimage of target relations mod source
     # relations) trivial
-    nrel_t = la.shape(tgt.relations)[1]
-    if nrel_t:
-        big = la.hstack(phi.matrix, tgt.relations)
-        kb = la.kernel_basis(big)
-        proj = [[v[i] for i in range(src.ngens)] for v in kb]
-    else:
-        proj = la.kernel_basis(phi.matrix)
+    proj = la.preimage(phi.matrix, la.columns(tgt.relations), src.ngens)
     ker = la.abgroup_from_subquotient(
         proj + la.columns(src.relations), la.columns(src.relations),
         src.ngens)

@@ -291,16 +291,6 @@ def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int):
         left_dim, mid_dim, right_dim)
 
 
-def _kernel_presentation(rows: IntMatrix, nrows: int, ncols: int,
-                         src_factors, tgt_factors) -> la.AbGroupPresentation:
-    """hom_kernel that tolerates empty matrices on either side."""
-    if nrows == 0 or ncols == 0:
-        src_rel = la.relation_columns(src_factors, ncols)
-        return la.abgroup_from_subquotient(
-            la.columns(la.identity(ncols)) + src_rel, src_rel, ncols)
-    return la.hom_kernel(rows, src_factors, tgt_factors)
-
-
 def sha(graph: PatchingGraph, coeff: Coefficient, r: int):
     """Kernel of the joint restriction H^r(Gamma, .) -> prod_i H^r(G_i, .).
 
@@ -311,9 +301,8 @@ def sha(graph: PatchingGraph, coeff: Coefficient, r: int):
     if isinstance(cols, CrossedMvColumns):
         return _crossed_sha(cols)
     left = cols.left
-    pres = _kernel_presentation(cols.restriction_matrix, cols.mid_dim,
-                                cols.left_dim, left.invariant_factors,
-                                cols.middle_factors)
+    pres = la.hom_kernel(cols.restriction_matrix, left.invariant_factors,
+                         cols.middle_factors)
     gens = []
     dim = (cochain_dim(left.group_order, left.coeff_dim, r)
            if cols.kind == "lattice" else len(left.generators[0])
@@ -350,14 +339,7 @@ def _exactness_at_middle(cols: MvColumns):
         return True, None
     mid_rel = la.relation_columns(cols.middle_factors, mid_dim)
     right_rel = la.relation_columns(cols.right_factors, cols.right_dim)
-    if cols.right_dim == 0:
-        ker_cols = la.columns(la.identity(mid_dim))
-    else:
-        big = (la.hstack(cols.difference_matrix,
-                         la.from_columns(right_rel, cols.right_dim))
-               if right_rel else cols.difference_matrix)
-        kb = la.kernel_basis(big)
-        ker_cols = [[v[i] for i in range(mid_dim)] for v in kb]
+    ker_cols = la.preimage(cols.difference_matrix, right_rel, mid_dim)
     im_cols = la.columns(cols.restriction_matrix) if cols.left_dim else []
     quot = la.abgroup_from_subquotient(ker_cols + mid_rel,
                                        im_cols + mid_rel, mid_dim)

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
-from galmod import serialize
+from galmod import cli, serialize
+from galmod import intlinalg as la
 from galmod.cli import main
 from galmod.complexes import TwoTermComplex
+from galmod.crossed import (FiniteCrossedModule, conjugation_h_action,
+                            trivial_galois_action)
 from galmod.groups import cyclic_group, symmetric_group_3
 from galmod.lattice import GLattice, LatticeMap, trivial_lattice
 
@@ -201,3 +204,29 @@ def test_complex_with_bad_lattice_exit_two(capsys, tmp_path):
                        "--degree", "1")
     assert code == 2
     assert "input error" in err
+
+
+def test_crossed_module_breaking_an_axiom_exit_two(capsys, tmp_path):
+    z2 = cyclic_group(2)
+    # the boundary sends the identity to the generator: not a homomorphism
+    bad = FiniteCrossedModule(z2, z2, (1, 0), conjugation_h_action(z2), z2,
+                              trivial_galois_action(z2, z2),
+                              trivial_galois_action(z2, z2))
+    path = tmp_path / "crossed.json"
+    path.write_text(serialize.to_json(serialize.dump_crossed(bad)))
+    code, _, err = run(capsys, "crossed-h0", "--crossed", str(path))
+    assert code == 2
+    assert "invalid crossed module" in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, la.SolveError])
+def test_internal_failure_exit_four(capsys, monkeypatch, exc):
+    def broken(*args, **kwargs):
+        raise exc("unexpected")
+
+    monkeypatch.setattr(cli, "group_cohomology", broken)
+    code, out, err = run(capsys, "cohomology", "--lattice", "fixtures:sign",
+                         "--degree", "1")
+    assert code == 4
+    assert out == ""
+    assert err.strip() == f"internal error: {exc.__name__}: unexpected"

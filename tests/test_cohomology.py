@@ -3,7 +3,7 @@ unnormalized-complex oracle."""
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from lattice_strategies import small_lattices
 
 from galmod import fixtures
 from galmod import intlinalg as la
@@ -15,8 +15,7 @@ from galmod.cohomology import (UnsupportedDegreeError, bar_differential,
 from galmod.complexes import TwoTermComplex
 from galmod.groups import (cyclic_group, enumerate_subgroups, subgroup,
                            symmetric_group_3, whole_subgroup)
-from galmod.lattice import (FgModule, LatticeMap, conjugate_lattice,
-                            direct_sum, dual_lattice, regular_lattice,
+from galmod.lattice import (FgModule, LatticeMap, regular_lattice,
                             sign_lattice, trivial_lattice)
 
 
@@ -175,24 +174,34 @@ def _check_torsion_reduce(cg, order):
 
 
 def test_finite_cohomology_matches_kernel_oracle():
-    """H^1 and H^2 of lattices come from SNF(d^{n-1}); the unnormalized
-    kernel route must give the same groups."""
+    """H^1 and H^2 of lattices come from SNF(d^{n-1}) and H^0 from the
+    kernel of d^0, which has no rows over the trivial subgroup; the
+    unnormalized kernel route must give the same groups."""
     for lat in fixtures.lattice_catalog().values():
-        for h in enumerate_subgroups(lat.group)[0]:
-            for n in (1, 2):
+        subgroups = enumerate_subgroups(lat.group)[0]
+        assert min(h.order for h in subgroups) == 1
+        for h in subgroups:
+            for n in (0, 1, 2):
                 cg = group_cohomology(h, lat, n)
                 raw = group_cohomology(h, lat, n, normalized=False)
                 assert cg.invariant_factors == raw.invariant_factors
-                _check_torsion_reduce(cg, h.order)
+                if n:
+                    _check_torsion_reduce(cg, h.order)
 
 
 def test_finite_hypercohomology_matches_kernel_oracle():
+    """Degree 1 comes from SNF of the total d^0; degrees -1 and 0 take
+    kernels, including the row-less ones over the trivial subgroup."""
     for t in fixtures.complex_catalog().values():
-        for h in enumerate_subgroups(t.group)[0]:
-            cg = hypercohomology(h, t, 1)
-            raw = hypercohomology(h, t, 1, normalized=False)
-            assert cg.invariant_factors == raw.invariant_factors
-            _check_torsion_reduce(cg, h.order)
+        subgroups = enumerate_subgroups(t.group)[0]
+        assert min(h.order for h in subgroups) == 1
+        for h in subgroups:
+            for n in (-1, 0, 1):
+                cg = hypercohomology(h, t, n)
+                raw = hypercohomology(h, t, n, normalized=False)
+                assert cg.invariant_factors == raw.invariant_factors
+                if n == 1:
+                    _check_torsion_reduce(cg, h.order)
 
 
 def test_torsion_reduce_rejects_non_cocycles():
@@ -211,38 +220,6 @@ def test_torsion_reduce_rejects_non_cocycles():
                 else:
                     with pytest.raises(la.SolveError):
                         cg.reduce(unit)
-
-
-SMALL_LATTICES = [lat for lat in fixtures.lattice_catalog().values()
-                  if lat.group.order <= 6]
-
-
-@st.composite
-def unimodular_matrices(draw, n):
-    """Products of elementary row operations."""
-    m = la.thaw(la.identity(n))
-    if n > 1:
-        ops = draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                      st.integers(0, n - 1),
-                                      st.integers(-2, 2)), max_size=6))
-        for i, j, k in ops:
-            if i != j:
-                m[i] = [a + k * b for a, b in zip(m[i], m[j])]
-    return la.freeze(m)
-
-
-@st.composite
-def small_lattices(draw):
-    """Catalog lattices over groups of order <= 6, summed with a second
-    one up to rank 4, maybe dualized, then rebased."""
-    lat = draw(st.sampled_from(SMALL_LATTICES))
-    others = [x for x in SMALL_LATTICES if x.group is lat.group
-              and x.rank + lat.rank <= 4]
-    if others and draw(st.booleans()):
-        lat = direct_sum(lat, draw(st.sampled_from(others)))
-    if draw(st.booleans()):
-        lat = dual_lattice(lat)
-    return conjugate_lattice(lat, draw(unimodular_matrices(lat.rank)))
 
 
 @given(small_lattices())

@@ -1,6 +1,7 @@
 """Exact integer linear algebra: Smith normal form, kernels, images,
 and subquotient presentations."""
 
+import hashlib
 import random
 
 import pytest
@@ -62,6 +63,32 @@ def test_snf_random_battery():
         check_snf(random_matrix(rng, rows, cols))
 
 
+def snf_battery():
+    """The random battery above, then near-diagonal matrices on which the
+    divisibility-chain fix runs often."""
+    rng = random.Random(12345)
+    for _ in range(120):
+        yield random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+    rng = random.Random(2024)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        yield la.freeze([[rng.choice([0, 0, 2, 3, 4, 6, -2, -3, 9])
+                          if i == j or rng.random() < 0.2 else 0
+                          for j in range(n)] for i in range(n)])
+
+
+def test_snf_transforms_unchanged():
+    """U, D and V on the battery hash to the value the earlier
+    implementation gave, when the chain fix ran its own copy of the
+    elimination loop; pivot order, and so every transform, is kept."""
+    h = hashlib.sha256()
+    for a in snf_battery():
+        res = la.smith_normal_form(a)
+        h.update(repr((res.U, res.D, res.V)).encode())
+    assert h.hexdigest() == (
+        "62b983c78a1e01dd5c3a576e867677dbe536b6bcaee3864fbef6a43bef328689")
+
+
 @given(st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=5),
                 min_size=1, max_size=5).filter(
                     lambda m: len({len(r) for r in m}) == 1))
@@ -90,6 +117,18 @@ def test_kernel_is_saturated():
     kb = la.kernel_basis(a)
     assert len(kb) == 1
     assert kb[0] in ([1, -1], [-1, 1])
+
+
+def test_preimage():
+    # {x : 2x in span(4)} = 2Z, {x : 2x = 0} = 0
+    assert la.preimage(la.freeze([[2]]), [[4]], 1) in ([[2]], [[-2]])
+    assert la.preimage(la.freeze([[2]]), [], 1) == []
+    # a matrix with no rows maps everything into Z^0
+    assert la.preimage((), [], 2) == [[1, 0], [0, 1]]
+    a = la.freeze([[1, 1, 0], [0, 2, 2]])
+    for x in la.preimage(a, [[0, 4]], 3):
+        y = la.mat_vec(a, x)
+        assert y[0] == 0 and y[1] % 4 == 0
 
 
 def test_solve_columns():
@@ -129,6 +168,9 @@ def test_hom_kernel_cokernel():
     assert cok.factors == (2,)
     img = la.hom_image_in(m, (4,))
     assert img.factors == (2,)
+    # maps into the zero group have no matrix rows; all is kernel
+    assert la.hom_kernel((), (0,), ()).factors == (0,)
+    assert la.hom_kernel((), (3, 0), ()).factors == (3, 0)
 
 
 def test_unimodular_inverse():

@@ -1,9 +1,12 @@
 """G-lattices, duality, induction, and finitely generated modules."""
 
 import pytest
+from hypothesis import given, settings
+from lattice_strategies import small_lattices
 
 from galmod import fixtures
 from galmod import intlinalg as la
+from galmod.cohomology import group_cohomology
 from galmod.groups import (cyclic_group, dihedral_group_4,
                            enumerate_subgroups, subgroup,
                            symmetric_group_3, trivial_subgroup,
@@ -133,6 +136,27 @@ def test_module_fixed_points_with_torsion():
     assert len(fp) == 1
 
 
+def test_module_fixed_points_match_h0():
+    """The fixed submodule modulo relations is H^0 of the unnormalized
+    complex.  Z/2 with a sign character of V4 or S3 is all fixed, though
+    (M(g) - 1) x is a different relation for different g."""
+    mods = []
+    for lat in fixtures.lattice_catalog().values():
+        if lat.rank <= 4:
+            mods.append(lattice_as_module(lat))
+            for p in (2, 3):
+                diag = tuple(tuple(p * (i == j) for j in range(lat.rank))
+                             for i in range(lat.rank))
+                mods.append(FgModule(lat.group, lat.rank, diag, lat.action))
+    for mod in mods:
+        rel = la.columns(mod.relations)
+        for h in enumerate_subgroups(mod.group)[0]:
+            fixed = la.abgroup_from_subquotient(
+                module_fixed_points(mod, h) + rel, rel, mod.ngens)
+            h0 = group_cohomology(h, mod, 0, normalized=False)
+            assert fixed.factors == h0.invariant_factors
+
+
 def test_induce_rank_and_shapiro_shape():
     s3 = symmetric_group_3()
     a3 = next(h for h in enumerate_subgroups(s3)[0] if h.order == 3)
@@ -167,6 +191,11 @@ def test_fg_iso_check():
     assert fg_iso_check(tripling)
     doubling = FgModuleMap(a, a, ((2,),))
     assert not fg_iso_check(doubling)
+    # Z -> 0 is onto but not injective; its matrix has no rows
+    z = lattice_as_module(trivial_lattice(z2))
+    zero = lattice_as_module(zero_lattice(z2))
+    assert fg_iso_check(FgModuleMap(z, z, la.identity(1)))
+    assert not fg_iso_check(FgModuleMap(z, zero, ()))
 
 
 def test_zero_lattice():
@@ -174,3 +203,38 @@ def test_zero_lattice():
     z = zero_lattice(z2)
     assert z.rank == 0
     assert lattice_as_module(z).ngens == 0
+
+
+def _word_products(obj, dim):
+    """M(e) rebuilt from the identity along the whole BFS word of e."""
+    out = []
+    for e in obj.group.elements():
+        m = la.identity(dim)
+        for gi in obj.group.word(e):
+            m = la.mat_mul(m, obj.action[gi])
+        out.append(m)
+    return tuple(out)
+
+
+def test_element_matrices_match_word_products():
+    d4 = dihedral_group_4()
+    s3 = symmetric_group_3()
+    for lat in fixtures.lattice_catalog().values():
+        assert lat.element_matrices() == _word_products(lat, lat.rank)
+    rot = ((0, -1), (1, 0))
+    mods = [
+        FgModule(cyclic_group(2), 1, ((2,),), (la.identity(1),)),
+        FgModule(cyclic_group(4), 2, ((4, 0), (0, 2)), (((1, 0), (0, 3)),)),
+        FgModule(s3, 2, ((3,), (0,)), (((-1, 0), (0, 1)), la.identity(2))),
+        FgModule(d4, 2, ((2, 0), (0, 2)), (((1, 0), (0, -1)), rot)),
+        lattice_as_module(regular_lattice(d4)),
+        lattice_as_module(zero_lattice(d4)),
+    ]
+    for mod in mods:
+        assert mod.element_matrices() == _word_products(mod, mod.ngens)
+
+
+@given(small_lattices())
+@settings(max_examples=20, deadline=None)
+def test_element_matrices_property(lat):
+    assert lat.element_matrices() == _word_products(lat, lat.rank)
