@@ -18,7 +18,8 @@ from .cohomology import (group_cohomology, hypercohomology, shapiro_compare,
                          UnsupportedDegreeError)
 from .complexes import (classify, coflasque_resolution, flasque_resolution,
                         r_equivalence_invariant, replay_certificate)
-from .crossed import h_minus_one, h_zero, validate_crossed_module
+from .crossed import (DEFAULT_ENUMERATION_BOUND, h_minus_one, h_zero,
+                      validate_crossed_module)
 from .groups import (DEFAULT_SIZE_LIMIT, MembershipError, SizeLimitError,
                      SubgroupHandle, sylow_all_cyclic)
 from . import intlinalg as la
@@ -76,11 +77,17 @@ def _load(flag_value: str, kind: str, size_limit: int):
     return obj
 
 
-def _subgroup_members(text: str) -> tuple[int, ...]:
+def _subgroup(text: str, group) -> SubgroupHandle:
+    """The subgroup of ``group`` named by a --subgroup member list."""
     try:
-        return tuple(int(x) for x in text.replace(",", " ").split())
+        members = tuple(int(x) for x in text.replace(",", " ").split())
     except ValueError:
         raise CliInputError(f"bad subgroup member list {text!r}")
+    bad = [g for g in members if not 0 <= g < group.order]
+    if bad:
+        raise CliInputError(f"subgroup members {bad} are not elements of "
+                            f"a group of order {group.order}")
+    return SubgroupHandle(group, members)
 
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:
@@ -96,16 +103,11 @@ def _factors(cg) -> list[int]:
     return list(cg.invariant_factors)
 
 
-def _acting(args, lat_group, size_limit):
-    """Resolve the optional --subgroup flag against the acting group."""
+def _acting(args, group):
+    """The acting group: ``group``, or its subgroup given by --subgroup."""
     if args.subgroup is None:
-        return lat_group, None
-    members = _subgroup_members(args.subgroup)
-    try:
-        handle = SubgroupHandle(lat_group, members)
-    except MembershipError as e:
-        raise CliInputError(str(e))
-    return handle, handle
+        return group
+    return _subgroup(args.subgroup, group)
 
 
 def cmd_cohomology(args, size_limit):
@@ -114,8 +116,7 @@ def cmd_cohomology(args, size_limit):
         grp = _load(args.group, "group", size_limit)
         if grp.table != lat.group.table:
             raise CliInputError("--group does not match the lattice group")
-    acting, _ = _acting(args, lat.group, size_limit)
-    cg = group_cohomology(acting, lat, args.degree)
+    cg = group_cohomology(_acting(args, lat.group), lat, args.degree)
     _emit(args, [f"invariant factors: {_factors(cg)}"],
           {"command": "cohomology", "degree": args.degree,
            "invariant_factors": _factors(cg)})
@@ -124,8 +125,7 @@ def cmd_cohomology(args, size_limit):
 
 def cmd_tate(args, size_limit):
     lat = _load(args.lattice, "lattice", size_limit)
-    acting, _ = _acting(args, lat.group, size_limit)
-    cg = tate_cohomology(acting, lat, args.degree)
+    cg = tate_cohomology(_acting(args, lat.group), lat, args.degree)
     _emit(args, [f"invariant factors: {_factors(cg)}"],
           {"command": "tate", "degree": args.degree,
            "invariant_factors": _factors(cg)})
@@ -134,8 +134,7 @@ def cmd_tate(args, size_limit):
 
 def cmd_hyper(args, size_limit):
     t = _load(args.complex, "complex", size_limit)
-    acting, _ = _acting(args, t.group, size_limit)
-    cg = hypercohomology(acting, t, args.degree)
+    cg = hypercohomology(_acting(args, t.group), t, args.degree)
     _emit(args, [f"invariant factors: {_factors(cg)}"],
           {"command": "hyper", "degree": args.degree,
            "invariant_factors": _factors(cg)})
@@ -209,15 +208,14 @@ def cmd_invariants(args, size_limit):
 
 def cmd_crossed_h0(args, size_limit):
     c = _load(args.crossed, "crossed", size_limit)
-    bound = args.size_limit if args.size_limit else 10 ** 6
-    hz = h_zero(c, bound)
+    hz = h_zero(c, args.size_limit or DEFAULT_ENUMERATION_BOUND)
     hm = h_minus_one(c)
-    lines = [f"H^-1 order: {len(hm.members)}",
+    lines = [f"H^-1 order: {hm.order}",
              f"H^0 order: {hz.order}",
              f"H^0 class representatives: {list(hz.representatives)}"]
     _emit(args, lines,
           {"command": "crossed-h0",
-           "h_minus_one_order": len(hm.members),
+           "h_minus_one_order": hm.order,
            "h_zero_order": hz.order,
            "representatives": serialize.deep_list(hz.representatives)})
     return EXIT_OK
@@ -306,14 +304,7 @@ def cmd_remark_compare(args, size_limit):
 
 def cmd_refine(args, size_limit):
     graph = _load(args.graph, "graph", size_limit)
-    if args.subgroup is None:
-        raise CliInputError("refine needs --subgroup")
-    members = _subgroup_members(args.subgroup)
-    try:
-        h = SubgroupHandle(graph.gamma, members)
-    except MembershipError as e:
-        raise CliInputError(str(e))
-    refined = refine_graph(graph, h)
+    refined = refine_graph(graph, _subgroup(args.subgroup, graph.gamma))
     lines = [f"refined: {refined.n_vertices} vertices, "
              f"{refined.n_edges} edges"]
     for i, v in enumerate(refined.vertices):
@@ -328,13 +319,7 @@ def cmd_refine(args, size_limit):
 
 def cmd_shapiro(args, size_limit):
     gamma = _load(args.group, "group", size_limit)
-    if args.subgroup is None:
-        raise CliInputError("shapiro needs --subgroup")
-    members = _subgroup_members(args.subgroup)
-    try:
-        h = SubgroupHandle(gamma, members)
-    except MembershipError as e:
-        raise CliInputError(str(e))
+    h = _subgroup(args.subgroup, gamma)
     if args.lattice:
         lat = _load(args.lattice, "lattice", size_limit)
         if lat.group.table != h.as_group().table:
@@ -416,13 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "mode":
                 p.add_argument("--mode", required=True,
                                choices=["flasque", "coflasque"])
+            elif flag == "verify-certificate":
+                p.add_argument("--verify-certificate", action="store_true")
             elif flag in ("group", "lattice", "complex", "graph",
                           "crossed", "subgroup", "matrix"):
                 required = flag in _REQUIRED.get(name, ())
                 p.add_argument(f"--{flag}", required=required)
         p.add_argument("--format", choices=["text", "json"],
                        default="text")
-        p.add_argument("--verify-certificate", action="store_true")
         p.add_argument("--size-limit", type=int, default=None)
         return p
 
@@ -431,8 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     add("tate", cmd_tate, "lattice", "subgroup", "degree")
     add("hyper", cmd_hyper, "complex", "subgroup", "degree")
     add("classify", cmd_classify, "lattice", "mode")
-    add("resolve-coflasque", cmd_resolve_coflasque, "complex")
-    add("resolve-flasque", cmd_resolve_flasque, "complex")
+    add("resolve-coflasque", cmd_resolve_coflasque, "complex",
+        "verify-certificate")
+    add("resolve-flasque", cmd_resolve_flasque, "complex",
+        "verify-certificate")
     add("invariants", cmd_invariants, "complex")
     add("crossed-h0", cmd_crossed_h0, "crossed")
     add("mv-report", cmd_mv_report, "graph", "complex", "crossed")
@@ -459,8 +447,8 @@ _REQUIRED = {
     "mv-report": ("graph",),
     "sha": ("graph",),
     "remark-compare": ("graph", "complex"),
-    "refine": ("graph",),
-    "shapiro": ("group",),
+    "refine": ("graph", "subgroup"),
+    "shapiro": ("group", "subgroup"),
     "sylow-cyclic": ("group",),
 }
 

@@ -55,7 +55,6 @@ class CohomologyGroup:
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
     presentation: Union[AbGroupPresentation, TorsionCokernel]
-    group_order: int
     coeff_dim: int
     normalized: bool = True
 
@@ -248,8 +247,8 @@ def _group_cohomology(h, a: Coefficient, n: int,
             bar_differential(sub, mats, rank, n - 1, normalized))
     else:
         pres = _cohomology_presentation(sub, rank, mats, rel, n, normalized)
-    return CohomologyGroup(n, pres.factors, pres.generators, pres,
-                           sub.order, rank, normalized)
+    return CohomologyGroup(n, pres.factors, pres.generators, pres, rank,
+                           normalized)
 
 
 def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
@@ -263,7 +262,7 @@ def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
 
 
 def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
-    sub, parent_ids = _acting(h)
+    _, parent_ids = _acting(h)
     rank, mats, _ = _coefficient_data(lat, parent_ids)
     norm = la.zeros(rank, rank)
     for m in mats:
@@ -279,48 +278,58 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
         num = la.preimage(la.vstack(*blocks), [], rank)
         den = la.columns(norm)
     pres = la.abgroup_from_subquotient(num, den, rank)
-    return CohomologyGroup(n, pres.factors, pres.generators, pres,
-                           sub.order, rank)
+    return CohomologyGroup(n, pres.factors, pres.generators, pres, rank)
 
 
-def restriction(gamma: FiniteGroup, h: SubgroupHandle, a: Coefficient,
-                n: int, normalized: bool = True) -> CohMap:
-    """Restriction H^n(Gamma, A) -> H^n(H, A) along H <= Gamma."""
-    src = group_cohomology(gamma, a, n, normalized)
-    tgt = group_cohomology(h, a, n, normalized)
-    sub = h.as_group()
-    rank = src.coeff_dim
+def restriction(src, h: SubgroupHandle, a, n: int,
+                normalized: bool = True) -> CohMap:
+    """Restriction H^n(S, A) -> H^n(H, A) along H <= S.
+
+    ``src`` is the parent group of ``h`` or a SubgroupHandle containing
+    ``h``.  ``a`` is a lattice or module (group cohomology) or a two-term
+    complex [L1 -> L2] (hypercohomology, whose cochains are a C^{n+1}(L1)
+    block followed by a C^n(L2) block).
+    """
+    if isinstance(a, (GLattice, FgModule)):
+        source = group_cohomology(src, a, n, normalized)
+        target = group_cohomology(h, a, n, normalized)
+        blocks = [(n, source.coeff_dim)]
+    else:
+        source = hypercohomology(src, a, n, normalized)
+        target = hypercohomology(h, a, n, normalized)
+        blocks = [(n + 1, a.l1.rank), (n, a.l2.rank)]
+    elem_map = h.ids_in(src)
     cols = []
-    for gen in src.generators:
-        restricted = _restrict_cochain(gen, gamma.order, sub, h, rank, n,
-                                       normalized)
-        cols.append(list(tgt.reduce(restricted)))
-    matrix = la.from_columns(cols, len(tgt.invariant_factors))
-    return CohMap(src, tgt, matrix)
+    for gen in source.generators:
+        vec: list[int] = []
+        start = 0
+        for m, rank in blocks:
+            size = cochain_dim(src.order, rank, m, normalized)
+            if size:  # the C^{-1}(L2) block is empty
+                vec += cochain_pullback(gen[start:start + size], src.order,
+                                        elem_map, rank, m, normalized)
+            start += size
+        cols.append(list(target.reduce(vec)))
+    matrix = la.from_columns(cols, len(target.invariant_factors))
+    return CohMap(source, target, matrix)
+
+
+hyper_restriction = restriction  # one map for both kinds of coefficient
 
 
 def cochain_pullback(vec: Sequence[int], src_order: int,
-                     tgt_group: FiniteGroup, elem_map, rank: int,
-                     n: int, normalized: bool = True) -> list[int]:
-    """Pull a cochain back along a group inclusion given by ``elem_map``
-    (target element id -> source element id)."""
-    letters = _letters(tgt_group.order, normalized)
-    out = [0] * cochain_dim(tgt_group.order, rank, n, normalized)
+                     elem_map: Sequence[int], rank: int, n: int,
+                     normalized: bool = True) -> list[int]:
+    """Pull an n-cochain back along a group inclusion; ``elem_map[i]`` is
+    the source id of target element i (so the identity maps to 0)."""
+    letters = _letters(len(elem_map), normalized)
+    out = [0] * cochain_dim(len(elem_map), rank, n, normalized)
     for tcount, tup in enumerate(_tuples(letters, n)):
-        src_tup = tuple(elem_map(g) for g in tup)
-        if normalized and any(g == 0 for g in src_tup):
-            continue
+        src_tup = tuple(elem_map[g] for g in tup)
         sbase = _tuple_index(src_tup, src_order, normalized) * rank
         for aidx in range(rank):
             out[tcount * rank + aidx] = vec[sbase + aidx]
     return out
-
-
-def _restrict_cochain(vec: Sequence[int], parent_order: int,
-                      sub: FiniteGroup, h: SubgroupHandle, rank: int,
-                      n: int, normalized: bool) -> list[int]:
-    return cochain_pullback(vec, parent_order, sub, h.to_parent, rank, n,
-                            normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -380,28 +389,7 @@ def _hypercohomology(h, t, n: int, normalized: bool) -> CohomologyGroup:
             im = []
         pres = la.abgroup_from_subquotient(ker, im, dim_n)
     return CohomologyGroup(n, pres.factors, pres.generators, pres,
-                           order, r1 + r2)
-
-
-def hyper_restriction(gamma: FiniteGroup, h: SubgroupHandle, t, n: int,
-                      normalized: bool = True) -> CohMap:
-    """Restriction on hypercohomology of a two-term complex."""
-    src = hypercohomology(gamma, t, n, normalized)
-    tgt = hypercohomology(h, t, n, normalized)
-    sub = h.as_group()
-    r1, r2 = t.l1.rank, t.l2.rank
-    split_src = cochain_dim(gamma.order, r1, n + 1, normalized)
-    cols = []
-    for gen in src.generators:
-        part1 = gen[:split_src]
-        part2 = gen[split_src:]
-        res1 = _restrict_cochain(part1, gamma.order, sub, h, r1, n + 1,
-                                 normalized)
-        res2 = _restrict_cochain(part2, gamma.order, sub, h, r2, n,
-                                 normalized) if n >= 0 else []
-        cols.append(list(tgt.reduce(list(res1) + list(res2))))
-    matrix = la.from_columns(cols, len(tgt.invariant_factors))
-    return CohMap(src, tgt, matrix)
+                           r1 + r2)
 
 
 @dataclass(frozen=True)

@@ -379,22 +379,8 @@ def cts_cover_coflasque(m: Union[GLattice, FgModule]) -> CoverSequence:
         if not fix:
             continue
         image_cols = []
-        kmem = [x for x in k.members if x != 0]
-        for handle, cs, gen in summands:
-            seen = set()
-            for c0 in range(cs.size):
-                if c0 in seen:
-                    continue
-                orbit = {c0}
-                queue = [c0]
-                while queue:
-                    c = queue.pop()
-                    for x in kmem:
-                        nc = cs.act(x, c)
-                        if nc not in orbit:
-                            orbit.add(nc)
-                            queue.append(nc)
-                seen |= orbit
+        for _, cs, gen in summands:
+            for orbit in cs.orbits(k.members):
                 vec = [0] * dim
                 for c in orbit:
                     img = la.mat_vec(mats[cs.representatives[c]], gen)

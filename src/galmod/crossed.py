@@ -153,6 +153,10 @@ class HMinusOne:
     members: tuple[int, ...]  # element ids in G
     group: FiniteGroup
 
+    @property
+    def order(self) -> int:
+        return len(self.members)
+
 
 def h_minus_one(c: FiniteCrossedModule) -> HMinusOne:
     gal = c.galois

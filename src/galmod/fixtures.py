@@ -8,7 +8,6 @@ lookups share the cohomology results cached on each object.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from . import intlinalg as la
 from .crossed import (FiniteCrossedModule, conjugation_h_action,

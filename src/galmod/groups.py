@@ -8,9 +8,7 @@ deterministic and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import reduce
-from math import gcd
+from dataclasses import dataclass
 
 DEFAULT_SIZE_LIMIT = 64
 
@@ -278,6 +276,14 @@ class SubgroupHandle:
         self.as_group()
         return getattr(self, "_parent_index")[g]
 
+    def ids_in(self, src) -> tuple[int, ...]:
+        """Element map of the inclusion into ``src``: entry i is the id,
+        in ``src``, of element i of ``as_group()``.  ``src`` is the parent
+        group or a SubgroupHandle of it that contains this subgroup."""
+        if isinstance(src, SubgroupHandle):
+            return tuple(src.from_parent(g) for g in self.members_bfs())
+        return self.members_bfs()
+
     def _build_group(self) -> FiniteGroup:
         p = self.parent
         gens = minimal_generators(p, self.members)
@@ -409,6 +415,18 @@ class CosetSpace:
 
     def act(self, g: int, c: int) -> int:
         return self.action[g][c]
+
+    def orbits(self, members) -> list[list[int]]:
+        """Orbits of the subgroup with elements ``members`` on the cosets,
+        each sorted, listed by minimal coset."""
+        seen: set[int] = set()
+        out = []
+        for start in range(self.size):
+            if start not in seen:
+                orbit = sorted({self.action[g][start] for g in members})
+                seen.update(orbit)
+                out.append(orbit)
+        return out
 
 
 def coset_action(g: FiniteGroup, h: SubgroupHandle) -> CosetSpace:

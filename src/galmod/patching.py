@@ -18,14 +18,13 @@ from typing import Optional, Union
 
 from . import intlinalg as la
 from .cohomology import (CohomologyGroup, UnsupportedDegreeError,
-                         cochain_dim, cochain_pullback, group_cohomology,
-                         hypercohomology)
+                         group_cohomology, restriction)
 from .complexes import TwoTermComplex, flasque_resolution
-from .crossed import (FiniteCrossedModule, HMinusOne, HZero, h_minus_one,
-                      h_zero)
+from .crossed import (DEFAULT_ENUMERATION_BOUND, FiniteCrossedModule,
+                      HMinusOne, HZero, h_minus_one, h_zero)
 from .groups import (FiniteGroup, MembershipError, SizeLimitError,
                      SubgroupHandle, coset_action, group_from_table)
-from .intlinalg import IntMatrix
+from .intlinalg import AbGroupPresentation, IntMatrix
 from .lattice import GLattice
 
 
@@ -166,50 +165,6 @@ def _check_coefficient(graph: PatchingGraph, coeff: Coefficient,
         raise ModelError("coefficient lives over a different group")
 
 
-def _cohom(graph: PatchingGraph, handle: Optional[SubgroupHandle],
-           coeff, r: int, kind: str) -> CohomologyGroup:
-    obj = handle if handle is not None else graph.gamma
-    if kind == "lattice":
-        return group_cohomology(obj, coeff, r)
-    return hypercohomology(obj, coeff, r)
-
-
-def _elem_map(src: Optional[SubgroupHandle], tgt: SubgroupHandle):
-    """Target standalone-group element id -> source-group element id."""
-    if src is None:
-        return tgt.to_parent
-    return lambda e: src.from_parent(tgt.to_parent(e))
-
-
-def _restriction_rows(graph: PatchingGraph, src: Optional[SubgroupHandle],
-                      tgt: SubgroupHandle, coeff, r: int,
-                      kind: str) -> list[list[int]]:
-    """Rows (target coords x source generators) of the restriction map
-    between the cohomology of two nested subgroups."""
-    src_cg = _cohom(graph, src, coeff, r, kind)
-    tgt_cg = _cohom(graph, tgt, coeff, r, kind)
-    src_group = src.as_group() if src is not None else graph.gamma
-    tgt_group = tgt.as_group()
-    emap = _elem_map(src, tgt)
-    cols = []
-    for gen in src_cg.generators:
-        if kind == "lattice":
-            vec = cochain_pullback(gen, src_group.order, tgt_group, emap,
-                                   coeff.rank, r)
-        else:
-            r1, r2 = coeff.l1.rank, coeff.l2.rank
-            split = cochain_dim(src_group.order, r1, r + 1)
-            part1 = cochain_pullback(gen[:split], src_group.order,
-                                     tgt_group, emap, r1, r + 1)
-            part2 = (cochain_pullback(gen[split:], src_group.order,
-                                      tgt_group, emap, r2, r)
-                     if r >= 0 else [])
-            vec = list(part1) + list(part2)
-        cols.append(list(tgt_cg.reduce(vec)))
-    nrows = len(tgt_cg.invariant_factors)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-
-
 @dataclass(frozen=True, eq=False)
 class MvColumns:
     """One row of the Mayer-Vietoris diagram in a fixed degree.
@@ -250,45 +205,52 @@ def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int):
     _check_coefficient(graph, coeff, kind)
     if kind == "crossed":
         return _crossed_columns(graph, coeff, r)
-    left = _cohom(graph, None, coeff, r, kind)
-    middle = tuple(_cohom(graph, h, coeff, r, kind) for h in graph.vertices)
-    right = tuple(_cohom(graph, h, coeff, r, kind)
-                  for _, _, h in graph.edges)
-    left_dim = len(left.invariant_factors)
-    mid_sizes = [len(cg.invariant_factors) for cg in middle]
-    right_sizes = [len(cg.invariant_factors) for cg in right]
-    mid_dim = sum(mid_sizes)
-    right_dim = sum(right_sizes)
+    verts = graph.vertices
+    vertex_maps = [restriction(graph.gamma, h, coeff, r) for h in verts]
+    edge_maps = [(restriction(verts[head], h, coeff, r),
+                  restriction(verts[tail], h, coeff, r))
+                 for head, tail, h in graph.edges]
+    left = vertex_maps[0].source  # a graph has at least one vertex
+    middle = tuple(m.target for m in vertex_maps)
+    right = tuple(m.target for m, _ in edge_maps)
     mid_offset = [0]
-    for s in mid_sizes:
-        mid_offset.append(mid_offset[-1] + s)
+    for cg in middle:
+        mid_offset.append(mid_offset[-1] + len(cg.invariant_factors))
 
-    vertex_rows = [_restriction_rows(graph, None, h, coeff, r, kind)
-                   for h in graph.vertices]
-    restriction = [row for block in vertex_rows for row in block]
-
-    edge_mats = []
     diff_rows: list[list[int]] = []
-    for (head, tail, h) in graph.edges:
-        head_rows = _restriction_rows(graph, graph.vertices[head], h,
-                                      coeff, r, kind)
-        tail_rows = _restriction_rows(graph, graph.vertices[tail], h,
-                                      coeff, r, kind)
-        edge_mats.append((la.freeze(head_rows), la.freeze(tail_rows)))
-        for i in range(len(head_rows)):
-            row = [0] * mid_dim
-            for j, v in enumerate(head_rows[i]):
+    for (head, tail, _), (head_map, tail_map) in zip(graph.edges,
+                                                     edge_maps):
+        for head_row, tail_row in zip(head_map.matrix, tail_map.matrix):
+            row = [0] * mid_offset[-1]
+            for j, v in enumerate(head_row):
                 row[mid_offset[head] + j] += v
-            for j, v in enumerate(tail_rows[i]):
+            for j, v in enumerate(tail_row):
                 row[mid_offset[tail] + j] -= v
             diff_rows.append(row)
     return MvColumns(
         kind, r, left, middle, right,
-        tuple(la.freeze(b) for b in vertex_rows),
-        tuple(edge_mats),
-        la.freeze(restriction),
+        tuple(m.matrix for m in vertex_maps),
+        tuple((h.matrix, t.matrix) for h, t in edge_maps),
+        la.vstack(*(m.matrix for m in vertex_maps)),
         la.freeze(diff_rows),
-        left_dim, mid_dim, right_dim)
+        len(left.invariant_factors), mid_offset[-1],
+        sum(len(cg.invariant_factors) for cg in right))
+
+
+@dataclass(frozen=True, eq=False)
+class _KernelPresentation:
+    """A subgroup of ``whole`` presented in the coordinates of its
+    generators; cochains are reduced through ``whole`` first."""
+
+    whole: CohomologyGroup
+    sub: AbGroupPresentation
+
+    @property
+    def order(self):
+        return self.sub.order
+
+    def reduce(self, cochain) -> tuple[int, ...]:
+        return self.sub.reduce(self.whole.reduce(cochain))
 
 
 def sha(graph: PatchingGraph, coeff: Coefficient, r: int):
@@ -303,18 +265,12 @@ def sha(graph: PatchingGraph, coeff: Coefficient, r: int):
     left = cols.left
     pres = la.hom_kernel(cols.restriction_matrix, left.invariant_factors,
                          cols.middle_factors)
-    gens = []
-    dim = (cochain_dim(left.group_order, left.coeff_dim, r)
-           if cols.kind == "lattice" else len(left.generators[0])
-           if left.generators else 0)
-    for coords in pres.generators:
-        vec = [0] * dim
-        for c, g in zip(coords, left.generators):
-            for i, v in enumerate(g):
-                vec[i] += c * v
-        gens.append(tuple(vec))
-    return CohomologyGroup(r, pres.factors, tuple(gens), pres,
-                           graph.gamma.order, left.coeff_dim)
+    gens = tuple(
+        tuple(sum(c * v for c, v in zip(coords, entries))
+              for entries in zip(*left.generators))
+        for coords in pres.generators)
+    return CohomologyGroup(r, pres.factors, gens,
+                           _KernelPresentation(left, pres), left.coeff_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -504,17 +460,15 @@ def _crossed_h(c: FiniteCrossedModule, handle: Optional[SubgroupHandle],
     return h_minus_one(mod) if r == -1 else h_zero(mod)
 
 
-def _crossed_restrict_index(src_col, tgt_col, src_handle, tgt_handle,
+def _crossed_restrict_index(src_col, tgt_col, src, tgt_handle,
                             r: int, idx: int) -> int:
     """Class index in the target column of the restriction of source
-    class ``idx``."""
+    class ``idx``; ``src`` is gamma or the source vertex subgroup."""
     if r == -1:
         x = src_col.members[idx]
         return tgt_col.members.index(x)
     alpha, hval = src_col.representatives[idx]
-    emap = _elem_map(src_handle, tgt_handle)
-    tgt_gal = tgt_col.crossed.galois
-    restricted = tuple(alpha[emap(s)] for s in tgt_gal.elements())
+    restricted = tuple(alpha[s] for s in tgt_handle.ids_in(src))
     return tgt_col.class_of[(restricted, hval)]
 
 
@@ -523,15 +477,10 @@ def _crossed_columns(graph: PatchingGraph, c: FiniteCrossedModule,
     left = _crossed_h(c, None, r)
     middle = tuple(_crossed_h(c, h, r) for h in graph.vertices)
     right = tuple(_crossed_h(c, h, r) for _, _, h in graph.edges)
-    n_left = (len(left.members) if r == -1 else left.order)
-
-    def size(col):
-        return len(col.members) if r == -1 else col.order
-
     vertex_maps = tuple(
-        tuple(_crossed_restrict_index(left, middle[i], None,
+        tuple(_crossed_restrict_index(left, middle[i], graph.gamma,
                                       graph.vertices[i], r, idx)
-              for idx in range(n_left))
+              for idx in range(left.order))
         for i in range(len(graph.vertices)))
     head_maps = []
     tail_maps = []
@@ -539,11 +488,11 @@ def _crossed_columns(graph: PatchingGraph, c: FiniteCrossedModule,
         head_maps.append(tuple(
             _crossed_restrict_index(middle[head], right[k],
                                     graph.vertices[head], h, r, idx)
-            for idx in range(size(middle[head]))))
+            for idx in range(middle[head].order)))
         tail_maps.append(tuple(
             _crossed_restrict_index(middle[tail], right[k],
                                     graph.vertices[tail], h, r, idx)
-            for idx in range(size(middle[tail]))))
+            for idx in range(middle[tail].order)))
     return CrossedMvColumns("crossed", r, left, middle, right,
                             vertex_maps, tuple(head_maps),
                             tuple(tail_maps))
@@ -566,8 +515,7 @@ class ShaCrossed:
 
 def _crossed_sha(cols: CrossedMvColumns) -> ShaCrossed:
     r = cols.degree
-    n_left = len(cols.left.members) if r == -1 else cols.left.order
-    kernel = [idx for idx in range(n_left)
+    kernel = [idx for idx in range(cols.left.order)
               if all(vm[idx] == 0 for vm in cols.vertex_maps)]
     pos = {c: i for i, c in enumerate(kernel)}
     if r == -1:
@@ -579,9 +527,6 @@ def _crossed_sha(cols: CrossedMvColumns) -> ShaCrossed:
         table = tuple(tuple(pos[tbl[a][b]] for b in kernel)
                       for a in kernel)
     return ShaCrossed(r, tuple(kernel), group_from_table(table), cols.left)
-
-
-DEFAULT_PRODUCT_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -606,18 +551,15 @@ def _crossed_middle_exactness(cols: CrossedMvColumns, edges,
                               bound: int):
     """Enumerate the vertex product and compare ker(difference) with the
     image of the joint restriction."""
-    sizes = [len(m.members) if cols.degree == -1 else m.order
-             for m in cols.middle]
+    sizes = [m.order for m in cols.middle]
     total = 1
     for s in sizes:
         total *= s
     if total > bound:
         raise SizeLimitError(
             f"vertex product of size {total} exceeds the bound {bound}")
-    n_left = (len(cols.left.members) if cols.degree == -1
-              else cols.left.order)
     image = {tuple(cols.vertex_maps[i][c] for i in range(len(sizes)))
-             for c in range(n_left)}
+             for c in range(cols.left.order)}
     for assignment in itertools.product(*[range(s) for s in sizes]):
         if any(v != 0 for v in cols.difference(assignment, edges)):
             continue
@@ -627,7 +569,7 @@ def _crossed_middle_exactness(cols: CrossedMvColumns, edges,
 
 
 def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
-                            bound: int = DEFAULT_PRODUCT_BOUND
+                            bound: int = DEFAULT_ENUMERATION_BOUND
                             ) -> CrossedReport:
     """Evaluate the H^-1 and H^0 rows of the crossed-module sequence."""
     degrees = (-1, 0)
@@ -640,9 +582,8 @@ def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
     for r in degrees:
         cols = mv_columns(graph, c, r)
         columns.append(cols)
-        n_left = len(cols.left.members) if r == -1 else cols.left.order
         ok = True
-        for idx in range(n_left):
+        for idx in range(cols.left.order):
             assignment = tuple(cols.vertex_maps[i][idx]
                                for i in range(len(graph.vertices)))
             if any(v != 0 for v in cols.difference(assignment,
@@ -668,29 +609,6 @@ def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
 # ---------------------------------------------------------------------------
 # Refinement along a finite extension (a subgroup H of gamma).
 
-def _orbits(cs, handle: SubgroupHandle) -> list[list[int]]:
-    """Orbits of a subgroup on the coset space, each sorted, listed by
-    minimal element."""
-    seen = [False] * cs.size
-    out = []
-    for start in range(cs.size):
-        if seen[start]:
-            continue
-        orbit = {start}
-        queue = [start]
-        while queue:
-            x = queue.pop()
-            for g in handle.members:
-                y = cs.act(g, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        for x in orbit:
-            seen[x] = True
-        out.append(sorted(orbit))
-    return out
-
-
 def _orbit_stabilizer(cs, handle: SubgroupHandle, point: int
                       ) -> tuple[int, ...]:
     return tuple(g for g in handle.members if cs.act(g, point) == point)
@@ -713,44 +631,29 @@ def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
                               "different group")
     cs = coset_action(gamma, h)
     new_vertices: list[SubgroupHandle] = []
-    vertex_ids: list[dict[int, int]] = []  # per vertex: orbit min -> id
+    vertex_ids: list[dict[int, int]] = []  # per vertex: coset -> new id
     vertex_books = []
     for handle in graph.vertices:
         ids: dict[int, int] = {}
         book = []
-        for orbit in _orbits(cs, handle):
+        for orbit in cs.orbits(handle.members):
             rep = orbit[0]
             stab = _orbit_stabilizer(cs, handle, rep)
-            ids[rep] = len(new_vertices)
+            ids.update((c, len(new_vertices)) for c in orbit)
             new_vertices.append(SubgroupHandle(gamma, stab))
             book.append((rep, len(orbit)))
         vertex_ids.append(ids)
         vertex_books.append(tuple(book))
 
-    def orbit_rep_of(vertex: int, coset: int) -> int:
-        handle = graph.vertices[vertex]
-        seen = {coset}
-        queue = [coset]
-        best = coset
-        while queue:
-            x = queue.pop()
-            best = min(best, x)
-            for g in handle.members:
-                y = cs.act(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return best
-
     new_edges = []
     edge_books = []
     for (head, tail, handle) in graph.edges:
         book = []
-        for orbit in _orbits(cs, handle):
+        for orbit in cs.orbits(handle.members):
             rep = orbit[0]
             stab = set(_orbit_stabilizer(cs, handle, rep))
-            head_id = vertex_ids[head][orbit_rep_of(head, rep)]
-            tail_id = vertex_ids[tail][orbit_rep_of(tail, rep)]
+            head_id = vertex_ids[head][rep]
+            tail_id = vertex_ids[tail][rep]
             members = (stab & set(new_vertices[head_id].members)
                        & set(new_vertices[tail_id].members))
             new_edges.append((head_id, tail_id,

@@ -9,7 +9,7 @@ accept either an inline group object, a ``fixtures:NAME`` reference, or
 from __future__ import annotations
 
 import json
-from typing import Optional, Union
+from typing import Union
 
 from . import intlinalg as la
 from .complexes import (CertificateMove, HalfComplex, MoveEvidence,
@@ -22,7 +22,6 @@ from .patching import PatchingGraph, build_patching_graph
 
 GROUP_FORMAT = "galmod-group-1"
 LATTICE_FORMAT = "galmod-lattice-1"
-MODULE_FORMAT = "galmod-module-1"
 COMPLEX_FORMAT = "galmod-complex-1"
 CROSSED_FORMAT = "galmod-crossed-1"
 GRAPH_FORMAT = "galmod-graph-1"

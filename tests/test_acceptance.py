@@ -16,7 +16,8 @@ from galmod import fixtures
 from galmod import patching as pa
 from galmod import serialize as se
 from galmod.cohomology import (group_cohomology, hypercohomology,
-                               shapiro_compare, tate_cohomology)
+                               restriction, shapiro_compare,
+                               tate_cohomology)
 from galmod.complexes import (TwoTermComplex, coflasque_resolution,
                               flasque_resolution, replay_certificate)
 from galmod.crossed import h_zero
@@ -186,7 +187,7 @@ def test_criterion_6_crossed_h_zero():
 
 def _brute_sha_order(graph, lat, r):
     left = group_cohomology(graph.gamma, lat, r)
-    mats = [pa._restriction_rows(graph, None, h, lat, r, "lattice")
+    mats = [restriction(graph.gamma, h, lat, r).matrix
             for h in graph.vertices]
     mids = [group_cohomology(h, lat, r) for h in graph.vertices]
     count = 0

@@ -10,7 +10,7 @@ from galmod.cli import main
 from galmod.complexes import TwoTermComplex
 from galmod.crossed import (FiniteCrossedModule, conjugation_h_action,
                             trivial_galois_action)
-from galmod.groups import cyclic_group, symmetric_group_3
+from galmod.groups import cyclic_group
 from galmod.lattice import GLattice, LatticeMap, trivial_lattice
 
 
@@ -156,6 +156,21 @@ def test_input_errors_exit_two(capsys):
     assert code == 2
     code, _, err = run(capsys, "shapiro", "--group", "fixtures:S3",
                        "--subgroup", "1,2", "--degree", "1")
+    assert code == 2
+    for members in ("0 99", "0,-1"):
+        code, _, err = run(capsys, "cohomology", "--lattice",
+                           "fixtures:s3-sign", "--subgroup", members,
+                           "--degree", "1")
+        assert code == 2 and "not elements" in err
+    code, _, err = run(capsys, "refine", "--graph",
+                       "fixtures:s3-transposition-vertex")
+    assert code == 2 and "--subgroup" in err
+    code, _, err = run(capsys, "shapiro", "--group", "fixtures:S3",
+                       "--degree", "1")
+    assert code == 2 and "--subgroup" in err
+    # only the resolve commands read --verify-certificate
+    code, _, _ = run(capsys, "tate", "--lattice", "fixtures:sign",
+                     "--degree", "0", "--verify-certificate")
     assert code == 2
 
 

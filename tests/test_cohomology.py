@@ -108,6 +108,37 @@ def test_restriction_to_whole_group_is_identity_sized():
             == rmap.target.invariant_factors == (2,))
 
 
+def test_restriction_is_transitive():
+    """res_{G->H} = res_{K->H} o res_{G->K} on class coordinates, modulo
+    the invariant factors of H^n(H), for every chain H <= K <= G."""
+    cases = [(a, (1, 2)) for a in fixtures.lattice_catalog().values()]
+    cases += [(trivial_lattice(g), (1, 2))
+              for g in fixtures.group_catalog().values()]
+    cases += [(t, (-1, 0, 1)) for t in fixtures.complex_catalog().values()]
+    checked = 0
+    for a, degrees in cases:
+        gamma = a.group
+        subs = enumerate_subgroups(gamma)[0]
+        for k in subs:
+            for h in subs:
+                if not set(h.members) <= set(k.members):
+                    continue
+                for n in degrees:
+                    direct = restriction(gamma, h, a, n)
+                    g_to_k = restriction(gamma, k, a, n).matrix
+                    k_to_h = restriction(k, h, a, n).matrix
+                    nk = len(g_to_k)
+                    for i, f in enumerate(direct.target.invariant_factors):
+                        for j in range(len(direct.source.invariant_factors)):
+                            d = direct.matrix[i][j] - sum(
+                                k_to_h[i][m] * g_to_k[m][j]
+                                for m in range(nk))
+                            assert (d % f if f else d) == 0, \
+                                (a, k.members, h.members, n)
+                    checked += 1
+    assert checked > 500
+
+
 def test_total_differential_squares_to_zero():
     s3 = symmetric_group_3()
     l1 = sign_lattice(s3, [-1, 1])

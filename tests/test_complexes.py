@@ -14,8 +14,7 @@ from galmod.complexes import (GroupMismatchError, PreconditionError,
                               homology, pullback_square, pushout_square,
                               r_equivalence_invariant, replay_certificate,
                               uniqueness_invariants)
-from galmod.groups import (cyclic_group, enumerate_subgroups,
-                           symmetric_group_3)
+from galmod.groups import cyclic_group, enumerate_subgroups
 from galmod.lattice import (LatticeMap, regular_lattice, sign_lattice,
                             trivial_lattice, zero_lattice)
 

@@ -79,6 +79,13 @@ def test_as_group_round_trip():
             for b in range(sub.order):
                 assert h.to_parent(sub.mul(a, b)) == s3.mul(
                     h.to_parent(a), h.to_parent(b))
+    # ids_in: the same element, written in a larger subgroup or the group
+    for h in enumerate_subgroups(s3)[0]:
+        assert h.ids_in(s3) == h.members_bfs()
+        for k in enumerate_subgroups(s3)[0]:
+            if set(h.members) <= set(k.members):
+                assert [k.to_parent(x) for x in h.ids_in(k)] \
+                    == list(h.members_bfs())
 
 
 def test_coset_action():
@@ -90,6 +97,20 @@ def test_coset_action():
     for g in s3.elements():
         assert sorted(cs.action[g]) == [0, 1]
     assert any(cs.act(g, 0) == 1 for g in s3.elements())
+
+
+def test_coset_orbits():
+    d4 = dihedral_group_4()
+    subs = enumerate_subgroups(d4)[0]
+    for h in subs:
+        cs = coset_action(d4, h)
+        for k in subs:
+            orbits = cs.orbits(k.members)
+            assert sorted(c for o in orbits for c in o) == list(range(cs.size))
+            assert [o[0] for o in orbits] == sorted(min(o) for o in orbits)
+            for o in orbits:
+                assert o == sorted(o)
+                assert {cs.act(g, o[0]) for g in k.members} == set(o)
 
 
 def test_sylow_all_cyclic():

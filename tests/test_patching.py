@@ -8,7 +8,7 @@ import pytest
 from galmod import intlinalg as la
 from galmod import fixtures
 from galmod import patching as pa
-from galmod.cohomology import group_cohomology
+from galmod.cohomology import group_cohomology, restriction
 from galmod.complexes import TwoTermComplex
 from galmod.crossed import identity_crossed, trivial_galois_action
 from galmod.groups import (cyclic_group, enumerate_subgroups, klein_four,
@@ -80,7 +80,7 @@ def _brute_sha_order(graph, lat, r):
     """Count classes whose restriction to every vertex vanishes, by
     walking all of H^r(Gamma) coordinate by coordinate."""
     left = group_cohomology(graph.gamma, lat, r)
-    mats = [pa._restriction_rows(graph, None, h, lat, r, "lattice")
+    mats = [restriction(graph.gamma, h, lat, r).matrix
             for h in graph.vertices]
     mids = [group_cohomology(h, lat, r) for h in graph.vertices]
     count = 0
@@ -99,6 +99,26 @@ def _brute_sha_order(graph, lat, r):
         if ok:
             count += 1
     return count
+
+
+def test_sha_generators_reduce_to_unit_vectors():
+    lattices = list(fixtures.lattice_catalog().values())
+    complexes = list(fixtures.complex_catalog().values())
+    checked = 0
+    for name, g in fixtures.graph_catalog().items():
+        same = [a for a in lattices + complexes
+                if a.group.table == g.gamma.table]
+        for a in same + [regular_lattice(g.gamma)]:
+            degrees = (-1, 0, 1) if isinstance(a, TwoTermComplex) \
+                else (0, 1, 2)
+            for r in degrees:
+                s = pa.sha(g, a, r)
+                k = len(s.generators)
+                for i, gen in enumerate(s.generators):
+                    unit = tuple(int(i == j) for j in range(k))
+                    assert s.reduce(gen) == unit, (name, a, r, i)
+                    checked += 1
+    assert checked >= 10
 
 
 def test_sha_with_whole_group_vertex_is_trivial():
