@@ -1,9 +1,12 @@
 """Nonabelian H^-1 and H^0 of finite crossed modules.
 
-H^0 classes are enumerated exhaustively: 0-cocycles are pairs
-(alpha: Gamma -> G, h) and two cocycles are identified when a group
-element transports one to the other.  The quotient carries a group law
-which the library verifies to be well defined.
+0-cocycles are pairs (alpha: Gamma -> G, h); alpha is fixed by its
+values on the generators of Gamma, so the library enumerates every
+assignment of those values, extends it along words in the generators
+and keeps the ones satisfying the cocycle identity.  Two cocycles are
+identified when a group element transports one to the other.  The
+quotient carries a group law which the library verifies to be well
+defined.
 """
 
 from galmod import fixtures

@@ -206,9 +206,15 @@ def cmd_invariants(args, size_limit):
     return EXIT_OK
 
 
+def _enumeration_bound(args) -> int:
+    """--size-limit also caps crossed-module enumeration (H^0 cocycles and
+    the vertex product of the six-term report)."""
+    return args.size_limit or DEFAULT_ENUMERATION_BOUND
+
+
 def cmd_crossed_h0(args, size_limit):
     c = _load(args.crossed, "crossed", size_limit)
-    hz = h_zero(c, args.size_limit or DEFAULT_ENUMERATION_BOUND)
+    hz = h_zero(c, _enumeration_bound(args))
     hm = h_minus_one(c)
     lines = [f"H^-1 order: {hm.order}",
              f"H^0 order: {hz.order}",
@@ -225,7 +231,7 @@ def cmd_mv_report(args, size_limit):
     graph = _load(args.graph, "graph", size_limit)
     if args.crossed:
         c = _load(args.crossed, "crossed", size_limit)
-        rep = crossed_six_term_report(graph, c)
+        rep = crossed_six_term_report(graph, c, _enumeration_bound(args))
         sha_sizes = [len(s.classes) for s in rep.sha_groups]
     else:
         if not args.complex:
@@ -263,7 +269,7 @@ def cmd_sha(args, size_limit):
         coeff = _load(args.crossed, "crossed", size_limit)
     else:
         raise CliInputError("sha needs --lattice, --complex or --crossed")
-    result = sha(graph, coeff, args.degree)
+    result = sha(graph, coeff, args.degree, _enumeration_bound(args))
     if hasattr(result, "invariant_factors"):
         lines = [f"invariant factors: {list(result.invariant_factors)}"]
         payload = {"command": "sha", "degree": args.degree,

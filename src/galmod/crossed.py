@@ -5,7 +5,9 @@ H-action on G satisfying g g' g^-1 = d(g).g' and d(h.g) = h d(g) h^-1,
 plus an outer action of a finite group Gamma on both G and H.  H^0 is
 computed by exhaustive enumeration of 0-cocycles (alpha: Gamma -> G,
 h in H) modulo coboundaries, with the cochain group law
-(alpha, h)(beta, h') = ((h . beta) alpha, h h').
+(alpha, h)(beta, h') = ((h . beta) alpha, h h').  A cocycle is fixed
+by its values on the generators of Gamma, so the enumeration tries
+|G|^#generators maps, not |G|^|Gamma|.
 """
 
 from __future__ import annotations
@@ -210,18 +212,48 @@ def _coboundary_transform(c: FiniteCrossedModule, z: Cocycle,
     return (vals, c.h.mul(c.boundary[g], h))
 
 
+def _generator_steps(gal: FiniteGroup):
+    """The elements whose BFS word has length 1 (the distinct
+    non-identity generators that ``gal.word`` uses), and each element x
+    with a longer word as (x, prefix, letter), x = prefix * letter, in
+    order of word length so that a prefix comes before x."""
+    gens = []
+    steps = []
+    for x in sorted(gal.elements(), key=lambda y: len(gal.word(y))):
+        w = gal.word(x)
+        if len(w) == 1:
+            gens.append(x)
+        elif w:
+            letter = gal.generators[w[-1]]
+            steps.append((x, gal.mul(x, gal.inv(letter)), letter))
+    return tuple(gens), tuple(steps)
+
+
 def enumerate_cocycles(c: FiniteCrossedModule,
                        bound: int = DEFAULT_ENUMERATION_BOUND
                        ) -> tuple[Cocycle, ...]:
-    """All 0-cocycles in lexicographic (alpha, h) order."""
+    """All 0-cocycles in lexicographic (alpha, h) order.
+
+    A cocycle is fixed by its values on the generators of Gamma, since
+    alpha(xs) = alpha(x) x.alpha(s).  Each assignment of values on the
+    generators that ``gal.word`` uses is extended along the BFS words and
+    kept if the cocycle identity holds on every pair (s, t); ``bound``
+    caps the |G|^#generators assignments tried.
+    """
     gal, g, h = c.galois, c.g, c.h
-    total = g.order ** gal.order
+    gens, steps = _generator_steps(gal)
+    total = g.order ** len(gens)
     if total > bound:
         raise SizeLimitError(
             f"{total} candidate maps exceed the bound {bound}")
     out = []
     elements = gal.elements()
-    for alpha in itertools.product(range(g.order), repeat=gal.order):
+    alpha = [0] * gal.order
+    for values in itertools.product(range(g.order), repeat=len(gens)):
+        for s, v in zip(gens, values):
+            alpha[s] = v
+        for x, p, s in steps:
+            alpha[x] = g.mul(alpha[p], c.act_gal_g(p, alpha[s]))
         ok = True
         for s in elements:
             for t in elements:
@@ -237,7 +269,7 @@ def enumerate_cocycles(c: FiniteCrossedModule,
             if all(h.mul(c.boundary[alpha[s]], c.act_gal_h(s, x)) == x
                    for s in elements):
                 out.append((tuple(alpha), x))
-    return tuple(out)
+    return tuple(sorted(out))
 
 
 def h_zero(c: FiniteCrossedModule,

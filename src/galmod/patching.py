@@ -197,14 +197,16 @@ class MvColumns:
         return tuple(f for cg in self.right for f in cg.invariant_factors)
 
 
-def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int):
+def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
+               bound: int = DEFAULT_ENUMERATION_BOUND):
     """Vertex and edge column products with restriction and difference
-    maps; dispatches on the coefficient kind."""
+    maps; dispatches on the coefficient kind.  ``bound`` caps the cocycle
+    enumeration behind each crossed-module H^0."""
     kind = _coefficient_kind(coeff)
     _check_degree(kind, r)
     _check_coefficient(graph, coeff, kind)
     if kind == "crossed":
-        return _crossed_columns(graph, coeff, r)
+        return _crossed_columns(graph, coeff, r, bound)
     verts = graph.vertices
     vertex_maps = [restriction(graph.gamma, h, coeff, r) for h in verts]
     edge_maps = [(restriction(verts[head], h, coeff, r),
@@ -253,13 +255,15 @@ class _KernelPresentation:
         return self.sub.reduce(self.whole.reduce(cochain))
 
 
-def sha(graph: PatchingGraph, coeff: Coefficient, r: int):
+def sha(graph: PatchingGraph, coeff: Coefficient, r: int,
+        bound: int = DEFAULT_ENUMERATION_BOUND):
     """Kernel of the joint restriction H^r(Gamma, .) -> prod_i H^r(G_i, .).
 
     Abelian coefficients give a CohomologyGroup whose generators are
-    honest cocycles; crossed modules give a ShaCrossed subgroup.
+    honest cocycles; crossed modules give a ShaCrossed subgroup, with
+    ``bound`` passed to their H^0 enumeration.
     """
-    cols = mv_columns(graph, coeff, r)
+    cols = mv_columns(graph, coeff, r, bound)
     if isinstance(cols, CrossedMvColumns):
         return _crossed_sha(cols)
     left = cols.left
@@ -455,9 +459,9 @@ def restrict_crossed(c: FiniteCrossedModule,
 
 
 def _crossed_h(c: FiniteCrossedModule, handle: Optional[SubgroupHandle],
-               r: int):
+               r: int, bound: int):
     mod = c if handle is None else restrict_crossed(c, handle)
-    return h_minus_one(mod) if r == -1 else h_zero(mod)
+    return h_minus_one(mod) if r == -1 else h_zero(mod, bound)
 
 
 def _crossed_restrict_index(src_col, tgt_col, src, tgt_handle,
@@ -473,10 +477,10 @@ def _crossed_restrict_index(src_col, tgt_col, src, tgt_handle,
 
 
 def _crossed_columns(graph: PatchingGraph, c: FiniteCrossedModule,
-                     r: int) -> CrossedMvColumns:
-    left = _crossed_h(c, None, r)
-    middle = tuple(_crossed_h(c, h, r) for h in graph.vertices)
-    right = tuple(_crossed_h(c, h, r) for _, _, h in graph.edges)
+                     r: int, bound: int) -> CrossedMvColumns:
+    left = _crossed_h(c, None, r, bound)
+    middle = tuple(_crossed_h(c, h, r, bound) for h in graph.vertices)
+    right = tuple(_crossed_h(c, h, r, bound) for _, _, h in graph.edges)
     vertex_maps = tuple(
         tuple(_crossed_restrict_index(left, middle[i], graph.gamma,
                                       graph.vertices[i], r, idx)
@@ -580,7 +584,7 @@ def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
     shas = []
     skipped: list[tuple[int, str]] = []
     for r in degrees:
-        cols = mv_columns(graph, c, r)
+        cols = mv_columns(graph, c, r, bound)
         columns.append(cols)
         ok = True
         for idx in range(cols.left.order):

@@ -175,10 +175,24 @@ def test_input_errors_exit_two(capsys):
 
 
 def test_size_limit_exit_three(capsys):
+    # [S3 -> S3] over Gamma = Z2 enumerates 6^1 = 6 generator values
     code, _, err = run(capsys, "crossed-h0", "--crossed",
-                       "fixtures:s3-identity", "--size-limit", "10")
+                       "fixtures:s3-identity", "--size-limit", "5")
     assert code == 3
-    assert "size limit" in err
+    assert "size limit exceeded: 6 candidate maps exceed the bound 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mv-report", "--graph", "fixtures:single-whole"),
+    ("sha", "--graph", "fixtures:single-whole", "--degree", "0"),
+])
+def test_crossed_size_limit_reaches_patching(capsys, argv):
+    args = argv + ("--crossed", "fixtures:s3-identity")
+    code, _, err = run(capsys, *args, "--size-limit", "5")
+    assert code == 3
+    assert "size limit exceeded: 6 candidate maps exceed the bound 5" in err
+    code, _, _ = run(capsys, *args, "--size-limit", "6")
+    assert code == 0
 
 
 def test_group_table_mismatch(capsys):

@@ -11,7 +11,10 @@ from galmod.crossed import (FiniteCrossedModule, conjugation_h_action,
                             h_minus_one, h_zero, identity_crossed,
                             product_class, trivial_galois_action,
                             trivial_h_action, validate_crossed_module)
-from galmod.groups import SizeLimitError, cyclic_group, symmetric_group_3
+from galmod.groups import (SizeLimitError, cyclic_group, dihedral_group_4,
+                           enumerate_subgroups, group_from_table,
+                           symmetric_group_3)
+from galmod.patching import restrict_crossed
 
 
 def test_catalog_modules_are_valid():
@@ -95,10 +98,10 @@ def test_product_class_matches_table():
             assert product_class(hz, i, j) == hz.table[i][j]
 
 
-def _oracle_classes(c):
-    """Class count by direct definition: filter all candidate pairs with
-    the cocycle equations, then merge along every coboundary transform
-    with union-find."""
+def _brute_force_cocycles(c):
+    """All 0-cocycles by direct definition: filter every one of the
+    |G|^|Gamma| maps alpha, paired with every h, with the cocycle
+    equations; lexicographic (alpha, h) order."""
     gal, g, h = c.galois, c.g, c.h
     cocycles = []
     for alpha in itertools.product(range(g.order), repeat=gal.order):
@@ -110,6 +113,14 @@ def _oracle_classes(c):
             if all(h.mul(c.boundary[alpha[s]], c.act_gal_h(s, x)) == x
                    for s in gal.elements()):
                 cocycles.append((alpha, x))
+    return tuple(cocycles)
+
+
+def _oracle_classes(c):
+    """Class count by direct definition: the brute-force cocycles merged
+    along every coboundary transform with union-find."""
+    g, h, gal = c.g, c.h, c.galois
+    cocycles = _brute_force_cocycles(c)
     index = {z: i for i, z in enumerate(cocycles)}
     parent = list(range(len(cocycles)))
 
@@ -140,12 +151,54 @@ def test_h_zero_against_enumeration_oracle():
         assert hz.order == nclasses, name
 
 
+def _oracle_cases():
+    """Catalog modules restricted to every subgroup of Gamma, and
+    [S3 -> S3] under conjugation by Gamma = S3, over every subgroup and
+    with Gamma rebuilt from its table (every non-identity element a
+    generator)."""
+    cases = []
+    for name, c in fixtures.crossed_catalog().items():
+        for sub in enumerate_subgroups(c.galois)[0]:
+            cases.append((name, sub.members, restrict_crossed(c, sub)))
+    s3 = symmetric_group_3()
+    conj = identity_crossed(s3, s3, conjugation_h_action(s3))
+    for sub in enumerate_subgroups(s3)[0]:
+        cases.append(("s3-conj", sub.members, restrict_crossed(conj, sub)))
+    from_table = group_from_table(s3.table)
+    assert from_table.generators == tuple(range(1, 6))
+    cases.append(("s3-conj-table", None, FiniteCrossedModule(
+        s3, s3, conj.boundary, conj.h_action, from_table,
+        conj.galois_on_g, conj.galois_on_h)))
+    return cases
+
+
+def test_enumerate_cocycles_matches_brute_force():
+    cases = _oracle_cases()
+    assert len(cases) == 17
+    for name, members, c in cases:
+        assert enumerate_cocycles(c) == _brute_force_cocycles(c), \
+            (name, members)
+
+
 def test_enumerate_cocycles_bound():
+    # Gamma = Z2 has one generator, so [S3 -> S3] tries 6^1 = 6 maps
     c = fixtures.crossed_catalog()["s3-identity"]
-    with pytest.raises(SizeLimitError):
-        enumerate_cocycles(c, bound=10)
-    with pytest.raises(SizeLimitError):
-        h_zero(c, bound=10)
+    with pytest.raises(SizeLimitError, match="^6 candidate maps exceed"):
+        enumerate_cocycles(c, bound=5)
+    with pytest.raises(SizeLimitError, match="^6 candidate maps exceed"):
+        h_zero(c, bound=5)
+    assert len(enumerate_cocycles(c, bound=6)) == 6
+
+
+def test_identity_crossed_d4_is_admitted():
+    # D4 has two generators: 8^2 = 64 candidates instead of 8^8
+    d4 = dihedral_group_4()
+    c = identity_crossed(d4, d4)
+    with pytest.raises(SizeLimitError, match="^64 candidate maps"):
+        enumerate_cocycles(c, bound=63)
+    hz = h_zero(c, bound=64)
+    assert len(hz.cocycles) == 8
+    assert hz.order == 1
 
 
 def test_constructors_produce_valid_modules():

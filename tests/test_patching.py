@@ -11,8 +11,9 @@ from galmod import patching as pa
 from galmod.cohomology import group_cohomology, restriction
 from galmod.complexes import TwoTermComplex
 from galmod.crossed import identity_crossed, trivial_galois_action
-from galmod.groups import (cyclic_group, enumerate_subgroups, klein_four,
-                           subgroup, symmetric_group_3, trivial_subgroup,
+from galmod.groups import (SizeLimitError, cyclic_group,
+                           enumerate_subgroups, klein_four, subgroup,
+                           symmetric_group_3, trivial_subgroup,
                            whole_subgroup)
 from galmod.lattice import (LatticeMap, regular_lattice, sign_lattice,
                             trivial_lattice)
@@ -208,6 +209,20 @@ def test_crossed_columns_and_report():
     assert all(rep.composition_zero)
     csha = pa.sha(g, c, 0)
     assert hasattr(csha, "classes")
+
+
+def test_crossed_enumeration_bound_reaches_h_zero():
+    # Gamma = Z2: every H^0 of [S3 -> S3] tries 6 maps, and the single
+    # vertex product has one element, so only the enumeration can refuse
+    g = fixtures.graph_catalog()["single-whole"]
+    c = fixtures.crossed_catalog()["s3-identity"]
+    with pytest.raises(SizeLimitError, match="^6 candidate maps exceed"):
+        pa.crossed_six_term_report(g, c, bound=1)
+    with pytest.raises(SizeLimitError, match="^6 candidate maps exceed"):
+        pa.mv_columns(g, c, 0, bound=5)
+    with pytest.raises(SizeLimitError, match="^6 candidate maps exceed"):
+        pa.sha(g, c, 0, bound=5)
+    assert pa.crossed_six_term_report(g, c, bound=6).sha_groups[1].is_trivial
 
 
 def test_refine_s3_by_a3():
