@@ -2,8 +2,9 @@
 
 Every object flag takes either a file path or a ``fixtures:NAME``
 reference into the built-in catalog.  Exit codes: 0 success, 1 a check
-computed the verdict "false", 2 input error, 3 size-limit exceeded, 4
-internal error.
+computed the verdict "false" (for ``refine``: the refined graph splits
+into several connected components, which are printed), 2 input error, 3
+size-limit exceeded, 4 internal error.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .groups import (DEFAULT_SIZE_LIMIT, MembershipError, SizeLimitError,
                      SubgroupHandle, sylow_all_cyclic)
 from . import intlinalg as la
 from .lattice import EquivarianceError
-from .patching import (ModelError, crossed_six_term_report,
+from .patching import (GraphSplitError, ModelError, crossed_six_term_report,
                        nine_term_report, refine_graph, remark_compare, sha)
 from .serialize import FormatError
 
@@ -310,7 +311,19 @@ def cmd_remark_compare(args, size_limit):
 
 def cmd_refine(args, size_limit):
     graph = _load(args.graph, "graph", size_limit)
-    refined = refine_graph(graph, _subgroup(args.subgroup, graph.gamma))
+    try:
+        refined = refine_graph(graph, _subgroup(args.subgroup, graph.gamma))
+    except GraphSplitError as split:
+        lines = [str(split)]
+        for k, comp in enumerate(split.components):
+            where = ", ".join("{} (vertex {}, coset {})".format(
+                i, *split.witnesses[i]) for i in comp)
+            lines.append(f"  component {k}: refined vertices {where}")
+        _emit(args, lines,
+              {"command": "refine", "connected": False,
+               "components": split.components,
+               "witnesses": [list(w) for w in split.witnesses]})
+        return EXIT_FALSE
     lines = [f"refined: {refined.n_vertices} vertices, "
              f"{refined.n_edges} edges"]
     for i, v in enumerate(refined.vertices):

@@ -5,16 +5,20 @@ two-term complexes in degrees -1..1, restriction maps, and a Shapiro
 comparator.  Cochains are normalized (they vanish whenever an argument is
 the identity), cutting C^n from |H|^n to (|H|-1)^n coordinate blocks.
 
-For a lattice L and n >= 1, H^n(H, L) is killed by |H| (Brown,
-Cohomology of Groups, III.10.2), so the cocycles Z^n are the saturation
-of the coboundaries B^n and H^n is the torsion of C^n / B^n.  It is read
-from the Smith form of d^{n-1} alone (intlinalg.torsion_cokernel); the
-larger d^n is never built.  Hypercohomology in degree 1 is finite too
-and is read from the total d^0.  Degree 0, Tate cohomology,
-hypercohomology in degrees -1 and 0, and FgModule coefficients (whose
-cochains carry torsion of their own) take ker d^n / im d^{n-1}.  The
-unnormalized complex (normalized=False) always takes the kernel route
-and is kept as an independent oracle for tests.
+Group cohomology and hypercohomology take one route: every coefficient
+is a two-term complex [A1 -> A2], A1 in degree -1, with total complex
+Tot^n = C^{n+1}(A1) + C^n(A2), and a lattice or module A is [0 -> A],
+whose total complex is the bar complex C(A).
+
+For lattices, H^n(H, L) is killed by |H| when n >= 1 (Brown, Cohomology
+of Groups, III.10.2), and hypercohomology in degree 1 sits between
+H^1(L2) and H^2(L1).  So Z^n is the saturation of B^n and H^n is the
+torsion of Tot^n / B^n, read from the Smith form of d^{n-1} alone
+(intlinalg.torsion_cokernel); d^n is never built.  Degree 0,
+hypercohomology in degrees -1 and 0, FgModule coefficients (whose
+cochains carry torsion of their own) and the unnormalized complex
+(normalized=False, kept as an oracle for tests) take the kernel route:
+ker d^n / im d^{n-1}, with the module relations added to both.
 
 Results are cached on the coefficient object (lattice, module or
 complex), keyed by the kind of cohomology, the subgroup's members, the
@@ -23,6 +27,7 @@ degree and ``normalized``; they live as long as the coefficient does.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -91,12 +96,29 @@ def _acting(h) -> tuple[FiniteGroup, list[int]]:
     return h, list(h.elements())
 
 
-def _coefficient_data(a: Coefficient, parent_ids: Sequence[int]):
-    mats = a.element_matrices()
-    sel = tuple(mats[g] for g in parent_ids)
-    if isinstance(a, GLattice):
-        return a.rank, sel, la.zeros(a.rank, 0)
-    return a.ngens, sel, a.relations
+def _view(a, parent_ids: Sequence[int]):
+    """A coefficient as a two-term complex [A1 -> A2], A1 in degree -1.
+
+    Returns (rank, element matrices of ``parent_ids``, relation columns as
+    a matrix) for A1 and for A2, the differential A1 -> A2 (None for a
+    lattice or module A, which is [0 -> A]), and whether every part is a
+    lattice, i.e. whether the cochains are free of torsion of their own.
+    """
+    def part(x):
+        if x is None:
+            return 0, (), la.zeros(0, 0)
+        mats = x.element_matrices()
+        sel = tuple(mats[g] for g in parent_ids)
+        if isinstance(x, GLattice):
+            return x.rank, sel, la.zeros(x.rank, 0)
+        return x.ngens, sel, x.relations
+
+    if isinstance(a, (GLattice, FgModule)):
+        parts, diff = (None, a), None
+    else:
+        parts, diff = (a.l1, a.l2), a.differential.matrix
+    return (part(parts[0]), part(parts[1]), diff,
+            not any(isinstance(x, FgModule) for x in parts))
 
 
 def cochain_dim(order: int, rank: int, n: int, normalized: bool = True) -> int:
@@ -108,27 +130,6 @@ def cochain_dim(order: int, rank: int, n: int, normalized: bool = True) -> int:
 
 def _letters(order: int, normalized: bool) -> list[int]:
     return list(range(1, order)) if normalized else list(range(order))
-
-
-def _tuples(letters: list[int], n: int):
-    if n == 0:
-        yield ()
-        return
-    q = len(letters)
-    if q == 0:
-        return
-    idx = [0] * n
-    while True:
-        yield tuple(letters[i] for i in idx)
-        j = n - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < q:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
 
 
 def _tuple_index(tup: tuple[int, ...], order: int, normalized: bool) -> int:
@@ -146,11 +147,13 @@ def bar_differential(group: FiniteGroup, mats: Sequence[IntMatrix],
 
     (df)(g1..g_{n+1}) = g1.f(g2..) + sum (-1)^i f(.. g_i g_{i+1} ..)
     + (-1)^{n+1} f(g1..gn); normalized cochains drop any term whose
-    argument tuple contains the identity.
+    argument tuple contains the identity.  C^n = 0 for n < 0.
     """
     order = group.order
     src_dim = cochain_dim(order, rank, n, normalized)
     tgt_dim = cochain_dim(order, rank, n + 1, normalized)
+    if n < 0:
+        return la.zeros(tgt_dim, 0)
     letters = _letters(order, normalized)
     rows = [[0] * src_dim for _ in range(tgt_dim)]
 
@@ -159,7 +162,7 @@ def bar_differential(group: FiniteGroup, mats: Sequence[IntMatrix],
             return None
         return _tuple_index(tup, order, normalized) * rank
 
-    for tcount, tup in enumerate(_tuples(letters, n + 1)):
+    for tcount, tup in enumerate(itertools.product(letters, repeat=n + 1)):
         tbase = tcount * rank
         # face 0: g1 acts on the coefficient
         sb = src_base(tup[1:])
@@ -188,25 +191,56 @@ def bar_differential(group: FiniteGroup, mats: Sequence[IntMatrix],
     return la.freeze(rows)
 
 
-def _cohomology_presentation(group: FiniteGroup, rank: int,
-                             mats: Sequence[IntMatrix], rel: IntMatrix,
-                             n: int, normalized: bool) -> AbGroupPresentation:
+def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
+                       diff: IntMatrix, n: int,
+                       normalized: bool = True) -> IntMatrix:
+    """Differential Tot^n -> Tot^{n+1} of the total complex
+    Tot^n = C^{n+1}(L1) + C^n(L2), D(x, y) = (dx, (-1)^n diff*x + dy)."""
     order = group.order
-    q = order - 1 if normalized else order
-    dim_n = cochain_dim(order, rank, n, normalized)
-    d_n = bar_differential(group, mats, rank, n, normalized)
-    # relation columns of C^n: one copy of the relation lattice per tuple
-    rel_n = la.columns(la.block_diag(*[rel] * q ** n))
-    rel_np1 = la.columns(la.block_diag(*[rel] * q ** (n + 1)))
-    ker_cols = la.preimage(d_n, rel_np1, dim_n)
-    if n > 0:
-        d_prev = bar_differential(group, mats, rank, n - 1, normalized)
-        im_cols = la.columns(d_prev)
+    d1 = bar_differential(group, mats1, r1, n + 1, normalized)
+    d2 = (bar_differential(group, mats2, r2, n, normalized) if n >= 0
+          else la.zeros(cochain_dim(order, r2, n + 1, normalized), 0))
+    blocks1 = cochain_dim(order, 1, n + 1, normalized)
+    diff_block = la.block_diag(*([diff] * blocks1)) if blocks1 else la.zeros(0, 0)
+    if n % 2:
+        diff_block = la.mat_neg(diff_block)
+    top = la.hstack(d1, la.zeros(la.shape(d1)[0], la.shape(d2)[1]))
+    bottom = la.hstack(diff_block, d2)
+    return la.vstack(top, bottom)
+
+
+def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
+    """H^n of the total complex of ``a`` seen as [A1 -> A2] (``_view``):
+    Tot^m = C^{m+1}(A1) + C^m(A2)."""
+    sub, parent_ids = _acting(h)
+    (r1, mats1, rel1), (r2, mats2, rel2), diff, lattices = _view(
+        a, parent_ids)
+    order = sub.order
+
+    def d(m):
+        if not r1:  # the total complex of [0 -> A2] is C(A2)
+            return bar_differential(sub, mats2, r2, m, normalized)
+        return total_differential(sub, mats1, mats2, r1, r2, diff, m,
+                                  normalized)
+
+    if normalized and n >= 1 and lattices:
+        # finite, so Z^n is the saturation of B^n: d^n is never needed
+        pres = la.torsion_cokernel(d(n - 1))
     else:
-        im_cols = []
-    num = ker_cols + rel_n
-    den = im_cols + rel_n
-    return la.abgroup_from_subquotient(num, den, dim_n)
+        def rel(m):  # A1's relations per (m+1)-tuple, A2's per m-tuple
+            return la.columns(la.block_diag(
+                *[rel1] * cochain_dim(order, 1, m + 1, normalized),
+                *[rel2] * cochain_dim(order, 1, m, normalized)))
+
+        dim = (cochain_dim(order, r1, n + 1, normalized)
+               + cochain_dim(order, r2, n, normalized))
+        # Tot^{n-1} is zero below degree -1, or below 0 when A1 = 0
+        im = la.columns(d(n - 1)) if n > (-1 if r1 else 0) else []
+        rel_n = rel(n)
+        num = la.preimage(d(n), rel(n + 1), dim) + rel_n
+        pres = la.abgroup_from_subquotient(num, im + rel_n, dim)
+    return CohomologyGroup(n, pres.factors, pres.generators, pres, r1 + r2,
+                           normalized)
 
 
 def _cached(coeff, kind: str, h, n: int, normalized: bool, compute):
@@ -234,21 +268,15 @@ def group_cohomology(h, a: Coefficient, n: int,
     if n not in (0, 1, 2):
         raise UnsupportedDegreeError(f"degree {n} not in {{0, 1, 2}}")
     return _cached(a, "group", h, n, normalized,
-                   lambda: _group_cohomology(h, a, n, normalized))
+                   lambda: _cohomology(h, a, n, normalized))
 
 
-def _group_cohomology(h, a: Coefficient, n: int,
-                      normalized: bool) -> CohomologyGroup:
-    sub, parent_ids = _acting(h)
-    rank, mats, rel = _coefficient_data(a, parent_ids)
-    if n > 0 and normalized and isinstance(a, GLattice):
-        # finite, so Z^n is the saturation of B^n: d^n is never needed
-        pres = la.torsion_cokernel(
-            bar_differential(sub, mats, rank, n - 1, normalized))
-    else:
-        pres = _cohomology_presentation(sub, rank, mats, rel, n, normalized)
-    return CohomologyGroup(n, pres.factors, pres.generators, pres, rank,
-                           normalized)
+def hypercohomology(h, t, n: int, normalized: bool = True) -> CohomologyGroup:
+    """Hypercohomology of a two-term complex of lattices, degrees -1..1."""
+    if n not in (-1, 0, 1):
+        raise UnsupportedDegreeError(f"degree {n} not in {{-1, 0, 1}}")
+    return _cached(t, "hyper", h, n, normalized,
+                   lambda: _cohomology(h, t, n, normalized))
 
 
 def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
@@ -263,7 +291,7 @@ def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
 
 def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
     _, parent_ids = _acting(h)
-    rank, mats, _ = _coefficient_data(lat, parent_ids)
+    _, (rank, mats, _), _, _ = _view(lat, parent_ids)
     norm = la.zeros(rank, rank)
     for m in mats:
         norm = la.mat_add(norm, m)
@@ -287,25 +315,21 @@ def restriction(src, h: SubgroupHandle, a, n: int,
 
     ``src`` is the parent group of ``h`` or a SubgroupHandle containing
     ``h``.  ``a`` is a lattice or module (group cohomology) or a two-term
-    complex [L1 -> L2] (hypercohomology, whose cochains are a C^{n+1}(L1)
-    block followed by a C^n(L2) block).
+    complex [L1 -> L2] (hypercohomology); cochains are a C^{n+1}(L1)
+    block followed by a C^n(L2) block, with L1 = 0 for a lattice or module.
     """
-    if isinstance(a, (GLattice, FgModule)):
-        source = group_cohomology(src, a, n, normalized)
-        target = group_cohomology(h, a, n, normalized)
-        blocks = [(n, source.coeff_dim)]
-    else:
-        source = hypercohomology(src, a, n, normalized)
-        target = hypercohomology(h, a, n, normalized)
-        blocks = [(n + 1, a.l1.rank), (n, a.l2.rank)]
+    (r1, _, _), (r2, _, _), diff, _ = _view(a, ())
+    coh = group_cohomology if diff is None else hypercohomology
+    source = coh(src, a, n, normalized)
+    target = coh(h, a, n, normalized)
     elem_map = h.ids_in(src)
     cols = []
     for gen in source.generators:
         vec: list[int] = []
         start = 0
-        for m, rank in blocks:
+        for m, rank in ((n + 1, r1), (n, r2)):
             size = cochain_dim(src.order, rank, m, normalized)
-            if size:  # the C^{-1}(L2) block is empty
+            if size:  # empty: the C^{n+1}(0) block, or C^{-1}(L2)
                 vec += cochain_pullback(gen[start:start + size], src.order,
                                         elem_map, rank, m, normalized)
             start += size
@@ -324,72 +348,12 @@ def cochain_pullback(vec: Sequence[int], src_order: int,
     the source id of target element i (so the identity maps to 0)."""
     letters = _letters(len(elem_map), normalized)
     out = [0] * cochain_dim(len(elem_map), rank, n, normalized)
-    for tcount, tup in enumerate(_tuples(letters, n)):
+    for tcount, tup in enumerate(itertools.product(letters, repeat=n)):
         src_tup = tuple(elem_map[g] for g in tup)
         sbase = _tuple_index(src_tup, src_order, normalized) * rank
         for aidx in range(rank):
             out[tcount * rank + aidx] = vec[sbase + aidx]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Hypercohomology of two-term complexes [L1 -> L2] (degrees -1 and 0).
-
-def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
-                       diff: IntMatrix, n: int,
-                       normalized: bool = True) -> IntMatrix:
-    """Differential Tot^n -> Tot^{n+1} of the total complex
-    Tot^n = C^{n+1}(L1) + C^n(L2), D(x, y) = (dx, (-1)^n diff*x + dy)."""
-    order = group.order
-    q = order - 1 if normalized else order
-    d1 = bar_differential(group, mats1, r1, n + 1, normalized)
-    d2 = (bar_differential(group, mats2, r2, n, normalized) if n >= 0
-          else la.zeros(cochain_dim(order, r2, n + 1, normalized), 0))
-    blocks1 = q ** (n + 1)
-    sign = 1 if n % 2 == 0 else -1
-    diff_block = la.block_diag(*([diff] * blocks1)) if blocks1 else la.zeros(0, 0)
-    if sign < 0:
-        diff_block = la.mat_neg(diff_block)
-    top = la.hstack(d1, la.zeros(la.shape(d1)[0], la.shape(d2)[1]))
-    bottom = la.hstack(diff_block, d2)
-    return la.vstack(top, bottom)
-
-
-def hypercohomology(h, t, n: int, normalized: bool = True) -> CohomologyGroup:
-    """Hypercohomology of a two-term complex of lattices, degrees -1..1."""
-    if n not in (-1, 0, 1):
-        raise UnsupportedDegreeError(f"degree {n} not in {{-1, 0, 1}}")
-    return _cached(t, "hyper", h, n, normalized,
-                   lambda: _hypercohomology(h, t, n, normalized))
-
-
-def _hypercohomology(h, t, n: int, normalized: bool) -> CohomologyGroup:
-    sub, parent_ids = _acting(h)
-    l1, l2 = t.l1, t.l2
-    r1, mats1, _ = _coefficient_data(l1, parent_ids)
-    r2, mats2, _ = _coefficient_data(l2, parent_ids)
-    diff = t.differential.matrix
-    order = sub.order
-    if n == 1 and normalized:
-        # finite (it sits between H^1(L2) and H^2(L1)), as in
-        # group_cohomology
-        pres = la.torsion_cokernel(total_differential(
-            sub, mats1, mats2, r1, r2, diff, 0, normalized))
-    else:
-        d_n = total_differential(sub, mats1, mats2, r1, r2, diff, n,
-                                 normalized)
-        dim_n = (cochain_dim(order, r1, n + 1, normalized)
-                 + cochain_dim(order, r2, n, normalized))
-        ker = la.preimage(d_n, [], dim_n)
-        if n >= 0:
-            d_prev = total_differential(sub, mats1, mats2, r1, r2, diff,
-                                        n - 1, normalized)
-            im = la.columns(d_prev)
-        else:
-            im = []
-        pres = la.abgroup_from_subquotient(ker, im, dim_n)
-    return CohomologyGroup(n, pres.factors, pres.generators, pres,
-                           r1 + r2)
 
 
 @dataclass(frozen=True)

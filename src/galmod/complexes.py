@@ -136,16 +136,7 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     tgt_ker = induced_action_on_sublattice(tgt.a, kt)
     imgs = [la.mat_vec(comp_minus1, c) for c in ks]
     try:
-        if not imgs:
-            coords = []
-        elif not kt:
-            if any(any(v) for v in imgs):
-                raise la.SolveError("image outside the target cycles")
-            coords = [[] for _ in imgs]
-        else:
-            coords = la.solve_columns([list(c) for c in kt],
-                                      [list(v) for v in imgs])
-        mat = la.from_columns(coords, len(kt))
+        mat = la.from_columns(la.solve_columns(kt, imgs), len(kt))
         phi = FgModuleMap(lattice_as_module(src_ker),
                           lattice_as_module(tgt_ker), mat)
         hminus_ok = fg_iso_check(phi)
@@ -225,6 +216,10 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     r = snf.rank
     saturated = all(x == 1 for x in snf.invariant_factors)
     src = TwoTermComplex(a, b, d)
+    # the injections A' -> A' + B and B -> A' + B
+    ident = la.identity(n)
+    ap_in = la.freeze([row[:aprime.rank] for row in ident])
+    b_in = la.freeze([row[aprime.rank:] for row in ident])
     if saturated:
         uinv = la.mat_inverse_unimodular(snf.U)
         pr = la.freeze([list(snf.U[i]) for i in range(r, n)])
@@ -232,10 +227,6 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
         amb_mats = amb.action
         action = tuple(la.mat_mul(la.mat_mul(pr, m), sec) for m in amb_mats)
         quo = GLattice(a.group, n - r, action)
-        ap_in = la.freeze([[1 if i == j else 0 for j in range(aprime.rank)]
-                           for i in range(n)])
-        b_in = la.freeze([[1 if i - aprime.rank == j else 0
-                           for j in range(b.rank)] for i in range(n)])
         d_tgt = LatticeMap(aprime, quo, la.mat_mul(pr, ap_in))
         b_to_q = LatticeMap(b, quo, la.mat_mul(pr, b_in))
         tgt = TwoTermComplex(aprime, quo, d_tgt)
@@ -247,15 +238,10 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
         return PushoutResult(quo, square, move, pr, sec, d_tgt, b_to_q)
     # torsion in the quotient: present it as a module
     quo = FgModule(a.group, n, anti, amb.action)
-    ident = la.identity(n)
-    d_tgt_mat = la.freeze([[ident[i][j] for j in range(aprime.rank)]
-                           for i in range(n)])
-    comp0 = la.freeze([[ident[i][aprime.rank + j] for j in range(b.rank)]
-                       for i in range(n)])
-    tgt_half = HalfComplex(aprime, d_tgt_mat, quo)
-    ev = verify_square(_half(src), tgt_half, f.matrix, comp0)
+    tgt_half = HalfComplex(aprime, ap_in, quo)
+    ev = verify_square(_half(src), tgt_half, f.matrix, b_in)
     move = CertificateMove("pushout-mono", _half(src), tgt_half,
-                           f.matrix, comp0, ev)
+                           f.matrix, b_in, ev)
     return PushoutResult(quo, None, move, la.identity(n), la.identity(n),
                          None, None)
 

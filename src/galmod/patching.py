@@ -32,6 +32,23 @@ class ModelError(Exception):
     """The graph data does not describe a valid patching model."""
 
 
+class GraphSplitError(Exception):
+    """A refinement computed a disconnected graph: the extension splits
+    the patching problem.  This is a verdict, not bad input.
+
+    ``components`` lists the refined vertex ids of each connected
+    component; ``witnesses[i]`` is (original vertex, representative
+    coset) of refined vertex i.
+    """
+
+    def __init__(self, components: list[list[int]],
+                 witnesses: tuple[tuple[int, int], ...]):
+        super().__init__(f"the refined graph splits into "
+                         f"{len(components)} connected components")
+        self.components = components
+        self.witnesses = witnesses
+
+
 Coefficient = Union[GLattice, TwoTermComplex, FiniteCrossedModule]
 
 SUPPORTED_DEGREES = {
@@ -82,6 +99,25 @@ def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
     return a is b or a.table == b.table
 
 
+def _components(n_vertices: int, edges) -> list[list[int]]:
+    """Connected components of the vertices under (head, tail, _) edges,
+    each sorted, listed by least vertex (union-find)."""
+    parent = list(range(n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for head, tail, _ in edges:
+        parent[find(head)] = find(tail)
+    comps: dict[int, list[int]] = {}
+    for i in range(n_vertices):
+        comps.setdefault(find(i), []).append(i)
+    return list(comps.values())
+
+
 def build_patching_graph(gamma: FiniteGroup, vertices, edges,
                          refinement: Optional[Refinement] = None
                          ) -> PatchingGraph:
@@ -117,18 +153,7 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
             raise ModelError(f"edge {k} subgroup not contained in its "
                              "tail vertex subgroup")
         edge_list.append((head, tail, h))
-    # connectivity by union-find over vertices
-    parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for head, tail, _ in edge_list:
-        parent[find(head)] = find(tail)
-    if len({find(i) for i in range(len(verts))}) != 1:
+    if len(_components(len(verts), edge_list)) != 1:
         raise ModelError("patching graph is not connected")
     return PatchingGraph(gamma, verts, tuple(edge_list), refinement)
 
@@ -628,6 +653,8 @@ def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
     chosen for its endpoints; edge subgroups are intersected with both
     endpoint subgroups to keep the containment invariant (for a normal
     ``h`` all base points give the same stabilizer and nothing is lost).
+
+    Raises GraphSplitError when the refined graph is not connected.
     """
     gamma = graph.gamma
     if not _same_group(h.parent, gamma):
@@ -637,7 +664,8 @@ def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
     new_vertices: list[SubgroupHandle] = []
     vertex_ids: list[dict[int, int]] = []  # per vertex: coset -> new id
     vertex_books = []
-    for handle in graph.vertices:
+    witnesses = []  # per refined vertex: (original vertex, coset)
+    for v, handle in enumerate(graph.vertices):
         ids: dict[int, int] = {}
         book = []
         for orbit in cs.orbits(handle.members):
@@ -645,6 +673,7 @@ def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
             stab = _orbit_stabilizer(cs, handle, rep)
             ids.update((c, len(new_vertices)) for c in orbit)
             new_vertices.append(SubgroupHandle(gamma, stab))
+            witnesses.append((v, rep))
             book.append((rep, len(orbit)))
         vertex_ids.append(ids)
         vertex_books.append(tuple(book))
@@ -664,6 +693,9 @@ def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
                               SubgroupHandle(gamma, tuple(members))))
             book.append((rep, len(orbit)))
         edge_books.append(tuple(book))
+    components = _components(len(new_vertices), new_edges)
+    if len(components) > 1:
+        raise GraphSplitError(components, tuple(witnesses))
     refinement = Refinement(h, cs.size, tuple(vertex_books),
                             tuple(edge_books))
     return build_patching_graph(gamma, new_vertices, new_edges, refinement)

@@ -259,3 +259,21 @@ def test_internal_failure_exit_four(capsys, monkeypatch, exc):
     assert code == 4
     assert out == ""
     assert err.strip() == f"internal error: {exc.__name__}: unexpected"
+
+
+def test_refine_split_exits_one(capsys):
+    code, out, _ = run(capsys, "refine", "--graph",
+                       "fixtures:single-trivial-vertex", "--subgroup", "0")
+    assert code == 1
+    assert out.splitlines() == [
+        "the refined graph splits into 2 connected components",
+        "  component 0: refined vertices 0 (vertex 0, coset 0)",
+        "  component 1: refined vertices 1 (vertex 0, coset 1)"]
+    code, out, _ = run(capsys, "refine", "--graph",
+                       "fixtures:s3-transposition-vertex", "--subgroup", "0",
+                       "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["connected"] is False
+    assert payload["components"] == [[0], [1], [2]]
+    assert payload["witnesses"] == [[0, 0], [0, 2], [0, 4]]

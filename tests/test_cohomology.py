@@ -16,7 +16,7 @@ from galmod.complexes import TwoTermComplex
 from galmod.groups import (cyclic_group, enumerate_subgroups, subgroup,
                            symmetric_group_3, whole_subgroup)
 from galmod.lattice import (FgModule, LatticeMap, regular_lattice,
-                            sign_lattice, trivial_lattice)
+                            sign_lattice, trivial_lattice, zero_lattice)
 
 
 def both(h, a, n):
@@ -262,3 +262,25 @@ def test_finite_cohomology_property(lat):
         raw = group_cohomology(lat.group, lat, n, normalized=False)
         assert cg.invariant_factors == raw.invariant_factors
         _check_torsion_reduce(cg, lat.group.order)
+
+
+def test_group_cohomology_is_hypercohomology_of_zero_to_a():
+    """A lattice A is the complex [0 -> A]: both entry points give the
+    same factors and the same generator cochains."""
+    for lat in fixtures.lattice_catalog().values():
+        zero = zero_lattice(lat.group)
+        t = TwoTermComplex(zero, lat,
+                           LatticeMap(zero, lat, la.zeros(lat.rank, 0)))
+        for h in enumerate_subgroups(lat.group)[0]:
+            for n in (0, 1):
+                cg = group_cohomology(h, lat, n)
+                hc = hypercohomology(h, t, n)
+                assert hc.invariant_factors == cg.invariant_factors
+                assert hc.generators == cg.generators
+
+
+def test_unnormalized_hypercohomology_says_so():
+    t = fixtures.complex_catalog()["z2-mult2"]
+    assert hypercohomology(t.group, t, 0, normalized=False).normalized \
+        is False
+    assert hypercohomology(t.group, t, 0).normalized is True

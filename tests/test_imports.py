@@ -1,5 +1,6 @@
 """Every module-level import in the library is used somewhere in its
-module (no linter is assumed to be installed)."""
+module, and every module-level private function or class is referenced
+somewhere in the package (no linter is assumed to be installed)."""
 
 import ast
 import pathlib
@@ -34,3 +35,41 @@ def test_no_unused_module_imports():
         if unused:
             found[path.name] = unused
     assert not found, found
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _unreferenced_private(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_private`` functions and classes that no line of any
+    of ``trees`` refers to."""
+    used = set().union(*(_referenced_names(t) for t in trees.values()))
+    return [f"{name}: line {node.lineno}: {node.name}"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in used]
+
+
+def test_unreferenced_private_flagged():
+    trees = {"a.py": ast.parse("def _used():\n    pass\n"
+                               "def _dead():\n    pass\n"
+                               "class _Dead:\n    pass\n"),
+             "b.py": ast.parse("from .a import _used\n")}
+    assert _unreferenced_private(trees) == ["a.py: line 3: _dead",
+                                            "a.py: line 5: _Dead"]
+
+
+def test_no_unreferenced_private_helpers():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    assert not _unreferenced_private(trees)

@@ -11,7 +11,7 @@ from galmod import patching as pa
 from galmod.cohomology import group_cohomology, restriction
 from galmod.complexes import TwoTermComplex
 from galmod.crossed import identity_crossed, trivial_galois_action
-from galmod.groups import (SizeLimitError, cyclic_group,
+from galmod.groups import (SizeLimitError, coset_action, cyclic_group,
                            enumerate_subgroups, klein_four, subgroup,
                            symmetric_group_3, trivial_subgroup,
                            whole_subgroup)
@@ -266,3 +266,43 @@ def test_refinement_pairs_bookkeeping():
             len(o) for o in ref.refinement.vertex_orbits)
         for orbits in ref.refinement.vertex_orbits:
             assert sum(sz for _, sz in orbits) == h.index, name
+
+
+SPLIT_CASES = {("s3-transposition-vertex", (0,)),
+               ("s3-transposition-vertex", (0, 1)),
+               ("s3-transposition-vertex", (0, 3)),
+               ("s3-transposition-vertex", (0, 4)),
+               ("single-trivial-vertex", (0,))}
+
+
+def test_refine_split_is_a_verdict():
+    """Refining a catalog graph either gives a connected graph or raises
+    GraphSplitError (not a ModelError) with components and witnesses;
+    exactly the five SPLIT_CASES split."""
+    split = set()
+    for name, graph in fixtures.graph_catalog().items():
+        for h in enumerate_subgroups(graph.gamma)[0]:
+            try:
+                pa.refine_graph(graph, h)
+                continue
+            except pa.GraphSplitError as e:
+                err = e
+            assert not isinstance(err, pa.ModelError)
+            split.add((name, h.members))
+            ids = sorted(i for comp in err.components for i in comp)
+            assert len(err.components) > 1
+            assert ids == list(range(len(err.witnesses)))
+            cs = coset_action(graph.gamma, h)
+            for v, coset in err.witnesses:
+                assert coset in [o[0] for o in
+                                 cs.orbits(graph.vertices[v].members)]
+    assert split == SPLIT_CASES
+
+
+def test_refine_split_witnesses():
+    g = fixtures.graph_catalog()["s3-transposition-vertex"]
+    with pytest.raises(pa.GraphSplitError) as info:
+        pa.refine_graph(g, subgroup(g.gamma, (0,)))
+    # three free orbits of the transposition on the six cosets
+    assert info.value.components == [[0], [1], [2]]
+    assert info.value.witnesses == ((0, 0), (0, 2), (0, 4))
