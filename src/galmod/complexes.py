@@ -212,7 +212,7 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     n = aprime.rank + b.rank
     anti = la.vstack(f.matrix, la.mat_neg(d.matrix)) if n else la.zeros(0, a.rank)
     amb = direct_sum(aprime, b)
-    snf = la.smith_normal_form(anti)
+    snf = la.smith_normal_form(anti, inverse=True)
     r = snf.rank
     saturated = all(x == 1 for x in snf.invariant_factors)
     src = TwoTermComplex(a, b, d)
@@ -221,7 +221,7 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     ap_in = la.freeze([row[:aprime.rank] for row in ident])
     b_in = la.freeze([row[aprime.rank:] for row in ident])
     if saturated:
-        uinv = la.mat_inverse_unimodular(snf.U)
+        uinv = snf.Uinv
         pr = la.freeze([list(snf.U[i]) for i in range(r, n)])
         sec = la.freeze([[uinv[i][j] for j in range(r, n)] for i in range(n)])
         amb_mats = amb.action

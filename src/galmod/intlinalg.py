@@ -55,6 +55,8 @@ def transpose_shaped(m: Sequence[Sequence[int]], rows: int,
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
+    """Product a @ b, skipping zero entries: row i of the result adds
+    a[i][k] times the nonzero entries of row k of b."""
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
@@ -63,12 +65,15 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
         if ca == 0 or rb == 0:
             return tuple((0,) * cb for _ in range(ra))
         raise ValueError(f"dimension mismatch {ra}x{ca} @ {rb}x{cb}")
-    bt = [list(col) for col in zip(*b)] if rb else []
+    bsparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
-    for i in range(ra):
-        arow = a[i]
-        out.append(tuple(sum(x * y for x, y in zip(arow, bcol)) for bcol in bt)
-                   if rb else (0,) * cb)
+    for arow in a:
+        acc = [0] * cb
+        for x, brow in zip(arow, bsparse):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(tuple(acc))
     return tuple(out)
 
 
@@ -143,6 +148,8 @@ class SnfResult:
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    # U^{-1}, built only when smith_normal_form(a, inverse=True) asks
+    Uinv: IntMatrix | None = None
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -171,17 +178,22 @@ def _round_div(x: int, d: int) -> int:
     return q
 
 
-def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
+def smith_normal_form(a: Sequence[Sequence[int]],
+                      inverse: bool = False) -> SnfResult:
     """Smith normal form with transformation matrices.
 
     Pivot choice is deterministic: the smallest nonzero entry in absolute
-    value, ties broken in row-major order.
+    value, ties broken in row-major order.  With ``inverse`` the result
+    also carries U^{-1}, built alongside U (see ``_add_row``).
     """
     m = thaw(a)
     rows, cols = shape(m)
     u = thaw(identity(rows))
     v = thaw(identity(cols))
-    _eliminate(m, u, v, 0, rows, cols)
+    # W = (U^{-1})^T, so that column operations on U^{-1} are row
+    # operations on W
+    w = thaw(identity(rows)) if inverse else None
+    _eliminate(m, u, w, v, 0, rows, cols)
     # second pass: fix divisibility chain
     r = min(rows, cols)
     changed = True
@@ -194,7 +206,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
                 if m[i][i] % m[t][t] != 0:
                     # bring the offending entry into reach and eliminate again
                     _add_col(m, v, i, t, 1)
-                    _eliminate(m, u, v, t, rows, cols)
+                    _eliminate(m, u, w, v, t, rows, cols)
                     changed = True
     for t in range(r):
         if m[t][t] < 0:
@@ -202,13 +214,20 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
                 m[t][j] = -m[t][j]
             for j in range(rows):
                 u[t][j] = -u[t][j]
-    return SnfResult(freeze(u), freeze(m), freeze(v))
+            if w is not None:
+                w[t] = [-x for x in w[t]]
+    return SnfResult(freeze(u), freeze(m), freeze(v),
+                     transpose(w) if w is not None else None)
 
 
-def _swap_rows(m, u, i, j):
+def _swap_rows(m, u, w, i, j):
+    """Swap rows i and j of m and U; the inverse swaps columns of U^{-1},
+    i.e. rows of W = (U^{-1})^T."""
     if i != j:
         m[i], m[j] = m[j], m[i]
         u[i], u[j] = u[j], u[i]
+        if w is not None:
+            w[i], w[j] = w[j], w[i]
 
 
 def _swap_cols(m, v, i, j):
@@ -219,8 +238,12 @@ def _swap_cols(m, v, i, j):
             row[i], row[j] = row[j], row[i]
 
 
-def _add_row(m, u, src, dst, k):
-    """row[dst] += k * row[src] in m and in U."""
+def _add_row(m, u, w, src, dst, k):
+    """row[dst] += k * row[src] in m and in U.
+
+    On U^{-1} this is col[src] -= k * col[dst], i.e. W[src] -= k * W[dst]
+    for W = (U^{-1})^T when W is tracked.
+    """
     mr = m[src]
     md = m[dst]
     for j in range(len(md)):
@@ -229,6 +252,11 @@ def _add_row(m, u, src, dst, k):
     ud = u[dst]
     for j in range(len(ud)):
         ud[j] += k * ur[j]
+    if w is not None:
+        ws = w[src]
+        wd = w[dst]
+        for j in range(len(ws)):
+            ws[j] -= k * wd[j]
 
 
 def _add_col(m, v, src, dst, k):
@@ -239,9 +267,10 @@ def _add_col(m, v, src, dst, k):
         row[dst] += k * row[src]
 
 
-def _eliminate(m, u, v, start, rows, cols):
+def _eliminate(m, u, w, v, start, rows, cols):
     """Diagonalize m from row/column ``start`` on by pivot-and-clear,
-    recording row operations in U and column operations in V."""
+    recording row operations in U (and their inverses in W, unless it is
+    None) and column operations in V."""
     t = start
     while t < rows and t < cols:
         # locate pivot: smallest |entry| != 0, row-major tie-break
@@ -259,7 +288,7 @@ def _eliminate(m, u, v, start, rows, cols):
                 break
         if piv is None:
             return
-        _swap_rows(m, u, t, piv[0])
+        _swap_rows(m, u, w, t, piv[0])
         _swap_cols(m, v, t, piv[1])
         while True:
             # clear column t
@@ -268,9 +297,9 @@ def _eliminate(m, u, v, start, rows, cols):
                 if m[i][t] != 0:
                     q = _round_div(m[i][t], m[t][t])
                     if q:
-                        _add_row(m, u, t, i, -q)
+                        _add_row(m, u, w, t, i, -q)
                     if m[i][t] != 0:
-                        _swap_rows(m, u, t, i)
+                        _swap_rows(m, u, w, t, i)
                         dirty = True
             if dirty:
                 continue
@@ -322,7 +351,14 @@ def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
 
 
 def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
-    """Inverse of an integer matrix with determinant ±1."""
+    """Inverse of an integer matrix with determinant ±1, by a full SNF.
+
+    Only for matrices that come with no factorization: the change of
+    basis in ``lattice.conjugate_lattice`` and the random unimodular
+    matrices of ``galbench/inputs.py``.  Callers that have just run an
+    SNF ask it for U^{-1} instead, and ``lattice.dual_lattice`` reads
+    M(s)^{-1} = M(s^{-1}) off the element matrices.
+    """
     res = smith_normal_form(a)
     n, c = shape(a)
     if n != c or res.rank != n or any(d != 1 for d in res.diagonal):
@@ -571,8 +607,8 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
         return AbGroupPresentation(ambient_dim, (), (), (), (), ())
     x = solve_columns(basis, [list(c) for c in den_cols]) if den_cols else []
     xmat = from_columns(x, k) if x else zeros(k, 0)
-    res = smith_normal_form(xmat)
-    uinv = mat_inverse_unimodular(res.U)
+    res = smith_normal_form(xmat, inverse=True)
+    uinv = res.Uinv
     diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
     basis_mat = from_columns(basis, ambient_dim)
     adapted = mat_mul(basis_mat, uinv)  # ambient vectors of adapted basis
@@ -590,7 +626,7 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
         tuple(factors),
         tuple(gens),
         tuple(tuple(c) for c in basis),
-        tuple(tuple(row[i] for row in uinv) for i in range(k)),
+        transpose(uinv),
         tuple(diag),
     )
 
@@ -609,8 +645,9 @@ class TorsionCokernel:
     ambient_dim: int
     factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    # rows of U at the factors > 1, then at the positions j >= rank
-    _rows: tuple[tuple[int, ...], ...]
+    # rows of U at the factors > 1, then at the positions j >= rank, each
+    # as its nonzero (column, entry) pairs
+    _rows: tuple[tuple[tuple[int, int], ...], ...]
     _moduli: tuple[int, ...]  # d_i per row; 0 where (U x)_j must vanish
 
     @property
@@ -632,7 +669,7 @@ class TorsionCokernel:
         """
         coords = []
         for row, d in zip(self._rows, self._moduli):
-            y = sum(x * v for x, v in zip(row, vec) if x)
+            y = sum(x * vec[j] for j, x in row)
             if d:
                 coords.append(y % d)
             elif y:
@@ -656,7 +693,8 @@ def torsion_cokernel(a: Sequence[Sequence[int]]) -> TorsionCokernel:
         d = diag[i]
         gens.append(tuple(sum(x * y for x, y in zip(row, col) if x) // d
                           for row in a))
-    rows = [res.U[i] for i in keep] + list(res.U[rank:])
+    rows = [tuple((j, x) for j, x in enumerate(res.U[i]) if x)
+            for i in keep + list(range(rank, m))]
     moduli = [diag[i] for i in keep] + [0] * (m - rank)
     return TorsionCokernel(m, tuple(diag[i] for i in keep), tuple(gens),
                            tuple(rows), tuple(moduli))

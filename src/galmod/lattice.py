@@ -221,10 +221,14 @@ def sign_lattice(group: FiniteGroup, values: Sequence[int]) -> GLattice:
 
 
 def dual_lattice(lat: GLattice) -> GLattice:
-    """Hom(L, Z) with the contragredient action (inverse transpose)."""
-    action = tuple(
-        la.transpose(la.mat_inverse_unimodular(m)) if lat.rank else m
-        for m in lat.action)
+    """Hom(L, Z) with the contragredient action (inverse transpose).
+
+    For a group action M(s)^{-1} = M(s^{-1}), an element matrix, so
+    nothing is inverted.
+    """
+    g = lat.group
+    mats = lat.element_matrices()
+    action = tuple(la.transpose(mats[g.inv(s)]) for s in g.generators)
     perm = lat.permutation_subgroups
     return GLattice(lat.group, lat.rank, action,
                     permutation_subgroups=perm)

@@ -2,6 +2,9 @@
 resolutions, and certificates."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from lattice_strategies import small_lattices, unimodular_matrices
 
 from galmod import intlinalg as la
 from galmod import fixtures
@@ -15,8 +18,8 @@ from galmod.complexes import (GroupMismatchError, PreconditionError,
                               r_equivalence_invariant, replay_certificate,
                               uniqueness_invariants)
 from galmod.groups import cyclic_group, enumerate_subgroups
-from galmod.lattice import (LatticeMap, regular_lattice, sign_lattice,
-                            trivial_lattice, zero_lattice)
+from galmod.lattice import (LatticeMap, conjugate_lattice, regular_lattice,
+                            sign_lattice, trivial_lattice, zero_lattice)
 
 
 def _cx(l1, l2, rows):
@@ -52,6 +55,19 @@ def test_classify_modes():
     assert classify(reg, "flasque").ok
     with pytest.raises(ValueError):
         classify(sign, "other")
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_classify_is_invariant_under_conjugation(data):
+    lat = data.draw(small_lattices())
+    conj = conjugate_lattice(lat, data.draw(unimodular_matrices(lat.rank)))
+    for mode in ("coflasque", "flasque"):
+        before, after = classify(lat, mode), classify(conj, mode)
+        assert (after.ok, after.table) == (before.ok, before.table)
+        assert (after.witness is None) == (before.witness is None)
+        if before.witness is not None:
+            assert after.witness[:2] == before.witness[:2]
 
 
 def test_cover_of_sign_lattice():

@@ -5,7 +5,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galmod import intlinalg as la
@@ -95,6 +95,120 @@ def test_snf_transforms_unchanged():
 @settings(max_examples=60, deadline=None)
 def test_snf_property(m):
     check_snf(la.freeze(m))
+
+
+def check_snf_inverse(a):
+    """The U^{-1} built alongside U inverts it, and asking for it changes
+    none of U, D and V."""
+    res = la.smith_normal_form(a, inverse=True)
+    plain = la.smith_normal_form(a)
+    assert plain.Uinv is None
+    assert (res.U, res.D, res.V) == (plain.U, plain.D, plain.V)
+    n = len(res.U)
+    assert la.shape(res.Uinv) == (n, n)
+    assert la.mat_mul(res.U, res.Uinv) == la.identity(n)
+    assert la.mat_mul(res.Uinv, res.U) == la.identity(n)
+
+
+def test_snf_inverse_on_battery():
+    for a in snf_battery():
+        check_snf_inverse(a)
+    check_snf_inverse(la.zeros(3, 0))
+    check_snf_inverse(la.zeros(0, 0))
+
+
+@given(st.lists(st.lists(st.integers(-20, 20), min_size=1, max_size=6),
+                min_size=1, max_size=6).filter(
+                    lambda m: len({len(r) for r in m}) == 1))
+@settings(max_examples=60, deadline=None)
+def test_snf_inverse_property(m):
+    check_snf_inverse(la.freeze(m))
+
+
+def _sparse_rows(draw, rows, cols):
+    """A rows x cols list of lists, mostly zeros; no rows gives []."""
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_is_sum_of_products(data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    a = _sparse_rows(data.draw, r, k)
+    b = _sparse_rows(data.draw, k, c)
+    if data.draw(st.booleans()):
+        a, b = la.freeze(a), la.freeze(b)
+    # the column count of b as the row-tuple form carries it: a k x 0
+    # or 0 x c factor gives a zero product of the shape that survives
+    cb = la.shape(b)[1]
+    expected = tuple(tuple(sum(a[i][t] * b[t][j] for t in range(k))
+                           for j in range(cb)) for i in range(r))
+    assert la.mat_mul(a, b) == expected
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_mat_mul_shape_mismatch(r, k, k2, c):
+    assume(k != k2)
+    with pytest.raises(ValueError):
+        la.mat_mul([[1] * k] * r, [[1] * c] * k2)
+
+
+def test_mat_mul_empty_factors():
+    assert la.mat_mul(la.zeros(2, 0), ()) == ((), ())
+    assert la.mat_mul(la.zeros(2, 0), la.zeros(3, 4)) == la.zeros(2, 4)
+    assert la.mat_mul((), la.zeros(3, 4)) == ()
+    assert la.mat_mul(la.zeros(2, 3), la.zeros(3, 0)) == ((), ())
+
+
+def _torsion_battery():
+    """snf_battery() plus tall and rank-deficient matrices, so that both
+    torsion rows and vanishing rows occur."""
+    yield from snf_battery()
+    rng = random.Random(77)
+    for _ in range(40):
+        rows, cols = rng.randint(2, 7), rng.randint(1, 4)
+        base = random_matrix(rng, rows, cols, bound=6)
+        scale = [rng.choice([1, 2, 3, 4]) for _ in range(cols)]
+        yield la.freeze([[x * s for x, s in zip(row, scale)] for row in base])
+
+
+def test_torsion_cokernel_reduce_on_sparse_rows():
+    rng = random.Random(5)
+    seen_torsion = seen_free = 0
+    for a in _torsion_battery():
+        tc = la.torsion_cokernel(a)
+        m, n = la.shape(a)
+        assert all(x for row in tc._rows for _, x in row)
+        # generator i reduces to the i-th unit vector
+        for i, g in enumerate(tc.generators):
+            assert tc.reduce(g) == tuple(int(j == i)
+                                         for j in range(len(tc.factors)))
+        # random vectors of the saturated image: A z plus generators
+        res = la.smith_normal_form(a)
+        rank = res.rank
+        keep = [i for i in range(rank) if res.diagonal[i] > 1]
+        for _ in range(5):
+            z = [rng.randint(-5, 5) for _ in range(n)]
+            vec = list(la.mat_vec(a, z))
+            for g in tc.generators:
+                c = rng.randint(-3, 3)
+                vec = [x + c * y for x, y in zip(vec, g)]
+            y = la.mat_vec(res.U, vec)
+            assert all(y[j] == 0 for j in range(rank, m))
+            assert tc.reduce(vec) == tuple(y[i] % res.diagonal[i]
+                                           for i in keep)
+        # a vector outside the Q-span of A
+        if rank < m:
+            seen_free += 1
+            t = next(t for t in range(m) if la.smith_normal_form(
+                la.hstack(a, [[int(i == t)] for i in range(m)])).rank > rank)
+            with pytest.raises(la.SolveError):
+                tc.reduce([int(i == t) for i in range(m)])
+        seen_torsion += bool(tc.factors)
+    assert seen_torsion and seen_free
 
 
 def test_kernel_and_image():

@@ -82,6 +82,33 @@ def test_dual_involution():
     assert dd.action == lat.action
 
 
+def _dual_by_inversion(lat: GLattice):
+    """The contragredient action by inverting each generator matrix."""
+    return tuple(la.transpose(la.mat_inverse_unimodular(m)) if lat.rank
+                 else m for m in lat.action)
+
+
+def test_dual_lattice_matches_inversion():
+    for lat in fixtures.lattice_catalog().values():
+        assert dual_lattice(lat).action == _dual_by_inversion(lat)
+
+
+@given(small_lattices())
+@settings(max_examples=30, deadline=None)
+def test_dual_lattice_matches_inversion_property(lat):
+    assert dual_lattice(lat).action == _dual_by_inversion(lat)
+
+
+@given(small_lattices())
+@settings(max_examples=15, deadline=None)
+def test_double_dual_has_same_cohomology(lat):
+    dd = dual_lattice(dual_lattice(lat))
+    for h in enumerate_subgroups(lat.group)[0]:
+        for n in (1, 2):
+            assert group_cohomology(h, dd, n).invariant_factors == \
+                group_cohomology(h, lat, n).invariant_factors
+
+
 def test_dual_of_permutation_is_itself():
     # permutation matrices are orthogonal, so the contragredient action
     # is the same permutation action
