@@ -57,7 +57,11 @@ def _read(flag_value: str, kind: str, size_limit: int):
         "crossed": serialize.load_crossed,
         "graph": serialize.load_graph,
     }
-    return loaders[kind](obj, size_limit)
+    try:
+        return loaders[kind](obj, size_limit)
+    except (TypeError, ValueError, KeyError) as e:
+        raise CliInputError(f"malformed {kind} in {flag_value}: "
+                            f"{type(e).__name__}: {e}")
 
 
 def _load(flag_value: str, kind: str, size_limit: int):
@@ -381,11 +385,7 @@ def cmd_snf(args, size_limit):
         except json.JSONDecodeError as e:
             raise CliInputError(f"bad matrix on stdin: {e}")
     rows = obj["matrix"] if isinstance(obj, dict) else obj
-    try:
-        mat = la.freeze([[int(x) for x in row] for row in rows])
-    except (TypeError, ValueError) as e:
-        raise CliInputError(f"bad matrix: {e}")
-    res = la.smith_normal_form(mat)
+    res = la.smith_normal_form(serialize.parse_matrix(rows, "matrix"))
     lines = [f"diagonal: {list(res.diagonal)}",
              f"invariant factors: {list(res.invariant_factors)}"]
     _emit(args, lines,

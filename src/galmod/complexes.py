@@ -134,7 +134,8 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     kt = _cycle_basis(tgt)
     src_ker = induced_action_on_sublattice(src.a, ks)
     tgt_ker = induced_action_on_sublattice(tgt.a, kt)
-    imgs = [la.mat_vec(comp_minus1, c) for c in ks]
+    imgs = la.columns(la.mat_mul(comp_minus1,
+                                 la.from_columns(ks, src.a.rank)))
     try:
         mat = la.from_columns(la.solve_columns(kt, imgs), len(kt))
         phi = FgModuleMap(lattice_as_module(src_ker),

@@ -256,11 +256,11 @@ def induced_action_on_sublattice(lat: GLattice,
                                  basis_cols: Sequence[Sequence[int]]) -> GLattice:
     """Action on an invariant sublattice in terms of the given basis."""
     k = len(basis_cols)
+    basis = la.from_columns(basis_cols, lat.rank)
     action = []
     for m in lat.action:
-        imgs = [la.mat_vec(m, c) for c in basis_cols]
         x = la.solve_columns([list(c) for c in basis_cols],
-                             [list(v) for v in imgs]) if k else []
+                             la.columns(la.mat_mul(m, basis))) if k else []
         action.append(la.from_columns(x, k) if k else la.zeros(0, 0))
     return GLattice(lat.group, k, tuple(action))
 

@@ -13,6 +13,7 @@ the coset space).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -159,7 +160,8 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
 
 
 # ---------------------------------------------------------------------------
-# Mayer-Vietoris columns for abelian coefficients.
+# Mayer-Vietoris columns (abelian coefficients; mv_columns and sha
+# dispatch on the kind).
 
 def _coefficient_kind(coeff: Coefficient) -> str:
     if isinstance(coeff, GLattice):
@@ -180,12 +182,7 @@ def _check_degree(kind: str, r: int) -> None:
 
 def _check_coefficient(graph: PatchingGraph, coeff: Coefficient,
                        kind: str) -> None:
-    if kind == "lattice":
-        grp = coeff.group
-    elif kind == "complex":
-        grp = coeff.group
-    else:
-        grp = coeff.galois
+    grp = coeff.galois if kind == "crossed" else coeff.group
     if not _same_group(grp, graph.gamma):
         raise ModelError("coefficient lives over a different group")
 
@@ -200,13 +197,10 @@ class MvColumns:
     the invariant-factor generators of the groups involved.
     """
 
-    kind: str
     degree: int
     left: CohomologyGroup
     middle: tuple[CohomologyGroup, ...]
     right: tuple[CohomologyGroup, ...]
-    vertex_matrices: tuple[IntMatrix, ...]
-    edge_matrices: tuple[tuple[IntMatrix, IntMatrix], ...]
     restriction_matrix: IntMatrix
     difference_matrix: IntMatrix
     left_dim: int
@@ -220,6 +214,43 @@ class MvColumns:
     @property
     def right_factors(self) -> tuple[int, ...]:
         return tuple(f for cg in self.right for f in cg.invariant_factors)
+
+    def composition_zero(self) -> bool:
+        """Whether difference o restriction vanishes modulo the edge
+        factors."""
+        prod = la.mat_mul(self.difference_matrix, self.restriction_matrix)
+        return all((v % f if f else v) == 0
+                   for row, f in zip(prod, self.right_factors) for v in row)
+
+    def exact_at_middle(self) -> tuple[bool, Optional[tuple]]:
+        """Compare ker(difference) with im(restriction) inside the vertex
+        product; returns (exact, witness coordinates or None)."""
+        mid_dim = self.mid_dim
+        if mid_dim == 0:
+            return True, None
+        mid_rel = la.relation_columns(self.middle_factors, mid_dim)
+        right_rel = la.relation_columns(self.right_factors, self.right_dim)
+        ker_cols = la.preimage(self.difference_matrix, right_rel, mid_dim)
+        im_cols = la.columns(self.restriction_matrix) if self.left_dim else []
+        quot = la.abgroup_from_subquotient(ker_cols + mid_rel,
+                                           im_cols + mid_rel, mid_dim)
+        if quot.is_trivial:
+            return True, None
+        return False, quot.generators[0]
+
+    def sha(self) -> CohomologyGroup:
+        """Kernel of the joint restriction, generated by honest
+        cocycles."""
+        left = self.left
+        pres = la.hom_kernel(self.restriction_matrix, left.invariant_factors,
+                             self.middle_factors)
+        gens = tuple(
+            tuple(sum(c * v for c, v in zip(coords, entries))
+                  for entries in zip(*left.generators))
+            for coords in pres.generators)
+        return CohomologyGroup(self.degree, pres.factors, gens,
+                               _KernelPresentation(left, pres),
+                               left.coeff_dim)
 
 
 def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
@@ -255,9 +286,7 @@ def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
                 row[mid_offset[tail] + j] -= v
             diff_rows.append(row)
     return MvColumns(
-        kind, r, left, middle, right,
-        tuple(m.matrix for m in vertex_maps),
-        tuple((h.matrix, t.matrix) for h, t in edge_maps),
+        r, left, middle, right,
         la.vstack(*(m.matrix for m in vertex_maps)),
         la.freeze(diff_rows),
         len(left.invariant_factors), mid_offset[-1],
@@ -288,64 +317,31 @@ def sha(graph: PatchingGraph, coeff: Coefficient, r: int,
     honest cocycles; crossed modules give a ShaCrossed subgroup, with
     ``bound`` passed to their H^0 enumeration.
     """
-    cols = mv_columns(graph, coeff, r, bound)
-    if isinstance(cols, CrossedMvColumns):
-        return _crossed_sha(cols)
-    left = cols.left
-    pres = la.hom_kernel(cols.restriction_matrix, left.invariant_factors,
-                         cols.middle_factors)
-    gens = tuple(
-        tuple(sum(c * v for c, v in zip(coords, entries))
-              for entries in zip(*left.generators))
-        for coords in pres.generators)
-    return CohomologyGroup(r, pres.factors, gens,
-                           _KernelPresentation(left, pres), left.coeff_dim)
+    return mv_columns(graph, coeff, r, bound).sha()
 
 
 # ---------------------------------------------------------------------------
-# Nine-term report for two-term complexes.
-
-def _is_zero_map(product: IntMatrix, tgt_factors) -> bool:
-    rows, cols = la.shape(product)
-    for i in range(rows):
-        f = tgt_factors[i]
-        for j in range(cols):
-            v = product[i][j]
-            if (v % f if f else v) != 0:
-                return False
-    return True
-
-
-def _exactness_at_middle(cols: MvColumns):
-    """Compare ker(difference) with im(restriction) inside the vertex
-    product; returns (exact, witness coordinates or None)."""
-    mid_dim = cols.mid_dim
-    if mid_dim == 0:
-        return True, None
-    mid_rel = la.relation_columns(cols.middle_factors, mid_dim)
-    right_rel = la.relation_columns(cols.right_factors, cols.right_dim)
-    ker_cols = la.preimage(cols.difference_matrix, right_rel, mid_dim)
-    im_cols = la.columns(cols.restriction_matrix) if cols.left_dim else []
-    quot = la.abgroup_from_subquotient(ker_cols + mid_rel,
-                                       im_cols + mid_rel, mid_dim)
-    if quot.is_trivial:
-        return True, None
-    return False, quot.generators[0]
-
+# Mayer-Vietoris reports: nine terms for a two-term complex, six for a
+# crossed module.
 
 @dataclass(frozen=True, eq=False)
 class MvReport:
-    """Recomputed facts about the three Mayer-Vietoris rows of a
-    two-term complex; nothing here is assumed from the field theory."""
+    """Recomputed facts about every Mayer-Vietoris row of a coefficient;
+    nothing here is assumed from the field theory.
+
+    Exactness at the edge products and at the global term of degree >= 0
+    would need connecting maps, which the finite model does not
+    construct; those junctions are listed in ``not_evaluated``.
+    """
 
     degrees: tuple[int, ...]
-    columns: tuple[MvColumns, ...]
+    columns: tuple[Union[MvColumns, CrossedMvColumns], ...]
     composition_zero: tuple[bool, ...]
     # exactness at the left term: only degree -1 starts the sequence, so
     # only there does the flag make sense without a connecting map
     exact_at_left: tuple[Optional[bool], ...]
     exact_at_middle: tuple[tuple[bool, Optional[tuple]], ...]
-    sha_groups: tuple[CohomologyGroup, ...]
+    sha_groups: tuple[Union[CohomologyGroup, ShaCrossed], ...]
     not_evaluated: tuple[tuple[int, str], ...]
 
     @property
@@ -353,33 +349,40 @@ class MvReport:
         return all(self.composition_zero)
 
 
-def nine_term_report(graph: PatchingGraph, t: TwoTermComplex) -> MvReport:
-    """Assemble the degree -1..1 rows for a two-term complex and flag
-    every junction that can be evaluated without a connecting map."""
-    degrees = (-1, 0, 1)
+def _report(graph: PatchingGraph, coeff: Coefficient,
+            bound: int) -> MvReport:
+    """Build each row once and evaluate its junctions."""
+    degrees = SUPPORTED_DEGREES[_coefficient_kind(coeff)]
     columns = []
     comp_zero = []
-    at_left: list[Optional[bool]] = []
     at_middle = []
     shas = []
-    skipped: list[tuple[int, str]] = []
     for r in degrees:
-        cols = mv_columns(graph, t, r)
+        cols = mv_columns(graph, coeff, r, bound)
         columns.append(cols)
-        prod = la.mat_mul(cols.difference_matrix, cols.restriction_matrix)
-        comp_zero.append(_is_zero_map(prod, cols.right_factors))
-        s = sha(graph, t, r)
-        shas.append(s)
-        if r == -1:
-            at_left.append(s.is_trivial)
-        else:
-            at_left.append(None)
-            skipped.append((r, "left"))
-        at_middle.append(_exactness_at_middle(cols))
-        skipped.append((r, "right"))
-    return MvReport(degrees, tuple(columns), tuple(comp_zero),
-                    tuple(at_left), tuple(at_middle), tuple(shas),
-                    tuple(skipped))
+        comp_zero.append(cols.composition_zero())
+        shas.append(cols.sha())
+        at_middle.append(cols.exact_at_middle())
+    return MvReport(
+        degrees, tuple(columns), tuple(comp_zero),
+        tuple(s.is_trivial if r == -1 else None
+              for r, s in zip(degrees, shas)),
+        tuple(at_middle), tuple(shas),
+        tuple((r, side) for r in degrees
+              for side in (("right",) if r == -1 else ("left", "right"))))
+
+
+def nine_term_report(graph: PatchingGraph, t: TwoTermComplex) -> MvReport:
+    """The degree -1..1 rows of a two-term complex."""
+    return _report(graph, t, DEFAULT_ENUMERATION_BOUND)
+
+
+def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
+                            bound: int = DEFAULT_ENUMERATION_BOUND
+                            ) -> MvReport:
+    """The H^-1 and H^0 rows of a crossed module; ``bound`` caps the H^0
+    enumeration and the vertex product."""
+    return _report(graph, c, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +448,10 @@ class CrossedMvColumns:
 
     Maps are index tables: ``vertex_maps[i][c]`` is the class of the
     restriction of left class c in ``middle[i]``, and the edge tables map
-    the head/tail vertex groups into the edge group.
+    the head/tail vertex groups into the edge group of ``edges[k]``.
+    ``bound`` caps the enumeration of the vertex product.
     """
 
-    kind: str
     degree: int
     left: Union[HMinusOne, HZero]
     middle: tuple
@@ -456,20 +459,55 @@ class CrossedMvColumns:
     vertex_maps: tuple[tuple[int, ...], ...]
     edge_head_maps: tuple[tuple[int, ...], ...]
     edge_tail_maps: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int, SubgroupHandle], ...]
+    bound: int
 
-    def _group(self, col) -> FiniteGroup:
-        return col.group
+    def restrict(self, idx: int) -> tuple[int, ...]:
+        """Image of left class ``idx`` in the vertex product."""
+        return tuple(vm[idx] for vm in self.vertex_maps)
 
-    def difference(self, assignment: tuple[int, ...],
-                   edges) -> tuple[int, ...]:
+    def difference(self, assignment: tuple[int, ...]) -> tuple[int, ...]:
         """Image of a vertex-product element under the difference map."""
         out = []
-        for k, (head, tail, _h) in enumerate(edges):
-            g = self._group(self.right[k])
+        for k, (head, tail, _h) in enumerate(self.edges):
+            g = self.right[k].group
             a = self.edge_head_maps[k][assignment[head]]
             b = self.edge_tail_maps[k][assignment[tail]]
             out.append(g.mul(a, g.inv(b)))
         return tuple(out)
+
+    def composition_zero(self) -> bool:
+        """Whether every restricted left class has neutral difference."""
+        return all(v == 0 for idx in range(self.left.order)
+                   for v in self.difference(self.restrict(idx)))
+
+    def exact_at_middle(self) -> tuple[bool, Optional[tuple]]:
+        """Enumerate the vertex product and compare ker(difference) with
+        the image of the joint restriction."""
+        sizes = [m.order for m in self.middle]
+        total = math.prod(sizes)
+        if total > self.bound:
+            raise SizeLimitError(
+                f"vertex product of size {total} exceeds the bound "
+                f"{self.bound}")
+        image = {self.restrict(c) for c in range(self.left.order)}
+        for assignment in itertools.product(*[range(s) for s in sizes]):
+            if any(v != 0 for v in self.difference(assignment)):
+                continue
+            if assignment not in image:
+                return False, assignment
+        return True, None
+
+    def sha(self) -> ShaCrossed:
+        """The left classes restricting to the neutral class at every
+        vertex, with the group law of ``left``."""
+        kernel = [idx for idx in range(self.left.order)
+                  if all(v == 0 for v in self.restrict(idx))]
+        pos = {c: i for i, c in enumerate(kernel)}
+        mul = self.left.group.mul
+        table = tuple(tuple(pos[mul(a, b)] for b in kernel) for a in kernel)
+        return ShaCrossed(self.degree, tuple(kernel),
+                          group_from_table(table), self.left)
 
 
 def restrict_crossed(c: FiniteCrossedModule,
@@ -522,9 +560,9 @@ def _crossed_columns(graph: PatchingGraph, c: FiniteCrossedModule,
             _crossed_restrict_index(middle[tail], right[k],
                                     graph.vertices[tail], h, r, idx)
             for idx in range(middle[tail].order)))
-    return CrossedMvColumns("crossed", r, left, middle, right,
-                            vertex_maps, tuple(head_maps),
-                            tuple(tail_maps))
+    return CrossedMvColumns(r, left, middle, right, vertex_maps,
+                            tuple(head_maps), tuple(tail_maps),
+                            graph.edges, bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,99 +578,6 @@ class ShaCrossed:
     @property
     def is_trivial(self) -> bool:
         return len(self.classes) == 1
-
-
-def _crossed_sha(cols: CrossedMvColumns) -> ShaCrossed:
-    r = cols.degree
-    kernel = [idx for idx in range(cols.left.order)
-              if all(vm[idx] == 0 for vm in cols.vertex_maps)]
-    pos = {c: i for i, c in enumerate(kernel)}
-    if r == -1:
-        lg = cols.left.group
-        table = tuple(tuple(pos[lg.mul(a, b)] for b in kernel)
-                      for a in kernel)
-    else:
-        tbl = cols.left.table
-        table = tuple(tuple(pos[tbl[a][b]] for b in kernel)
-                      for a in kernel)
-    return ShaCrossed(r, tuple(kernel), group_from_table(table), cols.left)
-
-
-@dataclass(frozen=True, eq=False)
-class CrossedReport:
-    """The evaluable junctions of the six-term crossed-module sequence.
-
-    Exactness at the edge products and at the global degree-0 term would
-    need connecting maps, which the finite model does not construct;
-    those junctions are listed in ``not_evaluated``.
-    """
-
-    degrees: tuple[int, ...]
-    columns: tuple[CrossedMvColumns, ...]
-    composition_zero: tuple[bool, ...]
-    exact_at_left: tuple[Optional[bool], ...]
-    exact_at_middle: tuple[tuple[bool, Optional[tuple]], ...]
-    sha_groups: tuple[ShaCrossed, ...]
-    not_evaluated: tuple[tuple[int, str], ...]
-
-
-def _crossed_middle_exactness(cols: CrossedMvColumns, edges,
-                              bound: int):
-    """Enumerate the vertex product and compare ker(difference) with the
-    image of the joint restriction."""
-    sizes = [m.order for m in cols.middle]
-    total = 1
-    for s in sizes:
-        total *= s
-    if total > bound:
-        raise SizeLimitError(
-            f"vertex product of size {total} exceeds the bound {bound}")
-    image = {tuple(cols.vertex_maps[i][c] for i in range(len(sizes)))
-             for c in range(cols.left.order)}
-    for assignment in itertools.product(*[range(s) for s in sizes]):
-        if any(v != 0 for v in cols.difference(assignment, edges)):
-            continue
-        if assignment not in image:
-            return False, assignment
-    return True, None
-
-
-def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
-                            bound: int = DEFAULT_ENUMERATION_BOUND
-                            ) -> CrossedReport:
-    """Evaluate the H^-1 and H^0 rows of the crossed-module sequence."""
-    degrees = (-1, 0)
-    columns = []
-    comp_zero = []
-    at_left: list[Optional[bool]] = []
-    at_middle = []
-    shas = []
-    skipped: list[tuple[int, str]] = []
-    for r in degrees:
-        cols = mv_columns(graph, c, r, bound)
-        columns.append(cols)
-        ok = True
-        for idx in range(cols.left.order):
-            assignment = tuple(cols.vertex_maps[i][idx]
-                               for i in range(len(graph.vertices)))
-            if any(v != 0 for v in cols.difference(assignment,
-                                                   graph.edges)):
-                ok = False
-                break
-        comp_zero.append(ok)
-        s = _crossed_sha(cols)
-        shas.append(s)
-        if r == -1:
-            at_left.append(s.is_trivial)
-        else:
-            at_left.append(None)
-            skipped.append((r, "left"))
-        at_middle.append(_crossed_middle_exactness(cols, graph.edges,
-                                                   bound))
-        skipped.append((r, "right"))
-    return CrossedReport(degrees, tuple(columns), tuple(comp_zero),
-                         tuple(at_left), tuple(at_middle), tuple(shas),
-                         tuple(skipped))
 
 
 # ---------------------------------------------------------------------------

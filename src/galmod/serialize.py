@@ -44,10 +44,17 @@ def _rows(m) -> list[list[int]]:
     return [list(int(x) for x in row) for row in m]
 
 
-def _matrix(obj, what: str) -> la.IntMatrix:
-    if not isinstance(obj, list):
+def parse_matrix(obj, what: str) -> la.IntMatrix:
+    """A list of equally long lists of integers, as an IntMatrix."""
+    if not isinstance(obj, list) or not all(isinstance(row, list)
+                                            for row in obj):
         raise FormatError(f"{what} must be a list of rows")
-    return la.freeze([[int(x) for x in row] for row in obj])
+    if len({len(row) for row in obj}) > 1:
+        raise FormatError(f"{what} has rows of different lengths")
+    try:
+        return la.freeze(obj)
+    except (TypeError, ValueError) as e:
+        raise FormatError(f"{what} has a non-integer entry: {e}")
 
 
 def deep_tuple(x):
@@ -114,7 +121,7 @@ def _dump_lattice_body(lat: GLattice) -> dict:
 
 def _load_lattice_body(obj, group: FiniteGroup) -> GLattice:
     rank = int(obj["rank"])
-    action = tuple(_matrix(m, "action matrix") for m in obj["action"])
+    action = tuple(parse_matrix(m, "action matrix") for m in obj["action"])
     return GLattice(group, rank, action)
 
 
@@ -139,8 +146,8 @@ def _dump_module_body(mod: FgModule) -> dict:
 
 def _load_module_body(obj, group: FiniteGroup) -> FgModule:
     return FgModule(group, int(obj["ngens"]),
-                    _matrix(obj["relations"], "relations"),
-                    tuple(_matrix(m, "action matrix")
+                    parse_matrix(obj["relations"], "relations"),
+                    tuple(parse_matrix(m, "action matrix")
                           for m in obj["action"]))
 
 
@@ -160,7 +167,7 @@ def load_complex(obj, size_limit: int = DEFAULT_SIZE_LIMIT
     group = load_group(obj["group"], size_limit)
     l1 = _load_lattice_body(obj["l1"], group)
     l2 = _load_lattice_body(obj["l2"], group)
-    diff = _matrix(obj["differential"], "differential")
+    diff = parse_matrix(obj["differential"], "differential")
     return TwoTermComplex(l1, l2, LatticeMap(l1, l2, diff))
 
 
@@ -232,7 +239,7 @@ def _load_side(obj, size_limit: int):
         return load_complex(obj["value"], size_limit)
     group = load_group(obj["group"], size_limit)
     return HalfComplex(_load_lattice_body(obj["a"], group),
-                       _matrix(obj["d"], "half-complex differential"),
+                       parse_matrix(obj["d"], "half-complex differential"),
                        _load_module_body(obj["b"], group))
 
 
@@ -264,8 +271,8 @@ def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
     moves = []
     for m in obj["moves"]:
         cm1 = (None if m["comp_minus1"] is None
-               else _matrix(m["comp_minus1"], "comp_minus1"))
-        c0 = None if m["comp0"] is None else _matrix(m["comp0"], "comp0")
+               else parse_matrix(m["comp_minus1"], "comp_minus1"))
+        c0 = None if m["comp0"] is None else parse_matrix(m["comp0"], "comp0")
         moves.append(CertificateMove(
             m["kind"], _load_side(m["src"], size_limit),
             _load_side(m["tgt"], size_limit), cm1, c0,

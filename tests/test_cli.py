@@ -1,5 +1,6 @@
 """Command-line interface: outputs and the exit-code contract."""
 
+import io
 import json
 
 import pytest
@@ -246,6 +247,35 @@ def test_crossed_module_breaking_an_axiom_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "crossed-h0", "--crossed", str(path))
     assert code == 2
     assert "invalid crossed module" in err
+
+
+# Malformed files and stdin are input errors (exit 2), even when the
+# loader meets them as a TypeError, a KeyError or a short row.
+MALFORMED = {
+    "lattice-rank-null": ("lattice", {"rank": None}),
+    "lattice-action-not-a-list": ("lattice", {"action": 5}),
+    "lattice-ragged-action": ("lattice",
+                              {"rank": 2, "action": [[[1, 0], [0]]]}),
+    "snf-ragged-stdin": ("snf", [[1, 2], [3]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exit_two(capsys, monkeypatch, tmp_path, name):
+    kind, data = MALFORMED[name]
+    if kind == "snf":
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+        argv = ("snf",)
+    else:
+        obj = json.loads(serialize.to_json(
+            serialize.dump_lattice(trivial_lattice(cyclic_group(2)))))
+        obj.update(data)
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(obj))
+        argv = ("cohomology", "--lattice", str(path), "--degree", "1")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "input error" in err
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, la.SolveError])

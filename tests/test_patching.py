@@ -225,6 +225,246 @@ def test_crossed_enumeration_bound_reaches_h_zero():
     assert pa.crossed_six_term_report(g, c, bound=6).sha_groups[1].is_trivial
 
 
+# Every catalog graph with every complex and crossed module over its
+# group: (composition zero, exact at left, exact at middle, sha) per row
+# of the report, sha as invariant factors (complexes) or class counts
+# (crossed modules).  Recorded from the separate nine-term and six-term
+# loops that `_report` replaced, so the table does not depend on it.
+PINNED_REPORTS = {
+    ("single-whole", "sign-deg0"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("single-whole", "sign-deg-1"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("single-whole", "z2-norm"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("single-whole", "z2-aug"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("single-whole", "z2-mult2"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("single-whole", "z2-sign-embed"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("single-whole", "z2-z2-order4"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("single-whole", "z3-flip"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("single-whole", "s3-identity"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("single-whole", "s3-degenerate"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("single-whole", "z2-id"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("single-trivial-vertex", "sign-deg0"): (
+        (True, True, True), (True, None, None), (True, False, True),
+        ((), (), (2,))),
+    # H^-1 is 0 over Gamma and Z at the vertex; H^0 = Z/2 dies there
+    ("single-trivial-vertex", "sign-deg-1"): (
+        (True, True, True), (True, None, None), (False, True, True),
+        ((), (2,), ())),
+    ("single-trivial-vertex", "z2-norm"): (
+        (True, True, True), (True, None, None), (True, False, True),
+        ((), (), (2,))),
+    ("single-trivial-vertex", "z2-aug"): (
+        (True, True, True), (True, None, None), (False, True, True),
+        ((), (2,), ())),
+    ("single-trivial-vertex", "z2-mult2"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), (2,))),
+    ("single-trivial-vertex", "z2-sign-embed"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    # H^0 of order 4 maps onto a vertex group of order 2
+    ("single-trivial-vertex", "z2-z2-order4"):
+        ((True, True), (True, None), (True, True), (1, 2)),
+    # H^-1: the trivial vertex keeps all of Z/3, Gamma only its fixed 0
+    ("single-trivial-vertex", "z3-flip"):
+        ((True, True), (True, None), (False, True), (1, 1)),
+    ("single-trivial-vertex", "s3-identity"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("single-trivial-vertex", "s3-degenerate"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("single-trivial-vertex", "z2-id"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-whole", "sign-deg0"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("two-vertex-whole", "sign-deg-1"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("two-vertex-whole", "z2-norm"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("two-vertex-whole", "z2-aug"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("two-vertex-whole", "z2-mult2"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("two-vertex-whole", "z2-sign-embed"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("two-vertex-whole", "z2-z2-order4"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-whole", "z3-flip"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-whole", "s3-identity"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-whole", "s3-degenerate"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-whole", "z2-id"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-trivial-edges", "sign-deg0"): (
+        (True, True, True), (True, None, None), (True, True, False),
+        ((), (), ())),
+    ("two-vertex-trivial-edges", "sign-deg-1"): (
+        (True, True, True), (True, None, None), (True, False, True),
+        ((), (), ())),
+    ("two-vertex-trivial-edges", "z2-norm"): (
+        (True, True, True), (True, None, None), (True, True, False),
+        ((), (), ())),
+    ("two-vertex-trivial-edges", "z2-aug"): (
+        (True, True, True), (True, None, None), (True, False, True),
+        ((), (), ())),
+    ("two-vertex-trivial-edges", "z2-mult2"): (
+        (True, True, True), (True, None, None), (True, True, False),
+        ((), (), ())),
+    ("two-vertex-trivial-edges", "z2-sign-embed"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    # H^0: 8 of the 16 vertex pairs agree on both edges, 4 come from Gamma
+    ("two-vertex-trivial-edges", "z2-z2-order4"):
+        ((True, True), (True, None), (True, False), (1, 1)),
+    ("two-vertex-trivial-edges", "z3-flip"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-trivial-edges", "s3-identity"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-trivial-edges", "s3-degenerate"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("two-vertex-trivial-edges", "z2-id"):
+        ((True, True), (True, None), (True, True), (1, 1)),
+    ("klein-triple", "v4-aug"): (
+        (True, True, True), (True, None, None), (True, False, True),
+        ((), (2,), ())),
+    ("klein-triple", "v4-coset-aug"): (
+        (True, True, True), (True, None, None), (True, False, True),
+        ((), (), ())),
+    # degree 1: Z/2 from Gamma inside the Z/2 x Z/2 of the vertices
+    ("klein-triple", "v4-char-deg0"): (
+        (True, True, True), (True, None, None), (True, True, False),
+        ((), (), ())),
+    ("s3-transposition-vertex", "s3-coset-aug"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), (3,))),
+    ("s3-transposition-vertex", "s3-coset-norm"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("s3-transposition-vertex", "s3-sign-deg0"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("s3-transposition-vertex", "s3-zero"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("s3-two-vertex", "s3-coset-aug"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("s3-two-vertex", "s3-coset-norm"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("s3-two-vertex", "s3-sign-deg0"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+    ("s3-two-vertex", "s3-zero"): (
+        (True, True, True), (True, None, None), (True, True, True),
+        ((), (), ())),
+}
+
+
+def _catalog_reports():
+    for gname, g in fixtures.graph_catalog().items():
+        for cname, t in fixtures.complex_catalog().items():
+            if t.group.table == g.gamma.table:
+                yield gname, cname, g, t, pa.nine_term_report(g, t)
+        for cname, c in fixtures.crossed_catalog().items():
+            if c.galois.table == g.gamma.table:
+                yield gname, cname, g, c, pa.crossed_six_term_report(g, c)
+
+
+def test_reports_match_pinned_table():
+    seen = {}
+    for gname, cname, _g, _coeff, rep in _catalog_reports():
+        seen[gname, cname] = (
+            rep.composition_zero, rep.exact_at_left,
+            tuple(ok for ok, _ in rep.exact_at_middle),
+            tuple(len(s.classes) if isinstance(s, pa.ShaCrossed)
+                  else s.invariant_factors for s in rep.sha_groups))
+    assert seen == PINNED_REPORTS
+
+
+def _reduce(vec, factors) -> tuple:
+    return tuple(v % f if f else v for v, f in zip(vec, factors))
+
+
+def test_non_exact_witnesses_are_real():
+    """Each witness of a non-exact middle junction lies in the kernel of
+    the difference map and outside the image of the restriction, checked
+    from the row's maps by enumerating the (finite) global group."""
+    witnesses = 0
+    for gname, cname, _g, _coeff, rep in _catalog_reports():
+        for cols, (exact, w) in zip(rep.columns, rep.exact_at_middle):
+            if exact:
+                assert w is None
+                continue
+            witnesses += 1
+            where = (gname, cname, cols.degree)
+            if isinstance(cols, pa.CrossedMvColumns):
+                # a b^-1 is neutral exactly when head and tail images agree
+                for k, (head, tail, _h) in enumerate(cols.edges):
+                    assert (cols.edge_head_maps[k][w[head]]
+                            == cols.edge_tail_maps[k][w[tail]]), where
+                for c in range(cols.left.order):
+                    assert tuple(vm[c] for vm in cols.vertex_maps) != w
+                continue
+            zero = (0,) * cols.right_dim
+            assert _reduce(la.mat_vec(cols.difference_matrix, w),
+                           cols.right_factors) == zero, where
+            target = _reduce(w, cols.middle_factors)
+            assert 0 not in cols.left.invariant_factors, where
+            for x in iproduct(*(range(f)
+                                for f in cols.left.invariant_factors)):
+                assert _reduce(la.mat_vec(cols.restriction_matrix, x),
+                               cols.middle_factors) != target, where
+    assert witnesses == 14
+
+
+def test_reports_build_each_row_once(monkeypatch):
+    """A report calls mv_columns once per degree and reads sha from the
+    row it built: the same answer as the public sha."""
+    degrees = []
+    real = pa.mv_columns
+
+    def counted(graph, coeff, r, *rest):
+        degrees.append(r)
+        return real(graph, coeff, r, *rest)
+
+    monkeypatch.setattr(pa, "mv_columns", counted)
+    for gname, cname, g, coeff, rep in _catalog_reports():
+        crossed = isinstance(rep.columns[0], pa.CrossedMvColumns)
+        expected = [-1, 0] if crossed else [-1, 0, 1]
+        assert degrees == expected, (gname, cname)
+        for r, s in zip(rep.degrees, rep.sha_groups):
+            alone = pa.sha(g, coeff, r)
+            if crossed:
+                assert alone.classes == s.classes
+            else:
+                assert alone.invariant_factors == s.invariant_factors
+        degrees.clear()
+
+
 def test_refine_s3_by_a3():
     s3 = symmetric_group_3()
     g = pa.build_patching_graph(s3, [subgroup(s3, (0, 1))], [])
