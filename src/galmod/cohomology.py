@@ -2,23 +2,49 @@
 
 H^n (n = 0, 1, 2) and Tate H^-1/H^0 for lattices, hypercohomology of
 two-term complexes in degrees -1..1, restriction maps, and a Shapiro
-comparator.  Cochains are normalized (they vanish whenever an argument is
-the identity), cutting C^n from |H|^n to (|H|-1)^n coordinate blocks.
+comparator.
 
 Group cohomology and hypercohomology take one route: every coefficient
 is a two-term complex [A1 -> A2], A1 in degree -1, with total complex
-Tot^n = C^{n+1}(A1) + C^n(A2), and a lattice or module A is [0 -> A],
-whose total complex is the bar complex C(A).
+Tot^n = C^{n+1}(A1) + C^n(A2), and a lattice or module A is [0 -> A].
+Answers are given on normalized bar cochains, which vanish whenever an
+argument is the identity: (|H|-1)^n coordinate blocks in degree n.
+Generators, ``reduce``, restriction and patching all use them.
 
-For lattices, H^n(H, L) is killed by |H| when n >= 1 (Brown, Cohomology
-of Groups, III.10.2), and hypercohomology in degree 1 sits between
-H^1(L2) and H^2(L1).  So Z^n is the saturation of B^n and H^n is the
-torsion of Tot^n / B^n, read from the Smith form of d^{n-1} alone
-(intlinalg.torsion_cokernel); d^n is never built.  Degree 0,
-hypercohomology in degrees -1 and 0, FgModule coefficients (whose
-cochains carry torsion of their own) and the unnormalized complex
-(normalized=False, kept as an oracle for tests) take the kernel route:
-ker d^n / im d^{n-1}, with the module relations added to both.
+When every part is a lattice, the work is done on the Cayley complex of
+H on its generators s_1..s_k (Holt, JSC 1985; Brown, Cohomology of
+Groups, II.5).  The BFS words of ``FiniteGroup.word`` span a tree of the
+Cayley graph, and each of the |H|(k-1)+1 edges (x, s) outside it bounds
+a 2-cell, so C^0 = L, C^1 = L^k and C^2 = L^cells, with d^0 the stacked
+M(s) - 1 and (d^1 c)(x, s) = J_x c + M(x) c_s - J_{xs} c.  Here J_x c
+sums M(p_{i-1}) c_{t_i} along word(x) = t_1..t_m, p_i its prefixes.  Two
+cochain maps translate:
+
+* Cayley -> bar: f(g) = J_g c; f(g, h) sums c over the 2-cells met on
+  the walk from g along word(h).
+* bar -> Cayley: c_t = f(s_t); c(x, s) = f(x, s) + A_x - A_{xs}, A_x the
+  sum of f(p_{i-1}, s_{t_i}) along word(x).
+
+For n >= 1, H^n(H, L) is killed by |H| (Brown III.10.2), and
+hypercohomology in degree 1 sits between H^1(L2) and H^2(L1).  So Z^n is
+the saturation of B^n, and H^n is the torsion of Tot^n / B^n, read from
+the Smith form of the Cayley d^{n-1} alone (intlinalg.torsion_cokernel).
+It is returned in bar coordinates: the generators go Cayley -> bar, the
+kept rows of U read through bar -> Cayley, and the rows of the bar d^n
+at the argument tuples that end in a generator check that a cochain is
+a cocycle.  That check is complete: if phi = d v vanishes at every
+(.., s), then (d phi)(.., c, s) = 0 gives phi(.., cs) = phi(.., c), and
+phi = 0 by induction on the length of word(c).
+
+For n <= 0 (H^0, hypercohomology in degrees -1 and 0) the kernel of the
+Cayley d^n, taken Cayley -> bar, plus the image of the bar d^{n-1}
+(small: it lives on C^0 and C^1) is the bar Z^n, presented as Z^n / B^n.
+
+FgModule coefficients, whose cochains carry torsion of their own so that
+the saturation argument fails, and the unnormalized complex
+(normalized=False, kept as an oracle for tests) stay on the bar complex
+and take the kernel route: ker d^n / im d^{n-1}, with the module
+relations added to both.
 
 Results are cached on the coefficient object (lattice, module or
 complex), keyed by the kind of cohomology, the subgroup's members, the
@@ -140,55 +166,217 @@ def _tuple_index(tup: tuple[int, ...], order: int, normalized: bool) -> int:
     return idx
 
 
+def _sparse(mats: Sequence[IntMatrix]):
+    """Each matrix as the (column, entry) pairs of its rows' nonzeros."""
+    return [[[(b, x) for b, x in enumerate(row) if x] for row in m]
+            for m in mats]
+
+
+def _rows(boundary, mats, rank: int, offset: int = 0) -> list[dict]:
+    """The ``rank`` cochain rows at a cell with boundary {(face, g): c}:
+    the row at coordinate a adds c * M(g)[a] (``mats`` from ``_sparse``)
+    into the face's coordinate block, shifted by ``offset``."""
+    rows: list[dict] = [{} for _ in range(rank)]
+    for (face, g), c in boundary.items():
+        if not c:
+            continue
+        base = offset + face * rank
+        for row, mrow in zip(rows, mats[g]):
+            for b, x in mrow:
+                row[base + b] = row.get(base + b, 0) + c * x
+    return rows
+
+
+def _dense(rows: Sequence[dict], ncols: int) -> IntMatrix:
+    out = []
+    for row in rows:
+        vec = [0] * ncols
+        for j, x in row.items():
+            vec[j] = x
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+class _Bar:
+    """The (normalized) bar resolution: its m-cells are the tuples
+    [g1|..|gm] of (non-identity) elements, in ``itertools.product``
+    order."""
+
+    def __init__(self, group: FiniteGroup, normalized: bool = True):
+        self.group = group
+        self.normalized = normalized
+
+    def cells(self, m: int) -> int:
+        return cochain_dim(self.group.order, 1, m, self.normalized)
+
+    def boundaries(self, m: int, last=None):
+        """Yield (index, {(face index, g): coefficient}) per m-cell; with
+        ``last``, only the cells whose last entry is in ``last``.
+
+        d[g1|..|gm] = g1[g2|..] + sum (-1)^i [..|g_i g_{i+1}|..]
+        + (-1)^m [g1|..|g_{m-1}]; normalized chains drop any face with an
+        identity entry.
+        """
+        group, normalized = self.group, self.normalized
+        order = group.order
+        letters = _letters(order, normalized)
+        if m < 1:
+            if m == 0:
+                yield 0, {}
+            return
+        tails = [g for g in letters if last is None or g in last]
+        for head in itertools.product(letters, repeat=m - 1):
+            for g in tails:
+                tup = head + (g,)
+                faces = [(tup[1:], tup[0])]
+                faces += [(tup[:i] + (group.mul(tup[i], tup[i + 1]),)
+                           + tup[i + 2:], 0) for i in range(m - 1)]
+                faces.append((tup[:-1], 0))
+                boundary: dict = {}
+                for i, (face, elem) in enumerate(faces):
+                    if normalized and 0 in face:
+                        continue
+                    key = (_tuple_index(face, order, normalized), elem)
+                    boundary[key] = boundary.get(key, 0) + (-1) ** i
+                yield _tuple_index(tup, order, normalized), boundary
+
+
+class _Cayley:
+    """The Cayley complex of a group on its generators s_1..s_k, as a free
+    resolution of Z truncated after degree 2 (module docstring).
+
+    The BFS words of ``FiniteGroup.word`` span a tree of the Cayley graph.
+    Each edge (x, s_t) outside it closes a loop, word(x) then s_t then
+    word(x s_t) backwards, that bounds one 2-cell.
+    """
+
+    def __init__(self, group: FiniteGroup):
+        self.group = group
+        gens = group.generators
+        # steps[x]: the (prefix p_{i-1}, letter t_i) pairs along word(x)
+        self.steps = []
+        for x in group.elements():
+            p, steps = 0, []
+            for t in group.word(x):
+                steps.append((p, t))
+                p = group.mul(p, gens[t])
+            self.steps.append(tuple(steps))
+        self.edges = [(x, t) for x in group.elements()
+                      for t, s in enumerate(gens)
+                      if group.word(group.mul(x, s)) != group.word(x) + (t,)]
+        # each loop as signed edges (y, letter): the 2-cell's boundary is
+        # their Fox derivative J_x + x e_t - J_{x s_t}
+        self.loops = [[(x, t, 1)] + [(p, u, 1) for p, u in self.steps[x]]
+                      + [(p, u, -1) for p, u in
+                         self.steps[group.mul(x, gens[t])]]
+                      for x, t in self.edges]
+        cell_of = {e: i for i, e in enumerate(self.edges)}
+        # the 2-cells met on the walk from g along word(h), g, h != 1
+        self.paths = [[cell_of[(group.mul(g, p), t)] for p, t in self.steps[h]
+                       if (group.mul(g, p), t) in cell_of]
+                      for g in range(1, group.order)
+                      for h in range(1, group.order)]
+        self.bfs = sorted(group.elements(), key=lambda x: len(self.steps[x]))
+
+    def cells(self, m: int) -> int:
+        return (1, len(self.group.generators), len(self.edges))[m] \
+            if m >= 0 else 0
+
+    def boundaries(self, m: int, last=None):
+        """As ``_Bar.boundaries``, for m <= 2; ``last`` must be None."""
+        if m == 0:
+            yield 0, {}
+            return
+        # a 1-cell t has boundary s_t v - v, v the one 0-cell
+        cells = self.loops if m == 2 else [
+            [(s, 0, 1), (0, 0, -1)] for s in self.group.generators]
+        for i, cell in enumerate(cells):
+            boundary: dict = {}
+            for y, u, sign in cell:
+                boundary[(u, y)] = boundary.get((u, y), 0) + sign
+            yield i, boundary
+
+    def to_bar(self, m: int, vec: Sequence[int], mats, rank: int) -> list:
+        """Cochain map Cayley -> normalized bar in degree m: f(g) = J_g c
+        in degree 1; in degree 2, f(g, h) sums c over ``paths``."""
+        group = self.group
+        if m == 0:
+            return list(vec)
+        if m == 1:
+            f = [[0] * rank for _ in group.elements()]
+            for x in self.bfs[1:]:
+                p, t = self.steps[x][-1]
+                ct = vec[t * rank:(t + 1) * rank]
+                f[x] = [y + sum(e * ct[b] for b, e in mrow)
+                        for y, mrow in zip(f[p], mats[p])]
+            return [y for x in range(1, group.order) for y in f[x]]
+        out = []
+        for cells in self.paths:
+            acc = [0] * rank
+            for i in cells:
+                for a in range(rank):
+                    acc[a] += vec[i * rank + a]
+            out += acc
+        return out
+
+    def from_bar(self, m: int) -> list[dict]:
+        """Cochain map normalized bar -> Cayley in degree m, per m-cell as
+        {bar cell: coefficient}: c_t = f(s_t); at a 2-cell, the signed sum
+        of f(y, s_u) over its loop, i.e. f(x, s) + A_x - A_{xs}."""
+        gens = self.group.generators
+        q = self.group.order - 1
+        if m == 0:
+            return [{0: 1}]
+        if m == 1:
+            return [{s - 1: 1} if s else {} for s in gens]
+        out = []
+        for loop in self.loops:
+            terms: dict = {}
+            for y, u, sign in loop:
+                if y and gens[u]:
+                    k = (y - 1) * q + gens[u] - 1
+                    terms[k] = terms.get(k, 0) + sign
+            out.append(terms)
+        return out
+
+
+def _cayley(group: FiniteGroup) -> _Cayley:
+    cached = getattr(group, "_cayley_cache", None)
+    if cached is None:
+        cached = _Cayley(group)
+        object.__setattr__(group, "_cayley_cache", cached)
+    return cached
+
+
+def _total_rows(res, part1, part2, diff, n: int, last=None) -> list[dict]:
+    """Rows, as {column: entry} dicts, of the total differential
+    Tot^n -> Tot^{n+1} on the cochains of the resolution ``res``:
+    Tot^n = C^{n+1}(A1) + C^n(A2), D(x, y) = (dx, (-1)^n diff*x + dy).
+    Each part is (rank, ``_sparse`` element matrices); ``last`` as in
+    ``_Bar.boundaries``."""
+    (r1, mats1), (r2, mats2) = part1, part2
+    rows = []
+    if r1:
+        for _, boundary in res.boundaries(n + 2, last):
+            rows += _rows(boundary, mats1, r1)
+    offset = res.cells(n + 1) * r1
+    sign = -1 if n % 2 else 1
+    for i, boundary in res.boundaries(n + 1, last):
+        for a, row in enumerate(_rows(boundary, mats2, r2, offset)):
+            if r1:
+                for b, x in enumerate(diff[a]):
+                    if x:
+                        row[i * r1 + b] = sign * x
+            rows.append(row)
+    return rows
+
+
 def bar_differential(group: FiniteGroup, mats: Sequence[IntMatrix],
                      rank: int, n: int,
                      normalized: bool = True) -> IntMatrix:
-    """Matrix of the bar-complex differential C^n -> C^{n+1}.
-
-    (df)(g1..g_{n+1}) = g1.f(g2..) + sum (-1)^i f(.. g_i g_{i+1} ..)
-    + (-1)^{n+1} f(g1..gn); normalized cochains drop any term whose
-    argument tuple contains the identity.  C^n = 0 for n < 0.
-    """
-    order = group.order
-    src_dim = cochain_dim(order, rank, n, normalized)
-    tgt_dim = cochain_dim(order, rank, n + 1, normalized)
-    if n < 0:
-        return la.zeros(tgt_dim, 0)
-    letters = _letters(order, normalized)
-    rows = [[0] * src_dim for _ in range(tgt_dim)]
-
-    def src_base(tup):
-        if normalized and any(g == 0 for g in tup):
-            return None
-        return _tuple_index(tup, order, normalized) * rank
-
-    for tcount, tup in enumerate(itertools.product(letters, repeat=n + 1)):
-        tbase = tcount * rank
-        # face 0: g1 acts on the coefficient
-        sb = src_base(tup[1:])
-        if sb is not None:
-            m = mats[tup[0]]
-            for a in range(rank):
-                row = rows[tbase + a]
-                ma = m[a]
-                for b in range(rank):
-                    if ma[b]:
-                        row[sb + b] += ma[b]
-        # inner faces
-        sign = -1
-        for i in range(n):
-            merged = tup[:i] + (group.mul(tup[i], tup[i + 1]),) + tup[i + 2:]
-            sb = src_base(merged)
-            if sb is not None:
-                for a in range(rank):
-                    rows[tbase + a][sb + a] += sign
-            sign = -sign
-        # last face drops g_{n+1}
-        sb = src_base(tup[:n])
-        if sb is not None:
-            for a in range(rank):
-                rows[tbase + a][sb + a] += sign
-    return la.freeze(rows)
+    """Matrix of the bar-complex differential C^n -> C^{n+1}, the total
+    differential of [0 -> A]; C^n = 0 for n < 0."""
+    return total_differential(group, (), mats, 0, rank, None, n, normalized)
 
 
 def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
@@ -196,17 +384,68 @@ def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
                        normalized: bool = True) -> IntMatrix:
     """Differential Tot^n -> Tot^{n+1} of the total complex
     Tot^n = C^{n+1}(L1) + C^n(L2), D(x, y) = (dx, (-1)^n diff*x + dy)."""
-    order = group.order
-    d1 = bar_differential(group, mats1, r1, n + 1, normalized)
-    d2 = (bar_differential(group, mats2, r2, n, normalized) if n >= 0
-          else la.zeros(cochain_dim(order, r2, n + 1, normalized), 0))
-    blocks1 = cochain_dim(order, 1, n + 1, normalized)
-    diff_block = la.block_diag(*([diff] * blocks1)) if blocks1 else la.zeros(0, 0)
-    if n % 2:
-        diff_block = la.mat_neg(diff_block)
-    top = la.hstack(d1, la.zeros(la.shape(d1)[0], la.shape(d2)[1]))
-    bottom = la.hstack(diff_block, d2)
-    return la.vstack(top, bottom)
+    rows = _total_rows(_Bar(group, normalized), (r1, _sparse(mats1)),
+                       (r2, _sparse(mats2)), diff, n)
+    return _dense(rows, cochain_dim(group.order, r1, n + 1, normalized)
+                  + cochain_dim(group.order, r2, n, normalized))
+
+
+def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
+    """H^n of the total complex of lattice parts from Cayley cochains,
+    presented in normalized bar coordinates (module docstring)."""
+    cay, bar = _cayley(group), _Bar(group)
+    parts = ((part1[0], _sparse(part1[1])), (part2[0], _sparse(part2[1])))
+    # (cochain degree, rank, matrices) of the two blocks of Tot^n
+    blocks = ((n + 1,) + parts[0], (n,) + parts[1])
+
+    def dim(res, m):
+        return res.cells(m + 1) * parts[0][0] + res.cells(m) * parts[1][0]
+
+    def to_bar(vec):
+        out, start = [], 0
+        for m, r, mats in blocks:
+            size = r and cay.cells(m) * r
+            if size:
+                out += cay.to_bar(m, vec[start:start + size], mats, r)
+            start += size
+        return tuple(out)
+
+    if n <= 0:
+        # Z_bar = Q(Z_Cayley) + B_bar; B_bar lives on C^0 and C^1
+        z = la.preimage(_dense(_total_rows(cay, *parts, diff, n),
+                               dim(cay, n)), [], dim(cay, n))
+        im = (la.columns(_dense(_total_rows(bar, *parts, diff, n - 1),
+                                dim(bar, n - 1)))
+              if n > (-1 if parts[0][0] else 0) else [])
+        return la.abgroup_from_subquotient(
+            [to_bar(v) for v in z] + im, im, dim(bar, n))
+    tc = la.torsion_cokernel(_dense(_total_rows(cay, *parts, diff, n - 1),
+                                    dim(cay, n - 1)))
+    k = len(tc.factors)
+    # bar -> Cayley on Tot^n, per Cayley coordinate: (bar coordinate, c)
+    pull, start = [], 0
+    for m, r, _ in blocks:
+        for terms in (cay.from_bar(m) if r else ()):
+            pull += [[(start + cell * r + a, c) for cell, c in terms.items()]
+                     for a in range(r)]
+        start += bar.cells(m) * r
+
+    def sparse(items):
+        out: dict = {}
+        for j, x in items:
+            out[j] = out.get(j, 0) + x
+        return tuple(sorted((j, x) for j, x in out.items() if x))
+
+    # the kept rows of U read a bar cochain through bar -> Cayley; a bar
+    # cochain is a cocycle iff its coboundary vanishes at the tuples that
+    # end in a generator (module docstring)
+    rows = [sparse((b, x * c) for j, x in urow for b, c in pull[j])
+            for urow in tc._rows[:k]]
+    checks = [sparse(row.items()) for row in _total_rows(
+        bar, *parts, diff, n, set(group.generators) - {0})]
+    return la.TorsionCokernel(
+        dim(bar, n), tc.factors, tuple(to_bar(g) for g in tc.generators),
+        tuple(rows + checks), tc._moduli[:k] + (0,) * len(checks))
 
 
 def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
@@ -216,17 +455,13 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
     (r1, mats1, rel1), (r2, mats2, rel2), diff, lattices = _view(
         a, parent_ids)
     order = sub.order
-
-    def d(m):
-        if not r1:  # the total complex of [0 -> A2] is C(A2)
-            return bar_differential(sub, mats2, r2, m, normalized)
-        return total_differential(sub, mats1, mats2, r1, r2, diff, m,
-                                  normalized)
-
-    if normalized and n >= 1 and lattices:
-        # finite, so Z^n is the saturation of B^n: d^n is never needed
-        pres = la.torsion_cokernel(d(n - 1))
+    if normalized and lattices:
+        pres = _cayley_cohomology(sub, (r1, mats1), (r2, mats2), diff, n)
     else:
+        def d(m):
+            return total_differential(sub, mats1, mats2, r1, r2, diff, m,
+                                      normalized)
+
         def rel(m):  # A1's relations per (m+1)-tuple, A2's per m-tuple
             return la.columns(la.block_diag(
                 *[rel1] * cochain_dim(order, 1, m + 1, normalized),
@@ -264,7 +499,7 @@ def _cached(coeff, kind: str, h, n: int, normalized: bool, compute):
 
 def group_cohomology(h, a: Coefficient, n: int,
                      normalized: bool = True) -> CohomologyGroup:
-    """H^n(H, A) from the (normalized) bar-resolution cochain complex."""
+    """H^n(H, A) on (normalized) bar cochains (module docstring)."""
     if n not in (0, 1, 2):
         raise UnsupportedDegreeError(f"degree {n} not in {{0, 1, 2}}")
     return _cached(a, "group", h, n, normalized,
@@ -290,19 +525,19 @@ def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
 
 
 def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
-    _, parent_ids = _acting(h)
+    sub, parent_ids = _acting(h)
     _, (rank, mats, _), _, _ = _view(lat, parent_ids)
     norm = la.zeros(rank, rank)
     for m in mats:
         norm = la.mat_add(norm, m)
     ident = la.identity(rank)
+    # the generators s alone give I_H L and L^H, since
+    # (gs - 1)x = (g - 1)(sx) + (s - 1)x
+    blocks = [la.mat_add(mats[s], la.mat_neg(ident)) for s in sub.generators]
     if n == -1:
         num = la.kernel_basis(norm)
-        den = []
-        for m in mats[1:]:
-            den.extend(la.columns(la.mat_add(m, la.mat_neg(ident))))
+        den = [c for b in blocks for c in la.columns(b)]
     else:
-        blocks = [la.mat_add(m, la.mat_neg(ident)) for m in mats[1:]]
         num = la.preimage(la.vstack(*blocks), [], rank)
         den = la.columns(norm)
     pres = la.abgroup_from_subquotient(num, den, rank)

@@ -360,30 +360,29 @@ def cts_cover_coflasque(m: Union[GLattice, FgModule]) -> CoverSequence:
     dim = _ambient_dim(m)
     rel = _relation_cols(m)
     _, reps = enumerate_subgroups(group)
-    summands = []  # (handle, coset space, ambient generator vector)
+    # (handle, coset space, images M(rep_c) gen of the generator per coset)
+    summands = []
     for k in sorted(reps, key=lambda h: (-h.order, h.members)):
         fix = _fixed_basis(m, k)
         if not fix:
             continue
         image_cols = []
-        for _, cs, gen in summands:
+        for _, cs, images in summands:
             for orbit in cs.orbits(k.members):
                 vec = [0] * dim
                 for c in orbit:
-                    img = la.mat_vec(mats[cs.representatives[c]], gen)
-                    for i in range(dim):
-                        vec[i] += img[i]
+                    for i, x in enumerate(images[c]):
+                        vec[i] += x
                 image_cols.append(vec)
         gap = la.abgroup_from_subquotient(
             [list(c) for c in fix] + rel, image_cols + rel, dim)
+        cs = coset_action(group, k) if gap.generators else None
         for gen in gap.generators:
-            summands.append((k, coset_action(group, k), list(gen)))
+            summands.append((k, cs, [la.mat_vec(mats[rep], gen)
+                                     for rep in cs.representatives]))
     q = make_permutation_lattice(group, [h for h, _, _ in summands])
-    proj_cols = []
-    for handle, cs, gen in summands:
-        for c in range(cs.size):
-            proj_cols.append(la.mat_vec(mats[cs.representatives[c]], gen))
-    proj_mat = la.from_columns(proj_cols, dim)
+    proj_mat = la.from_columns(
+        [img for _, _, images in summands for img in images], dim)
     if isinstance(m, GLattice):
         projection = LatticeMap(q, m, proj_mat)
         cb = la.kernel_basis(proj_mat)

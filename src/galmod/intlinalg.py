@@ -639,16 +639,18 @@ class TorsionCokernel:
     i < rank, y_j = 0 for j >= rank} and its saturation drops the d_i, so
     the torsion is the sum of the Z/d_i with d_i > 1.  Generator i is
     U^{-1} e_i = (A @ V[:, i]) / d_i.  Same surface as
-    AbGroupPresentation; every class has finite order.
+    AbGroupPresentation; every class has finite order.  (Cohomology
+    builds one in other coordinates, with its own rows and generators.)
     """
 
     ambient_dim: int
     factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    # rows of U at the factors > 1, then at the positions j >= rank, each
-    # as its nonzero (column, entry) pairs
+    # reduction rows as nonzero (column, entry) pairs: here the rows of U
+    # at the factors > 1, then at the positions j >= rank
     _rows: tuple[tuple[tuple[int, int], ...], ...]
-    _moduli: tuple[int, ...]  # d_i per row; 0 where (U x)_j must vanish
+    # d_i for a coordinate row; 0 for a row whose value must vanish
+    _moduli: tuple[int, ...]
 
     @property
     def is_trivial(self) -> bool:

@@ -40,8 +40,20 @@ def _expect(obj: dict, fmt: str) -> None:
             f"expected format {fmt!r}, found {obj.get('format')!r}")
 
 
-def _rows(m) -> list[list[int]]:
-    return [list(int(x) for x in row) for row in m]
+def _int(x, what: str) -> int:
+    """An integer read from input; a float, bool or string is refused, not
+    truncated."""
+    if type(x) is not int:
+        raise FormatError(f"{what} must be an integer, found {x!r}")
+    return x
+
+
+def _rows(m, what: str = "matrix") -> list[list[int]]:
+    rows = [list(row) for row in m]
+    bad = [x for row in rows for x in row if type(x) is not int]
+    if bad:
+        _int(bad[0], what)
+    return rows
 
 
 def parse_matrix(obj, what: str) -> la.IntMatrix:
@@ -51,10 +63,7 @@ def parse_matrix(obj, what: str) -> la.IntMatrix:
         raise FormatError(f"{what} must be a list of rows")
     if len({len(row) for row in obj}) > 1:
         raise FormatError(f"{what} has rows of different lengths")
-    try:
-        return la.freeze(obj)
-    except (TypeError, ValueError) as e:
-        raise FormatError(f"{what} has a non-integer entry: {e}")
+    return tuple(map(tuple, _rows(obj, f"{what} entry")))
 
 
 def deep_tuple(x):
@@ -92,20 +101,20 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
         raise FormatError(f"unrecognized group reference {obj!r}")
     if "table" in obj:
         _expect(obj, GROUP_FORMAT)
-        table = deep_tuple(_rows(obj["table"]))
+        table = deep_tuple(_rows(obj["table"], "table entry"))
         gens = obj.get("generators")
         if gens is None:
             return group_from_table(table, None, obj.get("name", ""))
         labels = obj.get("labels")
         if labels is None:
             labels = tuple(str(i) for i in range(len(table)))
-        g = FiniteGroup(table, tuple(int(x) for x in gens),
+        g = FiniteGroup(table, tuple(_int(x, "generator") for x in gens),
                         tuple(labels), obj.get("name", ""))
         g.verify()
         return g
     if "cycles" in obj:
         _expect(obj, GROUP_FORMAT)
-        degree = int(obj["degree"])
+        degree = _int(obj["degree"], "degree")
         perms = [parse_cycles(text, degree) for text in obj["cycles"]]
         return build_group(perms, size_limit=size_limit,
                            name=obj.get("name", ""))
@@ -120,7 +129,7 @@ def _dump_lattice_body(lat: GLattice) -> dict:
 
 
 def _load_lattice_body(obj, group: FiniteGroup) -> GLattice:
-    rank = int(obj["rank"])
+    rank = _int(obj["rank"], "rank")
     action = tuple(parse_matrix(m, "action matrix") for m in obj["action"])
     return GLattice(group, rank, action)
 
@@ -145,7 +154,7 @@ def _dump_module_body(mod: FgModule) -> dict:
 
 
 def _load_module_body(obj, group: FiniteGroup) -> FgModule:
-    return FgModule(group, int(obj["ngens"]),
+    return FgModule(group, _int(obj["ngens"], "ngens"),
                     parse_matrix(obj["relations"], "relations"),
                     tuple(parse_matrix(m, "action matrix")
                           for m in obj["action"]))
@@ -192,7 +201,7 @@ def load_crossed(obj, size_limit: int = DEFAULT_SIZE_LIMIT
     return FiniteCrossedModule(
         load_group(obj["g"], size_limit),
         load_group(obj["h"], size_limit),
-        tuple(int(x) for x in obj["boundary"]),
+        tuple(_int(x, "boundary entry") for x in obj["boundary"]),
         deep_tuple(_rows(obj["h_action"])),
         load_group(obj["galois"], size_limit),
         deep_tuple(_rows(obj["galois_on_g"])),
@@ -214,10 +223,13 @@ def dump_graph(graph: PatchingGraph) -> dict:
 def load_graph(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> PatchingGraph:
     _expect(obj, GRAPH_FORMAT)
     gamma = load_group(obj["group"], size_limit)
-    vertices = [SubgroupHandle(gamma, tuple(int(x) for x in mem))
+    def members(mem):
+        return tuple(_int(x, "subgroup member") for x in mem)
+
+    vertices = [SubgroupHandle(gamma, members(mem))
                 for mem in obj["vertices"]]
-    edges = [(int(head), int(tail),
-              SubgroupHandle(gamma, tuple(int(x) for x in mem)))
+    edges = [(_int(head, "edge end"), _int(tail, "edge end"),
+              SubgroupHandle(gamma, members(mem)))
              for head, tail, mem in obj["edges"]]
     return build_patching_graph(gamma, vertices, edges)
 

@@ -278,6 +278,23 @@ def test_malformed_input_exit_two(capsys, monkeypatch, tmp_path, name):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("data", [{"action": [[[1.5]]]}, {"rank": 1.5},
+                                  {"action": [[[True]]]}],
+                         ids=["float-entry", "float-rank", "bool-entry"])
+def test_non_integer_lattice_exit_two(capsys, tmp_path, data):
+    """A float or bool is refused on load, not truncated to an integer."""
+    obj = json.loads(serialize.to_json(serialize.dump_lattice(
+        GLattice(cyclic_group(2), 1, (((-1,),),)))))
+    obj.update(data)
+    path = tmp_path / "sign.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "cohomology", "--lattice", str(path),
+                         "--degree", "1")
+    assert code == 2
+    assert out == ""
+    assert "must be an integer" in err
+
+
 @pytest.mark.parametrize("exc", [RuntimeError, la.SolveError])
 def test_internal_failure_exit_four(capsys, monkeypatch, exc):
     def broken(*args, **kwargs):

@@ -3,20 +3,23 @@ unnormalized-complex oracle."""
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from lattice_strategies import small_lattices
 
 from galmod import fixtures
 from galmod import intlinalg as la
-from galmod.cohomology import (UnsupportedDegreeError, bar_differential,
+from galmod.cohomology import (UnsupportedDegreeError, _cayley, _dense,
+                               _sparse, _total_rows, bar_differential,
                                cochain_dim, group_cohomology,
                                hyper_restriction, hypercohomology,
                                restriction, shapiro_compare,
                                tate_cohomology, total_differential)
 from galmod.complexes import TwoTermComplex
-from galmod.groups import (cyclic_group, enumerate_subgroups, subgroup,
-                           symmetric_group_3, whole_subgroup)
+from galmod.groups import (build_group, cyclic_group, enumerate_subgroups,
+                           subgroup, symmetric_group_3, whole_subgroup)
 from galmod.lattice import (FgModule, LatticeMap, regular_lattice,
-                            sign_lattice, trivial_lattice, zero_lattice)
+                            restrict_lattice, sign_lattice, trivial_lattice,
+                            zero_lattice)
 
 
 def both(h, a, n):
@@ -284,3 +287,72 @@ def test_unnormalized_hypercohomology_says_so():
     assert hypercohomology(t.group, t, 0, normalized=False).normalized \
         is False
     assert hypercohomology(t.group, t, 0).normalized is True
+
+
+def test_cayley_cochain_maps_round_trip():
+    """On every catalog lattice (and Z over every catalog group) and
+    subgroup, in degrees 1 and 2: the Cayley -> bar map sends each
+    generator of the Cayley torsion cokernel to a bar cocycle, and
+    bar -> Cayley brings it back to its own class.  On bar cochains,
+    every coboundary reduces to 0, and the cocycle check of ``reduce``
+    (its modulus-0 rows) has the same kernel as the bar d^n."""
+    lattices = list(fixtures.lattice_catalog().values())
+    lattices += [trivial_lattice(g) for g in fixtures.group_catalog().values()]
+    checked = 0
+    for lat in lattices:
+        r = lat.rank
+        for h in enumerate_subgroups(lat.group)[0]:
+            sub = h.as_group()
+            mats = [lat.element_matrices()[g] for g in h.members_bfs()]
+            cay = _cayley(sub)
+            for n in (1, 2):
+                d = _dense(_total_rows(cay, (0, ()), (r, _sparse(mats)),
+                                       None, n - 1), cay.cells(n - 1) * r)
+                tc = la.torsion_cokernel(d)
+                bar_d = bar_differential(sub, mats, r, n)
+                for c in tc.generators:
+                    f = cay.to_bar(n, c, _sparse(mats), r)
+                    assert not any(la.mat_vec(bar_d, f))
+                    back = [0] * len(c)
+                    for cell, terms in enumerate(cay.from_bar(n)):
+                        for j, x in terms.items():
+                            for a in range(r):
+                                back[cell * r + a] += x * f[j * r + a]
+                    assert tc.reduce(back) == tc.reduce(c)
+                    checked += 1
+                cg = group_cohomology(h, lat, n)
+                for col in la.columns(bar_differential(sub, mats, r, n - 1)):
+                    assert not any(cg.reduce(col))
+                pres = cg.presentation
+                dim = cochain_dim(sub.order, r, n)
+                checks = [row for row, m in zip(pres._rows, pres._moduli)
+                          if not m]
+                dense = _dense([dict(row) for row in checks], dim)
+                for v in la.preimage(dense, [], dim):
+                    assert not any(la.mat_vec(bar_d, v))
+    assert checked > 60
+
+
+@st.composite
+def _restricted_lattices(draw):
+    """A random small lattice restricted to one of its group's
+    subgroups, with that subgroup."""
+    lat = draw(small_lattices())
+    h = draw(st.sampled_from(enumerate_subgroups(lat.group)[0]))
+    return h, restrict_lattice(lat, h)
+
+
+@given(_restricted_lattices())
+@settings(max_examples=15, deadline=None)
+def test_shapiro_through_induce_property(case):
+    """H^n(Gamma, Ind_H^Gamma L) = H^n(H, L) for n = 1, 2."""
+    h, lat = case
+    for n in (1, 2):
+        verdict = shapiro_compare(h.parent, h, lat, n)
+        assert verdict.isomorphic, (h.members, n)
+
+
+def test_h2_of_s4_with_regular_coefficients_vanishes():
+    s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+    assert group_cohomology(s4, regular_lattice(s4), 2).invariant_factors \
+        == ()
