@@ -34,7 +34,26 @@ kept rows of U read through bar -> Cayley, and the rows of the bar d^n
 at the argument tuples that end in a generator check that a cochain is
 a cocycle.  That check is complete: if phi = d v vanishes at every
 (.., s), then (d phi)(.., c, s) = 0 gives phi(.., cs) = phi(.., c), and
-phi = 0 by induction on the length of word(c).
+phi = 0 by induction on the length of word(c).  Its rows are built by
+the first ``reduce`` and kept, not with the presentation: the vanishing
+checks of ``complexes.classify`` never reduce.
+
+Whether H^1(H, L) or Tate H^-1(H, L) vanishes is decided by ranks mod p,
+before any Smith form.  Let A be the matrix of the M(s) - 1: stacked for
+H^1, the torsion of coker(d^0); side by side for Tate H^-1 = ker N /
+I_H L, the torsion of Z^r / I_H L, since I_H L is spanned by A's columns
+and ker N is saturated of the same rank.  Two facts make that torsion
+cheap to test:
+
+* it is killed by |H| (Brown III.10.2), so it vanishes iff A has the
+  same rank mod p, for every prime p | |H|, as over Q;
+* the rank over Q is r - rank L^H, and rank L^H = (1/|H|) sum_h tr M(h),
+  the trace of the projection onto the fixed points.
+
+``_rank_mod`` takes p = 2 on Python ints as bit rows.  When the ranks
+agree, H^1 is the empty torsion cokernel with only the cocycle check,
+and Tate H^-1 the zero quotient of ker N, whose ``reduce`` still refuses
+vectors outside ker N.  When a rank drops, the Smith form runs as above.
 
 For n <= 0 (H^0, hypercohomology in degrees -1 and 0) the kernel of the
 Cayley d^n, taken Cayley -> bar, plus the image of the bar d^{n-1}
@@ -58,7 +77,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import intlinalg as la
-from .groups import FiniteGroup, SubgroupHandle
+from .groups import FiniteGroup, SubgroupHandle, prime_factors
 from .intlinalg import AbGroupPresentation, IntMatrix, TorsionCokernel
 from .lattice import FgModule, GLattice, induce
 
@@ -419,8 +438,25 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
               if n > (-1 if parts[0][0] else 0) else [])
         return la.abgroup_from_subquotient(
             [to_bar(v) for v in z] + im, im, dim(bar, n))
-    tc = la.torsion_cokernel(_dense(_total_rows(cay, *parts, diff, n - 1),
-                                    dim(cay, n - 1)))
+    def sparse(items):
+        out: dict = {}
+        for j, x in items:
+            out[j] = out.get(j, 0) + x
+        return tuple(sorted((j, x) for j, x in out.items() if x))
+
+    def checks():
+        # a bar cochain is a cocycle iff its coboundary vanishes at the
+        # tuples that end in a generator (module docstring)
+        return [sparse(row.items()) for row in _total_rows(
+            bar, (part1[0], _sparse(part1[1])),
+            (part2[0], _sparse(part2[1])), diff, n,
+            set(group.generators) - {0})]
+
+    d = _dense(_total_rows(cay, *parts, diff, n - 1), dim(cay, n - 1))
+    if n == 1 and not part1[0] and _torsion_free(
+            d, part2[0] - _fixed_rank(part2[1], group.order), group.order):
+        return la.TorsionCokernel(dim(bar, n), (), (), (), (), checks)
+    tc = la.torsion_cokernel(d)
     k = len(tc.factors)
     # bar -> Cayley on Tot^n, per Cayley coordinate: (bar coordinate, c)
     pull, start = [], 0
@@ -430,22 +466,61 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
                      for a in range(r)]
         start += bar.cells(m) * r
 
-    def sparse(items):
-        out: dict = {}
-        for j, x in items:
-            out[j] = out.get(j, 0) + x
-        return tuple(sorted((j, x) for j, x in out.items() if x))
-
-    # the kept rows of U read a bar cochain through bar -> Cayley; a bar
-    # cochain is a cocycle iff its coboundary vanishes at the tuples that
-    # end in a generator (module docstring)
-    rows = [sparse((b, x * c) for j, x in urow for b, c in pull[j])
-            for urow in tc._rows[:k]]
-    checks = [sparse(row.items()) for row in _total_rows(
-        bar, *parts, diff, n, set(group.generators) - {0})]
+    # the kept rows of U read a bar cochain through bar -> Cayley
+    rows = tuple(sparse((b, x * c) for j, x in urow for b, c in pull[j])
+                 for urow in tc._rows[:k])
     return la.TorsionCokernel(
         dim(bar, n), tc.factors, tuple(to_bar(g) for g in tc.generators),
-        tuple(rows + checks), tc._moduli[:k] + (0,) * len(checks))
+        rows, tc._moduli[:k], checks)
+
+
+def _fixed_rank(mats: Sequence[IntMatrix], order: int) -> int:
+    """rank L^H = (1/|H|) sum_h tr M(h), ``mats`` the matrices of all of
+    H's elements."""
+    return sum(m[i][i] for m in mats for i in range(len(m))) // order
+
+
+def _rank_mod(rows: Sequence[Sequence[int]], p: int, stop: int) -> int:
+    """Rank mod the prime p of the matrix with these rows, counted up to
+    ``stop``.  For p = 2 each row is a Python int, one bit per column."""
+    if stop <= 0:
+        return 0
+    if p == 2:
+        basis: dict[int, int] = {}  # leading bit -> row
+        for row in rows:
+            x = sum(1 << j for j, v in enumerate(row) if v & 1)
+            while x:
+                lead = x.bit_length() - 1
+                if lead not in basis:
+                    basis[lead] = x
+                    break
+                x ^= basis[lead]
+            if len(basis) == stop:
+                break
+        return len(basis)
+    # pivot column -> row, 1 there and 0 at the columns of earlier pivots
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        v = [x % p for x in row]
+        for c, prow in pivots.items():
+            if v[c]:
+                f = v[c]
+                v = [(x - f * y) % p for x, y in zip(v, prow)]
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is not None:
+            inv = pow(v[lead], -1, p)
+            pivots[lead] = [x * inv % p for x in v]
+            if len(pivots) == stop:
+                break
+    return len(pivots)
+
+
+def _torsion_free(rows: Sequence[Sequence[int]], rank: int,
+                  order: int) -> bool:
+    """Whether the cokernel of an integer matrix of rank ``rank`` over Q
+    is torsion-free, given that its torsion is killed by ``order``: iff
+    the matrix keeps that rank mod every prime p | order."""
+    return all(_rank_mod(rows, p, rank) == rank for p in prime_factors(order))
 
 
 def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
@@ -536,6 +611,11 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
     blocks = [la.mat_add(mats[s], la.mat_neg(ident)) for s in sub.generators]
     if n == -1:
         num = la.kernel_basis(norm)
+        # I_H L is spanned by the columns of the blocks side by side
+        if _torsion_free(la.hstack(*blocks),
+                         rank - _fixed_rank(mats, sub.order), sub.order):
+            pres = la.trivial_subquotient(num, rank)
+            return CohomologyGroup(n, (), (), pres, rank)
         den = [c for b in blocks for c in la.columns(b)]
     else:
         num = la.preimage(la.vstack(*blocks), [], rank)

@@ -317,14 +317,6 @@ def h_zero(c: FiniteCrossedModule,
     return HZero(c, cocycles, class_of, tuple(reps), table, group)
 
 
-def product_class(hz: HZero, i: int, j: int) -> int:
-    """Class of the product of two classes, via the representative
-    formula."""
-    prod = _cocycle_product(hz.crossed, hz.representatives[i],
-                            hz.representatives[j])
-    return hz.class_of[prod]
-
-
 # ---------------------------------------------------------------------------
 # Convenience constructors.
 

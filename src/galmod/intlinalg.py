@@ -8,8 +8,8 @@ are used in public data types; plain lists are accepted everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -536,15 +536,6 @@ def solve_columns(basis_cols: Sequence[Sequence[int]],
     return sols
 
 
-def in_span(cols: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    basis = image_basis(from_columns(list(cols), len(vec))) if cols else []
-    try:
-        solve_columns(basis, [list(vec)])
-        return True
-    except SolveError:
-        return False
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups presented as subquotients of Z^n.
 
@@ -631,6 +622,17 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     )
 
 
+def trivial_subquotient(basis_cols: Sequence[Sequence[int]],
+                        ambient_dim: int) -> AbGroupPresentation:
+    """The zero group span(basis)/span(basis) for linearly independent
+    ``basis_cols``; its ``reduce`` still raises SolveError on a vector
+    outside span(basis)."""
+    k = len(basis_cols)
+    return AbGroupPresentation(ambient_dim, (), (),
+                               tuple(tuple(c) for c in basis_cols),
+                               identity(k), (1,) * k)
+
+
 @dataclass(frozen=True)
 class TorsionCokernel:
     """Torsion subgroup of Z^m / span(A), read from U @ A @ V = D.
@@ -651,6 +653,10 @@ class TorsionCokernel:
     _rows: tuple[tuple[tuple[int, int], ...], ...]
     # d_i for a coordinate row; 0 for a row whose value must vanish
     _moduli: tuple[int, ...]
+    # more rows whose value must vanish, built by the first ``reduce``
+    # and then appended to _rows
+    _checks: Callable[[], Sequence[tuple[tuple[int, int], ...]]] | None = \
+        field(default=None, compare=False, repr=False)
 
     @property
     def is_trivial(self) -> bool:
@@ -669,8 +675,9 @@ class TorsionCokernel:
         Raises SolveError unless ``vec`` lies in the saturation of the
         image, i.e. unless some multiple of it is in span(A).
         """
+        rows, moduli = self.reduction_rows()
         coords = []
-        for row, d in zip(self._rows, self._moduli):
+        for row, d in zip(rows, moduli):
             y = sum(x * vec[j] for j, x in row)
             if d:
                 coords.append(y % d)
@@ -680,6 +687,17 @@ class TorsionCokernel:
 
     def contains_class_zero(self, vec: Sequence[int]) -> bool:
         return all(c == 0 for c in self.reduce(vec))
+
+    def reduction_rows(self) -> tuple[tuple, tuple[int, ...]]:
+        """Every reduction row with its modulus, the deferred rows of
+        ``_checks`` included (built here once, then kept)."""
+        if self._checks is not None:
+            extra = tuple(self._checks())
+            object.__setattr__(self, "_rows", self._rows + extra)
+            object.__setattr__(self, "_moduli",
+                               self._moduli + (0,) * len(extra))
+            object.__setattr__(self, "_checks", None)
+        return self._rows, self._moduli
 
 
 def torsion_cokernel(a: Sequence[Sequence[int]]) -> TorsionCokernel:
@@ -733,10 +751,3 @@ def hom_cokernel(matrix: Sequence[Sequence[int]],
     full = columns(identity(tr))
     return abgroup_from_subquotient(full, columns(matrix) + tgt_rel, tr)
 
-
-def hom_image_in(matrix: Sequence[Sequence[int]],
-                 tgt_factors: Sequence[int]) -> AbGroupPresentation:
-    """Image of a homomorphism as a subgroup of the target."""
-    tr, _ = shape(matrix)
-    tgt_rel = relation_columns(tgt_factors, tr)
-    return abgroup_from_subquotient(columns(matrix) + tgt_rel, tgt_rel, tr)

@@ -111,14 +111,13 @@ class FgModule:
     action: tuple[IntMatrix, ...]
 
     def validate(self) -> None:
-        rel_cols = la.columns(self.relations)
         for m in self.action:
             if la.shape(m) != (self.ngens, self.ngens):
                 raise ValueError("action matrix has wrong shape")
-            for col in la.columns(la.mat_mul(m, self.relations)):
-                if not la.in_span(rel_cols, col):
-                    raise EquivarianceError(
-                        "action does not preserve the relations")
+        if not in_relation_span(self.relations, [
+                col for m in self.action
+                for col in la.columns(la.mat_mul(m, self.relations))]):
+            raise EquivarianceError("action does not preserve the relations")
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -166,10 +165,23 @@ class FgModuleMap:
     matrix: IntMatrix
 
     def validate(self) -> None:
-        tgt_rel = la.columns(self.target.relations)
-        for col in la.columns(la.mat_mul(self.matrix, self.source.relations)):
-            if not la.in_span(tgt_rel, col):
-                raise EquivarianceError("map is not well defined on classes")
+        if not in_relation_span(self.target.relations, la.columns(
+                la.mat_mul(self.matrix, self.source.relations))):
+            raise EquivarianceError("map is not well defined on classes")
+
+
+def in_relation_span(relations: IntMatrix,
+                     cols: Sequence[Sequence[int]]) -> bool:
+    """Whether every column of ``cols`` lies in the integer span of the
+    columns of ``relations``: one echelon of the span, one solve."""
+    if not cols:
+        return True
+    basis = la.image_basis(relations) if la.shape(relations)[1] else []
+    try:
+        la.solve_columns(basis, cols)
+    except la.SolveError:
+        return False
+    return True
 
 
 def lattice_as_module(lat: GLattice) -> FgModule:

@@ -4,20 +4,23 @@ unnormalized-complex oracle."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lattice_strategies import small_lattices
+from lattice_strategies import S4_LATTICES, s4_lattices, small_lattices
 
 from galmod import fixtures
 from galmod import intlinalg as la
 from galmod.cohomology import (UnsupportedDegreeError, _cayley, _dense,
-                               _sparse, _total_rows, bar_differential,
+                               _rank_mod, _sparse, _total_rows,
+                               bar_differential,
                                cochain_dim, group_cohomology,
                                hyper_restriction, hypercohomology,
                                restriction, shapiro_compare,
                                tate_cohomology, total_differential)
-from galmod.complexes import TwoTermComplex
+from galmod.complexes import (TwoTermComplex, classify,
+                              coflasque_resolution, flasque_resolution)
 from galmod.groups import (build_group, cyclic_group, enumerate_subgroups,
                            subgroup, symmetric_group_3, whole_subgroup)
-from galmod.lattice import (FgModule, LatticeMap, regular_lattice,
+from galmod.lattice import (FgModule, LatticeMap, dual_lattice,
+                            induced_action_on_sublattice, regular_lattice,
                             restrict_lattice, sign_lattice, trivial_lattice,
                             zero_lattice)
 
@@ -325,7 +328,7 @@ def test_cayley_cochain_maps_round_trip():
                     assert not any(cg.reduce(col))
                 pres = cg.presentation
                 dim = cochain_dim(sub.order, r, n)
-                checks = [row for row, m in zip(pres._rows, pres._moduli)
+                checks = [row for row, m in zip(*pres.reduction_rows())
                           if not m]
                 dense = _dense([dict(row) for row in checks], dim)
                 for v in la.preimage(dense, [], dim):
@@ -356,3 +359,124 @@ def test_h2_of_s4_with_regular_coefficients_vanishes():
     s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
     assert group_cohomology(s4, regular_lattice(s4), 2).invariant_factors \
         == ()
+
+
+# ---------------------------------------------------------------------------
+# Vanishing of H^1 and Tate H^-1 by ranks mod p, against the Smith route.
+
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([2, 3, 5]),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_rank_mod_matches_smith_form(rows, cols, p, data):
+    """The rank mod p is the number of Smith invariant factors prime to
+    p, for p = 2 (bit rows) and odd p alike; ``stop`` caps the count."""
+    m = [data.draw(st.lists(st.integers(-6, 6), min_size=cols,
+                            max_size=cols)) for _ in range(rows)]
+    want = sum(1 for d in la.invariant_factors(m) if d % p)
+    assert _rank_mod(m, p, min(rows, cols)) == want
+    assert _rank_mod(m, p, 1) == min(1, want)
+
+
+def _minus_one(h, lat):
+    """The matrices M(s) - 1 over the generators s of H."""
+    mats = lat.element_matrices()
+    minus = la.mat_neg(la.identity(lat.rank))
+    return [la.mat_add(mats[h.to_parent(s)], minus)
+            for s in h.as_group().generators]
+
+
+def _smith_h1(h, lat):
+    """Torsion of coker(d^0), d^0 the stacked M(s) - 1, by a Smith
+    form."""
+    return la.torsion_cokernel(la.vstack(*_minus_one(h, lat))).factors
+
+
+def _smith_tate(h, lat):
+    """ker N / I_H L by a subquotient presentation, I_H L spanned by the
+    columns of the M(s) - 1."""
+    mats = lat.element_matrices()
+    norm = la.zeros(lat.rank, lat.rank)
+    for g in h.members:
+        norm = la.mat_add(norm, mats[g])
+    den = [c for b in _minus_one(h, lat) for c in la.columns(b)]
+    return la.abgroup_from_subquotient(la.kernel_basis(norm), den,
+                                       lat.rank).factors
+
+
+def _check_vanishing(lattices, h1_oracle):
+    """Compare the H^1 and Tate H^-1 factors with the oracles on every
+    subgroup class representative; return the primes that divide some
+    factor and the number of vanishing groups."""
+    primes, vanishing = set(), 0
+    for lat in lattices:
+        for h in enumerate_subgroups(lat.group)[1]:
+            for got, want in (
+                    (group_cohomology(h, lat, 1), h1_oracle(h, lat)),
+                    (tate_cohomology(h, lat, -1), _smith_tate(h, lat))):
+                assert got.invariant_factors == want, (lat, h.members)
+                primes |= {p for p in (2, 3) for f in want if f % p == 0}
+                vanishing += not want
+    return primes, vanishing
+
+
+def test_vanishing_matches_smith_route_on_catalog():
+    """Catalog lattices; the regular, trivial and dual regular lattices
+    and the augmentation kernel with its dual of every catalog group;
+    both sides of every catalog resolution.  H^1 against the
+    unnormalized bar complex."""
+    lattices = list(fixtures.lattice_catalog().values())
+    for g in fixtures.group_catalog().values():
+        reg = regular_lattice(g)
+        aug = induced_action_on_sublattice(
+            reg, la.kernel_basis([[1] * reg.rank]))
+        lattices += [reg, trivial_lattice(g), dual_lattice(reg), aug,
+                     dual_lattice(aug)]
+    for t in fixtures.complex_catalog().values():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            resolved, _ = resolve(t)
+            lattices += [resolved.l1, resolved.l2]
+    primes, vanishing = _check_vanishing(
+        lattices, lambda h, lat: group_cohomology(
+            h, lat, 1, normalized=False).invariant_factors)
+    assert primes == {2, 3} and vanishing > 500
+
+
+def test_vanishing_matches_smith_route_on_s4():
+    """The S4 lattices of ``lattice_strategies``; H^1 against the Smith
+    form of the stacked M(s) - 1 (the unnormalized bar complex of S4
+    takes seconds per case)."""
+    primes, vanishing = _check_vanishing(S4_LATTICES.values(), _smith_h1)
+    assert primes == {2, 3} and vanishing > 300
+
+
+@given(s4_lattices())
+@settings(max_examples=10, deadline=None)
+def test_classify_matches_smith_route_on_s4_property(lat):
+    """On rebased S4 lattices, the classify tables are the Smith route's
+    per-subgroup factors."""
+    reps = enumerate_subgroups(lat.group)[1]
+    for mode, oracle in (("coflasque", _smith_h1), ("flasque", _smith_tate)):
+        verdict = classify(lat, mode)
+        assert verdict.table == tuple((h.members, oracle(h, lat))
+                                      for h in reps)
+
+
+def test_vanishing_reduce_still_checks():
+    """On the Z3 regular lattice H^1 and Tate H^-1 vanish.  reduce still
+    refuses a non-cocycle, and a vector outside ker N; the cocycle check
+    rows are built on the first reduce."""
+    z3 = cyclic_group(3)
+    lat = regular_lattice(z3)
+    h1 = group_cohomology(z3, lat, 1)
+    assert h1.is_trivial and h1.presentation._checks is not None
+    with pytest.raises(la.SolveError):
+        h1.reduce([1, 0, 0, 0, 0, 0])
+    assert h1.presentation._checks is None and h1.presentation._rows
+    coboundary = la.columns(bar_differential(z3, lat.element_matrices(),
+                                             3, 0))[0]
+    assert h1.reduce(coboundary) == ()
+    tate = tate_cohomology(z3, lat, -1)
+    assert tate.is_trivial
+    with pytest.raises(la.SolveError):
+        tate.reduce([1, 0, 0])
+    assert tate.reduce([1, -1, 0]) == ()

@@ -9,7 +9,7 @@ from galmod import fixtures
 from galmod.crossed import (FiniteCrossedModule, conjugation_h_action,
                             degenerate_crossed, enumerate_cocycles,
                             h_minus_one, h_zero, identity_crossed,
-                            product_class, trivial_galois_action,
+                            trivial_galois_action,
                             trivial_h_action, validate_crossed_module)
 from galmod.groups import (SizeLimitError, cyclic_group, dihedral_group_4,
                            enumerate_subgroups, group_from_table,
@@ -88,14 +88,6 @@ def test_neutral_class_is_zero():
         hz = h_zero(c)
         neutral = ((0,) * c.galois.order, 0)
         assert hz.class_of[neutral] == 0, name
-
-
-def test_product_class_matches_table():
-    hz = h_zero(fixtures.crossed_catalog()["z2-z2-order4"])
-    n = hz.order
-    for i in range(n):
-        for j in range(n):
-            assert product_class(hz, i, j) == hz.table[i][j]
 
 
 def _brute_force_cocycles(c):

@@ -1,13 +1,16 @@
 """JSON round-trips for groups, lattices, complexes, crossed modules,
 patching graphs, and resolution certificates."""
 
+import dataclasses
 import json
 
 import pytest
 
 from galmod import fixtures
+from galmod import intlinalg as la
 from galmod import serialize as se
-from galmod.complexes import flasque_resolution, replay_certificate
+from galmod.complexes import (coflasque_resolution, flasque_resolution,
+                              replay_certificate)
 from galmod.groups import cyclic_group, symmetric_group_3
 
 
@@ -86,6 +89,20 @@ def test_certificate_round_trip_and_replay():
     assert len(back.moves) == len(cert.moves)
     assert back.vanishing_table == cert.vanishing_table
     assert replay_certificate(back)
+
+
+def test_replay_refuses_a_square_that_does_not_commute():
+    """Negating comp0 in any move of a loaded certificate breaks
+    comp0 d = d' comp_minus1, though the negated maps still induce
+    isomorphisms on H^-1 and H^0."""
+    _, cert = coflasque_resolution(fixtures.complex_catalog()["z3-aug"])
+    back = se.load_certificate(json.loads(se.to_json(
+        se.dump_certificate(cert))))
+    assert replay_certificate(back) and len(back.moves) == 3
+    for i, move in enumerate(back.moves):
+        negated = dataclasses.replace(move, comp0=la.mat_neg(move.comp0))
+        moves = back.moves[:i] + (negated,) + back.moves[i + 1:]
+        assert not replay_certificate(dataclasses.replace(back, moves=moves))
 
 
 def test_to_json_is_deterministic():
