@@ -185,15 +185,23 @@ def _tuple_index(tup: tuple[int, ...], order: int, normalized: bool) -> int:
     return idx
 
 
-def _sparse(mats: Sequence[IntMatrix]):
-    """Each matrix as the (column, entry) pairs of its rows' nonzeros."""
-    return [[[(b, x) for b, x in enumerate(row) if x] for row in m]
-            for m in mats]
+class _Sparse(dict):
+    """Element matrices, each as the (column, entry) pairs of its rows'
+    nonzeros, built when first read."""
+
+    def __init__(self, mats: Sequence[IntMatrix]):
+        super().__init__()
+        self.mats = mats
+
+    def __missing__(self, g: int) -> list:
+        rows = self[g] = [[(b, x) for b, x in enumerate(row) if x]
+                          for row in self.mats[g]]
+        return rows
 
 
 def _rows(boundary, mats, rank: int, offset: int = 0) -> list[dict]:
     """The ``rank`` cochain rows at a cell with boundary {(face, g): c}:
-    the row at coordinate a adds c * M(g)[a] (``mats`` from ``_sparse``)
+    the row at coordinate a adds c * M(g)[a] (``mats`` a ``_Sparse``)
     into the face's coordinate block, shifted by ``offset``."""
     rows: list[dict] = [{} for _ in range(rank)]
     for (face, g), c in boundary.items():
@@ -371,7 +379,7 @@ def _total_rows(res, part1, part2, diff, n: int, last=None) -> list[dict]:
     """Rows, as {column: entry} dicts, of the total differential
     Tot^n -> Tot^{n+1} on the cochains of the resolution ``res``:
     Tot^n = C^{n+1}(A1) + C^n(A2), D(x, y) = (dx, (-1)^n diff*x + dy).
-    Each part is (rank, ``_sparse`` element matrices); ``last`` as in
+    Each part is (rank, ``_Sparse`` element matrices); ``last`` as in
     ``_Bar.boundaries``."""
     (r1, mats1), (r2, mats2) = part1, part2
     rows = []
@@ -403,8 +411,8 @@ def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
                        normalized: bool = True) -> IntMatrix:
     """Differential Tot^n -> Tot^{n+1} of the total complex
     Tot^n = C^{n+1}(L1) + C^n(L2), D(x, y) = (dx, (-1)^n diff*x + dy)."""
-    rows = _total_rows(_Bar(group, normalized), (r1, _sparse(mats1)),
-                       (r2, _sparse(mats2)), diff, n)
+    rows = _total_rows(_Bar(group, normalized), (r1, _Sparse(mats1)),
+                       (r2, _Sparse(mats2)), diff, n)
     return _dense(rows, cochain_dim(group.order, r1, n + 1, normalized)
                   + cochain_dim(group.order, r2, n, normalized))
 
@@ -413,7 +421,7 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
     """H^n of the total complex of lattice parts from Cayley cochains,
     presented in normalized bar coordinates (module docstring)."""
     cay, bar = _cayley(group), _Bar(group)
-    parts = ((part1[0], _sparse(part1[1])), (part2[0], _sparse(part2[1])))
+    parts = ((part1[0], _Sparse(part1[1])), (part2[0], _Sparse(part2[1])))
     # (cochain degree, rank, matrices) of the two blocks of Tot^n
     blocks = ((n + 1,) + parts[0], (n,) + parts[1])
 
@@ -448,9 +456,7 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
         # a bar cochain is a cocycle iff its coboundary vanishes at the
         # tuples that end in a generator (module docstring)
         return [sparse(row.items()) for row in _total_rows(
-            bar, (part1[0], _sparse(part1[1])),
-            (part2[0], _sparse(part2[1])), diff, n,
-            set(group.generators) - {0})]
+            bar, *parts, diff, n, set(group.generators) - {0})]
 
     d = _dense(_total_rows(cay, *parts, diff, n - 1), dim(cay, n - 1))
     if n == 1 and not part1[0] and _torsion_free(

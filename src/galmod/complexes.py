@@ -4,10 +4,13 @@ resolutions.
 A two-term complex [L1 -> L2] places L1 in degree -1 and L2 in degree 0.
 Resolutions are built from two elementary quasi-isomorphism moves (pushout
 along a monomorphism, pullback along an epimorphism) plus dualization, and
-every move is re-verified on the spot: the square must commute, and the
-induced maps on kernel and cokernel of the differentials must pass an
-exact isomorphism check.  The full chain of moves is returned as a
-replayable certificate.
+every move is re-verified on the spot by ``verify_square``: the square
+must commute modulo the target's relations (one span solve), the induced
+map on H^-1 must have a square unimodular matrix on the cycle bases, and
+the induced map on H^0 must be onto and one-to-one (two span solves).
+The full chain of moves is returned as a replayable certificate; replay
+also checks that the moves lead from the original complex to the
+resolved one.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ from . import intlinalg as la
 from .cohomology import group_cohomology, tate_cohomology
 from .groups import enumerate_subgroups, coset_action
 from .intlinalg import IntMatrix
-from .lattice import (FgModule, FgModuleMap, GLattice, LatticeMap,
-                      direct_sum, dual_lattice, fg_iso_check, fixed_points,
-                      in_relation_span, induced_action_on_sublattice,
-                      lattice_as_module, make_permutation_lattice,
-                      module_fixed_points)
+from .lattice import (FgModule, GLattice, LatticeMap, direct_sum,
+                      dual_lattice, fixed_points,
+                      induced_action_on_sublattice, lattice_as_module,
+                      make_permutation_lattice)
 
 
 class PreconditionError(Exception):
@@ -136,10 +138,14 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
 
     Commuting and comp0 being well defined on B are one span check.  H^-1
     is free on the cycle bases, so its map is an isomorphism iff its
-    matrix on them is square and unimodular."""
+    matrix on them is square and unimodular.  H^0 is Z^m / span(S) ->
+    Z^n / span(T), with S and T the differential and relations of each
+    side: it is onto iff every unit vector lies in span(comp0 | T), and
+    one-to-one iff the preimage of span(T) under comp0 lies in span(S).
+    Both are span solves; no Smith form runs."""
     comm = la.mat_add(la.mat_mul(comp0, src.d),
                       la.mat_neg(la.mat_mul(tgt.d, comp_minus1)))
-    if not in_relation_span(tgt.b.relations, la.columns(la.hstack(
+    if not la.in_relation_span(tgt.b.relations, la.columns(la.hstack(
             comm, la.mat_mul(comp0, src.b.relations)))):
         return MoveEvidence(False, False)
     ks = _cycle_basis(src)
@@ -151,11 +157,12 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
         hminus_ok = len(ks) == len(kt) and la.is_unimodular(mat)
     except la.SolveError:
         hminus_ok = False
-    src_h0 = FgModule(src.a.group, src.b.ngens,
-                      la.hstack(src.d, src.b.relations), src.b.action)
-    tgt_h0 = FgModule(tgt.a.group, tgt.b.ngens,
-                      la.hstack(tgt.d, tgt.b.relations), tgt.b.action)
-    h0_ok = fg_iso_check(FgModuleMap(src_h0, tgt_h0, comp0))
+    s = la.hstack(src.d, src.b.relations)
+    t = la.hstack(tgt.d, tgt.b.relations)
+    h0_ok = la.in_relation_span(
+        la.hstack(comp0, t), la.columns(la.identity(tgt.b.ngens))) \
+        and la.in_relation_span(
+            s, la.preimage(comp0, la.columns(t), src.b.ngens))
     return MoveEvidence(hminus_ok, h0_ok)
 
 
@@ -269,9 +276,7 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
     if g.target is not dprime.target:
         raise GroupMismatchError("moves must share the corner lattice")
     bprime, b, aprime = g.source, g.target, dprime.source
-    coker = la.abgroup_from_subquotient(
-        la.columns(la.identity(b.rank)), la.columns(g.matrix), b.rank)
-    if not coker.is_trivial:
+    if not la.in_relation_span(g.matrix, la.columns(la.identity(b.rank))):
         raise PreconditionError("pullback requires an epimorphism")
     amb = direct_sum(bprime, aprime)
     diff = la.hstack(g.matrix, la.mat_neg(dprime.matrix))
@@ -336,31 +341,15 @@ def classify(lat: GLattice, mode: str) -> ClassificationVerdict:
 class CoverSequence:
     """0 -> C -> Q -> M -> 0 with Q permutation and C coflasque."""
 
-    m: Union[GLattice, FgModule]
+    m: GLattice
     q: GLattice
     c: GLattice
     inclusion: LatticeMap  # C -> Q
-    projection: Union[LatticeMap, FgModuleMap]  # Q -> M
+    projection: LatticeMap  # Q -> M
     c_verdict: ClassificationVerdict
 
 
-def _fixed_basis(m, handle):
-    if isinstance(m, GLattice):
-        return fixed_points(m, handle)
-    return module_fixed_points(m, handle)
-
-
-def _ambient_dim(m) -> int:
-    return m.rank if isinstance(m, GLattice) else m.ngens
-
-
-def _relation_cols(m) -> list[list[int]]:
-    if isinstance(m, GLattice):
-        return []
-    return la.columns(m.relations)
-
-
-def cts_cover_coflasque(m: Union[GLattice, FgModule]) -> CoverSequence:
+def cts_cover_coflasque(m: GLattice) -> CoverSequence:
     """Permutation cover 0 -> C -> Q -> M -> 0 whose fixed points
     surject onto M^H for every subgroup H.
 
@@ -370,44 +359,37 @@ def cts_cover_coflasque(m: Union[GLattice, FgModule]) -> CoverSequence:
     """
     group = m.group
     mats = m.element_matrices()
-    dim = _ambient_dim(m)
-    rel = _relation_cols(m)
     _, reps = enumerate_subgroups(group)
     # (handle, coset space, images M(rep_c) gen of the generator per coset)
     summands = []
     for k in sorted(reps, key=lambda h: (-h.order, h.members)):
-        fix = _fixed_basis(m, k)
+        fix = fixed_points(m, k)
         if not fix:
             continue
         image_cols = []
         for _, cs, images in summands:
             for orbit in cs.orbits(k.members):
-                vec = [0] * dim
+                vec = [0] * m.rank
                 for c in orbit:
                     for i, x in enumerate(images[c]):
                         vec[i] += x
                 image_cols.append(vec)
-        gap = la.abgroup_from_subquotient(
-            [list(c) for c in fix] + rel, image_cols + rel, dim)
+        gap = la.abgroup_from_subquotient(fix, image_cols, m.rank)
         cs = coset_action(group, k) if gap.generators else None
         for gen in gap.generators:
             summands.append((k, cs, [la.mat_vec(mats[rep], gen)
                                      for rep in cs.representatives]))
     q = make_permutation_lattice(group, [h for h, _, _ in summands])
     proj_mat = la.from_columns(
-        [img for _, _, images in summands for img in images], dim)
-    if isinstance(m, GLattice):
-        projection = LatticeMap(q, m, proj_mat)
-        cb = la.kernel_basis(proj_mat)
-    else:
-        projection = FgModuleMap(lattice_as_module(q), m, proj_mat)
-        cb = _cycle_basis(HalfComplex(q, proj_mat, m))
+        [img for _, _, images in summands for img in images], m.rank)
+    cb = la.kernel_basis(proj_mat)
     c = induced_action_on_sublattice(q, cb)
     inclusion = LatticeMap(c, q, la.from_columns(cb, q.rank))
     verdict = classify(c, "coflasque")
     if not verdict.ok:
         raise RuntimeError("cover kernel failed the coflasque check")
-    return CoverSequence(m, q, c, inclusion, projection, verdict)
+    return CoverSequence(m, q, c, inclusion, LatticeMap(q, m, proj_mat),
+                         verdict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,8 +464,47 @@ class ResolutionCertificate:
         return all(m.evidence.ok for m in self.moves)
 
 
+def _content(side: Union[HalfComplex, TwoTermComplex]) -> tuple:
+    """A complex by value, read as a half complex: a loaded certificate
+    holds fresh objects, so its complexes are compared by content."""
+    h = _half(side) if isinstance(side, TwoTermComplex) else side
+
+    def rows(m):  # a tuple of tuples is returned as it is, not copied
+        return tuple(map(tuple, m))
+
+    return (h.a.group.table, h.a.group.generators, h.a.rank,
+            tuple(map(rows, h.a.action)), rows(h.d), h.b.ngens,
+            rows(h.b.relations), tuple(map(rows, h.b.action)))
+
+
+def _connects(cert: ResolutionCertificate) -> bool:
+    """Whether the moves lead from ``original`` to ``resolved``: the last
+    pushout starts at the original complex, the pullback after it at the
+    resolved one, and the two end at one complex.  A flasque certificate
+    does this for the duals, then ends with the duality move from the
+    original to the resolved complex."""
+    moves, original, resolved = cert.moves, cert.original, cert.resolved
+    if cert.mode == "flasque":
+        if not moves or moves[-1].kind != "duality" \
+                or _content(moves[-1].src) != _content(original) \
+                or _content(moves[-1].tgt) != _content(resolved):
+            return False
+        moves, original, resolved = moves[:-1], original.dual(), \
+            resolved.dual()
+    if len(moves) < 2:
+        return False
+    po, pb = moves[-2:]
+    return (po.kind, pb.kind) == ("pushout-mono", "pullback-epi") \
+        and _content(po.src) == _content(original) \
+        and _content(pb.src) == _content(resolved) \
+        and _content(po.tgt) == _content(pb.tgt)
+
+
 def replay_certificate(cert: ResolutionCertificate) -> bool:
-    """Re-verify every move and recompute the vanishing table."""
+    """Check that the moves connect ``original`` to ``resolved``,
+    re-verify every move and recompute the vanishing table."""
+    if not _connects(cert):
+        return False
     for move in cert.moves:
         if not replay_move(move).ok:
             return False

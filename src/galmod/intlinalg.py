@@ -472,6 +472,20 @@ def preimage(a: Sequence[Sequence[int]], rel_cols: Sequence[Sequence[int]],
     return [v[:ncols] for v in kb]
 
 
+def in_relation_span(relations: Sequence[Sequence[int]],
+                     cols: Sequence[Sequence[int]]) -> bool:
+    """Whether every column of ``cols`` lies in the integer span of the
+    columns of ``relations``: one echelon of the span, one solve."""
+    if not cols:
+        return True
+    basis = image_basis(relations) if shape(relations)[1] else []
+    try:
+        solve_columns(basis, cols)
+    except SolveError:
+        return False
+    return True
+
+
 def image_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis (columns) of the lattice spanned by the columns of ``a``.
 

@@ -114,7 +114,7 @@ class FgModule:
         for m in self.action:
             if la.shape(m) != (self.ngens, self.ngens):
                 raise ValueError("action matrix has wrong shape")
-        if not in_relation_span(self.relations, [
+        if not la.in_relation_span(self.relations, [
                 col for m in self.action
                 for col in la.columns(la.mat_mul(m, self.relations))]):
             raise EquivarianceError("action does not preserve the relations")
@@ -126,9 +126,6 @@ class FgModule:
             la.columns(la.identity(self.ngens)), la.columns(self.relations),
             self.ngens)
         return pres.factors
-
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
 
     def element_matrices(self) -> tuple[IntMatrix, ...]:
         return _element_matrices(self, self.ngens)
@@ -154,34 +151,6 @@ def _element_matrices(obj, dim: int) -> tuple[IntMatrix, ...]:
         cached = tuple(mats)
         object.__setattr__(obj, "_elem_mats", cached)
     return cached
-
-
-@dataclass(frozen=True, eq=False)
-class FgModuleMap:
-    """Map of FgModules given on generators."""
-
-    source: FgModule
-    target: FgModule
-    matrix: IntMatrix
-
-    def validate(self) -> None:
-        if not in_relation_span(self.target.relations, la.columns(
-                la.mat_mul(self.matrix, self.source.relations))):
-            raise EquivarianceError("map is not well defined on classes")
-
-
-def in_relation_span(relations: IntMatrix,
-                     cols: Sequence[Sequence[int]]) -> bool:
-    """Whether every column of ``cols`` lies in the integer span of the
-    columns of ``relations``: one echelon of the span, one solve."""
-    if not cols:
-        return True
-    basis = la.image_basis(relations) if la.shape(relations)[1] else []
-    try:
-        la.solve_columns(basis, cols)
-    except la.SolveError:
-        return False
-    return True
 
 
 def lattice_as_module(lat: GLattice) -> FgModule:
@@ -289,26 +258,6 @@ def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
     return la.preimage(la.vstack(*blocks), [], lat.rank)
 
 
-def module_fixed_points(mod: FgModule, h: SubgroupHandle) -> list[list[int]]:
-    """Generators (lifts in Z^ngens) of the H-fixed submodule of an
-    FgModule, including torsion contributions."""
-    mats = mod.element_matrices()
-    ident = la.identity(mod.ngens)
-    blocks = []
-    for m in h.members:
-        if m == 0:
-            continue
-        blocks.append(la.mat_add(mats[m], la.mat_neg(ident)))
-    if not blocks:
-        return la.columns(la.identity(mod.ngens))
-    # (M(g) - 1) x may be a different relation for each g: one copy of
-    # the relation lattice per block
-    rel_blocks = la.columns(la.block_diag(*[mod.relations] * len(blocks)))
-    proj = la.preimage(la.vstack(*blocks), rel_blocks, mod.ngens)
-    return la.image_basis(la.from_columns(
-        proj + la.columns(mod.relations), mod.ngens))
-
-
 def restrict_lattice(lat: GLattice, h: SubgroupHandle) -> GLattice:
     """The same lattice viewed over a subgroup of its group."""
     sub = h.as_group()
@@ -350,28 +299,6 @@ def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
                     m[tgt * r + a][j * r + b] = block[a][b]
         action.append(la.freeze(m))
     return GLattice(gamma, n * r, tuple(action))
-
-
-def fg_iso_check(phi: FgModuleMap) -> bool:
-    """True iff the map is an isomorphism of finitely generated abelian
-    groups (injective and surjective, decided by SNF)."""
-    phi.validate()
-    src = phi.source
-    tgt = phi.target
-    # surjectivity: target generated by image + target relations
-    coker = la.abgroup_from_subquotient(
-        la.columns(la.identity(tgt.ngens)),
-        la.columns(phi.matrix) + la.columns(tgt.relations),
-        tgt.ngens)
-    if not coker.is_trivial:
-        return False
-    # injectivity: kernel (preimage of target relations mod source
-    # relations) trivial
-    proj = la.preimage(phi.matrix, la.columns(tgt.relations), src.ngens)
-    ker = la.abgroup_from_subquotient(
-        proj + la.columns(src.relations), la.columns(src.relations),
-        src.ngens)
-    return ker.is_trivial
 
 
 def conjugate_lattice(lat: GLattice, u: IntMatrix) -> GLattice:

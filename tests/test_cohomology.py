@@ -9,7 +9,7 @@ from lattice_strategies import S4_LATTICES, s4_lattices, small_lattices
 from galmod import fixtures
 from galmod import intlinalg as la
 from galmod.cohomology import (UnsupportedDegreeError, _cayley, _dense,
-                               _rank_mod, _sparse, _total_rows,
+                               _rank_mod, _Sparse, _total_rows,
                                bar_differential,
                                cochain_dim, group_cohomology,
                                hyper_restriction, hypercohomology,
@@ -309,12 +309,12 @@ def test_cayley_cochain_maps_round_trip():
             mats = [lat.element_matrices()[g] for g in h.members_bfs()]
             cay = _cayley(sub)
             for n in (1, 2):
-                d = _dense(_total_rows(cay, (0, ()), (r, _sparse(mats)),
+                d = _dense(_total_rows(cay, (0, ()), (r, _Sparse(mats)),
                                        None, n - 1), cay.cells(n - 1) * r)
                 tc = la.torsion_cokernel(d)
                 bar_d = bar_differential(sub, mats, r, n)
                 for c in tc.generators:
-                    f = cay.to_bar(n, c, _sparse(mats), r)
+                    f = cay.to_bar(n, c, _Sparse(mats), r)
                     assert not any(la.mat_vec(bar_d, f))
                     back = [0] * len(c)
                     for cell, terms in enumerate(cay.from_bar(n)):

@@ -10,15 +10,17 @@ from galmod import intlinalg as la
 from galmod import fixtures
 from galmod.cohomology import group_cohomology, hypercohomology, \
     tate_cohomology
-from galmod.complexes import (GroupMismatchError, PreconditionError,
+from galmod.complexes import (GroupMismatchError, HalfComplex,
+                              MoveEvidence, PreconditionError,
                               TwoTermComplex, classify,
                               coflasque_resolution, cts_cover_coflasque,
                               cts_embed_coflasque, flasque_resolution,
                               homology, pullback_square, pushout_square,
                               r_equivalence_invariant, replay_certificate,
-                              uniqueness_invariants)
+                              uniqueness_invariants, verify_square)
 from galmod.groups import cyclic_group, enumerate_subgroups
-from galmod.lattice import (LatticeMap, conjugate_lattice, regular_lattice,
+from galmod.lattice import (FgModule, LatticeMap, conjugate_lattice,
+                            lattice_as_module, regular_lattice,
                             sign_lattice, trivial_lattice, zero_lattice)
 
 
@@ -144,6 +146,76 @@ def test_pullback_requires_epi():
     doubling = LatticeMap(triv, triv, ((2,),))
     with pytest.raises(PreconditionError):
         pullback_square(doubling, LatticeMap(triv, triv, ((1,),)))
+
+
+def test_verify_square_h0_decisions():
+    """H^0 of [0 -> B] is B: x3 is a unit mod 4 and x2 is not; Z -> 0 is
+    onto but not one-to-one (its matrix has no rows)."""
+    z2 = cyclic_group(2)
+    zero = zero_lattice(z2)
+    z4 = HalfComplex(zero, ((),), FgModule(z2, 1, ((4,),), (la.identity(1),)))
+    for k, want in ((1, MoveEvidence(True, True)),
+                    (3, MoveEvidence(True, True)),
+                    (2, MoveEvidence(True, False))):
+        assert verify_square(z4, z4, (), ((k,),)) == want
+    z = HalfComplex(zero, ((),), lattice_as_module(trivial_lattice(z2)))
+    nothing = HalfComplex(zero, (), lattice_as_module(zero))
+    assert verify_square(z, z, (), la.identity(1)).ok
+    assert verify_square(z, nothing, (), ()) == MoveEvidence(True, False)
+
+
+def test_pushout_with_torsion_quotient():
+    """Pushing x2 out along x2 on Z gives Z^2 / (2, -2): torsion, so the
+    quotient is a module and the move has no lattice square."""
+    triv = trivial_lattice(cyclic_group(2))
+    doubling = LatticeMap(triv, triv, ((2,),))
+    po = pushout_square(doubling, doubling)
+    assert isinstance(po.quotient, FgModule) and po.square is None
+    assert po.quotient.invariant_factors == (2, 0)
+    assert po.move.evidence.ok
+
+
+def test_pullback_accepts_epi():
+    z2 = cyclic_group(2)
+    z = trivial_lattice(z2)
+    g = LatticeMap(trivial_lattice(z2, 2), z, ((2, 3),))  # onto, gcd 1
+    pb = pullback_square(g, LatticeMap(z, z, ((1,),)))
+    assert pb.fibre.rank == 2
+    assert pb.move.evidence.ok
+
+
+def _h0_iso_by_smith_form(src, tgt, comp0):
+    """The Smith-form route: the cokernel and the kernel of the H^0 map
+    presented as subquotients, each trivial."""
+    m, n = src.b.ngens, tgt.b.ngens
+    s = la.columns(la.hstack(src.d, src.b.relations))
+    t = la.columns(la.hstack(tgt.d, tgt.b.relations))
+    coker = la.abgroup_from_subquotient(
+        la.columns(la.identity(n)), la.columns(comp0) + t, n)
+    ker = la.abgroup_from_subquotient(la.preimage(comp0, t, m) + s, s, m)
+    return coker.is_trivial and ker.is_trivial
+
+
+def test_h0_span_solves_match_smith_form_on_catalog_moves():
+    """Every pushout and pullback move of the catalog resolutions, with
+    both maps scaled by 1, -1, 2 and 0 (the square still commutes)."""
+    verdicts = []
+    for t in fixtures.complex_catalog().values():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            for move in resolve(t)[1].moves:
+                if move.kind == "duality":
+                    continue
+                for k in (1, -1, 2, 0):
+                    cm1 = tuple(tuple(k * x for x in row)
+                                for row in move.comp_minus1)
+                    c0 = tuple(tuple(k * x for x in row)
+                               for row in move.comp0)
+                    got = verify_square(move.src, move.tgt, cm1, c0).h0_ok
+                    assert got == _h0_iso_by_smith_form(
+                        move.src, move.tgt, c0)
+                    verdicts.append(got)
+    assert len(verdicts) == 432
+    assert True in verdicts and False in verdicts
 
 
 def test_pushout_pullback_identity_squares():

@@ -11,11 +11,10 @@ from galmod.groups import (cyclic_group, dihedral_group_4,
                            enumerate_subgroups, subgroup,
                            symmetric_group_3, trivial_subgroup,
                            whole_subgroup)
-from galmod.lattice import (EquivarianceError, FgModule, FgModuleMap,
-                            GLattice, LatticeMap, direct_sum, dual_lattice,
-                            dual_map, fg_iso_check, fixed_points, induce,
-                            lattice_as_module, make_permutation_lattice,
-                            module_fixed_points, regular_lattice,
+from galmod.lattice import (EquivarianceError, FgModule, GLattice,
+                            LatticeMap, direct_sum, dual_lattice, dual_map,
+                            fixed_points, induce, lattice_as_module,
+                            make_permutation_lattice, regular_lattice,
                             restrict_lattice, sign_lattice,
                             trivial_lattice, zero_lattice)
 
@@ -155,35 +154,6 @@ def test_fixed_points():
     assert len(fixed_points(regular_lattice(z2), trivial_subgroup(z2))) == 2
 
 
-def test_module_fixed_points_with_torsion():
-    z2 = cyclic_group(2)
-    # Z/2 with trivial action: everything is fixed
-    mod = FgModule(z2, 1, ((2,),), (la.identity(1),))
-    fp = module_fixed_points(mod, whole_subgroup(z2))
-    assert len(fp) == 1
-
-
-def test_module_fixed_points_match_h0():
-    """The fixed submodule modulo relations is H^0 of the unnormalized
-    complex.  Z/2 with a sign character of V4 or S3 is all fixed, though
-    (M(g) - 1) x is a different relation for different g."""
-    mods = []
-    for lat in fixtures.lattice_catalog().values():
-        if lat.rank <= 4:
-            mods.append(lattice_as_module(lat))
-            for p in (2, 3):
-                diag = tuple(tuple(p * (i == j) for j in range(lat.rank))
-                             for i in range(lat.rank))
-                mods.append(FgModule(lat.group, lat.rank, diag, lat.action))
-    for mod in mods:
-        rel = la.columns(mod.relations)
-        for h in enumerate_subgroups(mod.group)[0]:
-            fixed = la.abgroup_from_subquotient(
-                module_fixed_points(mod, h) + rel, rel, mod.ngens)
-            h0 = group_cohomology(h, mod, 0, normalized=False)
-            assert fixed.factors == h0.invariant_factors
-
-
 def test_induce_rank_and_shapiro_shape():
     s3 = symmetric_group_3()
     a3 = next(h for h in enumerate_subgroups(s3)[0] if h.order == 3)
@@ -207,22 +177,6 @@ def test_direct_sum():
     s = direct_sum(sign_lattice(z2, [-1]), trivial_lattice(z2))
     s.validate()
     assert s.rank == 2
-
-
-def test_fg_iso_check():
-    z2 = cyclic_group(2)
-    a = FgModule(z2, 1, ((4,),), (la.identity(1),))
-    ident = FgModuleMap(a, a, la.identity(1))
-    assert fg_iso_check(ident)
-    tripling = FgModuleMap(a, a, ((3,),))  # a unit mod 4
-    assert fg_iso_check(tripling)
-    doubling = FgModuleMap(a, a, ((2,),))
-    assert not fg_iso_check(doubling)
-    # Z -> 0 is onto but not injective; its matrix has no rows
-    z = lattice_as_module(trivial_lattice(z2))
-    zero = lattice_as_module(zero_lattice(z2))
-    assert fg_iso_check(FgModuleMap(z, z, la.identity(1)))
-    assert not fg_iso_check(FgModuleMap(z, zero, ()))
 
 
 def test_zero_lattice():

@@ -105,6 +105,23 @@ def test_replay_refuses_a_square_that_does_not_commute():
         assert not replay_certificate(dataclasses.replace(back, moves=moves))
 
 
+def test_replay_refuses_moves_that_do_not_connect():
+    """Swapping in another certificate's resolved complex (with its
+    vanishing table), or its original complex, leaves every move valid,
+    but the moves no longer lead from original to resolved."""
+    catalog = fixtures.complex_catalog()
+    for resolve in (coflasque_resolution, flasque_resolution):
+        own, other = (se.load_certificate(json.loads(se.to_json(
+            se.dump_certificate(resolve(catalog[name])[1]))))
+            for name in ("z2-aug", "z2-norm"))
+        assert replay_certificate(own)
+        assert not replay_certificate(dataclasses.replace(
+            own, resolved=other.resolved,
+            vanishing_table=other.vanishing_table))
+        assert not replay_certificate(dataclasses.replace(
+            own, original=other.original))
+
+
 def test_to_json_is_deterministic():
     lat = fixtures.lattice_catalog()["sign"]
     a = se.to_json(se.dump_lattice(lat))
