@@ -29,10 +29,11 @@ For n >= 1, H^n(H, L) is killed by |H| (Brown III.10.2), and
 hypercohomology in degree 1 sits between H^1(L2) and H^2(L1).  So Z^n is
 the saturation of B^n, and H^n is the torsion of Tot^n / B^n, read from
 the Smith form of the Cayley d^{n-1} alone (intlinalg.torsion_cokernel).
-It is returned in bar coordinates: the generators go Cayley -> bar, the
-kept rows of U read through bar -> Cayley, and the rows of the bar d^n
-at the argument tuples that end in a generator check that a cochain is
-a cocycle.  That check is complete: if phi = d v vanishes at every
+It is returned in bar coordinates as an ``AbGroupPresentation`` with no
+echelon: the generators go Cayley -> bar, the factor rows of U read
+through bar -> Cayley, and its check rows, the rows of the bar d^n at
+the argument tuples that end in a generator, test that a cochain is a
+cocycle.  That check is complete: if phi = d v vanishes at every
 (.., s), then (d phi)(.., c, s) = 0 gives phi(.., cs) = phi(.., c), and
 phi = 0 by induction on the length of word(c).  Its rows are built by
 the first ``reduce`` and kept, not with the presentation: the vanishing
@@ -51,9 +52,10 @@ cheap to test:
   the trace of the projection onto the fixed points.
 
 ``_rank_mod`` takes p = 2 on Python ints as bit rows.  When the ranks
-agree, H^1 is the empty torsion cokernel with only the cocycle check,
-and Tate H^-1 the zero quotient of ker N, whose ``reduce`` still refuses
-vectors outside ker N.  When a rank drops, the Smith form runs as above.
+agree, H^1 is the presentation with no factors, no echelon and only the
+cocycle check rows, and Tate H^-1 the one with no factors on an echelon
+of ker N; the ``reduce`` of either still refuses a non-cocycle or a
+vector outside ker N.  When a rank drops, the Smith form runs as above.
 
 For n <= 0 (H^0, hypercohomology in degrees -1 and 0) the kernel of the
 Cayley d^n, taken Cayley -> bar, plus the image of the bar d^{n-1}
@@ -78,7 +80,7 @@ from typing import Sequence, Union
 
 from . import intlinalg as la
 from .groups import FiniteGroup, SubgroupHandle, prime_factors
-from .intlinalg import AbGroupPresentation, IntMatrix, TorsionCokernel
+from .intlinalg import AbGroupPresentation, IntMatrix
 from .lattice import FgModule, GLattice, induce
 
 
@@ -104,7 +106,7 @@ class CohomologyGroup:
     degree: int
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    presentation: Union[AbGroupPresentation, TorsionCokernel]
+    presentation: AbGroupPresentation
     coeff_dim: int
     normalized: bool = True
 
@@ -461,9 +463,8 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
     d = _dense(_total_rows(cay, *parts, diff, n - 1), dim(cay, n - 1))
     if n == 1 and not part1[0] and _torsion_free(
             d, part2[0] - _fixed_rank(part2[1], group.order), group.order):
-        return la.TorsionCokernel(dim(bar, n), (), (), (), (), checks)
+        return la.AbGroupPresentation(dim(bar, n), (), (), (), None, checks)
     tc = la.torsion_cokernel(d)
-    k = len(tc.factors)
     # bar -> Cayley on Tot^n, per Cayley coordinate: (bar coordinate, c)
     pull, start = [], 0
     for m, r, _ in blocks:
@@ -472,12 +473,12 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
                      for a in range(r)]
         start += bar.cells(m) * r
 
-    # the kept rows of U read a bar cochain through bar -> Cayley
+    # the factor rows of U read a bar cochain through bar -> Cayley
     rows = tuple(sparse((b, x * c) for j, x in urow for b, c in pull[j])
-                 for urow in tc._rows[:k])
-    return la.TorsionCokernel(
+                 for urow in tc._rows)
+    return la.AbGroupPresentation(
         dim(bar, n), tc.factors, tuple(to_bar(g) for g in tc.generators),
-        rows, tc._moduli[:k], checks)
+        rows, None, checks)
 
 
 def _fixed_rank(mats: Sequence[IntMatrix], order: int) -> int:

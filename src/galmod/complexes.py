@@ -4,8 +4,9 @@ resolutions.
 A two-term complex [L1 -> L2] places L1 in degree -1 and L2 in degree 0.
 Resolutions are built from two elementary quasi-isomorphism moves (pushout
 along a monomorphism, pullback along an epimorphism) plus dualization, and
-every move is re-verified on the spot by ``verify_square``: the square
-must commute modulo the target's relations (one span solve), the induced
+every move is re-verified on the spot by ``verify_square``: its maps
+must be G-equivariant (comp0 modulo the target's relations) and the
+square must commute modulo those relations (one span solve), the induced
 map on H^-1 must have a square unimodular matrix on the cycle bases, and
 the induced map on H^0 must be onto and one-to-one (two span solves).
 The full chain of moves is returned as a replayable certificate; replay
@@ -76,16 +77,6 @@ class ComplexMap:
     comp_minus1: LatticeMap
     comp0: LatticeMap
 
-    def validate(self) -> None:
-        self.comp_minus1.validate()
-        self.comp0.validate()
-        left = la.mat_mul(self.target.differential.matrix,
-                          self.comp_minus1.matrix)
-        right = la.mat_mul(self.comp0.matrix,
-                           self.source.differential.matrix)
-        if not la.mat_eq(left, right):
-            raise ValueError("square does not commute")
-
 
 def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
     """(H^-1, H^0): the saturated kernel lattice and the cokernel module."""
@@ -132,21 +123,31 @@ def _cycle_basis(h: HalfComplex) -> list[list[int]]:
 
 def verify_square(src: HalfComplex, tgt: HalfComplex,
                   comp_minus1: IntMatrix, comp0: IntMatrix) -> MoveEvidence:
-    """Check that a square is a quasi-isomorphism: that it commutes modulo
+    """Check that a square is a quasi-isomorphism of complexes of
+    G-modules: that its maps are G-equivariant, that it commutes modulo
     the relations of the target's B, and that the induced kernel and
     cokernel maps are isomorphisms.
 
-    Commuting and comp0 being well defined on B are one span check.  H^-1
-    is free on the cycle bases, so its map is an isomorphism iff its
-    matrix on them is square and unimodular.  H^0 is Z^m / span(S) ->
-    Z^n / span(T), with S and T the differential and relations of each
-    side: it is onto iff every unit vector lies in span(comp0 | T), and
-    one-to-one iff the preimage of span(T) under comp0 lies in span(S).
-    Both are span solves; no Smith form runs."""
+    comp_minus1 M(s) = M'(s) comp_minus1 must hold exactly for every
+    generator s.  comp0 being equivariant modulo the relations of B',
+    commuting with the differentials modulo them, and being well defined
+    on B are one span check.  H^-1 is free on the cycle bases, so its map
+    is an isomorphism iff its matrix on them is square and unimodular.
+    H^0 is Z^m / span(S) -> Z^n / span(T), with S and T the differential
+    and relations of each side: it is onto iff every unit vector lies in
+    span(comp0 | T), and one-to-one iff the preimage of span(T) under
+    comp0 lies in span(S).  Both are span solves; no Smith form runs."""
+    if not all(la.mat_eq(la.mat_mul(comp_minus1, ms),
+                         la.mat_mul(mt, comp_minus1))
+               for ms, mt in zip(src.a.action, tgt.a.action)):
+        return MoveEvidence(False, False)
     comm = la.mat_add(la.mat_mul(comp0, src.d),
                       la.mat_neg(la.mat_mul(tgt.d, comp_minus1)))
+    equi = [la.mat_add(la.mat_mul(comp0, ms),
+                       la.mat_neg(la.mat_mul(mt, comp0)))
+            for ms, mt in zip(src.b.action, tgt.b.action)]
     if not la.in_relation_span(tgt.b.relations, la.columns(la.hstack(
-            comm, la.mat_mul(comp0, src.b.relations)))):
+            comm, la.mat_mul(comp0, src.b.relations), *equi))):
         return MoveEvidence(False, False)
     ks = _cycle_basis(src)
     kt = _cycle_basis(tgt)

@@ -8,7 +8,7 @@ are used in public data types; plain lists are accepted everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -317,37 +317,14 @@ def _eliminate(m, u, w, v, start, rows, cols):
         t += 1
 
 
-def invariant_factors(a: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    return smith_normal_form(a).invariant_factors
-
-
-def _det_pm1(a: Sequence[Sequence[int]]) -> int:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
-    m = thaw(a)
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * (m[n - 1][n - 1] if n else 1)
-
-
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
+    """Whether ``a`` is square with determinant ±1: its column echelon,
+    lower triangular with positive pivots, has n pivots all equal to 1."""
     n, c = shape(a)
     if n != c:
         return False
-    return abs(_det_pm1(a)) == 1
+    echelon = _column_echelon(columns(a))[0]
+    return len(echelon) == n and all(col[row] == 1 for row, col in echelon)
 
 
 def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
@@ -368,28 +345,28 @@ def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
 
 # ---------------------------------------------------------------------------
 # Sparse column elimination.  Used for the large, sparse cochain matrices,
-# where a dense SNF would be too slow.
+# where a dense SNF would be too slow, and the one place where a vector is
+# reduced against a span: solves, span membership, unimodularity and the
+# subquotient presentations all read a stored echelon through ``_along``.
 
 def _column_echelon(cols: list[list[int]], track: bool = False):
     """Reduce a list of column vectors to column echelon form.
 
-    Returns ``(pivots, echelon_cols, combos)``: pivots is a list of
-    (row, column-index-into-echelon_cols) with strictly increasing rows;
-    echelon_cols the reduced nonzero columns; combos (if ``track``) the
-    unimodular combinations expressing each output column, including the
-    ones that vanished (those span the kernel).
+    Returns ``(echelon, combos, kernel)``.  ``echelon`` lists the reduced
+    nonzero columns as (pivot row, {row: entry}) with strictly increasing
+    pivot rows; each column is zero above its pivot row, and its pivot
+    entry is positive.  With ``track``, ``combos[i]`` is the unimodular
+    combination {input column: coefficient} giving echelon column i, and
+    ``kernel`` holds the combinations of the columns that vanished (they
+    span the kernel); without it both are empty.
     """
     n = len(cols)
-    sp = []
-    for j, col in enumerate(cols):
-        d = {i: int(x) for i, x in enumerate(col) if x != 0}
-        sp.append(d)
+    sp = [{i: int(x) for i, x in enumerate(col) if x != 0} for col in cols]
     combos = [{j: 1} for j in range(n)] if track else [None] * n
-    active = list(range(n))
     # row -> active columns touching it
     rowmap: dict[int, set[int]] = {}
-    for j in active:
-        for r in sp[j]:
+    for j, col in enumerate(sp):
+        for r in col:
             rowmap.setdefault(r, set()).add(j)
     pivots = []
     frozen: set[int] = set()
@@ -435,10 +412,44 @@ def _column_echelon(cols: list[list[int]], track: bool = False):
                 combos[piv] = {r: -v for r, v in combos[piv].items()}
         frozen.add(piv)
         pivots.append((row, piv))
-    echelon = [(r, sp[j], combos[j]) for r, j in pivots]
-    kernel_combos = [combos[j] for j in range(n)
-                     if j not in frozen and not sp[j]] if track else []
-    return pivots, sp, (echelon, kernel_combos)
+    echelon = [(r, sp[j]) for r, j in pivots]
+    if not track:
+        return echelon, [], []
+    return (echelon, [combos[j] for _, j in pivots],
+            [combos[j] for j in range(n) if j not in frozen and not sp[j]])
+
+
+def _along(echelon, vec: Sequence[int]) -> list[int] | None:
+    """Coefficients of ``vec`` on the columns of a stored ``echelon``
+    (pivot row, {row: entry}), or None when ``vec`` is not in their
+    integer span.  Pivots are taken in order of their rows, each column
+    being zero above its own, so each coefficient is fixed by one entry."""
+    resid = {i: int(x) for i, x in enumerate(vec) if x != 0}
+    coeffs = []
+    for row, col in echelon:
+        q, r = divmod(resid.get(row, 0), col[row])
+        if r:
+            return None
+        coeffs.append(q)
+        if q:
+            for i, x in col.items():
+                nv = resid.get(i, 0) - q * x
+                if nv:
+                    resid[i] = nv
+                else:
+                    del resid[i]
+    return None if resid else coeffs
+
+
+def _dense_cols(cols: Sequence[dict], rows: int) -> list[list[int]]:
+    """Sparse columns {row: entry} as dense vectors of length ``rows``."""
+    out = []
+    for col in cols:
+        vec = [0] * rows
+        for r, v in col.items():
+            vec[r] = v
+        out.append(vec)
+    return out
 
 
 def kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -446,15 +457,8 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
 
     The basis spans a saturated sublattice of Z^cols.
     """
-    rows, cols = shape(a)
-    _, _, (_, kernel_combos) = _column_echelon(columns(a), track=True)
-    out = []
-    for combo in kernel_combos:
-        vec = [0] * cols
-        for j, v in combo.items():
-            vec[j] = v
-        out.append(vec)
-    return out
+    _, _, kernel = _column_echelon(columns(a), track=True)
+    return _dense_cols(kernel, shape(a)[1])
 
 
 def preimage(a: Sequence[Sequence[int]], rel_cols: Sequence[Sequence[int]],
@@ -475,15 +479,12 @@ def preimage(a: Sequence[Sequence[int]], rel_cols: Sequence[Sequence[int]],
 def in_relation_span(relations: Sequence[Sequence[int]],
                      cols: Sequence[Sequence[int]]) -> bool:
     """Whether every column of ``cols`` lies in the integer span of the
-    columns of ``relations``: one echelon of the span, one solve."""
+    columns of ``relations``: one echelon of the span, then each column
+    reduced along its pivots."""
     if not cols:
         return True
-    basis = image_basis(relations) if shape(relations)[1] else []
-    try:
-        solve_columns(basis, cols)
-    except SolveError:
-        return False
-    return True
+    echelon = _column_echelon(columns(relations))[0]
+    return all(_along(echelon, c) is not None for c in cols)
 
 
 def image_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -491,15 +492,8 @@ def image_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
 
     Not saturated: spans exactly the integer column span.
     """
-    rows, _ = shape(a)
-    pivots, sp, _ = _column_echelon(columns(a))
-    out = []
-    for row, j in pivots:
-        vec = [0] * rows
-        for r, v in sp[j].items():
-            vec[r] = v
-        out.append(vec)
-    return out
+    echelon = _column_echelon(columns(a))[0]
+    return _dense_cols([col for _, col in echelon], shape(a)[0])
 
 
 def solve_columns(basis_cols: Sequence[Sequence[int]],
@@ -510,42 +504,21 @@ def solve_columns(basis_cols: Sequence[Sequence[int]],
     column of B is not in the integer span.
     """
     k = len(basis_cols)
-    if k == 0:
-        for b in b_cols:
-            if any(x != 0 for x in b):
-                raise SolveError("nonzero target with empty basis")
-        return [[] for _ in b_cols]
-    pivots, sp, (echelon, kernel_combos) = _column_echelon(
+    echelon, combos, kernel = _column_echelon(
         [list(c) for c in basis_cols], track=True)
-    if kernel_combos:
+    if kernel:
         raise ValueError("basis columns are linearly dependent")
     sols = []
     for b in b_cols:
-        resid = {i: int(x) for i, x in enumerate(b) if x != 0}
-        y = [0] * k  # coefficients in echelon columns
-        for idx, (row, col_dict, _) in enumerate(echelon):
-            val = resid.get(row, 0)
-            if val == 0:
-                continue
-            pivval = col_dict[row]
-            if val % pivval != 0:
-                raise SolveError("column not in integer span")
-            q = val // pivval
-            y[idx] = q
-            for r, v in col_dict.items():
-                nv = resid.get(r, 0) - q * v
-                if nv:
-                    resid[r] = nv
-                elif r in resid:
-                    del resid[r]
-        if resid:
-            raise SolveError("column not in span")
+        y = _along(echelon, b)
+        if y is None:
+            raise SolveError("column not in integer span")
         # convert echelon coefficients back to original basis coefficients
         x = [0] * k
-        for idx, (_, _, combo) in enumerate(echelon):
-            if y[idx]:
+        for yi, combo in zip(y, combos):
+            if yi:
                 for j, v in combo.items():
-                    x[j] += y[idx] * v
+                    x[j] += yi * v
         sols.append(x)
     return sols
 
@@ -553,21 +526,34 @@ def solve_columns(basis_cols: Sequence[Sequence[int]],
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups presented as subquotients of Z^n.
 
-@dataclass(frozen=True)
+SparseRow = tuple[tuple[int, int], ...]  # nonzero (column, entry) pairs
+
+
+@dataclass(frozen=True, eq=False)
 class AbGroupPresentation:
-    """Subquotient L_num / L_den of Z^n, reduced to invariant factors.
+    """Subquotient span(num) / span(den) of Z^n, reduced to invariant
+    factors.
 
     ``factors`` lists the invariant factors in divisibility order; 1s are
     dropped and 0 encodes a free summand (listed last).  ``generators``
     holds one ambient vector per listed factor.
+
+    ``reduce`` reads a class off stored rows; it runs no echelon and no
+    solve.  A vector v of span(num) has coordinates y on the stored
+    echelon of span(num), or y = v when that echelon is None: then the
+    check rows, which vanish exactly on span(num), stand for it.  Row i
+    (row i of the Smith form's U) gives the class as row_i . y mod
+    factor_i.
     """
 
     ambient_dim: int
     factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
-    _basis: tuple[tuple[int, ...], ...]  # columns: basis of L_num
-    _uinv_cols: tuple[tuple[int, ...], ...]  # adapted basis coords in _basis
-    _diag: tuple[int, ...]  # full diagonal incl. 1s, aligned with _uinv_cols
+    _rows: tuple[SparseRow, ...]  # one per factor
+    _basis: list | None  # echelon (pivot row, {row: entry}) of span(num)
+    # rows that must vanish on span(num); a callable builds them on the
+    # first ``reduce``
+    _checks: tuple[SparseRow, ...] | Callable[[], Iterable[SparseRow]] = ()
 
     @property
     def is_trivial(self) -> bool:
@@ -583,139 +569,88 @@ class AbGroupPresentation:
             n *= f
         return n
 
+    def check_rows(self) -> tuple[SparseRow, ...]:
+        """The rows that must vanish on span(num), built here once when
+        they were deferred."""
+        if callable(self._checks):
+            object.__setattr__(self, "_checks", tuple(self._checks()))
+        return self._checks
+
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of the class of ``vec`` on the stored generators."""
-        if self.ambient_dim == 0 or not self._basis:
-            return (0,) * len(self.factors)
-        y = solve_columns([list(c) for c in self._basis], [list(vec)])[0]
-        # adapted coordinates: z = U @ y, but we stored columns of U^{-1};
-        # solve U^{-1} z = y
-        z = solve_columns([list(c) for c in self._uinv_cols], [list(y)])[0]
+        """Coordinates of the class of ``vec`` on the stored generators.
+
+        Raises SolveError unless ``vec`` lies in span(num)."""
+        for row in self.check_rows():
+            if sum(x * vec[j] for j, x in row):
+                raise SolveError("vector fails a check row of span(num)")
+        y = vec if self._basis is None else _along(self._basis, vec)
+        if y is None:
+            raise SolveError("vector is not in span(num)")
         coords = []
-        for zi, d in zip(z, self._diag):
-            if d == 1:
-                continue
-            coords.append(zi % d if d > 1 else zi)
+        for row, d in zip(self._rows, self.factors):
+            z = sum(x * y[j] for j, x in row)
+            coords.append(z % d if d else z)
         return tuple(coords)
 
     def contains_class_zero(self, vec: Sequence[int]) -> bool:
         return all(c == 0 for c in self.reduce(vec))
+
+
+def _sparse(row: Sequence[int]) -> SparseRow:
+    return tuple((j, x) for j, x in enumerate(row) if x)
 
 
 def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
                              den_cols: Sequence[Sequence[int]],
                              ambient_dim: int) -> AbGroupPresentation:
-    """The group span(num)/span(den); den must lie inside span(num)."""
-    basis = image_basis(from_columns(list(num_cols), ambient_dim)) if num_cols else []
-    k = len(basis)
-    if k == 0:
-        return AbGroupPresentation(ambient_dim, (), (), (), (), ())
-    x = solve_columns(basis, [list(c) for c in den_cols]) if den_cols else []
-    xmat = from_columns(x, k) if x else zeros(k, 0)
-    res = smith_normal_form(xmat, inverse=True)
-    uinv = res.Uinv
+    """The group span(num)/span(den); den must lie inside span(num).
+
+    den is written on the echelon basis of span(num), and the Smith form
+    U X V = D of that matrix X gives the factors (the d_i other than 1),
+    the generators (basis times U^{-1}) and the rows of U that ``reduce``
+    applies to a vector's coordinates on the basis."""
+    echelon = _column_echelon([list(c) for c in num_cols])[0]
+    k = len(echelon)
+    x = [_along(echelon, c) for c in den_cols]
+    if any(y is None for y in x):
+        raise SolveError("den is not inside span(num)")
+    if not k:
+        return AbGroupPresentation(ambient_dim, (), (), (), echelon)
+    res = smith_normal_form(from_columns(x, k) if x else zeros(k, 0),
+                            inverse=True)
     diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
-    basis_mat = from_columns(basis, ambient_dim)
-    adapted = mat_mul(basis_mat, uinv)  # ambient vectors of adapted basis
+    # ambient vectors of the adapted basis
+    adapted = mat_mul(from_columns(_dense_cols(
+        [col for _, col in echelon], ambient_dim), ambient_dim), res.Uinv)
     # SNF diagonal is already in divisibility order (1s, then larger
     # factors, then 0s for free summands)
-    factors = []
-    gens = []
-    for i, d in enumerate(diag):
-        if d == 1:
-            continue
-        factors.append(d)
-        gens.append(tuple(adapted[r][i] for r in range(ambient_dim)))
+    keep = [i for i, d in enumerate(diag) if d != 1]
     return AbGroupPresentation(
-        ambient_dim,
-        tuple(factors),
-        tuple(gens),
-        tuple(tuple(c) for c in basis),
-        transpose(uinv),
-        tuple(diag),
-    )
+        ambient_dim, tuple(diag[i] for i in keep),
+        tuple(tuple(adapted[r][i] for r in range(ambient_dim))
+              for i in keep),
+        tuple(_sparse(res.U[i]) for i in keep), echelon)
 
 
 def trivial_subquotient(basis_cols: Sequence[Sequence[int]],
                         ambient_dim: int) -> AbGroupPresentation:
-    """The zero group span(basis)/span(basis) for linearly independent
-    ``basis_cols``; its ``reduce`` still raises SolveError on a vector
+    """The zero group span(basis)/span(basis): an echelon of the basis
+    and no rows, so that ``reduce`` still raises SolveError on a vector
     outside span(basis)."""
-    k = len(basis_cols)
-    return AbGroupPresentation(ambient_dim, (), (),
-                               tuple(tuple(c) for c in basis_cols),
-                               identity(k), (1,) * k)
+    return AbGroupPresentation(
+        ambient_dim, (), (), (),
+        _column_echelon([list(c) for c in basis_cols])[0])
 
 
-@dataclass(frozen=True)
-class TorsionCokernel:
-    """Torsion subgroup of Z^m / span(A), read from U @ A @ V = D.
+def torsion_cokernel(a: Sequence[Sequence[int]]) -> AbGroupPresentation:
+    """The torsion subgroup of coker(a), read from U @ A @ V = D.
 
-    In the coordinates y = U x the image of A is {y_i in d_i Z for
-    i < rank, y_j = 0 for j >= rank} and its saturation drops the d_i, so
+    In the coordinates z = U x the image of A is {z_i in d_i Z for
+    i < rank, z_j = 0 for j >= rank} and its saturation drops the d_i, so
     the torsion is the sum of the Z/d_i with d_i > 1.  Generator i is
-    U^{-1} e_i = (A @ V[:, i]) / d_i.  Same surface as
-    AbGroupPresentation; every class has finite order.  (Cohomology
-    builds one in other coordinates, with its own rows and generators.)
-    """
-
-    ambient_dim: int
-    factors: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    # reduction rows as nonzero (column, entry) pairs: here the rows of U
-    # at the factors > 1, then at the positions j >= rank
-    _rows: tuple[tuple[tuple[int, int], ...], ...]
-    # d_i for a coordinate row; 0 for a row whose value must vanish
-    _moduli: tuple[int, ...]
-    # more rows whose value must vanish, built by the first ``reduce``
-    # and then appended to _rows
-    _checks: Callable[[], Sequence[tuple[tuple[int, int], ...]]] | None = \
-        field(default=None, compare=False, repr=False)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factors
-
-    @property
-    def order(self) -> int:
-        n = 1
-        for f in self.factors:
-            n *= f
-        return n
-
-    def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Coordinates of the class of ``vec`` on the stored generators.
-
-        Raises SolveError unless ``vec`` lies in the saturation of the
-        image, i.e. unless some multiple of it is in span(A).
-        """
-        rows, moduli = self.reduction_rows()
-        coords = []
-        for row, d in zip(rows, moduli):
-            y = sum(x * vec[j] for j, x in row)
-            if d:
-                coords.append(y % d)
-            elif y:
-                raise SolveError("vector is not in the saturated image")
-        return tuple(coords)
-
-    def contains_class_zero(self, vec: Sequence[int]) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
-
-    def reduction_rows(self) -> tuple[tuple, tuple[int, ...]]:
-        """Every reduction row with its modulus, the deferred rows of
-        ``_checks`` included (built here once, then kept)."""
-        if self._checks is not None:
-            extra = tuple(self._checks())
-            object.__setattr__(self, "_rows", self._rows + extra)
-            object.__setattr__(self, "_moduli",
-                               self._moduli + (0,) * len(extra))
-            object.__setattr__(self, "_checks", None)
-        return self._rows, self._moduli
-
-
-def torsion_cokernel(a: Sequence[Sequence[int]]) -> TorsionCokernel:
-    """The torsion subgroup of coker(a), with generators and reduction."""
+    U^{-1} e_i = (A @ V[:, i]) / d_i.  The presentation has no echelon:
+    the rows of U from the rank on are its check rows, which vanish
+    exactly on the saturation of the image."""
     res = smith_normal_form(a)
     m, n = shape(a)
     diag = res.diagonal
@@ -727,11 +662,10 @@ def torsion_cokernel(a: Sequence[Sequence[int]]) -> TorsionCokernel:
         d = diag[i]
         gens.append(tuple(sum(x * y for x, y in zip(row, col) if x) // d
                           for row in a))
-    rows = [tuple((j, x) for j, x in enumerate(res.U[i]) if x)
-            for i in keep + list(range(rank, m))]
-    moduli = [diag[i] for i in keep] + [0] * (m - rank)
-    return TorsionCokernel(m, tuple(diag[i] for i in keep), tuple(gens),
-                           tuple(rows), tuple(moduli))
+    return AbGroupPresentation(
+        m, tuple(diag[i] for i in keep), tuple(gens),
+        tuple(_sparse(res.U[i]) for i in keep), None,
+        tuple(_sparse(res.U[i]) for i in range(rank, m)))
 
 
 def relation_columns(factors: Sequence[int], dim: int) -> list[list[int]]:

@@ -235,15 +235,15 @@ def direct_sum(a: GLattice, b: GLattice) -> GLattice:
 
 def induced_action_on_sublattice(lat: GLattice,
                                  basis_cols: Sequence[Sequence[int]]) -> GLattice:
-    """Action on an invariant sublattice in terms of the given basis."""
+    """Action on an invariant sublattice in terms of the given basis: the
+    images of the basis under every generator, in one solve."""
     k = len(basis_cols)
     basis = la.from_columns(basis_cols, lat.rank)
-    action = []
-    for m in lat.action:
-        x = la.solve_columns([list(c) for c in basis_cols],
-                             la.columns(la.mat_mul(m, basis))) if k else []
-        action.append(la.from_columns(x, k) if k else la.zeros(0, 0))
-    return GLattice(lat.group, k, tuple(action))
+    x = la.solve_columns(basis_cols, [
+        c for m in lat.action for c in la.columns(la.mat_mul(m, basis))])
+    return GLattice(lat.group, k, tuple(
+        la.from_columns(x[i * k:(i + 1) * k], k)
+        for i in range(len(lat.action))))
 
 
 def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galmod import intlinalg as la
+from lattice_strategies import unimodular_matrices
 
 
 def random_matrix(rng, rows, cols, bound=100):
@@ -271,6 +272,109 @@ def test_presentation_reduce():
     assert pres.reduce([7]) == pres.reduce([2])
     assert pres.contains_class_zero([10])
     assert not pres.contains_class_zero([3])
+
+
+def test_empty_span_reduce_refuses_nonzero_vectors():
+    """span(num) = 0: only the zero vector has a class."""
+    pres = la.abgroup_from_subquotient([], [], 3)
+    assert pres.is_trivial and pres.reduce([0, 0, 0]) == ()
+    with pytest.raises(la.SolveError):
+        pres.reduce([1, 0, 0])
+
+
+def _snf_unimodular(a):
+    rows, cols = la.shape(a)
+    res = la.smith_normal_form(a)
+    return rows == cols and res.rank == rows \
+        and all(d == 1 for d in res.invariant_factors)
+
+
+def _snf_in_span(rel, vec):
+    """Membership in the column span of ``rel`` by its Smith form: with
+    U rel V = D, the coordinates U vec must be multiples of the d_i up to
+    the rank and zero after it."""
+    res = la.smith_normal_form(rel)
+    z = la.mat_vec(res.U, vec)
+    d = res.diagonal
+    return all(z[i] % d[i] == 0 if i < res.rank else z[i] == 0
+               for i in range(len(z)))
+
+
+@given(st.integers(0, 5), st.data())
+@settings(max_examples=80, deadline=None)
+def test_is_unimodular_matches_smith_form(n, data):
+    """Products of elementary operations are unimodular; with one entry
+    moved, the echelon test agrees with the Smith form."""
+    u = data.draw(unimodular_matrices(n))
+    assert la.is_unimodular(u)
+    if n:
+        m = la.thaw(u)
+        i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        m[i][j] += data.draw(st.integers(-3, 3).filter(bool))
+        assert la.is_unimodular(m) == _snf_unimodular(m)
+    if n > 1:
+        assert not la.is_unimodular(u[1:])
+
+
+@given(st.integers(1, 5), st.integers(0, 5), st.data())
+@settings(max_examples=120, deadline=None)
+def test_in_relation_span_matches_smith_form(m, k, data):
+    rel = _sparse_rows(data.draw, m, k)
+    cols = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        x = [data.draw(st.integers(-3, 3)) for _ in range(k)]
+        noise = [data.draw(st.sampled_from([0, 0, 1, -1, 2]))
+                 for _ in range(m)]
+        cols.append([a + b for a, b in zip(la.mat_vec(rel, x), noise)])
+    want = [_snf_in_span(rel, c) for c in cols]
+    for c, w in zip(cols, want):
+        assert la.in_relation_span(rel, [c]) == w
+    assert la.in_relation_span(rel, cols) == all(want)
+
+
+def _two_solve_reduce(num, den, dim, vec):
+    """The earlier ``reduce``: coordinates y on an image basis of num by
+    one solve, then z with U^{-1} z = y by a second."""
+    basis = la.image_basis(la.from_columns(num, dim)) if num else []
+    if not basis:
+        return ()
+    k = len(basis)
+    x = la.solve_columns(basis, den) if den else []
+    res = la.smith_normal_form(la.from_columns(x, k) if x
+                               else la.zeros(k, 0), inverse=True)
+    diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
+    y = la.solve_columns(basis, [vec])[0]
+    z = la.solve_columns(la.columns(res.Uinv), [y])[0]
+    return tuple(zi % d if d else zi for zi, d in zip(z, diag) if d != 1)
+
+
+@given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_subquotient_reduce_matches_two_solve_route(dim, k, j, data):
+    """On random span(num)/span(den): ``reduce`` agrees with the two-solve
+    route on vectors of span(num) and raises off it; generator i reduces
+    to e_i and every den column to 0."""
+    def draw_vec(n, bound):
+        return [data.draw(st.integers(-bound, bound)) for _ in range(n)]
+
+    num = [draw_vec(dim, 4) for _ in range(k)]
+    num_mat = la.from_columns(num, dim)
+    den = [list(la.mat_vec(num_mat, draw_vec(k, 3))) for _ in range(j)]
+    pres = la.abgroup_from_subquotient(num, den, dim)
+    f = len(pres.factors)
+    for i, g in enumerate(pres.generators):
+        assert pres.reduce(g) == tuple(int(t == i) for t in range(f))
+    for c in den:
+        assert not any(pres.reduce(c))
+    for _ in range(3):
+        vec = list(la.mat_vec(num_mat, draw_vec(k, 5)))
+        assert pres.reduce(vec) == _two_solve_reduce(num, den, dim, vec)
+    off = draw_vec(dim, 2)
+    if num and _snf_in_span(num_mat, off):
+        assert pres.reduce(off) == _two_solve_reduce(num, den, dim, off)
+    elif any(off):
+        with pytest.raises(la.SolveError):
+            pres.reduce(off)
 
 
 def test_hom_kernel_cokernel():

@@ -122,6 +122,37 @@ def test_replay_refuses_moves_that_do_not_connect():
             own, original=other.original))
 
 
+def _trivialize(side):
+    """Set every action matrix of a dumped complex to the identity."""
+    for part in side.get("value", side).values():
+        if isinstance(part, dict) and "action" in part:
+            part["action"] = [[[int(i == j) for j in range(len(m))]
+                               for i in range(len(m))]
+                              for m in part["action"]]
+
+
+def test_replay_refuses_moves_that_are_not_equivariant():
+    """Give the resolved complex of a coflasque certificate, and the
+    complexes of its last pushout and pullback, the trivial action.  The
+    moves still connect, commute and induce isomorphisms of the
+    underlying groups, and the resolved kernel still passes its vanishing
+    table, but the pushout's maps are no longer G-equivariant.  Where
+    every action was trivial already, the forgery is the genuine
+    certificate and replays."""
+    forged = 0
+    for t in fixtures.complex_catalog().values():
+        obj = json.loads(se.to_json(se.dump_certificate(
+            coflasque_resolution(t)[1])))
+        genuine = se.to_json(obj)
+        po, pb = obj["moves"][-2:]
+        for side in (obj["resolved"], po["tgt"], pb["src"], pb["tgt"]):
+            _trivialize(side)
+        changed = se.to_json(obj) != genuine
+        assert replay_certificate(se.load_certificate(obj)) != changed
+        forged += changed
+    assert forged == 15
+
+
 def test_to_json_is_deterministic():
     lat = fixtures.lattice_catalog()["sign"]
     a = se.to_json(se.dump_lattice(lat))
