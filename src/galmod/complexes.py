@@ -8,7 +8,8 @@ every move is re-verified on the spot by ``verify_square``: its maps
 must be G-equivariant (comp0 modulo the target's relations) and the
 square must commute modulo those relations (one span solve), the induced
 map on H^-1 must have a square unimodular matrix on the cycle bases, and
-the induced map on H^0 must be onto and one-to-one (two span solves).
+the induced map on H^0 must be onto and one-to-one (read off one
+echelon of [comp0 | T] and the echelon of S that also gives the cycles).
 The full chain of moves is returned as a replayable certificate; replay
 also checks that the moves lead from the original complex to the
 resolved one.
@@ -112,13 +113,22 @@ def _half(t: TwoTermComplex) -> HalfComplex:
     return HalfComplex(t.l1, t.differential.matrix, lattice_as_module(t.l2))
 
 
-def _cycle_basis(h: HalfComplex) -> list[list[int]]:
-    """Basis of H^-1 = {a : d(a) lies in the relation span of B}."""
-    rel = la.columns(h.b.relations)
-    proj = la.preimage(h.d, rel, h.a.rank)
-    if rel and proj:
-        return la.image_basis(la.from_columns(proj, h.a.rank))
-    return proj
+def _cols(m: IntMatrix, n: int) -> list[list[int]]:
+    """The columns of a matrix with n columns; one with no rows cannot
+    carry n."""
+    return la.columns(m) if m else [[] for _ in range(n)]
+
+
+def _relation_span(h: HalfComplex):
+    """The columns of S = [d | relations], their tracked echelon, and the
+    basis of H^-1 = {a : d(a) lies in span(relations)} it gives: the
+    kernel of S cut to A, made a basis when B has relations."""
+    cols = _cols(h.d, h.a.rank) + la.columns(h.b.relations)
+    span = la.ColumnSpan(cols, track=True)
+    cycles = span.kernel(h.a.rank)
+    if la.shape(h.b.relations)[1] and cycles:
+        cycles = la.image_basis(la.from_columns(cycles, h.a.rank))
+    return cols, span, cycles
 
 
 def verify_square(src: HalfComplex, tgt: HalfComplex,
@@ -134,9 +144,13 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     on B are one span check.  H^-1 is free on the cycle bases, so its map
     is an isomorphism iff its matrix on them is square and unimodular.
     H^0 is Z^m / span(S) -> Z^n / span(T), with S and T the differential
-    and relations of each side: it is onto iff every unit vector lies in
-    span(comp0 | T), and one-to-one iff the preimage of span(T) under
-    comp0 lies in span(S).  Both are span solves; no Smith form runs."""
+    and relations of each side: it is onto iff the columns of [comp0 | T]
+    span Z^n, and one-to-one iff the preimage of span(T) under comp0 lies
+    in span(S).  Each matrix is eliminated once: the tracked echelon of S
+    gives the cycle basis of H^-1 (its kernel) and answers membership in
+    span(S), that of T the cycle basis of H^-1 on the target, and that of
+    [comp0 | T] both "onto" (its pivots) and the preimage (its kernel cut
+    to the first m coordinates).  No Smith form runs."""
     if not all(la.mat_eq(la.mat_mul(comp_minus1, ms),
                          la.mat_mul(mt, comp_minus1))
                for ms, mt in zip(src.a.action, tgt.a.action)):
@@ -149,8 +163,8 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     if not la.in_relation_span(tgt.b.relations, la.columns(la.hstack(
             comm, la.mat_mul(comp0, src.b.relations), *equi))):
         return MoveEvidence(False, False)
-    ks = _cycle_basis(src)
-    kt = _cycle_basis(tgt)
+    _, s, ks = _relation_span(src)
+    t_cols, _, kt = _relation_span(tgt)
     imgs = la.columns(la.mat_mul(comp_minus1,
                                  la.from_columns(ks, src.a.rank)))
     try:
@@ -158,12 +172,8 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
         hminus_ok = len(ks) == len(kt) and la.is_unimodular(mat)
     except la.SolveError:
         hminus_ok = False
-    s = la.hstack(src.d, src.b.relations)
-    t = la.hstack(tgt.d, tgt.b.relations)
-    h0_ok = la.in_relation_span(
-        la.hstack(comp0, t), la.columns(la.identity(tgt.b.ngens))) \
-        and la.in_relation_span(
-            s, la.preimage(comp0, la.columns(t), src.b.ngens))
+    h0 = la.ColumnSpan(_cols(comp0, src.b.ngens) + t_cols, track=True)
+    h0_ok = h0.spans(tgt.b.ngens) and s.contains(h0.kernel(src.b.ngens))
     return MoveEvidence(hminus_ok, h0_ok)
 
 
@@ -224,12 +234,12 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     if f.source is not d.source:
         raise GroupMismatchError("moves must share the corner lattice")
     a, aprime, b = f.source, f.target, d.target
-    if la.preimage(f.matrix, [], a.rank):
+    if la.ColumnSpan(_cols(f.matrix, a.rank)).rank != a.rank:
         raise PreconditionError("pushout requires a monomorphism")
     n = aprime.rank + b.rank
     anti = la.vstack(f.matrix, la.mat_neg(d.matrix)) if n else la.zeros(0, a.rank)
     amb = direct_sum(aprime, b)
-    snf = la.smith_normal_form(anti, inverse=True)
+    snf = la.smith_normal_form(anti, inverse=True, track_v=False)
     r = snf.rank
     saturated = all(x == 1 for x in snf.invariant_factors)
     src = TwoTermComplex(a, b, d)
@@ -277,7 +287,7 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
     if g.target is not dprime.target:
         raise GroupMismatchError("moves must share the corner lattice")
     bprime, b, aprime = g.source, g.target, dprime.source
-    if not la.in_relation_span(g.matrix, la.columns(la.identity(b.rank))):
+    if not la.ColumnSpan(la.columns(g.matrix)).spans(b.rank):
         raise PreconditionError("pullback requires an epimorphism")
     amb = direct_sum(bprime, aprime)
     diff = la.hstack(g.matrix, la.mat_neg(dprime.matrix))

@@ -352,22 +352,24 @@ def enumerate_subgroups(g: FiniteGroup,
     cached = getattr(g, "_subgroup_cache", None)
     if cached is not None:
         return cached
-    found: set[tuple[int, ...]] = {(0,)}
-    # closures of single elements, then saturate under adjoining elements
+    # Every subgroup is generated by cyclic subgroups, one after another,
+    # so it is reached from a cyclic subgroup by adjoining the first
+    # generator found for each cyclic subgroup.  Each subgroup is
+    # extended once, when it is first found.
+    cyclic: dict[tuple[int, ...], int] = {}
     for a in g.elements():
-        found.add(tuple(sorted(closure_of(g, {a}))))
-    changed = True
-    while changed:
-        changed = False
-        for mem in list(found):
-            memset = set(mem)
-            for a in g.elements():
-                if a in memset:
-                    continue
-                new = tuple(sorted(closure_of(g, memset | {a})))
-                if new not in found:
-                    found.add(new)
-                    changed = True
+        cyclic.setdefault(tuple(sorted(closure_of(g, {a}))), a)
+    found = set(cyclic)
+    worklist = list(cyclic)
+    while worklist:
+        memset = set(worklist.pop())
+        for c in cyclic.values():
+            if c in memset:
+                continue
+            new = tuple(sorted(closure_of(g, memset | {c})))
+            if new not in found:
+                found.add(new)
+                worklist.append(new)
     ordered = sorted(found, key=lambda m: (len(m), m))
     subgroups = [SubgroupHandle(g, m) for m in ordered]
     # conjugacy classes

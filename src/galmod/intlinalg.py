@@ -147,7 +147,8 @@ class SnfResult:
 
     U: IntMatrix
     D: IntMatrix
-    V: IntMatrix
+    # None when smith_normal_form(a, track_v=False) did not build it
+    V: IntMatrix | None
     # U^{-1}, built only when smith_normal_form(a, inverse=True) asks
     Uinv: IntMatrix | None = None
 
@@ -178,18 +179,20 @@ def _round_div(x: int, d: int) -> int:
     return q
 
 
-def smith_normal_form(a: Sequence[Sequence[int]],
-                      inverse: bool = False) -> SnfResult:
+def smith_normal_form(a: Sequence[Sequence[int]], inverse: bool = False,
+                      track_v: bool = True) -> SnfResult:
     """Smith normal form with transformation matrices.
 
     Pivot choice is deterministic: the smallest nonzero entry in absolute
     value, ties broken in row-major order.  With ``inverse`` the result
-    also carries U^{-1}, built alongside U (see ``_add_row``).
+    also carries U^{-1}, built alongside U (see ``_add_row``).  Without
+    ``track_v`` no column operation is recorded and V is None, for the
+    callers that read only U and D; U and D are the same either way.
     """
     m = thaw(a)
     rows, cols = shape(m)
     u = thaw(identity(rows))
-    v = thaw(identity(cols))
+    v = thaw(identity(cols)) if track_v else None
     # W = (U^{-1})^T, so that column operations on U^{-1} are row
     # operations on W
     w = thaw(identity(rows)) if inverse else None
@@ -216,7 +219,8 @@ def smith_normal_form(a: Sequence[Sequence[int]],
                 u[t][j] = -u[t][j]
             if w is not None:
                 w[t] = [-x for x in w[t]]
-    return SnfResult(freeze(u), freeze(m), freeze(v),
+    return SnfResult(freeze(u), freeze(m),
+                     freeze(v) if v is not None else None,
                      transpose(w) if w is not None else None)
 
 
@@ -231,10 +235,11 @@ def _swap_rows(m, u, w, i, j):
 
 
 def _swap_cols(m, v, i, j):
+    """Swap columns i and j of m and of V, unless V is None."""
     if i != j:
         for row in m:
             row[i], row[j] = row[j], row[i]
-        for row in v:
+        for row in v or ():
             row[i], row[j] = row[j], row[i]
 
 
@@ -260,17 +265,17 @@ def _add_row(m, u, w, src, dst, k):
 
 
 def _add_col(m, v, src, dst, k):
-    """col[dst] += k * col[src] in m and in V."""
+    """col[dst] += k * col[src] in m and in V, unless V is None."""
     for row in m:
         row[dst] += k * row[src]
-    for row in v:
+    for row in v or ():
         row[dst] += k * row[src]
 
 
 def _eliminate(m, u, w, v, start, rows, cols):
     """Diagonalize m from row/column ``start`` on by pivot-and-clear,
     recording row operations in U (and their inverses in W, unless it is
-    None) and column operations in V."""
+    None) and column operations in V (unless it is None)."""
     t = start
     while t < rows and t < cols:
         # locate pivot: smallest |entry| != 0, row-major tie-break
@@ -318,13 +323,10 @@ def _eliminate(m, u, w, v, start, rows, cols):
 
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    """Whether ``a`` is square with determinant ±1: its column echelon,
-    lower triangular with positive pivots, has n pivots all equal to 1."""
+    """Whether ``a`` is square with determinant ±1, that is, square with
+    columns that span Z^n (``ColumnSpan.spans``)."""
     n, c = shape(a)
-    if n != c:
-        return False
-    echelon = _column_echelon(columns(a))[0]
-    return len(echelon) == n and all(col[row] == 1 for row, col in echelon)
+    return n == c and ColumnSpan(columns(a)).spans(n)
 
 
 def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
@@ -347,7 +349,8 @@ def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
 # Sparse column elimination.  Used for the large, sparse cochain matrices,
 # where a dense SNF would be too slow, and the one place where a vector is
 # reduced against a span: solves, span membership, unimodularity and the
-# subquotient presentations all read a stored echelon through ``_along``.
+# subquotient presentations all read a stored echelon through ``_along``
+# or ``ColumnSpan``.
 
 def _column_echelon(cols: list[list[int]], track: bool = False):
     """Reduce a list of column vectors to column echelon form.
@@ -441,6 +444,36 @@ def _along(echelon, vec: Sequence[int]) -> list[int] | None:
     return None if resid else coeffs
 
 
+class ColumnSpan:
+    """The integer span of a list of columns, read off one column echelon.
+
+    ``contains`` reduces vectors along its pivots; ``rank`` counts them;
+    ``spans(n)`` says whether the columns span all of Z^n: the echelon
+    is lower triangular with positive pivots, so it does iff it has n
+    pivots and each is 1.  With ``track`` the echelon also records the
+    kernel of the matrix the columns form, and ``kernel(k)`` lists that
+    kernel's basis cut to the first k coordinates, so that one
+    elimination of [a | rel] answers both "is this in span([a | rel])"
+    and "what is the preimage of span(rel) under a"."""
+
+    def __init__(self, cols: Sequence[Sequence[int]], track: bool = False):
+        self.echelon, _, self._kernel = _column_echelon(cols, track)
+
+    @property
+    def rank(self) -> int:
+        return len(self.echelon)
+
+    def contains(self, vecs: Iterable[Sequence[int]]) -> bool:
+        return all(_along(self.echelon, v) is not None for v in vecs)
+
+    def spans(self, n: int) -> bool:
+        return len(self.echelon) == n and all(
+            col[row] == 1 for row, col in self.echelon)
+
+    def kernel(self, k: int) -> list[list[int]]:
+        return [[combo.get(i, 0) for i in range(k)] for combo in self._kernel]
+
+
 def _dense_cols(cols: Sequence[dict], rows: int) -> list[list[int]]:
     """Sparse columns {row: entry} as dense vectors of length ``rows``."""
     out = []
@@ -457,8 +490,7 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
 
     The basis spans a saturated sublattice of Z^cols.
     """
-    _, _, kernel = _column_echelon(columns(a), track=True)
-    return _dense_cols(kernel, shape(a)[1])
+    return ColumnSpan(columns(a), track=True).kernel(shape(a)[1])
 
 
 def preimage(a: Sequence[Sequence[int]], rel_cols: Sequence[Sequence[int]],
@@ -481,10 +513,7 @@ def in_relation_span(relations: Sequence[Sequence[int]],
     """Whether every column of ``cols`` lies in the integer span of the
     columns of ``relations``: one echelon of the span, then each column
     reduced along its pivots."""
-    if not cols:
-        return True
-    echelon = _column_echelon(columns(relations))[0]
-    return all(_along(echelon, c) is not None for c in cols)
+    return not cols or ColumnSpan(columns(relations)).contains(cols)
 
 
 def image_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -605,19 +634,22 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
                              ambient_dim: int) -> AbGroupPresentation:
     """The group span(num)/span(den); den must lie inside span(num).
 
-    den is written on the echelon basis of span(num), and the Smith form
-    U X V = D of that matrix X gives the factors (the d_i other than 1),
-    the generators (basis times U^{-1}) and the rows of U that ``reduce``
-    applies to a vector's coordinates on the basis."""
+    den is written on the echelon basis of span(num).  When the columns
+    of that k x j matrix X span Z^k (``ColumnSpan.spans``), den spans
+    span(num) and the group is trivial: the Smith form would give only
+    d_i = 1, so none runs.  Otherwise the Smith form U X V = D of X gives
+    the factors (the d_i other than 1), the generators (basis times
+    U^{-1}) and the rows of U that ``reduce`` applies to a vector's
+    coordinates on the basis."""
     echelon = _column_echelon([list(c) for c in num_cols])[0]
     k = len(echelon)
     x = [_along(echelon, c) for c in den_cols]
     if any(y is None for y in x):
         raise SolveError("den is not inside span(num)")
-    if not k:
+    if ColumnSpan(x).spans(k):
         return AbGroupPresentation(ambient_dim, (), (), (), echelon)
     res = smith_normal_form(from_columns(x, k) if x else zeros(k, 0),
-                            inverse=True)
+                            inverse=True, track_v=False)
     diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
     # ambient vectors of the adapted basis
     adapted = mat_mul(from_columns(_dense_cols(

@@ -247,11 +247,26 @@ def induced_action_on_sublattice(lat: GLattice,
 
 
 def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
-    """Saturated basis (columns) of the H-fixed sublattice."""
+    """Saturated basis (columns) of the H-fixed sublattice: the kernel of
+    the blocks M(h) - 1 stacked in the order of H's sorted members, up to
+    the largest of its minimal generators (``SubgroupHandle.as_group``).
+
+    The blocks of the later members would not change the basis.  The
+    column echelon behind the kernel walks rows in order, and after each
+    row every column it has not frozen as a pivot is zero on that row
+    and on all rows before it.  Each such column is the image of a
+    combination x of the basis, so once the members seen so far generate
+    H, (M(h) - 1) x = 0 for them and so x is H-fixed: those columns are
+    zero on every later row too.  The frozen columns are never touched
+    again, so the later rows find no column to eliminate, and the
+    kernel is the same as that of the full stack."""
     mats = lat.element_matrices()
+    last = max(h.to_parent(g) for g in h.as_group().generators)
     blocks = []
     ident = la.identity(lat.rank)
     for m in h.members:
+        if m > last:
+            break
         if m == 0:
             continue
         blocks.append(la.mat_add(mats[m], la.mat_neg(ident)))

@@ -172,8 +172,13 @@ def dump_complex(t: TwoTermComplex) -> dict:
 
 def load_complex(obj, size_limit: int = DEFAULT_SIZE_LIMIT
                  ) -> TwoTermComplex:
+    return _load_complex(obj, lambda g: load_group(g, size_limit))
+
+
+def _load_complex(obj, group_of) -> TwoTermComplex:
+    """A complex whose group dump ``group_of`` loads."""
     _expect(obj, COMPLEX_FORMAT)
-    group = load_group(obj["group"], size_limit)
+    group = group_of(obj["group"])
     l1 = _load_lattice_body(obj["l1"], group)
     l2 = _load_lattice_body(obj["l2"], group)
     diff = parse_matrix(obj["differential"], "differential")
@@ -246,10 +251,10 @@ def _dump_side(side: Union[HalfComplex, TwoTermComplex]) -> dict:
             "b": _dump_module_body(side.b)}
 
 
-def _load_side(obj, size_limit: int):
+def _load_side(obj, group_of):
     if obj["type"] == "complex":
-        return load_complex(obj["value"], size_limit)
-    group = load_group(obj["group"], size_limit)
+        return _load_complex(obj["value"], group_of)
+    group = group_of(obj["group"])
     return HalfComplex(_load_lattice_body(obj["a"], group),
                        parse_matrix(obj["d"], "half-complex differential"),
                        _load_module_body(obj["b"], group))
@@ -279,20 +284,32 @@ def dump_certificate(cert: ResolutionCertificate) -> dict:
 
 def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
                      ) -> ResolutionCertificate:
+    """A certificate whose complexes share one FiniteGroup per distinct
+    group dump, so that each group is checked once (``load_group``) and
+    its word, subgroup and Cayley caches serve every move.  Sides that
+    carry different dumps get different groups."""
     _expect(obj, CERTIFICATE_FORMAT)
+    groups: dict[str, FiniteGroup] = {}
+
+    def group_of(dump):
+        key = to_json(dump)
+        if key not in groups:
+            groups[key] = load_group(dump, size_limit)
+        return groups[key]
+
     moves = []
     for m in obj["moves"]:
         cm1 = (None if m["comp_minus1"] is None
                else parse_matrix(m["comp_minus1"], "comp_minus1"))
         c0 = None if m["comp0"] is None else parse_matrix(m["comp0"], "comp0")
         moves.append(CertificateMove(
-            m["kind"], _load_side(m["src"], size_limit),
-            _load_side(m["tgt"], size_limit), cm1, c0,
+            m["kind"], _load_side(m["src"], group_of),
+            _load_side(m["tgt"], group_of), cm1, c0,
             MoveEvidence(bool(m["evidence"][0]), bool(m["evidence"][1]))))
     return ResolutionCertificate(
         obj["mode"],
-        load_complex(obj["original"], size_limit),
-        load_complex(obj["resolved"], size_limit),
+        _load_complex(obj["original"], group_of),
+        _load_complex(obj["resolved"], group_of),
         tuple(moves),
         deep_tuple(obj["vanishing_table"]))
 

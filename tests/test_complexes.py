@@ -196,26 +196,76 @@ def _h0_iso_by_smith_form(src, tgt, comp0):
     return coker.is_trivial and ker.is_trivial
 
 
+def _verify_square_by_separate_solves(src, tgt, comp_minus1, comp0):
+    """The earlier ``verify_square``: each question eliminates its own
+    matrix, so [comp0 | T] and S are echeloned twice and each side's
+    cycle basis comes from its own preimage."""
+    if not all(la.mat_eq(la.mat_mul(comp_minus1, ms),
+                         la.mat_mul(mt, comp_minus1))
+               for ms, mt in zip(src.a.action, tgt.a.action)):
+        return MoveEvidence(False, False)
+    comm = la.mat_add(la.mat_mul(comp0, src.d),
+                      la.mat_neg(la.mat_mul(tgt.d, comp_minus1)))
+    equi = [la.mat_add(la.mat_mul(comp0, ms),
+                       la.mat_neg(la.mat_mul(mt, comp0)))
+            for ms, mt in zip(src.b.action, tgt.b.action)]
+    if not la.in_relation_span(tgt.b.relations, la.columns(la.hstack(
+            comm, la.mat_mul(comp0, src.b.relations), *equi))):
+        return MoveEvidence(False, False)
+
+    def cycle_basis(h):
+        rel = la.columns(h.b.relations)
+        proj = la.preimage(h.d, rel, h.a.rank)
+        if rel and proj:
+            return la.image_basis(la.from_columns(proj, h.a.rank))
+        return proj
+
+    ks, kt = cycle_basis(src), cycle_basis(tgt)
+    imgs = la.columns(la.mat_mul(comp_minus1,
+                                 la.from_columns(ks, src.a.rank)))
+    try:
+        mat = la.from_columns(la.solve_columns(kt, imgs), len(kt))
+        hminus_ok = len(ks) == len(kt) and la.is_unimodular(mat)
+    except la.SolveError:
+        hminus_ok = False
+    s = la.hstack(src.d, src.b.relations)
+    t = la.hstack(tgt.d, tgt.b.relations)
+    h0_ok = la.in_relation_span(
+        la.hstack(comp0, t), la.columns(la.identity(tgt.b.ngens))) \
+        and la.in_relation_span(
+            s, la.preimage(comp0, la.columns(t), src.b.ngens))
+    return MoveEvidence(hminus_ok, h0_ok)
+
+
 def test_h0_span_solves_match_smith_form_on_catalog_moves():
     """Every pushout and pullback move of the catalog resolutions, with
-    both maps scaled by 1, -1, 2 and 0 (the square still commutes)."""
-    verdicts = []
+    both maps scaled by 1, -1, 2 and 0 (the square still commutes), and
+    the torsion pushout: the H^0 verdict agrees with the Smith form, and
+    the whole evidence with the route that solves each question
+    separately."""
+    squares = []
     for t in fixtures.complex_catalog().values():
         for resolve in (coflasque_resolution, flasque_resolution):
             for move in resolve(t)[1].moves:
                 if move.kind == "duality":
                     continue
                 for k in (1, -1, 2, 0):
-                    cm1 = tuple(tuple(k * x for x in row)
-                                for row in move.comp_minus1)
-                    c0 = tuple(tuple(k * x for x in row)
-                               for row in move.comp0)
-                    got = verify_square(move.src, move.tgt, cm1, c0).h0_ok
-                    assert got == _h0_iso_by_smith_form(
-                        move.src, move.tgt, c0)
-                    verdicts.append(got)
-    assert len(verdicts) == 432
-    assert True in verdicts and False in verdicts
+                    squares.append((move.src, move.tgt) + tuple(
+                        tuple(tuple(k * x for x in row) for row in m)
+                        for m in (move.comp_minus1, move.comp0)))
+    assert len(squares) == 432
+    triv = trivial_lattice(cyclic_group(2))
+    doubling = LatticeMap(triv, triv, ((2,),))
+    move = pushout_square(doubling, doubling).move
+    squares.append((move.src, move.tgt, move.comp_minus1, move.comp0))
+    verdicts = []
+    for src, tgt, cm1, c0 in squares:
+        got = verify_square(src, tgt, cm1, c0)
+        assert got == _verify_square_by_separate_solves(src, tgt, cm1, c0)
+        assert got.h0_ok == _h0_iso_by_smith_form(src, tgt, c0)
+        verdicts.append(got)
+    assert {v.h0_ok for v in verdicts} == {True, False}
+    assert {v.hminus_ok for v in verdicts} == {True, False}
 
 
 def test_pushout_pullback_identity_squares():

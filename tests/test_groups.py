@@ -2,9 +2,11 @@
 
 import pytest
 
+from galmod import fixtures
 from galmod.groups import (MembershipError, SizeLimitError, build_group,
-                           coset_action, cyclic_group, dihedral_group_4,
-                           direct_product, enumerate_subgroups, klein_four,
+                           closure_of, coset_action, cyclic_group,
+                           dihedral_group_4, direct_product,
+                           enumerate_subgroups, klein_four,
                            parse_cycles, subgroup, sylow_all_cyclic,
                            symmetric_group_3, trivial_subgroup,
                            whole_subgroup)
@@ -53,6 +55,46 @@ def test_subgroup_enumeration_counts():
     assert len(reps) == 4  # 1, <(12)> class, A3, S3
     subs, _ = enumerate_subgroups(klein_four())
     assert len(subs) == 5
+
+
+def _saturated_subgroups(g):
+    """The earlier route: the closures of single elements, then every
+    known subgroup extended by every element until nothing changes; the
+    representatives are the first subgroup of each conjugacy class in
+    (order, members) order."""
+    found = {tuple(sorted(closure_of(g, {a}))) for a in g.elements()}
+    changed = True
+    while changed:
+        changed = False
+        for mem in list(found):
+            for a in g.elements():
+                if a not in mem:
+                    new = tuple(sorted(closure_of(g, set(mem) | {a})))
+                    if new not in found:
+                        found.add(new)
+                        changed = True
+    subgroups = sorted(found, key=lambda m: (len(m), m))
+    reps, seen = [], set()
+    for mem in subgroups:
+        if mem not in seen:
+            reps.append(mem)
+            seen.update(tuple(sorted(g.conj(a, x) for x in mem))
+                        for a in g.elements())
+    return subgroups, reps
+
+
+def test_enumerate_subgroups_matches_saturating_route():
+    """The worklist finds the same sorted subgroups and representatives
+    on every catalog group, on S4, and on (Z2)^3, which needs three
+    generators."""
+    groups = list(fixtures.group_catalog().values()) + [
+        direct_product(klein_four(), cyclic_group(2)),
+        build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")]
+    for g in groups:
+        subs, reps = enumerate_subgroups(g)
+        assert ([h.members for h in subs], [h.members for h in reps]) \
+            == _saturated_subgroups(g), g.name
+    assert len(subs) == 30 and len(reps) == 11
 
 
 def test_subgroup_handle_checks():

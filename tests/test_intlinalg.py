@@ -100,11 +100,14 @@ def test_snf_property(m):
 
 def check_snf_inverse(a):
     """The U^{-1} built alongside U inverts it, and asking for it changes
-    none of U, D and V."""
+    none of U, D and V; leaving V out changes none of U, D and U^{-1}."""
     res = la.smith_normal_form(a, inverse=True)
     plain = la.smith_normal_form(a)
     assert plain.Uinv is None
     assert (res.U, res.D, res.V) == (plain.U, plain.D, plain.V)
+    no_v = la.smith_normal_form(a, inverse=True, track_v=False)
+    assert no_v.V is None
+    assert (no_v.U, no_v.D, no_v.Uinv) == (res.U, res.D, res.Uinv)
     n = len(res.U)
     assert la.shape(res.Uinv) == (n, n)
     assert la.mat_mul(res.U, res.Uinv) == la.identity(n)
@@ -348,19 +351,48 @@ def _two_solve_reduce(num, den, dim, vec):
     return tuple(zi % d if d else zi for zi, d in zip(z, diag) if d != 1)
 
 
-@given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 4), st.data())
-@settings(max_examples=100, deadline=None)
-def test_subquotient_reduce_matches_two_solve_route(dim, k, j, data):
-    """On random span(num)/span(den): ``reduce`` agrees with the two-solve
-    route on vectors of span(num) and raises off it; generator i reduces
-    to e_i and every den column to 0."""
+def _smith_route(num, den, dim):
+    """The earlier ``abgroup_from_subquotient``, which ran the Smith form
+    also when den spans span(num): the fields of its presentation."""
+    echelon = la._column_echelon([list(c) for c in num])[0]
+    k = len(echelon)
+    x = [la._along(echelon, c) for c in den]
+    if not k:
+        return (dim, (), (), (), echelon, ())
+    res = la.smith_normal_form(la.from_columns(x, k) if x
+                               else la.zeros(k, 0), inverse=True)
+    diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
+    adapted = la.mat_mul(la.from_columns(la._dense_cols(
+        [col for _, col in echelon], dim), dim), res.Uinv)
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    return (dim, tuple(diag[i] for i in keep),
+            tuple(tuple(adapted[r][i] for r in range(dim)) for i in keep),
+            tuple(la._sparse(res.U[i]) for i in keep), echelon, ())
+
+
+@given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 4),
+       st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_subquotient_reduce_matches_two_solve_route(dim, k, j, spans, data):
+    """On random span(num)/span(den), where den spans span(num) when
+    ``spans`` holds and mostly does not otherwise: the presentation is
+    field for field the Smith route's, ``reduce`` agrees with the
+    two-solve route on vectors of span(num) and raises off it, generator
+    i reduces to e_i and every den column to 0."""
     def draw_vec(n, bound):
         return [data.draw(st.integers(-bound, bound)) for _ in range(n)]
 
     num = [draw_vec(dim, 4) for _ in range(k)]
     num_mat = la.from_columns(num, dim)
     den = [list(la.mat_vec(num_mat, draw_vec(k, 3))) for _ in range(j)]
+    if spans:
+        den = [[a - b for a, b in zip(c, d)] for c, d in zip(num, den)] \
+            + num[len(den):] + den
     pres = la.abgroup_from_subquotient(num, den, dim)
+    assert (pres.ambient_dim, pres.factors, pres.generators, pres._rows,
+            pres._basis, pres._checks) == _smith_route(num, den, dim)
+    if spans:
+        assert pres.is_trivial
     f = len(pres.factors)
     for i, g in enumerate(pres.generators):
         assert pres.reduce(g) == tuple(int(t == i) for t in range(f))

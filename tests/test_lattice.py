@@ -2,7 +2,9 @@
 
 import pytest
 from hypothesis import given, settings
-from lattice_strategies import small_lattices
+from hypothesis import strategies as st
+from lattice_strategies import S4_LATTICES, small_lattices, \
+    unimodular_matrices
 
 from galmod import fixtures
 from galmod import intlinalg as la
@@ -12,11 +14,11 @@ from galmod.groups import (cyclic_group, dihedral_group_4,
                            symmetric_group_3, trivial_subgroup,
                            whole_subgroup)
 from galmod.lattice import (EquivarianceError, FgModule, GLattice,
-                            LatticeMap, direct_sum, dual_lattice, dual_map,
-                            fixed_points, induce, lattice_as_module,
-                            make_permutation_lattice, regular_lattice,
-                            restrict_lattice, sign_lattice,
-                            trivial_lattice, zero_lattice)
+                            LatticeMap, conjugate_lattice, direct_sum,
+                            dual_lattice, dual_map, fixed_points, induce,
+                            lattice_as_module, make_permutation_lattice,
+                            regular_lattice, restrict_lattice,
+                            sign_lattice, trivial_lattice, zero_lattice)
 
 
 def test_lattice_validation():
@@ -152,6 +154,28 @@ def test_fixed_points():
     assert len(fixed_points(sign_lattice(z2, [-1]), whole_subgroup(z2))) == 0
     assert len(fixed_points(regular_lattice(z2), whole_subgroup(z2))) == 1
     assert len(fixed_points(regular_lattice(z2), trivial_subgroup(z2))) == 2
+
+
+def _fixed_points_all_members(lat, h):
+    """The earlier route: the kernel of M(h) - 1 stacked over every
+    non-identity member of H."""
+    mats = lat.element_matrices()
+    ident = la.identity(lat.rank)
+    blocks = [la.mat_add(mats[m], la.mat_neg(ident))
+              for m in h.members if m]
+    return la.preimage(la.vstack(*blocks), [], lat.rank)
+
+
+@given(st.sampled_from(list(S4_LATTICES.values())
+                       + list(fixtures.lattice_catalog().values())),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_fixed_points_match_all_members_stack(lat, data):
+    """Stopping the stack at H's largest minimal generator gives the same
+    basis as stacking every member, for every subgroup."""
+    lat = conjugate_lattice(lat, data.draw(unimodular_matrices(lat.rank)))
+    for h in enumerate_subgroups(lat.group)[0]:
+        assert fixed_points(lat, h) == _fixed_points_all_members(lat, h)
 
 
 def test_induce_rank_and_shapiro_shape():

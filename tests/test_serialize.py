@@ -2,6 +2,7 @@
 patching graphs, and resolution certificates."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -9,8 +10,9 @@ import pytest
 from galmod import fixtures
 from galmod import intlinalg as la
 from galmod import serialize as se
-from galmod.complexes import (coflasque_resolution, flasque_resolution,
-                              replay_certificate)
+from galmod.complexes import (CertificateMove, HalfComplex, MoveEvidence,
+                              ResolutionCertificate, coflasque_resolution,
+                              flasque_resolution, replay_certificate)
 from galmod.groups import cyclic_group, symmetric_group_3
 
 
@@ -120,6 +122,93 @@ def test_replay_refuses_moves_that_do_not_connect():
             vanishing_table=other.vanishing_table))
         assert not replay_certificate(dataclasses.replace(
             own, original=other.original))
+
+
+def test_catalog_certificates_unchanged():
+    """The JSON of the coflasque and flasque certificates of all 18
+    catalog complexes hashes to the value computed before the moves'
+    span checks shared their eliminations: no change of route may change
+    a certificate."""
+    h = hashlib.sha256()
+    count = 0
+    for t in fixtures.complex_catalog().values():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            h.update(se.to_json(se.dump_certificate(resolve(t)[1])).encode())
+            count += 1
+    assert count == 36
+    assert h.hexdigest() == (
+        "80060c29d448c13b03528bc76153235565c1180cac87f7e17a9fc9564eac8108")
+
+
+def _load_each_side_alone(obj):
+    """The earlier ``load_certificate``: every complex loads and checks
+    its own copy of its group."""
+    def side(x):
+        if x["type"] == "complex":
+            return se.load_complex(x["value"])
+        group = se.load_group(x["group"])
+        return HalfComplex(se._load_lattice_body(x["a"], group),
+                           se.parse_matrix(x["d"], "d"),
+                           se._load_module_body(x["b"], group))
+
+    moves = tuple(CertificateMove(
+        m["kind"], side(m["src"]), side(m["tgt"]),
+        None if m["comp_minus1"] is None
+        else se.parse_matrix(m["comp_minus1"], "comp_minus1"),
+        None if m["comp0"] is None else se.parse_matrix(m["comp0"], "comp0"),
+        MoveEvidence(*m["evidence"])) for m in obj["moves"])
+    return ResolutionCertificate(
+        obj["mode"], se.load_complex(obj["original"]),
+        se.load_complex(obj["resolved"]), moves,
+        se.deep_tuple(obj["vanishing_table"]))
+
+
+def _groups(cert) -> set:
+    """The ids of the groups of a certificate's complexes."""
+    sides = [x for m in cert.moves for x in (m.src, m.tgt)]
+    return {id(x.a.group if isinstance(x, HalfComplex) else x.group)
+            for x in sides + [cert.original, cert.resolved]}
+
+
+def _group_dump(side):
+    return side["value"]["group"] if side["type"] == "complex" \
+        else side["group"]
+
+
+def _relabel(g):
+    """Swap the labels 1 and n-1 of a dumped group's elements."""
+    n = len(g["table"])
+    swap = list(range(n))
+    swap[1], swap[n - 1] = n - 1, 1
+    g["table"] = [[swap[g["table"][swap[a]][swap[b]]] for b in range(n)]
+                  for a in range(n)]
+    g["generators"] = [swap[x] for x in g["generators"]]
+
+
+def test_load_certificate_shares_one_group_per_dump():
+    """A loaded certificate holds one FiniteGroup, checked once, for all
+    its complexes.  A side whose group dump differs gets its own group,
+    and the replay verdict is the one of loading every side alone: for a
+    first move's side given another group name or a relabelled table
+    (the moves still check, as no move compares groups), and for a
+    resolved complex over a relabelled table (the moves no longer
+    connect)."""
+    catalog = fixtures.complex_catalog()
+    verdicts = []
+    for name in ("z3-aug", "s3-coset-aug"):
+        for resolve in (coflasque_resolution, flasque_resolution):
+            text = se.to_json(se.dump_certificate(resolve(catalog[name])[1]))
+            assert len(_groups(se.load_certificate(json.loads(text)))) == 1
+            forged = [json.loads(text) for _ in range(4)]
+            _group_dump(forged[1]["moves"][0]["tgt"])["name"] = "other"
+            _relabel(_group_dump(forged[2]["moves"][0]["src"]))
+            _relabel(forged[3]["resolved"]["group"])
+            for obj in forged:
+                got = replay_certificate(se.load_certificate(obj))
+                assert got == replay_certificate(_load_each_side_alone(obj))
+                verdicts.append(got)
+            assert len(_groups(se.load_certificate(forged[1]))) == 2
+    assert verdicts == [True, True, True, False] * 4
 
 
 def _trivialize(side):
