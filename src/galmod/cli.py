@@ -3,8 +3,9 @@
 Every object flag takes either a file path or a ``fixtures:NAME``
 reference into the built-in catalog.  Exit codes: 0 success, 1 a check
 computed the verdict "false" (for ``refine``: the refined graph splits
-into several connected components, which are printed), 2 input error, 3
-size-limit exceeded, 4 internal error.
+into several connected components, which are printed), 2 input found
+wrong while it was loaded or parsed, 3 size-limit exceeded, 4 internal
+error (any failure during a computation).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .crossed import (DEFAULT_ENUMERATION_BOUND, h_minus_one, h_zero,
 from .groups import (DEFAULT_SIZE_LIMIT, MembershipError, SizeLimitError,
                      SubgroupHandle, sylow_all_cyclic)
 from . import intlinalg as la
-from .lattice import EquivarianceError
+from .lattice import EquivarianceError, trivial_lattice
 from .patching import (GraphSplitError, ModelError, crossed_six_term_report,
                        nine_term_report, refine_graph, remark_compare, sha)
 from .serialize import FormatError
@@ -40,46 +41,48 @@ class CliInputError(Exception):
     pass
 
 
-def _read(flag_value: str, kind: str, size_limit: int):
-    if flag_value.startswith("fixtures:"):
+def _read_json(path: str):
+    try:
+        return serialize.read_file(path)
+    except (OSError, json.JSONDecodeError) as e:
+        raise CliInputError(f"cannot read {path}: {e}")
+
+
+def _load(args, kind: str):
+    """The object that the --KIND flag names, rejected unless it is what it
+    claims to be: the cohomology code relies on a genuine group action."""
+    value = getattr(args, kind)
+    if value.startswith("fixtures:"):
         try:
-            return fixtures.lookup(kind, flag_value[len("fixtures:"):])
+            obj = fixtures.lookup(kind, value[len("fixtures:"):])
         except KeyError as e:
             raise CliInputError(str(e))
-    try:
-        obj = serialize.read_file(flag_value)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliInputError(f"cannot read {flag_value}: {e}")
-    loaders = {
-        "group": serialize.load_group,
-        "lattice": serialize.load_lattice,
-        "complex": serialize.load_complex,
-        "crossed": serialize.load_crossed,
-        "graph": serialize.load_graph,
-    }
-    try:
-        return loaders[kind](obj, size_limit)
-    except (TypeError, ValueError, KeyError) as e:
-        raise CliInputError(f"malformed {kind} in {flag_value}: "
-                            f"{type(e).__name__}: {e}")
-
-
-def _load(flag_value: str, kind: str, size_limit: int):
-    """Read an object and reject it unless it is what it claims to be:
-    the cohomology code relies on a genuine group action."""
-    obj = _read(flag_value, kind, size_limit)
-    if kind == "lattice":
-        obj.validate()
-    elif kind == "complex":
-        obj.l1.validate()
-        obj.l2.validate()
-        obj.differential.validate()
-    elif kind == "crossed":
+    else:
+        data = _read_json(value)
+        try:
+            obj = getattr(serialize, f"load_{kind}")(data, args.size_limit)
+        except (TypeError, ValueError, KeyError) as e:
+            raise CliInputError(f"malformed {kind} in {value}: "
+                                f"{type(e).__name__}: {e}")
+    if kind == "crossed":
         verdict = validate_crossed_module(obj)
         if not verdict.ok:
             raise CliInputError(
                 f"invalid crossed module: {verdict.failure[0]}")
+    elif kind in ("lattice", "complex"):
+        obj.validate()
     return obj
+
+
+def _coefficient(args, *kinds):
+    """The object of the first of the --KIND flags that was given."""
+    for kind in kinds:
+        if getattr(args, kind, None):
+            return _load(args, kind)
+    flags = [f"--{k}" for k in ("lattice", "complex", "crossed")
+             if k in kinds]
+    raise CliInputError(f"{args.command} needs {', '.join(flags[:-1])} "
+                        f"or {flags[-1]}")
 
 
 def _subgroup(text: str, group) -> SubgroupHandle:
@@ -97,15 +100,11 @@ def _subgroup(text: str, group) -> SubgroupHandle:
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:
     if args.format == "json":
-        payload["format"] = "galmod-report-1"
-        print(serialize.to_json(payload))
+        print(serialize.to_json({**payload, "command": args.command,
+                                 "format": "galmod-report-1"}))
     else:
         for line in text_lines:
             print(line)
-
-
-def _factors(cg) -> list[int]:
-    return list(cg.invariant_factors)
 
 
 def _acting(args, group):
@@ -115,58 +114,46 @@ def _acting(args, group):
     return _subgroup(args.subgroup, group)
 
 
-def cmd_cohomology(args, size_limit):
-    lat = _load(args.lattice, "lattice", size_limit)
-    if args.group:
-        grp = _load(args.group, "group", size_limit)
-        if grp.table != lat.group.table:
+def cmd_cohomology(args):
+    """H^n (``cohomology``), Tate H^n (``tate``) or hypercohomology H^n
+    (``hyper``) of the coefficient object."""
+    compute = {"cohomology": group_cohomology, "tate": tate_cohomology,
+               "hyper": hypercohomology}[args.command]
+    coeff = _coefficient(args, "lattice", "complex")
+    if getattr(args, "group", None):
+        grp = _load(args, "group")
+        if grp.table != coeff.group.table:
             raise CliInputError("--group does not match the lattice group")
-    cg = group_cohomology(_acting(args, lat.group), lat, args.degree)
-    _emit(args, [f"invariant factors: {_factors(cg)}"],
-          {"command": "cohomology", "degree": args.degree,
-           "invariant_factors": _factors(cg)})
+    factors = list(compute(_acting(args, coeff.group), coeff,
+                           args.degree).invariant_factors)
+    _emit(args, [f"invariant factors: {factors}"],
+          {"degree": args.degree, "invariant_factors": factors})
     return EXIT_OK
 
 
-def cmd_tate(args, size_limit):
-    lat = _load(args.lattice, "lattice", size_limit)
-    cg = tate_cohomology(_acting(args, lat.group), lat, args.degree)
-    _emit(args, [f"invariant factors: {_factors(cg)}"],
-          {"command": "tate", "degree": args.degree,
-           "invariant_factors": _factors(cg)})
-    return EXIT_OK
-
-
-def cmd_hyper(args, size_limit):
-    t = _load(args.complex, "complex", size_limit)
-    cg = hypercohomology(_acting(args, t.group), t, args.degree)
-    _emit(args, [f"invariant factors: {_factors(cg)}"],
-          {"command": "hyper", "degree": args.degree,
-           "invariant_factors": _factors(cg)})
-    return EXIT_OK
-
-
-def cmd_classify(args, size_limit):
-    lat = _load(args.lattice, "lattice", size_limit)
+def cmd_classify(args):
+    lat = _load(args, "lattice")
     verdict = classify(lat, args.mode)
     lines = [f"{args.mode}: {'yes' if verdict.ok else 'no'}"]
     for members, factors in verdict.table:
         lines.append(f"  subgroup {list(members)}: factors {list(factors)}")
     _emit(args, lines,
-          {"command": "classify", "mode": args.mode, "ok": verdict.ok,
+          {"mode": args.mode, "ok": verdict.ok,
            "table": [[list(m), list(f)] for m, f in verdict.table]})
     return EXIT_OK if verdict.ok else EXIT_FALSE
 
 
-def _resolve(args, size_limit, mode):
-    t = _load(args.complex, "complex", size_limit)
-    resolved, cert = (coflasque_resolution(t) if mode == "coflasque"
+def cmd_resolve(args):
+    """``resolve-coflasque`` or ``resolve-flasque``, by command."""
+    t = _load(args, "complex")
+    resolved, cert = (coflasque_resolution(t)
+                      if args.command == "resolve-coflasque"
                       else flasque_resolution(t))
     cert_obj = serialize.dump_certificate(cert)
     replay_ok = None
     if args.verify_certificate:
         replay_ok = replay_certificate(
-            serialize.load_certificate(cert_obj, size_limit))
+            serialize.load_certificate(cert_obj, args.size_limit))
     lines = [
         f"resolved: [{resolved.l1.rank} -> {resolved.l2.rank}]",
         "differential:",
@@ -179,8 +166,7 @@ def _resolve(args, size_limit, mode):
     if replay_ok is not None:
         lines.append(f"replay: {'ok' if replay_ok else 'FAILED'}")
     _emit(args, lines,
-          {"command": f"resolve-{mode}",
-           "resolved": serialize.dump_complex(resolved),
+          {"resolved": serialize.dump_complex(resolved),
            "certificate": cert_obj,
            "replay": replay_ok})
     if not cert.valid or replay_ok is False:
@@ -188,17 +174,8 @@ def _resolve(args, size_limit, mode):
     return EXIT_OK
 
 
-def cmd_resolve_coflasque(args, size_limit):
-    return _resolve(args, size_limit, "coflasque")
-
-
-def cmd_resolve_flasque(args, size_limit):
-    return _resolve(args, size_limit, "flasque")
-
-
-def cmd_invariants(args, size_limit):
-    t = _load(args.complex, "complex", size_limit)
-    data = r_equivalence_invariant(t)
+def cmd_invariants(args):
+    data = r_equivalence_invariant(_load(args, "complex"))
     lines = [f"flasque lattice rank: {data.flasque_lattice.rank}"]
     table = []
     for members, tate, h1 in data.table:
@@ -206,43 +183,32 @@ def cmd_invariants(args, size_limit):
                      f"h1 {list(h1)}")
         table.append([list(members), list(tate), list(h1)])
     _emit(args, lines,
-          {"command": "invariants",
-           "flasque_rank": data.flasque_lattice.rank, "table": table})
+          {"flasque_rank": data.flasque_lattice.rank, "table": table})
     return EXIT_OK
 
 
-def _enumeration_bound(args) -> int:
-    """--size-limit also caps crossed-module enumeration (H^0 cocycles and
-    the vertex product of the six-term report)."""
-    return args.size_limit or DEFAULT_ENUMERATION_BOUND
-
-
-def cmd_crossed_h0(args, size_limit):
-    c = _load(args.crossed, "crossed", size_limit)
-    hz = h_zero(c, _enumeration_bound(args))
+def cmd_crossed_h0(args):
+    c = _load(args, "crossed")
+    hz = h_zero(c, args.bound)
     hm = h_minus_one(c)
     lines = [f"H^-1 order: {hm.order}",
              f"H^0 order: {hz.order}",
              f"H^0 class representatives: {list(hz.representatives)}"]
     _emit(args, lines,
-          {"command": "crossed-h0",
-           "h_minus_one_order": hm.order,
+          {"h_minus_one_order": hm.order,
            "h_zero_order": hz.order,
            "representatives": serialize.deep_list(hz.representatives)})
     return EXIT_OK
 
 
-def cmd_mv_report(args, size_limit):
-    graph = _load(args.graph, "graph", size_limit)
+def cmd_mv_report(args):
+    graph = _load(args, "graph")
+    coeff = _coefficient(args, "crossed", "complex")
     if args.crossed:
-        c = _load(args.crossed, "crossed", size_limit)
-        rep = crossed_six_term_report(graph, c, _enumeration_bound(args))
+        rep = crossed_six_term_report(graph, coeff, args.bound)
         sha_sizes = [len(s.classes) for s in rep.sha_groups]
     else:
-        if not args.complex:
-            raise CliInputError("mv-report needs --complex or --crossed")
-        t = _load(args.complex, "complex", size_limit)
-        rep = nine_term_report(graph, t)
+        rep = nine_term_report(graph, coeff)
         sha_sizes = [list(s.invariant_factors) for s in rep.sha_groups]
     lines = []
     for i, r in enumerate(rep.degrees):
@@ -254,7 +220,7 @@ def cmd_mv_report(args, size_limit):
             f"exact at middle {mid[0]}, sha {sha_sizes[i]}")
     lines.append(f"not evaluated: {list(rep.not_evaluated)}")
     _emit(args, lines,
-          {"command": "mv-report", "degrees": list(rep.degrees),
+          {"degrees": list(rep.degrees),
            "composition_zero": list(rep.composition_zero),
            "exact_at_left": list(rep.exact_at_left),
            "exact_at_middle": [[m[0], serialize.deep_list(m[1])]
@@ -264,34 +230,25 @@ def cmd_mv_report(args, size_limit):
     return EXIT_OK
 
 
-def cmd_sha(args, size_limit):
-    graph = _load(args.graph, "graph", size_limit)
-    if args.lattice:
-        coeff = _load(args.lattice, "lattice", size_limit)
-    elif args.complex:
-        coeff = _load(args.complex, "complex", size_limit)
-    elif args.crossed:
-        coeff = _load(args.crossed, "crossed", size_limit)
-    else:
-        raise CliInputError("sha needs --lattice, --complex or --crossed")
-    result = sha(graph, coeff, args.degree, _enumeration_bound(args))
+def cmd_sha(args):
+    graph = _load(args, "graph")
+    coeff = _coefficient(args, "lattice", "complex", "crossed")
+    result = sha(graph, coeff, args.degree, args.bound)
     if hasattr(result, "invariant_factors"):
         lines = [f"invariant factors: {list(result.invariant_factors)}"]
-        payload = {"command": "sha", "degree": args.degree,
+        payload = {"degree": args.degree,
                    "invariant_factors": list(result.invariant_factors)}
     else:
         lines = [f"kernel classes: {list(result.classes)} "
                  f"(order {len(result.classes)})"]
-        payload = {"command": "sha", "degree": args.degree,
-                   "classes": list(result.classes)}
+        payload = {"degree": args.degree, "classes": list(result.classes)}
     _emit(args, lines, payload)
     return EXIT_OK
 
 
-def cmd_remark_compare(args, size_limit):
-    graph = _load(args.graph, "graph", size_limit)
-    t = _load(args.complex, "complex", size_limit)
-    rep = remark_compare(graph, t)
+def cmd_remark_compare(args):
+    graph = _load(args, "graph")
+    rep = remark_compare(graph, _load(args, "complex"))
     lines = [
         f"sha1(complex): {list(rep.sha1_complex.invariant_factors)}",
         f"sha2(flasque): {list(rep.sha2_flasque.invariant_factors)}",
@@ -302,8 +259,7 @@ def cmd_remark_compare(args, size_limit):
         f"hypotheses hold: {rep.hypotheses_hold}",
     ]
     _emit(args, lines,
-          {"command": "remark-compare",
-           "sha1": list(rep.sha1_complex.invariant_factors),
+          {"sha1": list(rep.sha1_complex.invariant_factors),
            "sha2_flasque": list(rep.sha2_flasque.invariant_factors),
            "cokernel": list(rep.cokernel_factors),
            "all_agree": rep.all_agree,
@@ -313,8 +269,8 @@ def cmd_remark_compare(args, size_limit):
     return EXIT_OK
 
 
-def cmd_refine(args, size_limit):
-    graph = _load(args.graph, "graph", size_limit)
+def cmd_refine(args):
+    graph = _load(args, "graph")
     try:
         refined = refine_graph(graph, _subgroup(args.subgroup, graph.gamma))
     except GraphSplitError as split:
@@ -324,8 +280,7 @@ def cmd_refine(args, size_limit):
                 i, *split.witnesses[i]) for i in comp)
             lines.append(f"  component {k}: refined vertices {where}")
         _emit(args, lines,
-              {"command": "refine", "connected": False,
-               "components": split.components,
+              {"connected": False, "components": split.components,
                "witnesses": [list(w) for w in split.witnesses]})
         return EXIT_FALSE
     lines = [f"refined: {refined.n_vertices} vertices, "
@@ -334,22 +289,19 @@ def cmd_refine(args, size_limit):
         lines.append(f"  vertex {i}: subgroup {list(v.members)}")
     for head, tail, e in refined.edges:
         lines.append(f"  edge {head} -> {tail}: subgroup {list(e.members)}")
-    payload = serialize.dump_graph(refined)
-    payload["command"] = "refine"
-    _emit(args, lines, payload)
+    _emit(args, lines, serialize.dump_graph(refined))
     return EXIT_OK
 
 
-def cmd_shapiro(args, size_limit):
-    gamma = _load(args.group, "group", size_limit)
+def cmd_shapiro(args):
+    gamma = _load(args, "group")
     h = _subgroup(args.subgroup, gamma)
     if args.lattice:
-        lat = _load(args.lattice, "lattice", size_limit)
+        lat = _load(args, "lattice")
         if lat.group.table != h.as_group().table:
             raise CliInputError(
                 "lattice group does not match the subgroup")
     else:
-        from .lattice import trivial_lattice
         lat = trivial_lattice(h.as_group())
     verdict = shapiro_compare(gamma, h, lat, args.degree)
     lines = [
@@ -358,51 +310,81 @@ def cmd_shapiro(args, size_limit):
         f"isomorphic: {verdict.isomorphic}",
     ]
     _emit(args, lines,
-          {"command": "shapiro", "degree": args.degree,
+          {"degree": args.degree,
            "induced": list(verdict.induced_side.invariant_factors),
            "subgroup": list(verdict.subgroup_side.invariant_factors),
            "isomorphic": verdict.isomorphic})
     return EXIT_OK if verdict.isomorphic else EXIT_FALSE
 
 
-def cmd_sylow_cyclic(args, size_limit):
-    g = _load(args.group, "group", size_limit)
-    ok = sylow_all_cyclic(g)
-    _emit(args, [f"all Sylow subgroups cyclic: {ok}"],
-          {"command": "sylow-cyclic", "result": ok})
+def cmd_sylow_cyclic(args):
+    ok = sylow_all_cyclic(_load(args, "group"))
+    _emit(args, [f"all Sylow subgroups cyclic: {ok}"], {"result": ok})
     return EXIT_OK if ok else EXIT_FALSE
 
 
-def cmd_snf(args, size_limit):
+def cmd_snf(args):
     if args.matrix:
-        try:
-            obj = serialize.read_file(args.matrix)
-        except (OSError, json.JSONDecodeError) as e:
-            raise CliInputError(f"cannot read {args.matrix}: {e}")
+        obj = _read_json(args.matrix)
     else:
         try:
             obj = json.load(sys.stdin)
         except json.JSONDecodeError as e:
             raise CliInputError(f"bad matrix on stdin: {e}")
-    rows = obj["matrix"] if isinstance(obj, dict) else obj
+    rows = obj.get("matrix") if isinstance(obj, dict) else obj
     res = la.smith_normal_form(serialize.parse_matrix(rows, "matrix"))
     lines = [f"diagonal: {list(res.diagonal)}",
              f"invariant factors: {list(res.invariant_factors)}"]
     _emit(args, lines,
-          {"command": "snf", "diagonal": list(res.diagonal),
+          {"diagonal": list(res.diagonal),
            "invariant_factors": list(res.invariant_factors),
            "U": [list(r) for r in res.U],
            "V": [list(r) for r in res.V]})
     return EXIT_OK
 
 
-def cmd_fixtures(args, size_limit):
+def cmd_fixtures(args):
     rows = fixtures.catalog_listing()
     lines = [f"{kind:8s} {name:28s} {desc}" for kind, name, desc in rows]
-    _emit(args, lines,
-          {"command": "fixtures",
-           "entries": [list(r) for r in rows]})
+    _emit(args, lines, {"entries": [list(r) for r in rows]})
     return EXIT_OK
+
+
+# Each subcommand: its handler, then its flags in the order --help lists
+# them; a trailing "!" marks a required flag.
+COMMANDS = {
+    "cohomology": (cmd_cohomology, "group", "lattice!", "subgroup",
+                   "degree!"),
+    "tate": (cmd_cohomology, "lattice!", "subgroup", "degree!"),
+    "hyper": (cmd_cohomology, "complex!", "subgroup", "degree!"),
+    "classify": (cmd_classify, "lattice!", "mode!"),
+    "resolve-coflasque": (cmd_resolve, "complex!", "verify-certificate"),
+    "resolve-flasque": (cmd_resolve, "complex!", "verify-certificate"),
+    "invariants": (cmd_invariants, "complex!"),
+    "crossed-h0": (cmd_crossed_h0, "crossed!"),
+    "mv-report": (cmd_mv_report, "graph!", "complex", "crossed"),
+    "sha": (cmd_sha, "graph!", "lattice", "complex", "crossed", "degree!"),
+    "remark-compare": (cmd_remark_compare, "graph!", "complex!"),
+    "refine": (cmd_refine, "graph!", "subgroup!"),
+    "shapiro": (cmd_shapiro, "group!", "subgroup!", "lattice", "degree!"),
+    "sylow-cyclic": (cmd_sylow_cyclic, "group!"),
+    "snf": (cmd_snf, "matrix"),
+    "fixtures": (cmd_fixtures,),
+}
+
+# argparse options beyond a plain string value
+_FLAG_OPTIONS = {
+    "degree": {"type": int},
+    "mode": {"choices": ["flasque", "coflasque"]},
+    "verify-certificate": {"action": "store_true"},
+}
+
+# Input found wrong while it was loaded or parsed: exit 2.  Any other
+# exception, a ValueError or KeyError from a computation included, is an
+# internal error.
+_INPUT_ERRORS = (CliInputError, FormatError, ModelError, MembershipError,
+                 EquivarianceError, UnsupportedDegreeError,
+                 UnsupportedCoefficientsError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,66 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="galmod",
         description="Galois-module cohomology workbench")
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, func, *flags):
-        p = sub.add_parser(name)
-        p.set_defaults(func=func)
+    for command, (_, *flags) in COMMANDS.items():
+        p = sub.add_parser(command)
         for flag in flags:
-            if flag == "degree":
-                p.add_argument("--degree", type=int, required=True)
-            elif flag == "mode":
-                p.add_argument("--mode", required=True,
-                               choices=["flasque", "coflasque"])
-            elif flag == "verify-certificate":
-                p.add_argument("--verify-certificate", action="store_true")
-            elif flag in ("group", "lattice", "complex", "graph",
-                          "crossed", "subgroup", "matrix"):
-                required = flag in _REQUIRED.get(name, ())
-                p.add_argument(f"--{flag}", required=required)
+            name = flag.rstrip("!")
+            p.add_argument(f"--{name}", required=flag.endswith("!"),
+                           **_FLAG_OPTIONS.get(name, {}))
         p.add_argument("--format", choices=["text", "json"],
                        default="text")
         p.add_argument("--size-limit", type=int, default=None)
-        return p
-
-    add("cohomology", cmd_cohomology, "group", "lattice", "subgroup",
-        "degree")
-    add("tate", cmd_tate, "lattice", "subgroup", "degree")
-    add("hyper", cmd_hyper, "complex", "subgroup", "degree")
-    add("classify", cmd_classify, "lattice", "mode")
-    add("resolve-coflasque", cmd_resolve_coflasque, "complex",
-        "verify-certificate")
-    add("resolve-flasque", cmd_resolve_flasque, "complex",
-        "verify-certificate")
-    add("invariants", cmd_invariants, "complex")
-    add("crossed-h0", cmd_crossed_h0, "crossed")
-    add("mv-report", cmd_mv_report, "graph", "complex", "crossed")
-    add("sha", cmd_sha, "graph", "lattice", "complex", "crossed",
-        "degree")
-    add("remark-compare", cmd_remark_compare, "graph", "complex")
-    add("refine", cmd_refine, "graph", "subgroup")
-    add("shapiro", cmd_shapiro, "group", "subgroup", "lattice", "degree")
-    add("sylow-cyclic", cmd_sylow_cyclic, "group")
-    add("snf", cmd_snf, "matrix")
-    add("fixtures", cmd_fixtures)
     return parser
-
-
-_REQUIRED = {
-    "cohomology": ("lattice",),
-    "tate": ("lattice",),
-    "hyper": ("complex",),
-    "classify": ("lattice",),
-    "resolve-coflasque": ("complex",),
-    "resolve-flasque": ("complex",),
-    "invariants": ("complex",),
-    "crossed-h0": ("crossed",),
-    "mv-report": ("graph",),
-    "sha": ("graph",),
-    "remark-compare": ("graph", "complex"),
-    "refine": ("graph", "subgroup"),
-    "shapiro": ("group", "subgroup"),
-    "sylow-cyclic": ("group",),
-}
 
 
 def main(argv=None) -> int:
@@ -481,20 +413,24 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_usage()
         return EXIT_INPUT
-    size_limit = args.size_limit or DEFAULT_SIZE_LIMIT
+    # --size-limit bounds group closure and crossed-module enumeration,
+    # each with its own default
+    args.bound = args.size_limit or DEFAULT_ENUMERATION_BOUND
+    args.size_limit = args.size_limit or DEFAULT_SIZE_LIMIT
     try:
-        return args.func(args, size_limit)
+        return COMMANDS[args.command][0](args)
     except SizeLimitError as e:
         print(f"size limit exceeded: {e}", file=sys.stderr)
         return EXIT_SIZE
-    except (CliInputError, FormatError, ModelError, MembershipError,
-            EquivarianceError, UnsupportedDegreeError,
-            UnsupportedCoefficientsError, ValueError, KeyError) as e:
+    except _INPUT_ERRORS as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as e:
-        # never let a failure pass for the negative verdict of exit 1
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        # never let a failure pass for the negative verdict of exit 1;
+        # the message alone, since str() of a KeyError quotes it
+        detail = e.args[0] if len(e.args) == 1 else e
+        print(f"internal error: {type(e).__name__}: {detail}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -56,6 +56,10 @@ class TwoTermComplex:
         return self.l1.group
 
     def validate(self) -> None:
+        """Check that both lattices carry a group action and that the
+        differential is equivariant."""
+        self.l1.validate()
+        self.l2.validate()
         self.differential.validate()
 
     def dual(self) -> "TwoTermComplex":

@@ -15,8 +15,9 @@ from . import intlinalg as la
 from .complexes import (CertificateMove, HalfComplex, MoveEvidence,
                         ResolutionCertificate, TwoTermComplex)
 from .crossed import FiniteCrossedModule
-from .groups import (DEFAULT_SIZE_LIMIT, FiniteGroup, SubgroupHandle,
-                     build_group, group_from_table, parse_cycles)
+from .groups import (DEFAULT_SIZE_LIMIT, FiniteGroup, SizeLimitError,
+                     SubgroupHandle, build_group, group_from_table,
+                     parse_cycles)
 from .lattice import FgModule, GLattice, LatticeMap
 from .patching import PatchingGraph, build_patching_graph
 
@@ -53,6 +54,24 @@ def _rows(m, what: str = "matrix") -> list[list[int]]:
     bad = [x for row in rows for x in row if type(x) is not int]
     if bad:
         _int(bad[0], what)
+    return rows
+
+
+def _ids(values, bound: int, what: str) -> None:
+    bad = [x for x in values if not 0 <= x < bound]
+    if bad:
+        raise FormatError(f"{what} {bad[0]} is not an element id in "
+                          f"0..{bound - 1}")
+
+
+def _id_rows(obj, n_rows: int, n_cols: int, bound: int,
+             what: str) -> tuple[tuple[int, ...], ...]:
+    """A table of element ids: ``n_rows`` rows of ``n_cols`` ids, each in
+    0..bound-1, checked before anything indexes with them."""
+    rows = deep_tuple(_rows(obj, f"{what} entry"))
+    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
+        raise FormatError(f"{what} must be {n_rows} rows of {n_cols} ids")
+    _ids([x for row in rows for x in row], bound, f"{what} entry")
     return rows
 
 
@@ -101,15 +120,23 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
         raise FormatError(f"unrecognized group reference {obj!r}")
     if "table" in obj:
         _expect(obj, GROUP_FORMAT)
-        table = deep_tuple(_rows(obj["table"], "table entry"))
+        # bound the order and the ids before the O(n^3) axiom check
+        n = len(obj["table"])
+        if n > size_limit:
+            raise SizeLimitError(f"group order {n} exceeds size limit "
+                                 f"{size_limit}")
+        if not n:
+            raise FormatError("group table is empty")
+        table = _id_rows(obj["table"], n, n, n, "table")
         gens = obj.get("generators")
         if gens is None:
             return group_from_table(table, None, obj.get("name", ""))
+        gens = tuple(_int(x, "generator") for x in gens)
+        _ids(gens, n, "generator")
         labels = obj.get("labels")
         if labels is None:
-            labels = tuple(str(i) for i in range(len(table)))
-        g = FiniteGroup(table, tuple(_int(x, "generator") for x in gens),
-                        tuple(labels), obj.get("name", ""))
+            labels = tuple(str(i) for i in range(n))
+        g = FiniteGroup(table, gens, tuple(labels), obj.get("name", ""))
         g.verify()
         return g
     if "cycles" in obj:
@@ -203,14 +230,19 @@ def dump_crossed(c: FiniteCrossedModule) -> dict:
 def load_crossed(obj, size_limit: int = DEFAULT_SIZE_LIMIT
                  ) -> FiniteCrossedModule:
     _expect(obj, CROSSED_FORMAT)
+    g = load_group(obj["g"], size_limit)
+    h = load_group(obj["h"], size_limit)
+    galois = load_group(obj["galois"], size_limit)
+    (boundary,) = _id_rows([obj["boundary"]], 1, g.order, h.order,
+                           "boundary")
     return FiniteCrossedModule(
-        load_group(obj["g"], size_limit),
-        load_group(obj["h"], size_limit),
-        tuple(_int(x, "boundary entry") for x in obj["boundary"]),
-        deep_tuple(_rows(obj["h_action"])),
-        load_group(obj["galois"], size_limit),
-        deep_tuple(_rows(obj["galois_on_g"])),
-        deep_tuple(_rows(obj["galois_on_h"])))
+        g, h, boundary,
+        _id_rows(obj["h_action"], h.order, g.order, g.order, "h_action"),
+        galois,
+        _id_rows(obj["galois_on_g"], galois.order, g.order, g.order,
+                 "galois_on_g"),
+        _id_rows(obj["galois_on_h"], galois.order, h.order, h.order,
+                 "galois_on_h"))
 
 
 # --- patching graphs --------------------------------------------------------
@@ -229,7 +261,9 @@ def load_graph(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> PatchingGraph:
     _expect(obj, GRAPH_FORMAT)
     gamma = load_group(obj["group"], size_limit)
     def members(mem):
-        return tuple(_int(x, "subgroup member") for x in mem)
+        mem = tuple(_int(x, "subgroup member") for x in mem)
+        _ids(mem, gamma.order, "subgroup member")
+        return mem
 
     vertices = [SubgroupHandle(gamma, members(mem))
                 for mem in obj["vertices"]]

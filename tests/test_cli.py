@@ -1,17 +1,18 @@
 """Command-line interface: outputs and the exit-code contract."""
 
+import hashlib
 import io
 import json
 
 import pytest
 
-from galmod import cli, serialize
+from galmod import cli, fixtures, serialize
 from galmod import intlinalg as la
 from galmod.cli import main
 from galmod.complexes import TwoTermComplex
 from galmod.crossed import (FiniteCrossedModule, conjugation_h_action,
                             trivial_galois_action)
-from galmod.groups import cyclic_group
+from galmod.groups import cyclic_group, group_from_table
 from galmod.lattice import GLattice, LatticeMap, trivial_lattice
 
 
@@ -295,7 +296,8 @@ def test_non_integer_lattice_exit_two(capsys, tmp_path, data):
     assert "must be an integer" in err
 
 
-@pytest.mark.parametrize("exc", [RuntimeError, la.SolveError])
+@pytest.mark.parametrize("exc", [RuntimeError, la.SolveError, ValueError,
+                                 KeyError])
 def test_internal_failure_exit_four(capsys, monkeypatch, exc):
     def broken(*args, **kwargs):
         raise exc("unexpected")
@@ -306,6 +308,97 @@ def test_internal_failure_exit_four(capsys, monkeypatch, exc):
     assert code == 4
     assert out == ""
     assert err.strip() == f"internal error: {exc.__name__}: unexpected"
+
+
+def _group_file(tmp_path, change):
+    obj = json.loads(serialize.to_json(serialize.dump_group(
+        cyclic_group(3))))
+    change(obj)
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("change", [
+    lambda obj: obj["table"][1].__setitem__(1, 7),
+    lambda obj: obj["generators"].__setitem__(0, 5),
+    lambda obj: obj["table"][1].append(0),
+    lambda obj: obj.update(table=[], generators=None),
+], ids=["table-entry-7", "generator-5", "table-row-too-long",
+        "empty-table"])
+def test_group_ids_out_of_range_exit_two(capsys, tmp_path, change):
+    """A Z3 table naming an element outside 0..2, or an empty table, is
+    refused on load, before the group axioms index with it."""
+    code, out, err = run(capsys, "sylow-cyclic", "--group",
+                         _group_file(tmp_path, change))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+def _crossed_file(tmp_path, change):
+    obj = json.loads(serialize.to_json(serialize.dump_crossed(
+        fixtures.lookup("crossed", "s3-identity"))))
+    change(obj)
+    path = tmp_path / "crossed.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("change", [
+    lambda obj: obj.update(boundary=[99] * len(obj["boundary"])),
+    lambda obj: obj.update(boundary=obj["boundary"][:-1]),
+    lambda obj: obj.update(h_action=[row[:-1] for row in obj["h_action"]]),
+    lambda obj: obj.update(h_action=obj["h_action"][:-1]),
+    lambda obj: obj["galois_on_g"][1].__setitem__(0, 6),
+    lambda obj: obj.update(galois_on_h=[row[:-1]
+                                        for row in obj["galois_on_h"]]),
+], ids=["boundary-99", "boundary-short", "h-action-rows-short",
+        "h-action-row-missing", "galois-on-g-id-6", "galois-on-h-rows-short"])
+def test_crossed_tables_of_wrong_shape_exit_two(capsys, tmp_path, change):
+    code, out, err = run(capsys, "crossed-h0", "--crossed",
+                         _crossed_file(tmp_path, change))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
+def test_graph_member_out_of_range_exit_two(capsys, tmp_path):
+    obj = json.loads(serialize.to_json(serialize.dump_graph(
+        fixtures.lookup("graph", "two-vertex-whole"))))
+    obj["vertices"][0] = [0, 7]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "sha", "--graph", str(path), "--lattice",
+                       "fixtures:sign", "--degree", "1")
+    assert code == 2
+    assert err.strip() == ("input error: subgroup member 7 is not an "
+                           "element id in 0..1")
+
+
+def test_group_table_bounded_by_size_limit(capsys, tmp_path):
+    """A table of order 65 exceeds the default limit of 64 before its
+    axioms are checked; --size-limit 100 admits it."""
+    z65 = group_from_table([[(a + b) % 65 for b in range(65)]
+                            for a in range(65)], (1,))
+    lat = trivial_lattice(z65)
+    path = tmp_path / "z65.json"
+    path.write_text(serialize.to_json(serialize.dump_lattice(lat)))
+    argv = ("cohomology", "--lattice", str(path), "--degree", "1")
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.strip() == ("size limit exceeded: group order 65 exceeds "
+                           "size limit 64")
+    code, out, _ = run(capsys, *argv, "--size-limit", "100")
+    assert code == 0
+    assert out.strip() == "invariant factors: []"
+
+
+def test_snf_dict_without_matrix_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"rows": []})))
+    code, _, err = run(capsys, "snf")
+    assert code == 2
+    assert err.strip() == "input error: matrix must be a list of rows"
 
 
 def test_refine_split_exits_one(capsys):
@@ -324,3 +417,130 @@ def test_refine_split_exits_one(capsys):
     assert payload["connected"] is False
     assert payload["components"] == [[0], [1], [2]]
     assert payload["witnesses"] == [[0, 0], [0, 2], [0, 4]]
+
+
+def _sweep_commands(matrix_path: str) -> list[tuple[str, ...]]:
+    """Every subcommand on catalog fixtures, with verdicts true and false,
+    input errors, a size-limit error and three usage errors."""
+    lattices = ("sign", "z2-trivial", "z2-regular", "z3-regular",
+                "z4-regular", "z4-coset2", "v4-regular", "v4-coset",
+                "v4-character", "s3-sign", "s3-coset", "s3-regular",
+                "z6-coset", "z12-coset6")
+    complexes = ("sign-deg0", "sign-deg-1", "z2-norm", "z2-aug", "z2-mult2",
+                 "z2-sign-embed", "z3-aug", "z3-norm", "z4-aug",
+                 "z4-coset-aug", "z4-mult3", "v4-aug", "v4-coset-aug",
+                 "v4-char-deg0", "s3-coset-aug", "s3-coset-norm",
+                 "s3-sign-deg0", "s3-zero")
+    crossed = ("z2-z2-order4", "z3-flip", "s3-identity", "s3-degenerate",
+               "z2-id")
+    cmds = [("fixtures",)]
+    cmds += [("cohomology", "--lattice", f"fixtures:{name}", "--degree", "1")
+             for name in lattices]
+    cmds += [("cohomology", "--lattice", f"fixtures:{name}", "--degree", d)
+             for name in ("sign", "v4-character", "s3-sign", "z4-coset2")
+             for d in ("0", "2")]
+    cmds += [("cohomology", "--group", "fixtures:Z2", "--lattice",
+              "fixtures:sign", "--degree", "1"),
+             ("cohomology", "--lattice", "fixtures:s3-sign", "--degree", "1",
+              "--subgroup", "0,2,5")]
+    cmds += [("tate", "--lattice", f"fixtures:{name}", "--degree", d)
+             for name in ("sign", "z2-regular", "v4-character", "s3-coset")
+             for d in ("-1", "0")]
+    cmds += [("hyper", "--complex", f"fixtures:{name}", "--degree", "1")
+             for name in complexes]
+    cmds += [("hyper", "--complex", "fixtures:z2-mult2", "--degree", d)
+             for d in ("-1", "0")]
+    cmds += [("classify", "--lattice", f"fixtures:{name}", "--mode", mode)
+             for name in ("sign", "z2-regular", "v4-coset", "s3-coset",
+                          "z12-coset6")
+             for mode in ("flasque", "coflasque")]
+    cmds += [(f"resolve-{mode}", "--complex", f"fixtures:{name}") + extra
+             for mode in ("coflasque", "flasque")
+             for name, extra in (("sign-deg0", ("--verify-certificate",)),
+                                 ("z2-aug", ()), ("z3-norm", ()))]
+    cmds += [("invariants", "--complex", f"fixtures:{name}")
+             for name in ("z2-aug", "z2-norm", "s3-coset-aug")]
+    cmds += [("crossed-h0", "--crossed", f"fixtures:{name}")
+             for name in crossed]
+    cmds += [("mv-report", "--graph", "fixtures:two-vertex-whole",
+              "--complex", "fixtures:sign-deg-1"),
+             ("mv-report", "--graph", "fixtures:two-vertex-trivial-edges",
+              "--complex", "fixtures:z2-aug"),
+             ("mv-report", "--graph", "fixtures:single-whole",
+              "--crossed", "fixtures:z2-z2-order4"),
+             ("mv-report", "--graph", "fixtures:two-vertex-whole",
+              "--crossed", "fixtures:z2-id")]
+    cmds += [("sha", "--graph", "fixtures:single-trivial-vertex",
+              "--lattice", "fixtures:sign", "--degree", "1"),
+             ("sha", "--graph", "fixtures:klein-triple",
+              "--lattice", "fixtures:v4-character", "--degree", "2"),
+             ("sha", "--graph", "fixtures:two-vertex-whole",
+              "--complex", "fixtures:z2-norm", "--degree", "1"),
+             ("sha", "--graph", "fixtures:single-whole",
+              "--crossed", "fixtures:z2-id", "--degree", "0")]
+    cmds += [("remark-compare", "--graph", f"fixtures:{graph}",
+              "--complex", f"fixtures:{name}")
+             for graph, name in (("two-vertex-whole", "sign-deg-1"),
+                                 ("two-vertex-trivial-edges", "z2-aug"))]
+    cmds += [("refine", "--graph", "fixtures:s3-transposition-vertex",
+              "--subgroup", "0 2 5"),
+             ("refine", "--graph", "fixtures:klein-triple",
+              "--subgroup", "0,1"),
+             ("refine", "--graph", "fixtures:single-trivial-vertex",
+              "--subgroup", "0")]
+    cmds += [("shapiro", "--group", "fixtures:S3", "--subgroup", "0,2,5",
+              "--degree", "1"),
+             ("shapiro", "--group", "fixtures:Z4", "--subgroup", "0,2",
+              "--degree", "2"),
+             ("shapiro", "--group", "fixtures:Z2", "--subgroup", "0,1",
+              "--lattice", "fixtures:sign", "--degree", "1")]
+    cmds += [("sylow-cyclic", "--group", f"fixtures:{name}")
+             for name in ("S3", "Z2xZ2", "D4", "Z12")]
+    cmds += [("snf", "--matrix", matrix_path)]
+    # input errors (exit 2) and a size-limit error (exit 3)
+    cmds += [("cohomology", "--lattice", "fixtures:no-such-thing",
+              "--degree", "1"),
+             ("cohomology", "--lattice", "fixtures:sign", "--degree", "9"),
+             ("tate", "--lattice", "fixtures:sign", "--degree", "1"),
+             ("cohomology", "--lattice", "fixtures:s3-sign", "--subgroup",
+              "0 99", "--degree", "1"),
+             ("cohomology", "--lattice", "fixtures:s3-sign", "--subgroup",
+              "0 x", "--degree", "1"),
+             ("cohomology", "--group", "fixtures:Z3", "--lattice",
+              "fixtures:sign", "--degree", "1"),
+             ("shapiro", "--group", "fixtures:S3", "--subgroup", "1,2",
+              "--degree", "1"),
+             ("mv-report", "--graph", "fixtures:single-whole"),
+             ("sha", "--graph", "fixtures:single-whole", "--degree", "1"),
+             ("sha", "--graph", "fixtures:two-vertex-whole",
+              "--lattice", "fixtures:s3-sign", "--degree", "1"),
+             ("shapiro", "--group", "fixtures:Z2", "--subgroup", "0",
+              "--lattice", "fixtures:sign", "--degree", "1"),
+             ("crossed-h0", "--crossed", "fixtures:s3-identity",
+              "--size-limit", "5")]
+    # usage errors
+    cmds += [("cohomology", "--degree", "1"),
+             ("cohomology", "--lattice", "fixtures:sign", "--degree", "x"),
+             ("tate", "--lattice", "fixtures:sign", "--degree", "0",
+              "--verify-certificate")]
+    return cmds
+
+
+def test_cli_sweep_output_pinned(capsys, monkeypatch, tmp_path):
+    """stdout, stderr and exit code of every sweep command, in text and in
+    JSON, hash to the value computed before the command table was
+    introduced: a change of structure must not change what is printed."""
+    monkeypatch.setenv("COLUMNS", "80")
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"matrix": [[2, 4, 4], [-6, 6, 12],
+                                           [10, -4, -16]]}))
+    h = hashlib.sha256()
+    cmds = _sweep_commands(str(path))
+    for argv in cmds:
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            h.update(json.dumps([code, out, err.replace(str(path), "MAT")]
+                                ).encode())
+    assert len(cmds) == 113
+    assert h.hexdigest() == (
+        "b1a3cc901675e790176b10e79d9d515d59bf2d147e18448a39d24aeec8dc9ea6")
