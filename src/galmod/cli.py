@@ -415,6 +415,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     # --size-limit bounds group closure and crossed-module enumeration,
     # each with its own default
+    if args.size_limit is not None and args.size_limit <= 0:
+        print(f"input error: --size-limit must be positive, got "
+              f"{args.size_limit}", file=sys.stderr)
+        return EXIT_INPUT
     args.bound = args.size_limit or DEFAULT_ENUMERATION_BOUND
     args.size_limit = args.size_limit or DEFAULT_SIZE_LIMIT
     try:

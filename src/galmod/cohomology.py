@@ -28,16 +28,22 @@ cochain maps translate:
 For n >= 1, H^n(H, L) is killed by |H| (Brown III.10.2), and
 hypercohomology in degree 1 sits between H^1(L2) and H^2(L1).  So Z^n is
 the saturation of B^n, and H^n is the torsion of Tot^n / B^n, read from
-the Smith form of the Cayley d^{n-1} alone (intlinalg.torsion_cokernel).
-It is returned in bar coordinates as an ``AbGroupPresentation`` with no
-echelon: the generators go Cayley -> bar, the factor rows of U read
-through bar -> Cayley, and its check rows, the rows of the bar d^n at
-the argument tuples that end in a generator, test that a cochain is a
-cocycle.  That check is complete: if phi = d v vanishes at every
-(.., s), then (d phi)(.., c, s) = 0 gives phi(.., cs) = phi(.., c), and
-phi = 0 by induction on the length of word(c).  Its rows are built by
-the first ``reduce`` and kept, not with the presentation: the vanishing
-checks of ``complexes.classify`` never reduce.
+the Smith form U A V = D of the Cayley d^{n-1} alone, on its sparse rows
+(intlinalg.torsion_cokernel).  Only V is tracked: the columns
+g_i = (A V)_i / d_i of U^{-1}, i below the rank, are a basis of the
+saturation, and a Cayley cocycle's coordinates on them, read off an
+echelon of the g_i, are the z_i = (U c)_i.  H^n is returned in bar
+coordinates as an ``AbGroupPresentation``: the generators are the g_i
+with d_i > 1 taken Cayley -> bar; ``reduce`` takes a bar cocycle
+bar -> Cayley (its pull rows), writes it on that echelon and reads each
+kept z_i mod d_i; and its check rows, the rows of the bar d^n at the
+argument tuples that end in a generator, test first that a cochain is a
+cocycle.  A vanishing H^n keeps only the check rows.  That check is
+complete: if phi = d v vanishes at every (.., s), then
+(d phi)(.., c, s) = 0 gives phi(.., cs) = phi(.., c), and phi = 0 by
+induction on the length of word(c).  Its rows are built by the first
+``reduce`` and kept, not with the presentation: the vanishing checks of
+``complexes.classify`` never reduce.
 
 Whether H^1(H, L) or Tate H^-1(H, L) vanishes is decided by ranks mod p,
 before any Smith form.  Let A be the matrix of the M(s) - 1: stacked for
@@ -80,7 +86,7 @@ from typing import Sequence, Union
 
 from . import intlinalg as la
 from .groups import FiniteGroup, SubgroupHandle, prime_factors
-from .intlinalg import AbGroupPresentation, IntMatrix
+from .intlinalg import AbGroupPresentation, IntMatrix, dense_rows
 from .lattice import FgModule, GLattice, induce
 
 
@@ -214,16 +220,6 @@ def _rows(boundary, mats, rank: int, offset: int = 0) -> list[dict]:
             for b, x in mrow:
                 row[base + b] = row.get(base + b, 0) + c * x
     return rows
-
-
-def _dense(rows: Sequence[dict], ncols: int) -> IntMatrix:
-    out = []
-    for row in rows:
-        vec = [0] * ncols
-        for j, x in row.items():
-            vec[j] = x
-        out.append(tuple(vec))
-    return tuple(out)
 
 
 class _Bar:
@@ -415,8 +411,8 @@ def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
     Tot^n = C^{n+1}(L1) + C^n(L2), D(x, y) = (dx, (-1)^n diff*x + dy)."""
     rows = _total_rows(_Bar(group, normalized), (r1, _Sparse(mats1)),
                        (r2, _Sparse(mats2)), diff, n)
-    return _dense(rows, cochain_dim(group.order, r1, n + 1, normalized)
-                  + cochain_dim(group.order, r2, n, normalized))
+    return dense_rows(rows, cochain_dim(group.order, r1, n + 1, normalized)
+                      + cochain_dim(group.order, r2, n, normalized))
 
 
 def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
@@ -441,10 +437,10 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
 
     if n <= 0:
         # Z_bar = Q(Z_Cayley) + B_bar; B_bar lives on C^0 and C^1
-        z = la.preimage(_dense(_total_rows(cay, *parts, diff, n),
-                               dim(cay, n)), [], dim(cay, n))
-        im = (la.columns(_dense(_total_rows(bar, *parts, diff, n - 1),
-                                dim(bar, n - 1)))
+        z = la.preimage(dense_rows(_total_rows(cay, *parts, diff, n),
+                                   dim(cay, n)), [], dim(cay, n))
+        im = (la.columns(dense_rows(_total_rows(bar, *parts, diff, n - 1),
+                                    dim(bar, n - 1)))
               if n > (-1 if parts[0][0] else 0) else [])
         return la.abgroup_from_subquotient(
             [to_bar(v) for v in z] + im, im, dim(bar, n))
@@ -460,25 +456,26 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
         return [sparse(row.items()) for row in _total_rows(
             bar, *parts, diff, n, set(group.generators) - {0})]
 
-    d = _dense(_total_rows(cay, *parts, diff, n - 1), dim(cay, n - 1))
+    d, ncols = _total_rows(cay, *parts, diff, n - 1), dim(cay, n - 1)
     if n == 1 and not part1[0] and _torsion_free(
-            d, part2[0] - _fixed_rank(part2[1], group.order), group.order):
+            dense_rows(d, ncols),
+            part2[0] - _fixed_rank(part2[1], group.order), group.order):
+        tc = None
+    else:
+        tc = la.torsion_cokernel(d, ncols)
+    # a vanishing H^n needs only the cocycle check
+    if tc is None or tc.is_trivial:
         return la.AbGroupPresentation(dim(bar, n), (), (), (), None, checks)
-    tc = la.torsion_cokernel(d)
-    # bar -> Cayley on Tot^n, per Cayley coordinate: (bar coordinate, c)
+    # bar -> Cayley on Tot^n, one row per Cayley coordinate
     pull, start = [], 0
     for m, r, _ in blocks:
         for terms in (cay.from_bar(m) if r else ()):
-            pull += [[(start + cell * r + a, c) for cell, c in terms.items()]
-                     for a in range(r)]
+            pull += [sparse((start + cell * r + a, c)
+                            for cell, c in terms.items()) for a in range(r)]
         start += bar.cells(m) * r
-
-    # the factor rows of U read a bar cochain through bar -> Cayley
-    rows = tuple(sparse((b, x * c) for j, x in urow for b, c in pull[j])
-                 for urow in tc._rows)
     return la.AbGroupPresentation(
         dim(bar, n), tc.factors, tuple(to_bar(g) for g in tc.generators),
-        rows, None, checks)
+        tc._rows, tc._basis, checks, tuple(pull))
 
 
 def _fixed_rank(mats: Sequence[IntMatrix], order: int) -> int:

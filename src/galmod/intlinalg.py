@@ -185,141 +185,198 @@ def smith_normal_form(a: Sequence[Sequence[int]], inverse: bool = False,
 
     Pivot choice is deterministic: the smallest nonzero entry in absolute
     value, ties broken in row-major order.  With ``inverse`` the result
-    also carries U^{-1}, built alongside U (see ``_add_row``).  Without
-    ``track_v`` no column operation is recorded and V is None, for the
-    callers that read only U and D; U and D are the same either way.
+    also carries U^{-1}, built alongside U.  Without ``track_v`` no
+    column operation is recorded and V is None, for the callers that
+    read only U and D; U and D are the same either way.  The work is
+    done by ``_smith`` on the nonzeros of ``a``.
     """
-    m = thaw(a)
-    rows, cols = shape(m)
-    u = thaw(identity(rows))
-    v = thaw(identity(cols)) if track_v else None
-    # W = (U^{-1})^T, so that column operations on U^{-1} are row
-    # operations on W
-    w = thaw(identity(rows)) if inverse else None
-    _eliminate(m, u, w, v, 0, rows, cols)
-    # second pass: fix divisibility chain
-    r = min(rows, cols)
+    rows, cols = shape(a)
+    diagonal, u, v, w = _smith(
+        [{j: x for j, x in enumerate(row) if x} for row in a], cols,
+        track_v=track_v, inverse=inverse)
+    d = [[0] * cols for _ in range(rows)]
+    for t, x in enumerate(diagonal):
+        d[t][t] = x
+    return SnfResult(
+        dense_rows(u, rows), freeze(d),
+        transpose_shaped(dense_rows(v, cols), cols, cols)
+        if track_v else None,
+        transpose_shaped(dense_rows(w, rows), rows, rows)
+        if inverse else None)
+
+
+def dense_rows(rows: Sequence[dict], ncols: int) -> IntMatrix:
+    """Sparse rows {column: entry} as a frozen dense matrix."""
+    out = []
+    for row in rows:
+        vec = [0] * ncols
+        for j, x in row.items():
+            vec[j] = x
+        out.append(tuple(vec))
+    return tuple(out)
+
+
+def _smith(rows: Sequence[dict], ncols: int, track_u: bool = True,
+           track_v: bool = True, inverse: bool = False):
+    """Smith normal form of the matrix with these rows {column: entry}
+    and ``ncols`` columns, by pivot-and-clear on sparse rows.
+
+    Returns ``(diagonal, u, v, w)``: the min(rows, cols) diagonal entries
+    of D, the rows of U, the columns of V and the rows of
+    W = (U^{-1})^T, each as {index: entry}, or None when not tracked.
+
+    Pivot: the smallest |entry| of the part not yet diagonalized, ties
+    broken in row-major order.  Column t is cleared first, row by row,
+    by the quotient that leaves the least remainder (``_round_div``); a
+    nonzero remainder is swapped into the pivot.  Then row t, column by
+    column, the same way; both repeat until neither swaps.  Once the
+    matrix is diagonal, a pair d_t, d_i with d_t not dividing d_i gets
+    col t += col i and is eliminated again from t on, until the
+    divisibility chain holds; last, negative entries flip their row.
+
+    Swaps only permute the maps position -> row (``rperm``) and
+    position -> column (``cperm``), so U and W keep their rows, and V
+    its columns, under the row's or column's original index.
+    ``colrows`` lists, per column, the rows it is nonzero in.  U, V and
+    W are built only when asked for.  Since everything finished lies in
+    rows and columns before t, the rows from t on hold entries only in
+    columns from t on.
+    """
+    nrows = len(rows)
+    m = [{j: x for j, x in row.items() if x} for row in rows]
+    colrows: list[set] = [set() for _ in range(ncols)]
+    for i, row in enumerate(m):
+        for j in row:
+            colrows[j].add(i)
+    rperm, rpos = list(range(nrows)), list(range(nrows))
+    cperm, cpos = list(range(ncols)), list(range(ncols))
+    u = [{i: 1} for i in range(nrows)] if track_u else None
+    w = [{i: 1} for i in range(nrows)] if inverse else None
+    v = [{j: 1} for j in range(ncols)] if track_v else None
+
+    def swap(perm, pos, i, j):
+        a, b = perm[i], perm[j]
+        perm[i], perm[j] = b, a
+        pos[a], pos[b] = j, i
+
+    def add_row(src, dst, k):
+        # row[dst] += k * row[src]; on U^{-1}, W[src] -= k * W[dst]
+        a, b = rperm[src], rperm[dst]
+        rb = m[b]
+        for j, x in m[a].items():
+            y = rb.get(j)
+            if y is None:
+                rb[j] = k * x
+                colrows[j].add(b)
+            elif y + k * x:
+                rb[j] = y + k * x
+            else:
+                del rb[j]
+                colrows[j].discard(b)
+        if u is not None:
+            _axpy(u[b], u[a], k)
+        if w is not None:
+            _axpy(w[a], w[b], -k)
+
+    def add_col(src, dst, k):
+        # col[dst] += k * col[src]
+        p, q = cperm[src], cperm[dst]
+        hit = colrows[q]
+        for i in colrows[p]:
+            row = m[i]
+            y = row.get(q, 0) + k * row[p]
+            if y:
+                row[q] = y
+                hit.add(i)
+            elif q in row:
+                del row[q]
+                hit.discard(i)
+        if v is not None:
+            _axpy(v[q], v[p], k)
+
+    def entry(i, j):
+        return m[rperm[i]].get(cperm[j], 0)
+
+    def eliminate(t):
+        while t < nrows and t < ncols:
+            # pivot: least (|entry|, position, column position)
+            best = piv = None
+            for i in range(t, nrows):
+                row = m[rperm[i]]
+                if row:
+                    x, j = min((abs(x), cpos[j]) for j, x in row.items())
+                    if best is None or x < best:
+                        best, piv = x, (i, j)
+                        if x == 1:
+                            break
+            if piv is None:
+                return
+            swap(rperm, rpos, t, piv[0])
+            swap(cperm, cpos, t, piv[1])
+            while True:
+                # clear column t; each step touches only row i and row t,
+                # so the rows to visit are known from the start
+                dirty = False
+                for i in sorted(rpos[r] for r in colrows[cperm[t]]
+                                if rpos[r] > t):
+                    q = _round_div(entry(i, t), entry(t, t))
+                    if q:
+                        add_row(t, i, -q)
+                    if cperm[t] in m[rperm[i]]:
+                        swap(rperm, rpos, t, i)
+                        dirty = True
+                if dirty:
+                    continue
+                for j in sorted(cpos[c] for c in m[rperm[t]]
+                                if cpos[c] > t):
+                    q = _round_div(entry(t, j), entry(t, t))
+                    if q:
+                        add_col(t, j, -q)
+                    if cperm[j] in m[rperm[t]]:
+                        swap(cperm, cpos, t, j)
+                        dirty = True
+                if not dirty:
+                    break
+            t += 1
+
+    eliminate(0)
+    r = min(nrows, ncols)
     changed = True
     while changed:
         changed = False
         for t in range(r - 1):
-            if m[t][t] == 0:
+            if entry(t, t) == 0:
                 continue
             for i in range(t + 1, r):
-                if m[i][i] % m[t][t] != 0:
-                    # bring the offending entry into reach and eliminate again
-                    _add_col(m, v, i, t, 1)
-                    _eliminate(m, u, w, v, t, rows, cols)
+                if entry(i, i) % entry(t, t) != 0:
+                    # bring the offending entry into reach, eliminate again
+                    add_col(i, t, 1)
+                    eliminate(t)
                     changed = True
+    diagonal = []
     for t in range(r):
-        if m[t][t] < 0:
-            for j in range(cols):
-                m[t][j] = -m[t][j]
-            for j in range(rows):
-                u[t][j] = -u[t][j]
-            if w is not None:
-                w[t] = [-x for x in w[t]]
-    return SnfResult(freeze(u), freeze(m),
-                     freeze(v) if v is not None else None,
-                     transpose(w) if w is not None else None)
+        x = entry(t, t)
+        if x < 0:
+            i = rperm[t]
+            for mat in (m, u, w):
+                if mat is not None:
+                    mat[i] = {j: -y for j, y in mat[i].items()}
+            x = -x
+        diagonal.append(x)
+    return (diagonal,
+            [u[i] for i in rperm] if u is not None else None,
+            [v[j] for j in cperm] if v is not None else None,
+            [w[i] for i in rperm] if w is not None else None)
 
 
-def _swap_rows(m, u, w, i, j):
-    """Swap rows i and j of m and U; the inverse swaps columns of U^{-1},
-    i.e. rows of W = (U^{-1})^T."""
-    if i != j:
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        if w is not None:
-            w[i], w[j] = w[j], w[i]
-
-
-def _swap_cols(m, v, i, j):
-    """Swap columns i and j of m and of V, unless V is None."""
-    if i != j:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in v or ():
-            row[i], row[j] = row[j], row[i]
-
-
-def _add_row(m, u, w, src, dst, k):
-    """row[dst] += k * row[src] in m and in U.
-
-    On U^{-1} this is col[src] -= k * col[dst], i.e. W[src] -= k * W[dst]
-    for W = (U^{-1})^T when W is tracked.
-    """
-    mr = m[src]
-    md = m[dst]
-    for j in range(len(md)):
-        md[j] += k * mr[j]
-    ur = u[src]
-    ud = u[dst]
-    for j in range(len(ud)):
-        ud[j] += k * ur[j]
-    if w is not None:
-        ws = w[src]
-        wd = w[dst]
-        for j in range(len(ws)):
-            ws[j] -= k * wd[j]
-
-
-def _add_col(m, v, src, dst, k):
-    """col[dst] += k * col[src] in m and in V, unless V is None."""
-    for row in m:
-        row[dst] += k * row[src]
-    for row in v or ():
-        row[dst] += k * row[src]
-
-
-def _eliminate(m, u, w, v, start, rows, cols):
-    """Diagonalize m from row/column ``start`` on by pivot-and-clear,
-    recording row operations in U (and their inverses in W, unless it is
-    None) and column operations in V (unless it is None)."""
-    t = start
-    while t < rows and t < cols:
-        # locate pivot: smallest |entry| != 0, row-major tie-break
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                x = m[i][j]
-                if x != 0 and (best is None or abs(x) < best):
-                    best = abs(x)
-                    piv = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if piv is None:
-            return
-        _swap_rows(m, u, w, t, piv[0])
-        _swap_cols(m, v, t, piv[1])
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, rows):
-                if m[i][t] != 0:
-                    q = _round_div(m[i][t], m[t][t])
-                    if q:
-                        _add_row(m, u, w, t, i, -q)
-                    if m[i][t] != 0:
-                        _swap_rows(m, u, w, t, i)
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, cols):
-                if m[t][j] != 0:
-                    q = _round_div(m[t][j], m[t][t])
-                    if q:
-                        _add_col(m, v, t, j, -q)
-                    if m[t][j] != 0:
-                        _swap_cols(m, v, t, j)
-                        dirty = True
-            if dirty:
-                continue
-            break
-        t += 1
+def _axpy(dst: dict, src: dict, k: int) -> None:
+    """dst += k * src on sparse vectors {index: entry}."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + k * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
 
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
@@ -363,8 +420,15 @@ def _column_echelon(cols: list[list[int]], track: bool = False):
     ``kernel`` holds the combinations of the columns that vanished (they
     span the kernel); without it both are empty.
     """
-    n = len(cols)
-    sp = [{i: int(x) for i, x in enumerate(col) if x != 0} for col in cols]
+    return _sparse_echelon(
+        [{i: int(x) for i, x in enumerate(col) if x != 0} for col in cols],
+        track)
+
+
+def _sparse_echelon(sp: list[dict], track: bool = False):
+    """``_column_echelon`` of columns given as {row: entry}, which it
+    reduces in place."""
+    n = len(sp)
     combos = [{j: 1} for j in range(n)] if track else [None] * n
     # row -> active columns touching it
     rowmap: dict[int, set[int]] = {}
@@ -567,12 +631,16 @@ class AbGroupPresentation:
     dropped and 0 encodes a free summand (listed last).  ``generators``
     holds one ambient vector per listed factor.
 
-    ``reduce`` reads a class off stored rows; it runs no echelon and no
-    solve.  A vector v of span(num) has coordinates y on the stored
-    echelon of span(num), or y = v when that echelon is None: then the
-    check rows, which vanish exactly on span(num), stand for it.  Row i
-    (row i of the Smith form's U) gives the class as row_i . y mod
-    factor_i.
+    ``reduce`` reads a class off stored rows and a stored echelon; it
+    eliminates nothing.  The check rows must vanish on ``vec``.  The pull
+    rows, when there are any, then map it into the coordinates of the
+    echelon (bar -> Cayley cochains, for cohomology).  That vector has
+    coordinates y on the echelon, by reduction along its pivots, which
+    fails off the echelon's span; with no echelon, y is the vector itself
+    and the check rows alone stand for span(num).  Row i gives the class
+    as row_i . y mod factor_i: a row of the Smith form's U for
+    ``abgroup_from_subquotient``, and for ``torsion_cokernel`` the
+    coefficient of g_i in each echelon column.
     """
 
     ambient_dim: int
@@ -583,6 +651,8 @@ class AbGroupPresentation:
     # rows that must vanish on span(num); a callable builds them on the
     # first ``reduce``
     _checks: tuple[SparseRow, ...] | Callable[[], Iterable[SparseRow]] = ()
+    # rows mapping an ambient vector into the coordinates of _basis
+    _pull: tuple[SparseRow, ...] | None = None
 
     @property
     def is_trivial(self) -> bool:
@@ -612,6 +682,8 @@ class AbGroupPresentation:
         for row in self.check_rows():
             if sum(x * vec[j] for j, x in row):
                 raise SolveError("vector fails a check row of span(num)")
+        if self._pull is not None:
+            vec = [sum(x * vec[j] for j, x in row) for row in self._pull]
         y = vec if self._basis is None else _along(self._basis, vec)
         if y is None:
             raise SolveError("vector is not in span(num)")
@@ -674,30 +746,44 @@ def trivial_subquotient(basis_cols: Sequence[Sequence[int]],
         _column_echelon([list(c) for c in basis_cols])[0])
 
 
-def torsion_cokernel(a: Sequence[Sequence[int]]) -> AbGroupPresentation:
-    """The torsion subgroup of coker(a), read from U @ A @ V = D.
+def torsion_cokernel(rows: Sequence[dict],
+                     ncols: int) -> AbGroupPresentation:
+    """The torsion subgroup of coker(A), A the matrix with these rows
+    {column: entry} and ``ncols`` columns, read from U A V = D with only
+    V tracked (``_smith``).
 
     In the coordinates z = U x the image of A is {z_i in d_i Z for
     i < rank, z_j = 0 for j >= rank} and its saturation drops the d_i, so
-    the torsion is the sum of the Z/d_i with d_i > 1.  Generator i is
-    U^{-1} e_i = (A @ V[:, i]) / d_i.  The presentation has no echelon:
-    the rows of U from the rank on are its check rows, which vanish
-    exactly on the saturation of the image."""
-    res = smith_normal_form(a)
-    m, n = shape(a)
-    diag = res.diagonal
-    rank = res.rank
-    keep = [i for i in range(rank) if diag[i] > 1]
+    the torsion is the sum of the Z/d_i with d_i > 1.  Column i of U^{-1}
+    is g_i = (A V)_i / d_i, and g_0..g_{rank-1} are a basis of the
+    saturation on which a vector's coordinates are its z_i.  The
+    generators are the g_i with d_i > 1.  The presentation's echelon is
+    one of all rank g_i, so ``reduce`` raises SolveError off the
+    saturation, and its rows turn echelon coordinates into the kept
+    z_i."""
+    diagonal, _, v, _ = _smith(rows, ncols, track_u=False)
+    m = len(rows)
+    acols: list[dict] = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for j, x in row.items():
+            if x:
+                acols[j][r] = x
     gens = []
-    for i in keep:
-        col = [res.V[j][i] for j in range(n)]
-        d = diag[i]
-        gens.append(tuple(sum(x * y for x, y in zip(row, col) if x) // d
-                          for row in a))
+    for d, vcol in zip(diagonal, v):
+        if not d:
+            break
+        g: dict = {}
+        for j, c in vcol.items():
+            _axpy(g, acols[j], c)
+        gens.append({r: x // d for r, x in g.items()})
+    keep = [i for i, d in enumerate(diagonal[:len(gens)]) if d > 1]
+    generators = tuple(tuple(gens[i].get(r, 0) for r in range(m))
+                       for i in keep)
+    echelon, combos, _ = _sparse_echelon(gens, track=True)
     return AbGroupPresentation(
-        m, tuple(diag[i] for i in keep), tuple(gens),
-        tuple(_sparse(res.U[i]) for i in keep), None,
-        tuple(_sparse(res.U[i]) for i in range(rank, m)))
+        m, tuple(diagonal[i] for i in keep), generators,
+        tuple(tuple((k, c[i]) for k, c in enumerate(combos) if i in c)
+              for i in keep), echelon)
 
 
 def relation_columns(factors: Sequence[int], dim: int) -> list[list[int]]:

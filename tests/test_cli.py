@@ -184,6 +184,16 @@ def test_size_limit_exit_three(capsys):
     assert "size limit exceeded: 6 candidate maps exceed the bound 5" in err
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_size_limit_not_positive_is_input_error(capsys, limit):
+    """A limit of 0 does not fall back to the defaults, and a negative one
+    is not taken as a bound: both are refused before any work."""
+    code, out, err = run(capsys, "crossed-h0", "--crossed",
+                         "fixtures:s3-identity", "--size-limit", limit)
+    assert code == 2 and not out
+    assert f"--size-limit must be positive, got {limit}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("mv-report", "--graph", "fixtures:single-whole"),
     ("sha", "--graph", "fixtures:single-whole", "--degree", "0"),

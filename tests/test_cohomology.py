@@ -1,6 +1,8 @@
 """Group, Tate, and hypercohomology against textbook values and the
 unnormalized-complex oracle."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +10,9 @@ from lattice_strategies import S4_LATTICES, s4_lattices, small_lattices
 
 from galmod import fixtures
 from galmod import intlinalg as la
-from galmod.cohomology import (UnsupportedDegreeError, _cayley, _dense,
-                               _rank_mod, _Sparse, _total_rows,
+from galmod.cohomology import (UnsupportedDegreeError, _acting, _Bar,
+                               _cayley, _rank_mod, _Sparse,
+                               _total_rows, _view,
                                bar_differential,
                                cochain_dim, group_cohomology,
                                hyper_restriction, hypercohomology,
@@ -17,8 +20,9 @@ from galmod.cohomology import (UnsupportedDegreeError, _cayley, _dense,
                                tate_cohomology, total_differential)
 from galmod.complexes import (TwoTermComplex, classify,
                               coflasque_resolution, flasque_resolution)
-from galmod.groups import (build_group, cyclic_group, enumerate_subgroups,
-                           subgroup, symmetric_group_3, whole_subgroup)
+from galmod.groups import (build_group, cyclic_group, dihedral_group_4,
+                           direct_product, enumerate_subgroups, subgroup,
+                           symmetric_group_3, whole_subgroup)
 from galmod.lattice import (FgModule, LatticeMap, dual_lattice,
                             induced_action_on_sublattice, regular_lattice,
                             restrict_lattice, sign_lattice, trivial_lattice,
@@ -309,9 +313,9 @@ def test_cayley_cochain_maps_round_trip():
             mats = [lat.element_matrices()[g] for g in h.members_bfs()]
             cay = _cayley(sub)
             for n in (1, 2):
-                d = _dense(_total_rows(cay, (0, ()), (r, _Sparse(mats)),
-                                       None, n - 1), cay.cells(n - 1) * r)
-                tc = la.torsion_cokernel(d)
+                tc = la.torsion_cokernel(
+                    _total_rows(cay, (0, ()), (r, _Sparse(mats)), None,
+                                n - 1), cay.cells(n - 1) * r)
                 bar_d = bar_differential(sub, mats, r, n)
                 for c in tc.generators:
                     f = cay.to_bar(n, c, _Sparse(mats), r)
@@ -329,7 +333,7 @@ def test_cayley_cochain_maps_round_trip():
                 pres = cg.presentation
                 dim = cochain_dim(sub.order, r, n)
                 checks = pres.check_rows()
-                dense = _dense([dict(row) for row in checks], dim)
+                dense = la.dense_rows([dict(row) for row in checks], dim)
                 for v in la.preimage(dense, [], dim):
                     assert not any(la.mat_vec(bar_d, v))
     assert checked > 60
@@ -360,6 +364,112 @@ def test_h2_of_s4_with_regular_coefficients_vanishes():
         == ()
 
 
+def test_h2_of_s4_x_c2_with_regular_coefficients_vanishes():
+    """Z[G] is induced from the trivial group, so H^2(G, Z[G]) = 0; here
+    the Cayley d^1 has 4656 rows and 144 columns."""
+    s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+    g = direct_product(s4, cyclic_group(2))
+    assert group_cohomology(g, regular_lattice(g), 2).invariant_factors \
+        == ()
+
+
+def _u_row_route(h, a, n):
+    """H^n (n >= 1) as it was presented before the Smith form tracked V
+    alone: the Smith form of the dense Cayley d^{n-1} with its full U,
+    the generators (A V)_i / d_i taken Cayley -> bar, and the factor rows
+    of U read through bar -> Cayley.  Returns the factors, the
+    generators and that ``reduce`` on cocycles."""
+    sub, ids = _acting(h)
+    (r1, mats1, _), (r2, mats2, _), diff, _ = _view(a, ids)
+    cay, bar = _cayley(sub), _Bar(sub)
+    parts = ((r1, _Sparse(mats1)), (r2, _Sparse(mats2)))
+    blocks = ((n + 1,) + parts[0], (n,) + parts[1])
+    d = la.dense_rows(_total_rows(cay, *parts, diff, n - 1),
+               cay.cells(n) * r1 + cay.cells(n - 1) * r2)
+    res = la.smith_normal_form(d)
+    keep = [i for i in range(res.rank) if res.diagonal[i] > 1]
+    factors = tuple(res.diagonal[i] for i in keep)
+    gens = []
+    for i in keep:
+        c = [sum(x * res.V[j][i] for j, x in enumerate(row))
+             // res.diagonal[i] for row in d]
+        out, start = [], 0
+        for m, r, mats in blocks:
+            size = r and cay.cells(m) * r
+            if size:
+                out += cay.to_bar(m, c[start:start + size], mats, r)
+            start += size
+        gens.append(tuple(out))
+    pull, start = [], 0
+    for m, r, _ in blocks:
+        for terms in (cay.from_bar(m) if r else ()):
+            pull += [[(start + cell * r + b, x) for cell, x in terms.items()]
+                     for b in range(r)]
+        start += bar.cells(m) * r
+    rows = []
+    for i in keep:
+        row: dict = {}
+        for j, x in enumerate(res.U[i]):
+            for b, c in pull[j]:
+                row[b] = row.get(b, 0) + x * c
+        rows.append(row)
+
+    def reduce(vec):
+        return tuple(sum(x * vec[b] for b, x in row.items()) % f
+                     for row, f in zip(rows, factors))
+    return factors, tuple(gens), reduce
+
+
+def _u_row_cases():
+    """(subgroup, coefficient, degree, cohomology) for every catalog
+    lattice in degrees 1 and 2 and every catalog complex in degree 1,
+    over every subgroup; then H^2(S4, Z) and H^2(D4, Z[D4])."""
+    for lat in fixtures.lattice_catalog().values():
+        for h in enumerate_subgroups(lat.group)[0]:
+            for n in (1, 2):
+                yield h, lat, n, group_cohomology
+    for t in fixtures.complex_catalog().values():
+        for h in enumerate_subgroups(t.group)[0]:
+            yield h, t, 1, hypercohomology
+    s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+    yield s4, trivial_lattice(s4), 2, group_cohomology
+    d4 = dihedral_group_4()
+    yield d4, regular_lattice(d4), 2, group_cohomology
+
+
+def test_presentations_match_u_row_route():
+    """Factors, generators, and the ``reduce`` of every generator and of
+    random cocycles (generators plus coboundaries) are the U-row route's;
+    ``reduce`` refuses a non-cocycle."""
+    rng = random.Random(11)
+    cases = torsion = 0
+    for h, a, n, coh in _u_row_cases():
+        got = coh(h, a, n)
+        factors, gens, reduce = _u_row_route(h, a, n)
+        assert (got.invariant_factors, got.generators) == (factors, gens)
+        sub, ids = _acting(h)
+        (r1, mats1, _), (r2, mats2, _), diff, _ = _view(a, ids)
+        d_prev, d_n = (la.columns(total_differential(
+            sub, mats1, mats2, r1, r2, diff, m)) for m in (n - 1, n))
+        for i, g in enumerate(gens):
+            assert got.reduce(g) == reduce(g) \
+                == tuple(int(j == i) for j in range(len(gens)))
+        for _ in range(3):
+            vec = [0] * len(d_n)
+            for col in gens + tuple(rng.sample(d_prev, min(3, len(d_prev)))):
+                c = rng.randint(-4, 4)
+                vec = [x + c * y for x, y in zip(vec, col)]
+            assert got.reduce(vec) == reduce(vec)
+        # a unit cochain off the cocycles; the trivial subgroup has none
+        j = next((j for j, col in enumerate(d_n) if any(col)), None)
+        if j is not None:
+            with pytest.raises(la.SolveError):
+                got.reduce([int(i == j) for i in range(len(d_n))])
+        cases += 1
+        torsion += bool(factors)
+    assert cases > 150 and torsion > 40
+
+
 # ---------------------------------------------------------------------------
 # Vanishing of H^1 and Tate H^-1 by ranks mod p, against the Smith route.
 
@@ -388,7 +498,8 @@ def _minus_one(h, lat):
 def _smith_h1(h, lat):
     """Torsion of coker(d^0), d^0 the stacked M(s) - 1, by a Smith
     form."""
-    return la.torsion_cokernel(la.vstack(*_minus_one(h, lat))).factors
+    rows = [dict(la._sparse(row)) for m in _minus_one(h, lat) for row in m]
+    return la.torsion_cokernel(rows, lat.rank).factors
 
 
 def _smith_tate(h, lat):
