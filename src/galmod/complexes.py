@@ -10,9 +10,11 @@ square must commute modulo those relations (one span solve), the induced
 map on H^-1 must have a square unimodular matrix on the cycle bases, and
 the induced map on H^0 must be onto and one-to-one (read off one
 echelon of [comp0 | T] and the echelon of S that also gives the cycles).
-The full chain of moves is returned as a replayable certificate; replay
-also checks that the moves lead from the original complex to the
-resolved one.
+Each square is kept once, in its ``CertificateMove``, which holds both
+sides and both maps; a pushout or pullback result adds only what the
+next step reads.  The full chain of moves is returned as a replayable
+certificate; replay also checks that the moves lead from the original
+complex to the resolved one.
 """
 
 from __future__ import annotations
@@ -71,16 +73,6 @@ class TwoTermComplex:
 
     def __repr__(self):
         return f"TwoTermComplex([{self.l1.rank} -> {self.l2.rank}])"
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexMap:
-    """Commuting square between two-term complexes."""
-
-    source: TwoTermComplex
-    target: TwoTermComplex
-    comp_minus1: LatticeMap
-    comp0: LatticeMap
 
 
 def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
@@ -193,7 +185,8 @@ def _homology_stats(t: TwoTermComplex):
 
 @dataclass(frozen=True, eq=False)
 class CertificateMove:
-    """One elementary step of a resolution, with replay data."""
+    """One elementary step of a resolution, with replay data: the one
+    record of a move's square."""
 
     kind: str  # pushout-mono | pullback-epi | duality
     src: Union[HalfComplex, TwoTermComplex]
@@ -201,6 +194,13 @@ class CertificateMove:
     comp_minus1: Optional[IntMatrix]
     comp0: Optional[IntMatrix]
     evidence: MoveEvidence
+
+
+def _square_move(kind: str, src: HalfComplex, tgt: HalfComplex,
+                 comp_minus1: IntMatrix, comp0: IntMatrix) -> CertificateMove:
+    """A pushout or pullback move, its square certified on the spot."""
+    return CertificateMove(kind, src, tgt, comp_minus1, comp0,
+                           verify_square(src, tgt, comp_minus1, comp0))
 
 
 def replay_move(move: CertificateMove) -> MoveEvidence:
@@ -222,13 +222,13 @@ def _duality_evidence(a: TwoTermComplex, b: TwoTermComplex):
 
 @dataclass(frozen=True, eq=False)
 class PushoutResult:
+    """The quotient B', the certified move, and, when B' is a lattice,
+    the section B' -> A' + B and the differential A' -> B'."""
+
     quotient: Union[GLattice, FgModule]
-    square: Optional[ComplexMap]  # present when the quotient is a lattice
     move: CertificateMove
-    projection: IntMatrix  # (A'+B coords) -> quotient coords
-    section: IntMatrix
+    section: Optional[IntMatrix]  # quotient coords -> A'+B coords
     tgt_differential: Optional[LatticeMap]  # A' -> quotient
-    b_to_quotient: Optional[LatticeMap]
 
 
 def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
@@ -246,7 +246,7 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     snf = la.smith_normal_form(anti, inverse=True, track_v=False)
     r = snf.rank
     saturated = all(x == 1 for x in snf.invariant_factors)
-    src = TwoTermComplex(a, b, d)
+    src = _half(TwoTermComplex(a, b, d))
     # the injections A' -> A' + B and B -> A' + B
     ident = la.identity(n)
     ap_in = la.freeze([row[:aprime.rank] for row in ident])
@@ -259,30 +259,28 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
         action = tuple(la.mat_mul(la.mat_mul(pr, m), sec) for m in amb_mats)
         quo = GLattice(a.group, n - r, action)
         d_tgt = LatticeMap(aprime, quo, la.mat_mul(pr, ap_in))
-        b_to_q = LatticeMap(b, quo, la.mat_mul(pr, b_in))
-        tgt = TwoTermComplex(aprime, quo, d_tgt)
-        square = ComplexMap(src, tgt, f, b_to_q)
-        tgt_half = _half(tgt)
-        ev = verify_square(_half(src), tgt_half, f.matrix, b_to_q.matrix)
-        move = CertificateMove("pushout-mono", _half(src), tgt_half,
-                               f.matrix, b_to_q.matrix, ev)
-        return PushoutResult(quo, square, move, pr, sec, d_tgt, b_to_q)
+        move = _square_move("pushout-mono", src,
+                            _half(TwoTermComplex(aprime, quo, d_tgt)),
+                            f.matrix, la.mat_mul(pr, b_in))
+        return PushoutResult(quo, move, sec, d_tgt)
     # torsion in the quotient: present it as a module
     quo = FgModule(a.group, n, anti, amb.action)
-    tgt_half = HalfComplex(aprime, ap_in, quo)
-    ev = verify_square(_half(src), tgt_half, f.matrix, b_in)
-    move = CertificateMove("pushout-mono", _half(src), tgt_half,
-                           f.matrix, b_in, ev)
-    return PushoutResult(quo, None, move, la.identity(n), la.identity(n),
-                         None, None)
+    move = _square_move("pushout-mono", src, HalfComplex(aprime, ap_in, quo),
+                        f.matrix, b_in)
+    return PushoutResult(quo, move, None, None)
 
 
 @dataclass(frozen=True, eq=False)
 class PullbackResult:
-    fibre: GLattice
-    square: ComplexMap  # [A -> B'] -> [A' -> B]
+    """The complex [A -> B'] over the fibre A, and the certified move
+    from it to [A' -> B]."""
+
+    source: TwoTermComplex
     move: CertificateMove
-    inclusion: IntMatrix  # fibre basis in B' + A' coordinates
+
+    @property
+    def fibre(self) -> GLattice:
+        return self.source.l1
 
 
 def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
@@ -297,20 +295,13 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
     diff = la.hstack(g.matrix, la.mat_neg(dprime.matrix))
     kb = la.preimage(diff, [], amb.rank)
     fibre = induced_action_on_sublattice(amb, kb)
+    # the fibre basis in B' + A' coordinates, cut into its two parts
     incl = la.from_columns(kb, amb.rank)
-    top = la.freeze([[incl[i][j] for j in range(fibre.rank)]
-                     for i in range(bprime.rank)])
-    bottom = la.freeze([[incl[bprime.rank + i][j]
-                         for j in range(fibre.rank)]
-                        for i in range(aprime.rank)])
-    d_src = LatticeMap(fibre, bprime, top)
-    src = TwoTermComplex(fibre, bprime, d_src)
-    tgt = TwoTermComplex(aprime, b, dprime)
-    square = ComplexMap(src, tgt, LatticeMap(fibre, aprime, bottom), g)
-    ev = verify_square(_half(src), _half(tgt), bottom, g.matrix)
-    move = CertificateMove("pullback-epi", _half(src), _half(tgt),
-                           bottom, g.matrix, ev)
-    return PullbackResult(fibre, square, move, incl)
+    top, bottom = incl[:bprime.rank], incl[bprime.rank:]
+    src = TwoTermComplex(fibre, bprime, LatticeMap(fibre, bprime, top))
+    return PullbackResult(src, _square_move(
+        "pullback-epi", _half(src), _half(TwoTermComplex(aprime, b, dprime)),
+        bottom, g.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +340,14 @@ def classify(lat: GLattice, mode: str) -> ClassificationVerdict:
     return ClassificationVerdict(witness is None, mode, tuple(table), witness)
 
 
+def _require(lat: GLattice, mode: str, what: str) -> ClassificationVerdict:
+    """``classify`` a lattice that a construction guarantees to pass."""
+    verdict = classify(lat, mode)
+    if not verdict.ok:
+        raise RuntimeError(f"{what} failed the {mode} check")
+    return verdict
+
+
 # ---------------------------------------------------------------------------
 # The cover / embedding exact sequences.
 
@@ -356,12 +355,10 @@ def classify(lat: GLattice, mode: str) -> ClassificationVerdict:
 class CoverSequence:
     """0 -> C -> Q -> M -> 0 with Q permutation and C coflasque."""
 
-    m: GLattice
     q: GLattice
     c: GLattice
     inclusion: LatticeMap  # C -> Q
     projection: LatticeMap  # Q -> M
-    c_verdict: ClassificationVerdict
 
 
 def cts_cover_coflasque(m: GLattice) -> CoverSequence:
@@ -400,11 +397,8 @@ def cts_cover_coflasque(m: GLattice) -> CoverSequence:
     cb = la.kernel_basis(proj_mat)
     c = induced_action_on_sublattice(q, cb)
     inclusion = LatticeMap(c, q, la.from_columns(cb, q.rank))
-    verdict = classify(c, "coflasque")
-    if not verdict.ok:
-        raise RuntimeError("cover kernel failed the coflasque check")
-    return CoverSequence(m, q, c, inclusion, LatticeMap(q, m, proj_mat),
-                         verdict)
+    _require(c, "coflasque", "cover kernel")
+    return CoverSequence(q, c, inclusion, LatticeMap(q, m, proj_mat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +410,6 @@ class EmbedSequence:
     q1: GLattice
     inclusion: LatticeMap  # L -> C1
     projection: LatticeMap  # C1 -> Q1
-    c1_verdict: ClassificationVerdict
     moves: tuple[CertificateMove, ...]
 
 
@@ -453,11 +446,8 @@ def cts_embed_coflasque(lat: GLattice) -> EmbedSequence:
         raise RuntimeError("embedding sequence is not a complex")
     if c1.rank != lat.rank + q1.rank:
         raise RuntimeError("embedding sequence rank mismatch")
-    verdict = classify(c1, "coflasque")
-    if not verdict.ok:
-        raise RuntimeError("embedding target failed the coflasque check")
-    return EmbedSequence(lat, c1, q1, inclusion, projection, verdict,
-                         (po.move,))
+    _require(c1, "coflasque", "embedding target")
+    return EmbedSequence(lat, c1, q1, inclusion, projection, (po.move,))
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +527,8 @@ def coflasque_resolution(t: TwoTermComplex) -> tuple[TwoTermComplex,
         raise RuntimeError("resolution pushout acquired torsion")
     cover = cts_cover_coflasque(po.quotient)
     pb = pullback_square(cover.projection, po.tgt_differential)
-    resolved = pb.square.source
-    verdict = classify(resolved.l1, "coflasque")
-    if not verdict.ok:
-        raise RuntimeError("resolved complex failed the coflasque check")
+    resolved = pb.source
+    verdict = _require(resolved.l1, "coflasque", "resolved complex")
     cert = ResolutionCertificate(
         "coflasque", t, resolved,
         embed.moves + (po.move, pb.move), verdict.table)
@@ -554,9 +542,7 @@ def flasque_resolution(t: TwoTermComplex) -> tuple[TwoTermComplex,
     dual complex."""
     cof, cert_dual = coflasque_resolution(t.dual())
     resolved = cof.dual()
-    verdict = classify(resolved.l2, "flasque")
-    if not verdict.ok:
-        raise RuntimeError("resolved complex failed the flasque check")
+    verdict = _require(resolved.l2, "flasque", "resolved complex")
     dual_ev = MoveEvidence(*_duality_evidence(t, resolved))
     duality_move = CertificateMove("duality", t, resolved, None, None,
                                    dual_ev)

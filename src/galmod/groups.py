@@ -222,6 +222,8 @@ class SubgroupHandle:
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(self.members)))
         mem = set(self.members)
+        if len(mem) != len(self.members):
+            raise MembershipError("subgroup members must not repeat")
         if 0 not in mem:
             raise MembershipError("subgroup must contain the identity")
         for a in self.members:
@@ -240,9 +242,6 @@ class SubgroupHandle:
 
     def is_whole_group(self) -> bool:
         return self.order == self.parent.order
-
-    def contains(self, g: int) -> bool:
-        return g in set(self.members)
 
     def is_cyclic(self) -> bool:
         return any(self.parent.element_order(a) == self.order

@@ -128,14 +128,17 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
         if not n:
             raise FormatError("group table is empty")
         table = _id_rows(obj["table"], n, n, n, "table")
+        labels = obj.get("labels")
+        if labels is None:
+            labels = tuple(str(i) for i in range(n))
+        elif not isinstance(labels, list) or len(labels) != n \
+                or not all(isinstance(x, str) for x in labels):
+            raise FormatError(f"labels must be a list of {n} strings")
         gens = obj.get("generators")
         if gens is None:
             return group_from_table(table, None, obj.get("name", ""))
         gens = tuple(_int(x, "generator") for x in gens)
         _ids(gens, n, "generator")
-        labels = obj.get("labels")
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
         g = FiniteGroup(table, gens, tuple(labels), obj.get("name", ""))
         g.verify()
         return g
@@ -275,6 +278,11 @@ def load_graph(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> PatchingGraph:
 
 # --- resolution certificates ------------------------------------------------
 
+# the side type each move kind takes; a duality move alone has no maps
+_SIDE_TYPE = {"pushout-mono": "half", "pullback-epi": "half",
+              "duality": "complex"}
+
+
 def _dump_side(side: Union[HalfComplex, TwoTermComplex]) -> dict:
     if isinstance(side, TwoTermComplex):
         return {"type": "complex", "value": dump_complex(side)}
@@ -323,6 +331,8 @@ def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
     its word, subgroup and Cayley caches serve every move.  Sides that
     carry different dumps get different groups."""
     _expect(obj, CERTIFICATE_FORMAT)
+    if obj["mode"] not in ("flasque", "coflasque"):
+        raise FormatError(f"unknown certificate mode {obj['mode']!r}")
     groups: dict[str, FiniteGroup] = {}
 
     def group_of(dump):
@@ -333,16 +343,28 @@ def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
 
     moves = []
     for m in obj["moves"]:
+        kind, ev = m["kind"], m["evidence"]
+        if kind not in _SIDE_TYPE:
+            raise FormatError(f"unknown move kind {kind!r}")
+        square = kind != "duality"
+        if any(m[k]["type"] != _SIDE_TYPE[kind] for k in ("src", "tgt")) \
+                or any((m[k] is None) == square
+                       for k in ("comp_minus1", "comp0")):
+            raise FormatError(
+                f"a {kind} move takes {_SIDE_TYPE[kind]} sides and "
+                + ("both maps" if square else "no maps"))
+        if not isinstance(ev, list) or len(ev) != 2 \
+                or not all(type(x) is bool for x in ev):
+            raise FormatError(f"move evidence must be two booleans, "
+                              f"found {ev!r}")
         cm1 = (None if m["comp_minus1"] is None
                else parse_matrix(m["comp_minus1"], "comp_minus1"))
         c0 = None if m["comp0"] is None else parse_matrix(m["comp0"], "comp0")
         moves.append(CertificateMove(
-            m["kind"], _load_side(m["src"], group_of),
-            _load_side(m["tgt"], group_of), cm1, c0,
-            MoveEvidence(bool(m["evidence"][0]), bool(m["evidence"][1]))))
+            kind, _load_side(m["src"], group_of),
+            _load_side(m["tgt"], group_of), cm1, c0, MoveEvidence(*ev)))
     return ResolutionCertificate(
-        obj["mode"],
-        _load_complex(obj["original"], group_of),
+        obj["mode"], _load_complex(obj["original"], group_of),
         _load_complex(obj["resolved"], group_of),
         tuple(moves),
         deep_tuple(obj["vanishing_table"]))

@@ -386,6 +386,43 @@ def test_graph_member_out_of_range_exit_two(capsys, tmp_path):
                            "element id in 0..1")
 
 
+@pytest.mark.parametrize("labels", [["e"], [1, 2]],
+                         ids=["one-label", "int-labels"])
+def test_group_labels_not_n_strings_exit_two(capsys, tmp_path, labels):
+    """A Z2 table whose labels are not two strings is refused on load,
+    before a subgroup copies its labels."""
+    obj = json.loads(serialize.to_json(serialize.dump_lattice(
+        fixtures.lookup("lattice", "sign"))))
+    obj["group"]["labels"] = labels
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps(obj))
+    for argv in (("classify", "--lattice", str(path), "--mode", "flasque"),
+                 ("cohomology", "--lattice", str(path), "--degree", "1",
+                  "--subgroup", "0,1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "input error: labels must be a list of 2 strings"
+
+
+def test_repeated_subgroup_members_exit_two(capsys, tmp_path):
+    """A subgroup that names an element twice is refused, from a graph
+    file and from --subgroup alike."""
+    obj = json.loads(serialize.to_json(serialize.dump_graph(
+        fixtures.lookup("graph", "two-vertex-whole"))))
+    obj["vertices"][0] = [0, 0, 1]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(obj))
+    for argv in (("mv-report", "--graph", str(path),
+                  "--complex", "fixtures:z2-aug"),
+                 ("cohomology", "--lattice", "fixtures:sign", "--degree", "1",
+                  "--subgroup", "0,0,1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "input error: subgroup members must not repeat"
+
+
 def test_group_table_bounded_by_size_limit(capsys, tmp_path):
     """A table of order 65 exceeds the default limit of 64 before its
     axioms are checked; --size-limit 100 admits it."""

@@ -170,7 +170,7 @@ def test_pushout_with_torsion_quotient():
     triv = trivial_lattice(cyclic_group(2))
     doubling = LatticeMap(triv, triv, ((2,),))
     po = pushout_square(doubling, doubling)
-    assert isinstance(po.quotient, FgModule) and po.square is None
+    assert isinstance(po.quotient, FgModule) and po.tgt_differential is None
     assert po.quotient.invariant_factors == (2, 0)
     assert po.move.evidence.ok
 

@@ -211,6 +211,42 @@ def test_load_certificate_shares_one_group_per_dump():
     assert verdicts == [True, True, True, False] * 4
 
 
+@pytest.mark.parametrize("forge", [
+    lambda obj: obj.update(mode="bogus"),
+    lambda obj: obj["moves"][0].update(kind="pushout"),
+    lambda obj: obj["moves"][0]["src"].update(type="lattice"),
+    lambda obj: obj["moves"][0].update(kind="duality"),
+    lambda obj: obj["moves"][-1].update(kind="pushout-mono"),
+    lambda obj: obj["moves"][0].update(comp0=None),
+    lambda obj: obj["moves"][0].update(evidence=["no", 0]),
+    lambda obj: obj["moves"][0].update(evidence=[True, True, True]),
+], ids=["mode-bogus", "kind-unknown", "side-type-unknown", "half-as-duality",
+        "duality-as-pushout", "map-missing", "evidence-not-bool",
+        "evidence-three"])
+def test_load_certificate_refuses_forged_structure(forge):
+    """A certificate with an unknown mode, move kind or side type, a kind
+    whose sides or maps do not match it, or evidence that is not two
+    booleans is refused on load, before replay reads it."""
+    t = fixtures.complex_catalog()["z2-aug"]
+    obj = json.loads(se.to_json(se.dump_certificate(
+        flasque_resolution(t)[1])))
+    forge(obj)
+    with pytest.raises(se.FormatError):
+        se.load_certificate(obj)
+
+
+def test_catalog_certificates_load_and_replay():
+    """The coflasque and flasque certificates of all 18 catalog complexes
+    pass the load-time checks and replay."""
+    count = 0
+    for t in fixtures.complex_catalog().values():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            obj = json.loads(se.to_json(se.dump_certificate(resolve(t)[1])))
+            assert replay_certificate(se.load_certificate(obj))
+            count += 1
+    assert count == 36
+
+
 def _trivialize(side):
     """Set every action matrix of a dumped complex to the identity."""
     for part in side.get("value", side).values():
