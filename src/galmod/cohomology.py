@@ -87,7 +87,7 @@ from typing import Sequence, Union
 from . import intlinalg as la
 from .groups import FiniteGroup, SubgroupHandle, prime_factors
 from .intlinalg import AbGroupPresentation, IntMatrix, dense_rows
-from .lattice import FgModule, GLattice, induce
+from .lattice import FgModule, GLattice, Rows, common_fixed_points, induce
 
 
 class UnsupportedDegreeError(Exception):
@@ -152,16 +152,17 @@ def _acting(h) -> tuple[FiniteGroup, list[int]]:
 def _view(a, parent_ids: Sequence[int]):
     """A coefficient as a two-term complex [A1 -> A2], A1 in degree -1.
 
-    Returns (rank, element matrices of ``parent_ids``, relation columns as
-    a matrix) for A1 and for A2, the differential A1 -> A2 (None for a
+    Returns (rank, element matrices of ``parent_ids`` as the part's
+    cached sparse rows (``GLattice.element_rows``), relation columns as a
+    matrix) for A1 and for A2, the differential A1 -> A2 (None for a
     lattice or module A, which is [0 -> A]), and whether every part is a
     lattice, i.e. whether the cochains are free of torsion of their own.
     """
     def part(x):
         if x is None:
             return 0, (), la.zeros(0, 0)
-        mats = x.element_matrices()
-        sel = tuple(mats[g] for g in parent_ids)
+        rows = x.element_rows()
+        sel = tuple(rows[g] for g in parent_ids)
         if isinstance(x, GLattice):
             return x.rank, sel, la.zeros(x.rank, 0)
         return x.ngens, sel, x.relations
@@ -193,24 +194,11 @@ def _tuple_index(tup: tuple[int, ...], order: int, normalized: bool) -> int:
     return idx
 
 
-class _Sparse(dict):
-    """Element matrices, each as the (column, entry) pairs of its rows'
-    nonzeros, built when first read."""
-
-    def __init__(self, mats: Sequence[IntMatrix]):
-        super().__init__()
-        self.mats = mats
-
-    def __missing__(self, g: int) -> list:
-        rows = self[g] = [[(b, x) for b, x in enumerate(row) if x]
-                          for row in self.mats[g]]
-        return rows
-
-
 def _rows(boundary, mats, rank: int, offset: int = 0) -> list[dict]:
     """The ``rank`` cochain rows at a cell with boundary {(face, g): c}:
-    the row at coordinate a adds c * M(g)[a] (``mats`` a ``_Sparse``)
-    into the face's coordinate block, shifted by ``offset``."""
+    the row at coordinate a adds c * M(g)[a] (``mats`` element matrices
+    as sparse rows, as ``_view`` gives them) into the face's coordinate
+    block, shifted by ``offset``."""
     rows: list[dict] = [{} for _ in range(rank)]
     for (face, g), c in boundary.items():
         if not c:
@@ -377,7 +365,7 @@ def _total_rows(res, part1, part2, diff, n: int, last=None) -> list[dict]:
     """Rows, as {column: entry} dicts, of the total differential
     Tot^n -> Tot^{n+1} on the cochains of the resolution ``res``:
     Tot^n = C^{n+1}(A1) + C^n(A2), D(x, y) = (dx, (-1)^n diff*x + dy).
-    Each part is (rank, ``_Sparse`` element matrices); ``last`` as in
+    Each part is (rank, element matrices as sparse rows); ``last`` as in
     ``_Bar.boundaries``."""
     (r1, mats1), (r2, mats2) = part1, part2
     rows = []
@@ -396,11 +384,12 @@ def _total_rows(res, part1, part2, diff, n: int, last=None) -> list[dict]:
     return rows
 
 
-def bar_differential(group: FiniteGroup, mats: Sequence[IntMatrix],
+def bar_differential(group: FiniteGroup, mats: Sequence[Rows],
                      rank: int, n: int,
                      normalized: bool = True) -> IntMatrix:
     """Matrix of the bar-complex differential C^n -> C^{n+1}, the total
-    differential of [0 -> A]; C^n = 0 for n < 0."""
+    differential of [0 -> A]; C^n = 0 for n < 0.  ``mats`` holds the
+    element matrices as sparse rows (``GLattice.element_rows``)."""
     return total_differential(group, (), mats, 0, rank, None, n, normalized)
 
 
@@ -408,9 +397,10 @@ def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
                        diff: IntMatrix, n: int,
                        normalized: bool = True) -> IntMatrix:
     """Differential Tot^n -> Tot^{n+1} of the total complex
-    Tot^n = C^{n+1}(L1) + C^n(L2), D(x, y) = (dx, (-1)^n diff*x + dy)."""
-    rows = _total_rows(_Bar(group, normalized), (r1, _Sparse(mats1)),
-                       (r2, _Sparse(mats2)), diff, n)
+    Tot^n = C^{n+1}(L1) + C^n(L2), D(x, y) = (dx, (-1)^n diff*x + dy),
+    element matrices given as sparse rows."""
+    rows = _total_rows(_Bar(group, normalized), (r1, mats1), (r2, mats2),
+                       diff, n)
     return dense_rows(rows, cochain_dim(group.order, r1, n + 1, normalized)
                       + cochain_dim(group.order, r2, n, normalized))
 
@@ -419,7 +409,7 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
     """H^n of the total complex of lattice parts from Cayley cochains,
     presented in normalized bar coordinates (module docstring)."""
     cay, bar = _cayley(group), _Bar(group)
-    parts = ((part1[0], _Sparse(part1[1])), (part2[0], _Sparse(part2[1])))
+    parts = (part1, part2)
     # (cochain degree, rank, matrices) of the two blocks of Tot^n
     blocks = ((n + 1,) + parts[0], (n,) + parts[1])
 
@@ -478,10 +468,16 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
         tc._rows, tc._basis, checks, tuple(pull))
 
 
-def _fixed_rank(mats: Sequence[IntMatrix], order: int) -> int:
-    """rank L^H = (1/|H|) sum_h tr M(h), ``mats`` the matrices of all of
-    H's elements."""
-    return sum(m[i][i] for m in mats for i in range(len(m))) // order
+def _fixed_rank(mats: Sequence[Rows], order: int) -> int:
+    """rank L^H = (1/|H|) sum_h tr M(h), ``mats`` the sparse rows of all
+    of H's elements."""
+    trace = 0
+    for m in mats:
+        for i, row in enumerate(m):
+            for j, x in row:
+                if j == i:
+                    trace += x
+    return trace // order
 
 
 def _rank_mod(rows: Sequence[Sequence[int]], p: int, stop: int) -> int:
@@ -606,26 +602,38 @@ def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
 def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
     sub, parent_ids = _acting(h)
     _, (rank, mats, _), _, _ = _view(lat, parent_ids)
-    norm = la.zeros(rank, rank)
+    norm = [[0] * rank for _ in range(rank)]
     for m in mats:
-        norm = la.mat_add(norm, m)
-    ident = la.identity(rank)
+        for i, row in enumerate(m):
+            for j, x in row:
+                norm[i][j] += x
     # the generators s alone give I_H L and L^H, since
     # (gs - 1)x = (g - 1)(sx) + (s - 1)x
-    blocks = [la.mat_add(mats[s], la.mat_neg(ident)) for s in sub.generators]
     if n == -1:
         num = la.kernel_basis(norm)
-        # I_H L is spanned by the columns of the blocks side by side
+        # I_H L is spanned by the columns of the blocks M(s) - 1 side by
+        # side
+        blocks = [_dense_minus_one(mats[s], rank) for s in sub.generators]
         if _torsion_free(la.hstack(*blocks),
                          rank - _fixed_rank(mats, sub.order), sub.order):
             pres = la.trivial_subquotient(num, rank)
             return CohomologyGroup(n, (), (), pres, rank)
         den = [c for b in blocks for c in la.columns(b)]
     else:
-        num = la.preimage(la.vstack(*blocks), [], rank)
+        num = common_fixed_points([mats[s] for s in sub.generators], rank)
         den = la.columns(norm)
     pres = la.abgroup_from_subquotient(num, den, rank)
     return CohomologyGroup(n, pres.factors, pres.generators, pres, rank)
+
+
+def _dense_minus_one(rows: Rows, rank: int) -> IntMatrix:
+    """M - 1 as a dense matrix, M given as sparse rows."""
+    out = [[0] * rank for _ in range(rank)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[i][j] = x
+        out[i][i] -= 1
+    return la.freeze(out)
 
 
 def restriction(src, h: SubgroupHandle, a, n: int,

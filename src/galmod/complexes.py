@@ -134,10 +134,12 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     the relations of the target's B, and that the induced kernel and
     cokernel maps are isomorphisms.
 
+    comp_minus1 must have the shape of a map A -> A', and
     comp_minus1 M(s) = M'(s) comp_minus1 must hold exactly for every
-    generator s.  comp0 being equivariant modulo the relations of B',
-    commuting with the differentials modulo them, and being well defined
-    on B are one span check.  H^-1 is free on the cycle bases, so its map
+    generator index s, on sparse rows (``GLattice.action_rows``).  comp0
+    being equivariant modulo the relations of B', commuting with the
+    differentials modulo them, and being well defined on B are one span
+    check.  H^-1 is free on the cycle bases, so its map
     is an isomorphism iff its matrix on them is square and unimodular.
     H^0 is Z^m / span(S) -> Z^n / span(T), with S and T the differential
     and relations of each side: it is onto iff the columns of [comp0 | T]
@@ -147,9 +149,11 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     span(S), that of T the cycle basis of H^-1 on the target, and that of
     [comp0 | T] both "onto" (its pivots) and the preimage (its kernel cut
     to the first m coordinates).  No Smith form runs."""
-    if not all(la.mat_eq(la.mat_mul(comp_minus1, ms),
-                         la.mat_mul(mt, comp_minus1))
-               for ms, mt in zip(src.a.action, tgt.a.action)):
+    rows, cols = la.shape(comp_minus1)
+    comp = la.sparse_rows(comp_minus1)
+    if rows != tgt.a.rank or (rows and cols != src.a.rank) or not all(
+            la.rows_mul(comp, ms) == la.rows_mul(mt, comp)
+            for ms, mt in zip(src.a.action_rows(), tgt.a.action_rows())):
         return MoveEvidence(False, False)
     comm = la.mat_add(la.mat_mul(comp0, src.d),
                       la.mat_neg(la.mat_mul(tgt.d, comp_minus1)))
@@ -370,7 +374,7 @@ def cts_cover_coflasque(m: GLattice) -> CoverSequence:
     by the partial cover, which keeps the rank small.
     """
     group = m.group
-    mats = m.element_matrices()
+    rows = m.element_rows()
     _, reps = enumerate_subgroups(group)
     # (handle, coset space, images M(rep_c) gen of the generator per coset)
     summands = []
@@ -389,7 +393,7 @@ def cts_cover_coflasque(m: GLattice) -> CoverSequence:
         gap = la.abgroup_from_subquotient(fix, image_cols, m.rank)
         cs = coset_action(group, k) if gap.generators else None
         for gen in gap.generators:
-            summands.append((k, cs, [la.mat_vec(mats[rep], gen)
+            summands.append((k, cs, [la.rows_apply(rows[rep], gen)
                                      for rep in cs.representatives]))
     q = make_permutation_lattice(group, [h for h, _, _ in summands])
     proj_mat = la.from_columns(

@@ -163,13 +163,17 @@ def build_group(generator_permutations, size_limit: int = DEFAULT_SIZE_LIMIT,
     return FiniteGroup(table, gens, labels, name)
 
 
-def group_from_table(table, generators=None, name: str = "") -> FiniteGroup:
+def group_from_table(table, generators=None, name: str = "",
+                     labels=None) -> FiniteGroup:
+    """A checked group from its multiplication table; generators default
+    to every non-identity element and labels to "0".."n-1"."""
     tbl = tuple(tuple(int(x) for x in row) for row in table)
     n = len(tbl)
     if generators is None:
         generators = tuple(range(1, n)) or (0,)
-    g = FiniteGroup(tbl, tuple(generators), tuple(str(i) for i in range(n)),
-                    name)
+    if labels is None:
+        labels = tuple(str(i) for i in range(n))
+    g = FiniteGroup(tbl, tuple(generators), tuple(labels), name)
     g.verify()
     return g
 

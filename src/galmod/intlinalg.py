@@ -3,7 +3,10 @@ and finitely generated abelian group presentations.
 
 All matrices are row-major sequences of rows with Python ``int`` entries,
 so intermediate values never overflow.  Frozen (tuple-of-tuples) matrices
-are used in public data types; plain lists are accepted everywhere.
+are used in public data types; plain lists are accepted everywhere.  A
+matrix with few nonzeros per row may instead be kept as sparse rows,
+each the ``SparseRow`` of its nonzeros in ascending column order, so
+that equal matrices have equal rows.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
+SparseRow = tuple[tuple[int, int], ...]  # nonzero (column, entry) pairs
 
 
 class SolveError(Exception):
@@ -75,10 +79,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
                     acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def mat_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -557,6 +557,13 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
     return ColumnSpan(columns(a), track=True).kernel(shape(a)[1])
 
 
+def sparse_kernel(cols: list[dict]) -> list[list[int]]:
+    """``kernel_basis`` of the matrix whose columns are given as
+    {row: entry}, which the echelon reduces in place."""
+    kernel = _sparse_echelon(cols, track=True)[2]
+    return [[combo.get(i, 0) for i in range(len(cols))] for combo in kernel]
+
+
 def preimage(a: Sequence[Sequence[int]], rel_cols: Sequence[Sequence[int]],
              ncols: int) -> list[list[int]]:
     """Generators (columns) of {x in Z^ncols : a @ x in span(rel_cols)}.
@@ -618,9 +625,6 @@ def solve_columns(basis_cols: Sequence[Sequence[int]],
 
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups presented as subquotients of Z^n.
-
-SparseRow = tuple[tuple[int, int], ...]  # nonzero (column, entry) pairs
-
 
 @dataclass(frozen=True, eq=False)
 class AbGroupPresentation:
@@ -699,6 +703,36 @@ class AbGroupPresentation:
 
 def _sparse(row: Sequence[int]) -> SparseRow:
     return tuple((j, x) for j, x in enumerate(row) if x)
+
+
+def sparse_rows(m: Sequence[Sequence[int]]) -> tuple[SparseRow, ...]:
+    return tuple(_sparse(row) for row in m)
+
+
+def rows_mul(a: Sequence[SparseRow],
+             b: Sequence[SparseRow]) -> tuple[SparseRow, ...]:
+    """Product a @ b of two matrices given as sparse rows: row i adds x
+    times row k of b for each (k, x) in row i of a."""
+    out = []
+    for arow in a:
+        acc: dict[int, int] = {}
+        for k, x in arow:
+            for j, y in b[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        out.append(tuple(sorted((j, y) for j, y in acc.items() if y)))
+    return tuple(out)
+
+
+def rows_apply(rows: Sequence[SparseRow],
+               v: Sequence[int]) -> tuple[int, ...]:
+    """The matrix with these sparse rows times the vector v."""
+    out = []
+    for row in rows:
+        y = 0
+        for j, x in row:
+            y += x * v[j]
+        out.append(y)
+    return tuple(out)
 
 
 def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],

@@ -1,21 +1,28 @@
 """G-lattices and equivariant maps: exact integer modules with a group
 action by unimodular matrices.
 
-A GLattice stores one matrix per group generator; matrices for all
-elements are derived from the BFS generator words and cached.  FgModule is
-the only torsion-capable type (cokernels live there); lattices are always
-free.
+A GLattice stores one matrix per group generator.  The matrices of all
+elements are kept once per lattice (or module) as sparse rows
+(``intlinalg.SparseRow``): element matrices of lattices have few
+nonzeros per row, and fixed points, permutation covers, squares and
+cohomology all read them in that form.  The rows come from sparse
+products along the BFS generator words.  Dense element matrices
+(``element_matrices``) are read off the rows on request and not kept.
+FgModule is the only torsion-capable type (cokernels live there);
+lattices are always free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import intlinalg as la
 from .groups import (FiniteGroup, MembershipError, SubgroupHandle,
                      coset_action)
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, SparseRow
+
+Rows = tuple[SparseRow, ...]  # one matrix as sparse rows
 
 
 class EquivarianceError(Exception):
@@ -44,23 +51,32 @@ class GLattice:
         multiplication table.
 
         Only M(a) M(s) = M(a s) is tested, for every element a and
-        generator s.  That suffices: each c != 1 is c = b s with
-        word(c) = word(b) + (s,), so M(c) = M(b) M(s), and by induction
-        on the length of word(c), M(a) M(c) = M(a b) M(s) = M(a c).
+        generator s, on sparse rows.  That suffices: each c != 1 is
+        c = b s with word(c) = word(b) + (s,), so M(c) = M(b) M(s), and by
+        induction on the length of word(c), M(a) M(c) = M(a b) M(s) =
+        M(a c).
         """
         for m in self.action:
             if self.rank and not la.is_unimodular(m):
                 raise EquivarianceError("action matrix is not unimodular")
-        mats = self.element_matrices()
+        rows = self.element_rows()
         g = self.group
         for a in g.elements():
-            for m, s in zip(self.action, g.generators):
-                if not la.mat_eq(la.mat_mul(mats[a], m), mats[g.mul(a, s)]):
+            for m, s in zip(self.action_rows(), g.generators):
+                if la.rows_mul(rows[a], m) != rows[g.mul(a, s)]:
                     raise EquivarianceError(
                         f"action violates the relation {a}*{s}")
 
+    def element_rows(self) -> tuple[Rows, ...]:
+        return _element_rows(self, self.rank)
+
     def element_matrices(self) -> tuple[IntMatrix, ...]:
-        return _element_matrices(self, self.rank)
+        return tuple(_dense(m, self.rank) for m in self.element_rows())
+
+    def action_rows(self) -> tuple[Rows, ...]:
+        """The generator matrices ``action`` as sparse rows, by generator
+        index."""
+        return _action_rows(self)
 
     @property
     def is_permutation_certified(self) -> bool:
@@ -127,30 +143,55 @@ class FgModule:
             self.ngens)
         return pres.factors
 
+    def element_rows(self) -> tuple[Rows, ...]:
+        return _element_rows(self, self.ngens)
+
     def element_matrices(self) -> tuple[IntMatrix, ...]:
-        return _element_matrices(self, self.ngens)
+        return tuple(_dense(m, self.ngens) for m in self.element_rows())
 
 
-def _element_matrices(obj, dim: int) -> tuple[IntMatrix, ...]:
-    """Matrices of all group elements for a GLattice or FgModule, cached
-    on the object.
+def _dense(rows: Rows, ncols: int) -> IntMatrix:
+    return la.dense_rows(map(dict, rows), ncols)
+
+
+def _cached(obj, name: str, build: Callable[[], tuple[Rows, ...]]):
+    """Rows cached on ``obj`` under ``name``, built on first read."""
+    cached = getattr(obj, name, None)
+    if cached is None:
+        cached = build()
+        object.__setattr__(obj, name, cached)
+    return cached
+
+
+def _action_rows(obj) -> tuple[Rows, ...]:
+    return _cached(obj, "_action_rows",
+                   lambda: tuple(la.sparse_rows(m) for m in obj.action))
+
+
+def _element_rows(obj, dim: int) -> tuple[Rows, ...]:
+    """Sparse rows of the matrices of all group elements for a GLattice or
+    FgModule, cached on the object.
 
     The BFS words satisfy word(e s) = word(e) + (s,), so M(e s) =
-    M(e) M(s) costs one product per non-identity element.
+    M(e) M(s) costs one sparse product per element whose word is longer
+    than one letter.
     """
-    cached = getattr(obj, "_elem_mats", None)
-    if cached is None:
-        group = obj.group
-        words = [group.word(e) for e in group.elements()]
-        by_word = {w: e for e, w in enumerate(words)}
-        mats = [la.identity(dim)] * group.order
-        for e in sorted(group.elements(), key=lambda e: len(words[e])):
-            w = words[e]
-            if w:
-                mats[e] = la.mat_mul(mats[by_word[w[:-1]]], obj.action[w[-1]])
-        cached = tuple(mats)
-        object.__setattr__(obj, "_elem_mats", cached)
-    return cached
+    return _cached(obj, "_elem_rows", lambda: _word_rows(obj, dim))
+
+
+def _word_rows(obj, dim: int) -> tuple[Rows, ...]:
+    group = obj.group
+    gens = _action_rows(obj)
+    words = [group.word(e) for e in group.elements()]
+    by_word = {w: e for e, w in enumerate(words)}
+    rows = [tuple(((i, 1),) for i in range(dim))] * group.order
+    for e in sorted(group.elements(), key=lambda e: len(words[e])):
+        w = words[e]
+        if len(w) == 1:
+            rows[e] = gens[w[0]]
+        elif w:
+            rows[e] = la.rows_mul(rows[by_word[w[:-1]]], gens[w[-1]])
+    return tuple(rows)
 
 
 def lattice_as_module(lat: GLattice) -> FgModule:
@@ -208,8 +249,9 @@ def dual_lattice(lat: GLattice) -> GLattice:
     nothing is inverted.
     """
     g = lat.group
-    mats = lat.element_matrices()
-    action = tuple(la.transpose(mats[g.inv(s)]) for s in g.generators)
+    rows = lat.element_rows()
+    action = tuple(la.transpose(_dense(rows[g.inv(s)], lat.rank))
+                   for s in g.generators)
     perm = lat.permutation_subgroups
     return GLattice(lat.group, lat.rank, action,
                     permutation_subgroups=perm)
@@ -238,9 +280,8 @@ def induced_action_on_sublattice(lat: GLattice,
     """Action on an invariant sublattice in terms of the given basis: the
     images of the basis under every generator, in one solve."""
     k = len(basis_cols)
-    basis = la.from_columns(basis_cols, lat.rank)
     x = la.solve_columns(basis_cols, [
-        c for m in lat.action for c in la.columns(la.mat_mul(m, basis))])
+        la.rows_apply(m, b) for m in lat.action_rows() for b in basis_cols])
     return GLattice(lat.group, k, tuple(
         la.from_columns(x[i * k:(i + 1) * k], k)
         for i in range(len(lat.action))))
@@ -260,26 +301,42 @@ def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
     zero on every later row too.  The frozen columns are never touched
     again, so the later rows find no column to eliminate, and the
     kernel is the same as that of the full stack."""
-    mats = lat.element_matrices()
+    rows = lat.element_rows()
     last = max(h.to_parent(g) for g in h.as_group().generators)
-    blocks = []
-    ident = la.identity(lat.rank)
-    for m in h.members:
-        if m > last:
-            break
-        if m == 0:
-            continue
-        blocks.append(la.mat_add(mats[m], la.mat_neg(ident)))
-    return la.preimage(la.vstack(*blocks), [], lat.rank)
+    return common_fixed_points(
+        [rows[m] for m in h.members if 0 < m <= last], lat.rank)
+
+
+def common_fixed_points(mats: Sequence[Rows], rank: int) -> list[list[int]]:
+    """Saturated basis (columns) of the vectors every M in ``mats``
+    fixes, each M given as sparse rows: the kernel of the blocks M - 1
+    stacked in that order.  The stack goes to the echelon as the
+    {row: entry} columns ``kernel_basis`` would build from its dense
+    form, each filled in ascending row order."""
+    cols: list[dict] = [{} for _ in range(rank)]
+    r = 0
+    for m in mats:
+        for i, row in enumerate(m):
+            diagonal = False
+            for j, x in row:
+                if j == i:
+                    x -= 1
+                    diagonal = True
+                if x:
+                    cols[j][r] = x
+            if not diagonal:
+                cols[i][r] = -1
+            r += 1
+    return la.sparse_kernel(cols)
 
 
 def restrict_lattice(lat: GLattice, h: SubgroupHandle) -> GLattice:
     """The same lattice viewed over a subgroup of its group."""
     sub = h.as_group()
-    mats = lat.element_matrices()
-    action = tuple(mats[h.to_parent(g)] for g in sub.generators)
-    return GLattice(sub, lat.rank, action,
-                    permutation_subgroups=None)
+    rows = lat.element_rows()
+    action = tuple(_dense(rows[h.to_parent(g)], lat.rank)
+                   for g in sub.generators)
+    return GLattice(sub, lat.rank, action, permutation_subgroups=None)
 
 
 def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
@@ -300,7 +357,7 @@ def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
     reps = cs.representatives
     r = lat.rank
     n = cs.size
-    sub_mats = lat.element_matrices()
+    sub_rows = lat.element_rows()
     action = []
     for gen in gamma.generators:
         m = [[0] * (n * r) for _ in range(n * r)]
@@ -308,10 +365,9 @@ def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
             tgt = cs.act(gen, j)
             # gen * reps[j] = reps[tgt] * hh with hh in H
             hh = gamma.mul(gamma.inv(reps[tgt]), gamma.mul(gen, reps[j]))
-            block = sub_mats[to_sub(hh)]
-            for a in range(r):
-                for b in range(r):
-                    m[tgt * r + a][j * r + b] = block[a][b]
+            for a, row in enumerate(sub_rows[to_sub(hh)]):
+                for b, x in row:
+                    m[tgt * r + a][j * r + b] = x
         action.append(la.freeze(m))
     return GLattice(gamma, n * r, tuple(action))
 

@@ -129,19 +129,15 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
             raise FormatError("group table is empty")
         table = _id_rows(obj["table"], n, n, n, "table")
         labels = obj.get("labels")
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        elif not isinstance(labels, list) or len(labels) != n \
-                or not all(isinstance(x, str) for x in labels):
+        if labels is not None and (
+                not isinstance(labels, list) or len(labels) != n
+                or not all(isinstance(x, str) for x in labels)):
             raise FormatError(f"labels must be a list of {n} strings")
         gens = obj.get("generators")
-        if gens is None:
-            return group_from_table(table, None, obj.get("name", ""))
-        gens = tuple(_int(x, "generator") for x in gens)
-        _ids(gens, n, "generator")
-        g = FiniteGroup(table, gens, tuple(labels), obj.get("name", ""))
-        g.verify()
-        return g
+        if gens is not None:
+            gens = tuple(_int(x, "generator") for x in gens)
+            _ids(gens, n, "generator")
+        return group_from_table(table, gens, obj.get("name", ""), labels)
     if "cycles" in obj:
         _expect(obj, GROUP_FORMAT)
         degree = _int(obj["degree"], "degree")

@@ -164,6 +164,21 @@ def test_verify_square_h0_decisions():
     assert verify_square(z, nothing, (), ()) == MoveEvidence(True, False)
 
 
+def test_verify_square_refuses_a_misshapen_comp_minus1():
+    """A map A -> A' with a column or a row too many or too few is no
+    map of the square: the evidence is negative, not an error."""
+    move = coflasque_resolution(fixtures.complex_catalog()["z3-aug"])[1] \
+        .moves[-1]
+    cm1 = la.thaw(move.comp_minus1)
+    assert move.src.a.rank and move.tgt.a.rank
+    assert verify_square(move.src, move.tgt, move.comp_minus1,
+                         move.comp0).ok
+    for bad in ([row + [0] for row in cm1], [row[:-1] for row in cm1],
+                cm1 + [[0] * len(cm1[0])], cm1[:-1]):
+        assert verify_square(move.src, move.tgt, la.freeze(bad),
+                             move.comp0) == MoveEvidence(False, False)
+
+
 def test_pushout_with_torsion_quotient():
     """Pushing x2 out along x2 on Z gives Z^2 / (2, -2): torsion, so the
     quotient is a module and the move has no lattice square."""

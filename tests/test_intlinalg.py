@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dense_snf
+from matvec import mat_vec
 from galmod import intlinalg as la
 from lattice_strategies import unimodular_matrices
 
@@ -237,11 +238,11 @@ def test_torsion_cokernel_reduce_on_sparse_rows():
         keep = [i for i in range(rank) if res.diagonal[i] > 1]
         for _ in range(5):
             z = [rng.randint(-5, 5) for _ in range(n)]
-            vec = list(la.mat_vec(a, z))
+            vec = list(mat_vec(a, z))
             for g in tc.generators:
                 c = rng.randint(-3, 3)
                 vec = [x + c * y for x, y in zip(vec, g)]
-            y = la.mat_vec(res.U, vec)
+            y = mat_vec(res.U, vec)
             assert all(y[j] == 0 for j in range(rank, m))
             assert tc.reduce(vec) == tuple(y[i] % res.diagonal[i]
                                            for i in keep)
@@ -259,13 +260,13 @@ def test_torsion_cokernel_reduce_on_sparse_rows():
 def test_kernel_and_image():
     a = la.freeze([[1, 2, 3], [2, 4, 6]])
     for v in la.kernel_basis(a):
-        assert all(x == 0 for x in la.mat_vec(a, v))
+        assert all(x == 0 for x in mat_vec(a, v))
     img = la.image_basis(a)
     assert len(img) == 1
     b = la.freeze([[2, 4]])
     kb = la.kernel_basis(b)
     assert len(kb) == 1
-    assert la.mat_vec(b, kb[0]) == (0,)
+    assert mat_vec(b, kb[0]) == (0,)
 
 
 def test_kernel_is_saturated():
@@ -286,7 +287,7 @@ def test_preimage():
     assert la.preimage((), [], 2) == [[1, 0], [0, 1]]
     a = la.freeze([[1, 1, 0], [0, 2, 2]])
     for x in la.preimage(a, [[0, 4]], 3):
-        y = la.mat_vec(a, x)
+        y = mat_vec(a, x)
         assert y[0] == 0 and y[1] % 4 == 0
 
 
@@ -338,7 +339,7 @@ def _snf_in_span(rel, vec):
     U rel V = D, the coordinates U vec must be multiples of the d_i up to
     the rank and zero after it."""
     res = la.smith_normal_form(rel)
-    z = la.mat_vec(res.U, vec)
+    z = mat_vec(res.U, vec)
     d = res.diagonal
     return all(z[i] % d[i] == 0 if i < res.rank else z[i] == 0
                for i in range(len(z)))
@@ -369,7 +370,7 @@ def test_in_relation_span_matches_smith_form(m, k, data):
         x = [data.draw(st.integers(-3, 3)) for _ in range(k)]
         noise = [data.draw(st.sampled_from([0, 0, 1, -1, 2]))
                  for _ in range(m)]
-        cols.append([a + b for a, b in zip(la.mat_vec(rel, x), noise)])
+        cols.append([a + b for a, b in zip(mat_vec(rel, x), noise)])
     want = [_snf_in_span(rel, c) for c in cols]
     for c, w in zip(cols, want):
         assert la.in_relation_span(rel, [c]) == w
@@ -425,7 +426,7 @@ def test_subquotient_reduce_matches_two_solve_route(dim, k, j, spans, data):
 
     num = [draw_vec(dim, 4) for _ in range(k)]
     num_mat = la.from_columns(num, dim)
-    den = [list(la.mat_vec(num_mat, draw_vec(k, 3))) for _ in range(j)]
+    den = [list(mat_vec(num_mat, draw_vec(k, 3))) for _ in range(j)]
     if spans:
         den = [[a - b for a, b in zip(c, d)] for c, d in zip(num, den)] \
             + num[len(den):] + den
@@ -440,7 +441,7 @@ def test_subquotient_reduce_matches_two_solve_route(dim, k, j, spans, data):
     for c in den:
         assert not any(pres.reduce(c))
     for _ in range(3):
-        vec = list(la.mat_vec(num_mat, draw_vec(k, 5)))
+        vec = list(mat_vec(num_mat, draw_vec(k, 5)))
         assert pres.reduce(vec) == _two_solve_reduce(num, den, dim, vec)
     off = draw_vec(dim, 2)
     if num and _snf_in_span(num_mat, off):

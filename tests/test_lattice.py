@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lattice_strategies import S4_LATTICES, small_lattices, \
+from lattice_strategies import S4_LATTICES, s4_lattices, small_lattices, \
     unimodular_matrices
 
 from galmod import fixtures
@@ -221,11 +221,23 @@ def _word_products(obj, dim):
     return tuple(out)
 
 
+def _assert_rows_match_dense(obj, dim):
+    """Sparse element rows against the dense products along the BFS
+    words, the dense view with them, and for a lattice the generator
+    rows against its ``action``."""
+    dense = _word_products(obj, dim)
+    assert obj.element_rows() == tuple(la.sparse_rows(m) for m in dense)
+    assert obj.element_matrices() == dense
+    if isinstance(obj, GLattice):
+        assert obj.action_rows() == tuple(la.sparse_rows(m)
+                                          for m in obj.action)
+
+
 def test_element_matrices_match_word_products():
     d4 = dihedral_group_4()
     s3 = symmetric_group_3()
     for lat in fixtures.lattice_catalog().values():
-        assert lat.element_matrices() == _word_products(lat, lat.rank)
+        _assert_rows_match_dense(lat, lat.rank)
     rot = ((0, -1), (1, 0))
     mods = [
         FgModule(cyclic_group(2), 1, ((2,),), (la.identity(1),)),
@@ -236,10 +248,12 @@ def test_element_matrices_match_word_products():
         lattice_as_module(zero_lattice(d4)),
     ]
     for mod in mods:
-        assert mod.element_matrices() == _word_products(mod, mod.ngens)
+        _assert_rows_match_dense(mod, mod.ngens)
 
 
-@given(small_lattices())
-@settings(max_examples=20, deadline=None)
+@given(st.one_of(small_lattices(), s4_lattices()))
+@settings(max_examples=40, deadline=None)
 def test_element_matrices_property(lat):
-    assert lat.element_matrices() == _word_products(lat, lat.rank)
+    """Direct sums, duals and rebases of small lattices, and of S4
+    permutation and augmentation lattices."""
+    _assert_rows_match_dense(lat, lat.rank)

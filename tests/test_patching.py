@@ -4,6 +4,7 @@ force oracle, exactness reports, and refinement."""
 from itertools import product as iproduct
 
 import pytest
+from matvec import mat_vec
 
 from galmod import intlinalg as la
 from galmod import fixtures
@@ -430,13 +431,13 @@ def test_non_exact_witnesses_are_real():
                     assert tuple(vm[c] for vm in cols.vertex_maps) != w
                 continue
             zero = (0,) * cols.right_dim
-            assert _reduce(la.mat_vec(cols.difference_matrix, w),
+            assert _reduce(mat_vec(cols.difference_matrix, w),
                            cols.right_factors) == zero, where
             target = _reduce(w, cols.middle_factors)
             assert 0 not in cols.left.invariant_factors, where
             for x in iproduct(*(range(f)
                                 for f in cols.left.invariant_factors)):
-                assert _reduce(la.mat_vec(cols.restriction_matrix, x),
+                assert _reduce(mat_vec(cols.restriction_matrix, x),
                                cols.middle_factors) != target, where
     assert witnesses == 14
 

@@ -25,6 +25,19 @@ def test_group_round_trip():
     assert back.labels == s3.labels
 
 
+def test_table_group_without_generators_keeps_its_labels():
+    obj = {"format": se.GROUP_FORMAT, "table": [[0, 1], [1, 0]],
+           "labels": ["e", "a"]}
+    g = se.load_group(obj)
+    assert g.labels == ("e", "a")
+    dump = json.loads(se.to_json(se.dump_group(g)))
+    assert dump["labels"] == ["e", "a"]
+    back = se.load_group(dump)
+    assert (back.table, back.generators, back.labels) == \
+        (g.table, g.generators, g.labels)
+    assert se.dump_group(back) == dump
+
+
 def test_group_from_cycles():
     g = se.load_group({"format": se.GROUP_FORMAT, "degree": 3,
                        "cycles": ["(1 2)", "(1 2 3)"]})
