@@ -13,12 +13,12 @@ Generators, ``reduce``, restriction and patching all use them.
 
 When every part is a lattice, the work is done on the Cayley complex of
 H on its generators s_1..s_k (Holt, JSC 1985; Brown, Cohomology of
-Groups, II.5).  The BFS words of ``FiniteGroup.word`` span a tree of the
-Cayley graph, and each of the |H|(k-1)+1 edges (x, s) outside it bounds
-a 2-cell, so C^0 = L, C^1 = L^k and C^2 = L^cells, with d^0 the stacked
-M(s) - 1 and (d^1 c)(x, s) = J_x c + M(x) c_s - J_{xs} c.  Here J_x c
-sums M(p_{i-1}) c_{t_i} along word(x) = t_1..t_m, p_i its prefixes.  Two
-cochain maps translate:
+Groups, II.5).  The BFS spanning tree ``FiniteGroup.tree()`` of the
+Cayley graph gives each x its word(x), and each of the |H|(k-1)+1 edges
+(x, s) outside the tree bounds a 2-cell, so C^0 = L, C^1 = L^k and
+C^2 = L^cells, with d^0 the stacked M(s) - 1 and (d^1 c)(x, s) =
+J_x c + M(x) c_s - J_{xs} c.  Here J_x c sums M(p_{i-1}) c_{t_i} along
+word(x) = t_1..t_m, p_i its prefixes.  Two cochain maps translate:
 
 * Cayley -> bar: f(g) = J_g c; f(g, h) sums c over the 2-cells met on
   the walk from g along word(h).
@@ -258,25 +258,21 @@ class _Cayley:
     """The Cayley complex of a group on its generators s_1..s_k, as a free
     resolution of Z truncated after degree 2 (module docstring).
 
-    The BFS words of ``FiniteGroup.word`` span a tree of the Cayley graph.
-    Each edge (x, s_t) outside it closes a loop, word(x) then s_t then
-    word(x s_t) backwards, that bounds one 2-cell.
+    ``FiniteGroup.tree()`` spans the Cayley graph.  Each edge (x, s_t)
+    outside it closes a loop, word(x) then s_t then word(x s_t) backwards,
+    that bounds one 2-cell.
     """
 
     def __init__(self, group: FiniteGroup):
         self.group = group
         gens = group.generators
         # steps[x]: the (prefix p_{i-1}, letter t_i) pairs along word(x)
-        self.steps = []
-        for x in group.elements():
-            p, steps = 0, []
-            for t in group.word(x):
-                steps.append((p, t))
-                p = group.mul(p, gens[t])
-            self.steps.append(tuple(steps))
+        self.steps = [()] * group.order
+        for x, p, t in group.tree():
+            self.steps[x] = self.steps[p] + ((p, t),)
+        in_tree = {(p, t) for _, p, t in group.tree()}
         self.edges = [(x, t) for x in group.elements()
-                      for t, s in enumerate(gens)
-                      if group.word(group.mul(x, s)) != group.word(x) + (t,)]
+                      for t in range(len(gens)) if (x, t) not in in_tree]
         # each loop as signed edges (y, letter): the 2-cell's boundary is
         # their Fox derivative J_x + x e_t - J_{x s_t}
         self.loops = [[(x, t, 1)] + [(p, u, 1) for p, u in self.steps[x]]
@@ -289,7 +285,6 @@ class _Cayley:
                        if (group.mul(g, p), t) in cell_of]
                       for g in range(1, group.order)
                       for h in range(1, group.order)]
-        self.bfs = sorted(group.elements(), key=lambda x: len(self.steps[x]))
 
     def cells(self, m: int) -> int:
         return (1, len(self.group.generators), len(self.edges))[m] \
@@ -317,8 +312,7 @@ class _Cayley:
             return list(vec)
         if m == 1:
             f = [[0] * rank for _ in group.elements()]
-            for x in self.bfs[1:]:
-                p, t = self.steps[x][-1]
+            for x, p, t in group.tree():
                 ct = vec[t * rank:(t + 1) * rank]
                 f[x] = [y + sum(e * ct[b] for b, e in mrow)
                         for y, mrow in zip(f[p], mats[p])]

@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from . import intlinalg as la
 from .cohomology import group_cohomology, tate_cohomology
-from .groups import enumerate_subgroups, coset_action
+from .groups import coset_action, enumerate_subgroups, subgroup
 from .intlinalg import IntMatrix
 from .lattice import (FgModule, GLattice, LatticeMap, direct_sum,
                       dual_lattice, fixed_points,
@@ -182,8 +182,7 @@ def _homology_stats(t: TwoTermComplex):
     invariant factors, kernel rank, and per-subgroup fixed ranks of the
     kernel lattice."""
     hminus, h0 = homology(t)
-    _, reps = enumerate_subgroups(t.group)
-    fixed_ranks = tuple(len(fixed_points(hminus, h)) for h in reps)
+    fixed_ranks = tuple(r for _, r in subgroup_table(hminus, "fixed_rank"))
     return h0.invariant_factors, hminus.rank, fixed_ranks
 
 
@@ -309,7 +308,31 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
 
 
 # ---------------------------------------------------------------------------
-# Classification predicates.
+# The subgroup-class walk and the classification predicates.
+
+def _cohomology(kind: str, h, lat: GLattice):
+    if kind == "h1":
+        return group_cohomology(h, lat, 1)
+    return tate_cohomology(h, lat, -1)
+
+
+_TABLE_KINDS = {
+    "fixed_rank": lambda h, lat: len(fixed_points(lat, h)),
+    "h1": lambda h, lat: _cohomology("h1", h, lat).invariant_factors,
+    "tate_minus1":
+        lambda h, lat: _cohomology("tate_minus1", h, lat).invariant_factors,
+}
+
+
+def subgroup_table(lat: GLattice, *kinds: str) -> tuple:
+    """One row per subgroup conjugacy representative H of ``lat.group``,
+    in the order of ``enumerate_subgroups``: H's members, then for each
+    kind in turn rank L^H ("fixed_rank"), or the invariant factors of
+    H^1(H, L) ("h1") or of Tate H^-1(H, L) ("tate_minus1")."""
+    _, reps = enumerate_subgroups(lat.group)
+    return tuple((h.members,) + tuple(_TABLE_KINDS[k](h, lat) for k in kinds)
+                 for h in reps)
+
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
@@ -330,18 +353,14 @@ def classify(lat: GLattice, mode: str) -> ClassificationVerdict:
     the factors and the witness."""
     if mode not in ("flasque", "coflasque"):
         raise ValueError(f"unknown mode {mode!r}")
-    _, reps = enumerate_subgroups(lat.group)
-    table = []
-    witness = None
-    for h in reps:
-        if mode == "coflasque":
-            cg = group_cohomology(h, lat, 1)
-        else:
-            cg = tate_cohomology(h, lat, -1)
-        table.append((h.members, cg.invariant_factors))
-        if cg.invariant_factors and witness is None:
-            witness = (h.members, cg.invariant_factors, cg.generators[0])
-    return ClassificationVerdict(witness is None, mode, tuple(table), witness)
+    kind = "h1" if mode == "coflasque" else "tate_minus1"
+    table = subgroup_table(lat, kind)
+    witness = next((row for row in table if row[1]), None)
+    if witness is not None:
+        # a cache hit: the table's own answer for that subgroup
+        cg = _cohomology(kind, subgroup(lat.group, witness[0]), lat)
+        witness += (cg.generators[0],)
+    return ClassificationVerdict(witness is None, mode, table, witness)
 
 
 def _require(lat: GLattice, mode: str, what: str) -> ClassificationVerdict:
@@ -574,22 +593,14 @@ def uniqueness_invariants(res: TwoTermComplex,
         raise GroupMismatchError("resolutions over different groups")
     x = direct_sum(res.l2, resp.l1)
     y = direct_sum(resp.l2, res.l1)
-    _, reps = enumerate_subgroups(res.group)
-    rows = []
-    agree = x.rank == y.rank
-    for h in reps:
-        fx = len(fixed_points(x, h))
-        fy = len(fixed_points(y, h))
-        h1x = group_cohomology(h, x, 1).invariant_factors
-        h1y = group_cohomology(h, y, 1).invariant_factors
-        tx = tate_cohomology(h, x, -1).invariant_factors
-        ty = tate_cohomology(h, y, -1).invariant_factors
-        cells = (("fixed_rank", fx, fy, fx == fy),
-                 ("h1", h1x, h1y, h1x == h1y),
-                 ("tate_minus1", tx, ty, tx == ty))
-        rows.append((h.members, cells))
-        agree = agree and all(c[3] for c in cells)
-    return UniquenessReport(agree, (x.rank, y.rank), tuple(rows))
+    kinds = ("fixed_rank", "h1", "tate_minus1")
+    rows = tuple(
+        (members, tuple((k, a, b, a == b) for k, a, b in zip(kinds, vx, vy)))
+        for (members, *vx), (_, *vy) in zip(subgroup_table(x, *kinds),
+                                            subgroup_table(y, *kinds)))
+    agree = x.rank == y.rank and all(c[3] for _, cells in rows
+                                     for c in cells)
+    return UniquenessReport(agree, (x.rank, y.rank), rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -604,10 +615,4 @@ def r_equivalence_invariant(t: TwoTermComplex) -> REquivalenceData:
     per-subgroup cohomology table."""
     resolved, cert = flasque_resolution(t)
     f = resolved.l2
-    _, reps = enumerate_subgroups(t.group)
-    table = tuple(
-        (h.members,
-         tate_cohomology(h, f, -1).invariant_factors,
-         group_cohomology(h, f, 1).invariant_factors)
-        for h in reps)
-    return REquivalenceData(f, table, cert)
+    return REquivalenceData(f, subgroup_table(f, "tate_minus1", "h1"), cert)

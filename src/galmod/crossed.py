@@ -6,7 +6,8 @@ plus an outer action of a finite group Gamma on both G and H.  H^0 is
 computed by exhaustive enumeration of 0-cocycles (alpha: Gamma -> G,
 h in H) modulo coboundaries, with the cochain group law
 (alpha, h)(beta, h') = ((h . beta) alpha, h h').  A cocycle is fixed
-by its values on the generators of Gamma, so the enumeration tries
+by its values on the generators of Gamma and extends along the BFS
+spanning tree ``FiniteGroup.tree()``, so the enumeration tries
 |G|^#generators maps, not |G|^|Gamma|.
 """
 
@@ -212,23 +213,6 @@ def _coboundary_transform(c: FiniteCrossedModule, z: Cocycle,
     return (vals, c.h.mul(c.boundary[g], h))
 
 
-def _generator_steps(gal: FiniteGroup):
-    """The elements whose BFS word has length 1 (the distinct
-    non-identity generators that ``gal.word`` uses), and each element x
-    with a longer word as (x, prefix, letter), x = prefix * letter, in
-    order of word length so that a prefix comes before x."""
-    gens = []
-    steps = []
-    for x in sorted(gal.elements(), key=lambda y: len(gal.word(y))):
-        w = gal.word(x)
-        if len(w) == 1:
-            gens.append(x)
-        elif w:
-            letter = gal.generators[w[-1]]
-            steps.append((x, gal.mul(x, gal.inv(letter)), letter))
-    return tuple(gens), tuple(steps)
-
-
 def enumerate_cocycles(c: FiniteCrossedModule,
                        bound: int = DEFAULT_ENUMERATION_BOUND
                        ) -> tuple[Cocycle, ...]:
@@ -236,12 +220,14 @@ def enumerate_cocycles(c: FiniteCrossedModule,
 
     A cocycle is fixed by its values on the generators of Gamma, since
     alpha(xs) = alpha(x) x.alpha(s).  Each assignment of values on the
-    generators that ``gal.word`` uses is extended along the BFS words and
-    kept if the cocycle identity holds on every pair (s, t); ``bound``
-    caps the |G|^#generators assignments tried.
+    distinct non-identity generators, the children of the identity in
+    ``gal.tree()``, is extended along that tree and kept if the cocycle
+    identity holds on every pair (s, t); ``bound`` caps the
+    |G|^#generators assignments tried.
     """
     gal, g, h = c.galois, c.g, c.h
-    gens, steps = _generator_steps(gal)
+    gens = [x for x, p, _ in gal.tree() if not p]
+    steps = [(x, p, gal.generators[t]) for x, p, t in gal.tree() if p]
     total = g.order ** len(gens)
     if total > bound:
         raise SizeLimitError(

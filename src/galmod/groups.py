@@ -3,12 +3,16 @@ actions.
 
 Elements are integers 0..n-1 with 0 the identity.  Groups are built by
 breadth-first closure from generating permutations, so element ordering is
-deterministic and reproducible.
+deterministic and reproducible.  The same closure (``_bfs``) numbers the
+elements of a subgroup's standalone group and gives each group its BFS
+spanning tree, ``FiniteGroup.tree()``, along which the lattice, cohomology
+and crossed-module code walk the elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 DEFAULT_SIZE_LIMIT = 64
 
@@ -65,15 +69,35 @@ class FiniteGroup:
         return n
 
     def word(self, a: int) -> tuple[int, ...]:
-        """Expression of ``a`` as generator indices (from BFS closure)."""
-        return self._words()[a]
+        """Expression of ``a`` as generator indices, along ``tree()``."""
+        return self._words[a]
 
-    def _words(self):
-        cached = getattr(self, "_word_cache", None)
-        if cached is None:
-            cached = _bfs_words(self)
-            object.__setattr__(self, "_word_cache", cached)
-        return cached
+    def tree(self) -> tuple[tuple[int, int, int], ...]:
+        """The BFS spanning tree of the Cayley graph on ``generators``.
+
+        One entry (x, p, t) per non-identity element x, in BFS order, with
+        x = p * generators[t] and word(x) = word(p) + (t,); p is 0 or an
+        earlier entry.
+        """
+        return self._tree
+
+    @cached_property
+    def _tree(self) -> tuple[tuple[int, int, int], ...]:
+        reached = _bfs(0, self.generators, self.mul)
+        if len(reached) != self.order:
+            raise ValueError("generators do not generate the group")
+        return tuple((x, *step) for x, step in reached.items() if step)
+
+    @cached_property
+    def _words(self) -> tuple[tuple[int, ...], ...]:
+        words = [()] * self.order
+        for x, p, t in self.tree():
+            words[x] = words[p] + (t,)
+        return tuple(words)
+
+    @cached_property
+    def _subgroups(self):
+        return _all_subgroups(self)
 
     def is_abelian(self) -> bool:
         return all(self.table[a][b] == self.table[b][a]
@@ -95,30 +119,33 @@ class FiniteGroup:
                 for c in range(n):
                     if self.table[ab][c] != self.table[a][self.table[b][c]]:
                         raise ValueError(f"associativity fails at {(a, b, c)}")
-        gen = closure_of(self, set(self.generators) | {0})
-        if len(gen) != n:
-            raise ValueError("generators do not generate the group")
+        self.tree()  # raises unless the generators generate the group
 
     def __repr__(self):
         label = self.name or f"group{self.order}"
         return f"FiniteGroup({label}, order={self.order})"
 
 
-def _bfs_words(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    words: dict[int, tuple[int, ...]] = {0: ()}
-    queue = [0]
-    while queue:
-        nxt = []
-        for e in queue:
-            for gi, gen in enumerate(g.generators):
-                p = g.mul(e, gen)
-                if p not in words:
-                    words[p] = words[e] + (gi,)
-                    nxt.append(p)
-        queue = nxt
-    if len(words) != g.order:
-        raise ValueError("generators do not generate the group")
-    return tuple(words[i] for i in range(g.order))
+def _bfs(start, gens, mul, size_limit=None) -> dict:
+    """Breadth-first closure of ``start`` under right multiplication by
+    ``gens``: first in, first out, generators in the given order.
+
+    Maps each element reached, in order of discovery, to the step (p, t)
+    that first reached it, x = mul(p, gens[t]); ``start`` maps to None.
+    Raises SizeLimitError on finding an element past ``size_limit``.
+    """
+    reached = {start: None}
+    queue = [start]
+    for p in queue:
+        for t, s in enumerate(gens):
+            x = mul(p, s)
+            if x not in reached:
+                if size_limit is not None and len(reached) >= size_limit:
+                    raise SizeLimitError(
+                        f"closure exceeds size limit {size_limit}")
+                reached[x] = (p, t)
+                queue.append(x)
+    return reached
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -139,24 +166,8 @@ def build_group(generator_permutations, size_limit: int = DEFAULT_SIZE_LIMIT,
     for p in perms:
         if sorted(p) != list(range(deg)):
             raise ValueError(f"not a permutation of 0..{deg - 1}: {p}")
-    ident = tuple(range(deg))
-    index = {ident: 0}
-    elems = [ident]
-    queue = [ident]
-    while queue:
-        nxt = []
-        for e in queue:
-            for p in perms:
-                prod = _compose(e, p)
-                if prod not in index:
-                    if len(elems) >= size_limit:
-                        raise SizeLimitError(
-                            f"closure exceeds size limit {size_limit}")
-                    index[prod] = len(elems)
-                    elems.append(prod)
-                    nxt.append(prod)
-        queue = nxt
-    n = len(elems)
+    elems = list(_bfs(tuple(range(deg)), perms, _compose, size_limit))
+    index = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(index[_compose(a, b)] for b in elems) for a in elems)
     gens = tuple(index[p] for p in perms)
     labels = tuple(_cycle_notation(p) for p in elems)
@@ -262,22 +273,16 @@ class SubgroupHandle:
         ordering is BFS from the identity over a generating set, so the
         standalone identity is 0.
         """
-        cached = getattr(self, "_as_group", None)
-        if cached is None:
-            cached = self._build_group()
-            object.__setattr__(self, "_as_group", cached)
-        return cached
+        return self._group
 
     def members_bfs(self) -> tuple[int, ...]:
-        self.as_group()
-        return getattr(self, "_bfs_order")
+        return self._bfs_order
 
     def to_parent(self, i: int) -> int:
-        return self.members_bfs()[i]
+        return self._bfs_order[i]
 
     def from_parent(self, g: int) -> int:
-        self.as_group()
-        return getattr(self, "_parent_index")[g]
+        return self._parent_index[g]
 
     def ids_in(self, src) -> tuple[int, ...]:
         """Element map of the inclusion into ``src``: entry i is the id,
@@ -287,29 +292,25 @@ class SubgroupHandle:
             return tuple(src.from_parent(g) for g in self.members_bfs())
         return self.members_bfs()
 
-    def _build_group(self) -> FiniteGroup:
-        p = self.parent
-        gens = minimal_generators(p, self.members)
-        order = [0]
-        seen = {0}
-        queue = [0]
-        while queue:
-            nxt = []
-            for e in queue:
-                for g in gens:
-                    prod = p.mul(e, g)
-                    if prod not in seen:
-                        seen.add(prod)
-                        order.append(prod)
-                        nxt.append(prod)
-            queue = nxt
-        index = {g: i for i, g in enumerate(order)}
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
+        return minimal_generators(self.parent, self.members)
+
+    @cached_property
+    def _bfs_order(self) -> tuple[int, ...]:
+        return tuple(_bfs(0, self._generators, self.parent.mul))
+
+    @cached_property
+    def _parent_index(self) -> dict[int, int]:
+        return {g: i for i, g in enumerate(self._bfs_order)}
+
+    @cached_property
+    def _group(self) -> FiniteGroup:
+        p, order, index = self.parent, self._bfs_order, self._parent_index
         table = tuple(tuple(index[p.mul(a, b)] for b in order) for a in order)
         labels = tuple(p.labels[g] for g in order)
-        sub = FiniteGroup(table, tuple(index[g] for g in gens), labels)
-        object.__setattr__(self, "_bfs_order", tuple(order))
-        object.__setattr__(self, "_parent_index", index)
-        return sub
+        return FiniteGroup(table, tuple(index[g] for g in self._generators),
+                           labels)
 
     def __repr__(self):
         return f"SubgroupHandle(order={self.order}, members={self.members})"
@@ -352,9 +353,10 @@ def enumerate_subgroups(g: FiniteGroup,
     """
     if g.order > size_limit:
         raise SizeLimitError(f"group order {g.order} exceeds {size_limit}")
-    cached = getattr(g, "_subgroup_cache", None)
-    if cached is not None:
-        return cached
+    return g._subgroups
+
+
+def _all_subgroups(g: FiniteGroup):
     # Every subgroup is generated by cyclic subgroups, one after another,
     # so it is reached from a cyclic subgroup by adjoining the first
     # generator found for each cyclic subgroup.  Each subgroup is
@@ -384,9 +386,7 @@ def enumerate_subgroups(g: FiniteGroup,
         reps.append(h)
         for a in g.elements():
             seen.add(tuple(sorted(g.conj(a, x) for x in h.members)))
-    result = (subgroups, reps)
-    object.__setattr__(g, "_subgroup_cache", result)
-    return result
+    return subgroups, reps
 
 
 def subgroup(g: FiniteGroup, members) -> SubgroupHandle:

@@ -6,8 +6,9 @@ elements are kept once per lattice (or module) as sparse rows
 (``intlinalg.SparseRow``): element matrices of lattices have few
 nonzeros per row, and fixed points, permutation covers, squares and
 cohomology all read them in that form.  The rows come from sparse
-products along the BFS generator words.  Dense element matrices
-(``element_matrices``) are read off the rows on request and not kept.
+products along the BFS spanning tree ``FiniteGroup.tree()``.  Dense
+element matrices (``element_matrices``) are read off the rows on request
+and not kept.
 FgModule is the only torsion-capable type (cokernels live there);
 lattices are always free.
 """
@@ -172,25 +173,17 @@ def _element_rows(obj, dim: int) -> tuple[Rows, ...]:
     """Sparse rows of the matrices of all group elements for a GLattice or
     FgModule, cached on the object.
 
-    The BFS words satisfy word(e s) = word(e) + (s,), so M(e s) =
-    M(e) M(s) costs one sparse product per element whose word is longer
-    than one letter.
+    Each entry (x, p, t) of ``FiniteGroup.tree()`` has x = p s_t, so
+    M(x) = M(p) M(s_t) costs one sparse product per element x with p != 1.
     """
     return _cached(obj, "_elem_rows", lambda: _word_rows(obj, dim))
 
 
 def _word_rows(obj, dim: int) -> tuple[Rows, ...]:
-    group = obj.group
     gens = _action_rows(obj)
-    words = [group.word(e) for e in group.elements()]
-    by_word = {w: e for e, w in enumerate(words)}
-    rows = [tuple(((i, 1),) for i in range(dim))] * group.order
-    for e in sorted(group.elements(), key=lambda e: len(words[e])):
-        w = words[e]
-        if len(w) == 1:
-            rows[e] = gens[w[0]]
-        elif w:
-            rows[e] = la.rows_mul(rows[by_word[w[:-1]]], gens[w[-1]])
+    rows = [tuple(((i, 1),) for i in range(dim))] * obj.group.order
+    for x, p, t in obj.group.tree():
+        rows[x] = la.rows_mul(rows[p], gens[t]) if p else gens[t]
     return tuple(rows)
 
 

@@ -324,7 +324,7 @@ def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
                      ) -> ResolutionCertificate:
     """A certificate whose complexes share one FiniteGroup per distinct
     group dump, so that each group is checked once (``load_group``) and
-    its word, subgroup and Cayley caches serve every move.  Sides that
+    its tree, subgroup and Cayley caches serve every move.  Sides that
     carry different dumps get different groups."""
     _expect(obj, CERTIFICATE_FORMAT)
     if obj["mode"] not in ("flasque", "coflasque"):

@@ -4,14 +4,15 @@ resolutions, and certificates."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from lattice_strategies import small_lattices, unimodular_matrices
+from lattice_strategies import (S4_LATTICES, small_lattices,
+                                unimodular_matrices)
 
 from galmod import intlinalg as la
 from galmod import fixtures
 from galmod.cohomology import group_cohomology, hypercohomology, \
     tate_cohomology
-from galmod.complexes import (GroupMismatchError, HalfComplex,
-                              MoveEvidence, PreconditionError,
+from galmod.complexes import (ClassificationVerdict, GroupMismatchError,
+                              HalfComplex, MoveEvidence, PreconditionError,
                               TwoTermComplex, classify,
                               coflasque_resolution, cts_cover_coflasque,
                               cts_embed_coflasque, flasque_resolution,
@@ -20,8 +21,9 @@ from galmod.complexes import (GroupMismatchError, HalfComplex,
                               uniqueness_invariants, verify_square)
 from galmod.groups import cyclic_group, enumerate_subgroups
 from galmod.lattice import (FgModule, LatticeMap, conjugate_lattice,
-                            lattice_as_module, regular_lattice,
-                            sign_lattice, trivial_lattice, zero_lattice)
+                            direct_sum, fixed_points, lattice_as_module,
+                            regular_lattice, sign_lattice, trivial_lattice,
+                            zero_lattice)
 
 
 def _cx(l1, l2, rows):
@@ -332,6 +334,73 @@ def test_r_equivalence_invariant():
             h, data.flasque_lattice, -1).invariant_factors
         assert h1 == group_cohomology(
             h, data.flasque_lattice, 1).invariant_factors
+
+
+def _classify_by_loop(lat, mode):
+    """``classify`` as its own loop over the class representatives, the
+    way it ran before ``subgroup_table``."""
+    _, reps = enumerate_subgroups(lat.group)
+    table = []
+    witness = None
+    for h in reps:
+        if mode == "coflasque":
+            cg = group_cohomology(h, lat, 1)
+        else:
+            cg = tate_cohomology(h, lat, -1)
+        table.append((h.members, cg.invariant_factors))
+        if cg.invariant_factors and witness is None:
+            witness = (h.members, cg.invariant_factors, cg.generators[0])
+    return ClassificationVerdict(witness is None, mode, tuple(table), witness)
+
+
+def _uniqueness_rows_by_loop(res, resp):
+    """The rows of ``uniqueness_invariants`` by their own loop."""
+    x = direct_sum(res.l2, resp.l1)
+    y = direct_sum(resp.l2, res.l1)
+    _, reps = enumerate_subgroups(res.group)
+    rows = []
+    for h in reps:
+        fx = len(fixed_points(x, h))
+        fy = len(fixed_points(y, h))
+        h1x = group_cohomology(h, x, 1).invariant_factors
+        h1y = group_cohomology(h, y, 1).invariant_factors
+        tx = tate_cohomology(h, x, -1).invariant_factors
+        ty = tate_cohomology(h, y, -1).invariant_factors
+        rows.append((h.members, (("fixed_rank", fx, fy, fx == fy),
+                                 ("h1", h1x, h1y, h1x == h1y),
+                                 ("tate_minus1", tx, ty, tx == ty))))
+    return tuple(rows)
+
+
+def test_subgroup_table_matches_per_class_loops():
+    """``classify`` (table and witness) in both modes on every catalog
+    lattice, every S4 lattice and both sides of every catalog
+    resolution; the rows of ``uniqueness_invariants`` for the coflasque
+    against the flasque resolution of each catalog complex; and the table
+    of ``r_equivalence_invariant``: each as the loops over the class
+    representatives computed them."""
+    lattices = list(fixtures.lattice_catalog().values())
+    lattices += list(S4_LATTICES.values())
+    witnesses = 0
+    for t in fixtures.complex_catalog().values():
+        res_c = coflasque_resolution(t)[0]
+        res_f = flasque_resolution(t)[0]
+        lattices += [res_c.l1, res_c.l2, res_f.l1, res_f.l2]
+        for a, b in ((res_c, res_f), (res_f, res_c)):
+            assert uniqueness_invariants(a, b).rows \
+                == _uniqueness_rows_by_loop(a, b)
+        data = r_equivalence_invariant(t)
+        f = data.flasque_lattice
+        assert data.table == tuple(
+            (h.members, tate_cohomology(h, f, -1).invariant_factors,
+             group_cohomology(h, f, 1).invariant_factors)
+            for h in enumerate_subgroups(t.group)[1])
+    for lat in lattices:
+        for mode in ("flasque", "coflasque"):
+            verdict = classify(lat, mode)
+            assert verdict == _classify_by_loop(lat, mode)
+            witnesses += verdict.witness is not None
+    assert witnesses > 10
 
 
 def test_battery_resolutions_replay():

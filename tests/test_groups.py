@@ -6,10 +6,10 @@ from galmod import fixtures
 from galmod.groups import (MembershipError, SizeLimitError, build_group,
                            closure_of, coset_action, cyclic_group,
                            dihedral_group_4, direct_product,
-                           enumerate_subgroups, klein_four,
-                           parse_cycles, subgroup, sylow_all_cyclic,
-                           symmetric_group_3, trivial_subgroup,
-                           whole_subgroup)
+                           enumerate_subgroups, group_from_table,
+                           klein_four, parse_cycles, subgroup,
+                           sylow_all_cyclic, symmetric_group_3,
+                           trivial_subgroup, whole_subgroup)
 
 
 def test_cyclic_group_structure():
@@ -37,6 +37,67 @@ def test_build_group_rejects_bad_permutation():
 def test_size_limit():
     with pytest.raises(SizeLimitError):
         build_group([tuple((i + 1) % 10 for i in range(10))], size_limit=5)
+    # the closure raises on the first element past the limit, not before
+    s4 = [(1, 0, 2, 3), (1, 2, 3, 0)]
+    assert build_group(s4, size_limit=24).order == 24
+    with pytest.raises(SizeLimitError):
+        build_group(s4, size_limit=23)
+
+
+def _level_words(g):
+    """Words by the level-by-level closure that built them before
+    ``FiniteGroup.tree()``: each level extends the previous one, element
+    by element, generator by generator."""
+    words = {0: ()}
+    level = [0]
+    while level:
+        nxt = []
+        for e in level:
+            for t, s in enumerate(g.generators):
+                x = g.mul(e, s)
+                if x not in words:
+                    words[x] = words[e] + (t,)
+                    nxt.append(x)
+        level = nxt
+    return [words[x] for x in g.elements()]
+
+
+def _relabelled(g):
+    """``g`` from its table with the non-identity ids reversed, so that
+    the ids are not in BFS order."""
+    n = g.order
+    new = [0] + list(range(n - 1, 0, -1))
+    old = {y: x for x, y in enumerate(new)}
+    table = [[new[g.mul(old[a], old[b])] for b in range(n)]
+             for a in range(n)]
+    return group_from_table(table, [new[s] for s in g.generators])
+
+
+def test_tree_spans_the_cayley_graph():
+    """Each non-identity element appears once, as x = p * s_t after its
+    parent p, with word(x) = word(p) + (t,) and the words of the
+    level-by-level closure; a group built by closure (from permutations
+    or as a subgroup) numbers its elements in the tree's order."""
+    s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+    built = list(fixtures.group_catalog().values()) + [
+        s4, direct_product(s4, cyclic_group(2)),
+        enumerate_subgroups(s4)[0][-2].as_group()]
+    tabled = _relabelled(dihedral_group_4())
+    for g in built + [tabled]:
+        tree = g.tree()
+        xs = [x for x, _, _ in tree]
+        assert sorted(xs) == list(range(1, g.order)), g.name
+        position = {0: -1, **{x: i for i, (x, _, _) in enumerate(tree)}}
+        for x, p, t in tree:
+            assert x == g.mul(p, g.generators[t])
+            assert position[p] < position[x]
+            assert g.word(x) == g.word(p) + (t,)
+        assert [g.word(x) for x in g.elements()] == _level_words(g)
+        assert (xs == list(range(1, g.order))) == (g is not tabled)
+    assert enumerate_subgroups(s4)[0][-2].order == 12
+    # a tree that misses elements: the generators do not generate
+    with pytest.raises(ValueError, match="do not generate"):
+        group_from_table(cyclic_group(4).table, [2])
 
 
 def test_parse_cycles_round_trip():
