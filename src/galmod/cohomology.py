@@ -113,7 +113,6 @@ class CohomologyGroup:
     invariant_factors: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
     presentation: AbGroupPresentation
-    coeff_dim: int
     normalized: bool = True
 
     @property
@@ -543,8 +542,7 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
         rel_n = rel(n)
         num = la.preimage(d(n), rel(n + 1), dim) + rel_n
         pres = la.abgroup_from_subquotient(num, im + rel_n, dim)
-    return CohomologyGroup(n, pres.factors, pres.generators, pres, r1 + r2,
-                           normalized)
+    return CohomologyGroup(n, pres.factors, pres.generators, pres, normalized)
 
 
 def _cached(coeff, kind: str, h, n: int, normalized: bool, compute):
@@ -611,13 +609,13 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
         if _torsion_free(la.hstack(*blocks),
                          rank - _fixed_rank(mats, sub.order), sub.order):
             pres = la.trivial_subquotient(num, rank)
-            return CohomologyGroup(n, (), (), pres, rank)
+            return CohomologyGroup(n, (), (), pres)
         den = [c for b in blocks for c in la.columns(b)]
     else:
         num = common_fixed_points([mats[s] for s in sub.generators], rank)
         den = la.columns(norm)
     pres = la.abgroup_from_subquotient(num, den, rank)
-    return CohomologyGroup(n, pres.factors, pres.generators, pres, rank)
+    return CohomologyGroup(n, pres.factors, pres.generators, pres)
 
 
 def _dense_minus_one(rows: Rows, rank: int) -> IntMatrix:

@@ -28,8 +28,8 @@ from .groups import coset_action, enumerate_subgroups, subgroup
 from .intlinalg import IntMatrix
 from .lattice import (FgModule, GLattice, LatticeMap, direct_sum,
                       dual_lattice, fixed_points,
-                      induced_action_on_sublattice, lattice_as_module,
-                      make_permutation_lattice)
+                      induced_action_on_sublattice, is_equivariant,
+                      lattice_as_module, make_permutation_lattice)
 
 
 class PreconditionError(Exception):
@@ -136,7 +136,7 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
 
     comp_minus1 must have the shape of a map A -> A', and
     comp_minus1 M(s) = M'(s) comp_minus1 must hold exactly for every
-    generator index s, on sparse rows (``GLattice.action_rows``).  comp0
+    generator index s, on sparse rows (``lattice.is_equivariant``).  comp0
     being equivariant modulo the relations of B', commuting with the
     differentials modulo them, and being well defined on B are one span
     check.  H^-1 is free on the cycle bases, so its map
@@ -150,10 +150,8 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     [comp0 | T] both "onto" (its pivots) and the preimage (its kernel cut
     to the first m coordinates).  No Smith form runs."""
     rows, cols = la.shape(comp_minus1)
-    comp = la.sparse_rows(comp_minus1)
-    if rows != tgt.a.rank or (rows and cols != src.a.rank) or not all(
-            la.rows_mul(comp, ms) == la.rows_mul(mt, comp)
-            for ms, mt in zip(src.a.action_rows(), tgt.a.action_rows())):
+    if rows != tgt.a.rank or (rows and cols != src.a.rank) \
+            or not is_equivariant(comp_minus1, src.a, tgt.a):
         return MoveEvidence(False, False)
     comm = la.mat_add(la.mat_mul(comp0, src.d),
                       la.mat_neg(la.mat_mul(tgt.d, comp_minus1)))
@@ -244,7 +242,7 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     if la.ColumnSpan(_cols(f.matrix, a.rank)).rank != a.rank:
         raise PreconditionError("pushout requires a monomorphism")
     n = aprime.rank + b.rank
-    anti = la.vstack(f.matrix, la.mat_neg(d.matrix)) if n else la.zeros(0, a.rank)
+    anti = la.vstack(f.matrix, la.mat_neg(d.matrix))
     amb = direct_sum(aprime, b)
     snf = la.smith_normal_form(anti, inverse=True, track_v=False)
     r = snf.rank

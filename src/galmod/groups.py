@@ -3,10 +3,11 @@ actions.
 
 Elements are integers 0..n-1 with 0 the identity.  Groups are built by
 breadth-first closure from generating permutations, so element ordering is
-deterministic and reproducible.  The same closure (``_bfs``) numbers the
-elements of a subgroup's standalone group and gives each group its BFS
-spanning tree, ``FiniteGroup.tree()``, along which the lattice, cohomology
-and crossed-module code walk the elements.
+deterministic and reproducible.  The same closure (``_bfs``) generates
+every subgroup from its generators, numbers the elements of a subgroup's
+standalone group and gives each group its BFS spanning tree,
+``FiniteGroup.tree()``, along which the lattice, cohomology and
+crossed-module code walk the elements.
 """
 
 from __future__ import annotations
@@ -325,23 +326,10 @@ def minimal_generators(g: FiniteGroup, members) -> tuple[int, ...]:
         if x in span:
             continue
         gens.append(x)
-        span = closure_of(g, span | {x})
+        span = _bfs(0, gens, g.mul)
         if len(span) == len(mem):
             break
     return tuple(gens) or (0,)
-
-
-def closure_of(g: FiniteGroup, seed) -> set[int]:
-    out = set(seed) | {0}
-    queue = list(out)
-    while queue:
-        a = queue.pop()
-        for b in list(out):
-            for p in (g.mul(a, b), g.mul(b, a)):
-                if p not in out:
-                    out.add(p)
-                    queue.append(p)
-    return out
 
 
 def enumerate_subgroups(g: FiniteGroup,
@@ -360,21 +348,23 @@ def _all_subgroups(g: FiniteGroup):
     # Every subgroup is generated by cyclic subgroups, one after another,
     # so it is reached from a cyclic subgroup by adjoining the first
     # generator found for each cyclic subgroup.  Each subgroup is
-    # extended once, when it is first found.
+    # extended once, when it is first found, from the generators it was
+    # found from.
     cyclic: dict[tuple[int, ...], int] = {}
     for a in g.elements():
-        cyclic.setdefault(tuple(sorted(closure_of(g, {a}))), a)
+        cyclic.setdefault(tuple(sorted(_bfs(0, (a,), g.mul))), a)
     found = set(cyclic)
-    worklist = list(cyclic)
+    worklist = [(m, (a,)) for m, a in cyclic.items()]
     while worklist:
-        memset = set(worklist.pop())
+        members, gens = worklist.pop()
+        memset = set(members)
         for c in cyclic.values():
             if c in memset:
                 continue
-            new = tuple(sorted(closure_of(g, memset | {c})))
+            new = tuple(sorted(_bfs(0, gens + (c,), g.mul)))
             if new not in found:
                 found.add(new)
-                worklist.append(new)
+                worklist.append((new, gens + (c,)))
     ordered = sorted(found, key=lambda m: (len(m), m))
     subgroups = [SubgroupHandle(g, m) for m in ordered]
     # conjugacy classes

@@ -16,7 +16,8 @@ lattices are always free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from . import intlinalg as la
 from .groups import (FiniteGroup, MembershipError, SubgroupHandle,
@@ -30,8 +31,39 @@ class EquivarianceError(Exception):
     """A map or action fails an equivariance / well-definedness check."""
 
 
+class _ElementRows:
+    """The matrices of a GLattice or FgModule as sparse rows, built once:
+    the generators' (``action``) and every group element's."""
+
+    def action_rows(self) -> tuple[Rows, ...]:
+        """The generator matrices ``action`` as sparse rows, by generator
+        index."""
+        return self._action_rows
+
+    def element_rows(self) -> tuple[Rows, ...]:
+        return self._element_rows
+
+    def element_matrices(self) -> tuple[IntMatrix, ...]:
+        return tuple(_dense(m, self._dim) for m in self.element_rows())
+
+    @cached_property
+    def _action_rows(self) -> tuple[Rows, ...]:
+        return tuple(la.sparse_rows(m) for m in self.action)
+
+    @cached_property
+    def _element_rows(self) -> tuple[Rows, ...]:
+        """Each entry (x, p, t) of ``FiniteGroup.tree()`` has x = p s_t, so
+        M(x) = M(p) M(s_t) costs one sparse product per element x with
+        p != 1."""
+        gens = self.action_rows()
+        rows = [tuple(((i, 1),) for i in range(self._dim))] * self.group.order
+        for x, p, t in self.group.tree():
+            rows[x] = la.rows_mul(rows[p], gens[t]) if p else gens[t]
+        return tuple(rows)
+
+
 @dataclass(frozen=True, eq=False)
-class GLattice:
+class GLattice(_ElementRows):
     """Free Z-module of finite rank with a group action by unimodular
     matrices (one per generator)."""
 
@@ -68,16 +100,9 @@ class GLattice:
                     raise EquivarianceError(
                         f"action violates the relation {a}*{s}")
 
-    def element_rows(self) -> tuple[Rows, ...]:
-        return _element_rows(self, self.rank)
-
-    def element_matrices(self) -> tuple[IntMatrix, ...]:
-        return tuple(_dense(m, self.rank) for m in self.element_rows())
-
-    def action_rows(self) -> tuple[Rows, ...]:
-        """The generator matrices ``action`` as sparse rows, by generator
-        index."""
-        return _action_rows(self)
+    @property
+    def _dim(self) -> int:
+        return self.rank
 
     @property
     def is_permutation_certified(self) -> bool:
@@ -103,10 +128,8 @@ class LatticeMap:
             raise ValueError("map matrix has wrong shape")
 
     def validate(self) -> None:
-        for ms, mt in zip(self.source.action, self.target.action):
-            if not la.mat_eq(la.mat_mul(mt, self.matrix),
-                             la.mat_mul(self.matrix, ms)):
-                raise EquivarianceError("map is not equivariant")
+        if not is_equivariant(self.matrix, self.source, self.target):
+            raise EquivarianceError("map is not equivariant")
 
     def is_zero(self) -> bool:
         return la.is_zero(self.matrix)
@@ -118,7 +141,7 @@ class LatticeMap:
 
 
 @dataclass(frozen=True, eq=False)
-class FgModule:
+class FgModule(_ElementRows):
     """Finitely generated abelian group Z^n / span(relations) with a group
     action descending to the quotient."""
 
@@ -144,47 +167,22 @@ class FgModule:
             self.ngens)
         return pres.factors
 
-    def element_rows(self) -> tuple[Rows, ...]:
-        return _element_rows(self, self.ngens)
-
-    def element_matrices(self) -> tuple[IntMatrix, ...]:
-        return tuple(_dense(m, self.ngens) for m in self.element_rows())
+    @property
+    def _dim(self) -> int:
+        return self.ngens
 
 
 def _dense(rows: Rows, ncols: int) -> IntMatrix:
     return la.dense_rows(map(dict, rows), ncols)
 
 
-def _cached(obj, name: str, build: Callable[[], tuple[Rows, ...]]):
-    """Rows cached on ``obj`` under ``name``, built on first read."""
-    cached = getattr(obj, name, None)
-    if cached is None:
-        cached = build()
-        object.__setattr__(obj, name, cached)
-    return cached
-
-
-def _action_rows(obj) -> tuple[Rows, ...]:
-    return _cached(obj, "_action_rows",
-                   lambda: tuple(la.sparse_rows(m) for m in obj.action))
-
-
-def _element_rows(obj, dim: int) -> tuple[Rows, ...]:
-    """Sparse rows of the matrices of all group elements for a GLattice or
-    FgModule, cached on the object.
-
-    Each entry (x, p, t) of ``FiniteGroup.tree()`` has x = p s_t, so
-    M(x) = M(p) M(s_t) costs one sparse product per element x with p != 1.
-    """
-    return _cached(obj, "_elem_rows", lambda: _word_rows(obj, dim))
-
-
-def _word_rows(obj, dim: int) -> tuple[Rows, ...]:
-    gens = _action_rows(obj)
-    rows = [tuple(((i, 1),) for i in range(dim))] * obj.group.order
-    for x, p, t in obj.group.tree():
-        rows[x] = la.rows_mul(rows[p], gens[t]) if p else gens[t]
-    return tuple(rows)
+def is_equivariant(matrix: IntMatrix, source, target) -> bool:
+    """Whether ``matrix`` M(s) = M'(s) ``matrix`` for every generator
+    index s, with M and M' the actions of ``source`` and ``target``
+    (GLattice or FgModule), on sparse rows."""
+    comp = la.sparse_rows(matrix)
+    return all(la.rows_mul(comp, ms) == la.rows_mul(mt, comp)
+               for ms, mt in zip(source.action_rows(), target.action_rows()))
 
 
 def lattice_as_module(lat: GLattice) -> FgModule:

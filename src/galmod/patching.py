@@ -203,9 +203,6 @@ class MvColumns:
     right: tuple[CohomologyGroup, ...]
     restriction_matrix: IntMatrix
     difference_matrix: IntMatrix
-    left_dim: int
-    mid_dim: int
-    right_dim: int
 
     @property
     def middle_factors(self) -> tuple[int, ...]:
@@ -214,6 +211,18 @@ class MvColumns:
     @property
     def right_factors(self) -> tuple[int, ...]:
         return tuple(f for cg in self.right for f in cg.invariant_factors)
+
+    @property
+    def left_dim(self) -> int:
+        return len(self.left.invariant_factors)
+
+    @property
+    def mid_dim(self) -> int:
+        return len(self.middle_factors)
+
+    @property
+    def right_dim(self) -> int:
+        return len(self.right_factors)
 
     def composition_zero(self) -> bool:
         """Whether difference o restriction vanishes modulo the edge
@@ -249,8 +258,7 @@ class MvColumns:
                   for entries in zip(*left.generators))
             for coords in pres.generators)
         return CohomologyGroup(self.degree, pres.factors, gens,
-                               _KernelPresentation(left, pres),
-                               left.coeff_dim)
+                               _KernelPresentation(left, pres))
 
 
 def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
@@ -288,9 +296,7 @@ def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
     return MvColumns(
         r, left, middle, right,
         la.vstack(*(m.matrix for m in vertex_maps)),
-        la.freeze(diff_rows),
-        len(left.invariant_factors), mid_offset[-1],
-        sum(len(cg.invariant_factors) for cg in right))
+        la.freeze(diff_rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,27 @@ import pytest
 
 from galmod import fixtures
 from galmod.groups import (MembershipError, SizeLimitError, build_group,
-                           closure_of, coset_action, cyclic_group,
-                           dihedral_group_4, direct_product,
-                           enumerate_subgroups, group_from_table,
-                           klein_four, parse_cycles, subgroup,
-                           sylow_all_cyclic, symmetric_group_3,
-                           trivial_subgroup, whole_subgroup)
+                           coset_action, cyclic_group, dihedral_group_4,
+                           direct_product, enumerate_subgroups,
+                           group_from_table, klein_four, minimal_generators,
+                           parse_cycles, subgroup, sylow_all_cyclic,
+                           symmetric_group_3, trivial_subgroup,
+                           whole_subgroup)
+
+
+def closure_of(g, seed):
+    """The two-sided closure that generated subgroups before ``_bfs``:
+    each new element times everything found so far, on both sides."""
+    out = set(seed) | {0}
+    queue = list(out)
+    while queue:
+        a = queue.pop()
+        for b in list(out):
+            for p in (g.mul(a, b), g.mul(b, a)):
+                if p not in out:
+                    out.add(p)
+                    queue.append(p)
+    return out
 
 
 def test_cyclic_group_structure():
@@ -44,21 +59,27 @@ def test_size_limit():
         build_group(s4, size_limit=23)
 
 
-def _level_words(g):
-    """Words by the level-by-level closure that built them before
-    ``FiniteGroup.tree()``: each level extends the previous one, element
-    by element, generator by generator."""
+def _level_closure(mul, gens):
+    """The level-by-level closure that numbered elements before ``_bfs``:
+    each level extends the previous one, element by element, generator by
+    generator.  Maps each element, in order of discovery, to its word."""
     words = {0: ()}
     level = [0]
     while level:
         nxt = []
         for e in level:
-            for t, s in enumerate(g.generators):
-                x = g.mul(e, s)
+            for t, s in enumerate(gens):
+                x = mul(e, s)
                 if x not in words:
                     words[x] = words[e] + (t,)
                     nxt.append(x)
         level = nxt
+    return words
+
+
+def _level_words(g):
+    """Words by the closure that built them before ``FiniteGroup.tree()``."""
+    words = _level_closure(g.mul, g.generators)
     return [words[x] for x in g.elements()]
 
 
@@ -156,6 +177,41 @@ def test_enumerate_subgroups_matches_saturating_route():
         assert ([h.members for h in subs], [h.members for h in reps]) \
             == _saturated_subgroups(g), g.name
     assert len(subs) == 30 and len(reps) == 11
+
+
+def test_enumerate_subgroups_of_s5():
+    s5 = build_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], size_limit=120)
+    subs, reps = enumerate_subgroups(s5, 120)
+    assert (len(subs), len(reps)) == (156, 19)
+
+
+def _greedy_generators(g, members):
+    """The greedy loop of ``minimal_generators`` on the two-sided closure."""
+    mem = sorted(members)
+    gens, span = [], {0}
+    for x in mem:
+        if x not in span:
+            gens.append(x)
+            span = closure_of(g, span | {x})
+            if len(span) == len(mem):
+                break
+    return tuple(gens) or (0,)
+
+
+def test_minimal_generators_match_the_two_sided_closure():
+    """On every subgroup of the catalog groups, S4 and S4 x C2 the greedy
+    generators, the standalone group's generators and the BFS order of
+    the members are those the two-sided closure gives."""
+    s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+    groups = list(fixtures.group_catalog().values()) + [
+        s4, direct_product(s4, cyclic_group(2))]
+    for g in groups:
+        for h in enumerate_subgroups(g)[0]:
+            gens = _greedy_generators(g, h.members)
+            assert minimal_generators(g, h.members) == gens, g.name
+            assert tuple(h.to_parent(s) for s in h.as_group().generators) \
+                == gens
+            assert h.members_bfs() == tuple(_level_closure(g.mul, gens))
 
 
 def test_subgroup_handle_checks():

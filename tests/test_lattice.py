@@ -1,5 +1,7 @@
 """G-lattices, duality, induction, and finitely generated modules."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +60,38 @@ def test_validate_on_generators_matches_full_table():
         assert ok == _respects_full_table(lat)
         verdicts.append(ok)
     assert verdicts.count(False) == 4
+
+
+def _dense_equivariant(f: LatticeMap) -> bool:
+    """The check on dense products: M'(s) f = f M(s) per generator."""
+    return all(la.mat_eq(la.mat_mul(mt, f.matrix), la.mat_mul(f.matrix, ms))
+               for ms, mt in zip(f.source.action, f.target.action))
+
+
+def test_map_validation_matches_dense_products():
+    """Every map with entries in {-1, 0, 1} between lattices of rank 0 to
+    2 over Z2 and S3 is refused exactly when the dense products differ."""
+    z2, s3 = cyclic_group(2), symmetric_group_3()
+    a3 = next(h for h in enumerate_subgroups(s3)[0] if h.order == 3)
+    verdicts = []
+    for lats in ([zero_lattice(z2), trivial_lattice(z2),
+                  sign_lattice(z2, [-1]), regular_lattice(z2)],
+                 [trivial_lattice(s3), sign_lattice(s3, [-1, 1]),
+                  make_permutation_lattice(s3, [a3])]):
+        for src in lats:
+            for tgt in lats:
+                r, c = tgt.rank, src.rank
+                for vals in itertools.product((-1, 0, 1), repeat=r * c):
+                    f = LatticeMap(src, tgt, tuple(
+                        tuple(vals[i * c:(i + 1) * c]) for i in range(r)))
+                    try:
+                        f.validate()
+                        ok = True
+                    except EquivarianceError:
+                        ok = False
+                    assert ok == _dense_equivariant(f)
+                    verdicts.append(ok)
+    assert True in verdicts and False in verdicts
 
 
 def test_permutation_lattice_is_certified():
