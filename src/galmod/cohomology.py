@@ -57,11 +57,14 @@ cheap to test:
 * the rank over Q is r - rank L^H, and rank L^H = (1/|H|) sum_h tr M(h),
   the trace of the projection onto the fixed points.
 
-``_rank_mod`` takes p = 2 on Python ints as bit rows.  When the ranks
-agree, H^1 is the presentation with no factors, no echelon and only the
-cocycle check rows, and Tate H^-1 the one with no factors on an echelon
-of ker N; the ``reduce`` of either still refuses a non-cocycle or a
-vector outside ker N.  When a rank drops, the Smith form runs as above.
+``_rank_mod`` reads the rows of A as {column: entry}, as they are
+built, so no vanishing test makes A dense; for p = 2 it packs each row's
+odd entries into the bits of a Python int.  When the ranks agree, H^1 is
+the presentation with no factors, no echelon and only the cocycle check
+rows, and Tate H^-1 the one with no factors on an echelon of ker N; the
+``reduce`` of either still refuses a non-cocycle or a vector outside
+ker N.  When a rank drops, the Smith form runs as above, and only then
+are the Tate blocks made dense.
 
 For n <= 0 (H^0, hypercohomology in degrees -1 and 0) the kernel of the
 Cayley d^n, taken Cayley -> bar, plus the image of the bar d^{n-1}
@@ -441,8 +444,7 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
 
     d, ncols = _total_rows(cay, *parts, diff, n - 1), dim(cay, n - 1)
     if n == 1 and not part1[0] and _torsion_free(
-            dense_rows(d, ncols),
-            part2[0] - _fixed_rank(part2[1], group.order), group.order):
+            d, part2[0] - _fixed_rank(part2[1], group.order), group.order):
         tc = None
     else:
         tc = la.torsion_cokernel(d, ncols)
@@ -473,15 +475,19 @@ def _fixed_rank(mats: Sequence[Rows], order: int) -> int:
     return trace // order
 
 
-def _rank_mod(rows: Sequence[Sequence[int]], p: int, stop: int) -> int:
-    """Rank mod the prime p of the matrix with these rows, counted up to
-    ``stop``.  For p = 2 each row is a Python int, one bit per column."""
+def _rank_mod(rows: Sequence[dict], p: int, stop: int) -> int:
+    """Rank mod the prime p of the matrix with these rows {column:
+    entry}, counted up to ``stop``.  For p = 2 each row becomes a Python
+    int, one bit per odd entry."""
     if stop <= 0:
         return 0
     if p == 2:
         basis: dict[int, int] = {}  # leading bit -> row
         for row in rows:
-            x = sum(1 << j for j, v in enumerate(row) if v & 1)
+            x = 0
+            for j, v in row.items():
+                if v & 1:
+                    x |= 1 << j
             while x:
                 lead = x.bit_length() - 1
                 if lead not in basis:
@@ -492,24 +498,28 @@ def _rank_mod(rows: Sequence[Sequence[int]], p: int, stop: int) -> int:
                 break
         return len(basis)
     # pivot column -> row, 1 there and 0 at the columns of earlier pivots
-    pivots: dict[int, list[int]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        v = [x % p for x in row]
+        v = {j: x % p for j, x in row.items() if x % p}
         for c, prow in pivots.items():
-            if v[c]:
-                f = v[c]
-                v = [(x - f * y) % p for x, y in zip(v, prow)]
-        lead = next((c for c, x in enumerate(v) if x), None)
-        if lead is not None:
+            f = v.get(c)
+            if f:
+                for j, y in prow.items():
+                    x = (v.get(j, 0) - f * y) % p
+                    if x:
+                        v[j] = x
+                    else:
+                        v.pop(j, None)
+        if v:
+            lead = min(v)
             inv = pow(v[lead], -1, p)
-            pivots[lead] = [x * inv % p for x in v]
+            pivots[lead] = {j: x * inv % p for j, x in v.items()}
             if len(pivots) == stop:
                 break
     return len(pivots)
 
 
-def _torsion_free(rows: Sequence[Sequence[int]], rank: int,
-                  order: int) -> bool:
+def _torsion_free(rows: Sequence[dict], rank: int, order: int) -> bool:
     """Whether the cokernel of an integer matrix of rank ``rank`` over Q
     is torsion-free, given that its torsion is killed by ``order``: iff
     the matrix keeps that rank mod every prime p | order."""
@@ -605,12 +615,12 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
         num = la.kernel_basis(norm)
         # I_H L is spanned by the columns of the blocks M(s) - 1 side by
         # side
-        blocks = [_dense_minus_one(mats[s], rank) for s in sub.generators]
-        if _torsion_free(la.hstack(*blocks),
-                         rank - _fixed_rank(mats, sub.order), sub.order):
+        rows = _minus_one_rows([mats[s] for s in sub.generators], rank)
+        if _torsion_free(rows, rank - _fixed_rank(mats, sub.order),
+                         sub.order):
             pres = la.trivial_subquotient(num, rank)
             return CohomologyGroup(n, (), (), pres)
-        den = [c for b in blocks for c in la.columns(b)]
+        den = la.columns(dense_rows(rows, len(sub.generators) * rank))
     else:
         num = common_fixed_points([mats[s] for s in sub.generators], rank)
         den = la.columns(norm)
@@ -618,14 +628,22 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
     return CohomologyGroup(n, pres.factors, pres.generators, pres)
 
 
-def _dense_minus_one(rows: Rows, rank: int) -> IntMatrix:
-    """M - 1 as a dense matrix, M given as sparse rows."""
-    out = [[0] * rank for _ in range(rank)]
-    for i, row in enumerate(rows):
-        for j, x in row:
-            out[i][j] = x
-        out[i][i] -= 1
-    return la.freeze(out)
+def _minus_one_rows(mats: Sequence[Rows], rank: int) -> list[dict]:
+    """The rows {column: entry} of the blocks M - 1 side by side, each M
+    given as sparse rows."""
+    out: list[dict] = [{} for _ in range(rank)]
+    for k, m in enumerate(mats):
+        base = k * rank
+        for i, row in enumerate(m):
+            out_row = out[i]
+            for j, x in row:
+                out_row[base + j] = x
+            x = out_row.get(base + i, 0) - 1
+            if x:
+                out_row[base + i] = x
+            else:
+                del out_row[base + i]
+    return out
 
 
 def restriction(src, h: SubgroupHandle, a, n: int,

@@ -4,17 +4,23 @@ resolutions.
 A two-term complex [L1 -> L2] places L1 in degree -1 and L2 in degree 0.
 Resolutions are built from two elementary quasi-isomorphism moves (pushout
 along a monomorphism, pullback along an epimorphism) plus dualization, and
-every move is re-verified on the spot by ``verify_square``: its maps
-must be G-equivariant (comp0 modulo the target's relations) and the
-square must commute modulo those relations (one span solve), the induced
-map on H^-1 must have a square unimodular matrix on the cycle bases, and
-the induced map on H^0 must be onto and one-to-one (read off one
-echelon of [comp0 | T] and the echelon of S that also gives the cycles).
+every move is re-verified on the spot by ``verify_square``.  Its maps
+must have the shapes of the square's sides.  They must be G-equivariant
+(comp0 modulo the target's relations), and the square must commute
+modulo those relations.  Both are residuals formed as products of
+sparse rows, on the sides' cached ``action_rows``, whose columns must
+lie in the relation span: {0} for a lattice target.  The induced map on
+H^-1 must have a square unimodular matrix on the cycle bases, and the
+induced map on H^0 must be onto and one-to-one (read off one echelon of
+[comp0 | T] and the echelon of S that also gives the cycles; each
+records only the kernel coordinates it returns).  The pushout forms the
+quotient action pr M sec on sparse rows too.
 Each square is kept once, in its ``CertificateMove``, which holds both
 sides and both maps; a pushout or pullback result adds only what the
 next step reads.  The full chain of moves is returned as a replayable
 certificate; replay also checks that the moves lead from the original
-complex to the resolved one.
+complex to the resolved one, the embedding move included: its target
+lattice must be the dual of the lattice the next pushout embeds into.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from . import intlinalg as la
 from .cohomology import group_cohomology, tate_cohomology
 from .groups import coset_action, enumerate_subgroups, subgroup
 from .intlinalg import IntMatrix
-from .lattice import (FgModule, GLattice, LatticeMap, direct_sum,
+from .lattice import (FgModule, GLattice, LatticeMap, Rows, direct_sum,
                       dual_lattice, fixed_points,
                       induced_action_on_sublattice, is_equivariant,
                       lattice_as_module, make_permutation_lattice)
@@ -116,15 +122,39 @@ def _cols(m: IntMatrix, n: int) -> list[list[int]]:
 
 
 def _relation_span(h: HalfComplex):
-    """The columns of S = [d | relations], their tracked echelon, and the
-    basis of H^-1 = {a : d(a) lies in span(relations)} it gives: the
-    kernel of S cut to A, made a basis when B has relations."""
+    """The columns of S = [d | relations], their echelon, and the basis
+    of H^-1 = {a : d(a) lies in span(relations)} it gives: the kernel of
+    S cut to A (the only coordinates the echelon records), made a basis
+    when B has relations."""
     cols = _cols(h.d, h.a.rank) + la.columns(h.b.relations)
-    span = la.ColumnSpan(cols, track=True)
-    cycles = span.kernel(h.a.rank)
+    span = la.ColumnSpan(cols, track=h.a.rank)
+    cycles = span.kernel()
     if la.shape(h.b.relations)[1] and cycles:
         cycles = la.image_basis(la.from_columns(cycles, h.a.rank))
     return cols, span, cycles
+
+
+def _residual(a: Rows, b: Rows) -> list[dict]:
+    """The nonzero columns {row: entry} of a - b, two matrices of one
+    shape given as sparse rows."""
+    cols: dict[int, dict] = {}
+    for i, (ra, rb) in enumerate(zip(a, b)):
+        if ra == rb:
+            continue
+        acc = dict(ra)
+        for j, x in rb:
+            acc[j] = acc.get(j, 0) - x
+        for j, x in acc.items():
+            if x:
+                cols.setdefault(j, {})[i] = x
+    return list(cols.values())
+
+
+def _shaped(m: IntMatrix, rows: int, cols: int) -> bool:
+    """Whether ``m`` is rows x cols; one with no rows cannot carry its
+    column count."""
+    r, c = la.shape(m)
+    return r == rows and (not r or c == cols)
 
 
 def verify_square(src: HalfComplex, tgt: HalfComplex,
@@ -134,44 +164,56 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     the relations of the target's B, and that the induced kernel and
     cokernel maps are isomorphisms.
 
-    comp_minus1 must have the shape of a map A -> A', and
-    comp_minus1 M(s) = M'(s) comp_minus1 must hold exactly for every
-    generator index s, on sparse rows (``lattice.is_equivariant``).  comp0
-    being equivariant modulo the relations of B', commuting with the
-    differentials modulo them, and being well defined on B are one span
-    check.  H^-1 is free on the cycle bases, so its map
-    is an isomorphism iff its matrix on them is square and unimodular.
-    H^0 is Z^m / span(S) -> Z^n / span(T), with S and T the differential
-    and relations of each side: it is onto iff the columns of [comp0 | T]
+    comp_minus1 must be a map A -> A' and comp0 a map B -> B' by shape
+    (and each side's d a map A -> B), and comp_minus1 M(s) =
+    M'(s) comp_minus1 must hold exactly for every generator index s
+    (``lattice.is_equivariant``).  The residuals
+    comp0 M_B(s) - M_B'(s) comp0 (equivariance), comp0 d - d' comp_minus1
+    (commutation) and comp0 times the relations of B (well defined on B)
+    are products of sparse rows, the sides' cached ``action_rows``; their
+    nonzero columns must lie in the span of the relations of B'.  For a
+    B' with no relations that span is {0}, so every residual must
+    vanish.  H^-1 is free on the cycle bases, so its map is an
+    isomorphism iff its matrix on them is square and unimodular.  H^0 is
+    Z^m / span(S) -> Z^n / span(T), with S and T the differential and
+    relations of each side: it is onto iff the columns of [comp0 | T]
     span Z^n, and one-to-one iff the preimage of span(T) under comp0 lies
-    in span(S).  Each matrix is eliminated once: the tracked echelon of S
-    gives the cycle basis of H^-1 (its kernel) and answers membership in
-    span(S), that of T the cycle basis of H^-1 on the target, and that of
-    [comp0 | T] both "onto" (its pivots) and the preimage (its kernel cut
-    to the first m coordinates).  No Smith form runs."""
-    rows, cols = la.shape(comp_minus1)
-    if rows != tgt.a.rank or (rows and cols != src.a.rank) \
+    in span(S).  Each matrix is eliminated once: the echelon of S gives
+    the cycle basis of H^-1 (its kernel, recorded on the first
+    ``a.rank`` coordinates) and answers membership in span(S), that of T
+    the cycle basis of H^-1 on the target, and that of [comp0 | T] both
+    "onto" (its pivots) and the preimage (its kernel, recorded on the
+    first m coordinates and reduced along S as sparse vectors).  No
+    Smith form runs."""
+    if not all(_shaped(m, rows, cols) for m, rows, cols in (
+            (comp_minus1, tgt.a.rank, src.a.rank),
+            (comp0, tgt.b.ngens, src.b.ngens),
+            (src.d, src.b.ngens, src.a.rank),
+            (tgt.d, tgt.b.ngens, tgt.a.rank))) \
             or not is_equivariant(comp_minus1, src.a, tgt.a):
         return MoveEvidence(False, False)
-    comm = la.mat_add(la.mat_mul(comp0, src.d),
-                      la.mat_neg(la.mat_mul(tgt.d, comp_minus1)))
-    equi = [la.mat_add(la.mat_mul(comp0, ms),
-                       la.mat_neg(la.mat_mul(mt, comp0)))
-            for ms, mt in zip(src.b.action, tgt.b.action)]
-    if not la.in_relation_span(tgt.b.relations, la.columns(la.hstack(
-            comm, la.mat_mul(comp0, src.b.relations), *equi))):
+    c0 = la.sparse_rows(comp0)
+    cm1 = la.sparse_rows(comp_minus1)
+    residuals = _residual(la.rows_mul(c0, la.sparse_rows(src.d)),
+                          la.rows_mul(la.sparse_rows(tgt.d), cm1))
+    residuals += _residual(
+        la.rows_mul(c0, la.sparse_rows(src.b.relations)), ((),) * len(c0))
+    for ms, mt in zip(src.b.action_rows(), tgt.b.action_rows()):
+        residuals += _residual(la.rows_mul(c0, ms), la.rows_mul(mt, c0))
+    if residuals and not la.ColumnSpan(
+            la.columns(tgt.b.relations)).contains(residuals):
         return MoveEvidence(False, False)
     _, s, ks = _relation_span(src)
     t_cols, _, kt = _relation_span(tgt)
-    imgs = la.columns(la.mat_mul(comp_minus1,
-                                 la.from_columns(ks, src.a.rank)))
+    imgs = [la.rows_apply(cm1, k) for k in ks]
     try:
         mat = la.from_columns(la.solve_columns(kt, imgs), len(kt))
         hminus_ok = len(ks) == len(kt) and la.is_unimodular(mat)
     except la.SolveError:
         hminus_ok = False
-    h0 = la.ColumnSpan(_cols(comp0, src.b.ngens) + t_cols, track=True)
-    h0_ok = h0.spans(tgt.b.ngens) and s.contains(h0.kernel(src.b.ngens))
+    h0 = la.ColumnSpan(_cols(comp0, src.b.ngens) + t_cols,
+                       track=src.b.ngens)
+    h0_ok = h0.spans(tgt.b.ngens) and s.contains(h0.sparse_kernel())
     return MoveEvidence(hminus_ok, h0_ok)
 
 
@@ -248,26 +290,30 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     r = snf.rank
     saturated = all(x == 1 for x in snf.invariant_factors)
     src = _half(TwoTermComplex(a, b, d))
-    # the injections A' -> A' + B and B -> A' + B
-    ident = la.identity(n)
-    ap_in = la.freeze([row[:aprime.rank] for row in ident])
-    b_in = la.freeze([row[aprime.rank:] for row in ident])
     if saturated:
-        uinv = snf.Uinv
-        pr = la.freeze([list(snf.U[i]) for i in range(r, n)])
-        sec = la.freeze([[uinv[i][j] for j in range(r, n)] for i in range(n)])
-        amb_mats = amb.action
-        action = tuple(la.mat_mul(la.mat_mul(pr, m), sec) for m in amb_mats)
+        # pr: A' + B -> B', the rows of U past the rank; sec: the columns
+        # of U^{-1} past it.  pr times each injection is a slice of pr.
+        pr = snf.U[r:]
+        sec = tuple(row[r:] for row in snf.Uinv)
+        pr_rows, sec_rows = la.sparse_rows(pr), la.sparse_rows(sec)
+        action = tuple(
+            la.dense_rows(map(dict, la.rows_mul(la.rows_mul(pr_rows, m),
+                                                sec_rows)), n - r)
+            for m in amb.action_rows())
         quo = GLattice(a.group, n - r, action)
-        d_tgt = LatticeMap(aprime, quo, la.mat_mul(pr, ap_in))
+        d_tgt = LatticeMap(aprime, quo,
+                           tuple(row[:aprime.rank] for row in pr))
         move = _square_move("pushout-mono", src,
                             _half(TwoTermComplex(aprime, quo, d_tgt)),
-                            f.matrix, la.mat_mul(pr, b_in))
+                            f.matrix, tuple(row[aprime.rank:] for row in pr))
         return PushoutResult(quo, move, sec, d_tgt)
-    # torsion in the quotient: present it as a module
+    # torsion in the quotient: present it as a module, with the
+    # injections A' -> A' + B and B -> A' + B
+    ident = la.identity(n)
     quo = FgModule(a.group, n, anti, amb.action)
-    move = _square_move("pushout-mono", src, HalfComplex(aprime, ap_in, quo),
-                        f.matrix, b_in)
+    move = _square_move("pushout-mono", src, HalfComplex(
+        aprime, tuple(row[:aprime.rank] for row in ident), quo),
+        f.matrix, tuple(row[aprime.rank:] for row in ident))
     return PushoutResult(quo, move, None, None)
 
 
@@ -503,12 +549,30 @@ def _content(side: Union[HalfComplex, TwoTermComplex]) -> tuple:
             rows(h.b.relations), tuple(map(rows, h.b.action)))
 
 
+def _contragredient(e: FgModule, c1: GLattice) -> bool:
+    """Whether ``c1`` is the dual of the lattice ``e``: the same group
+    table and generators, the same rank, no relations on ``e``, and
+    M_C1(s)^T M_E(s) = 1 for every generator index s, on sparse rows."""
+    if (e.group.table, e.group.generators) \
+            != (c1.group.table, c1.group.generators) \
+            or e.ngens != c1.rank or la.shape(e.relations)[1] \
+            or len(e.action) != len(c1.action):
+        return False
+    ident = tuple(((i, 1),) for i in range(c1.rank))
+    return all(
+        la.rows_mul(la.rows_transpose(mc, c1.rank), me) == ident
+        for mc, me in zip(c1.action_rows(), e.action_rows()))
+
+
 def _connects(cert: ResolutionCertificate) -> bool:
-    """Whether the moves lead from ``original`` to ``resolved``: the last
-    pushout starts at the original complex, the pullback after it at the
-    resolved one, and the two end at one complex.  A flasque certificate
-    does this for the duals, then ends with the duality move from the
-    original to the resolved complex."""
+    """Whether the moves lead from ``original`` to ``resolved``.  A
+    coflasque certificate has three moves.  The first, the pushout of
+    ``cts_embed_coflasque``, ends at a lattice E whose dual is the
+    coflasque lattice C1 the second pushout embeds the original's L1
+    into; that pushout starts at the original complex, the pullback
+    after it at the resolved one, and the two end at one complex.  A
+    flasque certificate does this for the duals, then ends with the
+    duality move from the original to the resolved complex."""
     moves, original, resolved = cert.moves, cert.original, cert.resolved
     if cert.mode == "flasque":
         if not moves or moves[-1].kind != "duality" \
@@ -517,10 +581,12 @@ def _connects(cert: ResolutionCertificate) -> bool:
             return False
         moves, original, resolved = moves[:-1], original.dual(), \
             resolved.dual()
-    if len(moves) < 2:
+    if len(moves) != 3:
         return False
-    po, pb = moves[-2:]
-    return (po.kind, pb.kind) == ("pushout-mono", "pullback-epi") \
+    embed, po, pb = moves
+    return (embed.kind, po.kind, pb.kind) \
+        == ("pushout-mono", "pushout-mono", "pullback-epi") \
+        and _contragredient(embed.tgt.b, po.tgt.a) \
         and _content(po.src) == _content(original) \
         and _content(pb.src) == _content(resolved) \
         and _content(po.tgt) == _content(pb.tgt)

@@ -54,12 +54,16 @@ class FiniteGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        row = self.table[a]
-        return row.index(0)
+        return self.inverses[a]
+
+    @cached_property
+    def inverses(self) -> tuple[int, ...]:
+        """The inverse of each element, read off the table once."""
+        return tuple(row.index(0) for row in self.table)
 
     def conj(self, g: int, x: int) -> int:
         """g * x * g^-1."""
-        return self.mul(self.mul(g, x), self.inv(g))
+        return self.table[self.table[g][x]][self.inverses[g]]
 
     def element_order(self, a: int) -> int:
         n = 1

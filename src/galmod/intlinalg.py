@@ -409,27 +409,31 @@ def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
 # subquotient presentations all read a stored echelon through ``_along``
 # or ``ColumnSpan``.
 
-def _column_echelon(cols: list[list[int]], track: bool = False):
+def _column_echelon(cols: list[list[int]], track: int = 0):
     """Reduce a list of column vectors to column echelon form.
 
     Returns ``(echelon, combos, kernel)``.  ``echelon`` lists the reduced
     nonzero columns as (pivot row, {row: entry}) with strictly increasing
     pivot rows; each column is zero above its pivot row, and its pivot
-    entry is positive.  With ``track``, ``combos[i]`` is the unimodular
-    combination {input column: coefficient} giving echelon column i, and
-    ``kernel`` holds the combinations of the columns that vanished (they
-    span the kernel); without it both are empty.
+    entry is positive.  With ``track`` > 0, ``combos[i]`` is the
+    unimodular combination {input column: coefficient} giving echelon
+    column i, and ``kernel`` holds the combinations of the columns that
+    vanished (they span the kernel), each cut to the input columns below
+    ``track``: the cut is linear, so the columns past it need not be
+    recorded.  With ``track`` 0 both are empty.  The pivots never depend
+    on ``track``.
     """
     return _sparse_echelon(
         [{i: int(x) for i, x in enumerate(col) if x != 0} for col in cols],
         track)
 
 
-def _sparse_echelon(sp: list[dict], track: bool = False):
+def _sparse_echelon(sp: list[dict], track: int = 0):
     """``_column_echelon`` of columns given as {row: entry}, which it
     reduces in place."""
     n = len(sp)
-    combos = [{j: 1} for j in range(n)] if track else [None] * n
+    combos = [{j: 1} if j < track else {} for j in range(n)] if track \
+        else [None] * n
     # row -> active columns touching it
     rowmap: dict[int, set[int]] = {}
     for j, col in enumerate(sp):
@@ -489,9 +493,11 @@ def _sparse_echelon(sp: list[dict], track: bool = False):
 def _along(echelon, vec: Sequence[int]) -> list[int] | None:
     """Coefficients of ``vec`` on the columns of a stored ``echelon``
     (pivot row, {row: entry}), or None when ``vec`` is not in their
-    integer span.  Pivots are taken in order of their rows, each column
+    integer span.  ``vec`` is a dense vector or a sparse one {index:
+    nonzero entry}.  Pivots are taken in order of their rows, each column
     being zero above its own, so each coefficient is fixed by one entry."""
-    resid = {i: int(x) for i, x in enumerate(vec) if x != 0}
+    resid = dict(vec) if isinstance(vec, dict) else {
+        i: int(x) for i, x in enumerate(vec) if x != 0}
     coeffs = []
     for row, col in echelon:
         q, r = divmod(resid.get(row, 0), col[row])
@@ -511,16 +517,19 @@ def _along(echelon, vec: Sequence[int]) -> list[int] | None:
 class ColumnSpan:
     """The integer span of a list of columns, read off one column echelon.
 
-    ``contains`` reduces vectors along its pivots; ``rank`` counts them;
-    ``spans(n)`` says whether the columns span all of Z^n: the echelon
-    is lower triangular with positive pivots, so it does iff it has n
-    pivots and each is 1.  With ``track`` the echelon also records the
-    kernel of the matrix the columns form, and ``kernel(k)`` lists that
-    kernel's basis cut to the first k coordinates, so that one
-    elimination of [a | rel] answers both "is this in span([a | rel])"
-    and "what is the preimage of span(rel) under a"."""
+    ``contains`` reduces vectors, dense or {index: entry}, along its
+    pivots; ``rank`` counts them; ``spans(n)`` says whether the columns
+    span all of Z^n: the echelon is lower triangular with positive
+    pivots, so it does iff it has n pivots and each is 1.  With
+    ``track`` = k the echelon also records the kernel of the matrix the
+    columns form, cut to its first k coordinates: ``kernel()`` lists
+    that basis as dense vectors and ``sparse_kernel()`` as {index:
+    entry}.  So one elimination of [a | rel] answers both "is this in
+    span([a | rel])" and "what is the preimage of span(rel) under a",
+    and only the k coordinates of a are recorded."""
 
-    def __init__(self, cols: Sequence[Sequence[int]], track: bool = False):
+    def __init__(self, cols: Sequence[Sequence[int]], track: int = 0):
+        self.track = track
         self.echelon, _, self._kernel = _column_echelon(cols, track)
 
     @property
@@ -534,8 +543,12 @@ class ColumnSpan:
         return len(self.echelon) == n and all(
             col[row] == 1 for row, col in self.echelon)
 
-    def kernel(self, k: int) -> list[list[int]]:
-        return [[combo.get(i, 0) for i in range(k)] for combo in self._kernel]
+    def kernel(self) -> list[list[int]]:
+        return [[combo.get(i, 0) for i in range(self.track)]
+                for combo in self._kernel]
+
+    def sparse_kernel(self) -> list[dict]:
+        return self._kernel
 
 
 def _dense_cols(cols: Sequence[dict], rows: int) -> list[list[int]]:
@@ -554,13 +567,13 @@ def kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
 
     The basis spans a saturated sublattice of Z^cols.
     """
-    return ColumnSpan(columns(a), track=True).kernel(shape(a)[1])
+    return ColumnSpan(columns(a), track=shape(a)[1]).kernel()
 
 
 def sparse_kernel(cols: list[dict]) -> list[list[int]]:
     """``kernel_basis`` of the matrix whose columns are given as
     {row: entry}, which the echelon reduces in place."""
-    kernel = _sparse_echelon(cols, track=True)[2]
+    kernel = _sparse_echelon(cols, track=len(cols))[2]
     return [[combo.get(i, 0) for i in range(len(cols))] for combo in kernel]
 
 
@@ -605,7 +618,7 @@ def solve_columns(basis_cols: Sequence[Sequence[int]],
     """
     k = len(basis_cols)
     echelon, combos, kernel = _column_echelon(
-        [list(c) for c in basis_cols], track=True)
+        [list(c) for c in basis_cols], track=k)
     if kernel:
         raise ValueError("basis columns are linearly dependent")
     sols = []
@@ -723,6 +736,17 @@ def rows_mul(a: Sequence[SparseRow],
     return tuple(out)
 
 
+def rows_transpose(rows: Sequence[SparseRow],
+                   ncols: int) -> tuple[SparseRow, ...]:
+    """The transpose, as sparse rows, of the matrix with these sparse
+    rows and ``ncols`` columns."""
+    out: list[list] = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            out[j].append((i, x))
+    return tuple(map(tuple, out))
+
+
 def rows_apply(rows: Sequence[SparseRow],
                v: Sequence[int]) -> tuple[int, ...]:
     """The matrix with these sparse rows times the vector v."""
@@ -757,16 +781,20 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     res = smith_normal_form(from_columns(x, k) if x else zeros(k, 0),
                             inverse=True, track_v=False)
     diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
-    # ambient vectors of the adapted basis
-    adapted = mat_mul(from_columns(_dense_cols(
-        [col for _, col in echelon], ambient_dim), ambient_dim), res.Uinv)
     # SNF diagonal is already in divisibility order (1s, then larger
     # factors, then 0s for free summands)
     keep = [i for i, d in enumerate(diag) if d != 1]
+    generators = []
+    for i in keep:
+        # the ambient vector of adapted basis element i: the echelon
+        # columns times column i of U^{-1}
+        g: dict = {}
+        for (_, col), urow in zip(echelon, res.Uinv):
+            if urow[i]:
+                _axpy(g, col, urow[i])
+        generators.append(tuple(g.get(r, 0) for r in range(ambient_dim)))
     return AbGroupPresentation(
-        ambient_dim, tuple(diag[i] for i in keep),
-        tuple(tuple(adapted[r][i] for r in range(ambient_dim))
-              for i in keep),
+        ambient_dim, tuple(diag[i] for i in keep), tuple(generators),
         tuple(_sparse(res.U[i]) for i in keep), echelon)
 
 
@@ -813,7 +841,7 @@ def torsion_cokernel(rows: Sequence[dict],
     keep = [i for i, d in enumerate(diagonal[:len(gens)]) if d > 1]
     generators = tuple(tuple(gens[i].get(r, 0) for r in range(m))
                        for i in keep)
-    echelon, combos, _ = _sparse_echelon(gens, track=True)
+    echelon, combos, _ = _sparse_echelon(gens, track=len(gens))
     return AbGroupPresentation(
         m, tuple(diagonal[i] for i in keep), generators,
         tuple(tuple((k, c[i]) for k, c in enumerate(combos) if i in c)

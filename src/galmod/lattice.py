@@ -241,7 +241,7 @@ def dual_lattice(lat: GLattice) -> GLattice:
     """
     g = lat.group
     rows = lat.element_rows()
-    action = tuple(la.transpose(_dense(rows[g.inv(s)], lat.rank))
+    action = tuple(la.transpose(_dense(rows[g.inverses[s]], lat.rank))
                    for s in g.generators)
     perm = lat.permutation_subgroups
     return GLattice(lat.group, lat.rank, action,

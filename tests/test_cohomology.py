@@ -503,13 +503,15 @@ def test_presentations_match_u_row_route():
 @settings(max_examples=60, deadline=None)
 def test_rank_mod_matches_smith_form(rows, cols, p, data):
     """The rank mod p is the number of Smith invariant factors prime to
-    p, for p = 2 (bit rows) and odd p alike; ``stop`` caps the count."""
+    p, for p = 2 (bit rows) and odd p alike; ``stop`` caps the count.
+    The matrix goes in as its rows {column: entry}."""
     m = [data.draw(st.lists(st.integers(-6, 6), min_size=cols,
                             max_size=cols)) for _ in range(rows)]
     want = sum(1 for d in la.smith_normal_form(m).invariant_factors
                if d % p)
-    assert _rank_mod(m, p, min(rows, cols)) == want
-    assert _rank_mod(m, p, 1) == min(1, want)
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    assert _rank_mod(sparse, p, min(rows, cols)) == want
+    assert _rank_mod(sparse, p, 1) == min(1, want)
 
 
 def _minus_one(h, lat):

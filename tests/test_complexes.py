@@ -166,19 +166,30 @@ def test_verify_square_h0_decisions():
     assert verify_square(z, nothing, (), ()) == MoveEvidence(True, False)
 
 
+def _misshapen(m):
+    """A matrix with a column or a row too many or too few."""
+    rows = la.thaw(m)
+    return [la.freeze(bad) for bad in (
+        [row + [0] for row in rows], [row[:-1] for row in rows],
+        rows + [[0] * len(rows[0])], rows[:-1])]
+
+
 def test_verify_square_refuses_a_misshapen_comp_minus1():
-    """A map A -> A' with a column or a row too many or too few is no
-    map of the square: the evidence is negative, not an error."""
+    """A map A -> A', or a map B -> B', with a column or a row too many
+    or too few is no map of the square: the evidence is negative, not an
+    error."""
     move = coflasque_resolution(fixtures.complex_catalog()["z3-aug"])[1] \
         .moves[-1]
-    cm1 = la.thaw(move.comp_minus1)
     assert move.src.a.rank and move.tgt.a.rank
+    assert move.src.b.ngens and move.tgt.b.ngens
     assert verify_square(move.src, move.tgt, move.comp_minus1,
                          move.comp0).ok
-    for bad in ([row + [0] for row in cm1], [row[:-1] for row in cm1],
-                cm1 + [[0] * len(cm1[0])], cm1[:-1]):
-        assert verify_square(move.src, move.tgt, la.freeze(bad),
+    for bad in _misshapen(move.comp_minus1):
+        assert verify_square(move.src, move.tgt, bad,
                              move.comp0) == MoveEvidence(False, False)
+    for bad in _misshapen(move.comp0):
+        assert verify_square(move.src, move.tgt, move.comp_minus1,
+                             bad) == MoveEvidence(False, False)
 
 
 def test_pushout_with_torsion_quotient():
@@ -283,6 +294,48 @@ def test_h0_span_solves_match_smith_form_on_catalog_moves():
         verdicts.append(got)
     assert {v.h0_ok for v in verdicts} == {True, False}
     assert {v.hminus_ok for v in verdicts} == {True, False}
+
+
+def _moved(m, i, k):
+    """``m`` with one entry, picked by ``i``, moved by ``k``."""
+    rows = la.thaw(m)
+    r = i % len(rows)
+    c = (i // len(rows)) % len(rows[r])
+    rows[r][c] += k
+    return la.freeze(rows)
+
+
+def test_forged_squares_match_the_dense_oracle():
+    """Every pushout and pullback move of the catalog resolutions, whose
+    targets are lattices, and the torsion pushout, whose target has
+    relations, with one entry of comp0, and separately one of
+    comp_minus1, moved by 1 and by -1: the evidence equals the dense
+    route that solves each question separately.  Some forged squares
+    fail on their maps, others pass them and fail only on H^0."""
+    moves = [move for t in fixtures.complex_catalog().values()
+             for resolve in (coflasque_resolution, flasque_resolution)
+             for move in resolve(t)[1].moves if move.kind != "duality"]
+    triv = trivial_lattice(cyclic_group(2))
+    doubling = LatticeMap(triv, triv, ((2,),))
+    moves.append(pushout_square(doubling, doubling).move)
+    assert la.shape(moves[-1].tgt.b.relations)[1]
+    verdicts, forged = set(), 0
+    for i, move in enumerate(moves):
+        cm1, c0 = move.comp_minus1, move.comp0
+        squares = []
+        for k in (1, -1):
+            if c0 and c0[0]:
+                squares.append((cm1, _moved(c0, i, k)))
+            if cm1 and cm1[0]:
+                squares.append((_moved(cm1, i, k), c0))
+        for cm1_f, c0_f in squares:
+            got = verify_square(move.src, move.tgt, cm1_f, c0_f)
+            assert got == _verify_square_by_separate_solves(
+                move.src, move.tgt, cm1_f, c0_f)
+            verdicts.add(got)
+            forged += 1
+    assert forged > 300
+    assert verdicts == {MoveEvidence(False, False), MoveEvidence(True, False)}
 
 
 def test_pushout_pullback_identity_squares():

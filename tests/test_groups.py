@@ -185,6 +185,19 @@ def test_enumerate_subgroups_of_s5():
     assert (len(subs), len(reps)) == (156, 19)
 
 
+def test_inverse_table_on_s4():
+    """``inv`` reads the inverse table built once from the
+    multiplication table, and ``conj`` agrees with g x g^-1."""
+    s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)])
+    assert s4.order == 24
+    for a in s4.elements():
+        assert s4.mul(a, s4.inv(a)) == 0 == s4.mul(s4.inv(a), a)
+        assert s4.inv(s4.inv(a)) == a
+        assert s4.inv(a) == s4.table[a].index(0)
+        for x in s4.elements():
+            assert s4.conj(a, x) == s4.mul(s4.mul(a, x), s4.inv(a))
+
+
 def _greedy_generators(g, members):
     """The greedy loop of ``minimal_generators`` on the two-sided closure."""
     mem = sorted(members)

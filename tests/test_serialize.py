@@ -12,7 +12,8 @@ from galmod import intlinalg as la
 from galmod import serialize as se
 from galmod.complexes import (CertificateMove, HalfComplex, MoveEvidence,
                               ResolutionCertificate, coflasque_resolution,
-                              flasque_resolution, replay_certificate)
+                              flasque_resolution, replay_certificate,
+                              replay_move)
 from galmod.groups import cyclic_group, symmetric_group_3
 
 
@@ -135,6 +136,36 @@ def test_replay_refuses_moves_that_do_not_connect():
             vanishing_table=other.vanishing_table))
         assert not replay_certificate(dataclasses.replace(
             own, original=other.original))
+
+
+def test_replay_refuses_a_swapped_embedding_move():
+    """Swap the first move, the pushout that embeds L1 into a coflasque
+    lattice, for another certificate's.  Every move still verifies, but
+    its target lattice E is no longer the dual of the lattice C1 the
+    next pushout embeds into.  The pairs give E of another rank; of the
+    same rank, over as many generators, with another action; and, for
+    (z2-aug, z4-coset-aug), the same matrices over another group.  A
+    flasque certificate is checked inside its dual chain."""
+    catalog = fixtures.complex_catalog()
+    for resolve, pairs in (
+            (coflasque_resolution, (("z2-aug", "z2-norm"),
+                                    ("v4-coset-aug", "s3-coset-aug"),
+                                    ("z2-aug", "z4-coset-aug"))),
+            (flasque_resolution, (("z2-aug", "z2-norm"),
+                                  ("v4-char-deg0", "s3-sign-deg0")))):
+        for pair in pairs:
+            own, other = (se.load_certificate(json.loads(se.to_json(
+                se.dump_certificate(resolve(catalog[name])[1]))))
+                for name in pair)
+            assert replay_certificate(own) and replay_certificate(other)
+            e_own, e_other = own.moves[0].tgt.b, other.moves[0].tgt.b
+            assert len(e_own.action) == len(e_other.action)
+            assert (e_own.group.table, e_own.action) \
+                != (e_other.group.table, e_other.action)
+            forged = dataclasses.replace(
+                own, moves=(other.moves[0],) + own.moves[1:])
+            assert all(replay_move(m).ok for m in forged.moves)
+            assert not replay_certificate(forged)
 
 
 def test_catalog_certificates_unchanged():
