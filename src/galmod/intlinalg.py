@@ -7,11 +7,23 @@ are used in public data types; plain lists are accepted everywhere.  A
 matrix with few nonzeros per row may instead be kept as sparse rows,
 each the ``SparseRow`` of its nonzeros in ascending column order, so
 that equal matrices have equal rows.
+
+The conversions between these forms run in C iterators: a sparse row is
+``compress(enumerate(row), row)``, a transpose is ``zip(*m,
+strict=True)`` (so a ragged matrix raises ValueError instead of being
+cut to its shortest row), and ``freeze`` maps ``int`` over each row.
+``rows_mul`` takes a monomial row, the kind a permutation or coset
+action is made of, as a row of the right factor, scaled.  The column
+echelon drops each pivot column from its row map, so later rows never
+filter it out, and ``abgroup_from_subquotient`` reads the few rows of
+U and W = (U^{-1})^T it keeps straight off ``_smith`` instead of dense
+U and U^{-1}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -23,7 +35,7 @@ class SolveError(Exception):
 
 
 def freeze(rows: Iterable[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def thaw(m: Iterable[Sequence[int]]) -> list[list[int]]:
@@ -44,8 +56,7 @@ def shape(m: Sequence[Sequence[int]]) -> tuple[int, int]:
 
 
 def transpose(m: Sequence[Sequence[int]]) -> IntMatrix:
-    rows, cols = shape(m)
-    return tuple(tuple(m[i][j] for i in range(rows)) for j in range(cols))
+    return tuple(zip(*m, strict=True))
 
 
 def transpose_shaped(m: Sequence[Sequence[int]], rows: int,
@@ -69,7 +80,7 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
         if ca == 0 or rb == 0:
             return tuple((0,) * cb for _ in range(ra))
         raise ValueError(f"dimension mismatch {ra}x{ca} @ {rb}x{cb}")
-    bsparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    bsparse = sparse_rows(b)
     out = []
     for arow in a:
         acc = [0] * cb
@@ -120,7 +131,7 @@ def block_diag(*mats: Sequence[Sequence[int]]) -> IntMatrix:
     for m in mats:
         mr, mc = shape(m)
         for i in range(mr):
-            out[r0 + i][c0:c0 + mc] = [int(x) for x in m[i]]
+            out[r0 + i][c0:c0 + mc] = m[i]
         r0 += mr
         c0 += mc
     return freeze(out)
@@ -128,15 +139,13 @@ def block_diag(*mats: Sequence[Sequence[int]]) -> IntMatrix:
 
 def columns(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Matrix as a list of column vectors."""
-    rows, cols = shape(m)
-    return [[m[i][j] for i in range(rows)] for j in range(cols)]
+    return list(map(list, zip(*m, strict=True)))
 
 
 def from_columns(cols: Sequence[Sequence[int]], nrows: int | None = None) -> IntMatrix:
     if not cols:
         return zeros(nrows or 0, 0)
-    n = len(cols[0])
-    return tuple(tuple(c[i] for c in cols) for i in range(n))
+    return tuple(zip(*cols, strict=True))
 
 
 @dataclass(frozen=True)
@@ -192,7 +201,7 @@ def smith_normal_form(a: Sequence[Sequence[int]], inverse: bool = False,
     """
     rows, cols = shape(a)
     diagonal, u, v, w = _smith(
-        [{j: x for j, x in enumerate(row) if x} for row in a], cols,
+        [dict(compress(enumerate(row), row)) for row in a], cols,
         track_v=track_v, inverse=inverse)
     d = [[0] * cols for _ in range(rows)]
     for t, x in enumerate(diagonal):
@@ -423,71 +432,76 @@ def _column_echelon(cols: list[list[int]], track: int = 0):
     recorded.  With ``track`` 0 both are empty.  The pivots never depend
     on ``track``.
     """
-    return _sparse_echelon(
-        [{i: int(x) for i, x in enumerate(col) if x != 0} for col in cols],
-        track)
+    return _sparse_echelon([dict(compress(enumerate(col), col))
+                            for col in cols], track)
 
 
 def _sparse_echelon(sp: list[dict], track: int = 0):
     """``_column_echelon`` of columns given as {row: entry}, which it
-    reduces in place."""
+    reduces in place.
+
+    Rows are taken in increasing order.  While a row has more than one
+    active column, the one of least (|entry|, index) is subtracted from
+    the others by floor quotient; the last one left is the row's pivot
+    and leaves the row map ``rowmap`` (row -> active columns touching
+    it), so later rows never see it."""
     n = len(sp)
     combos = [{j: 1} if j < track else {} for j in range(n)] if track \
         else [None] * n
-    # row -> active columns touching it
     rowmap: dict[int, set[int]] = {}
     for j, col in enumerate(sp):
         for r in col:
             rowmap.setdefault(r, set()).add(j)
     pivots = []
-    frozen: set[int] = set()
-
-    def addmul(dst, src, k):
-        # col[dst] += k * col[src]
-        sd = sp[src]
-        dd = sp[dst]
-        for r, val in sd.items():
-            nv = dd.get(r, 0) + k * val
-            if nv:
-                if r not in dd:
-                    rowmap.setdefault(r, set()).add(dst)
-                dd[r] = nv
-            elif r in dd:
-                del dd[r]
-                rowmap[r].discard(dst)
-        if track:
-            sc = combos[src]
-            dc = combos[dst]
-            for r, val in sc.items():
-                nv = dc.get(r, 0) + k * val
-                if nv:
-                    dc[r] = nv
-                elif r in dc:
-                    del dc[r]
-
     for row in sorted(rowmap):
-        cands = [j for j in rowmap.get(row, ()) if j not in frozen]
+        cands = rowmap[row]
         if not cands:
             continue
         while len(cands) > 1:
-            cands.sort(key=lambda j: (abs(sp[j][row]), j))
-            a = cands[0]
-            for b in cands[1:]:
-                q = sp[b][row] // sp[a][row]
-                addmul(b, a, -q)
-            cands = [j for j in cands if row in sp[j]]
-        piv = cands[0]
-        if sp[piv][row] < 0:
-            sp[piv] = {r: -v for r, v in sp[piv].items()}
+            a = min(cands, key=lambda j: (abs(sp[j][row]), j))
+            sa = sp[a]
+            xa = sa[row]
+            ca = combos[a]
+            for b in tuple(cands):
+                if b == a:
+                    continue
+                # col[b] -= q * col[a]; the row map follows col[b]'s support
+                sb = sp[b]
+                k = -(sb[row] // xa)
+                for r, x in sa.items():
+                    y = sb.get(r)
+                    if y is None:
+                        sb[r] = k * x
+                        rowmap[r].add(b)
+                    elif y + k * x:
+                        sb[r] = y + k * x
+                    else:
+                        del sb[r]
+                        rowmap[r].discard(b)
+                if track:
+                    cb = combos[b]
+                    for r, x in ca.items():
+                        y = cb.get(r, 0) + k * x
+                        if y:
+                            cb[r] = y
+                        else:
+                            del cb[r]
+        (piv,) = cands
+        col = sp[piv]
+        if col[row] < 0:
+            col = sp[piv] = {r: -x for r, x in col.items()}
             if track:
-                combos[piv] = {r: -v for r, v in combos[piv].items()}
-        frozen.add(piv)
+                combos[piv] = {r: -x for r, x in combos[piv].items()}
+        for r in col:
+            rowmap[r].discard(piv)
         pivots.append((row, piv))
     echelon = [(r, sp[j]) for r, j in pivots]
     if not track:
         return echelon, [], []
+    # a pivot column keeps its pivot entry, so the empty columns are
+    # exactly the vanished ones
     return (echelon, [combos[j] for _, j in pivots],
-            [combos[j] for j in range(n) if j not in frozen and not sp[j]])
+            [combos[j] for j in range(n) if not sp[j]])
 
 
 def _along(echelon, vec: Sequence[int]) -> list[int] | None:
@@ -495,22 +509,28 @@ def _along(echelon, vec: Sequence[int]) -> list[int] | None:
     (pivot row, {row: entry}), or None when ``vec`` is not in their
     integer span.  ``vec`` is a dense vector or a sparse one {index:
     nonzero entry}.  Pivots are taken in order of their rows, each column
-    being zero above its own, so each coefficient is fixed by one entry."""
-    resid = dict(vec) if isinstance(vec, dict) else {
-        i: int(x) for i, x in enumerate(vec) if x != 0}
-    coeffs = []
-    for row, col in echelon:
-        q, r = divmod(resid.get(row, 0), col[row])
+    being zero above its own, so each coefficient is fixed by one entry.
+    The coefficients fill a list of zeros, and the walk stops as soon as
+    the residual is empty."""
+    resid = dict(vec) if isinstance(vec, dict) else dict(
+        compress(enumerate(vec), vec))
+    coeffs = [0] * len(echelon)
+    for t, (row, col) in enumerate(echelon):
+        if not resid:
+            return coeffs
+        x = resid.get(row)
+        if not x:
+            continue
+        q, r = divmod(x, col[row])
         if r:
             return None
-        coeffs.append(q)
-        if q:
-            for i, x in col.items():
-                nv = resid.get(i, 0) - q * x
-                if nv:
-                    resid[i] = nv
-                else:
-                    del resid[i]
+        coeffs[t] = q
+        for i, y in col.items():
+            z = resid.get(i, 0) - q * y
+            if z:
+                resid[i] = z
+            else:
+                del resid[i]
     return None if resid else coeffs
 
 
@@ -715,19 +735,28 @@ class AbGroupPresentation:
 
 
 def _sparse(row: Sequence[int]) -> SparseRow:
-    return tuple((j, x) for j, x in enumerate(row) if x)
+    return tuple(compress(enumerate(row), row))
 
 
 def sparse_rows(m: Sequence[Sequence[int]]) -> tuple[SparseRow, ...]:
-    return tuple(_sparse(row) for row in m)
+    return tuple(map(_sparse, m))
 
 
 def rows_mul(a: Sequence[SparseRow],
              b: Sequence[SparseRow]) -> tuple[SparseRow, ...]:
     """Product a @ b of two matrices given as sparse rows: row i adds x
-    times row k of b for each (k, x) in row i of a."""
+    times row k of b for each (k, x) in row i of a.
+
+    A monomial row ((k, x),), as in a permutation or coset action, is
+    row k of b itself, or that row scaled by x: it is already sorted
+    and free of zeros, so it needs no accumulator and no sort."""
     out = []
     for arow in a:
+        if len(arow) == 1:
+            ((k, x),) = arow
+            out.append(b[k] if x == 1 else tuple((j, x * y)
+                                                 for j, y in b[k]))
+            continue
         acc: dict[int, int] = {}
         for k, x in arow:
             for j, y in b[k]:
@@ -767,10 +796,12 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     den is written on the echelon basis of span(num).  When the columns
     of that k x j matrix X span Z^k (``ColumnSpan.spans``), den spans
     span(num) and the group is trivial: the Smith form would give only
-    d_i = 1, so none runs.  Otherwise the Smith form U X V = D of X gives
-    the factors (the d_i other than 1), the generators (basis times
-    U^{-1}) and the rows of U that ``reduce`` applies to a vector's
-    coordinates on the basis."""
+    d_i = 1, so none runs.  Otherwise ``_smith`` gives U X V = D on the
+    rows of X, with no V and with the rows of W = (U^{-1})^T.  The
+    factors are the d_i other than 1; for each, generator i is the basis
+    times column i of U^{-1}, that is row i of W, and row i of U is what
+    ``reduce`` applies to a vector's coordinates on the basis.  Only
+    those kept rows are read; no dense U or U^{-1} is built."""
     echelon = _column_echelon([list(c) for c in num_cols])[0]
     k = len(echelon)
     x = [_along(echelon, c) for c in den_cols]
@@ -778,24 +809,22 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
         raise SolveError("den is not inside span(num)")
     if ColumnSpan(x).spans(k):
         return AbGroupPresentation(ambient_dim, (), (), (), echelon)
-    res = smith_normal_form(from_columns(x, k) if x else zeros(k, 0),
-                            inverse=True, track_v=False)
-    diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
-    # SNF diagonal is already in divisibility order (1s, then larger
+    diagonal, u, _, w = _smith(
+        [dict(compress(enumerate(row), row)) for row in from_columns(x, k)],
+        len(x), track_v=False, inverse=True)
+    # the diagonal is already in divisibility order (1s, then larger
     # factors, then 0s for free summands)
+    diag = diagonal + [0] * (k - len(diagonal))
     keep = [i for i, d in enumerate(diag) if d != 1]
     generators = []
     for i in keep:
-        # the ambient vector of adapted basis element i: the echelon
-        # columns times column i of U^{-1}
         g: dict = {}
-        for (_, col), urow in zip(echelon, res.Uinv):
-            if urow[i]:
-                _axpy(g, col, urow[i])
+        for r, c in w[i].items():
+            _axpy(g, echelon[r][1], c)
         generators.append(tuple(g.get(r, 0) for r in range(ambient_dim)))
     return AbGroupPresentation(
         ambient_dim, tuple(diag[i] for i in keep), tuple(generators),
-        tuple(_sparse(res.U[i]) for i in keep), echelon)
+        tuple(tuple(sorted(u[i].items())) for i in keep), echelon)
 
 
 def trivial_subquotient(basis_cols: Sequence[Sequence[int]],

@@ -9,6 +9,7 @@ accept either an inline group object, a ``fixtures:NAME`` reference, or
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Union
 
 from . import intlinalg as la
@@ -49,12 +50,21 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _rows(m, what: str = "matrix") -> list[list[int]]:
-    rows = [list(row) for row in m]
-    bad = [x for row in rows for x in row if type(x) is not int]
-    if bad:
-        _int(bad[0], what)
+def _rows(m, what: str) -> list[list[int]]:
+    """Rows of integers read from input.  The entries' types are checked
+    as one set; only a refused matrix is walked, to name its first entry
+    that is not an int."""
+    rows = list(map(list, m))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        _int(next(x for x in chain.from_iterable(rows)
+                  if type(x) is not int), what)
     return rows
+
+
+def _dumped(m) -> list[list[int]]:
+    """A library matrix or table as JSON rows; its entries are ints
+    already."""
+    return list(map(list, m))
 
 
 def _ids(values, bound: int, what: str) -> None:
@@ -104,7 +114,7 @@ def dump_group(g: FiniteGroup) -> dict:
     return {
         "format": GROUP_FORMAT,
         "name": g.name,
-        "table": _rows(g.table),
+        "table": _dumped(g.table),
         "generators": list(g.generators),
         "labels": list(g.labels),
     }
@@ -151,7 +161,7 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
 
 def _dump_lattice_body(lat: GLattice) -> dict:
     return {"rank": lat.rank,
-            "action": [_rows(m) for m in lat.action]}
+            "action": [_dumped(m) for m in lat.action]}
 
 
 def _load_lattice_body(obj, group: FiniteGroup) -> GLattice:
@@ -175,8 +185,8 @@ def load_lattice(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> GLattice:
 
 def _dump_module_body(mod: FgModule) -> dict:
     return {"ngens": mod.ngens,
-            "relations": _rows(mod.relations),
-            "action": [_rows(m) for m in mod.action]}
+            "relations": _dumped(mod.relations),
+            "action": [_dumped(m) for m in mod.action]}
 
 
 def _load_module_body(obj, group: FiniteGroup) -> FgModule:
@@ -192,7 +202,7 @@ def dump_complex(t: TwoTermComplex) -> dict:
         "group": dump_group(t.group),
         "l1": _dump_lattice_body(t.l1),
         "l2": _dump_lattice_body(t.l2),
-        "differential": _rows(t.differential.matrix),
+        "differential": _dumped(t.differential.matrix),
     }
 
 
@@ -220,9 +230,9 @@ def dump_crossed(c: FiniteCrossedModule) -> dict:
         "h": dump_group(c.h),
         "galois": dump_group(c.galois),
         "boundary": list(c.boundary),
-        "h_action": _rows(c.h_action),
-        "galois_on_g": _rows(c.galois_on_g),
-        "galois_on_h": _rows(c.galois_on_h),
+        "h_action": _dumped(c.h_action),
+        "galois_on_g": _dumped(c.galois_on_g),
+        "galois_on_h": _dumped(c.galois_on_h),
     }
 
 
@@ -285,7 +295,7 @@ def _dump_side(side: Union[HalfComplex, TwoTermComplex]) -> dict:
     return {"type": "half",
             "group": dump_group(side.a.group),
             "a": _dump_lattice_body(side.a),
-            "d": _rows(side.d),
+            "d": _dumped(side.d),
             "b": _dump_module_body(side.b)}
 
 
@@ -306,8 +316,8 @@ def dump_certificate(cert: ResolutionCertificate) -> dict:
             "src": _dump_side(m.src),
             "tgt": _dump_side(m.tgt),
             "comp_minus1": (None if m.comp_minus1 is None
-                            else _rows(m.comp_minus1)),
-            "comp0": None if m.comp0 is None else _rows(m.comp0),
+                            else _dumped(m.comp_minus1)),
+            "comp0": None if m.comp0 is None else _dumped(m.comp0),
             "evidence": [m.evidence.hminus_ok, m.evidence.h0_ok],
         })
     return {

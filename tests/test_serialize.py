@@ -11,10 +11,11 @@ from galmod import fixtures
 from galmod import intlinalg as la
 from galmod import serialize as se
 from galmod.complexes import (CertificateMove, HalfComplex, MoveEvidence,
-                              ResolutionCertificate, coflasque_resolution,
-                              flasque_resolution, replay_certificate,
-                              replay_move)
-from galmod.groups import cyclic_group, symmetric_group_3
+                              ResolutionCertificate, TwoTermComplex,
+                              coflasque_resolution, flasque_resolution,
+                              replay_certificate, replay_move)
+from galmod.groups import build_group, cyclic_group, symmetric_group_3
+from galmod.lattice import LatticeMap, regular_lattice, trivial_lattice
 
 
 def test_group_round_trip():
@@ -182,6 +183,22 @@ def test_catalog_certificates_unchanged():
     assert count == 36
     assert h.hexdigest() == (
         "80060c29d448c13b03528bc76153235565c1180cac87f7e17a9fc9564eac8108")
+
+
+def test_s4_augmentation_certificate_unchanged():
+    """The flasque resolution of [Z[S4] -> Z] (regular lattice,
+    augmentation) runs echelons and Smith forms of rank near 100, which
+    no catalog complex reaches; its certificate's JSON hashes to the
+    value computed before the echelon loop and the matrix conversions
+    were rewritten."""
+    s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)])
+    reg, triv = regular_lattice(s4), trivial_lattice(s4)
+    aug = TwoTermComplex(reg, triv, LatticeMap(reg, triv, ((1,) * 24,)))
+    resolved, cert = flasque_resolution(aug)
+    assert (resolved.l1.rank, resolved.l2.rank) == (105, 82)
+    assert hashlib.sha256(se.to_json(se.dump_certificate(cert)).encode()
+                          ).hexdigest() == (
+        "82e07e6a9785bcc07946d9c78747fe8d40f9e0b1ff832f45868b0afad0d51e2d")
 
 
 def _load_each_side_alone(obj):
