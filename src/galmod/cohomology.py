@@ -423,8 +423,10 @@ def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
 
     if n <= 0:
         # Z_bar = Q(Z_Cayley) + B_bar; B_bar lives on C^0 and C^1
-        z = la.preimage(dense_rows(_total_rows(cay, *parts, diff, n),
-                                   dim(cay, n)), [], dim(cay, n))
+        width = dim(cay, n)
+        z = la.ColumnSpan(la.columns(dense_rows(
+            _total_rows(cay, *parts, diff, n), width), width),
+            track=width).kernel()
         im = (la.columns(dense_rows(_total_rows(bar, *parts, diff, n - 1),
                                     dim(bar, n - 1)))
               if n > (-1 if parts[0][0] else 0) else [])
@@ -550,7 +552,8 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
         # Tot^{n-1} is zero below degree -1, or below 0 when A1 = 0
         im = la.columns(d(n - 1)) if n > (-1 if r1 else 0) else []
         rel_n = rel(n)
-        num = la.preimage(d(n), rel(n + 1), dim) + rel_n
+        num = la.ColumnSpan(la.columns(d(n), dim) + rel(n + 1),
+                            track=dim).kernel() + rel_n
         pres = la.abgroup_from_subquotient(num, im + rel_n, dim)
     return CohomologyGroup(n, pres.factors, pres.generators, pres, normalized)
 
@@ -618,7 +621,10 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
         rows = _minus_one_rows([mats[s] for s in sub.generators], rank)
         if _torsion_free(rows, rank - _fixed_rank(mats, sub.order),
                          sub.order):
-            pres = la.trivial_subquotient(num, rank)
+            # the zero group span(num)/span(num): ``reduce`` still
+            # refuses a vector off span(num)
+            pres = la.AbGroupPresentation(rank, (), (), (),
+                                          la.ColumnSpan(num).echelon)
             return CohomologyGroup(n, (), (), pres)
         den = la.columns(dense_rows(rows, len(sub.generators) * rank))
     else:

@@ -13,7 +13,9 @@ lie in the relation span: {0} for a lattice target.  The induced map on
 H^-1 must have a square unimodular matrix on the cycle bases, and the
 induced map on H^0 must be onto and one-to-one (read off one echelon of
 [comp0 | T] and the echelon of S that also gives the cycles; each
-records only the kernel coordinates it returns).  The pushout forms the
+records only the kernel coordinates it returns; every span question
+goes through ``intlinalg.ColumnSpan``).  The pushout reads its quotient
+off ``intlinalg.hom_cokernel`` of the antidiagonal map and forms the
 quotient action pr M sec on sparse rows too.
 Each square is kept once, in its ``CertificateMove``, which holds both
 sides and both maps; a pushout or pullback result adds only what the
@@ -83,7 +85,8 @@ class TwoTermComplex:
 
 def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
     """(H^-1, H^0): the saturated kernel lattice and the cokernel module."""
-    kb = la.preimage(t.differential.matrix, [], t.l1.rank)
+    n = t.l1.rank
+    kb = la.ColumnSpan(la.columns(t.differential.matrix, n), track=n).kernel()
     hminus = induced_action_on_sublattice(t.l1, kb)
     h0 = FgModule(t.group, t.l2.rank, t.differential.matrix, t.l2.action)
     return hminus, h0
@@ -115,22 +118,16 @@ def _half(t: TwoTermComplex) -> HalfComplex:
     return HalfComplex(t.l1, t.differential.matrix, lattice_as_module(t.l2))
 
 
-def _cols(m: IntMatrix, n: int) -> list[list[int]]:
-    """The columns of a matrix with n columns; one with no rows cannot
-    carry n."""
-    return la.columns(m) if m else [[] for _ in range(n)]
-
-
 def _relation_span(h: HalfComplex):
     """The columns of S = [d | relations], their echelon, and the basis
     of H^-1 = {a : d(a) lies in span(relations)} it gives: the kernel of
     S cut to A (the only coordinates the echelon records), made a basis
     when B has relations."""
-    cols = _cols(h.d, h.a.rank) + la.columns(h.b.relations)
+    cols = la.columns(h.d, h.a.rank) + la.columns(h.b.relations)
     span = la.ColumnSpan(cols, track=h.a.rank)
     cycles = span.kernel()
     if la.shape(h.b.relations)[1] and cycles:
-        cycles = la.image_basis(la.from_columns(cycles, h.a.rank))
+        cycles = la.ColumnSpan(cycles).basis(h.a.rank)
     return cols, span, cycles
 
 
@@ -211,7 +208,7 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
         hminus_ok = len(ks) == len(kt) and la.is_unimodular(mat)
     except la.SolveError:
         hminus_ok = False
-    h0 = la.ColumnSpan(_cols(comp0, src.b.ngens) + t_cols,
+    h0 = la.ColumnSpan(la.columns(comp0, src.b.ngens) + t_cols,
                        track=src.b.ngens)
     h0_ok = h0.spans(tgt.b.ngens) and s.contains(h0.sparse_kernel())
     return MoveEvidence(hminus_ok, h0_ok)
@@ -281,26 +278,28 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     if f.source is not d.source:
         raise GroupMismatchError("moves must share the corner lattice")
     a, aprime, b = f.source, f.target, d.target
-    if la.ColumnSpan(_cols(f.matrix, a.rank)).rank != a.rank:
+    if la.ColumnSpan(la.columns(f.matrix, a.rank)).rank != a.rank:
         raise PreconditionError("pushout requires a monomorphism")
     n = aprime.rank + b.rank
     anti = la.vstack(f.matrix, la.mat_neg(d.matrix))
     amb = direct_sum(aprime, b)
-    snf = la.smith_normal_form(anti, inverse=True, track_v=False)
-    r = snf.rank
-    saturated = all(x == 1 for x in snf.invariant_factors)
+    coker = la.hom_cokernel(anti, ())
     src = _half(TwoTermComplex(a, b, d))
-    if saturated:
-        # pr: A' + B -> B', the rows of U past the rank; sec: the columns
-        # of U^{-1} past it.  pr times each injection is a slice of pr.
-        pr = snf.U[r:]
-        sec = tuple(row[r:] for row in snf.Uinv)
-        pr_rows, sec_rows = la.sparse_rows(pr), la.sparse_rows(sec)
+    if not any(coker.factors):
+        # saturated: B' is free of rank k.  pr: A' + B -> B', the rows
+        # ``reduce`` applies (rows of the Smith form's U past the rank);
+        # sec: the generators, columns of U^{-1} past it.  pr times each
+        # injection is a slice of pr.
+        k = len(coker.factors)
+        pr_rows = coker._rows
+        pr = la.dense_rows(map(dict, pr_rows), n)
+        sec = la.transpose_shaped(coker.generators, n, k)
+        sec_rows = la.sparse_rows(sec)
         action = tuple(
             la.dense_rows(map(dict, la.rows_mul(la.rows_mul(pr_rows, m),
-                                                sec_rows)), n - r)
+                                                sec_rows)), k)
             for m in amb.action_rows())
-        quo = GLattice(a.group, n - r, action)
+        quo = GLattice(a.group, k, action)
         d_tgt = LatticeMap(aprime, quo,
                            tuple(row[:aprime.rank] for row in pr))
         move = _square_move("pushout-mono", src,
@@ -340,7 +339,7 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
         raise PreconditionError("pullback requires an epimorphism")
     amb = direct_sum(bprime, aprime)
     diff = la.hstack(g.matrix, la.mat_neg(dprime.matrix))
-    kb = la.preimage(diff, [], amb.rank)
+    kb = la.ColumnSpan(la.columns(diff, amb.rank), track=amb.rank).kernel()
     fibre = induced_action_on_sublattice(amb, kb)
     # the fibre basis in B' + A' coordinates, cut into its two parts
     incl = la.from_columns(kb, amb.rank)

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, preimages
+"""Exact integer linear algebra: Smith normal form, column echelons
 and finitely generated abelian group presentations.
 
 All matrices are row-major sequences of rows with Python ``int`` entries,
@@ -8,16 +8,24 @@ matrix with few nonzeros per row may instead be kept as sparse rows,
 each the ``SparseRow`` of its nonzeros in ascending column order, so
 that equal matrices have equal rows.
 
+The column echelon is read only through ``ColumnSpan``, which answers
+every span question (membership, rank, a basis, kernels and so
+preimages, solutions); ``kernel_basis`` and ``solve_columns`` are
+one-line faces of it.  The library reads the Smith form ``_smith``
+directly; ``smith_normal_form`` builds dense U, D and V for ``galmod
+snf`` and the tests.
+
 The conversions between these forms run in C iterators: a sparse row is
 ``compress(enumerate(row), row)``, a transpose is ``zip(*m,
 strict=True)`` (so a ragged matrix raises ValueError instead of being
-cut to its shortest row), and ``freeze`` maps ``int`` over each row.
-``rows_mul`` takes a monomial row, the kind a permutation or coset
-action is made of, as a row of the right factor, scaled.  The column
-echelon drops each pivot column from its row map, so later rows never
-filter it out, and ``abgroup_from_subquotient`` reads the few rows of
-U and W = (U^{-1})^T it keeps straight off ``_smith`` instead of dense
-U and U^{-1}.
+cut to its shortest row, as it does in sums, products and stacks), and
+``freeze`` maps ``int`` over each row.  ``rows_mul`` takes a monomial
+row, the kind a permutation or coset action is made of, as a row of the
+right factor, scaled.  The column echelon drops each pivot column from
+its row map, so later rows never filter it out, and
+``abgroup_from_subquotient`` reads the few rows of U and W =
+(U^{-1})^T it keeps straight off ``_smith`` instead of dense U and
+U^{-1}.
 """
 
 from __future__ import annotations
@@ -69,9 +77,17 @@ def transpose_shaped(m: Sequence[Sequence[int]], rows: int,
     return t
 
 
+def _check_rows(*mats: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError on a ragged matrix, whose rows differ in length."""
+    for m in mats:
+        if len(set(map(len, m))) > 1:
+            raise ValueError("rows of a matrix differ in length")
+
+
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
     """Product a @ b, skipping zero entries: row i of the result adds
     a[i][k] times the nonzero entries of row k of b."""
+    _check_rows(a, b)
     ra, ca = shape(a)
     rb, cb = shape(b)
     if ca != rb:
@@ -93,16 +109,12 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
 
 
 def mat_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return tuple(tuple(x + y for x, y in zip(ra, rb, strict=True))
+                 for ra, rb in zip(a, b, strict=True))
 
 
 def mat_neg(a: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_eq(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    return shape(a) == shape(b) and all(
-        all(x == y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def is_zero(a: Sequence[Sequence[int]]) -> bool:
@@ -110,13 +122,13 @@ def is_zero(a: Sequence[Sequence[int]]) -> bool:
 
 
 def hstack(*mats: Sequence[Sequence[int]]) -> IntMatrix:
+    _check_rows(*mats)
     wide = [m for m in mats if shape(m)[1] > 0]
     if not wide:
         rows = max((len(m) for m in mats), default=0)
         return tuple(() for _ in range(rows))
-    mats = wide
-    rows = len(mats[0])
-    return tuple(tuple(x for m in mats for x in m[i]) for i in range(rows))
+    return tuple(tuple(x for row in rows for x in row)
+                 for rows in zip(*wide, strict=True))
 
 
 def vstack(*mats: Sequence[Sequence[int]]) -> IntMatrix:
@@ -137,8 +149,12 @@ def block_diag(*mats: Sequence[Sequence[int]]) -> IntMatrix:
     return freeze(out)
 
 
-def columns(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Matrix as a list of column vectors."""
+def columns(m: Sequence[Sequence[int]],
+            ncols: int = 0) -> list[list[int]]:
+    """Matrix as a list of column vectors.  A matrix with no rows cannot
+    carry its column count, so it has ``ncols`` empty columns."""
+    if not m:
+        return [[] for _ in range(ncols)]
     return list(map(list, zip(*m, strict=True)))
 
 
@@ -156,10 +172,7 @@ class SnfResult:
 
     U: IntMatrix
     D: IntMatrix
-    # None when smith_normal_form(a, track_v=False) did not build it
-    V: IntMatrix | None
-    # U^{-1}, built only when smith_normal_form(a, inverse=True) asks
-    Uinv: IntMatrix | None = None
+    V: IntMatrix
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -188,30 +201,22 @@ def _round_div(x: int, d: int) -> int:
     return q
 
 
-def smith_normal_form(a: Sequence[Sequence[int]], inverse: bool = False,
-                      track_v: bool = True) -> SnfResult:
-    """Smith normal form with transformation matrices.
+def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
+    """Smith normal form with dense transformation matrices, for
+    ``galmod snf`` and the tests; the library reads ``_smith`` directly.
 
     Pivot choice is deterministic: the smallest nonzero entry in absolute
-    value, ties broken in row-major order.  With ``inverse`` the result
-    also carries U^{-1}, built alongside U.  Without ``track_v`` no
-    column operation is recorded and V is None, for the callers that
-    read only U and D; U and D are the same either way.  The work is
-    done by ``_smith`` on the nonzeros of ``a``.
+    value, ties broken in row-major order.  The work is done by
+    ``_smith`` on the nonzeros of ``a``.
     """
     rows, cols = shape(a)
-    diagonal, u, v, w = _smith(
-        [dict(compress(enumerate(row), row)) for row in a], cols,
-        track_v=track_v, inverse=inverse)
+    diagonal, u, v, _ = _smith(
+        [dict(compress(enumerate(row), row)) for row in a], cols)
     d = [[0] * cols for _ in range(rows)]
     for t, x in enumerate(diagonal):
         d[t][t] = x
-    return SnfResult(
-        dense_rows(u, rows), freeze(d),
-        transpose_shaped(dense_rows(v, cols), cols, cols)
-        if track_v else None,
-        transpose_shaped(dense_rows(w, rows), rows, rows)
-        if inverse else None)
+    return SnfResult(dense_rows(u, rows), freeze(d),
+                     transpose_shaped(dense_rows(v, cols), cols, cols))
 
 
 def dense_rows(rows: Sequence[dict], ncols: int) -> IntMatrix:
@@ -396,30 +401,32 @@ def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
 
 
 def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
-    """Inverse of an integer matrix with determinant ±1, by a full SNF.
+    """Inverse of an integer matrix with determinant ±1: column j solves
+    a x = e_j on one echelon of the columns of ``a``, which must span
+    Z^n (``ColumnSpan.spans``).
 
     Only for matrices that come with no factorization: the change of
     basis in ``lattice.conjugate_lattice`` and the random unimodular
-    matrices of ``galbench/inputs.py``.  Callers that have just run an
-    SNF ask it for U^{-1} instead, and ``lattice.dual_lattice`` reads
+    matrices of ``galbench/inputs.py``.  ``lattice.dual_lattice`` reads
     M(s)^{-1} = M(s^{-1}) off the element matrices.
     """
-    res = smith_normal_form(a)
     n, c = shape(a)
-    if n != c or res.rank != n or any(d != 1 for d in res.diagonal):
+    span = ColumnSpan(columns(a), track=c)
+    if n != c or not span.spans(n):
         raise ValueError("matrix is not unimodular")
-    return mat_mul(res.V, res.U)
+    return from_columns([span.solve({j: 1}) for j in range(n)], n)
 
 
 # ---------------------------------------------------------------------------
 # Sparse column elimination.  Used for the large, sparse cochain matrices,
 # where a dense SNF would be too slow, and the one place where a vector is
-# reduced against a span: solves, span membership, unimodularity and the
-# subquotient presentations all read a stored echelon through ``_along``
-# or ``ColumnSpan``.
+# reduced against a span: kernels, solves, span membership, unimodularity
+# and the subquotient presentations all read a stored echelon through
+# ``ColumnSpan`` or ``_along``.
 
-def _column_echelon(cols: list[list[int]], track: int = 0):
-    """Reduce a list of column vectors to column echelon form.
+def _sparse_echelon(sp: list[dict], track: int = 0):
+    """Reduce columns given as {row: entry}, in place, to column echelon
+    form.
 
     Returns ``(echelon, combos, kernel)``.  ``echelon`` lists the reduced
     nonzero columns as (pivot row, {row: entry}) with strictly increasing
@@ -431,14 +438,6 @@ def _column_echelon(cols: list[list[int]], track: int = 0):
     ``track``: the cut is linear, so the columns past it need not be
     recorded.  With ``track`` 0 both are empty.  The pivots never depend
     on ``track``.
-    """
-    return _sparse_echelon([dict(compress(enumerate(col), col))
-                            for col in cols], track)
-
-
-def _sparse_echelon(sp: list[dict], track: int = 0):
-    """``_column_echelon`` of columns given as {row: entry}, which it
-    reduces in place.
 
     Rows are taken in increasing order.  While a row has more than one
     active column, the one of least (|entry|, index) is subtracted from
@@ -535,22 +534,29 @@ def _along(echelon, vec: Sequence[int]) -> list[int] | None:
 
 
 class ColumnSpan:
-    """The integer span of a list of columns, read off one column echelon.
+    """The integer span of a list of columns, read off one column echelon:
+    the one face of the echelon that the library reads.
 
-    ``contains`` reduces vectors, dense or {index: entry}, along its
-    pivots; ``rank`` counts them; ``spans(n)`` says whether the columns
-    span all of Z^n: the echelon is lower triangular with positive
-    pivots, so it does iff it has n pivots and each is 1.  With
-    ``track`` = k the echelon also records the kernel of the matrix the
-    columns form, cut to its first k coordinates: ``kernel()`` lists
-    that basis as dense vectors and ``sparse_kernel()`` as {index:
-    entry}.  So one elimination of [a | rel] answers both "is this in
-    span([a | rel])" and "what is the preimage of span(rel) under a",
-    and only the k coordinates of a are recorded."""
+    The columns are dense vectors or {index: entry} (copied, not
+    reduced in place).  ``contains`` reduces vectors, dense or {index:
+    entry}, along its pivots; ``rank`` counts them; ``spans(n)`` says
+    whether the columns span all of Z^n: the echelon is lower triangular
+    with positive pivots, so it does iff it has n pivots and each is 1.
+    ``basis(rows)`` lists the echelon columns, a basis of the span, as
+    dense vectors.  With ``track`` = k the echelon also records the
+    kernel of the matrix the columns form, cut to its first k
+    coordinates: ``kernel()`` lists that basis as dense vectors and
+    ``sparse_kernel()`` as {index: entry}.  So one elimination of
+    [a | rel] answers both "is this in span([a | rel])" and "what is the
+    preimage of span(rel) under a", and only the k coordinates of a are
+    recorded.  ``solve(vec)`` gives the coefficients of ``vec`` on the
+    first k columns, which must be independent."""
 
-    def __init__(self, cols: Sequence[Sequence[int]], track: int = 0):
+    def __init__(self, cols: Iterable, track: int = 0):
         self.track = track
-        self.echelon, _, self._kernel = _column_echelon(cols, track)
+        self.echelon, self._combos, self._kernel = _sparse_echelon(
+            [dict(c) if isinstance(c, dict)
+             else dict(compress(enumerate(c), c)) for c in cols], track)
 
     @property
     def rank(self) -> int:
@@ -563,6 +569,9 @@ class ColumnSpan:
         return len(self.echelon) == n and all(
             col[row] == 1 for row, col in self.echelon)
 
+    def basis(self, rows: int) -> list[list[int]]:
+        return list(map(list, dense_rows([c for _, c in self.echelon], rows)))
+
     def kernel(self) -> list[list[int]]:
         return [[combo.get(i, 0) for i in range(self.track)]
                 for combo in self._kernel]
@@ -570,90 +579,36 @@ class ColumnSpan:
     def sparse_kernel(self) -> list[dict]:
         return self._kernel
 
-
-def _dense_cols(cols: Sequence[dict], rows: int) -> list[list[int]]:
-    """Sparse columns {row: entry} as dense vectors of length ``rows``."""
-    out = []
-    for col in cols:
-        vec = [0] * rows
-        for r, v in col.items():
-            vec[r] = v
-        out.append(vec)
-    return out
+    def solve(self, vec) -> list[int]:
+        """The x with cols @ x = vec, when ``track`` covers every column:
+        the coefficients of ``vec`` on the echelon, turned back into
+        coefficients on the columns.  Raises SolveError when ``vec`` is
+        not in the span and ValueError when the columns are dependent."""
+        if self._kernel:
+            raise ValueError("columns are linearly dependent")
+        y = _along(self.echelon, vec)
+        if y is None:
+            raise SolveError("vector is not in the integer span")
+        x = [0] * self.track
+        for yi, combo in zip(y, self._combos):
+            if yi:
+                for j, v in combo.items():
+                    x[j] += yi * v
+        return x
 
 
 def kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis (as column vectors) of the integer kernel {x : a @ x = 0}.
-
-    The basis spans a saturated sublattice of Z^cols.
-    """
+    """Basis (as column vectors) of the integer kernel {x : a @ x = 0},
+    a saturated sublattice of Z^cols."""
     return ColumnSpan(columns(a), track=shape(a)[1]).kernel()
-
-
-def sparse_kernel(cols: list[dict]) -> list[list[int]]:
-    """``kernel_basis`` of the matrix whose columns are given as
-    {row: entry}, which the echelon reduces in place."""
-    kernel = _sparse_echelon(cols, track=len(cols))[2]
-    return [[combo.get(i, 0) for i in range(len(cols))] for combo in kernel]
-
-
-def preimage(a: Sequence[Sequence[int]], rel_cols: Sequence[Sequence[int]],
-             ncols: int) -> list[list[int]]:
-    """Generators (columns) of {x in Z^ncols : a @ x in span(rel_cols)}.
-
-    ``ncols`` is explicit because a matrix with no rows cannot carry its
-    column count; its preimage is all of Z^ncols.
-    """
-    if not a:
-        return columns(identity(ncols))
-    if not rel_cols:
-        return kernel_basis(a)
-    kb = kernel_basis(hstack(a, from_columns(rel_cols, len(a))))
-    return [v[:ncols] for v in kb]
-
-
-def in_relation_span(relations: Sequence[Sequence[int]],
-                     cols: Sequence[Sequence[int]]) -> bool:
-    """Whether every column of ``cols`` lies in the integer span of the
-    columns of ``relations``: one echelon of the span, then each column
-    reduced along its pivots."""
-    return not cols or ColumnSpan(columns(relations)).contains(cols)
-
-
-def image_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis (columns) of the lattice spanned by the columns of ``a``.
-
-    Not saturated: spans exactly the integer column span.
-    """
-    echelon = _column_echelon(columns(a))[0]
-    return _dense_cols([col for _, col in echelon], shape(a)[0])
 
 
 def solve_columns(basis_cols: Sequence[Sequence[int]],
                   b_cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Solve basis @ X = B exactly over Z, columnwise.
-
-    ``basis_cols`` must be linearly independent.  Raises SolveError when a
-    column of B is not in the integer span.
-    """
-    k = len(basis_cols)
-    echelon, combos, kernel = _column_echelon(
-        [list(c) for c in basis_cols], track=k)
-    if kernel:
-        raise ValueError("basis columns are linearly dependent")
-    sols = []
-    for b in b_cols:
-        y = _along(echelon, b)
-        if y is None:
-            raise SolveError("column not in integer span")
-        # convert echelon coefficients back to original basis coefficients
-        x = [0] * k
-        for yi, combo in zip(y, combos):
-            if yi:
-                for j, v in combo.items():
-                    x[j] += yi * v
-        sols.append(x)
-    return sols
+    """Solve basis @ X = B exactly over Z, columnwise (``ColumnSpan.solve``
+    of each column of B on independent ``basis_cols``)."""
+    return list(map(ColumnSpan(basis_cols, track=len(basis_cols)).solve,
+                    b_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -802,7 +757,7 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     times column i of U^{-1}, that is row i of W, and row i of U is what
     ``reduce`` applies to a vector's coordinates on the basis.  Only
     those kept rows are read; no dense U or U^{-1} is built."""
-    echelon = _column_echelon([list(c) for c in num_cols])[0]
+    echelon = ColumnSpan(num_cols).echelon
     k = len(echelon)
     x = [_along(echelon, c) for c in den_cols]
     if any(y is None for y in x):
@@ -825,16 +780,6 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     return AbGroupPresentation(
         ambient_dim, tuple(diag[i] for i in keep), tuple(generators),
         tuple(tuple(sorted(u[i].items())) for i in keep), echelon)
-
-
-def trivial_subquotient(basis_cols: Sequence[Sequence[int]],
-                        ambient_dim: int) -> AbGroupPresentation:
-    """The zero group span(basis)/span(basis): an echelon of the basis
-    and no rows, so that ``reduce`` still raises SolveError on a vector
-    outside span(basis)."""
-    return AbGroupPresentation(
-        ambient_dim, (), (), (),
-        _column_echelon([list(c) for c in basis_cols])[0])
 
 
 def torsion_cokernel(rows: Sequence[dict],
@@ -895,14 +840,18 @@ def hom_kernel(matrix: Sequence[Sequence[int]],
     """Kernel of a homomorphism of f.g. abelian groups in generator
     coordinates."""
     sc = len(src_factors)
-    proj = preimage(matrix, relation_columns(tgt_factors, len(tgt_factors)),
-                    sc)
+    proj = ColumnSpan(
+        columns(matrix, sc) + relation_columns(tgt_factors, len(tgt_factors)),
+        track=sc).kernel()
     src_rel = relation_columns(src_factors, sc)
     return abgroup_from_subquotient(proj + src_rel, src_rel, sc)
 
 
 def hom_cokernel(matrix: Sequence[Sequence[int]],
                  tgt_factors: Sequence[int]) -> AbGroupPresentation:
+    """Cokernel of a homomorphism into the group with ``tgt_factors``:
+    Z^rows modulo the columns of ``matrix`` and the relations.  With no
+    factors, ``_smith`` runs on the rows of ``matrix`` itself."""
     tr, _ = shape(matrix)
     tgt_rel = relation_columns(tgt_factors, tr)
     full = columns(identity(tr))

@@ -150,22 +150,24 @@ class FgModule(_ElementRows):
     relations: IntMatrix  # ngens x nrel, columns are relations
     action: tuple[IntMatrix, ...]
 
+    def __post_init__(self):
+        # a relation matrix with no columns still has one row per generator
+        if len(self.relations) != self.ngens:
+            raise ValueError("relations matrix has wrong shape")
+
     def validate(self) -> None:
         for m in self.action:
             if la.shape(m) != (self.ngens, self.ngens):
                 raise ValueError("action matrix has wrong shape")
-        if not la.in_relation_span(self.relations, [
+        if not la.ColumnSpan(la.columns(self.relations)).contains(
                 col for m in self.action
-                for col in la.columns(la.mat_mul(m, self.relations))]):
+                for col in la.columns(la.mat_mul(m, self.relations))):
             raise EquivarianceError("action does not preserve the relations")
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
         """Canonical invariant factors (1s dropped, 0 per free summand)."""
-        pres = la.abgroup_from_subquotient(
-            la.columns(la.identity(self.ngens)), la.columns(self.relations),
-            self.ngens)
-        return pres.factors
+        return la.hom_cokernel(self.relations, ()).factors
 
     @property
     def _dim(self) -> int:
@@ -318,7 +320,7 @@ def common_fixed_points(mats: Sequence[Rows], rank: int) -> list[list[int]]:
             if not diagonal:
                 cols[i][r] = -1
             r += 1
-    return la.sparse_kernel(cols)
+    return la.ColumnSpan(cols, track=rank).kernel()
 
 
 def restrict_lattice(lat: GLattice, h: SubgroupHandle) -> GLattice:

@@ -239,7 +239,9 @@ class MvColumns:
             return True, None
         mid_rel = la.relation_columns(self.middle_factors, mid_dim)
         right_rel = la.relation_columns(self.right_factors, self.right_dim)
-        ker_cols = la.preimage(self.difference_matrix, right_rel, mid_dim)
+        ker_cols = la.ColumnSpan(
+            la.columns(self.difference_matrix, mid_dim) + right_rel,
+            track=mid_dim).kernel()
         im_cols = la.columns(self.restriction_matrix) if self.left_dim else []
         quot = la.abgroup_from_subquotient(ker_cols + mid_rel,
                                            im_cols + mid_rel, mid_dim)

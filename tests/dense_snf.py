@@ -2,14 +2,23 @@
 as a test oracle: the same pivot rule and operation sequence on full
 row lists, with U, V and W = (U^{-1})^T as dense matrices."""
 
+from dataclasses import dataclass
 from typing import Sequence
 
-from galmod.intlinalg import (SnfResult, _round_div, freeze, identity,
-                              shape, thaw, transpose)
+from galmod.intlinalg import (IntMatrix, SnfResult, _round_div, freeze,
+                              identity, shape, thaw, transpose)
+
+
+@dataclass(frozen=True)
+class DenseSnfResult(SnfResult):
+    """U A V = D as ``SnfResult``, with V None when not tracked, and
+    U^{-1} when asked for."""
+
+    Uinv: IntMatrix | None = None
 
 
 def smith_normal_form(a: Sequence[Sequence[int]], inverse: bool = False,
-                      track_v: bool = True) -> SnfResult:
+                      track_v: bool = True) -> DenseSnfResult:
     """Smith normal form with transformation matrices.
 
     Pivot choice is deterministic: the smallest nonzero entry in absolute
@@ -48,9 +57,9 @@ def smith_normal_form(a: Sequence[Sequence[int]], inverse: bool = False,
                 u[t][j] = -u[t][j]
             if w is not None:
                 w[t] = [-x for x in w[t]]
-    return SnfResult(freeze(u), freeze(m),
-                     freeze(v) if v is not None else None,
-                     transpose(w) if w is not None else None)
+    return DenseSnfResult(freeze(u), freeze(m),
+                          freeze(v) if v is not None else None,
+                          transpose(w) if w is not None else None)
 
 
 def _swap_rows(m, u, w, i, j):

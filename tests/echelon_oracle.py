@@ -5,7 +5,8 @@ entry by entry in Python."""
 
 from typing import Sequence
 
-from galmod.intlinalg import SparseRow, _axpy, smith_normal_form
+from dense_snf import smith_normal_form
+from galmod.intlinalg import SparseRow, _axpy
 
 
 def freeze(rows):
@@ -158,12 +159,12 @@ def rows_mul(a, b):
 
 def subquotient_parts(num_cols, den_cols, ambient_dim):
     """(factors, generators, rows) of ``abgroup_from_subquotient`` read
-    off the dense U and U^{-1} that ``smith_normal_form`` builds."""
+    off the dense U and U^{-1} that the oracle ``dense_snf`` builds."""
     echelon = column_echelon([list(c) for c in num_cols])[0]
     k = len(echelon)
     x = [along(echelon, c) for c in den_cols]
     res = smith_normal_form(from_columns(x, k) if x else zeros(k, 0),
-                            inverse=True, track_v=False)
+                            inverse=True)
     diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
     keep = [i for i, d in enumerate(diag) if d != 1]
     generators = []

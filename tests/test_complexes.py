@@ -212,6 +212,12 @@ def test_pullback_accepts_epi():
     assert pb.move.evidence.ok
 
 
+def _preimage(a, rel_cols, n):
+    """{x in Z^n : a x in span(rel_cols)}: the kernel of [a | rel], cut
+    to the coordinates of a."""
+    return la.ColumnSpan(la.columns(a, n) + rel_cols, track=n).kernel()
+
+
 def _h0_iso_by_smith_form(src, tgt, comp0):
     """The Smith-form route: the cokernel and the kernel of the H^0 map
     presented as subquotients, each trivial."""
@@ -220,7 +226,7 @@ def _h0_iso_by_smith_form(src, tgt, comp0):
     t = la.columns(la.hstack(tgt.d, tgt.b.relations))
     coker = la.abgroup_from_subquotient(
         la.columns(la.identity(n)), la.columns(comp0) + t, n)
-    ker = la.abgroup_from_subquotient(la.preimage(comp0, t, m) + s, s, m)
+    ker = la.abgroup_from_subquotient(_preimage(comp0, t, m) + s, s, m)
     return coker.is_trivial and ker.is_trivial
 
 
@@ -228,24 +234,29 @@ def _verify_square_by_separate_solves(src, tgt, comp_minus1, comp0):
     """The earlier ``verify_square``: each question eliminates its own
     matrix, so [comp0 | T] and S are echeloned twice and each side's
     cycle basis comes from its own preimage."""
-    if not all(la.mat_eq(la.mat_mul(comp_minus1, ms),
-                         la.mat_mul(mt, comp_minus1))
+    if not all(la.mat_mul(comp_minus1, ms) == la.mat_mul(mt, comp_minus1)
                for ms, mt in zip(src.a.action, tgt.a.action)):
         return MoveEvidence(False, False)
-    comm = la.mat_add(la.mat_mul(comp0, src.d),
-                      la.mat_neg(la.mat_mul(tgt.d, comp_minus1)))
+    # a product whose right factor has no rows is zero, of the width
+    # that factor cannot carry
+    comm = la.mat_add(
+        la.mat_mul(comp0, src.d) if src.d else la.zeros(len(comp0),
+                                                        src.a.rank),
+        la.mat_neg(la.mat_mul(tgt.d, comp_minus1) if comp_minus1
+                   else la.zeros(len(tgt.d), src.a.rank)))
     equi = [la.mat_add(la.mat_mul(comp0, ms),
                        la.mat_neg(la.mat_mul(mt, comp0)))
             for ms, mt in zip(src.b.action, tgt.b.action)]
-    if not la.in_relation_span(tgt.b.relations, la.columns(la.hstack(
-            comm, la.mat_mul(comp0, src.b.relations), *equi))):
+    if not la.ColumnSpan(la.columns(tgt.b.relations)).contains(
+            la.columns(la.hstack(comm, la.mat_mul(comp0, src.b.relations),
+                                 *equi))):
         return MoveEvidence(False, False)
 
     def cycle_basis(h):
         rel = la.columns(h.b.relations)
-        proj = la.preimage(h.d, rel, h.a.rank)
+        proj = _preimage(h.d, rel, h.a.rank)
         if rel and proj:
-            return la.image_basis(la.from_columns(proj, h.a.rank))
+            return la.ColumnSpan(proj).basis(h.a.rank)
         return proj
 
     ks, kt = cycle_basis(src), cycle_basis(tgt)
@@ -258,10 +269,10 @@ def _verify_square_by_separate_solves(src, tgt, comp_minus1, comp0):
         hminus_ok = False
     s = la.hstack(src.d, src.b.relations)
     t = la.hstack(tgt.d, tgt.b.relations)
-    h0_ok = la.in_relation_span(
-        la.hstack(comp0, t), la.columns(la.identity(tgt.b.ngens))) \
-        and la.in_relation_span(
-            s, la.preimage(comp0, la.columns(t), src.b.ngens))
+    h0_ok = la.ColumnSpan(la.columns(la.hstack(comp0, t))).contains(
+        la.columns(la.identity(tgt.b.ngens))) \
+        and la.ColumnSpan(la.columns(s)).contains(
+            _preimage(comp0, la.columns(t), src.b.ngens))
     return MoveEvidence(hminus_ok, h0_ok)
 
 

@@ -36,12 +36,17 @@ def _ordered(echelon, combos, kernel):
 @settings(max_examples=300, deadline=None)
 def test_echelon_matches_oracle(cols, data):
     """Pivots, echelon columns, combinations and kernel, with ``track``
-    0, partial and full, from dense columns and from {row: entry}."""
+    0, partial and full, from dense columns and from {row: entry}, as
+    ``ColumnSpan`` keeps them; it leaves {row: entry} input as it was."""
     n = len(cols)
     track = data.draw(st.sampled_from(sorted({0, n // 2, n})))
     want = _ordered(*oracle.column_echelon(cols, track))
-    assert _ordered(*la._column_echelon(cols, track)) == want
     sp = [{i: x for i, x in enumerate(c) if x} for c in cols]
+    for given_cols in (cols, sp):
+        span = la.ColumnSpan(given_cols, track)
+        assert _ordered(span.echelon, span._combos,
+                        span.sparse_kernel()) == want
+    assert sp == [{i: x for i, x in enumerate(c) if x} for c in cols]
     assert _ordered(*la._sparse_echelon(copy.deepcopy(sp), track)) == \
         _ordered(*oracle.sparse_echelon(copy.deepcopy(sp), track)) == want
 
@@ -52,7 +57,7 @@ def test_along_matches_oracle(cols, data):
     """Members (integer combinations of the columns) and vectors that are
     not members, dense and as {index: entry}."""
     rows = len(cols[0]) if cols else data.draw(st.integers(0, 4))
-    echelon = la._column_echelon(cols)[0]
+    echelon = la.ColumnSpan(cols).echelon
     coeffs = [data.draw(st.integers(-3, 3)) for _ in cols]
     member = [sum(c * col[i] for c, col in zip(coeffs, cols))
               for i in range(rows)]
@@ -139,8 +144,19 @@ def test_conversions_match_oracle(m):
 
 def test_ragged_matrices_raise():
     """A ragged matrix was cut to its shortest row in one order and
-    raised IndexError in the other; both now raise ValueError."""
+    raised IndexError in the other; both now raise ValueError, also in
+    sums, products and side-by-side stacks."""
     for ragged in ([[1], [2, 3]], [[2, 3], [1]]):
         for convert in (la.from_columns, la.transpose, la.columns):
             with pytest.raises(ValueError):
                 convert(ragged)
+        with pytest.raises(ValueError):
+            la.mat_add(ragged, [[1], [2]])
+        with pytest.raises(ValueError):
+            la.hstack(ragged, [[4], [5]])
+        with pytest.raises(ValueError):
+            la.mat_mul([[1, 1]], ragged)
+    with pytest.raises(ValueError):
+        la.hstack([[], [1]], [[4], [5]])
+    with pytest.raises(ValueError):
+        la.hstack([[1], [2]], [[4], [5], [6]])

@@ -100,20 +100,37 @@ def test_snf_property(m):
     check_snf(la.freeze(m))
 
 
+def _smith_dense(a, track_v=True, inverse=False):
+    """``_smith`` on the rows of ``a``: the diagonal, and U, V and U^{-1}
+    as dense matrices (None when not tracked)."""
+    rows, cols = la.shape(a)
+    diagonal, u, v, w = la._smith([dict(la._sparse(row)) for row in a],
+                                  cols, track_v=track_v, inverse=inverse)
+    return (tuple(diagonal), la.dense_rows(u, rows),
+            None if v is None else
+            la.transpose_shaped(la.dense_rows(v, cols), cols, cols),
+            None if w is None else
+            la.transpose_shaped(la.dense_rows(w, rows), rows, rows))
+
+
 def check_snf_inverse(a):
-    """The U^{-1} built alongside U inverts it, and asking for it changes
-    none of U, D and V; leaving V out changes none of U, D and U^{-1}."""
-    res = la.smith_normal_form(a, inverse=True)
-    plain = la.smith_normal_form(a)
-    assert plain.Uinv is None
-    assert (res.U, res.D, res.V) == (plain.U, plain.D, plain.V)
-    no_v = la.smith_normal_form(a, inverse=True, track_v=False)
-    assert no_v.V is None
-    assert (no_v.U, no_v.D, no_v.Uinv) == (res.U, res.D, res.Uinv)
-    n = len(res.U)
-    assert la.shape(res.Uinv) == (n, n)
-    assert la.mat_mul(res.U, res.Uinv) == la.identity(n)
-    assert la.mat_mul(res.Uinv, res.U) == la.identity(n)
+    """The U^{-1} that ``_smith`` builds alongside U inverts it, and
+    asking for it changes none of U, D and V; leaving V out changes none
+    of U, D and U^{-1}.  ``smith_normal_form`` gives the same U, D and
+    V."""
+    diagonal, u, v, uinv = _smith_dense(a, inverse=True)
+    plain = _smith_dense(a)
+    assert plain[3] is None
+    assert (diagonal, u, v) == plain[:3]
+    res = la.smith_normal_form(a)
+    assert (res.diagonal, res.U, res.V) == (diagonal, u, v)
+    no_v = _smith_dense(a, track_v=False, inverse=True)
+    assert no_v[2] is None
+    assert (no_v[0], no_v[1], no_v[3]) == (diagonal, u, uinv)
+    n = len(u)
+    assert la.shape(uinv) == (n, n)
+    assert la.mat_mul(u, uinv) == la.identity(n)
+    assert la.mat_mul(uinv, u) == la.identity(n)
 
 
 def test_snf_inverse_on_battery():
@@ -202,10 +219,8 @@ def test_sparse_smith_matches_dense_oracle(a, track_u, track_v, inverse):
             if track_v else v) == (want.V if track_v else None)
     assert (la.transpose_shaped(la.dense_rows(w, rows), rows, rows)
             if inverse else w) == (want.Uinv if inverse else None)
-    res = la.smith_normal_form(a, inverse=inverse, track_v=track_v)
-    assert (res.U, res.D, res.V, res.Uinv) == (
-        want.U, want.D, want.V if track_v else None,
-        want.Uinv if inverse else None)
+    res = la.smith_normal_form(a)
+    assert (res.U, res.D, res.V) == (want.U, want.D, want.V)
     assert la.mat_mul(la.mat_mul(res.U, a), want.V) == res.D
 
 
@@ -261,7 +276,7 @@ def test_kernel_and_image():
     a = la.freeze([[1, 2, 3], [2, 4, 6]])
     for v in la.kernel_basis(a):
         assert all(x == 0 for x in mat_vec(a, v))
-    img = la.image_basis(a)
+    img = la.ColumnSpan(la.columns(a)).basis(len(a))
     assert len(img) == 1
     b = la.freeze([[2, 4]])
     kb = la.kernel_basis(b)
@@ -280,13 +295,19 @@ def test_kernel_is_saturated():
 
 
 def test_preimage():
+    """{x : a x in span(rel)} is the kernel of [a | rel], recorded on the
+    coordinates of a."""
+    def preimage(a, rel_cols, n):
+        return la.ColumnSpan(la.columns(a, n) + rel_cols, track=n).kernel()
+
     # {x : 2x in span(4)} = 2Z, {x : 2x = 0} = 0
-    assert la.preimage(la.freeze([[2]]), [[4]], 1) in ([[2]], [[-2]])
-    assert la.preimage(la.freeze([[2]]), [], 1) == []
+    assert preimage(la.freeze([[2]]), [[4]], 1) in ([[2]], [[-2]])
+    assert preimage(la.freeze([[2]]), [], 1) == []
     # a matrix with no rows maps everything into Z^0
-    assert la.preimage((), [], 2) == [[1, 0], [0, 1]]
+    assert la.ColumnSpan(la.columns((), 2), track=2).kernel() == \
+        [[1, 0], [0, 1]]
     a = la.freeze([[1, 1, 0], [0, 2, 2]])
-    for x in la.preimage(a, [[0, 4]], 3):
+    for x in preimage(a, [[0, 4]], 3):
         y = mat_vec(a, x)
         assert y[0] == 0 and y[1] % 4 == 0
 
@@ -297,6 +318,13 @@ def test_solve_columns():
     assert sols == [[2, 1]]
     with pytest.raises(la.SolveError):
         la.solve_columns(basis, [[1, 0]])
+    # the coefficients are unique only on independent columns
+    with pytest.raises(ValueError):
+        la.solve_columns([[1, 0], [2, 0]], [[1, 0]])
+    # a sparse right-hand side, and columns given as {row: entry}
+    span = la.ColumnSpan([{0: 2}, {1: 3}], track=2)
+    assert span.solve({0: 4, 1: 3}) == [2, 1]
+    assert span.basis(2) == [[2, 0], [0, 3]]
 
 
 def test_subquotient_presentations():
@@ -372,44 +400,45 @@ def test_in_relation_span_matches_smith_form(m, k, data):
                  for _ in range(m)]
         cols.append([a + b for a, b in zip(mat_vec(rel, x), noise)])
     want = [_snf_in_span(rel, c) for c in cols]
+    span = la.ColumnSpan(la.columns(rel))
     for c, w in zip(cols, want):
-        assert la.in_relation_span(rel, [c]) == w
-    assert la.in_relation_span(rel, cols) == all(want)
+        assert span.contains([c]) == w
+    assert span.contains(cols) == all(want)
 
 
 def _two_solve_reduce(num, den, dim, vec):
     """The earlier ``reduce``: coordinates y on an image basis of num by
     one solve, then z with U^{-1} z = y by a second."""
-    basis = la.image_basis(la.from_columns(num, dim)) if num else []
+    basis = la.ColumnSpan(num).basis(dim)
     if not basis:
         return ()
     k = len(basis)
     x = la.solve_columns(basis, den) if den else []
-    res = la.smith_normal_form(la.from_columns(x, k) if x
-                               else la.zeros(k, 0), inverse=True)
-    diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
+    diagonal, _, _, uinv = _smith_dense(
+        la.from_columns(x, k) if x else la.zeros(k, 0), inverse=True)
+    diag = list(diagonal) + [0] * (k - len(diagonal))
     y = la.solve_columns(basis, [vec])[0]
-    z = la.solve_columns(la.columns(res.Uinv), [y])[0]
+    z = la.solve_columns(la.columns(uinv), [y])[0]
     return tuple(zi % d if d else zi for zi, d in zip(z, diag) if d != 1)
 
 
 def _smith_route(num, den, dim):
     """The earlier ``abgroup_from_subquotient``, which ran the Smith form
     also when den spans span(num): the fields of its presentation."""
-    echelon = la._column_echelon([list(c) for c in num])[0]
+    span = la.ColumnSpan(num)
+    echelon = span.echelon
     k = len(echelon)
     x = [la._along(echelon, c) for c in den]
     if not k:
         return (dim, (), (), (), echelon, ())
-    res = la.smith_normal_form(la.from_columns(x, k) if x
-                               else la.zeros(k, 0), inverse=True)
-    diag = list(res.diagonal) + [0] * (k - len(res.diagonal))
-    adapted = la.mat_mul(la.from_columns(la._dense_cols(
-        [col for _, col in echelon], dim), dim), res.Uinv)
+    diagonal, u, _, uinv = _smith_dense(
+        la.from_columns(x, k) if x else la.zeros(k, 0), inverse=True)
+    diag = list(diagonal) + [0] * (k - len(diagonal))
+    adapted = la.mat_mul(la.from_columns(span.basis(dim), dim), uinv)
     keep = [i for i, d in enumerate(diag) if d != 1]
     return (dim, tuple(diag[i] for i in keep),
             tuple(tuple(adapted[r][i] for r in range(dim)) for i in keep),
-            tuple(la._sparse(res.U[i]) for i in keep), echelon, ())
+            tuple(la._sparse(u[i]) for i in keep), echelon, ())
 
 
 @given(st.integers(1, 5), st.integers(0, 4), st.integers(0, 4),
@@ -467,6 +496,30 @@ def test_unimodular_inverse():
     u = la.freeze([[1, 1], [1, 2]])
     ui = la.mat_inverse_unimodular(u)
     assert la.mat_mul(u, ui) == la.identity(2)
+
+
+@given(st.integers(0, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_unimodular_inverse_matches_smith_route(n, data):
+    """The inverse solved on one echelon is V U from the Smith form (the
+    route it replaced); with one entry moved, a matrix that is not
+    unimodular is refused, and so is a matrix that is not square."""
+    u = data.draw(unimodular_matrices(n))
+    res = la.smith_normal_form(u)
+    assert la.mat_inverse_unimodular(u) == la.mat_mul(res.V, res.U)
+    if n:
+        m = la.thaw(u)
+        i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        m[i][j] += data.draw(st.integers(-3, 3).filter(bool))
+        if _snf_unimodular(m):
+            res = la.smith_normal_form(m)
+            assert la.mat_inverse_unimodular(m) == la.mat_mul(res.V, res.U)
+        else:
+            with pytest.raises(ValueError):
+                la.mat_inverse_unimodular(m)
+    if n > 1:
+        with pytest.raises(ValueError):
+            la.mat_inverse_unimodular(u[1:])
 
 
 def test_transpose_shaped_keeps_empty_rows():
