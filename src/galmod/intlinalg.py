@@ -18,8 +18,8 @@ snf`` and the tests.
 The conversions between these forms run in C iterators: a sparse row is
 ``compress(enumerate(row), row)``, a transpose is ``zip(*m,
 strict=True)`` (so a ragged matrix raises ValueError instead of being
-cut to its shortest row, as it does in sums, products and stacks), and
-``freeze`` maps ``int`` over each row.  ``rows_mul`` takes a monomial
+cut to its shortest row; sums, products and stacks refuse one too),
+and ``freeze`` maps ``int`` over each row.  ``rows_mul`` takes a monomial
 row, the kind a permutation or coset action is made of, as a row of the
 right factor, scaled.  The column echelon drops each pivot column from
 its row map, so later rows never filter it out, and
