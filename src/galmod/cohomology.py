@@ -4,83 +4,76 @@ H^n (n = 0, 1, 2) and Tate H^-1/H^0 for lattices, hypercohomology of
 two-term complexes in degrees -1..1, restriction maps, and a Shapiro
 comparator.
 
-Group cohomology and hypercohomology take one route: every coefficient
-is a two-term complex [A1 -> A2], A1 in degree -1, with total complex
-Tot^n = C^{n+1}(A1) + C^n(A2), and a lattice or module A is [0 -> A].
-Answers are given on normalized bar cochains, which vanish whenever an
-argument is the identity: (|H|-1)^n coordinate blocks in degree n.
-Generators, ``reduce``, restriction and patching all use them.
+Every coefficient is a two-term complex [A1 -> A2], A1 in degree -1,
+with total complex Tot^n = C^{n+1}(A1) + C^n(A2) (``_layout`` places the
+blocks), and a lattice or module A is [0 -> A].  Answers are given on
+normalized bar cochains, which vanish whenever an argument is the
+identity: (|H|-1)^n coordinate blocks in degree n.  Generators,
+``reduce``, restriction and patching all use them.
 
-When every part is a lattice, the work is done on the Cayley complex of
-H on its generators s_1..s_k (Holt, JSC 1985; Brown, Cohomology of
-Groups, II.5).  The BFS spanning tree ``FiniteGroup.tree()`` of the
-Cayley graph gives each x its word(x), and each of the |H|(k-1)+1 edges
-(x, s) outside the tree bounds a 2-cell, so C^0 = L, C^1 = L^k and
-C^2 = L^cells, with d^0 the stacked M(s) - 1 and (d^1 c)(x, s) =
-J_x c + M(x) c_s - J_{xs} c.  Here J_x c sums M(p_{i-1}) c_{t_i} along
-word(x) = t_1..t_m, p_i its prefixes.  Two cochain maps translate:
+``_cohomology`` is the one route.  It works on one free resolution of Z,
+which answers ``cells(m)``, ``boundaries(m, last)`` and ``to_bar``, its
+cochain map into the bar complex:
 
-* Cayley -> bar: f(g) = J_g c; f(g, h) sums c over the 2-cells met on
-  the walk from g along word(h).
-* bar -> Cayley: c_t = f(s_t); c(x, s) = f(x, s) + A_x - A_{xs}, A_x the
+* ``_Bar``, the bar resolution (normalized or not), whose ``to_bar`` is
+  the identity.  It alone numbers the bar cells, for ``cochain_dim``,
+  ``cochain_pullback`` and the Cayley maps.  FgModule coefficients, whose
+  cochains carry torsion of their own, and ``normalized=False`` (the
+  oracle for tests) use it.
+* ``_Cayley``, used when every part is a lattice: the Cayley complex of
+  H on its generators s_1..s_k (Holt, JSC 1985; Brown, Cohomology of
+  Groups, II.5).  The BFS spanning tree ``FiniteGroup.tree()`` gives each
+  x its word(x), and each of the |H|(k-1)+1 edges (x, s) outside the tree
+  bounds a 2-cell, so C^0 = L, C^1 = L^k and C^2 = L^cells, with d^0 the
+  stacked M(s) - 1 and (d^1 c)(x, s) = J_x c + M(x) c_s - J_{xs} c.  Here
+  J_x c sums M(p_{i-1}) c_{t_i} along word(x) = t_1..t_m, p_i its
+  prefixes.  Cayley -> bar: f(g) = J_g c; f(g, h) sums c over the
+  2-cells met on the walk from g along word(h).  Bar -> Cayley
+  (``from_bar``): c_t = f(s_t); c(x, s) = f(x, s) + A_x - A_{xs}, A_x the
   sum of f(p_{i-1}, s_{t_i}) along word(x).
 
-For n >= 1, H^n(H, L) is killed by |H| (Brown III.10.2), and
-hypercohomology in degree 1 sits between H^1(L2) and H^2(L1).  So Z^n is
-the saturation of B^n, and H^n is the torsion of Tot^n / B^n, read from
-the Smith form U A V = D of the Cayley d^{n-1} alone, on its sparse rows
-(intlinalg.torsion_cokernel).  Only V is tracked: the columns
-g_i = (A V)_i / d_i of U^{-1}, i below the rank, are a basis of the
-saturation, and a Cayley cocycle's coordinates on them, read off an
-echelon of the g_i, are the z_i = (U c)_i.  H^n is returned in bar
-coordinates as an ``AbGroupPresentation``: the generators are the g_i
-with d_i > 1 taken Cayley -> bar; ``reduce`` takes a bar cocycle
-bar -> Cayley (its pull rows), writes it on that echelon and reads each
-kept z_i mod d_i; and its check rows, the rows of the bar d^n at the
-argument tuples that end in a generator, test first that a cochain is a
-cocycle.  A vanishing H^n keeps only the check rows.  That check is
-complete: if phi = d v vanishes at every (.., s), then
-(d phi)(.., c, s) = 0 gives phi(.., cs) = phi(.., c), and phi = 0 by
-induction on the length of word(c).  Its rows are built by the first
-``reduce`` and kept, not with the presentation: the vanishing checks of
-``complexes.classify`` never reduce.
+The kernel route runs for n <= 0, or for any n on ``_Bar``.  With Z the
+kernel of the resolution's d^n plus the relations, B the image of the
+bar d^{n-1} and R the relations on bar Tot^n, H^n is
+(to_bar(Z) + B + R) / (B + R).
+
+The torsion route runs for n >= 1 on ``_Cayley``.  There H^n(H, L) is
+killed by |H| (Brown III.10.2), and hypercohomology in degree 1 sits
+between H^1(L2) and H^2(L1).  So Z^n is the saturation of B^n, and H^n
+is the torsion of Tot^n / B^n, read from the Smith form U A V = D of the
+Cayley d^{n-1} alone, on its sparse rows (intlinalg.torsion_cokernel).
+Only V is tracked: the columns g_i = (A V)_i / d_i of U^{-1}, i below
+the rank, are a basis of the saturation, and a Cayley cocycle's
+coordinates on them, read off an echelon of the g_i, are the z_i =
+(U c)_i.  The generators are the g_i with d_i > 1 taken Cayley -> bar;
+``reduce`` takes a bar cocycle bar -> Cayley (its pull rows), writes it
+on that echelon and reads each kept z_i mod d_i; and its check rows, the
+rows of the bar d^n at the argument tuples that end in a generator, test
+first that a cochain is a cocycle.  A vanishing H^n keeps only the check
+rows.  That check is complete: if phi = d v vanishes at every (.., s),
+then (d phi)(.., c, s) = 0 gives phi(.., cs) = phi(.., c), and phi = 0
+by induction on the length of word(c).  Its rows are built by the first
+``reduce`` and kept: the vanishing checks of ``complexes.classify``
+never reduce.
 
 Whether H^1(H, L) or Tate H^-1(H, L) vanishes is decided by ranks mod p,
 before any Smith form.  Let A be the matrix of the M(s) - 1: stacked for
 H^1, the torsion of coker(d^0); side by side for Tate H^-1 = ker N /
 I_H L, the torsion of Z^r / I_H L, since I_H L is spanned by A's columns
-and ker N is saturated of the same rank.  Two facts make that torsion
-cheap to test:
-
-* it is killed by |H| (Brown III.10.2), so it vanishes iff A has the
-  same rank mod p, for every prime p | |H|, as over Q;
-* the rank over Q is r - rank L^H, and rank L^H = (1/|H|) sum_h tr M(h),
-  the trace of the projection onto the fixed points.
-
-``_rank_mod`` reads the rows of A as {column: entry}, as they are
-built, so no vanishing test makes A dense; for p = 2 it packs each row's
-odd entries into the bits of a Python int.  When the ranks agree, H^1 is
-the presentation with no factors, no echelon and only the cocycle check
-rows, and Tate H^-1 the one with no factors on an echelon of ker N; the
+and ker N is saturated of the same rank.  That torsion is killed by
+|H|, so it vanishes iff A has the same rank mod p, for every prime
+p | |H|, as over Q; and the rank over Q is r - rank L^H, with rank L^H =
+(1/|H|) sum_h tr M(h).  ``_rank_mod`` reads the rows of A as {column:
+entry}, as they are built (for p = 2, bits packed from the odd entries),
+so no vanishing test makes A dense.  When the ranks agree, H^1 keeps
+only the cocycle check rows, and Tate H^-1 an echelon of ker N; the
 ``reduce`` of either still refuses a non-cocycle or a vector outside
-ker N.  When a rank drops, the Smith form runs as above, and only then
-are the Tate blocks made dense.
-
-For n <= 0 (H^0, hypercohomology in degrees -1 and 0) the kernel of the
-Cayley d^n, taken Cayley -> bar, plus the image of the bar d^{n-1}
-(small: it lives on C^0 and C^1) is the bar Z^n, presented as Z^n / B^n.
-
-FgModule coefficients, whose cochains carry torsion of their own so that
-the saturation argument fails, and the unnormalized complex
-(normalized=False, kept as an oracle for tests) stay on the bar complex
-and take the kernel route: ker d^n / im d^{n-1}, with the module
-relations added to both.
+ker N.
 
 Results are cached on the coefficient object (lattice, module or
 complex), keyed by the kind of cohomology, the subgroup's members, the
 degree and ``normalized``; they live as long as the coefficient does.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -178,22 +171,20 @@ def _view(a, parent_ids: Sequence[int]):
 
 
 def cochain_dim(order: int, rank: int, n: int, normalized: bool = True) -> int:
-    if n < 0:
-        return 0
-    q = order - 1 if normalized else order
-    return (q ** n) * rank
+    return _Bar(order, normalized).cells(n) * rank
 
 
-def _letters(order: int, normalized: bool) -> list[int]:
-    return list(range(1, order)) if normalized else list(range(order))
-
-
-def _tuple_index(tup: tuple[int, ...], order: int, normalized: bool) -> int:
-    q = order - 1 if normalized else order
-    idx = 0
-    for g in tup:
-        idx = idx * q + (g - 1 if normalized else g)
-    return idx
+def _layout(res, r1: int, r2: int, n: int):
+    """Where the blocks of Tot^n = C^{n+1}(A1) + C^n(A2) sit on the
+    cochains of the resolution ``res``, A1 and A2 of ranks r1 and r2:
+    one (cochain degree, rank, offset, size) per block, then the
+    dimension of Tot^n.  A block of rank 0 is empty in every degree."""
+    blocks, start = [], 0
+    for m, r in ((n + 1, r1), (n, r2)):
+        size = r and res.cells(m) * r
+        blocks.append((m, r, start, size))
+        start += size
+    return blocks, start
 
 
 def _rows(boundary, mats, rank: int, offset: int = 0) -> list[dict]:
@@ -213,16 +204,33 @@ def _rows(boundary, mats, rank: int, offset: int = 0) -> list[dict]:
 
 
 class _Bar:
-    """The (normalized) bar resolution: its m-cells are the tuples
-    [g1|..|gm] of (non-identity) elements, in ``itertools.product``
-    order."""
+    """The (normalized) bar resolution of a group of order ``order`` with
+    multiplication ``mul`` (needed only by ``boundaries``).  Its m-cells
+    are the tuples [g1|..|gm] of (non-identity) elements, numbered in
+    ``itertools.product`` order: ``tuples`` lists them in that order and
+    ``index`` numbers one.  No other code knows the numbering."""
 
-    def __init__(self, group: FiniteGroup, normalized: bool = True):
-        self.group = group
+    def __init__(self, order: int, normalized: bool = True, mul=None):
         self.normalized = normalized
+        self.mul = mul
+        self.skip = int(normalized)  # letters start past the identity
+        self.letters = range(self.skip, order)
 
     def cells(self, m: int) -> int:
-        return cochain_dim(self.group.order, 1, m, self.normalized)
+        return len(self.letters) ** m if m >= 0 else 0
+
+    def tuples(self, m: int):
+        return itertools.product(self.letters, repeat=m)
+
+    def index(self, tup: tuple[int, ...]) -> int | None:
+        """The number of the cell [g1|..|gm]; None when normalized chains
+        drop it, i.e. when an entry is the identity."""
+        if self.normalized and 0 in tup:
+            return None
+        idx, q = 0, len(self.letters)
+        for g in tup:
+            idx = idx * q + g - self.skip
+        return idx
 
     def boundaries(self, m: int, last=None):
         """Yield (index, {(face index, g): coefficient}) per m-cell; with
@@ -232,33 +240,35 @@ class _Bar:
         + (-1)^m [g1|..|g_{m-1}]; normalized chains drop any face with an
         identity entry.
         """
-        group, normalized = self.group, self.normalized
-        order = group.order
-        letters = _letters(order, normalized)
         if m < 1:
             if m == 0:
                 yield 0, {}
             return
-        tails = [g for g in letters if last is None or g in last]
-        for head in itertools.product(letters, repeat=m - 1):
+        tails = [g for g in self.letters if last is None or g in last]
+        for head in self.tuples(m - 1):
             for g in tails:
                 tup = head + (g,)
                 faces = [(tup[1:], tup[0])]
-                faces += [(tup[:i] + (group.mul(tup[i], tup[i + 1]),)
+                faces += [(tup[:i] + (self.mul(tup[i], tup[i + 1]),)
                            + tup[i + 2:], 0) for i in range(m - 1)]
                 faces.append((tup[:-1], 0))
                 boundary: dict = {}
                 for i, (face, elem) in enumerate(faces):
-                    if normalized and 0 in face:
-                        continue
-                    key = (_tuple_index(face, order, normalized), elem)
-                    boundary[key] = boundary.get(key, 0) + (-1) ** i
-                yield _tuple_index(tup, order, normalized), boundary
+                    k = self.index(face)
+                    if k is not None:
+                        key = (k, elem)
+                        boundary[key] = boundary.get(key, 0) + (-1) ** i
+                yield self.index(tup), boundary
+
+    def to_bar(self, m: int, vec: Sequence[int], mats, rank: int):
+        """The identity: its cochains are the bar cochains."""
+        return vec
 
 
 class _Cayley:
     """The Cayley complex of a group on its generators s_1..s_k, as a free
-    resolution of Z truncated after degree 2 (module docstring).
+    resolution of Z truncated after degree 2 (module docstring), with
+    cochain maps to and from the normalized bar complex ``bar``.
 
     ``FiniteGroup.tree()`` spans the Cayley graph.  Each edge (x, s_t)
     outside it closes a loop, word(x) then s_t then word(x s_t) backwards,
@@ -267,6 +277,7 @@ class _Cayley:
 
     def __init__(self, group: FiniteGroup):
         self.group = group
+        self.bar = bar = _Bar(group.order)
         gens = group.generators
         # steps[x]: the (prefix p_{i-1}, letter t_i) pairs along word(x)
         self.steps = [()] * group.order
@@ -282,11 +293,11 @@ class _Cayley:
                          self.steps[group.mul(x, gens[t])]]
                       for x, t in self.edges]
         cell_of = {e: i for i, e in enumerate(self.edges)}
-        # the 2-cells met on the walk from g along word(h), g, h != 1
+        # per bar 2-cell [g|h]: the 2-cells met on the walk from g along
+        # word(h)
         self.paths = [[cell_of[(group.mul(g, p), t)] for p, t in self.steps[h]
                        if (group.mul(g, p), t) in cell_of]
-                      for g in range(1, group.order)
-                      for h in range(1, group.order)]
+                      for g, h in bar.tuples(2)]
 
     def cells(self, m: int) -> int:
         return (1, len(self.group.generators), len(self.edges))[m] \
@@ -294,8 +305,9 @@ class _Cayley:
 
     def boundaries(self, m: int, last=None):
         """As ``_Bar.boundaries``, for m <= 2; ``last`` must be None."""
-        if m == 0:
-            yield 0, {}
+        if m < 1:
+            if m == 0:
+                yield 0, {}
             return
         # a 1-cell t has boundary s_t v - v, v the one 0-cell
         cells = self.loops if m == 2 else [
@@ -318,7 +330,7 @@ class _Cayley:
                 ct = vec[t * rank:(t + 1) * rank]
                 f[x] = [y + sum(e * ct[b] for b, e in mrow)
                         for y, mrow in zip(f[p], mats[p])]
-            return [y for x in range(1, group.order) for y in f[x]]
+            return [y for (x,) in self.bar.tuples(1) for y in f[x]]
         out = []
         for cells in self.paths:
             acc = [0] * rank
@@ -333,18 +345,20 @@ class _Cayley:
         {bar cell: coefficient}: c_t = f(s_t); at a 2-cell, the signed sum
         of f(y, s_u) over its loop, i.e. f(x, s) + A_x - A_{xs}."""
         gens = self.group.generators
-        q = self.group.order - 1
         if m == 0:
-            return [{0: 1}]
-        if m == 1:
-            return [{s - 1: 1} if s else {} for s in gens]
+            cells = [[((), 1)]]
+        elif m == 1:
+            cells = [[((s,), 1)] for s in gens]
+        else:
+            cells = [[((y, gens[u]), sign) for y, u, sign in loop]
+                     for loop in self.loops]
         out = []
-        for loop in self.loops:
+        for cell in cells:
             terms: dict = {}
-            for y, u, sign in loop:
-                if y and gens[u]:
-                    k = (y - 1) * q + gens[u] - 1
-                    terms[k] = terms.get(k, 0) + sign
+            for tup, c in cell:
+                k = self.bar.index(tup)
+                if k is not None:
+                    terms[k] = terms.get(k, 0) + c
             out.append(terms)
         return out
 
@@ -360,22 +374,22 @@ def _cayley(group: FiniteGroup) -> _Cayley:
 def _total_rows(res, part1, part2, diff, n: int, last=None) -> list[dict]:
     """Rows, as {column: entry} dicts, of the total differential
     Tot^n -> Tot^{n+1} on the cochains of the resolution ``res``:
-    Tot^n = C^{n+1}(A1) + C^n(A2), D(x, y) = (dx, (-1)^n diff*x + dy).
-    Each part is (rank, element matrices as sparse rows); ``last`` as in
+    D(x, y) = (dx, (-1)^n diff*x + dy) (``_layout``).  Each part is
+    (rank, element matrices as sparse rows); ``last`` as in
     ``_Bar.boundaries``."""
     (r1, mats1), (r2, mats2) = part1, part2
+    ((m1, _, o1, _), (m2, _, o2, _)), _ = _layout(res, r1, r2, n)
     rows = []
     if r1:
-        for _, boundary in res.boundaries(n + 2, last):
-            rows += _rows(boundary, mats1, r1)
-    offset = res.cells(n + 1) * r1
+        for _, boundary in res.boundaries(m1 + 1, last):
+            rows += _rows(boundary, mats1, r1, o1)
     sign = -1 if n % 2 else 1
-    for i, boundary in res.boundaries(n + 1, last):
-        for a, row in enumerate(_rows(boundary, mats2, r2, offset)):
+    for i, boundary in res.boundaries(m2 + 1, last):
+        for a, row in enumerate(_rows(boundary, mats2, r2, o2)):
             if r1:
                 for b, x in enumerate(diff[a]):
                     if x:
-                        row[i * r1 + b] = sign * x
+                        row[o1 + i * r1 + b] = sign * x
             rows.append(row)
     return rows
 
@@ -395,74 +409,9 @@ def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
     """Differential Tot^n -> Tot^{n+1} of the total complex
     Tot^n = C^{n+1}(L1) + C^n(L2), D(x, y) = (dx, (-1)^n diff*x + dy),
     element matrices given as sparse rows."""
-    rows = _total_rows(_Bar(group, normalized), (r1, mats1), (r2, mats2),
-                       diff, n)
-    return dense_rows(rows, cochain_dim(group.order, r1, n + 1, normalized)
-                      + cochain_dim(group.order, r2, n, normalized))
-
-
-def _cayley_cohomology(group: FiniteGroup, part1, part2, diff, n: int):
-    """H^n of the total complex of lattice parts from Cayley cochains,
-    presented in normalized bar coordinates (module docstring)."""
-    cay, bar = _cayley(group), _Bar(group)
-    parts = (part1, part2)
-    # (cochain degree, rank, matrices) of the two blocks of Tot^n
-    blocks = ((n + 1,) + parts[0], (n,) + parts[1])
-
-    def dim(res, m):
-        return res.cells(m + 1) * parts[0][0] + res.cells(m) * parts[1][0]
-
-    def to_bar(vec):
-        out, start = [], 0
-        for m, r, mats in blocks:
-            size = r and cay.cells(m) * r
-            if size:
-                out += cay.to_bar(m, vec[start:start + size], mats, r)
-            start += size
-        return tuple(out)
-
-    if n <= 0:
-        # Z_bar = Q(Z_Cayley) + B_bar; B_bar lives on C^0 and C^1
-        width = dim(cay, n)
-        z = la.ColumnSpan(la.columns(dense_rows(
-            _total_rows(cay, *parts, diff, n), width), width),
-            track=width).kernel()
-        im = (la.columns(dense_rows(_total_rows(bar, *parts, diff, n - 1),
-                                    dim(bar, n - 1)))
-              if n > (-1 if parts[0][0] else 0) else [])
-        return la.abgroup_from_subquotient(
-            [to_bar(v) for v in z] + im, im, dim(bar, n))
-    def sparse(items):
-        out: dict = {}
-        for j, x in items:
-            out[j] = out.get(j, 0) + x
-        return tuple(sorted((j, x) for j, x in out.items() if x))
-
-    def checks():
-        # a bar cochain is a cocycle iff its coboundary vanishes at the
-        # tuples that end in a generator (module docstring)
-        return [sparse(row.items()) for row in _total_rows(
-            bar, *parts, diff, n, set(group.generators) - {0})]
-
-    d, ncols = _total_rows(cay, *parts, diff, n - 1), dim(cay, n - 1)
-    if n == 1 and not part1[0] and _torsion_free(
-            d, part2[0] - _fixed_rank(part2[1], group.order), group.order):
-        tc = None
-    else:
-        tc = la.torsion_cokernel(d, ncols)
-    # a vanishing H^n needs only the cocycle check
-    if tc is None or tc.is_trivial:
-        return la.AbGroupPresentation(dim(bar, n), (), (), (), None, checks)
-    # bar -> Cayley on Tot^n, one row per Cayley coordinate
-    pull, start = [], 0
-    for m, r, _ in blocks:
-        for terms in (cay.from_bar(m) if r else ()):
-            pull += [sparse((start + cell * r + a, c)
-                            for cell, c in terms.items()) for a in range(r)]
-        start += bar.cells(m) * r
-    return la.AbGroupPresentation(
-        dim(bar, n), tc.factors, tuple(to_bar(g) for g in tc.generators),
-        tc._rows, tc._basis, checks, tuple(pull))
+    bar = _Bar(group.order, normalized, group.mul)
+    return dense_rows(_total_rows(bar, (r1, mats1), (r2, mats2), diff, n),
+                      _layout(bar, r1, r2, n)[1])
 
 
 def _fixed_rank(mats: Sequence[Rows], order: int) -> int:
@@ -529,32 +478,72 @@ def _torsion_free(rows: Sequence[dict], rank: int, order: int) -> bool:
 
 
 def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
-    """H^n of the total complex of ``a`` seen as [A1 -> A2] (``_view``):
-    Tot^m = C^{m+1}(A1) + C^m(A2)."""
+    """H^n of the total complex of ``a`` seen as [A1 -> A2] (``_view``),
+    computed on one resolution and presented on bar cochains (module
+    docstring)."""
     sub, parent_ids = _acting(h)
     (r1, mats1, rel1), (r2, mats2, rel2), diff, lattices = _view(
         a, parent_ids)
-    order = sub.order
-    if normalized and lattices:
-        pres = _cayley_cohomology(sub, (r1, mats1), (r2, mats2), diff, n)
-    else:
-        def d(m):
-            return total_differential(sub, mats1, mats2, r1, r2, diff, m,
-                                      normalized)
+    parts = ((r1, mats1), (r2, mats2))
+    bar = _Bar(sub.order, normalized, sub.mul)
+    res = _cayley(sub) if normalized and lattices else bar
 
-        def rel(m):  # A1's relations per (m+1)-tuple, A2's per m-tuple
-            return la.columns(la.block_diag(
-                *[rel1] * cochain_dim(order, 1, m + 1, normalized),
-                *[rel2] * cochain_dim(order, 1, m, normalized)))
+    def tot(res, m, last=None):  # rows of d^m, and the width of Tot^m
+        return _total_rows(res, *parts, diff, m, last), \
+            _layout(res, r1, r2, m)[1]
 
-        dim = (cochain_dim(order, r1, n + 1, normalized)
-               + cochain_dim(order, r2, n, normalized))
-        # Tot^{n-1} is zero below degree -1, or below 0 when A1 = 0
-        im = la.columns(d(n - 1)) if n > (-1 if r1 else 0) else []
-        rel_n = rel(n)
-        num = la.ColumnSpan(la.columns(d(n), dim) + rel(n + 1),
-                            track=dim).kernel() + rel_n
-        pres = la.abgroup_from_subquotient(num, im + rel_n, dim)
+    def to_bar(vec):
+        out = []
+        for (m, r, start, size), mats in zip(_layout(res, r1, r2, n)[0],
+                                             (mats1, mats2)):
+            if size:
+                out += res.to_bar(m, vec[start:start + size], mats, r)
+        return tuple(out)
+
+    blocks, dim = _layout(bar, r1, r2, n)
+    if n <= 0 or res is bar:  # the kernel route
+        def rel(res, m):  # each part's relations on each of its cells
+            blocks, _ = _layout(res, r1, r2, m)
+            return la.columns(la.block_diag(*(
+                mat for (_, r, _, size), mat in zip(blocks, (rel1, rel2))
+                for _ in range(r and size // r))))
+
+        rows, width = tot(res, n)
+        z = la.ColumnSpan(la.columns(dense_rows(rows, width), width)
+                          + rel(res, n + 1), track=width).kernel()
+        den = la.columns(dense_rows(*tot(bar, n - 1))) + rel(bar, n)
+        pres = la.abgroup_from_subquotient(
+            [to_bar(v) for v in z] + den, den, dim)
+    else:  # the torsion route
+        def sparse(pairs):  # pairs with distinct first entries
+            return tuple(sorted((j, x) for j, x in pairs if x))
+
+        def checks():
+            # a bar cochain is a cocycle iff its coboundary vanishes at
+            # the tuples that end in a generator (module docstring)
+            return [sparse(row.items())
+                    for row in tot(bar, n, set(sub.generators) - {0})[0]]
+
+        d, ncols = tot(res, n - 1)
+        if n == 1 and not r1 and _torsion_free(
+                d, r2 - _fixed_rank(mats2, sub.order), sub.order):
+            tc = None
+        else:
+            tc = la.torsion_cokernel(d, ncols)
+        # a vanishing H^n needs only the cocycle check
+        if tc is None or tc.is_trivial:
+            pres = la.AbGroupPresentation(dim, (), (), (), None, checks)
+        else:
+            # bar -> Cayley on Tot^n, one row per Cayley coordinate
+            pull = []
+            for m, r, start, _ in blocks:
+                for terms in (res.from_bar(m) if r else ()):
+                    pull += [sparse((start + cell * r + b, c)
+                                    for cell, c in terms.items())
+                             for b in range(r)]
+            pres = la.AbGroupPresentation(
+                dim, tc.factors, tuple(map(to_bar, tc.generators)),
+                tc._rows, tc._basis, checks, tuple(pull))
     return CohomologyGroup(n, pres.factors, pres.generators, pres, normalized)
 
 
@@ -666,16 +655,14 @@ def restriction(src, h: SubgroupHandle, a, n: int,
     source = coh(src, a, n, normalized)
     target = coh(h, a, n, normalized)
     elem_map = h.ids_in(src)
+    blocks, _ = _layout(_Bar(src.order, normalized), r1, r2, n)
     cols = []
     for gen in source.generators:
         vec: list[int] = []
-        start = 0
-        for m, rank in ((n + 1, r1), (n, r2)):
-            size = cochain_dim(src.order, rank, m, normalized)
+        for m, rank, start, size in blocks:
             if size:  # empty: the C^{n+1}(0) block, or C^{-1}(L2)
                 vec += cochain_pullback(gen[start:start + size], src.order,
                                         elem_map, rank, m, normalized)
-            start += size
         cols.append(list(target.reduce(vec)))
     matrix = la.from_columns(cols, len(target.invariant_factors))
     return CohMap(source, target, matrix)
@@ -689,13 +676,12 @@ def cochain_pullback(vec: Sequence[int], src_order: int,
                      normalized: bool = True) -> list[int]:
     """Pull an n-cochain back along a group inclusion; ``elem_map[i]`` is
     the source id of target element i (so the identity maps to 0)."""
-    letters = _letters(len(elem_map), normalized)
-    out = [0] * cochain_dim(len(elem_map), rank, n, normalized)
-    for tcount, tup in enumerate(itertools.product(letters, repeat=n)):
-        src_tup = tuple(elem_map[g] for g in tup)
-        sbase = _tuple_index(src_tup, src_order, normalized) * rank
-        for aidx in range(rank):
-            out[tcount * rank + aidx] = vec[sbase + aidx]
+    source, target = _Bar(src_order, normalized), _Bar(len(elem_map),
+                                                       normalized)
+    out = []
+    for tup in target.tuples(n):
+        start = source.index(tuple(elem_map[g] for g in tup)) * rank
+        out += vec[start:start + rank]
     return out
 
 

@@ -161,6 +161,8 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     the relations of the target's B, and that the induced kernel and
     cokernel maps are isomorphisms.
 
+    All four modules must be over one group table and generators, so
+    that generator index s means the same element on both sides.
     comp_minus1 must be a map A -> A' and comp0 a map B -> B' by shape
     (and each side's d a map A -> B), and comp_minus1 M(s) =
     M'(s) comp_minus1 must hold exactly for every generator index s
@@ -182,6 +184,10 @@ def verify_square(src: HalfComplex, tgt: HalfComplex,
     "onto" (its pivots) and the preimage (its kernel, recorded on the
     first m coordinates and reduced along S as sparse vectors).  No
     Smith form runs."""
+    group = (src.a.group.table, src.a.group.generators)
+    if any((x.group.table, x.group.generators) != group
+           for x in (src.b, tgt.a, tgt.b)):
+        return MoveEvidence(False, False)
     if not all(_shaped(m, rows, cols) for m, rows, cols in (
             (comp_minus1, tgt.a.rank, src.a.rank),
             (comp0, tgt.b.ngens, src.b.ngens),

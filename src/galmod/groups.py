@@ -212,19 +212,34 @@ def _cycle_notation(p: tuple[int, ...]) -> str:
     return "".join(parts) or "e"
 
 
-def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
-    """Parse one-line cycle notation like "(1 2)(3 4)" on points 1..degree."""
-    perm = list(range(degree))
+def _cycles(text: str) -> list[list[int]]:
+    """The cycles of one-line cycle notation like "(1 2)(3 4)", each as
+    its 0-based points; none for the identity ("e", "()" or "")."""
     body = text.strip()
     if body in ("e", "()", ""):
-        return tuple(perm)
+        return []
     if body.count("(") == 0:
         raise ValueError(f"bad cycle notation: {text!r}")
+    cycles = []
     for chunk in body.replace(")(", ")|(").split("|"):
         chunk = chunk.strip()
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ValueError(f"bad cycle notation: {text!r}")
-        pts = [int(t) - 1 for t in chunk[1:-1].replace(",", " ").split()]
+        cycles.append([int(t) - 1
+                       for t in chunk[1:-1].replace(",", " ").split()])
+    return cycles
+
+
+def largest_point(text: str) -> int:
+    """The largest point named in one-line cycle notation, 0 for the
+    identity; every point past it is fixed."""
+    return max((p + 1 for cycle in _cycles(text) for p in cycle), default=0)
+
+
+def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
+    """Parse one-line cycle notation like "(1 2)(3 4)" on points 1..degree."""
+    perm = list(range(degree))
+    for pts in _cycles(text):
         if any(p < 0 or p >= degree for p in pts):
             raise ValueError(f"point out of range in {text!r}")
         for a, b in zip(pts, pts[1:] + pts[:1]):

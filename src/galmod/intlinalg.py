@@ -815,11 +815,11 @@ def torsion_cokernel(rows: Sequence[dict],
     keep = [i for i, d in enumerate(diagonal[:len(gens)]) if d > 1]
     generators = tuple(tuple(gens[i].get(r, 0) for r in range(m))
                        for i in keep)
-    echelon, combos, _ = _sparse_echelon(gens, track=len(gens))
+    span = ColumnSpan(gens, track=len(gens))
     return AbGroupPresentation(
         m, tuple(diagonal[i] for i in keep), generators,
-        tuple(tuple((k, c[i]) for k, c in enumerate(combos) if i in c)
-              for i in keep), echelon)
+        tuple(tuple((k, c[i]) for k, c in enumerate(span._combos) if i in c)
+              for i in keep), span.echelon)
 
 
 def relation_columns(factors: Sequence[int], dim: int) -> list[list[int]]:

@@ -154,6 +154,8 @@ class FgModule(_ElementRows):
         # a relation matrix with no columns still has one row per generator
         if len(self.relations) != self.ngens:
             raise ValueError("relations matrix has wrong shape")
+        if len(self.action) != len(self.group.generators):
+            raise ValueError("one action matrix per generator required")
 
     def validate(self) -> None:
         for m in self.action:

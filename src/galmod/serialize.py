@@ -18,7 +18,7 @@ from .complexes import (CertificateMove, HalfComplex, MoveEvidence,
 from .crossed import FiniteCrossedModule
 from .groups import (DEFAULT_SIZE_LIMIT, FiniteGroup, SizeLimitError,
                      SubgroupHandle, build_group, group_from_table,
-                     parse_cycles)
+                     largest_point, parse_cycles)
 from .lattice import FgModule, GLattice, LatticeMap
 from .patching import PatchingGraph, build_patching_graph
 
@@ -150,8 +150,16 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
         return group_from_table(table, gens, obj.get("name", ""), labels)
     if "cycles" in obj:
         _expect(obj, GROUP_FORMAT)
-        degree = _int(obj["degree"], "degree")
-        perms = [parse_cycles(text, degree) for text in obj["cycles"]]
+        degree, texts = _int(obj["degree"], "degree"), obj["cycles"]
+        if degree < 1:
+            raise FormatError(f"degree must be positive, found {degree}")
+        if not isinstance(texts, list) or not texts \
+                or not all(isinstance(t, str) for t in texts):
+            raise FormatError("cycles must be a non-empty list of strings")
+        # the points past the largest one named are fixed by every
+        # generator and change neither the table nor the labels
+        top = max(1, *map(largest_point, texts))
+        perms = [parse_cycles(text, min(degree, top)) for text in texts]
         return build_group(perms, size_limit=size_limit,
                            name=obj.get("name", ""))
     raise FormatError("group object needs either 'table' or 'cycles'")

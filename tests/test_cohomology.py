@@ -12,7 +12,8 @@ from matvec import mat_vec
 from galmod import fixtures
 from galmod import intlinalg as la
 from galmod.cohomology import (UnsupportedDegreeError, _acting, _Bar,
-                               _cayley, _rank_mod, _total_rows, _view,
+                               _cayley, _layout, _rank_mod, _total_rows,
+                               _view,
                                bar_differential,
                                cochain_dim, group_cohomology,
                                hyper_restriction, hypercohomology,
@@ -407,11 +408,11 @@ def _u_row_route(h, a, n):
     generators and that ``reduce`` on cocycles."""
     sub, ids = _acting(h)
     (r1, mats1, _), (r2, mats2, _), diff, _ = _view(a, ids)
-    cay, bar = _cayley(sub), _Bar(sub)
-    parts = ((r1, mats1), (r2, mats2))
-    blocks = ((n + 1,) + parts[0], (n,) + parts[1])
-    d = la.dense_rows(_total_rows(cay, *parts, diff, n - 1),
-               cay.cells(n) * r1 + cay.cells(n - 1) * r2)
+    cay = _cayley(sub)
+    cay_blocks, _ = _layout(cay, r1, r2, n)
+    bar_blocks, _ = _layout(_Bar(sub.order), r1, r2, n)
+    d = la.dense_rows(_total_rows(cay, (r1, mats1), (r2, mats2), diff,
+                                  n - 1), _layout(cay, r1, r2, n - 1)[1])
     res = la.smith_normal_form(d)
     keep = [i for i in range(res.rank) if res.diagonal[i] > 1]
     factors = tuple(res.diagonal[i] for i in keep)
@@ -419,19 +420,16 @@ def _u_row_route(h, a, n):
     for i in keep:
         c = [sum(x * res.V[j][i] for j, x in enumerate(row))
              // res.diagonal[i] for row in d]
-        out, start = [], 0
-        for m, r, mats in blocks:
-            size = r and cay.cells(m) * r
+        out = []
+        for (m, r, start, size), mats in zip(cay_blocks, (mats1, mats2)):
             if size:
                 out += cay.to_bar(m, c[start:start + size], mats, r)
-            start += size
         gens.append(tuple(out))
-    pull, start = [], 0
-    for m, r, _ in blocks:
+    pull = []
+    for m, r, start, _ in bar_blocks:
         for terms in (cay.from_bar(m) if r else ()):
             pull += [[(start + cell * r + b, x) for cell, x in terms.items()]
                      for b in range(r)]
-        start += bar.cells(m) * r
     rows = []
     for i in keep:
         row: dict = {}

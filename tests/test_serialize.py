@@ -14,7 +14,8 @@ from galmod.complexes import (CertificateMove, HalfComplex, MoveEvidence,
                               ResolutionCertificate, TwoTermComplex,
                               coflasque_resolution, flasque_resolution,
                               replay_certificate, replay_move)
-from galmod.groups import build_group, cyclic_group, symmetric_group_3
+from galmod.groups import (build_group, cyclic_group, parse_cycles,
+                           symmetric_group_3)
 from galmod.lattice import LatticeMap, regular_lattice, trivial_lattice
 
 
@@ -44,6 +45,35 @@ def test_group_from_cycles():
     g = se.load_group({"format": se.GROUP_FORMAT, "degree": 3,
                        "cycles": ["(1 2)", "(1 2 3)"]})
     assert g.order == 6 and not g.is_abelian()
+
+
+def test_group_from_cycles_is_bounded(monkeypatch):
+    """A cycle-notation group is built on the points up to the largest
+    one named: degree 10^12 loads the S3 of degree 3, and no permutation
+    is parsed on more than 3 points (the stand-in parser refuses before
+    anything is allocated).  A point past the degree is still refused, and
+    so are a degree below 1 and cycles that are not a non-empty list of
+    strings."""
+    def load(degree, cycles=("(1 2)", "(1 2 3)")):
+        return se.load_group({"format": se.GROUP_FORMAT, "degree": degree,
+                              "cycles": cycles if isinstance(cycles, str)
+                              else list(cycles)})
+
+    def parse(text, degree):
+        assert degree <= 3, degree
+        return parse_cycles(text, degree)
+
+    want = load(3)
+    monkeypatch.setattr(se, "parse_cycles", parse)
+    got = load(10 ** 12)
+    assert (got.table, got.generators, got.labels) == \
+        (want.table, want.generators, want.labels)
+    with pytest.raises(ValueError, match="out of range"):
+        load(3, ["(1 4)"])
+    for degree, cycles in ((0, ["e"]), (-3, ["e"]), (3, "e"), (3, []),
+                           (3, ["(1 2)", 1])):
+        with pytest.raises(se.FormatError):
+            load(degree, cycles)
 
 
 def test_group_fixture_reference():
@@ -249,11 +279,11 @@ def _relabel(g):
 def test_load_certificate_shares_one_group_per_dump():
     """A loaded certificate holds one FiniteGroup, checked once, for all
     its complexes.  A side whose group dump differs gets its own group,
-    and the replay verdict is the one of loading every side alone: for a
-    first move's side given another group name or a relabelled table
-    (the moves still check, as no move compares groups), and for a
-    resolved complex over a relabelled table (the moves no longer
-    connect)."""
+    and the replay verdict is the one of loading every side alone.  A
+    first move's side given another group name still replays.  One given
+    a relabelled table does not, as a square's sides must share one
+    table and generators, and neither does a resolved complex over a
+    relabelled table (the moves no longer connect)."""
     catalog = fixtures.complex_catalog()
     verdicts = []
     for name in ("z3-aug", "s3-coset-aug"):
@@ -269,7 +299,7 @@ def test_load_certificate_shares_one_group_per_dump():
                 assert got == replay_certificate(_load_each_side_alone(obj))
                 verdicts.append(got)
             assert len(_groups(se.load_certificate(forged[1]))) == 2
-    assert verdicts == [True, True, True, False] * 4
+    assert verdicts == [True, True, False, False] * 4
 
 
 @pytest.mark.parametrize("forge", [
@@ -293,6 +323,20 @@ def test_load_certificate_refuses_forged_structure(forge):
         flasque_resolution(t)[1])))
     forge(obj)
     with pytest.raises(se.FormatError):
+        se.load_certificate(obj)
+
+
+def test_load_certificate_refuses_a_module_short_of_action_matrices():
+    """Drop the second action matrix of the middle module B' of the
+    coflasque certificate of s3-coset-aug, in the pushout and the
+    pullback that end at it.  Its squares would then be checked on one
+    generator of S3's two and pass; the module is refused on load."""
+    t = fixtures.complex_catalog()["s3-coset-aug"]
+    obj = json.loads(se.to_json(se.dump_certificate(
+        coflasque_resolution(t)[1])))
+    for move in obj["moves"][1:]:
+        del move["tgt"]["b"]["action"][1]
+    with pytest.raises(ValueError, match="one action matrix per generator"):
         se.load_certificate(obj)
 
 
