@@ -81,7 +81,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import intlinalg as la
-from .groups import FiniteGroup, SubgroupHandle, prime_factors
+from .groups import (FiniteGroup, MembershipError, SubgroupHandle,
+                     prime_factors)
 from .intlinalg import AbGroupPresentation, IntMatrix, dense_rows
 from .lattice import FgModule, GLattice, Rows, common_fixed_points, induce
 
@@ -553,7 +554,12 @@ def _cached(coeff, kind: str, h, n: int, normalized: bool, compute):
     The key holds the subgroup's members, not the identity of its parent
     group: callers may pass handles into a different group object with
     the same multiplication table, and answers depend only on the table.
+    A group with another table is refused before the cache is read: its
+    element ids do not index the coefficient's element matrices.
     """
+    g = h.parent if isinstance(h, SubgroupHandle) else h
+    if g is not coeff.group and g.table != coeff.group.table:
+        raise MembershipError("acting group is not the coefficient's group")
     cache = getattr(coeff, "_coh_cache", None)
     if cache is None:
         cache = {}

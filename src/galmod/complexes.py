@@ -3,22 +3,11 @@ resolutions.
 
 A two-term complex [L1 -> L2] places L1 in degree -1 and L2 in degree 0.
 Resolutions are built from two elementary quasi-isomorphism moves (pushout
-along a monomorphism, pullback along an epimorphism) plus dualization, and
-every move is re-verified on the spot by ``verify_square``.  Its maps
-must have the shapes of the square's sides.  They must be G-equivariant
-(comp0 modulo the target's relations), and the square must commute
-modulo those relations.  Both are residuals formed as products of
-sparse rows, on the sides' cached ``action_rows``, whose columns must
-lie in the relation span: {0} for a lattice target.  The induced map on
-H^-1 must have a square unimodular matrix on the cycle bases, and the
-induced map on H^0 must be onto and one-to-one (read off one echelon of
-[comp0 | T] and the echelon of S that also gives the cycles; each
-records only the kernel coordinates it returns; every span question
-goes through ``intlinalg.ColumnSpan``).  The pushout reads its quotient
-off ``intlinalg.hom_cokernel`` of the antidiagonal map and forms the
-quotient action pr M sec on sparse rows too.
-Each square is kept once, in its ``CertificateMove``, which holds both
-sides and both maps; a pushout or pullback result adds only what the
+along a monomorphism, pullback along an epimorphism) plus dualization.
+Every term is a lattice, as in Colliot-Thelene--Sansuc: a pushout whose
+quotient would carry torsion is refused.  Each move is a square of
+complexes, re-verified on the spot by ``verify_square`` and kept once, in
+its ``CertificateMove``; a pushout or pullback result adds only what the
 next step reads.  The full chain of moves is returned as a replayable
 certificate; replay also checks that the moves lead from the original
 complex to the resolved one, the embedding move included: its target
@@ -28,16 +17,16 @@ lattice must be the dual of the lattice the next pushout embeds into.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from . import intlinalg as la
 from .cohomology import group_cohomology, tate_cohomology
 from .groups import coset_action, enumerate_subgroups, subgroup
 from .intlinalg import IntMatrix
-from .lattice import (FgModule, GLattice, LatticeMap, Rows, direct_sum,
+from .lattice import (FgModule, GLattice, LatticeMap, direct_sum,
                       dual_lattice, fixed_points,
                       induced_action_on_sublattice, is_equivariant,
-                      lattice_as_module, make_permutation_lattice)
+                      make_permutation_lattice)
 
 
 class PreconditionError(Exception):
@@ -83,11 +72,18 @@ class TwoTermComplex:
         return f"TwoTermComplex([{self.l1.rank} -> {self.l2.rank}])"
 
 
+def _cycles(t: TwoTermComplex):
+    """The columns of d, their echelon, tracked, and the basis of
+    H^-1 = ker d it gives."""
+    n = t.l1.rank
+    cols = la.columns(t.differential.matrix, n)
+    span = la.ColumnSpan(cols, track=n)
+    return cols, span, span.kernel()
+
+
 def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
     """(H^-1, H^0): the saturated kernel lattice and the cokernel module."""
-    n = t.l1.rank
-    kb = la.ColumnSpan(la.columns(t.differential.matrix, n), track=n).kernel()
-    hminus = induced_action_on_sublattice(t.l1, kb)
+    hminus = induced_action_on_sublattice(t.l1, _cycles(t)[2])
     h0 = FgModule(t.group, t.l2.rank, t.differential.matrix, t.l2.action)
     return hminus, h0
 
@@ -105,48 +101,6 @@ class MoveEvidence:
         return self.hminus_ok and self.h0_ok
 
 
-@dataclass(frozen=True, eq=False)
-class HalfComplex:
-    """Internal: a complex [A -> B] where B may carry torsion."""
-
-    a: GLattice
-    d: IntMatrix  # b.ngens x a.rank
-    b: FgModule
-
-
-def _half(t: TwoTermComplex) -> HalfComplex:
-    return HalfComplex(t.l1, t.differential.matrix, lattice_as_module(t.l2))
-
-
-def _relation_span(h: HalfComplex):
-    """The columns of S = [d | relations], their echelon, and the basis
-    of H^-1 = {a : d(a) lies in span(relations)} it gives: the kernel of
-    S cut to A (the only coordinates the echelon records), made a basis
-    when B has relations."""
-    cols = la.columns(h.d, h.a.rank) + la.columns(h.b.relations)
-    span = la.ColumnSpan(cols, track=h.a.rank)
-    cycles = span.kernel()
-    if la.shape(h.b.relations)[1] and cycles:
-        cycles = la.ColumnSpan(cycles).basis(h.a.rank)
-    return cols, span, cycles
-
-
-def _residual(a: Rows, b: Rows) -> list[dict]:
-    """The nonzero columns {row: entry} of a - b, two matrices of one
-    shape given as sparse rows."""
-    cols: dict[int, dict] = {}
-    for i, (ra, rb) in enumerate(zip(a, b)):
-        if ra == rb:
-            continue
-        acc = dict(ra)
-        for j, x in rb:
-            acc[j] = acc.get(j, 0) - x
-        for j, x in acc.items():
-            if x:
-                cols.setdefault(j, {})[i] = x
-    return list(cols.values())
-
-
 def _shaped(m: IntMatrix, rows: int, cols: int) -> bool:
     """Whether ``m`` is rows x cols; one with no rows cannot carry its
     column count."""
@@ -154,69 +108,52 @@ def _shaped(m: IntMatrix, rows: int, cols: int) -> bool:
     return r == rows and (not r or c == cols)
 
 
-def verify_square(src: HalfComplex, tgt: HalfComplex,
+def verify_square(src: TwoTermComplex, tgt: TwoTermComplex,
                   comp_minus1: IntMatrix, comp0: IntMatrix) -> MoveEvidence:
-    """Check that a square is a quasi-isomorphism of complexes of
-    G-modules: that its maps are G-equivariant, that it commutes modulo
-    the relations of the target's B, and that the induced kernel and
+    """Check that a square [L1 -> L2] -> [L1' -> L2'] is a
+    quasi-isomorphism of complexes of G-lattices: that its maps are
+    G-equivariant, that it commutes, and that the induced kernel and
     cokernel maps are isomorphisms.
 
-    All four modules must be over one group table and generators, so
+    All four lattices must be over one group table and generators, so
     that generator index s means the same element on both sides.
-    comp_minus1 must be a map A -> A' and comp0 a map B -> B' by shape
-    (and each side's d a map A -> B), and comp_minus1 M(s) =
-    M'(s) comp_minus1 must hold exactly for every generator index s
-    (``lattice.is_equivariant``).  The residuals
-    comp0 M_B(s) - M_B'(s) comp0 (equivariance), comp0 d - d' comp_minus1
-    (commutation) and comp0 times the relations of B (well defined on B)
-    are products of sparse rows, the sides' cached ``action_rows``; their
-    nonzero columns must lie in the span of the relations of B'.  For a
-    B' with no relations that span is {0}, so every residual must
-    vanish.  H^-1 is free on the cycle bases, so its map is an
-    isomorphism iff its matrix on them is square and unimodular.  H^0 is
-    Z^m / span(S) -> Z^n / span(T), with S and T the differential and
-    relations of each side: it is onto iff the columns of [comp0 | T]
-    span Z^n, and one-to-one iff the preimage of span(T) under comp0 lies
-    in span(S).  Each matrix is eliminated once: the echelon of S gives
-    the cycle basis of H^-1 (its kernel, recorded on the first
-    ``a.rank`` coordinates) and answers membership in span(S), that of T
-    the cycle basis of H^-1 on the target, and that of [comp0 | T] both
-    "onto" (its pivots) and the preimage (its kernel, recorded on the
-    first m coordinates and reduced along S as sparse vectors).  No
-    Smith form runs."""
-    group = (src.a.group.table, src.a.group.generators)
+    comp_minus1 must be a map L1 -> L1' and comp0 a map L2 -> L2' by
+    shape, each equivariant (``lattice.is_equivariant``), and
+    comp0 d = d' comp_minus1 must hold exactly, all on sparse rows.
+    H^-1 is free on the cycle bases, so its map is an isomorphism iff its
+    matrix on them is square and unimodular.  H^0 is
+    Z^m / span(d) -> Z^n / span(d'): it is onto iff the columns of
+    [comp0 | d'] span Z^n, and one-to-one iff the preimage of span(d')
+    under comp0 lies in span(d).  Each matrix is eliminated once: the
+    echelon of d gives the cycle basis of H^-1 (its kernel) and answers
+    membership in span(d), that of d' the cycle basis on the target, and
+    that of [comp0 | d'] both "onto" (its pivots) and the preimage (its
+    kernel, recorded on the first m coordinates).  No Smith form runs."""
+    group = (src.l1.group.table, src.l1.group.generators)
     if any((x.group.table, x.group.generators) != group
-           for x in (src.b, tgt.a, tgt.b)):
+           for x in (src.l2, tgt.l1, tgt.l2)):
         return MoveEvidence(False, False)
-    if not all(_shaped(m, rows, cols) for m, rows, cols in (
-            (comp_minus1, tgt.a.rank, src.a.rank),
-            (comp0, tgt.b.ngens, src.b.ngens),
-            (src.d, src.b.ngens, src.a.rank),
-            (tgt.d, tgt.b.ngens, tgt.a.rank))) \
-            or not is_equivariant(comp_minus1, src.a, tgt.a):
+    if not (_shaped(comp_minus1, tgt.l1.rank, src.l1.rank)
+            and _shaped(comp0, tgt.l2.rank, src.l2.rank)
+            and is_equivariant(comp_minus1, src.l1, tgt.l1)
+            and is_equivariant(comp0, src.l2, tgt.l2)):
         return MoveEvidence(False, False)
-    c0 = la.sparse_rows(comp0)
     cm1 = la.sparse_rows(comp_minus1)
-    residuals = _residual(la.rows_mul(c0, la.sparse_rows(src.d)),
-                          la.rows_mul(la.sparse_rows(tgt.d), cm1))
-    residuals += _residual(
-        la.rows_mul(c0, la.sparse_rows(src.b.relations)), ((),) * len(c0))
-    for ms, mt in zip(src.b.action_rows(), tgt.b.action_rows()):
-        residuals += _residual(la.rows_mul(c0, ms), la.rows_mul(mt, c0))
-    if residuals and not la.ColumnSpan(
-            la.columns(tgt.b.relations)).contains(residuals):
+    if la.rows_mul(la.sparse_rows(comp0),
+                   la.sparse_rows(src.differential.matrix)) \
+            != la.rows_mul(la.sparse_rows(tgt.differential.matrix), cm1):
         return MoveEvidence(False, False)
-    _, s, ks = _relation_span(src)
-    t_cols, _, kt = _relation_span(tgt)
+    _, s, ks = _cycles(src)
+    t_cols, _, kt = _cycles(tgt)
     imgs = [la.rows_apply(cm1, k) for k in ks]
     try:
         mat = la.from_columns(la.solve_columns(kt, imgs), len(kt))
         hminus_ok = len(ks) == len(kt) and la.is_unimodular(mat)
     except la.SolveError:
         hminus_ok = False
-    h0 = la.ColumnSpan(la.columns(comp0, src.b.ngens) + t_cols,
-                       track=src.b.ngens)
-    h0_ok = h0.spans(tgt.b.ngens) and s.contains(h0.sparse_kernel())
+    h0 = la.ColumnSpan(la.columns(comp0, src.l2.rank) + t_cols,
+                       track=src.l2.rank)
+    h0_ok = h0.spans(tgt.l2.rank) and s.contains(h0.sparse_kernel())
     return MoveEvidence(hminus_ok, h0_ok)
 
 
@@ -235,14 +172,14 @@ class CertificateMove:
     record of a move's square."""
 
     kind: str  # pushout-mono | pullback-epi | duality
-    src: Union[HalfComplex, TwoTermComplex]
-    tgt: Union[HalfComplex, TwoTermComplex]
+    src: TwoTermComplex
+    tgt: TwoTermComplex
     comp_minus1: Optional[IntMatrix]
     comp0: Optional[IntMatrix]
     evidence: MoveEvidence
 
 
-def _square_move(kind: str, src: HalfComplex, tgt: HalfComplex,
+def _square_move(kind: str, src: TwoTermComplex, tgt: TwoTermComplex,
                  comp_minus1: IntMatrix, comp0: IntMatrix) -> CertificateMove:
     """A pushout or pullback move, its square certified on the spot."""
     return CertificateMove(kind, src, tgt, comp_minus1, comp0,
@@ -268,58 +205,48 @@ def _duality_evidence(a: TwoTermComplex, b: TwoTermComplex):
 
 @dataclass(frozen=True, eq=False)
 class PushoutResult:
-    """The quotient B', the certified move, and, when B' is a lattice,
-    the section B' -> A' + B and the differential A' -> B'."""
+    """The quotient lattice B', the certified move, the section
+    B' -> A' + B and the differential A' -> B'."""
 
-    quotient: Union[GLattice, FgModule]
+    quotient: GLattice
     move: CertificateMove
-    section: Optional[IntMatrix]  # quotient coords -> A'+B coords
-    tgt_differential: Optional[LatticeMap]  # A' -> quotient
+    section: IntMatrix  # quotient coords -> A'+B coords
+    tgt_differential: LatticeMap  # A' -> quotient
 
 
 def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     """B' = A' + B modulo the antidiagonal image of A, for f: A -> A' mono
     and d: A -> B; the square [A -> B] -> [A' -> B'] is certified a
-    quasi-isomorphism."""
+    quasi-isomorphism.  B' must be a lattice: the antidiagonal image must
+    be saturated."""
     if f.source is not d.source:
         raise GroupMismatchError("moves must share the corner lattice")
     a, aprime, b = f.source, f.target, d.target
     if la.ColumnSpan(la.columns(f.matrix, a.rank)).rank != a.rank:
         raise PreconditionError("pushout requires a monomorphism")
     n = aprime.rank + b.rank
-    anti = la.vstack(f.matrix, la.mat_neg(d.matrix))
-    amb = direct_sum(aprime, b)
-    coker = la.hom_cokernel(anti, ())
-    src = _half(TwoTermComplex(a, b, d))
-    if not any(coker.factors):
-        # saturated: B' is free of rank k.  pr: A' + B -> B', the rows
-        # ``reduce`` applies (rows of the Smith form's U past the rank);
-        # sec: the generators, columns of U^{-1} past it.  pr times each
-        # injection is a slice of pr.
-        k = len(coker.factors)
-        pr_rows = coker._rows
-        pr = la.dense_rows(map(dict, pr_rows), n)
-        sec = la.transpose_shaped(coker.generators, n, k)
-        sec_rows = la.sparse_rows(sec)
-        action = tuple(
-            la.dense_rows(map(dict, la.rows_mul(la.rows_mul(pr_rows, m),
-                                                sec_rows)), k)
-            for m in amb.action_rows())
-        quo = GLattice(a.group, k, action)
-        d_tgt = LatticeMap(aprime, quo,
-                           tuple(row[:aprime.rank] for row in pr))
-        move = _square_move("pushout-mono", src,
-                            _half(TwoTermComplex(aprime, quo, d_tgt)),
-                            f.matrix, tuple(row[aprime.rank:] for row in pr))
-        return PushoutResult(quo, move, sec, d_tgt)
-    # torsion in the quotient: present it as a module, with the
-    # injections A' -> A' + B and B -> A' + B
-    ident = la.identity(n)
-    quo = FgModule(a.group, n, anti, amb.action)
-    move = _square_move("pushout-mono", src, HalfComplex(
-        aprime, tuple(row[:aprime.rank] for row in ident), quo),
-        f.matrix, tuple(row[aprime.rank:] for row in ident))
-    return PushoutResult(quo, move, None, None)
+    coker = la.hom_cokernel(la.vstack(f.matrix, la.mat_neg(d.matrix)), ())
+    if any(coker.factors):
+        raise PreconditionError("pushout quotient has torsion")
+    # B' is free of rank k.  pr: A' + B -> B', the rows ``reduce``
+    # applies (rows of the Smith form's U past the rank); sec: the
+    # generators, columns of U^{-1} past it.  pr times each injection is
+    # a slice of pr.
+    k = len(coker.factors)
+    pr_rows = coker._rows
+    pr = la.dense_rows(map(dict, pr_rows), n)
+    sec = la.transpose_shaped(coker.generators, n, k)
+    sec_rows = la.sparse_rows(sec)
+    action = tuple(
+        la.dense_rows(map(dict, la.rows_mul(la.rows_mul(pr_rows, m),
+                                            sec_rows)), k)
+        for m in direct_sum(aprime, b).action_rows())
+    quo = GLattice(a.group, k, action)
+    d_tgt = LatticeMap(aprime, quo, tuple(row[:aprime.rank] for row in pr))
+    move = _square_move("pushout-mono", TwoTermComplex(a, b, d),
+                        TwoTermComplex(aprime, quo, d_tgt),
+                        f.matrix, tuple(row[aprime.rank:] for row in pr))
+    return PushoutResult(quo, move, sec, d_tgt)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,8 +279,8 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
     top, bottom = incl[:bprime.rank], incl[bprime.rank:]
     src = TwoTermComplex(fibre, bprime, LatticeMap(fibre, bprime, top))
     return PullbackResult(src, _square_move(
-        "pullback-epi", _half(src), _half(TwoTermComplex(aprime, b, dprime)),
-        bottom, g.matrix))
+        "pullback-epi", src, TwoTermComplex(aprime, b, dprime), bottom,
+        g.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +428,6 @@ def cts_embed_coflasque(lat: GLattice) -> EmbedSequence:
     iota = LatticeMap(cov1.c, p1, la.transpose_shaped(
         cov2.projection.matrix, p1.rank, cov1.c.rank))
     po = pushout_square(iota, cov1.inclusion)
-    if not isinstance(po.quotient, GLattice):
-        raise RuntimeError("pushout in the embedding step acquired torsion")
     e = po.quotient
     # E -> L*: kill P1, project Q; factors through the quotient
     zero_part = la.zeros(ldual.rank, p1.rank)
@@ -541,27 +466,24 @@ class ResolutionCertificate:
         return all(m.evidence.ok for m in self.moves)
 
 
-def _content(side: Union[HalfComplex, TwoTermComplex]) -> tuple:
-    """A complex by value, read as a half complex: a loaded certificate
-    holds fresh objects, so its complexes are compared by content."""
-    h = _half(side) if isinstance(side, TwoTermComplex) else side
-
+def _content(t: TwoTermComplex) -> tuple:
+    """A complex by value: a loaded certificate holds fresh objects, so
+    its complexes are compared by content."""
     def rows(m):  # a tuple of tuples is returned as it is, not copied
         return tuple(map(tuple, m))
 
-    return (h.a.group.table, h.a.group.generators, h.a.rank,
-            tuple(map(rows, h.a.action)), rows(h.d), h.b.ngens,
-            rows(h.b.relations), tuple(map(rows, h.b.action)))
+    return (t.group.table, t.group.generators, t.l1.rank,
+            tuple(map(rows, t.l1.action)), rows(t.differential.matrix),
+            t.l2.rank, tuple(map(rows, t.l2.action)))
 
 
-def _contragredient(e: FgModule, c1: GLattice) -> bool:
-    """Whether ``c1`` is the dual of the lattice ``e``: the same group
-    table and generators, the same rank, no relations on ``e``, and
-    M_C1(s)^T M_E(s) = 1 for every generator index s, on sparse rows."""
+def _contragredient(e: GLattice, c1: GLattice) -> bool:
+    """Whether ``c1`` is the dual of ``e``: the same group table and
+    generators, the same rank, and M_C1(s)^T M_E(s) = 1 for every
+    generator index s, on sparse rows."""
     if (e.group.table, e.group.generators) \
             != (c1.group.table, c1.group.generators) \
-            or e.ngens != c1.rank or la.shape(e.relations)[1] \
-            or len(e.action) != len(c1.action):
+            or e.rank != c1.rank or len(e.action) != len(c1.action):
         return False
     ident = tuple(((i, 1),) for i in range(c1.rank))
     return all(
@@ -591,7 +513,7 @@ def _connects(cert: ResolutionCertificate) -> bool:
     embed, po, pb = moves
     return (embed.kind, po.kind, pb.kind) \
         == ("pushout-mono", "pushout-mono", "pullback-epi") \
-        and _contragredient(embed.tgt.b, po.tgt.a) \
+        and _contragredient(embed.tgt.l2, po.tgt.l1) \
         and _content(po.src) == _content(original) \
         and _content(pb.src) == _content(resolved) \
         and _content(po.tgt) == _content(pb.tgt)
@@ -615,8 +537,6 @@ def coflasque_resolution(t: TwoTermComplex) -> tuple[TwoTermComplex,
     """Quasi-isomorphic [C -> Q] with C coflasque and Q permutation."""
     embed = cts_embed_coflasque(t.l1)
     po = pushout_square(embed.inclusion, t.differential)
-    if not isinstance(po.quotient, GLattice):
-        raise RuntimeError("resolution pushout acquired torsion")
     cover = cts_cover_coflasque(po.quotient)
     pb = pullback_square(cover.projection, po.tgt_differential)
     resolved = pb.source

@@ -165,7 +165,32 @@ def build_group(generator_permutations, size_limit: int = DEFAULT_SIZE_LIMIT,
     perms = [tuple(p) for p in generator_permutations]
     if not perms:
         raise ValueError("need at least one generator permutation")
-    deg = len(perms[0])
+    return _permutation_group(perms, size_limit, name,
+                              range(len(perms[0])))
+
+
+def group_from_cycles(texts, degree: int,
+                      size_limit: int = DEFAULT_SIZE_LIMIT,
+                      name: str = "") -> FiniteGroup:
+    """The group generated by permutations of the points 1..degree, each
+    in one-line cycle notation.  It is built on the points the cycles
+    name, renumbered in increasing order: every other point is fixed by
+    every element and changes neither the table nor the labels, which
+    keep the original point numbers."""
+    cycles = [_cycles(text, degree) for text in texts]
+    points = sorted({p for cs in cycles for c in cs for p in c}) or [0]
+    index = {p: i for i, p in enumerate(points)}
+    perms = [_permutation([[index[p] for p in c] for c in cs], len(points))
+             for cs in cycles]
+    return _permutation_group(perms, size_limit, name, points)
+
+
+def _permutation_group(perms, size_limit: int, name: str,
+                       points) -> FiniteGroup:
+    """The closure of ``perms``, permutations of 0..k-1 for k =
+    len(points), with i printed as the point points[i] + 1 in the
+    labels."""
+    deg = len(points)
     if any(len(p) != deg for p in perms):
         raise ValueError("permutations act on different sets")
     for p in perms:
@@ -175,7 +200,7 @@ def build_group(generator_permutations, size_limit: int = DEFAULT_SIZE_LIMIT,
     index = {e: i for i, e in enumerate(elems)}
     table = tuple(tuple(index[_compose(a, b)] for b in elems) for a in elems)
     gens = tuple(index[p] for p in perms)
-    labels = tuple(_cycle_notation(p) for p in elems)
+    labels = tuple(_cycle_notation(p, points) for p in elems)
     return FiniteGroup(table, gens, labels, name)
 
 
@@ -194,7 +219,7 @@ def group_from_table(table, generators=None, name: str = "",
     return g
 
 
-def _cycle_notation(p: tuple[int, ...]) -> str:
+def _cycle_notation(p: tuple[int, ...], points) -> str:
     seen = [False] * len(p)
     parts = []
     for i in range(len(p)):
@@ -208,13 +233,14 @@ def _cycle_notation(p: tuple[int, ...]) -> str:
             cyc.append(j)
             seen[j] = True
             j = p[j]
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
+        parts.append("(" + " ".join(str(points[x] + 1) for x in cyc) + ")")
     return "".join(parts) or "e"
 
 
-def _cycles(text: str) -> list[list[int]]:
-    """The cycles of one-line cycle notation like "(1 2)(3 4)", each as
-    its 0-based points; none for the identity ("e", "()" or "")."""
+def _cycles(text: str, degree: int) -> list[list[int]]:
+    """The cycles of one-line cycle notation like "(1 2)(3 4)" on points
+    1..degree, each as its 0-based points; none for the identity ("e",
+    "()" or "")."""
     body = text.strip()
     if body in ("e", "()", ""):
         return []
@@ -227,24 +253,24 @@ def _cycles(text: str) -> list[list[int]]:
             raise ValueError(f"bad cycle notation: {text!r}")
         cycles.append([int(t) - 1
                        for t in chunk[1:-1].replace(",", " ").split()])
+    if any(not 0 <= p < degree for pts in cycles for p in pts):
+        raise ValueError(f"point out of range in {text!r}")
     return cycles
 
 
-def largest_point(text: str) -> int:
-    """The largest point named in one-line cycle notation, 0 for the
-    identity; every point past it is fixed."""
-    return max((p + 1 for cycle in _cycles(text) for p in cycle), default=0)
+def _permutation(cycles: list[list[int]], degree: int) -> tuple[int, ...]:
+    """The permutation of 0..degree-1 that sends each point of a cycle to
+    the next, the cycles applied in turn as given."""
+    perm = list(range(degree))
+    for pts in cycles:
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            perm[a] = b
+    return tuple(perm)
 
 
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """Parse one-line cycle notation like "(1 2)(3 4)" on points 1..degree."""
-    perm = list(range(degree))
-    for pts in _cycles(text):
-        if any(p < 0 or p >= degree for p in pts):
-            raise ValueError(f"point out of range in {text!r}")
-        for a, b in zip(pts, pts[1:] + pts[:1]):
-            perm[a] = b
-    return tuple(perm)
+    return _permutation(_cycles(text, degree), degree)
 
 
 @dataclass(frozen=True, eq=False)

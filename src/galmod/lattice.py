@@ -180,17 +180,14 @@ def _dense(rows: Rows, ncols: int) -> IntMatrix:
     return la.dense_rows(map(dict, rows), ncols)
 
 
-def is_equivariant(matrix: IntMatrix, source, target) -> bool:
+def is_equivariant(matrix: IntMatrix, source: GLattice,
+                   target: GLattice) -> bool:
     """Whether ``matrix`` M(s) = M'(s) ``matrix`` for every generator
-    index s, with M and M' the actions of ``source`` and ``target``
-    (GLattice or FgModule), on sparse rows."""
+    index s, with M and M' the actions of ``source`` and ``target``, on
+    sparse rows."""
     comp = la.sparse_rows(matrix)
     return all(la.rows_mul(comp, ms) == la.rows_mul(mt, comp)
                for ms, mt in zip(source.action_rows(), target.action_rows()))
-
-
-def lattice_as_module(lat: GLattice) -> FgModule:
-    return FgModule(lat.group, lat.rank, la.zeros(lat.rank, 0), lat.action)
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GLattice:

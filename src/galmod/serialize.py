@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Union
 
 from . import intlinalg as la
-from .complexes import (CertificateMove, HalfComplex, MoveEvidence,
+from .complexes import (CertificateMove, MoveEvidence,
                         ResolutionCertificate, TwoTermComplex)
 from .crossed import FiniteCrossedModule
 from .groups import (DEFAULT_SIZE_LIMIT, FiniteGroup, SizeLimitError,
-                     SubgroupHandle, build_group, group_from_table,
-                     largest_point, parse_cycles)
-from .lattice import FgModule, GLattice, LatticeMap
+                     SubgroupHandle, group_from_cycles, group_from_table)
+from .lattice import GLattice, LatticeMap
 from .patching import PatchingGraph, build_patching_graph
 
 GROUP_FORMAT = "galmod-group-1"
@@ -156,12 +154,8 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
         if not isinstance(texts, list) or not texts \
                 or not all(isinstance(t, str) for t in texts):
             raise FormatError("cycles must be a non-empty list of strings")
-        # the points past the largest one named are fixed by every
-        # generator and change neither the table nor the labels
-        top = max(1, *map(largest_point, texts))
-        perms = [parse_cycles(text, min(degree, top)) for text in texts]
-        return build_group(perms, size_limit=size_limit,
-                           name=obj.get("name", ""))
+        return group_from_cycles(texts, degree, size_limit,
+                                 obj.get("name", ""))
     raise FormatError("group object needs either 'table' or 'cycles'")
 
 
@@ -189,19 +183,6 @@ def load_lattice(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> GLattice:
     _expect(obj, LATTICE_FORMAT)
     group = load_group(obj["group"], size_limit)
     return _load_lattice_body(obj, group)
-
-
-def _dump_module_body(mod: FgModule) -> dict:
-    return {"ngens": mod.ngens,
-            "relations": _dumped(mod.relations),
-            "action": [_dumped(m) for m in mod.action]}
-
-
-def _load_module_body(obj, group: FiniteGroup) -> FgModule:
-    return FgModule(group, _int(obj["ngens"], "ngens"),
-                    parse_matrix(obj["relations"], "relations"),
-                    tuple(parse_matrix(m, "action matrix")
-                          for m in obj["action"]))
 
 
 def dump_complex(t: TwoTermComplex) -> dict:
@@ -292,28 +273,39 @@ def load_graph(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> PatchingGraph:
 
 # --- resolution certificates ------------------------------------------------
 
-# the side type each move kind takes; a duality move alone has no maps
+# the side type each move kind takes; a duality move alone has no maps.
+# Every side is a complex of lattices [A -> B]; a square's side is stored
+# in the "half" layout, its B as generators with one empty row of
+# relations each.
 _SIDE_TYPE = {"pushout-mono": "half", "pullback-epi": "half",
               "duality": "complex"}
 
 
-def _dump_side(side: Union[HalfComplex, TwoTermComplex]) -> dict:
-    if isinstance(side, TwoTermComplex):
+def _dump_side(side: TwoTermComplex, kind: str) -> dict:
+    if _SIDE_TYPE[kind] == "complex":
         return {"type": "complex", "value": dump_complex(side)}
+    b = side.l2
     return {"type": "half",
-            "group": dump_group(side.a.group),
-            "a": _dump_lattice_body(side.a),
-            "d": _dumped(side.d),
-            "b": _dump_module_body(side.b)}
+            "group": dump_group(side.group),
+            "a": _dump_lattice_body(side.l1),
+            "d": _dumped(side.differential.matrix),
+            "b": {"ngens": b.rank, "relations": [[] for _ in range(b.rank)],
+                  "action": [_dumped(m) for m in b.action]}}
 
 
-def _load_side(obj, group_of):
+def _load_side(obj, group_of) -> TwoTermComplex:
     if obj["type"] == "complex":
         return _load_complex(obj["value"], group_of)
     group = group_of(obj["group"])
-    return HalfComplex(_load_lattice_body(obj["a"], group),
-                       parse_matrix(obj["d"], "half-complex differential"),
-                       _load_module_body(obj["b"], group))
+    b = obj["b"]
+    rank = _int(b["ngens"], "ngens")
+    if parse_matrix(b["relations"], "relations") != ((),) * rank:
+        raise FormatError("a half side's b must be a lattice: one empty "
+                          "row of relations per generator")
+    a = _load_lattice_body(obj["a"], group)
+    l2 = _load_lattice_body({"rank": rank, "action": b["action"]}, group)
+    return TwoTermComplex(a, l2, LatticeMap(
+        a, l2, parse_matrix(obj["d"], "half-complex differential")))
 
 
 def dump_certificate(cert: ResolutionCertificate) -> dict:
@@ -321,8 +313,8 @@ def dump_certificate(cert: ResolutionCertificate) -> dict:
     for m in cert.moves:
         moves.append({
             "kind": m.kind,
-            "src": _dump_side(m.src),
-            "tgt": _dump_side(m.tgt),
+            "src": _dump_side(m.src, m.kind),
+            "tgt": _dump_side(m.tgt, m.kind),
             "comp_minus1": (None if m.comp_minus1 is None
                             else _dumped(m.comp_minus1)),
             "comp0": None if m.comp0 is None else _dumped(m.comp0),

@@ -21,8 +21,9 @@ from galmod.cohomology import (UnsupportedDegreeError, _acting, _Bar,
                                tate_cohomology, total_differential)
 from galmod.complexes import (TwoTermComplex, classify,
                               coflasque_resolution, flasque_resolution)
-from galmod.groups import (build_group, cyclic_group, dihedral_group_4,
-                           direct_product, enumerate_subgroups, subgroup,
+from galmod.groups import (MembershipError, build_group, cyclic_group,
+                           dihedral_group_4, direct_product,
+                           enumerate_subgroups, group_from_table, subgroup,
                            symmetric_group_3, whole_subgroup)
 from galmod.lattice import (FgModule, LatticeMap, dual_lattice,
                             induced_action_on_sublattice, regular_lattice,
@@ -628,3 +629,28 @@ def test_h0_reduce_refuses_non_cocycles():
     assert h0.is_trivial and h0.reduce([0]) == ()
     with pytest.raises(la.SolveError):
         h0.reduce([1])
+
+
+def test_cohomology_refuses_a_foreign_acting_group():
+    """A group, or a subgroup handle, whose table is not the coefficient's
+    is refused before the cache is read, so it cannot leave a wrong
+    answer there: H^1(S3, sign) stays Z/2 after C3 was asked to act on
+    the sign lattice.  A separately built group with the same table is
+    accepted and shares the cache."""
+    s3 = symmetric_group_3()
+    sgn = sign_lattice(s3, [-1, 1])
+    t = TwoTermComplex(sgn, sgn, LatticeMap(sgn, sgn, la.identity(1)))
+    c3 = cyclic_group(3)
+    for h in (c3, whole_subgroup(c3)):
+        with pytest.raises(MembershipError):
+            group_cohomology(h, sgn, 1)
+        with pytest.raises(MembershipError):
+            tate_cohomology(h, sgn, -1)
+        with pytest.raises(MembershipError):
+            hypercohomology(h, t, 0)
+    assert group_cohomology(s3, sgn, 1).invariant_factors == (2,)
+    twin = group_from_table(s3.table, s3.generators)
+    assert twin is not s3
+    assert group_cohomology(twin, sgn, 1) is group_cohomology(s3, sgn, 1)
+    assert group_cohomology(whole_subgroup(twin), sgn, 1).invariant_factors \
+        == (2,)

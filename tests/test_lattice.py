@@ -18,7 +18,7 @@ from galmod.groups import (cyclic_group, dihedral_group_4,
 from galmod.lattice import (EquivarianceError, FgModule, GLattice,
                             LatticeMap, conjugate_lattice, direct_sum,
                             dual_lattice, dual_map, fixed_points, induce,
-                            lattice_as_module, make_permutation_lattice,
+                            make_permutation_lattice,
                             regular_lattice, restrict_lattice,
                             sign_lattice, trivial_lattice, zero_lattice)
 
@@ -252,7 +252,7 @@ def test_zero_lattice():
     z2 = cyclic_group(2)
     z = zero_lattice(z2)
     assert z.rank == 0
-    assert lattice_as_module(z).ngens == 0
+    assert FgModule(z2, z.rank, la.zeros(0, 0), z.action).ngens == 0
 
 
 def _word_products(obj, dim):
@@ -289,9 +289,9 @@ def test_element_matrices_match_word_products():
         FgModule(cyclic_group(4), 2, ((4, 0), (0, 2)), (((1, 0), (0, 3)),)),
         FgModule(s3, 2, ((3,), (0,)), (((-1, 0), (0, 1)), la.identity(2))),
         FgModule(d4, 2, ((2, 0), (0, 2)), (((1, 0), (0, -1)), rot)),
-        lattice_as_module(regular_lattice(d4)),
-        lattice_as_module(zero_lattice(d4)),
     ]
+    for lat in (regular_lattice(d4), zero_lattice(d4)):
+        mods.append(FgModule(d4, lat.rank, la.zeros(lat.rank, 0), lat.action))
     for mod in mods:
         _assert_rows_match_dense(mod, mod.ngens)
 

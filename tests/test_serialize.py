@@ -4,13 +4,14 @@ patching graphs, and resolution certificates."""
 import dataclasses
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
-from galmod import fixtures
+from galmod import fixtures, groups
 from galmod import intlinalg as la
 from galmod import serialize as se
-from galmod.complexes import (CertificateMove, HalfComplex, MoveEvidence,
+from galmod.complexes import (CertificateMove, MoveEvidence,
                               ResolutionCertificate, TwoTermComplex,
                               coflasque_resolution, flasque_resolution,
                               replay_certificate, replay_move)
@@ -48,23 +49,23 @@ def test_group_from_cycles():
 
 
 def test_group_from_cycles_is_bounded(monkeypatch):
-    """A cycle-notation group is built on the points up to the largest
-    one named: degree 10^12 loads the S3 of degree 3, and no permutation
-    is parsed on more than 3 points (the stand-in parser refuses before
-    anything is allocated).  A point past the degree is still refused, and
-    so are a degree below 1 and cycles that are not a non-empty list of
+    """A cycle-notation group is built on the points it names: degree
+    10^12 loads the S3 of degree 3, and no permutation is built on more
+    than 3 points (the stand-in builder refuses before anything is
+    allocated).  A point past the degree is still refused, and so are a
+    degree below 1 and cycles that are not a non-empty list of
     strings."""
     def load(degree, cycles=("(1 2)", "(1 2 3)")):
         return se.load_group({"format": se.GROUP_FORMAT, "degree": degree,
                               "cycles": cycles if isinstance(cycles, str)
                               else list(cycles)})
 
-    def parse(text, degree):
+    def permutation(cycles, degree, build=groups._permutation):
         assert degree <= 3, degree
-        return parse_cycles(text, degree)
+        return build(cycles, degree)
 
     want = load(3)
-    monkeypatch.setattr(se, "parse_cycles", parse)
+    monkeypatch.setattr(groups, "_permutation", permutation)
     got = load(10 ** 12)
     assert (got.table, got.generators, got.labels) == \
         (want.table, want.generators, want.labels)
@@ -74,6 +75,37 @@ def test_group_from_cycles_is_bounded(monkeypatch):
                            (3, ["(1 2)", 1])):
         with pytest.raises(se.FormatError):
             load(degree, cycles)
+
+
+def test_group_from_cycles_allocates_only_the_named_points():
+    """Points 1 and 10^6 of degree 10^6 give the group of order 2 within
+    1 MB of allocations, its label in the original numbering.  Named
+    points 2 and 5 act as 1 and 2 would: the same table and generators,
+    the labels renumbered back.  Named points 1..4 give exactly the group
+    built from the permutations of 1..4."""
+    def load(degree, cycles):
+        return se.load_group({"format": se.GROUP_FORMAT, "degree": degree,
+                              "cycles": cycles})
+
+    tracemalloc.start()
+    try:
+        far = load(10 ** 6, ["(1 1000000)"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert far.order == 2 and far.labels == ("e", "(1 1000000)")
+    sparse, dense = load(5, ["(2 5)", "(2 5 4)"]), load(3, ["(1 3)",
+                                                            "(1 3 2)"])
+    assert (sparse.table, sparse.generators) == \
+        (dense.table, dense.generators)
+    assert sparse.labels == tuple(
+        label.translate(str.maketrans("123", "245")) for label in dense.labels)
+    texts = ["(1 2)(3 4)", "(1 2 3 4)", "(2 4)"]
+    got, want = load(4, texts), build_group(
+        [parse_cycles(text, 4) for text in texts])
+    assert (got.table, got.generators, got.labels) == \
+        (want.table, want.generators, want.labels)
 
 
 def test_group_fixture_reference():
@@ -189,7 +221,7 @@ def test_replay_refuses_a_swapped_embedding_move():
                 se.dump_certificate(resolve(catalog[name])[1]))))
                 for name in pair)
             assert replay_certificate(own) and replay_certificate(other)
-            e_own, e_other = own.moves[0].tgt.b, other.moves[0].tgt.b
+            e_own, e_other = own.moves[0].tgt.l2, other.moves[0].tgt.l2
             assert len(e_own.action) == len(e_other.action)
             assert (e_own.group.table, e_own.action) \
                 != (e_other.group.table, e_other.action)
@@ -235,12 +267,7 @@ def _load_each_side_alone(obj):
     """The earlier ``load_certificate``: every complex loads and checks
     its own copy of its group."""
     def side(x):
-        if x["type"] == "complex":
-            return se.load_complex(x["value"])
-        group = se.load_group(x["group"])
-        return HalfComplex(se._load_lattice_body(x["a"], group),
-                           se.parse_matrix(x["d"], "d"),
-                           se._load_module_body(x["b"], group))
+        return se._load_side(x, se.load_group)
 
     moves = tuple(CertificateMove(
         m["kind"], side(m["src"]), side(m["tgt"]),
@@ -257,8 +284,7 @@ def _load_each_side_alone(obj):
 def _groups(cert) -> set:
     """The ids of the groups of a certificate's complexes."""
     sides = [x for m in cert.moves for x in (m.src, m.tgt)]
-    return {id(x.a.group if isinstance(x, HalfComplex) else x.group)
-            for x in sides + [cert.original, cert.resolved]}
+    return {id(x.group) for x in sides + [cert.original, cert.resolved]}
 
 
 def _group_dump(side):
@@ -338,6 +364,25 @@ def test_load_certificate_refuses_a_module_short_of_action_matrices():
         del move["tgt"]["b"]["action"][1]
     with pytest.raises(ValueError, match="one action matrix per generator"):
         se.load_certificate(obj)
+
+
+def test_load_certificate_refuses_a_half_side_with_relations():
+    """Every side of a square is a complex of lattices: a half side whose
+    B carries a relation, or whose relation rows do not match its
+    generators, is refused on load."""
+    t = fixtures.complex_catalog()["z3-aug"]
+    obj = json.loads(se.to_json(se.dump_certificate(
+        coflasque_resolution(t)[1])))
+    assert replay_certificate(se.load_certificate(obj))
+    for forge in (lambda rows: [[2 * (i == 0)] for i in range(len(rows))],
+                  lambda rows: rows[1:]):
+        for move in range(3):
+            forged = json.loads(se.to_json(obj))
+            b = forged["moves"][move]["tgt"]["b"]
+            assert b["relations"] == [[]] * b["ngens"] and b["ngens"]
+            b["relations"] = forge(b["relations"])
+            with pytest.raises(se.FormatError, match="relations"):
+                se.load_certificate(forged)
 
 
 def test_catalog_certificates_load_and_replay():
