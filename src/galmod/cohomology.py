@@ -577,6 +577,9 @@ def group_cohomology(h, a: Coefficient, n: int,
     """H^n(H, A) on (normalized) bar cochains (module docstring)."""
     if n not in (0, 1, 2):
         raise UnsupportedDegreeError(f"degree {n} not in {{0, 1, 2}}")
+    if not isinstance(a, (GLattice, FgModule)):
+        raise UnsupportedCoefficientsError(
+            "group cohomology needs a lattice or a module")
     return _cached(a, "group", h, n, normalized,
                    lambda: _cohomology(h, a, n, normalized))
 

@@ -578,7 +578,8 @@ def uniqueness_invariants(res: TwoTermComplex,
                           resp: TwoTermComplex) -> UniquenessReport:
     """Necessary conditions for F + P' and F' + P to be isomorphic,
     compared over every subgroup conjugacy representative."""
-    if res.group.table != resp.group.table:
+    if (res.group.table != resp.group.table
+            or res.group.generators != resp.group.generators):
         raise GroupMismatchError("resolutions over different groups")
     x = direct_sum(res.l2, resp.l1)
     y = direct_sum(resp.l2, res.l1)

@@ -377,15 +377,13 @@ def minimal_generators(g: FiniteGroup, members) -> tuple[int, ...]:
     return tuple(gens) or (0,)
 
 
-def enumerate_subgroups(g: FiniteGroup,
-                        size_limit: int = DEFAULT_SIZE_LIMIT):
+def enumerate_subgroups(g: FiniteGroup):
     """All subgroups of ``g`` plus conjugacy-class representatives.
 
     Returns ``(subgroups, representatives)``.  Both lists are sorted by
-    (order, member tuple); each subgroup appears exactly once.
+    (order, member tuple); each subgroup appears exactly once.  The
+    order of ``g`` was bounded once, when it was built or loaded.
     """
-    if g.order > size_limit:
-        raise SizeLimitError(f"group order {g.order} exceeds {size_limit}")
     return g._subgroups
 
 

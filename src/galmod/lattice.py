@@ -257,7 +257,8 @@ def dual_map(f: LatticeMap) -> LatticeMap:
 
 
 def direct_sum(a: GLattice, b: GLattice) -> GLattice:
-    if a.group is not b.group and a.group.table != b.group.table:
+    if a.group is not b.group and (a.group.table != b.group.table or
+                                   a.group.generators != b.group.generators):
         raise ValueError("summands over different groups")
     action = tuple(la.block_diag(ma, mb)
                    for ma, mb in zip(a.action, b.action))

@@ -52,13 +52,6 @@ class GraphSplitError(Exception):
 
 Coefficient = Union[GLattice, TwoTermComplex, FiniteCrossedModule]
 
-SUPPORTED_DEGREES = {
-    "lattice": (0, 1, 2),
-    "complex": (-1, 0, 1),
-    "crossed": (-1, 0),
-}
-
-
 @dataclass(frozen=True, eq=False)
 class Refinement:
     """Orbit bookkeeping kept alongside a refined graph."""
@@ -160,32 +153,9 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
 
 
 # ---------------------------------------------------------------------------
-# Mayer-Vietoris columns (abelian coefficients; mv_columns and sha
-# dispatch on the kind).
-
-def _coefficient_kind(coeff: Coefficient) -> str:
-    if isinstance(coeff, GLattice):
-        return "lattice"
-    if isinstance(coeff, TwoTermComplex):
-        return "complex"
-    if isinstance(coeff, FiniteCrossedModule):
-        return "crossed"
-    raise TypeError(f"unsupported coefficient type {type(coeff).__name__}")
-
-
-def _check_degree(kind: str, r: int) -> None:
-    if r not in SUPPORTED_DEGREES[kind]:
-        raise UnsupportedDegreeError(
-            f"degree {r} not supported for {kind} coefficients "
-            f"(allowed: {SUPPORTED_DEGREES[kind]})")
-
-
-def _check_coefficient(graph: PatchingGraph, coeff: Coefficient,
-                       kind: str) -> None:
-    grp = coeff.galois if kind == "crossed" else coeff.group
-    if not _same_group(grp, graph.gamma):
-        raise ModelError("coefficient lives over a different group")
-
+# Mayer-Vietoris columns (mv_columns and sha dispatch on the coefficient
+# type; group_cohomology and hypercohomology refuse the degrees they do
+# not support, mv_columns those of a crossed module).
 
 @dataclass(frozen=True, eq=False)
 class MvColumns:
@@ -266,12 +236,19 @@ class MvColumns:
 def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
                bound: int = DEFAULT_ENUMERATION_BOUND):
     """Vertex and edge column products with restriction and difference
-    maps; dispatches on the coefficient kind.  ``bound`` caps the cocycle
+    maps; dispatches on the coefficient type.  ``bound`` caps the cocycle
     enumeration behind each crossed-module H^0."""
-    kind = _coefficient_kind(coeff)
-    _check_degree(kind, r)
-    _check_coefficient(graph, coeff, kind)
-    if kind == "crossed":
+    crossed = isinstance(coeff, FiniteCrossedModule)
+    if not crossed and not isinstance(coeff, (GLattice, TwoTermComplex)):
+        raise TypeError(
+            f"unsupported coefficient type {type(coeff).__name__}")
+    if not _same_group(coeff.galois if crossed else coeff.group,
+                       graph.gamma):
+        raise ModelError("coefficient lives over a different group")
+    if crossed:
+        if r not in (-1, 0):
+            raise UnsupportedDegreeError(
+                f"crossed degree {r} not in {{-1, 0}}")
         return _crossed_columns(graph, coeff, r, bound)
     verts = graph.vertices
     vertex_maps = [restriction(graph.gamma, h, coeff, r) for h in verts]
@@ -358,9 +335,8 @@ class MvReport:
 
 
 def _report(graph: PatchingGraph, coeff: Coefficient,
-            bound: int) -> MvReport:
+            degrees: tuple[int, ...], bound: int) -> MvReport:
     """Build each row once and evaluate its junctions."""
-    degrees = SUPPORTED_DEGREES[_coefficient_kind(coeff)]
     columns = []
     comp_zero = []
     at_middle = []
@@ -382,7 +358,7 @@ def _report(graph: PatchingGraph, coeff: Coefficient,
 
 def nine_term_report(graph: PatchingGraph, t: TwoTermComplex) -> MvReport:
     """The degree -1..1 rows of a two-term complex."""
-    return _report(graph, t, DEFAULT_ENUMERATION_BOUND)
+    return _report(graph, t, (-1, 0, 1), DEFAULT_ENUMERATION_BOUND)
 
 
 def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
@@ -390,7 +366,7 @@ def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
                             ) -> MvReport:
     """The H^-1 and H^0 rows of a crossed module; ``bound`` caps the H^0
     enumeration and the vertex product."""
-    return _report(graph, c, bound)
+    return _report(graph, c, (-1, 0), bound)
 
 
 # ---------------------------------------------------------------------------

@@ -191,10 +191,10 @@ def _subgroups():
     s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)])
     s5 = build_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], size_limit=120)
     out = {}
-    for name, g, limit in (("S4", s4, 64),
-                           ("S4xC2", direct_product(s4, cyclic_group(2)), 64),
-                           ("S5", s5, 120)):
-        subs, reps = enumerate_subgroups(g, limit)
+    for name, g in (("S4", s4),
+                    ("S4xC2", direct_product(s4, cyclic_group(2))),
+                    ("S5", s5)):
+        subs, reps = enumerate_subgroups(g)
         out[name] = {
             "subgroups": [[h.members, h.as_group().generators,
                            h.members_bfs()] for h in subs],

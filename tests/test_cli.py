@@ -425,20 +425,25 @@ def test_repeated_subgroup_members_exit_two(capsys, tmp_path):
 
 def test_group_table_bounded_by_size_limit(capsys, tmp_path):
     """A table of order 65 exceeds the default limit of 64 before its
-    axioms are checked; --size-limit 100 admits it."""
+    axioms are checked; --size-limit 100 admits it, and nothing past the
+    loader bounds its order again."""
     z65 = group_from_table([[(a + b) % 65 for b in range(65)]
                             for a in range(65)], (1,))
     lat = trivial_lattice(z65)
     path = tmp_path / "z65.json"
     path.write_text(serialize.to_json(serialize.dump_lattice(lat)))
-    argv = ("cohomology", "--lattice", str(path), "--degree", "1")
-    code, _, err = run(capsys, *argv)
-    assert code == 3
-    assert err.strip() == ("size limit exceeded: group order 65 exceeds "
-                           "size limit 64")
-    code, out, _ = run(capsys, *argv, "--size-limit", "100")
-    assert code == 0
-    assert out.strip() == "invariant factors: []"
+    for argv, answer in (
+            (("cohomology", "--lattice", str(path), "--degree", "1"),
+             "invariant factors: []"),
+            (("classify", "--lattice", str(path), "--mode", "flasque"),
+             "flasque: yes")):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert err.strip() == ("size limit exceeded: group order 65 "
+                               "exceeds size limit 64")
+        code, out, _ = run(capsys, *argv, "--size-limit", "100")
+        assert code == 0
+        assert out.splitlines()[0] == answer
 
 
 def test_snf_dict_without_matrix_exit_two(capsys, monkeypatch):

@@ -11,7 +11,8 @@ from matvec import mat_vec
 
 from galmod import fixtures
 from galmod import intlinalg as la
-from galmod.cohomology import (UnsupportedDegreeError, _acting, _Bar,
+from galmod.cohomology import (UnsupportedCoefficientsError,
+                               UnsupportedDegreeError, _acting, _Bar,
                                _cayley, _layout, _rank_mod, _total_rows,
                                _view,
                                bar_differential,
@@ -99,6 +100,15 @@ def test_degree_errors():
         group_cohomology(z2, trivial_lattice(z2), 3)
     with pytest.raises(UnsupportedDegreeError):
         tate_cohomology(z2, trivial_lattice(z2), 1)
+
+
+def test_group_cohomology_refuses_a_complex():
+    """A two-term complex has hypercohomology, not group cohomology: it
+    is refused in every degree before the cache is read."""
+    t = fixtures.complex_catalog()["z2-aug"]
+    for n in (0, 1, 2):
+        with pytest.raises(UnsupportedCoefficientsError):
+            group_cohomology(t.group, t, n)
 
 
 def test_restriction_surjective_z4_to_z2():

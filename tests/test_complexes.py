@@ -10,7 +10,7 @@ from lattice_strategies import (S4_LATTICES, small_lattices,
                                 unimodular_matrices)
 
 from galmod import intlinalg as la
-from galmod import fixtures
+from galmod import fixtures, serialize
 from galmod.cohomology import group_cohomology, hypercohomology, \
     tate_cohomology
 from galmod.complexes import (ClassificationVerdict, GroupMismatchError,
@@ -21,7 +21,7 @@ from galmod.complexes import (ClassificationVerdict, GroupMismatchError,
                               homology, pullback_square, pushout_square,
                               r_equivalence_invariant, replay_certificate,
                               uniqueness_invariants, verify_square)
-from galmod.groups import cyclic_group, enumerate_subgroups
+from galmod.groups import build_group, cyclic_group, enumerate_subgroups
 from galmod.lattice import (FgModule, LatticeMap, conjugate_lattice,
                             direct_sum, fixed_points, regular_lattice,
                             sign_lattice, trivial_lattice, zero_lattice)
@@ -60,6 +60,15 @@ def test_classify_modes():
     assert classify(reg, "flasque").ok
     with pytest.raises(ValueError):
         classify(sign, "other")
+
+
+def test_classify_past_order_64():
+    """A group's order is bounded once, where it is built: S5 built with
+    a limit of 120 classifies over its 19 subgroup classes."""
+    s5 = build_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], size_limit=120)
+    for mode in ("flasque", "coflasque"):
+        verdict = classify(regular_lattice(s5), mode)
+        assert verdict.ok and len(verdict.table) == 19, mode
 
 
 @given(st.data())
@@ -373,12 +382,25 @@ def test_uniqueness_invariants_flag_mismatch():
 
 
 def test_uniqueness_group_mismatch():
+    """Another table, or the same table with its generators (and the
+    action matrices with them) in another order: action matrices are
+    summed by generator index, so both are another group here."""
     a = fixtures.complex_catalog()["z2-aug"]
     b = fixtures.complex_catalog()["z3-aug"]
     ra, _ = flasque_resolution(a)
     rb, _ = flasque_resolution(b)
     with pytest.raises(GroupMismatchError):
         uniqueness_invariants(ra, rb)
+    t = fixtures.complex_catalog()["s3-coset-aug"]
+    obj = serialize.dump_complex(t)
+    obj["group"]["generators"].reverse()
+    for part in ("l1", "l2"):
+        obj[part]["action"].reverse()
+    tb = serialize.load_complex(obj)
+    tb.validate()
+    with pytest.raises(GroupMismatchError):
+        uniqueness_invariants(flasque_resolution(tb)[0],
+                              flasque_resolution(t)[0])
 
 
 def test_r_equivalence_invariant():

@@ -181,7 +181,7 @@ def test_enumerate_subgroups_matches_saturating_route():
 
 def test_enumerate_subgroups_of_s5():
     s5 = build_group([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], size_limit=120)
-    subs, reps = enumerate_subgroups(s5, 120)
+    subs, reps = enumerate_subgroups(s5)
     assert (len(subs), len(reps)) == (156, 19)
 
 

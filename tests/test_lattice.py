@@ -12,7 +12,7 @@ from galmod import fixtures
 from galmod import intlinalg as la
 from galmod.cohomology import group_cohomology
 from galmod.groups import (cyclic_group, dihedral_group_4,
-                           enumerate_subgroups, subgroup,
+                           enumerate_subgroups, group_from_table, subgroup,
                            symmetric_group_3, trivial_subgroup,
                            whole_subgroup)
 from galmod.lattice import (EquivarianceError, FgModule, GLattice,
@@ -246,6 +246,15 @@ def test_direct_sum():
     s = direct_sum(sign_lattice(z2, [-1]), trivial_lattice(z2))
     s.validate()
     assert s.rank == 2
+
+
+def test_direct_sum_refuses_reordered_generators():
+    """Action matrices are paired by generator index, so one table with
+    its generators in another order is another group here."""
+    s3 = symmetric_group_3()
+    s3b = group_from_table(s3.table, tuple(reversed(s3.generators)))
+    with pytest.raises(ValueError):
+        direct_sum(sign_lattice(s3, [-1, 1]), sign_lattice(s3b, [1, -1]))
 
 
 def test_zero_lattice():
