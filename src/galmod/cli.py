@@ -122,7 +122,7 @@ def cmd_cohomology(args):
     coeff = _coefficient(args, "lattice", "complex")
     if getattr(args, "group", None):
         grp = _load(args, "group")
-        if grp.table != coeff.group.table:
+        if not grp.same_table(coeff.group):
             raise CliInputError("--group does not match the lattice group")
     factors = list(compute(_acting(args, coeff.group), coeff,
                            args.degree).invariant_factors)
@@ -298,7 +298,7 @@ def cmd_shapiro(args):
     h = _subgroup(args.subgroup, gamma)
     if args.lattice:
         lat = _load(args, "lattice")
-        if lat.group.table != h.as_group().table:
+        if not lat.group.same_table(h.as_group()):
             raise CliInputError(
                 "lattice group does not match the subgroup")
     else:

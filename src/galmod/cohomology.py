@@ -96,6 +96,7 @@ class UnsupportedCoefficientsError(Exception):
 
 
 Coefficient = Union[GLattice, FgModule]
+HYPER_DEGREES = (-1, 0, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -558,7 +559,7 @@ def _cached(coeff, kind: str, h, n: int, normalized: bool, compute):
     element ids do not index the coefficient's element matrices.
     """
     g = h.parent if isinstance(h, SubgroupHandle) else h
-    if g is not coeff.group and g.table != coeff.group.table:
+    if not g.same_table(coeff.group):
         raise MembershipError("acting group is not the coefficient's group")
     cache = getattr(coeff, "_coh_cache", None)
     if cache is None:
@@ -586,7 +587,7 @@ def group_cohomology(h, a: Coefficient, n: int,
 
 def hypercohomology(h, t, n: int, normalized: bool = True) -> CohomologyGroup:
     """Hypercohomology of a two-term complex of lattices, degrees -1..1."""
-    if n not in (-1, 0, 1):
+    if n not in HYPER_DEGREES:
         raise UnsupportedDegreeError(f"degree {n} not in {{-1, 0, 1}}")
     return _cached(t, "hyper", h, n, normalized,
                    lambda: _cohomology(h, t, n, normalized))

@@ -578,8 +578,7 @@ def uniqueness_invariants(res: TwoTermComplex,
                           resp: TwoTermComplex) -> UniquenessReport:
     """Necessary conditions for F + P' and F' + P to be isomorphic,
     compared over every subgroup conjugacy representative."""
-    if (res.group.table != resp.group.table
-            or res.group.generators != resp.group.generators):
+    if not res.group.same_presentation(resp.group):
         raise GroupMismatchError("resolutions over different groups")
     x = direct_sum(res.l2, resp.l1)
     y = direct_sum(resp.l2, res.l1)

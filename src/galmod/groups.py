@@ -43,6 +43,15 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
+    def same_table(self, other: "FiniteGroup") -> bool:
+        """Element ids of one group index the elements of the other."""
+        return self is other or self.table == other.table
+
+    def same_presentation(self, other: "FiniteGroup") -> bool:
+        """Same table and generator list, so action matrices listed by
+        generator index describe one action."""
+        return self.same_table(other) and self.generators == other.generators
+
     @property
     def identity(self) -> int:
         return 0
@@ -469,9 +478,8 @@ class CosetSpace:
 
 def coset_action(g: FiniteGroup, h: SubgroupHandle) -> CosetSpace:
     """Left cosets xH with g . xH = (gx)H; coset 0 is H itself."""
-    if h.parent is not g:
-        if h.parent.table != g.table:
-            raise MembershipError("subgroup belongs to a different group")
+    if not h.parent.same_table(g):
+        raise MembershipError("subgroup belongs to a different group")
     mem = set(h.members)
     coset_of: dict[int, int] = {}
     cosets: list[tuple[int, ...]] = []

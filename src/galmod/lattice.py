@@ -205,7 +205,7 @@ def make_permutation_lattice(group: FiniteGroup,
     carrying a permutation certificate."""
     spaces = []
     for h in subgroups:
-        if h.parent is not group and h.parent.table != group.table:
+        if not h.parent.same_table(group):
             raise MembershipError("subgroup from a different group")
         spaces.append(coset_action(group, h))
     rank = sum(cs.size for cs in spaces)
@@ -257,8 +257,7 @@ def dual_map(f: LatticeMap) -> LatticeMap:
 
 
 def direct_sum(a: GLattice, b: GLattice) -> GLattice:
-    if a.group is not b.group and (a.group.table != b.group.table or
-                                   a.group.generators != b.group.generators):
+    if not a.group.same_presentation(b.group):
         raise ValueError("summands over different groups")
     action = tuple(la.block_diag(ma, mb)
                    for ma, mb in zip(a.action, b.action))
@@ -340,9 +339,9 @@ def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
     coset.
     """
     gamma = h.parent
-    if h.is_whole_group() and lat.group.table == gamma.table:
+    if h.is_whole_group() and lat.group.same_table(gamma):
         to_sub = lambda g: g
-    elif lat.group.table == h.as_group().table:
+    elif lat.group.same_table(h.as_group()):
         to_sub = h.from_parent
     else:
         raise MembershipError("lattice group does not match the subgroup")

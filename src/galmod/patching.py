@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import intlinalg as la
-from .cohomology import (CohomologyGroup, UnsupportedDegreeError,
-                         group_cohomology, restriction)
+from .cohomology import (HYPER_DEGREES, CohomologyGroup,
+                         UnsupportedDegreeError, group_cohomology,
+                         restriction)
 from .complexes import TwoTermComplex, flasque_resolution
 from .crossed import (DEFAULT_ENUMERATION_BOUND, FiniteCrossedModule,
                       HMinusOne, HZero, h_minus_one, h_zero)
@@ -51,6 +52,7 @@ class GraphSplitError(Exception):
 
 
 Coefficient = Union[GLattice, TwoTermComplex, FiniteCrossedModule]
+CROSSED_DEGREES = (-1, 0)
 
 @dataclass(frozen=True, eq=False)
 class Refinement:
@@ -89,10 +91,6 @@ class PatchingGraph:
                 f"edges={self.n_edges})")
 
 
-def _same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
-    return a is b or a.table == b.table
-
-
 def _components(n_vertices: int, edges) -> list[list[int]]:
     """Connected components of the vertices under (head, tail, _) edges,
     each sorted, listed by least vertex (union-find)."""
@@ -125,8 +123,7 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
     if not verts:
         raise ModelError("a patching graph needs at least one vertex")
     for i, h in enumerate(verts):
-        if not isinstance(h, SubgroupHandle) or not _same_group(h.parent,
-                                                                gamma):
+        if not isinstance(h, SubgroupHandle) or not h.parent.same_table(gamma):
             raise ModelError(f"vertex {i} subgroup is not a subgroup of "
                              "the ambient group")
     edge_list = []
@@ -135,8 +132,7 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
             raise ModelError(f"edge {k} is a loop")
         if not (0 <= head < len(verts) and 0 <= tail < len(verts)):
             raise ModelError(f"edge {k} endpoint out of range")
-        if not isinstance(h, SubgroupHandle) or not _same_group(h.parent,
-                                                                gamma):
+        if not isinstance(h, SubgroupHandle) or not h.parent.same_table(gamma):
             raise ModelError(f"edge {k} subgroup is not a subgroup of "
                              "the ambient group")
         mem = set(h.members)
@@ -242,13 +238,12 @@ def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
     if not crossed and not isinstance(coeff, (GLattice, TwoTermComplex)):
         raise TypeError(
             f"unsupported coefficient type {type(coeff).__name__}")
-    if not _same_group(coeff.galois if crossed else coeff.group,
-                       graph.gamma):
+    if not (coeff.galois if crossed else coeff.group).same_table(graph.gamma):
         raise ModelError("coefficient lives over a different group")
     if crossed:
-        if r not in (-1, 0):
+        if r not in CROSSED_DEGREES:
             raise UnsupportedDegreeError(
-                f"crossed degree {r} not in {{-1, 0}}")
+                f"crossed degree {r} not in {CROSSED_DEGREES}")
         return _crossed_columns(graph, coeff, r, bound)
     verts = graph.vertices
     vertex_maps = [restriction(graph.gamma, h, coeff, r) for h in verts]
@@ -358,7 +353,7 @@ def _report(graph: PatchingGraph, coeff: Coefficient,
 
 def nine_term_report(graph: PatchingGraph, t: TwoTermComplex) -> MvReport:
     """The degree -1..1 rows of a two-term complex."""
-    return _report(graph, t, (-1, 0, 1), DEFAULT_ENUMERATION_BOUND)
+    return _report(graph, t, HYPER_DEGREES, DEFAULT_ENUMERATION_BOUND)
 
 
 def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
@@ -366,7 +361,7 @@ def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
                             ) -> MvReport:
     """The H^-1 and H^0 rows of a crossed module; ``bound`` caps the H^0
     enumeration and the vertex product."""
-    return _report(graph, c, (-1, 0), bound)
+    return _report(graph, c, CROSSED_DEGREES, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +581,7 @@ def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
     Raises GraphSplitError when the refined graph is not connected.
     """
     gamma = graph.gamma
-    if not _same_group(h.parent, gamma):
+    if not h.parent.same_table(gamma):
         raise MembershipError("refinement subgroup belongs to a "
                               "different group")
     cs = coset_action(gamma, h)

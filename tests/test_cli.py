@@ -432,18 +432,23 @@ def test_group_table_bounded_by_size_limit(capsys, tmp_path):
     lat = trivial_lattice(z65)
     path = tmp_path / "z65.json"
     path.write_text(serialize.to_json(serialize.dump_lattice(lat)))
-    for argv, answer in (
-            (("cohomology", "--lattice", str(path), "--degree", "1"),
-             "invariant factors: []"),
-            (("classify", "--lattice", str(path), "--mode", "flasque"),
-             "flasque: yes")):
-        code, _, err = run(capsys, *argv)
-        assert code == 3
-        assert err.strip() == ("size limit exceeded: group order 65 "
-                               "exceeds size limit 64")
-        code, out, _ = run(capsys, *argv, "--size-limit", "100")
-        assert code == 0
-        assert out.splitlines()[0] == answer
+    refusal = "size limit exceeded: group order 65 exceeds size limit 64"
+    argv = ("cohomology", "--lattice", str(path), "--degree", "1")
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.strip() == refusal
+    code, out, _ = run(capsys, *argv, "--size-limit", "100")
+    assert code == 0
+    assert out.strip() == "invariant factors: []"
+    argv = ("classify", "--lattice", str(path), "--mode", "flasque")
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert err.strip() == refusal
+    code, out, _ = run(capsys, *argv, "--size-limit", "100")
+    assert code == 0
+    assert out.splitlines() == ["flasque: yes"] + [
+        f"  subgroup {list(range(0, 65, step))}: factors []"
+        for step in (65, 13, 5, 1)]
 
 
 def test_snf_dict_without_matrix_exit_two(capsys, monkeypatch):
