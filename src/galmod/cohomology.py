@@ -30,7 +30,13 @@ cochain map into the bar complex:
   prefixes.  Cayley -> bar: f(g) = J_g c; f(g, h) sums c over the
   2-cells met on the walk from g along word(h).  Bar -> Cayley
   (``from_bar``): c_t = f(s_t); c(x, s) = f(x, s) + A_x - A_{xs}, A_x the
-  sum of f(p_{i-1}, s_{t_i}) along word(x).
+  sum of f(p_{i-1}, s_{t_i}) along word(x).  All of it is read off two
+  lists indexed by the degree m: ``faces[m]``, each m-cell's boundary as
+  signed terms (g, face, sign), and ``chains[m]``, each bar m-cell's
+  image in the Cayley chains as terms (g, cell).  ``to_bar`` sums
+  M(g) c_cell over ``chains``; ``from_bar`` is dual to the chain map
+  that sends the 0-cell to [] and a cell to the signed sum of [g | the
+  image of the face] over its ``faces``.
 
 The kernel route runs for n <= 0, or for any n on ``_Bar``.  With Z the
 kernel of the resolution's d^n plus the relations, B the image of the
@@ -71,8 +77,9 @@ only the cocycle check rows, and Tate H^-1 an echelon of ker N; the
 ker N.
 
 Results are cached on the coefficient object (lattice, module or
-complex), keyed by the kind of cohomology, the subgroup's members, the
-degree and ``normalized``; they live as long as the coefficient does.
+complex), keyed by the kind of cohomology, the subgroup's members (a
+whole group's generator list), the degree and ``normalized``; they live
+as long as the coefficient does.
 """
 from __future__ import annotations
 
@@ -205,6 +212,14 @@ def _rows(boundary, mats, rank: int, offset: int = 0) -> list[dict]:
     return rows
 
 
+def _collect(terms) -> dict:
+    """{key: summed coefficient} of (key, coefficient) pairs."""
+    out: dict = {}
+    for key, c in terms:
+        out[key] = out.get(key, 0) + c
+    return out
+
+
 class _Bar:
     """The (normalized) bar resolution of a group of order ``order`` with
     multiplication ``mul`` (needed only by ``boundaries``).  Its m-cells
@@ -274,7 +289,8 @@ class _Cayley:
 
     ``FiniteGroup.tree()`` spans the Cayley graph.  Each edge (x, s_t)
     outside it closes a loop, word(x) then s_t then word(x s_t) backwards,
-    that bounds one 2-cell.
+    that bounds one 2-cell.  The methods read only the per-degree
+    ``faces`` and ``chains`` (module docstring).
     """
 
     def __init__(self, group: FiniteGroup):
@@ -288,81 +304,61 @@ class _Cayley:
         in_tree = {(p, t) for _, p, t in group.tree()}
         self.edges = [(x, t) for x in group.elements()
                       for t in range(len(gens)) if (x, t) not in in_tree]
-        # each loop as signed edges (y, letter): the 2-cell's boundary is
-        # their Fox derivative J_x + x e_t - J_{x s_t}
-        self.loops = [[(x, t, 1)] + [(p, u, 1) for p, u in self.steps[x]]
-                      + [(p, u, -1) for p, u in
-                         self.steps[group.mul(x, gens[t])]]
-                      for x, t in self.edges]
-        cell_of = {e: i for i, e in enumerate(self.edges)}
-        # per bar 2-cell [g|h]: the 2-cells met on the walk from g along
-        # word(h)
-        self.paths = [[cell_of[(group.mul(g, p), t)] for p, t in self.steps[h]
-                       if (group.mul(g, p), t) in cell_of]
-                      for g, h in bar.tuples(2)]
+        # the 1-cell t bounds s_t v - v; the 2-cell (x, t) its loop's Fox
+        # derivative J_x + x e_t - J_{x s_t}
+        self.faces = [[[]], [[(s, 0, 1), (0, 0, -1)] for s in gens],
+                      [[(x, t, 1)] + [(p, u, 1) for p, u in self.steps[x]]
+                       + [(p, u, -1) for p, u in
+                          self.steps[group.mul(x, gens[t])]]
+                       for x, t in self.edges]]
+        # [] goes to the 0-cell, [x] to the path word(x), and [g|h] to the
+        # 2-cells met on the walk from g along word(h)
+        term = {e: (0, i) for i, e in enumerate(self.edges)}  # 1 * cell i
+        self.chains = [[[(0, 0)]], [self.steps[x] for (x,) in bar.tuples(1)],
+                       [[term[(group.mul(g, p), t)] for p, t in self.steps[h]
+                         if (group.mul(g, p), t) in term]
+                        for g, h in bar.tuples(2)]]
 
     def cells(self, m: int) -> int:
-        return (1, len(self.group.generators), len(self.edges))[m] \
-            if m >= 0 else 0
+        return len(self.faces[m]) if m >= 0 else 0
 
     def boundaries(self, m: int, last=None):
         """As ``_Bar.boundaries``, for m <= 2; ``last`` must be None."""
-        if m < 1:
-            if m == 0:
-                yield 0, {}
+        if m < 0:
             return
-        # a 1-cell t has boundary s_t v - v, v the one 0-cell
-        cells = self.loops if m == 2 else [
-            [(s, 0, 1), (0, 0, -1)] for s in self.group.generators]
-        for i, cell in enumerate(cells):
-            boundary: dict = {}
-            for y, u, sign in cell:
-                boundary[(u, y)] = boundary.get((u, y), 0) + sign
-            yield i, boundary
+        for i, cell in enumerate(self.faces[m]):
+            yield i, _collect(((face, g), sign) for g, face, sign in cell)
 
     def to_bar(self, m: int, vec: Sequence[int], mats, rank: int) -> list:
-        """Cochain map Cayley -> normalized bar in degree m: f(g) = J_g c
-        in degree 1; in degree 2, f(g, h) sums c over ``paths``."""
-        group = self.group
-        if m == 0:
-            return list(vec)
-        if m == 1:
-            f = [[0] * rank for _ in group.elements()]
-            for x, p, t in group.tree():
-                ct = vec[t * rank:(t + 1) * rank]
-                f[x] = [y + sum(e * ct[b] for b, e in mrow)
-                        for y, mrow in zip(f[p], mats[p])]
-            return [y for (x,) in self.bar.tuples(1) for y in f[x]]
+        """Cochain map Cayley -> normalized bar in degree m: at each bar
+        m-cell, the sum of M(g) c_cell over its ``chains`` terms."""
         out = []
-        for cells in self.paths:
+        for terms in self.chains[m]:
             acc = [0] * rank
-            for i in cells:
-                for a in range(rank):
-                    acc[a] += vec[i * rank + a]
+            for g, cell in terms:
+                base = cell * rank
+                if g:
+                    for a, mrow in enumerate(mats[g]):
+                        acc[a] += sum(e * vec[base + b] for b, e in mrow)
+                else:  # M(1) c = c
+                    for a in range(rank):
+                        acc[a] += vec[base + a]
             out += acc
         return out
 
     def from_bar(self, m: int) -> list[dict]:
         """Cochain map normalized bar -> Cayley in degree m, per m-cell as
-        {bar cell: coefficient}: c_t = f(s_t); at a 2-cell, the signed sum
-        of f(y, s_u) over its loop, i.e. f(x, s) + A_x - A_{xs}."""
-        gens = self.group.generators
-        if m == 0:
-            cells = [[((), 1)]]
-        elif m == 1:
-            cells = [[((s,), 1)] for s in gens]
-        else:
-            cells = [[((y, gens[u]), sign) for y, u, sign in loop]
-                     for loop in self.loops]
-        out = []
-        for cell in cells:
-            terms: dict = {}
-            for tup, c in cell:
-                k = self.bar.index(tup)
-                if k is not None:
-                    terms[k] = terms.get(k, 0) + c
-            out.append(terms)
-        return out
+        {bar cell: coefficient}.  It is dual to the chain map that sends
+        the 0-cell to [] and an m-cell to the sum of sign [g | the bar
+        chain of face] over its ``faces``, dropping g = 1."""
+        images = [{(): 1}]
+        for cells in self.faces[1:m + 1]:
+            images = [_collect(((g,) + tup, sign * c)
+                               for g, face, sign in cell if g
+                               for tup, c in images[face].items())
+                      for cell in cells]
+        return [{self.bar.index(tup): c for tup, c in image.items()}
+                for image in images]
 
 
 def _cayley(group: FiniteGroup) -> _Cayley:
@@ -552,11 +548,14 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
 def _cached(coeff, kind: str, h, n: int, normalized: bool, compute):
     """Look a result up in, or add it to, the cache stored on ``coeff``.
 
-    The key holds the subgroup's members, not the identity of its parent
-    group: callers may pass handles into a different group object with
-    the same multiplication table, and answers depend only on the table.
-    A group with another table is refused before the cache is read: its
-    element ids do not index the coefficient's element matrices.
+    The key holds a subgroup's members, or a whole group's generator
+    list, not the identity of a group object: callers may pass another
+    group object with the same multiplication table, and answers depend
+    only on the table and the generators, which build the Cayley complex
+    and so fix the generator cochains (a handle's members fix those of
+    ``as_group()``).  A group with another table is refused before the
+    cache is read: its element ids do not index the coefficient's element
+    matrices.
     """
     g = h.parent if isinstance(h, SubgroupHandle) else h
     if not g.same_table(coeff.group):
@@ -565,8 +564,8 @@ def _cached(coeff, kind: str, h, n: int, normalized: bool, compute):
     if cache is None:
         cache = {}
         object.__setattr__(coeff, "_coh_cache", cache)
-    key = (kind, h.members if isinstance(h, SubgroupHandle) else None, n,
-           normalized)
+    key = (kind, ("members", h.members) if isinstance(h, SubgroupHandle)
+           else ("generators", h.generators), n, normalized)
     out = cache.get(key)
     if out is None:
         out = cache[key] = compute()

@@ -129,9 +129,8 @@ def verify_square(src: TwoTermComplex, tgt: TwoTermComplex,
     membership in span(d), that of d' the cycle basis on the target, and
     that of [comp0 | d'] both "onto" (its pivots) and the preimage (its
     kernel, recorded on the first m coordinates).  No Smith form runs."""
-    group = (src.l1.group.table, src.l1.group.generators)
-    if any((x.group.table, x.group.generators) != group
-           for x in (src.l2, tgt.l1, tgt.l2)):
+    if not all(src.l1.group.same_presentation(x.group)
+               for x in (src.l2, tgt.l1, tgt.l2)):
         return MoveEvidence(False, False)
     if not (_shaped(comp_minus1, tgt.l1.rank, src.l1.rank)
             and _shaped(comp0, tgt.l2.rank, src.l2.rank)
@@ -481,8 +480,7 @@ def _contragredient(e: GLattice, c1: GLattice) -> bool:
     """Whether ``c1`` is the dual of ``e``: the same group table and
     generators, the same rank, and M_C1(s)^T M_E(s) = 1 for every
     generator index s, on sparse rows."""
-    if (e.group.table, e.group.generators) \
-            != (c1.group.table, c1.group.generators) \
+    if not e.group.same_presentation(c1.group) \
             or e.rank != c1.rank or len(e.action) != len(c1.action):
         return False
     ident = tuple(((i, 1),) for i in range(c1.rank))

@@ -261,7 +261,7 @@ def enumerate_cocycles(c: FiniteCrossedModule,
 def h_zero(c: FiniteCrossedModule,
            bound: int = DEFAULT_ENUMERATION_BOUND) -> HZero:
     """Cocycle classes with the induced group law, verified well-defined
-    and associative."""
+    here and a group by ``group_from_table``."""
     cocycles = enumerate_cocycles(c, bound)
     cocycle_set = set(cocycles)
     class_of: dict = {}
@@ -294,11 +294,6 @@ def h_zero(c: FiniteCrossedModule,
             prod = _cocycle_product(c, z1, z2)
             if class_of[prod] != table[class_of[z1]][class_of[z2]]:
                 raise RuntimeError("group law not well defined on classes")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise RuntimeError("class multiplication not associative")
     group = group_from_table(table)
     return HZero(c, cocycles, class_of, tuple(reps), table, group)
 

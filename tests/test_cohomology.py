@@ -1,6 +1,7 @@
 """Group, Tate, and hypercohomology against textbook values and the
 unnormalized-complex oracle."""
 
+import dataclasses
 import random
 
 import pytest
@@ -352,6 +353,52 @@ def test_cayley_cochain_maps_round_trip():
     assert checked > 60
 
 
+def test_cayley_maps_are_cochain_maps():
+    """On every catalog lattice (and Z over every catalog group) and
+    subgroup, in degrees n = 0 and 1: bar d^n to_bar = to_bar Cayley d^n
+    on every Cayley basis cochain, Cayley d^n from_bar = from_bar bar d^n
+    on every bar basis cochain, and the Cayley d^1 d^0 is 0.  Unlike the
+    round trip above, this covers cochains that are not cocycles.  The
+    trivial subgroup's 1-cell has boundary s v - v = 0, as its one
+    generator is the identity."""
+    lattices = list(fixtures.lattice_catalog().values())
+    lattices += [trivial_lattice(g) for g in fixtures.group_catalog().values()]
+    checked = 0
+    for lat in lattices:
+        r = lat.rank
+        for h in enumerate_subgroups(lat.group)[0]:
+            sub = h.as_group()
+            mats = [lat.element_rows()[g] for g in h.members_bfs()]
+            cay = _cayley(sub)
+
+            def cay_d(n, c):
+                return tuple(sum(x * c[j] for j, x in row.items())
+                             for row in _total_rows(cay, (0, ()), (r, mats),
+                                                    None, n))
+
+            def from_bar(n, f):
+                return tuple(sum(x * f[j * r + a] for j, x in terms.items())
+                             for terms in cay.from_bar(n) for a in range(r))
+
+            def units(dim):
+                return [tuple(int(i == j) for j in range(dim))
+                        for i in range(dim)]
+
+            for n in (0, 1):
+                bar_d = bar_differential(sub, mats, r, n)
+                for c in units(cay.cells(n) * r):
+                    assert mat_vec(bar_d, cay.to_bar(n, c, mats, r)) \
+                        == tuple(cay.to_bar(n + 1, cay_d(n, c), mats, r))
+                    if n == 0:
+                        assert not any(cay_d(1, cay_d(0, c)))
+                    checked += 1
+                for f in units(cochain_dim(sub.order, r, n)):
+                    assert cay_d(n, from_bar(n, f)) \
+                        == from_bar(n + 1, mat_vec(bar_d, f))
+                    checked += 1
+    assert checked > 900
+
+
 def test_cayley_two_cells_are_the_edges_outside_the_tree():
     """One 2-cell per edge (x, s_t) outside ``FiniteGroup.tree()``,
     |G|(k-1)+1 in all, in ascending (x, t) order: exactly the edges along
@@ -664,3 +711,23 @@ def test_cohomology_refuses_a_foreign_acting_group():
     assert group_cohomology(twin, sgn, 1) is group_cohomology(s3, sgn, 1)
     assert group_cohomology(whole_subgroup(twin), sgn, 1).invariant_factors \
         == (2,)
+
+
+def test_cache_keeps_generator_lists_apart():
+    """Two groups with one table but different generator lists have
+    different Cayley complexes, so generators on different cochains:
+    each gets its own answer, and the second query does not return the
+    first one's."""
+    for name in ("v4-character", "s3-coset"):
+        g = fixtures.lattice_catalog()[name].group
+        alt = group_from_table(g.table, tuple(reversed(g.generators)))
+
+        def fresh():  # a copy with an empty cache
+            return dataclasses.replace(fixtures.lattice_catalog()[name])
+
+        lat = fresh()
+        first = group_cohomology(alt, lat, 2)
+        second = group_cohomology(g, lat, 2)
+        assert first.generators == group_cohomology(alt, fresh(), 2).generators
+        assert second.generators == group_cohomology(g, fresh(), 2).generators
+        assert second.generators != first.generators
