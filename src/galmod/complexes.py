@@ -12,11 +12,15 @@ next step reads.  The full chain of moves is returned as a replayable
 certificate; replay also checks that the moves lead from the original
 complex to the resolved one, the embedding move included: its target
 lattice must be the dual of the lattice the next pushout embeds into.
+Each complex keeps its two resolutions, computed once, as
+``cached_property`` values; the certificate, which refers back to the
+complex, is built on each call, so the cache makes no reference cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import intlinalg as la
@@ -60,6 +64,16 @@ class TwoTermComplex:
         self.l1.validate()
         self.l2.validate()
         self.differential.validate()
+
+    @cached_property
+    def _coflasque(self) -> tuple:
+        """``_coflasque_parts``, computed once per complex."""
+        return _coflasque_parts(self)
+
+    @cached_property
+    def _flasque(self) -> tuple:
+        """``_flasque_parts``, computed once per complex."""
+        return _flasque_parts(self)
 
     def dual(self) -> "TwoTermComplex":
         d1 = dual_lattice(self.l2)
@@ -530,36 +544,57 @@ def replay_certificate(cert: ResolutionCertificate) -> bool:
     return verdict.ok and verdict.table == cert.vanishing_table
 
 
-def coflasque_resolution(t: TwoTermComplex) -> tuple[TwoTermComplex,
-                                                     ResolutionCertificate]:
-    """Quasi-isomorphic [C -> Q] with C coflasque and Q permutation."""
+def _coflasque_parts(t: TwoTermComplex) -> tuple:
+    """(resolved, moves, vanishing table) of the coflasque resolution.
+    The moves hold t's lattices and differential but not t itself, so
+    caching the parts on t makes no reference cycle."""
     embed = cts_embed_coflasque(t.l1)
     po = pushout_square(embed.inclusion, t.differential)
     cover = cts_cover_coflasque(po.quotient)
     pb = pullback_square(cover.projection, po.tgt_differential)
     resolved = pb.source
     verdict = _require(resolved.l1, "coflasque", "resolved complex")
-    cert = ResolutionCertificate(
-        "coflasque", t, resolved,
-        embed.moves + (po.move, pb.move), verdict.table)
-    return resolved, cert
+    return resolved, embed.moves + (po.move, pb.move), verdict.table
+
+
+def _flasque_parts(t: TwoTermComplex) -> tuple:
+    """(resolved, moves on the dual side, duality evidence, vanishing
+    table) of the flasque resolution: the entrywise dual of the
+    coflasque resolution of the dual complex.  The duality move, whose
+    source is t, is left out, so caching the parts on t makes no
+    reference cycle."""
+    cof, cert_dual = coflasque_resolution(t.dual())
+    resolved = cof.dual()
+    verdict = _require(resolved.l2, "flasque", "resolved complex")
+    dual_ev = MoveEvidence(*_duality_evidence(t, resolved))
+    return resolved, cert_dual.moves, dual_ev, verdict.table
+
+
+def coflasque_resolution(t: TwoTermComplex) -> tuple[TwoTermComplex,
+                                                     ResolutionCertificate]:
+    """Quasi-isomorphic [C -> Q] with C coflasque and Q permutation.
+
+    The moves are computed once per complex and kept on it; each call
+    returns the same resolved complex and moves in a new certificate."""
+    resolved, moves, table = t._coflasque
+    return resolved, ResolutionCertificate("coflasque", t, resolved, moves,
+                                           table)
 
 
 def flasque_resolution(t: TwoTermComplex) -> tuple[TwoTermComplex,
                                                    ResolutionCertificate]:
     """Quasi-isomorphic [P -> F] with P permutation and F flasque,
     computed as the entrywise dual of the coflasque resolution of the
-    dual complex."""
-    cof, cert_dual = coflasque_resolution(t.dual())
-    resolved = cof.dual()
-    verdict = _require(resolved.l2, "flasque", "resolved complex")
-    dual_ev = MoveEvidence(*_duality_evidence(t, resolved))
+    dual complex.
+
+    As for ``coflasque_resolution``, the resolution is computed once per
+    complex; the duality move and the certificate are built on each
+    call."""
+    resolved, moves, dual_ev, table = t._flasque
     duality_move = CertificateMove("duality", t, resolved, None, None,
                                    dual_ev)
-    cert = ResolutionCertificate(
-        "flasque", t, resolved,
-        cert_dual.moves + (duality_move,), verdict.table)
-    return resolved, cert
+    return resolved, ResolutionCertificate(
+        "flasque", t, resolved, moves + (duality_move,), table)
 
 
 # ---------------------------------------------------------------------------

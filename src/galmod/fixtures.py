@@ -2,7 +2,9 @@
 modules, patching graphs, and test batteries.
 
 Catalog objects are constructed once per process and cached, so repeated
-lookups share the cohomology results cached on each object.
+lookups share the cohomology results cached on each object, and a catalog
+complex shares its flasque and coflasque resolutions for the whole
+process.
 """
 
 from __future__ import annotations

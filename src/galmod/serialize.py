@@ -128,7 +128,8 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
         raise FormatError(f"unrecognized group reference {obj!r}")
     if "table" in obj:
         _expect(obj, GROUP_FORMAT)
-        # bound the order and the ids before the O(n^3) axiom check
+        # bound the order and the ids before the axiom check, O(n^2 k)
+        # for k generators (every non-identity element when none given)
         n = len(obj["table"])
         if n > size_limit:
             raise SizeLimitError(f"group order {n} exceeds size limit "

@@ -346,6 +346,20 @@ def test_group_ids_out_of_range_exit_two(capsys, tmp_path, change):
     assert err.startswith("input error: ")
 
 
+def test_non_associative_group_table_exits_two(capsys, tmp_path):
+    """A loop of order 5 whose generators 1 and 2 reach every element is
+    refused by the associativity check, at (1, 1, 2)."""
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({
+        "format": "galmod-group-1", "generators": [1, 2],
+        "table": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]}))
+    code, out, err = run(capsys, "sylow-cyclic", "--group", str(path))
+    assert code == 2
+    assert out == ""
+    assert "(1, 1, 2)" in err
+
+
 def _crossed_file(tmp_path, change):
     obj = json.loads(serialize.to_json(serialize.dump_crossed(
         fixtures.lookup("crossed", "s3-identity"))))

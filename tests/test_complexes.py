@@ -1,6 +1,8 @@
 """Two-term complexes: homology, vanishing classification, covers,
 resolutions, and certificates."""
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -363,10 +365,18 @@ def test_pushout_pullback_identity_squares():
     assert pb.move.evidence.ok
 
 
+def _copy(t):
+    """A complex with t's content, built from fresh objects."""
+    return serialize.load_complex(serialize.dump_complex(t))
+
+
 def test_uniqueness_invariants_agree_for_same_input():
+    """Two separately built copies, each resolved on its own: one complex
+    resolved twice would return its cached resolution."""
     t = fixtures.complex_catalog()["z2-aug"]
-    r1, _ = flasque_resolution(t)
-    r2, _ = flasque_resolution(t)
+    r1, _ = flasque_resolution(_copy(t))
+    r2, _ = flasque_resolution(_copy(t))
+    assert r1 is not r2
     report = uniqueness_invariants(r1, r2)
     assert report.agree
 
@@ -499,3 +509,46 @@ def test_acyclic_stays_acyclic():
     hminus, h0 = homology(resolved)
     assert hminus.rank == 0
     assert h0.invariant_factors == ()
+
+
+def test_resolutions_are_kept_on_the_complex():
+    """A repeated call returns the same resolved complex and moves, in a
+    new certificate whose original is the complex; a flasque
+    certificate's duality move is rebuilt too, from the complex."""
+    t = fixtures.complex_catalog()["z3-aug"]
+    for resolve in (coflasque_resolution, flasque_resolution):
+        r1, c1 = resolve(t)
+        r2, c2 = resolve(t)
+        assert r2 is r1 and c2.resolved is r1 and c2 is not c1
+        assert c1.original is t and c2.original is t
+        assert all(a is b for a, b in zip(c1.moves[:3], c2.moves[:3]))
+        assert all(m.src is t for m in c2.moves[3:])
+        assert replay_certificate(c2)
+
+
+def test_a_separate_copy_resolves_afresh():
+    """The cache belongs to one complex object: a copy with the same
+    content computes its own moves, with the same certificate JSON."""
+    t = fixtures.complex_catalog()["z3-aug"]
+    for resolve in (coflasque_resolution, flasque_resolution):
+        resolved, cert = resolve(t)
+        copy_resolved, copy_cert = resolve(_copy(t))
+        assert copy_resolved is not resolved
+        assert not any(a is b for a, b in zip(cert.moves, copy_cert.moves))
+        assert serialize.to_json(serialize.dump_certificate(copy_cert)) \
+            == serialize.to_json(serialize.dump_certificate(cert))
+
+
+def test_resolution_cache_makes_no_reference_cycle():
+    """With the cyclic collector off, a resolved complex is freed as soon
+    as the last reference to it goes: nothing cached on it refers back."""
+    z2 = cyclic_group(2)
+    gc.disable()
+    try:
+        t = _cx(regular_lattice(z2), trivial_lattice(z2), ((1, 1),))
+        ref = weakref.ref(t)
+        results = [coflasque_resolution(t), flasque_resolution(t)]
+        del t, results
+        assert ref() is None
+    finally:
+        gc.enable()

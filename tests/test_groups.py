@@ -1,5 +1,7 @@
 """Finite groups, subgroup enumeration, and coset actions."""
 
+from itertools import permutations, product
+
 import pytest
 
 from galmod import fixtures
@@ -119,6 +121,63 @@ def test_tree_spans_the_cayley_graph():
     # a tree that misses elements: the generators do not generate
     with pytest.raises(ValueError, match="do not generate"):
         group_from_table(cyclic_group(4).table, [2])
+
+
+def _cubic_failure(table):
+    """The first triple (a, b, c) with (a b) c != a (b c), by the cubic
+    check over every triple; None for an associative table."""
+    n = len(table)
+    return next(((a, b, c) for a in range(n) for b in range(n)
+                 for c in range(n)
+                 if table[table[a][b]][c] != table[a][table[b][c]]), None)
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 with its first row and first column
+    in order, so that 0 is a two-sided identity."""
+    def extend(rows):
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        i = len(rows)
+        for rest in permutations([x for x in range(n) if x != i]):
+            row = (i,) + rest
+            if all(row[j] != r[j] for r in rows for j in range(1, n)):
+                yield from extend(rows + [row])
+    return list(extend([tuple(range(n))]))
+
+
+def _reaches_all(table, gens):
+    """Whether right multiplication by gens reaches every element from 0."""
+    seen, queue = {0}, [0]
+    for p in queue:
+        for s in gens:
+            if table[p][s] not in seen:
+                seen.add(table[p][s])
+                queue.append(table[p][s])
+    return len(seen) == len(table)
+
+
+def test_verify_agrees_with_the_cubic_check():
+    """On every reduced Latin square of order 5 and every generating list
+    of one or two elements, the generator-only associativity check
+    refuses the table exactly when some triple fails to associate."""
+    squares = _reduced_latin_squares(5)
+    assert len(squares) == 56
+    groups = 0
+    for table in squares:
+        associative = _cubic_failure(table) is None
+        groups += associative
+        gen_lists = [g for k in (1, 2) for g in product(range(5), repeat=k)
+                     if _reaches_all(table, g)]
+        assert gen_lists
+        for gens in gen_lists:
+            if associative:
+                assert group_from_table(table, gens).order == 5
+            else:
+                with pytest.raises(ValueError, match="associativity"):
+                    group_from_table(table, gens)
+    assert groups == 6
 
 
 def test_parse_cycles_round_trip():

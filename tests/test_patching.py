@@ -8,9 +8,10 @@ from matvec import mat_vec
 
 from galmod import intlinalg as la
 from galmod import fixtures
+from galmod import complexes
 from galmod import patching as pa
 from galmod.cohomology import group_cohomology, restriction
-from galmod.complexes import TwoTermComplex
+from galmod.complexes import TwoTermComplex, flasque_resolution
 from galmod.crossed import identity_crossed, trivial_galois_action
 from galmod.groups import (SizeLimitError, coset_action, cyclic_group,
                            enumerate_subgroups, klein_four, subgroup,
@@ -179,6 +180,24 @@ def test_remark_compare_agreement():
     assert rc.hypotheses_hold
     rc2 = pa.remark_compare(fixtures.graph_catalog()["two-vertex-whole"], t)
     assert rc2.all_agree
+
+
+def test_remark_compare_reads_the_cached_flasque_resolution(monkeypatch):
+    """remark_compare on a complex already resolved flasque runs no
+    second resolution: no embedding into a coflasque lattice."""
+    t = fixtures.complex_catalog()["s3-coset-aug"]
+    flasque_resolution(t)
+    calls = []
+    real = complexes.cts_embed_coflasque
+
+    def counted(lat):
+        calls.append(lat)
+        return real(lat)
+
+    monkeypatch.setattr(complexes, "cts_embed_coflasque", counted)
+    rc = pa.remark_compare(fixtures.graph_catalog()["s3-two-vertex"], t)
+    assert calls == []
+    assert rc.flasque_lattice is flasque_resolution(t)[0].l2
 
 
 def test_remark_compare_reports_disagreement():
