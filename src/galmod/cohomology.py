@@ -23,7 +23,7 @@ cochain map into the bar complex:
 * ``_Cayley``, used when every part is a lattice: the Cayley complex of
   H on its generators s_1..s_k (Holt, JSC 1985; Brown, Cohomology of
   Groups, II.5).  The BFS spanning tree ``FiniteGroup.tree()`` gives each
-  x its word(x), and each of the |H|(k-1)+1 edges (x, s) outside the tree
+  x its word(x), and each of the |H|(k-1)+1 ``loop_edges()`` (x, s)
   bounds a 2-cell, so C^0 = L, C^1 = L^k and C^2 = L^cells, with d^0 the
   stacked M(s) - 1 and (d^1 c)(x, s) = J_x c + M(x) c_s - J_{xs} c.  Here
   J_x c sums M(p_{i-1}) c_{t_i} along word(x) = t_1..t_m, p_i its
@@ -56,10 +56,11 @@ coordinates on them, read off an echelon of the g_i, are the z_i =
 on that echelon and reads each kept z_i mod d_i; and its check rows, the
 rows of the bar d^n at the argument tuples that end in a generator, test
 first that a cochain is a cocycle.  A vanishing H^n keeps only the check
-rows.  That check is complete: if phi = d v vanishes at every (.., s),
-then (d phi)(.., c, s) = 0 gives phi(.., cs) = phi(.., c), and phi = 0
-by induction on the length of word(c).  Its rows are built by the first
-``reduce`` and kept: the vanishing checks of ``complexes.classify``
+rows.  That check is complete, by the induction on len(word(y)) of
+``FiniteGroup.loop_edges``: phi = d v is a cocycle, so if phi(.., s) = 0
+at each generator s, (d phi)(.., c, s) = 0 gives phi(.., cs) =
+phi(.., c), and phi(.., y) = phi(.., 1) = 0.  Its rows are built by the
+first ``reduce`` and kept: the vanishing checks of ``complexes.classify``
 never reduce.
 
 Whether H^1(H, L) or Tate H^-1(H, L) vanishes is decided by ranks mod p,
@@ -288,9 +289,9 @@ class _Cayley:
     cochain maps to and from the normalized bar complex ``bar``.
 
     ``FiniteGroup.tree()`` spans the Cayley graph.  Each edge (x, s_t)
-    outside it closes a loop, word(x) then s_t then word(x s_t) backwards,
-    that bounds one 2-cell.  The methods read only the per-degree
-    ``faces`` and ``chains`` (module docstring).
+    outside it (``loop_edges()``) closes a loop, word(x) then s_t then
+    word(x s_t) backwards, that bounds one 2-cell.  The methods read only
+    the per-degree ``faces`` and ``chains`` (module docstring).
     """
 
     def __init__(self, group: FiniteGroup):
@@ -301,9 +302,7 @@ class _Cayley:
         self.steps = [()] * group.order
         for x, p, t in group.tree():
             self.steps[x] = self.steps[p] + ((p, t),)
-        in_tree = {(p, t) for _, p, t in group.tree()}
-        self.edges = [(x, t) for x in group.elements()
-                      for t in range(len(gens)) if (x, t) not in in_tree]
+        self.edges = group.loop_edges()
         # the 1-cell t bounds s_t v - v; the 2-cell (x, t) its loop's Fox
         # derivative J_x + x e_t - J_{x s_t}
         self.faces = [[[]], [[(s, 0, 1), (0, 0, -1)] for s in gens],

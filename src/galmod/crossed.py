@@ -8,7 +8,9 @@ h in H) modulo coboundaries, with the cochain group law
 (alpha, h)(beta, h') = ((h . beta) alpha, h h').  A cocycle is fixed
 by its values on the generators of Gamma and extends along the BFS
 spanning tree ``FiniteGroup.tree()``, so the enumeration tries
-|G|^#generators maps, not |G|^|Gamma|.
+|G|^#generators maps, not |G|^|Gamma|.  Every multiplicative identity,
+the axioms and the cocycle conditions alike, is checked on generators
+only, by the lemma in ``FiniteGroup.loop_edges``.
 """
 
 from __future__ import annotations
@@ -62,91 +64,79 @@ class CrossedVerdict:
     failure: Optional[tuple]  # (description, witness tuple)
 
 
+def _hom_failure(f, src: FiniteGroup, tgt: FiniteGroup):
+    """The first (a, s), s a generator of ``src``, with f(a s) !=
+    f(a) f(s) for the value table ``f``; None if there is none, and then
+    f is a homomorphism (``FiniteGroup.loop_edges``)."""
+    return next(((a, s) for a in src.elements() for s in src.generators
+                 if f[src.mul(a, s)] != tgt.mul(f[a], f[s])), None)
+
+
+def _action_failure(acting: FiniteGroup, tables, n: int):
+    """Where ``tables``, one map of range(n) per element of ``acting``,
+    fails to be an action: (0,) if tables[0] is not the identity, else
+    the first (x, t), t a generator, with tables[x t] != tables[x] o
+    tables[t]; None if it is an action (``FiniteGroup.loop_edges``)."""
+    if tables[0] != tuple(range(n)):
+        return (0,)
+    return next(((x, t) for x in acting.elements() for t in acting.generators
+                 if tables[acting.mul(x, t)]
+                 != tuple(tables[x][i] for i in tables[t])), None)
+
+
 def validate_crossed_module(c: FiniteCrossedModule) -> CrossedVerdict:
-    """Exhaustively check the crossed-module axioms; returns the first
-    violating tuple on failure."""
-    g, h = c.g, c.h
-    d = c.boundary
-    # boundary is a homomorphism
-    for a in g.elements():
-        for b in g.elements():
-            if d[g.mul(a, b)] != h.mul(d[a], d[b]):
-                return CrossedVerdict(False,
-                                      ("boundary not a homomorphism", (a, b)))
-    # H acts by automorphisms
-    for x in h.elements():
-        row = c.h_action[x]
-        if row[0] != 0:
-            return CrossedVerdict(False, ("action does not fix identity",
-                                          (x,)))
-        for a in g.elements():
-            for b in g.elements():
-                if row[g.mul(a, b)] != g.mul(row[a], row[b]):
-                    return CrossedVerdict(
-                        False, ("action not by automorphisms", (x, a, b)))
-    for x in h.elements():
-        for y in h.elements():
-            for a in g.elements():
-                if c.act_h(h.mul(x, y), a) != c.act_h(x, c.act_h(y, a)):
-                    return CrossedVerdict(
-                        False, ("H-action not associative", (x, y, a)))
+    """Check the crossed-module axioms; returns the first violating
+    tuple on failure.
+
+    Every check reads generators (``FiniteGroup.loop_edges``).  A table
+    is a homomorphism once f(a s) = f(a) f(s) at each a and generator s,
+    an action once the identity acts as the identity and x t as x after
+    t, and an action by automorphisms once the generators' maps are
+    homomorphisms.  These come first, the boundary before the rest.
+    Each later axiom equates two homomorphisms or two actions in every
+    slot, so generators in each slot suffice: d(s.a) = s.d(a) at
+    generators s, t gives d(st.a) = s.d(t.a) = st.d(a).  That ker d is
+    central follows from the conjugation identity: z b z^-1 = d(z).b = b.
+    """
+    failure = next(((what, witness) for what, witness in _axioms(c)
+                    if witness), None)
+    return CrossedVerdict(failure is None, failure)
+
+
+def _axioms(c: FiniteCrossedModule):
+    """(description, witness or None) per axiom, in the order checked.
+    Being a generator, it runs a check only once every earlier one has
+    passed, as the reductions to generators need."""
+    g, h, gal = c.g, c.h, c.galois
+    d, act = c.boundary, c.h_action
+    yield "boundary not a homomorphism", _hom_failure(d, g, h)
+    yield "H tables not an action on G", _action_failure(h, act, g.order)
+    for x in h.generators:
+        witness = _hom_failure(act[x], g, g)
+        yield "action not by automorphisms", witness and (x,) + witness
     # Peiffer identities
-    for a in g.elements():
-        for b in g.elements():
-            if g.mul(g.mul(a, b), g.inv(a)) != c.act_h(d[a], b):
-                return CrossedVerdict(False, ("conjugation identity fails",
-                                              (a, b)))
-    for x in h.elements():
-        for a in g.elements():
-            if d[c.act_h(x, a)] != h.mul(h.mul(x, d[a]), h.inv(x)):
-                return CrossedVerdict(False, ("boundary twist fails", (x, a)))
+    yield "conjugation identity fails", next(
+        ((a, b) for a in g.generators for b in g.generators
+         if g.conj(a, b) != act[d[a]][b]), None)
+    yield "boundary twist fails", next(
+        ((x, a) for x in h.generators for a in g.generators
+         if d[act[x][a]] != h.conj(x, d[a])), None)
     # Galois acts by automorphisms compatible with everything
-    gal = c.galois
-    for s in gal.elements():
-        rg, rh = c.galois_on_g[s], c.galois_on_h[s]
-        for a in g.elements():
-            for b in g.elements():
-                if rg[g.mul(a, b)] != g.mul(rg[a], rg[b]):
-                    return CrossedVerdict(
-                        False, ("Galois not by automorphisms on G",
-                                (s, a, b)))
-        for x in h.elements():
-            for y in h.elements():
-                if rh[h.mul(x, y)] != h.mul(rh[x], rh[y]):
-                    return CrossedVerdict(
-                        False, ("Galois not by automorphisms on H",
-                                (s, x, y)))
-        for a in g.elements():
-            if d[rg[a]] != rh[d[a]]:
-                return CrossedVerdict(
-                    False, ("Galois does not commute with boundary", (s, a)))
-        for x in h.elements():
-            for a in g.elements():
-                if rg[c.act_h(x, a)] != c.act_h(rh[x], rg[a]):
-                    return CrossedVerdict(
-                        False, ("Galois incompatible with H-action",
-                                (s, x, a)))
-    for s in gal.elements():
-        for t in gal.elements():
-            st = gal.mul(s, t)
-            for a in g.elements():
-                if c.galois_on_g[s][c.galois_on_g[t][a]] \
-                        != c.galois_on_g[st][a]:
-                    return CrossedVerdict(
-                        False, ("Galois tables not an action on G",
-                                (s, t, a)))
-            for x in h.elements():
-                if c.galois_on_h[s][c.galois_on_h[t][x]] \
-                        != c.galois_on_h[st][x]:
-                    return CrossedVerdict(
-                        False, ("Galois tables not an action on H",
-                                (s, t, x)))
-    # kernel of the boundary is central
-    for z in c.kernel_elements():
-        for a in g.elements():
-            if g.mul(z, a) != g.mul(a, z):
-                return CrossedVerdict(False, ("kernel not central", (z, a)))
-    return CrossedVerdict(True, None)
+    rg, rh = c.galois_on_g, c.galois_on_h
+    for side, tables, target in (("G", rg, g), ("H", rh, h)):
+        yield (f"Galois tables not an action on {side}",
+               _action_failure(gal, tables, target.order))
+        for s in gal.generators:
+            witness = _hom_failure(tables[s], target, target)
+            yield (f"Galois not by automorphisms on {side}",
+                   witness and (s,) + witness)
+    yield "Galois does not commute with boundary", next(
+        ((s, a) for s in gal.generators for a in g.generators
+         if d[rg[s][a]] != rh[s][d[a]]), None)
+    yield "Galois incompatible with H-action", next(
+        ((s, x, a) for s in gal.generators for x in h.generators
+         for a in g.generators
+         if rg[s][act[x][a]] != act[rh[s][x]][rg[s][a]]), None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +152,11 @@ class HMinusOne:
 
 
 def h_minus_one(c: FiniteCrossedModule) -> HMinusOne:
-    gal = c.galois
+    """The kernel elements fixed by the generators of Gamma, hence by
+    Gamma; ``c`` must be a validated module."""
     members = tuple(
         x for x in c.kernel_elements()
-        if all(c.act_gal_g(s, x) == x for s in gal.elements()))
+        if all(c.act_gal_g(s, x) == x for s in c.galois.generators))
     index = {x: i for i, x in enumerate(members)}
     # fixed kernel elements form a subgroup; reorder so identity is 0
     assert members and members[0] == 0
@@ -216,44 +207,40 @@ def _coboundary_transform(c: FiniteCrossedModule, z: Cocycle,
 def enumerate_cocycles(c: FiniteCrossedModule,
                        bound: int = DEFAULT_ENUMERATION_BOUND
                        ) -> tuple[Cocycle, ...]:
-    """All 0-cocycles in lexicographic (alpha, h) order.
+    """All 0-cocycles in lexicographic (alpha, h) order; ``c`` must be a
+    validated module.
 
     A cocycle is fixed by its values on the generators of Gamma, since
     alpha(xs) = alpha(x) x.alpha(s).  Each assignment of values on the
     distinct non-identity generators, the children of the identity in
     ``gal.tree()``, is extended along that tree and kept if the cocycle
-    identity holds on every pair (s, t); ``bound`` caps the
-    |G|^#generators assignments tried.
+    identity holds on ``gal.loop_edges()``, hence everywhere by the lemma
+    there; ``bound`` caps the |G|^#generators assignments tried.  An h
+    is kept with it if d(alpha(s)) s.h = h at the generators s, which
+    extends to st as d(alpha(st)) st.h = d(alpha(s)) s.(d(alpha(t)) t.h).
     """
     gal, g, h = c.galois, c.g, c.h
     gens = [x for x, p, _ in gal.tree() if not p]
     steps = [(x, p, gal.generators[t]) for x, p, t in gal.tree() if p]
+    loops = [(x, gal.mul(x, gal.generators[t]), gal.generators[t])
+             for x, t in gal.loop_edges()]
     total = g.order ** len(gens)
     if total > bound:
         raise SizeLimitError(
             f"{total} candidate maps exceed the bound {bound}")
     out = []
-    elements = gal.elements()
     alpha = [0] * gal.order
     for values in itertools.product(range(g.order), repeat=len(gens)):
         for s, v in zip(gens, values):
             alpha[s] = v
         for x, p, s in steps:
             alpha[x] = g.mul(alpha[p], c.act_gal_g(p, alpha[s]))
-        ok = True
-        for s in elements:
-            for t in elements:
-                want = g.mul(alpha[s], c.act_gal_g(s, alpha[t]))
-                if alpha[gal.mul(s, t)] != want:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if any(alpha[xs] != g.mul(alpha[x], c.act_gal_g(x, alpha[s]))
+               for x, xs, s in loops):
             continue
         for x in h.elements():
             if all(h.mul(c.boundary[alpha[s]], c.act_gal_h(s, x)) == x
-                   for s in elements):
+                   for s in gal.generators):
                 out.append((tuple(alpha), x))
     return tuple(sorted(out))
 

@@ -109,13 +109,38 @@ class FiniteGroup:
             words[x] = words[p] + (t,)
         return tuple(words)
 
+    def loop_edges(self) -> tuple[tuple[int, int], ...]:
+        """The |G|(k-1)+1 edges (x, t), from x to x * generators[t], of
+        the Cayley graph that are not steps of ``tree()``, ascending.
+
+        Lemma: an identity f(a y) = f(a) a.f(y), with f(1) = 1 and .
+        an action by automorphisms (trivial for a homomorphism), holds
+        for all a, y once it holds at (a, s) for each element a and
+        generator s, by induction on len(word(y)): with y = p s,
+        f(a y) = f(a p) (a p).f(s) = f(a) a.(f(p) p.f(s)) = f(a) a.f(y).
+        When f is built along the tree, f(x) from f(p) and generators[t]
+        at each step (x, p, t), the identity holds at the steps by
+        construction and needs checking on these edges only."""
+        return self._loop_edges
+
+    @cached_property
+    def _loop_edges(self) -> tuple[tuple[int, int], ...]:
+        steps = {(p, t) for _, p, t in self.tree()}
+        return tuple((x, t) for x in self.elements()
+                     for t in range(len(self.generators))
+                     if (x, t) not in steps)
+
     @cached_property
     def _subgroups(self):
         return _all_subgroups(self)
 
     def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in self.elements() for b in self.elements())
+        """Whether the generators commute pairwise.  That suffices: the
+        centralizer of a generator is a subgroup that holds every
+        generator, so it is the whole group."""
+        table = self.table
+        return all(table[a][b] == table[b][a]
+                   for a in self.generators for b in self.generators)
 
     def verify(self) -> None:
         """Check the group axioms; raises ValueError.

@@ -83,22 +83,23 @@ class GLattice(_ElementRows):
         """Check unimodularity and that the action respects the full
         multiplication table.
 
-        Only M(a) M(s) = M(a s) is tested, for every element a and
-        generator s, on sparse rows.  That suffices: each c != 1 is
-        c = b s with word(c) = word(b) + (s,), so M(c) = M(b) M(s), and by
-        induction on the length of word(c), M(a) M(c) = M(a b) M(s) =
-        M(a c).
+        M(a) M(s_t) = M(a s_t) is tested on sparse rows only at the
+        ``FiniteGroup.loop_edges()`` (a, t).  ``element_rows`` builds
+        M(x) = M(p) M(s_t) at each tree step, so by the lemma there
+        M(a) M(c) = M(a c) for all a, c.  A repeated generator is still
+        checked: its edge lies off the tree.
         """
         for m in self.action:
             if self.rank and not la.is_unimodular(m):
                 raise EquivarianceError("action matrix is not unimodular")
         rows = self.element_rows()
+        gens = self.action_rows()
         g = self.group
-        for a in g.elements():
-            for m, s in zip(self.action_rows(), g.generators):
-                if la.rows_mul(rows[a], m) != rows[g.mul(a, s)]:
-                    raise EquivarianceError(
-                        f"action violates the relation {a}*{s}")
+        for a, t in g.loop_edges():
+            s = g.generators[t]
+            if la.rows_mul(rows[a], gens[t]) != rows[g.mul(a, s)]:
+                raise EquivarianceError(
+                    f"action violates the relation {a}*{s}")
 
     @property
     def _dim(self) -> int:

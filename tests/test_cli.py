@@ -260,6 +260,21 @@ def test_crossed_module_breaking_an_axiom_exit_two(capsys, tmp_path):
     assert "invalid crossed module" in err
 
 
+def test_galois_identity_acting_by_zero_exits_two(capsys, tmp_path):
+    """The trivial Galois group acting on G = H = Z/2 by the zero map is
+    refused at load time, before H^0 could meet a coboundary outside the
+    cocycle set."""
+    z2, one = cyclic_group(2), cyclic_group(1)
+    zero_map = FiniteCrossedModule(z2, z2, (0, 0), conjugation_h_action(z2),
+                                   one, ((0, 0),), ((0, 0),))
+    path = tmp_path / "crossed.json"
+    path.write_text(serialize.to_json(serialize.dump_crossed(zero_map)))
+    code, out, err = run(capsys, "crossed-h0", "--crossed", str(path))
+    assert code == 2
+    assert out == ""
+    assert "invalid crossed module: Galois tables not an action on G" in err
+
+
 # Malformed files and stdin are input errors (exit 2), even when the
 # loader meets them as a TypeError, a KeyError or a short row.
 MALFORMED = {

@@ -400,10 +400,11 @@ def test_cayley_maps_are_cochain_maps():
 
 
 def test_cayley_two_cells_are_the_edges_outside_the_tree():
-    """One 2-cell per edge (x, s_t) outside ``FiniteGroup.tree()``,
-    |G|(k-1)+1 in all, in ascending (x, t) order: exactly the edges along
-    which word(x) + (t,) is not the word of x s_t.  Each word chain walks
-    word(x) letter by letter from the identity."""
+    """One 2-cell per edge (x, s_t) outside ``FiniteGroup.tree()``, its
+    ``loop_edges()``, |G|(k-1)+1 in all, in ascending (x, t) order:
+    exactly the edges along which word(x) + (t,) is not the word of
+    x s_t.  Each word chain walks word(x) letter by letter from the
+    identity."""
     s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
     groups = list(fixtures.group_catalog().values()) + [
         s4, direct_product(s4, cyclic_group(2))]
@@ -411,11 +412,12 @@ def test_cayley_two_cells_are_the_edges_outside_the_tree():
     for g in groups:
         cay = _cayley(g)
         k = len(g.generators)
+        assert cay.edges == g.loop_edges()
         assert len(cay.edges) == g.order * (k - 1) + 1
-        assert cay.edges == sorted(cay.edges)
-        assert cay.edges == [
+        assert list(cay.edges) == sorted(cay.edges)
+        assert cay.edges == tuple(
             (x, t) for x in g.elements() for t, s in enumerate(g.generators)
-            if g.word(g.mul(x, s)) != g.word(x) + (t,)]
+            if g.word(g.mul(x, s)) != g.word(x) + (t,))
         for x in g.elements():
             p = 0
             for (q, u), letter in zip(cay.steps[x], g.word(x)):

@@ -123,6 +123,29 @@ def test_tree_spans_the_cayley_graph():
         group_from_table(cyclic_group(4).table, [2])
 
 
+def test_loop_edges_and_is_abelian_read_generators():
+    """``loop_edges()`` holds the |G|(k-1)+1 Cayley edges off the tree,
+    also for repeated generators or the identity among them, and
+    ``is_abelian`` on generator pairs agrees with the check on every
+    pair."""
+    s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)], name="S4")
+    groups = list(fixtures.group_catalog().values()) + [
+        s4, _relabelled(dihedral_group_4()),
+        group_from_table(cyclic_group(4).table, [1, 0, 1, 3]),
+        group_from_table(s4.table, [0] + list(s4.generators))]
+    groups += [h.as_group() for h in enumerate_subgroups(s4)[0]]
+    for g in groups:
+        steps = {(p, t) for _, p, t in g.tree()}
+        edges = g.loop_edges()
+        assert len(edges) == g.order * (len(g.generators) - 1) + 1
+        assert set(edges) | steps == {
+            (x, t) for x in g.elements() for t in range(len(g.generators))}
+        assert g.is_abelian() == all(
+            g.mul(a, b) == g.mul(b, a)
+            for a in g.elements() for b in g.elements())
+    assert [g.is_abelian() for g in groups].count(False) > 5
+
+
 def _cubic_failure(table):
     """The first triple (a, b, c) with (a b) c != a (b c), by the cubic
     check over every triple; None for an associative table."""

@@ -62,6 +62,20 @@ def test_validate_on_generators_matches_full_table():
     assert verdicts.count(False) == 4
 
 
+def test_validate_checks_repeated_and_identity_generators():
+    """A generator listed twice, or the identity listed as a generator,
+    labels an edge off the tree, so its matrix is still checked."""
+    z2 = cyclic_group(2)
+    twice = group_from_table(z2.table, [1, 1])
+    GLattice(twice, 1, (((-1,),), ((-1,),))).validate()
+    with pytest.raises(EquivarianceError):
+        GLattice(twice, 1, (((-1,),), ((1,),))).validate()
+    with_identity = group_from_table(z2.table, [1, 0])
+    GLattice(with_identity, 1, (((-1,),), ((1,),))).validate()
+    with pytest.raises(EquivarianceError):
+        GLattice(with_identity, 1, (((-1,),), ((-1,),))).validate()
+
+
 def _dense_equivariant(f: LatticeMap) -> bool:
     """The check on dense products: M'(s) f = f M(s) per generator."""
     return all(la.mat_mul(mt, f.matrix) == la.mat_mul(f.matrix, ms)
