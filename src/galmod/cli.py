@@ -67,8 +67,8 @@ def _load(args, kind: str):
     if kind == "crossed":
         verdict = validate_crossed_module(obj)
         if not verdict.ok:
-            raise CliInputError(
-                f"invalid crossed module: {verdict.failure[0]}")
+            what, witness = verdict.failure
+            raise CliInputError(f"invalid crossed module: {what} at {witness}")
     elif kind in ("lattice", "complex"):
         obj.validate()
     return obj

@@ -85,8 +85,7 @@ as long as the coefficient does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import intlinalg as la
 from .groups import (FiniteGroup, MembershipError, SubgroupHandle,
@@ -107,8 +106,7 @@ Coefficient = Union[GLattice, FgModule]
 HYPER_DEGREES = (-1, 0, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class CohomologyGroup:
+class CohomologyGroup(NamedTuple):
     """Invariant factors plus explicit generator cochains.
 
     ``generators[i]`` is a cocycle vector in cochain coordinates whose
@@ -138,8 +136,7 @@ class CohomologyGroup:
                 f"factors={list(self.invariant_factors)})")
 
 
-@dataclass(frozen=True, eq=False)
-class CohMap:
+class CohMap(NamedTuple):
     source: CohomologyGroup
     target: CohomologyGroup
     matrix: IntMatrix  # target coords x source generators
@@ -330,18 +327,23 @@ class _Cayley:
 
     def to_bar(self, m: int, vec: Sequence[int], mats, rank: int) -> list:
         """Cochain map Cayley -> normalized bar in degree m: at each bar
-        m-cell, the sum of M(g) c_cell over its ``chains`` terms."""
+        m-cell, the sum of M(g) c_cell over its ``chains`` terms.  Each
+        distinct term is one sparse product, kept for the call: in degree
+        1 the paths word(x) share their tree edges."""
         out = []
+        images: dict = {}  # (g, cell) -> M(g) c_cell
         for terms in self.chains[m]:
             acc = [0] * rank
-            for g, cell in terms:
-                base = cell * rank
-                if g:
-                    for a, mrow in enumerate(mats[g]):
-                        acc[a] += sum(e * vec[base + b] for b, e in mrow)
-                else:  # M(1) c = c
-                    for a in range(rank):
-                        acc[a] += vec[base + a]
+            for term in terms:
+                image = images.get(term)
+                if image is None:
+                    g, cell = term
+                    image = vec[cell * rank:(cell + 1) * rank]
+                    if g:  # else M(1) c = c
+                        image = [sum(e * image[b] for b, e in mrow)
+                                 for mrow in mats[g]]
+                    images[term] = image
+                acc = [x + y for x, y in zip(acc, image)]
             out += acc
         return out
 
@@ -693,8 +695,7 @@ def cochain_pullback(vec: Sequence[int], src_order: int,
     return out
 
 
-@dataclass(frozen=True)
-class ShapiroVerdict:
+class ShapiroVerdict(NamedTuple):
     isomorphic: bool
     induced_side: CohomologyGroup
     subgroup_side: CohomologyGroup

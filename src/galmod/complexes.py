@@ -19,12 +19,12 @@ complex, is built on each call, so the cache makes no reference cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import intlinalg as la
 from .cohomology import group_cohomology, tate_cohomology
+from .frozen import Frozen
 from .groups import coset_action, enumerate_subgroups, subgroup
 from .intlinalg import IntMatrix
 from .lattice import (FgModule, GLattice, LatticeMap, direct_sum,
@@ -41,18 +41,15 @@ class GroupMismatchError(Exception):
     pass
 
 
-@dataclass(frozen=True, eq=False)
-class TwoTermComplex:
+class TwoTermComplex(Frozen):
     """[L1 -> L2] with L1 in degree -1 and L2 in degree 0."""
 
-    l1: GLattice
-    l2: GLattice
-    differential: LatticeMap
+    _fields = ("l1", "l2", "differential")
 
-    def __post_init__(self):
-        if self.differential.source is not self.l1 \
-                or self.differential.target is not self.l2:
+    def __init__(self, l1: GLattice, l2: GLattice, differential: LatticeMap):
+        if differential.source is not l1 or differential.target is not l2:
             raise ValueError("differential must map l1 to l2")
+        vars(self).update(l1=l1, l2=l2, differential=differential)
 
     @property
     def group(self):
@@ -105,8 +102,7 @@ def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
 # ---------------------------------------------------------------------------
 # Quasi-isomorphism verification.
 
-@dataclass(frozen=True)
-class MoveEvidence:
+class MoveEvidence(NamedTuple):
     hminus_ok: bool
     h0_ok: bool
 
@@ -179,8 +175,7 @@ def _homology_stats(t: TwoTermComplex):
     return h0.invariant_factors, hminus.rank, fixed_ranks
 
 
-@dataclass(frozen=True, eq=False)
-class CertificateMove:
+class CertificateMove(NamedTuple):
     """One elementary step of a resolution, with replay data: the one
     record of a move's square."""
 
@@ -216,8 +211,7 @@ def _duality_evidence(a: TwoTermComplex, b: TwoTermComplex):
 # ---------------------------------------------------------------------------
 # Elementary moves.
 
-@dataclass(frozen=True, eq=False)
-class PushoutResult:
+class PushoutResult(NamedTuple):
     """The quotient lattice B', the certified move, the section
     B' -> A' + B and the differential A' -> B'."""
 
@@ -262,8 +256,7 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     return PushoutResult(quo, move, sec, d_tgt)
 
 
-@dataclass(frozen=True, eq=False)
-class PullbackResult:
+class PullbackResult(NamedTuple):
     """The complex [A -> B'] over the fibre A, and the certified move
     from it to [A' -> B]."""
 
@@ -323,8 +316,7 @@ def subgroup_table(lat: GLattice, *kinds: str) -> tuple:
                  for h in reps)
 
 
-@dataclass(frozen=True)
-class ClassificationVerdict:
+class ClassificationVerdict(NamedTuple):
     ok: bool
     mode: str
     table: tuple  # ((subgroup members, invariant factors), ...)
@@ -363,8 +355,7 @@ def _require(lat: GLattice, mode: str, what: str) -> ClassificationVerdict:
 # ---------------------------------------------------------------------------
 # The cover / embedding exact sequences.
 
-@dataclass(frozen=True, eq=False)
-class CoverSequence:
+class CoverSequence(NamedTuple):
     """0 -> C -> Q -> M -> 0 with Q permutation and C coflasque."""
 
     q: GLattice
@@ -413,8 +404,7 @@ def cts_cover_coflasque(m: GLattice) -> CoverSequence:
     return CoverSequence(q, c, inclusion, LatticeMap(q, m, proj_mat))
 
 
-@dataclass(frozen=True, eq=False)
-class EmbedSequence:
+class EmbedSequence(NamedTuple):
     """0 -> L -> C1 -> Q1 -> 0 with C1 coflasque and Q1 permutation."""
 
     l: GLattice
@@ -463,8 +453,7 @@ def cts_embed_coflasque(lat: GLattice) -> EmbedSequence:
 # ---------------------------------------------------------------------------
 # Theorem-level resolutions with certificates.
 
-@dataclass(frozen=True, eq=False)
-class ResolutionCertificate:
+class ResolutionCertificate(NamedTuple):
     """Replayable evidence that ``resolved`` is quasi-isomorphic to
     ``original`` and satisfies the vanishing conditions."""
 
@@ -600,8 +589,7 @@ def flasque_resolution(t: TwoTermComplex) -> tuple[TwoTermComplex,
 # ---------------------------------------------------------------------------
 # Uniqueness invariants and the R-equivalence avatar.
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     agree: bool
     rank_pair: tuple[int, int]
     rows: tuple  # per subgroup rep: (members, per-invariant (x, y, agree))
@@ -625,8 +613,7 @@ def uniqueness_invariants(res: TwoTermComplex,
     return UniquenessReport(agree, (x.rank, y.rank), rows)
 
 
-@dataclass(frozen=True, eq=False)
-class REquivalenceData:
+class REquivalenceData(NamedTuple):
     flasque_lattice: GLattice
     table: tuple  # per subgroup rep: (members, tate^-1 factors, h1 factors)
     certificate: ResolutionCertificate

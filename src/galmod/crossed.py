@@ -16,34 +16,36 @@ only, by the lemma in ``FiniteGroup.loop_edges``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from .frozen import Frozen
 from .groups import FiniteGroup, SizeLimitError, group_from_table
 
 DEFAULT_ENUMERATION_BOUND = 10 ** 6
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteCrossedModule:
+class FiniteCrossedModule(Frozen):
     """d: G -> H with an H-action on G and a Gamma-action on both."""
 
-    g: FiniteGroup
-    h: FiniteGroup
-    boundary: tuple[int, ...]  # value table G -> H
-    h_action: tuple[tuple[int, ...], ...]  # h_action[h][g]
-    galois: FiniteGroup
-    galois_on_g: tuple[tuple[int, ...], ...]  # per Gamma element
-    galois_on_h: tuple[tuple[int, ...], ...]
+    _fields = ("g", "h", "boundary", "h_action", "galois", "galois_on_g",
+               "galois_on_h")
 
-    def __post_init__(self):
-        if len(self.boundary) != self.g.order:
+    def __init__(self, g: FiniteGroup, h: FiniteGroup,
+                 boundary: tuple[int, ...],  # value table G -> H
+                 h_action: tuple[tuple[int, ...], ...],  # h_action[h][g]
+                 galois: FiniteGroup,
+                 galois_on_g: tuple[tuple[int, ...], ...],  # per Gamma element
+                 galois_on_h: tuple[tuple[int, ...], ...]):
+        if len(boundary) != g.order:
             raise ValueError("boundary table has wrong length")
-        if len(self.h_action) != self.h.order:
+        if len(h_action) != h.order:
             raise ValueError("H-action table has wrong length")
-        if len(self.galois_on_g) != self.galois.order \
-                or len(self.galois_on_h) != self.galois.order:
+        if len(galois_on_g) != galois.order \
+                or len(galois_on_h) != galois.order:
             raise ValueError("Galois action tables have wrong length")
+        vars(self).update(g=g, h=h, boundary=boundary, h_action=h_action,
+                          galois=galois, galois_on_g=galois_on_g,
+                          galois_on_h=galois_on_h)
 
     def act_h(self, h: int, g: int) -> int:
         return self.h_action[h][g]
@@ -58,8 +60,7 @@ class FiniteCrossedModule:
         return tuple(x for x in self.g.elements() if self.boundary[x] == 0)
 
 
-@dataclass(frozen=True)
-class CrossedVerdict:
+class CrossedVerdict(NamedTuple):
     ok: bool
     failure: Optional[tuple]  # (description, witness tuple)
 
@@ -139,8 +140,7 @@ def _axioms(c: FiniteCrossedModule):
          if rg[s][act[x][a]] != act[rh[s][x]][rg[s][a]]), None)
 
 
-@dataclass(frozen=True, eq=False)
-class HMinusOne:
+class HMinusOne(NamedTuple):
     """Gamma-fixed points of ker d, as an abelian group."""
 
     members: tuple[int, ...]  # element ids in G
@@ -168,8 +168,7 @@ def h_minus_one(c: FiniteCrossedModule) -> HMinusOne:
 Cocycle = tuple[tuple[int, ...], int]  # (alpha value table over Gamma, h)
 
 
-@dataclass(frozen=True, eq=False)
-class HZero:
+class HZero(NamedTuple):
     """H^0 of a crossed module: cocycle classes with their group law."""
 
     crossed: FiniteCrossedModule

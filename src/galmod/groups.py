@@ -12,8 +12,10 @@ crossed-module code walk the elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
+
+from .frozen import Frozen
 
 DEFAULT_SIZE_LIMIT = 64
 
@@ -26,18 +28,20 @@ class MembershipError(Exception):
     """An element or subgroup does not belong where required."""
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """A finite group given by its full multiplication table.
 
     ``table[a][b]`` is the product a*b.  Labels are display names for the
     elements (permutation tuples when built from permutations).
     """
 
-    table: tuple[tuple[int, ...], ...]
-    generators: tuple[int, ...]
-    labels: tuple[str, ...]
-    name: str = ""
+    _fields = ("table", "generators", "labels", "name")
+
+    def __init__(self, table: tuple[tuple[int, ...], ...],
+                 generators: tuple[int, ...], labels: tuple[str, ...],
+                 name: str = ""):
+        vars(self).update(table=table, generators=generators, labels=labels,
+                          name=name)
 
     @property
     def order(self) -> int:
@@ -318,15 +322,13 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     return _permutation(_cycles(text, degree), degree)
 
 
-@dataclass(frozen=True, eq=False)
-class SubgroupHandle:
+class SubgroupHandle(Frozen):
     """A subgroup of ``parent`` given by its sorted member ids."""
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
+    _fields = ("parent", "members")
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        vars(self).update(parent=parent, members=tuple(sorted(members)))
         mem = set(self.members)
         if len(mem) != len(self.members):
             raise MembershipError("subgroup members must not repeat")
@@ -479,8 +481,7 @@ def whole_subgroup(g: FiniteGroup) -> SubgroupHandle:
     return SubgroupHandle(g, tuple(g.elements()))
 
 
-@dataclass(frozen=True, eq=False)
-class CosetSpace:
+class CosetSpace(NamedTuple):
     """Left cosets of a subgroup with the left-translation action."""
 
     parent: FiniteGroup

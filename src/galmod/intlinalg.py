@@ -30,9 +30,10 @@ U^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
+
+from .frozen import Frozen
 
 IntMatrix = tuple[tuple[int, ...], ...]
 SparseRow = tuple[tuple[int, int], ...]  # nonzero (column, entry) pairs
@@ -164,8 +165,7 @@ def from_columns(cols: Sequence[Sequence[int]], nrows: int | None = None) -> Int
     return tuple(zip(*cols, strict=True))
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Decomposition U @ A @ V = D with U, V unimodular and D diagonal
     satisfying the divisibility chain d1 | d2 | ... (nonzero entries
     positive)."""
@@ -614,8 +614,7 @@ def solve_columns(basis_cols: Sequence[Sequence[int]],
 # ---------------------------------------------------------------------------
 # Finitely generated abelian groups presented as subquotients of Z^n.
 
-@dataclass(frozen=True, eq=False)
-class AbGroupPresentation:
+class AbGroupPresentation(Frozen):
     """Subquotient span(num) / span(den) of Z^n, reduced to invariant
     factors.
 
@@ -635,16 +634,23 @@ class AbGroupPresentation:
     coefficient of g_i in each echelon column.
     """
 
-    ambient_dim: int
-    factors: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...]
-    _rows: tuple[SparseRow, ...]  # one per factor
-    _basis: list | None  # echelon (pivot row, {row: entry}) of span(num)
-    # rows that must vanish on span(num); a callable builds them on the
-    # first ``reduce``
-    _checks: tuple[SparseRow, ...] | Callable[[], Iterable[SparseRow]] = ()
-    # rows mapping an ambient vector into the coordinates of _basis
-    _pull: tuple[SparseRow, ...] | None = None
+    # _rows: one per factor.  _basis: the echelon (pivot row, {row:
+    # entry}) of span(num).  _checks: the rows that must vanish on
+    # span(num), or a callable that builds them on the first ``reduce``.
+    # _pull: the rows mapping an ambient vector into the coordinates of
+    # _basis.
+    _fields = ("ambient_dim", "factors", "generators", "_rows", "_basis",
+               "_checks", "_pull")
+
+    def __init__(self, ambient_dim: int, factors: tuple[int, ...],
+                 generators: tuple[tuple[int, ...], ...],
+                 _rows: tuple[SparseRow, ...], _basis: list | None,
+                 _checks: tuple[SparseRow, ...]
+                 | Callable[[], Iterable[SparseRow]] = (),
+                 _pull: tuple[SparseRow, ...] | None = None):
+        vars(self).update(ambient_dim=ambient_dim, factors=factors,
+                          generators=generators, _rows=_rows, _basis=_basis,
+                          _checks=_checks, _pull=_pull)
 
     @property
     def is_trivial(self) -> bool:

@@ -15,11 +15,11 @@ lattices are always free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
 from . import intlinalg as la
+from .frozen import Frozen
 from .groups import (FiniteGroup, MembershipError, SubgroupHandle,
                      coset_action)
 from .intlinalg import IntMatrix, SparseRow
@@ -31,7 +31,7 @@ class EquivarianceError(Exception):
     """A map or action fails an equivariance / well-definedness check."""
 
 
-class _ElementRows:
+class _ElementRows(Frozen):
     """The matrices of a GLattice or FgModule as sparse rows, built once:
     the generators' (``action``) and every group element's."""
 
@@ -62,22 +62,23 @@ class _ElementRows:
         return tuple(rows)
 
 
-@dataclass(frozen=True, eq=False)
 class GLattice(_ElementRows):
     """Free Z-module of finite rank with a group action by unimodular
     matrices (one per generator)."""
 
-    group: FiniteGroup
-    rank: int
-    action: tuple[IntMatrix, ...]
-    permutation_subgroups: Optional[tuple[SubgroupHandle, ...]] = None
+    _fields = ("group", "rank", "action", "permutation_subgroups")
 
-    def __post_init__(self):
-        if len(self.action) != len(self.group.generators):
+    def __init__(self, group: FiniteGroup, rank: int,
+                 action: tuple[IntMatrix, ...],
+                 permutation_subgroups: Optional[
+                     tuple[SubgroupHandle, ...]] = None):
+        if len(action) != len(group.generators):
             raise ValueError("one action matrix per generator required")
-        for m in self.action:
-            if la.shape(m) != (self.rank, self.rank):
+        for m in action:
+            if la.shape(m) != (rank, rank):
                 raise ValueError("action matrix has wrong shape")
+        vars(self).update(group=group, rank=rank, action=action,
+                          permutation_subgroups=permutation_subgroups)
 
     def validate(self) -> None:
         """Check unimodularity and that the action respects the full
@@ -113,20 +114,18 @@ class GLattice(_ElementRows):
         return f"GLattice(rank={self.rank}, group={self.group.name or self.group.order})"
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeMap:
+class LatticeMap(Frozen):
     """Equivariant map of G-lattices; ``matrix`` is target.rank x
     source.rank acting on column coordinate vectors."""
 
-    source: GLattice
-    target: GLattice
-    matrix: IntMatrix
+    _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        r, c = la.shape(self.matrix)
+    def __init__(self, source: GLattice, target: GLattice, matrix: IntMatrix):
+        r, c = la.shape(matrix)
         # zero-row matrices cannot carry a column count
-        if r != self.target.rank or (r > 0 and c != self.source.rank):
+        if r != target.rank or (r > 0 and c != source.rank):
             raise ValueError("map matrix has wrong shape")
+        vars(self).update(source=source, target=target, matrix=matrix)
 
     def validate(self) -> None:
         if not is_equivariant(self.matrix, self.source, self.target):
@@ -141,22 +140,22 @@ class LatticeMap:
                           la.mat_mul(self.matrix, other.matrix))
 
 
-@dataclass(frozen=True, eq=False)
 class FgModule(_ElementRows):
     """Finitely generated abelian group Z^n / span(relations) with a group
     action descending to the quotient."""
 
-    group: FiniteGroup
-    ngens: int
-    relations: IntMatrix  # ngens x nrel, columns are relations
-    action: tuple[IntMatrix, ...]
+    _fields = ("group", "ngens", "relations", "action")
 
-    def __post_init__(self):
+    def __init__(self, group: FiniteGroup, ngens: int,
+                 relations: IntMatrix,  # ngens x nrel, columns are relations
+                 action: tuple[IntMatrix, ...]):
         # a relation matrix with no columns still has one row per generator
-        if len(self.relations) != self.ngens:
+        if len(relations) != ngens:
             raise ValueError("relations matrix has wrong shape")
-        if len(self.action) != len(self.group.generators):
+        if len(action) != len(group.generators):
             raise ValueError("one action matrix per generator required")
+        vars(self).update(group=group, ngens=ngens, relations=relations,
+                          action=action)
 
     def validate(self) -> None:
         for m in self.action:

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import intlinalg as la
 from .cohomology import (HYPER_DEGREES, CohomologyGroup,
@@ -54,8 +53,7 @@ class GraphSplitError(Exception):
 Coefficient = Union[GLattice, TwoTermComplex, FiniteCrossedModule]
 CROSSED_DEGREES = (-1, 0)
 
-@dataclass(frozen=True, eq=False)
-class Refinement:
+class Refinement(NamedTuple):
     """Orbit bookkeeping kept alongside a refined graph."""
 
     subgroup: SubgroupHandle
@@ -65,8 +63,7 @@ class Refinement:
     edge_orbits: tuple[tuple[tuple[int, int], ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class PatchingGraph:
+class PatchingGraph(NamedTuple):
     """Vertices and oriented edges decorated with subgroups of gamma.
 
     Edge k is (head l(k), tail r(k), subgroup), with the edge subgroup
@@ -153,8 +150,7 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
 # type; group_cohomology and hypercohomology refuse the degrees they do
 # not support, mv_columns those of a crossed module).
 
-@dataclass(frozen=True, eq=False)
-class MvColumns:
+class MvColumns(NamedTuple):
     """One row of the Mayer-Vietoris diagram in a fixed degree.
 
     ``restriction_matrix`` stacks the per-vertex restriction blocks;
@@ -273,8 +269,7 @@ def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
         la.freeze(diff_rows))
 
 
-@dataclass(frozen=True, eq=False)
-class _KernelPresentation:
+class _KernelPresentation(NamedTuple):
     """A subgroup of ``whole`` presented in the coordinates of its
     generators; cochains are reduced through ``whole`` first."""
 
@@ -304,8 +299,7 @@ def sha(graph: PatchingGraph, coeff: Coefficient, r: int,
 # Mayer-Vietoris reports: nine terms for a two-term complex, six for a
 # crossed module.
 
-@dataclass(frozen=True, eq=False)
-class MvReport:
+class MvReport(NamedTuple):
     """Recomputed facts about every Mayer-Vietoris row of a coefficient;
     nothing here is assumed from the field theory.
 
@@ -367,8 +361,7 @@ def crossed_six_term_report(graph: PatchingGraph, c: FiniteCrossedModule,
 # ---------------------------------------------------------------------------
 # The flasque-resolution comparison (three candidate obstruction groups).
 
-@dataclass(frozen=True, eq=False)
-class RemarkReport:
+class RemarkReport(NamedTuple):
     """Sha^1 of the complex, Sha^2 of its flasque lattice, and the
     cokernel of the degree-0 difference map, with pairwise comparison
     and the permutation-part hypothesis checks."""
@@ -421,8 +414,7 @@ def remark_compare(graph: PatchingGraph, t: TwoTermComplex) -> RemarkReport:
 # ---------------------------------------------------------------------------
 # Crossed-module columns (set-level maps, groups by enumeration).
 
-@dataclass(frozen=True, eq=False)
-class CrossedMvColumns:
+class CrossedMvColumns(NamedTuple):
     """Mayer-Vietoris row for a crossed module in degree -1 or 0.
 
     Maps are index tables: ``vertex_maps[i][c]`` is the class of the
@@ -544,8 +536,7 @@ def _crossed_columns(graph: PatchingGraph, c: FiniteCrossedModule,
                             graph.edges, bound)
 
 
-@dataclass(frozen=True, eq=False)
-class ShaCrossed:
+class ShaCrossed(NamedTuple):
     """Kernel of the joint restriction for a crossed module: the classes
     of the global group restricting to the neutral class everywhere."""
 

@@ -2,19 +2,22 @@
 as a test oracle: the same pivot rule and operation sequence on full
 row lists, with U, V and W = (U^{-1})^T as dense matrices."""
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from galmod.intlinalg import (IntMatrix, SnfResult, _round_div, freeze,
                               identity, shape, thaw, transpose)
 
 
-@dataclass(frozen=True)
-class DenseSnfResult(SnfResult):
+class DenseSnfResult(NamedTuple):
     """U A V = D as ``SnfResult``, with V None when not tracked, and
     U^{-1} when asked for."""
 
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix | None
     Uinv: IntMatrix | None = None
+
+    diagonal = SnfResult.diagonal
 
 
 def smith_normal_form(a: Sequence[Sequence[int]], inverse: bool = False,

@@ -263,7 +263,7 @@ def test_crossed_module_breaking_an_axiom_exit_two(capsys, tmp_path):
 def test_galois_identity_acting_by_zero_exits_two(capsys, tmp_path):
     """The trivial Galois group acting on G = H = Z/2 by the zero map is
     refused at load time, before H^0 could meet a coboundary outside the
-    cocycle set."""
+    cocycle set; the message names the witness, the identity (0,)."""
     z2, one = cyclic_group(2), cyclic_group(1)
     zero_map = FiniteCrossedModule(z2, z2, (0, 0), conjugation_h_action(z2),
                                    one, ((0, 0),), ((0, 0),))
@@ -273,6 +273,7 @@ def test_galois_identity_acting_by_zero_exits_two(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "invalid crossed module: Galois tables not an action on G" in err
+    assert "(0,)" in err
 
 
 # Malformed files and stdin are input errors (exit 2), even when the

@@ -1,7 +1,6 @@
 """Group, Tate, and hypercohomology against textbook values and the
 unnormalized-complex oracle."""
 
-import dataclasses
 import random
 
 import pytest
@@ -27,7 +26,7 @@ from galmod.groups import (MembershipError, build_group, cyclic_group,
                            dihedral_group_4, direct_product,
                            enumerate_subgroups, group_from_table, subgroup,
                            symmetric_group_3, whole_subgroup)
-from galmod.lattice import (FgModule, LatticeMap, dual_lattice,
+from galmod.lattice import (FgModule, GLattice, LatticeMap, dual_lattice,
                             induced_action_on_sublattice, regular_lattice,
                             restrict_lattice, sign_lattice, trivial_lattice,
                             zero_lattice)
@@ -725,7 +724,9 @@ def test_cache_keeps_generator_lists_apart():
         alt = group_from_table(g.table, tuple(reversed(g.generators)))
 
         def fresh():  # a copy with an empty cache
-            return dataclasses.replace(fixtures.lattice_catalog()[name])
+            lat = fixtures.lattice_catalog()[name]
+            return GLattice(lat.group, lat.rank, lat.action,
+                            lat.permutation_subgroups)
 
         lat = fresh()
         first = group_cohomology(alt, lat, 2)

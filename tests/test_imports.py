@@ -1,6 +1,7 @@
 """Every module-level import in the library is used somewhere in its
-module, and every module-level private function or class is referenced
-somewhere in the package (no linter is assumed to be installed)."""
+module, every module-level private function or class is referenced
+somewhere in the package, and no module imports ``dataclasses`` (no
+linter is assumed to be installed)."""
 
 import ast
 import pathlib
@@ -73,3 +74,33 @@ def test_no_unreferenced_private_helpers():
     trees = {path.name: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
     assert not _unreferenced_private(trees)
+
+
+def _dataclass_imports(tree: ast.Module) -> list[str]:
+    """Every import of ``dataclasses``, at any depth: the library builds
+    its types without generating methods at import time."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_dataclass_imports_flagged():
+    tree = ast.parse("import os, dataclasses\n"
+                     "from dataclasses import dataclass\n"
+                     "from . import records\n"
+                     "def f():\n    import dataclasses as dc\n")
+    assert _dataclass_imports(tree) == ["line 1", "line 2", "line 5"]
+
+
+def test_no_dataclass_imports():
+    found = {path.name: _dataclass_imports(ast.parse(path.read_text()))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not any(found.values()), found

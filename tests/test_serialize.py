@@ -1,7 +1,6 @@
 """JSON round-trips for groups, lattices, complexes, crossed modules,
 patching graphs, and resolution certificates."""
 
-import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -179,9 +178,9 @@ def test_replay_refuses_a_square_that_does_not_commute():
         se.dump_certificate(cert))))
     assert replay_certificate(back) and len(back.moves) == 3
     for i, move in enumerate(back.moves):
-        negated = dataclasses.replace(move, comp0=la.mat_neg(move.comp0))
+        negated = move._replace(comp0=la.mat_neg(move.comp0))
         moves = back.moves[:i] + (negated,) + back.moves[i + 1:]
-        assert not replay_certificate(dataclasses.replace(back, moves=moves))
+        assert not replay_certificate(back._replace(moves=moves))
 
 
 def test_replay_refuses_moves_that_do_not_connect():
@@ -194,11 +193,11 @@ def test_replay_refuses_moves_that_do_not_connect():
             se.dump_certificate(resolve(catalog[name])[1]))))
             for name in ("z2-aug", "z2-norm"))
         assert replay_certificate(own)
-        assert not replay_certificate(dataclasses.replace(
-            own, resolved=other.resolved,
+        assert not replay_certificate(own._replace(
+            resolved=other.resolved,
             vanishing_table=other.vanishing_table))
-        assert not replay_certificate(dataclasses.replace(
-            own, original=other.original))
+        assert not replay_certificate(own._replace(
+            original=other.original))
 
 
 def test_replay_refuses_a_swapped_embedding_move():
@@ -225,8 +224,8 @@ def test_replay_refuses_a_swapped_embedding_move():
             assert len(e_own.action) == len(e_other.action)
             assert (e_own.group.table, e_own.action) \
                 != (e_other.group.table, e_other.action)
-            forged = dataclasses.replace(
-                own, moves=(other.moves[0],) + own.moves[1:])
+            forged = own._replace(
+                moves=(other.moves[0],) + own.moves[1:])
             assert all(replay_move(m).ok for m in forged.moves)
             assert not replay_certificate(forged)
 
