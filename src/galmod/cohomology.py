@@ -198,15 +198,20 @@ def _rows(boundary, mats, rank: int, offset: int = 0) -> list[dict]:
     """The ``rank`` cochain rows at a cell with boundary {(face, g): c}:
     the row at coordinate a adds c * M(g)[a] (``mats`` element matrices
     as sparse rows, as ``_view`` gives them) into the face's coordinate
-    block, shifted by ``offset``."""
+    block, shifted by ``offset``.  An entry that cancels is deleted, so
+    the rows hold no zero."""
     rows: list[dict] = [{} for _ in range(rank)]
     for (face, g), c in boundary.items():
         if not c:
             continue
         base = offset + face * rank
         for row, mrow in zip(rows, mats[g]):
-            for b, x in mrow:
-                row[base + b] = row.get(base + b, 0) + c * x
+            for b, x in mrow.items():
+                y = row.get(base + b, 0) + c * x
+                if y:
+                    row[base + b] = y
+                else:
+                    del row[base + b]
     return rows
 
 
@@ -340,7 +345,7 @@ class _Cayley:
                     g, cell = term
                     image = vec[cell * rank:(cell + 1) * rank]
                     if g:  # else M(1) c = c
-                        image = [sum(e * image[b] for b, e in mrow)
+                        image = [sum(e * image[b] for b, e in mrow.items())
                                  for mrow in mats[g]]
                     images[term] = image
                 acc = [x + y for x, y in zip(acc, image)]
@@ -419,9 +424,7 @@ def _fixed_rank(mats: Sequence[Rows], order: int) -> int:
     trace = 0
     for m in mats:
         for i, row in enumerate(m):
-            for j, x in row:
-                if j == i:
-                    trace += x
+            trace += row.get(i, 0)
     return trace // order
 
 
@@ -508,20 +511,16 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
                 for _ in range(r and size // r))))
 
         rows, width = tot(res, n)
-        z = la.ColumnSpan(la.columns(dense_rows(rows, width), width)
-                          + rel(res, n + 1), track=width).kernel()
-        den = la.columns(dense_rows(*tot(bar, n - 1))) + rel(bar, n)
+        z = la.ColumnSpan(la.rows_transpose(rows, width) + rel(res, n + 1),
+                          track=width).kernel()
+        den = la.rows_transpose(*tot(bar, n - 1)) + rel(bar, n)
         pres = la.abgroup_from_subquotient(
             [to_bar(v) for v in z] + den, den, dim)
     else:  # the torsion route
-        def sparse(pairs):  # pairs with distinct first entries
-            return tuple(sorted((j, x) for j, x in pairs if x))
-
         def checks():
             # a bar cochain is a cocycle iff its coboundary vanishes at
             # the tuples that end in a generator (module docstring)
-            return [sparse(row.items())
-                    for row in tot(bar, n, set(sub.generators) - {0})[0]]
+            return tot(bar, n, set(sub.generators) - {0})[0]
 
         d, ncols = tot(res, n - 1)
         if n == 1 and not r1 and _torsion_free(
@@ -537,8 +536,8 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
             pull = []
             for m, r, start, _ in blocks:
                 for terms in (res.from_bar(m) if r else ()):
-                    pull += [sparse((start + cell * r + b, c)
-                                    for cell, c in terms.items())
+                    pull += [{start + cell * r + b: c
+                              for cell, c in terms.items() if c}
                              for b in range(r)]
             pres = la.AbGroupPresentation(
                 dim, tc.factors, tuple(map(to_bar, tc.generators)),
@@ -609,7 +608,7 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
     norm = [[0] * rank for _ in range(rank)]
     for m in mats:
         for i, row in enumerate(m):
-            for j, x in row:
+            for j, x in row.items():
                 norm[i][j] += x
     # the generators s alone give I_H L and L^H, since
     # (gs - 1)x = (g - 1)(sx) + (s - 1)x
@@ -625,7 +624,7 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
             pres = la.AbGroupPresentation(rank, (), (), (),
                                           la.ColumnSpan(num).echelon)
             return CohomologyGroup(n, (), (), pres)
-        den = la.columns(dense_rows(rows, len(sub.generators) * rank))
+        den = la.rows_transpose(rows, len(sub.generators) * rank)
     else:
         num = common_fixed_points([mats[s] for s in sub.generators], rank)
         den = la.columns(norm)
@@ -641,7 +640,7 @@ def _minus_one_rows(mats: Sequence[Rows], rank: int) -> list[dict]:
         base = k * rank
         for i, row in enumerate(m):
             out_row = out[i]
-            for j, x in row:
+            for j, x in row.items():
                 out_row[base + j] = x
             x = out_row.get(base + i, 0) - 1
             if x:

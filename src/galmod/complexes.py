@@ -28,7 +28,7 @@ from .frozen import Frozen
 from .groups import coset_action, enumerate_subgroups, subgroup
 from .intlinalg import IntMatrix
 from .lattice import (FgModule, GLattice, LatticeMap, direct_sum,
-                      dual_lattice, fixed_points,
+                      dual_lattice, dual_map, fixed_points,
                       induced_action_on_sublattice, is_equivariant,
                       make_permutation_lattice)
 
@@ -73,11 +73,8 @@ class TwoTermComplex(Frozen):
         return _flasque_parts(self)
 
     def dual(self) -> "TwoTermComplex":
-        d1 = dual_lattice(self.l2)
-        d2 = dual_lattice(self.l1)
-        return TwoTermComplex(d1, d2, LatticeMap(
-            d1, d2, la.transpose_shaped(self.differential.matrix,
-                                        d2.rank, d1.rank)))
+        d = dual_map(self.differential)
+        return TwoTermComplex(d.source, d.target, d)
 
     def __repr__(self):
         return f"TwoTermComplex([{self.l1.rank} -> {self.l2.rank}])"
@@ -241,12 +238,11 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     # a slice of pr.
     k = len(coker.factors)
     pr_rows = coker._rows
-    pr = la.dense_rows(map(dict, pr_rows), n)
+    pr = la.dense_rows(pr_rows, n)
     sec = la.transpose_shaped(coker.generators, n, k)
     sec_rows = la.sparse_rows(sec)
     action = tuple(
-        la.dense_rows(map(dict, la.rows_mul(la.rows_mul(pr_rows, m),
-                                            sec_rows)), k)
+        la.dense_rows(la.rows_mul(la.rows_mul(pr_rows, m), sec_rows), k)
         for m in direct_sum(aprime, b).action_rows())
     quo = GLattice(a.group, k, action)
     d_tgt = LatticeMap(aprime, quo, tuple(row[:aprime.rank] for row in pr))
@@ -486,7 +482,7 @@ def _contragredient(e: GLattice, c1: GLattice) -> bool:
     if not e.group.same_presentation(c1.group) \
             or e.rank != c1.rank or len(e.action) != len(c1.action):
         return False
-    ident = tuple(((i, 1),) for i in range(c1.rank))
+    ident = tuple({i: 1} for i in range(c1.rank))
     return all(
         la.rows_mul(la.rows_transpose(mc, c1.rank), me) == ident
         for mc, me in zip(c1.action_rows(), e.action_rows()))

@@ -355,10 +355,6 @@ class SubgroupHandle(Frozen):
         return any(self.parent.element_order(a) == self.order
                    for a in self.members)
 
-    def conjugate(self, g: int) -> "SubgroupHandle":
-        p = self.parent
-        return SubgroupHandle(p, tuple(p.conj(g, x) for x in self.members))
-
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup.
 

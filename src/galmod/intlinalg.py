@@ -4,9 +4,19 @@ and finitely generated abelian group presentations.
 All matrices are row-major sequences of rows with Python ``int`` entries,
 so intermediate values never overflow.  Frozen (tuple-of-tuples) matrices
 are used in public data types; plain lists are accepted everywhere.  A
-matrix with few nonzeros per row may instead be kept as sparse rows,
-each the ``SparseRow`` of its nonzeros in ascending column order, so
-that equal matrices have equal rows.
+matrix with few nonzeros per row may instead be kept as sparse rows.
+The library has one sparse format: a ``SparseRow`` is a dict {index:
+nonzero entry}, and so are the sparse columns of an echelon and the rows
+of a presentation.  Equal matrices have equal rows, whatever order the
+keys were added in.  Two invariants hold:
+
+- A row holds no zero entry.  Code that sums into a row deletes an
+  entry that cancels, since ``ColumnSpan`` copies dict columns as given
+  and a zero there would reach its pivot choice.
+- A cached row is never mutated.  ``rows_mul`` hands back a row of its
+  right factor itself, and the element rows of a lattice share rows, so
+  a reader that changes a row copies it first (``ColumnSpan``,
+  ``_smith`` and ``_along`` all do).
 
 The column echelon is read only through ``ColumnSpan``, which answers
 every span question (membership, rank, a basis, kernels and so
@@ -16,13 +26,13 @@ directly; ``smith_normal_form`` builds dense U, D and V for ``galmod
 snf`` and the tests.
 
 The conversions between these forms run in C iterators: a sparse row is
-``compress(enumerate(row), row)``, a transpose is ``zip(*m,
-strict=True)`` (so a ragged matrix raises ValueError instead of being
-cut to its shortest row; sums, products and stacks refuse one too),
-and ``freeze`` maps ``int`` over each row.  ``rows_mul`` takes a monomial
-row, the kind a permutation or coset action is made of, as a row of the
-right factor, scaled.  The column echelon drops each pivot column from
-its row map, so later rows never filter it out, and
+``dict(compress(enumerate(row), row))`` (``_sparse``), a transpose is
+``zip(*m, strict=True)`` (so a ragged matrix raises ValueError instead
+of being cut to its shortest row; sums, products and stacks refuse one
+too), and ``freeze`` maps ``int`` over each row.  ``rows_mul`` takes a
+monomial row, the kind a permutation or coset action is made of, as a
+row of the right factor, scaled.  The column echelon drops each pivot
+column from its row map, so later rows never filter it out, and
 ``abgroup_from_subquotient`` reads the few rows of U and W =
 (U^{-1})^T it keeps straight off ``_smith`` instead of dense U and
 U^{-1}.
@@ -36,7 +46,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .frozen import Frozen
 
 IntMatrix = tuple[tuple[int, ...], ...]
-SparseRow = tuple[tuple[int, int], ...]  # nonzero (column, entry) pairs
+SparseRow = dict[int, int]  # {column: nonzero entry}
 
 
 class SolveError(Exception):
@@ -45,10 +55,6 @@ class SolveError(Exception):
 
 def freeze(rows: Iterable[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(map(int, row)) for row in rows)
-
-
-def thaw(m: Iterable[Sequence[int]]) -> list[list[int]]:
-    return [list(row) for row in m]
 
 
 def zeros(rows: int, cols: int) -> IntMatrix:
@@ -103,7 +109,7 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
         acc = [0] * cb
         for x, brow in zip(arow, bsparse):
             if x:
-                for j, y in brow:
+                for j, y in brow.items():
                     acc[j] += x * y
         out.append(tuple(acc))
     return tuple(out)
@@ -210,8 +216,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
     ``_smith`` on the nonzeros of ``a``.
     """
     rows, cols = shape(a)
-    diagonal, u, v, _ = _smith(
-        [dict(compress(enumerate(row), row)) for row in a], cols)
+    diagonal, u, v, _ = _smith(sparse_rows(a), cols)
     d = [[0] * cols for _ in range(rows)]
     for t, x in enumerate(diagonal):
         d[t][t] = x
@@ -219,7 +224,7 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
                      transpose_shaped(dense_rows(v, cols), cols, cols))
 
 
-def dense_rows(rows: Sequence[dict], ncols: int) -> IntMatrix:
+def dense_rows(rows: Sequence[SparseRow], ncols: int) -> IntMatrix:
     """Sparse rows {column: entry} as a frozen dense matrix."""
     out = []
     for row in rows:
@@ -511,8 +516,7 @@ def _along(echelon, vec: Sequence[int]) -> list[int] | None:
     being zero above its own, so each coefficient is fixed by one entry.
     The coefficients fill a list of zeros, and the walk stops as soon as
     the residual is empty."""
-    resid = dict(vec) if isinstance(vec, dict) else dict(
-        compress(enumerate(vec), vec))
+    resid = dict(vec) if isinstance(vec, dict) else _sparse(vec)
     coeffs = [0] * len(echelon)
     for t, (row, col) in enumerate(echelon):
         if not resid:
@@ -555,8 +559,8 @@ class ColumnSpan:
     def __init__(self, cols: Iterable, track: int = 0):
         self.track = track
         self.echelon, self._combos, self._kernel = _sparse_echelon(
-            [dict(c) if isinstance(c, dict)
-             else dict(compress(enumerate(c), c)) for c in cols], track)
+            [dict(c) if isinstance(c, dict) else _sparse(c) for c in cols],
+            track)
 
     @property
     def rank(self) -> int:
@@ -678,25 +682,23 @@ class AbGroupPresentation(Frozen):
 
         Raises SolveError unless ``vec`` lies in span(num)."""
         for row in self.check_rows():
-            if sum(x * vec[j] for j, x in row):
+            if sum(x * vec[j] for j, x in row.items()):
                 raise SolveError("vector fails a check row of span(num)")
         if self._pull is not None:
-            vec = [sum(x * vec[j] for j, x in row) for row in self._pull]
+            vec = [sum(x * vec[j] for j, x in row.items())
+                   for row in self._pull]
         y = vec if self._basis is None else _along(self._basis, vec)
         if y is None:
             raise SolveError("vector is not in span(num)")
         coords = []
         for row, d in zip(self._rows, self.factors):
-            z = sum(x * y[j] for j, x in row)
+            z = sum(x * y[j] for j, x in row.items())
             coords.append(z % d if d else z)
         return tuple(coords)
 
-    def contains_class_zero(self, vec: Sequence[int]) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
-
 
 def _sparse(row: Sequence[int]) -> SparseRow:
-    return tuple(compress(enumerate(row), row))
+    return dict(compress(enumerate(row), row))
 
 
 def sparse_rows(m: Sequence[Sequence[int]]) -> tuple[SparseRow, ...]:
@@ -706,35 +708,36 @@ def sparse_rows(m: Sequence[Sequence[int]]) -> tuple[SparseRow, ...]:
 def rows_mul(a: Sequence[SparseRow],
              b: Sequence[SparseRow]) -> tuple[SparseRow, ...]:
     """Product a @ b of two matrices given as sparse rows: row i adds x
-    times row k of b for each (k, x) in row i of a.
+    times row k of b for each entry {k: x} of row i of a, and drops the
+    entries that cancel.
 
-    A monomial row ((k, x),), as in a permutation or coset action, is
-    row k of b itself, or that row scaled by x: it is already sorted
-    and free of zeros, so it needs no accumulator and no sort."""
+    A monomial row {k: x}, as in a permutation or coset action, is row k
+    of b itself, not a copy, or that row scaled by x: it is already free
+    of zeros, so it needs no accumulator."""
     out = []
     for arow in a:
         if len(arow) == 1:
-            ((k, x),) = arow
-            out.append(b[k] if x == 1 else tuple((j, x * y)
-                                                 for j, y in b[k]))
+            ((k, x),) = arow.items()
+            out.append(b[k] if x == 1 else {j: x * y
+                                            for j, y in b[k].items()})
             continue
         acc: dict[int, int] = {}
-        for k, x in arow:
-            for j, y in b[k]:
+        for k, x in arow.items():
+            for j, y in b[k].items():
                 acc[j] = acc.get(j, 0) + x * y
-        out.append(tuple(sorted((j, y) for j, y in acc.items() if y)))
+        out.append({j: y for j, y in acc.items() if y})
     return tuple(out)
 
 
 def rows_transpose(rows: Sequence[SparseRow],
-                   ncols: int) -> tuple[SparseRow, ...]:
-    """The transpose, as sparse rows, of the matrix with these sparse
-    rows and ``ncols`` columns."""
-    out: list[list] = [[] for _ in range(ncols)]
+                   ncols: int) -> list[SparseRow]:
+    """The transpose, as new sparse rows, of the matrix with these sparse
+    rows and ``ncols`` columns: its columns, each {row: entry}."""
+    out: list[SparseRow] = [{} for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for j, x in row:
-            out[j].append((i, x))
-    return tuple(map(tuple, out))
+        for j, x in row.items():
+            out[j][i] = x
+    return out
 
 
 def rows_apply(rows: Sequence[SparseRow],
@@ -743,7 +746,7 @@ def rows_apply(rows: Sequence[SparseRow],
     out = []
     for row in rows:
         y = 0
-        for j, x in row:
+        for j, x in row.items():
             y += x * v[j]
         out.append(y)
     return tuple(out)
@@ -770,9 +773,8 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
         raise SolveError("den is not inside span(num)")
     if ColumnSpan(x).spans(k):
         return AbGroupPresentation(ambient_dim, (), (), (), echelon)
-    diagonal, u, _, w = _smith(
-        [dict(compress(enumerate(row), row)) for row in from_columns(x, k)],
-        len(x), track_v=False, inverse=True)
+    diagonal, u, _, w = _smith(sparse_rows(from_columns(x, k)), len(x),
+                               track_v=False, inverse=True)
     # the diagonal is already in divisibility order (1s, then larger
     # factors, then 0s for free summands)
     diag = diagonal + [0] * (k - len(diagonal))
@@ -785,10 +787,10 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
         generators.append(tuple(g.get(r, 0) for r in range(ambient_dim)))
     return AbGroupPresentation(
         ambient_dim, tuple(diag[i] for i in keep), tuple(generators),
-        tuple(tuple(sorted(u[i].items())) for i in keep), echelon)
+        tuple(u[i] for i in keep), echelon)
 
 
-def torsion_cokernel(rows: Sequence[dict],
+def torsion_cokernel(rows: Sequence[SparseRow],
                      ncols: int) -> AbGroupPresentation:
     """The torsion subgroup of coker(A), A the matrix with these rows
     {column: entry} and ``ncols`` columns, read from U A V = D with only
@@ -805,11 +807,7 @@ def torsion_cokernel(rows: Sequence[dict],
     z_i."""
     diagonal, _, v, _ = _smith(rows, ncols, track_u=False)
     m = len(rows)
-    acols: list[dict] = [{} for _ in range(ncols)]
-    for r, row in enumerate(rows):
-        for j, x in row.items():
-            if x:
-                acols[j][r] = x
+    acols = rows_transpose(rows, ncols)
     gens = []
     for d, vcol in zip(diagonal, v):
         if not d:
@@ -822,10 +820,10 @@ def torsion_cokernel(rows: Sequence[dict],
     generators = tuple(tuple(gens[i].get(r, 0) for r in range(m))
                        for i in keep)
     span = ColumnSpan(gens, track=len(gens))
+    coeffs = rows_transpose(span._combos, len(gens))
     return AbGroupPresentation(
         m, tuple(diagonal[i] for i in keep), generators,
-        tuple(tuple((k, c[i]) for k, c in enumerate(span._combos) if i in c)
-              for i in keep), span.echelon)
+        tuple(coeffs[i] for i in keep), span.echelon)
 
 
 def relation_columns(factors: Sequence[int], dim: int) -> list[list[int]]:

@@ -2,13 +2,15 @@
 action by unimodular matrices.
 
 A GLattice stores one matrix per group generator.  The matrices of all
-elements are kept once per lattice (or module) as sparse rows
-(``intlinalg.SparseRow``): element matrices of lattices have few
-nonzeros per row, and fixed points, permutation covers, squares and
-cohomology all read them in that form.  The rows come from sparse
-products along the BFS spanning tree ``FiniteGroup.tree()``.  Dense
-element matrices (``element_matrices``) are read off the rows on request
-and not kept.
+elements are kept once per lattice (or module) as sparse rows, each a
+dict {column: nonzero entry} (``intlinalg.SparseRow``): element matrices
+of lattices have few nonzeros per row, and fixed points, permutation
+covers, squares and cohomology all read them in that form.  The rows
+come from sparse products along the BFS spanning tree
+``FiniteGroup.tree()``.  They are shared, not copied (a generator's rows
+are an element's, and a monomial row of a product is a row of the right
+factor), so no reader mutates one.  Dense element matrices
+(``element_matrices``) are read off the rows on request and not kept.
 FgModule is the only torsion-capable type (cokernels live there);
 lattices are always free.
 """
@@ -44,7 +46,7 @@ class _ElementRows(Frozen):
         return self._element_rows
 
     def element_matrices(self) -> tuple[IntMatrix, ...]:
-        return tuple(_dense(m, self._dim) for m in self.element_rows())
+        return tuple(la.dense_rows(m, self._dim) for m in self.element_rows())
 
     @cached_property
     def _action_rows(self) -> tuple[Rows, ...]:
@@ -56,7 +58,7 @@ class _ElementRows(Frozen):
         M(x) = M(p) M(s_t) costs one sparse product per element x with
         p != 1."""
         gens = self.action_rows()
-        rows = [tuple(((i, 1),) for i in range(self._dim))] * self.group.order
+        rows = [tuple({i: 1} for i in range(self._dim))] * self.group.order
         for x, p, t in self.group.tree():
             rows[x] = la.rows_mul(rows[p], gens[t]) if p else gens[t]
         return tuple(rows)
@@ -134,11 +136,6 @@ class LatticeMap(Frozen):
     def is_zero(self) -> bool:
         return la.is_zero(self.matrix)
 
-    def compose(self, other: "LatticeMap") -> "LatticeMap":
-        """self after other."""
-        return LatticeMap(other.source, self.target,
-                          la.mat_mul(self.matrix, other.matrix))
-
 
 class FgModule(_ElementRows):
     """Finitely generated abelian group Z^n / span(relations) with a group
@@ -174,10 +171,6 @@ class FgModule(_ElementRows):
     @property
     def _dim(self) -> int:
         return self.ngens
-
-
-def _dense(rows: Rows, ncols: int) -> IntMatrix:
-    return la.dense_rows(map(dict, rows), ncols)
 
 
 def is_equivariant(matrix: IntMatrix, source: GLattice,
@@ -242,7 +235,7 @@ def dual_lattice(lat: GLattice) -> GLattice:
     """
     g = lat.group
     rows = lat.element_rows()
-    action = tuple(la.transpose(_dense(rows[g.inverses[s]], lat.rank))
+    action = tuple(la.transpose(la.dense_rows(rows[g.inverses[s]], lat.rank))
                    for s in g.generators)
     perm = lat.permutation_subgroups
     return GLattice(lat.group, lat.rank, action,
@@ -310,7 +303,7 @@ def common_fixed_points(mats: Sequence[Rows], rank: int) -> list[list[int]]:
     for m in mats:
         for i, row in enumerate(m):
             diagonal = False
-            for j, x in row:
+            for j, x in row.items():
                 if j == i:
                     x -= 1
                     diagonal = True
@@ -326,7 +319,7 @@ def restrict_lattice(lat: GLattice, h: SubgroupHandle) -> GLattice:
     """The same lattice viewed over a subgroup of its group."""
     sub = h.as_group()
     rows = lat.element_rows()
-    action = tuple(_dense(rows[h.to_parent(g)], lat.rank)
+    action = tuple(la.dense_rows(rows[h.to_parent(g)], lat.rank)
                    for g in sub.generators)
     return GLattice(sub, lat.rank, action, permutation_subgroups=None)
 
@@ -358,7 +351,7 @@ def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
             # gen * reps[j] = reps[tgt] * hh with hh in H
             hh = gamma.mul(gamma.inv(reps[tgt]), gamma.mul(gen, reps[j]))
             for a, row in enumerate(sub_rows[to_sub(hh)]):
-                for b, x in row:
+                for b, x in row.items():
                     m[tgt * r + a][j * r + b] = x
         action.append(la.freeze(m))
     return GLattice(gamma, n * r, tuple(action))

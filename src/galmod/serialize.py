@@ -384,10 +384,6 @@ def to_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_file(path: str, obj: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_json(obj) + "\n")
-
 
 def read_file(path: str) -> dict:
     with open(path) as fh:

@@ -5,7 +5,7 @@ row lists, with U, V and W = (U^{-1})^T as dense matrices."""
 from typing import NamedTuple, Sequence
 
 from galmod.intlinalg import (IntMatrix, SnfResult, _round_div, freeze,
-                              identity, shape, thaw, transpose)
+                              identity, shape, transpose)
 
 
 class DenseSnfResult(NamedTuple):
@@ -30,13 +30,13 @@ def smith_normal_form(a: Sequence[Sequence[int]], inverse: bool = False,
     ``track_v`` no column operation is recorded and V is None, for the
     callers that read only U and D; U and D are the same either way.
     """
-    m = thaw(a)
+    m = [list(row) for row in a]
     rows, cols = shape(m)
-    u = thaw(identity(rows))
-    v = thaw(identity(cols)) if track_v else None
+    u = [list(row) for row in identity(rows)]
+    v = [list(row) for row in identity(cols)] if track_v else None
     # W = (U^{-1})^T, so that column operations on U^{-1} are row
     # operations on W
-    w = thaw(identity(rows)) if inverse else None
+    w = [list(row) for row in identity(rows)] if inverse else None
     _eliminate(m, u, w, v, 0, rows, cols)
     # second pass: fix divisibility chain
     r = min(rows, cols)

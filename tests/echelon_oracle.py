@@ -54,7 +54,7 @@ def block_diag(*mats):
 
 
 def sparse(row: Sequence[int]) -> SparseRow:
-    return tuple((j, x) for j, x in enumerate(row) if x)
+    return {j: x for j, x in enumerate(row) if x}
 
 
 def column_echelon(cols, track=0):
@@ -146,14 +146,14 @@ def along(echelon, vec):
 
 
 def rows_mul(a, b):
-    """Every row through a dict and a sort, monomial or not."""
+    """Every row through an accumulator, monomial or not."""
     out = []
     for arow in a:
         acc = {}
-        for k, x in arow:
-            for j, y in b[k]:
+        for k, x in arow.items():
+            for j, y in b[k].items():
                 acc[j] = acc.get(j, 0) + x * y
-        out.append(tuple(sorted((j, y) for j, y in acc.items() if y)))
+        out.append({j: y for j, y in acc.items() if y})
     return tuple(out)
 
 

@@ -37,7 +37,7 @@ S4_LATTICES = _s4_lattices()
 @st.composite
 def unimodular_matrices(draw, n):
     """Products of elementary row operations."""
-    m = la.thaw(la.identity(n))
+    m = [list(row) for row in la.identity(n)]
     if n > 1:
         ops = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                       st.integers(0, n - 1),

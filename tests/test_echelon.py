@@ -81,13 +81,13 @@ def sparse_row_products(draw):
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["empty", "unit", "scaled", "general"]))
         if kind == "empty" or not k:
-            a.append(())
+            a.append({})
         elif kind == "general":
             a.append(la._sparse([draw(ENTRIES) for _ in range(k)]))
         else:
             x = draw(st.sampled_from([1, -1] if kind == "unit"
                                      else [2, -2, 3, -5]))
-            a.append(((draw(st.integers(0, k - 1)), x),))
+            a.append({draw(st.integers(0, k - 1)): x})
     return tuple(a), b
 
 
@@ -99,11 +99,11 @@ def test_rows_mul_matches_oracle(ab):
 
 
 def test_rows_mul_monomial_rows():
-    b = (((0, 2), (2, -1)), (), ((1, 3),))
-    a = (((0, 1),), ((0, -1),), ((2, 4),), ((1, -3),), ((0, 1), (2, 1)), ())
+    b = ({0: 2, 2: -1}, {}, {1: 3})
+    a = ({0: 1}, {0: -1}, {2: 4}, {1: -3}, {0: 1, 2: 1}, {})
     assert la.rows_mul(a, b) == oracle.rows_mul(a, b) == (
-        ((0, 2), (2, -1)), ((0, -2), (2, 1)), ((1, 12),), (),
-        ((0, 2), (1, 3), (2, -1)), ())
+        {0: 2, 2: -1}, {0: -2, 2: 1}, {1: 12}, {},
+        {0: 2, 1: 3, 2: -1}, {})
 
 
 @given(column_lists(max_rows=5, max_cols=5), st.integers(0, 3), st.data())

@@ -381,14 +381,6 @@ def test_direct_product():
     assert g.is_abelian()
 
 
-def test_conjugate_subgroup():
-    s3 = symmetric_group_3()
-    h = subgroup(s3, (0, 1))
-    for g in s3.elements():
-        c = h.conjugate(g)
-        assert c.order == 2
-
-
 def test_whole_and_trivial():
     g = cyclic_group(4)
     assert whole_subgroup(g).is_whole_group()

@@ -241,8 +241,8 @@ def test_torsion_cokernel_reduce_on_sparse_rows():
     seen_torsion = seen_free = 0
     for a in _torsion_battery():
         m, n = la.shape(a)
-        tc = la.torsion_cokernel([dict(la._sparse(row)) for row in a], n)
-        assert all(x for row in tc._rows for _, x in row)
+        tc = la.torsion_cokernel(la.sparse_rows(a), n)
+        assert all(x for row in tc._rows for x in row.values())
         # generator i reduces to the i-th unit vector
         for i, g in enumerate(tc.generators):
             assert tc.reduce(g) == tuple(int(j == i)
@@ -343,8 +343,8 @@ def test_presentation_reduce():
         la.columns(la.identity(1)), [[5]], 1)
     assert pres.factors == (5,)
     assert pres.reduce([7]) == pres.reduce([2])
-    assert pres.contains_class_zero([10])
-    assert not pres.contains_class_zero([3])
+    assert pres.reduce([10]) == (0,)
+    assert pres.reduce([3]) != (0,)
 
 
 def test_empty_span_reduce_refuses_nonzero_vectors():
@@ -381,7 +381,7 @@ def test_is_unimodular_matches_smith_form(n, data):
     u = data.draw(unimodular_matrices(n))
     assert la.is_unimodular(u)
     if n:
-        m = la.thaw(u)
+        m = [list(row) for row in u]
         i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
         m[i][j] += data.draw(st.integers(-3, 3).filter(bool))
         assert la.is_unimodular(m) == _snf_unimodular(m)
@@ -508,7 +508,7 @@ def test_unimodular_inverse_matches_smith_route(n, data):
     res = la.smith_normal_form(u)
     assert la.mat_inverse_unimodular(u) == la.mat_mul(res.V, res.U)
     if n:
-        m = la.thaw(u)
+        m = [list(row) for row in u]
         i, j = (data.draw(st.integers(0, n - 1)) for _ in range(2))
         m[i][j] += data.draw(st.integers(-3, 3).filter(bool))
         if _snf_unimodular(m):

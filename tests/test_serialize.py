@@ -441,6 +441,7 @@ def test_to_json_is_deterministic():
 def test_write_and_read_file(tmp_path):
     path = str(tmp_path / "graph.json")
     g = fixtures.graph_catalog()["klein-triple"]
-    se.write_file(path, se.dump_graph(g))
+    with open(path, "w") as fh:
+        fh.write(se.to_json(se.dump_graph(g)) + "\n")
     back = se.load_graph(se.read_file(path))
     assert back.n_vertices == 3
