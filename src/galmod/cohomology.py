@@ -91,7 +91,8 @@ from . import intlinalg as la
 from .groups import (FiniteGroup, MembershipError, SubgroupHandle,
                      prime_factors)
 from .intlinalg import AbGroupPresentation, IntMatrix, dense_rows
-from .lattice import FgModule, GLattice, Rows, common_fixed_points, induce
+from .lattice import (FgModule, GLattice, Rows, common_fixed_points,
+                      fixed_rank, induce)
 
 
 class UnsupportedDegreeError(Exception):
@@ -155,19 +156,20 @@ def _view(a, parent_ids: Sequence[int]):
     """A coefficient as a two-term complex [A1 -> A2], A1 in degree -1.
 
     Returns (rank, element matrices of ``parent_ids`` as the part's
-    cached sparse rows (``GLattice.element_rows``), relation columns as a
-    matrix) for A1 and for A2, the differential A1 -> A2 (None for a
+    cached sparse rows (``GLattice.element_rows``), relation columns as
+    {row: entry}) for A1 and for A2, the differential A1 -> A2 (None for a
     lattice or module A, which is [0 -> A]), and whether every part is a
     lattice, i.e. whether the cochains are free of torsion of their own.
     """
     def part(x):
         if x is None:
-            return 0, (), la.zeros(0, 0)
+            return 0, (), []
         rows = x.element_rows()
         sel = tuple(rows[g] for g in parent_ids)
         if isinstance(x, GLattice):
-            return x.rank, sel, la.zeros(x.rank, 0)
-        return x.ngens, sel, x.relations
+            return x.rank, sel, []
+        return x.ngens, sel, la.rows_transpose(
+            la.sparse_rows(x.relations), la.shape(x.relations)[1])
 
     if isinstance(a, (GLattice, FgModule)):
         parts, diff = (None, a), None
@@ -418,16 +420,6 @@ def total_differential(group: FiniteGroup, mats1, mats2, r1: int, r2: int,
                       _layout(bar, r1, r2, n)[1])
 
 
-def _fixed_rank(mats: Sequence[Rows], order: int) -> int:
-    """rank L^H = (1/|H|) sum_h tr M(h), ``mats`` the sparse rows of all
-    of H's elements."""
-    trace = 0
-    for m in mats:
-        for i, row in enumerate(m):
-            trace += row.get(i, 0)
-    return trace // order
-
-
 def _rank_mod(rows: Sequence[dict], p: int, stop: int) -> int:
     """Rank mod the prime p of the matrix with these rows {column:
     entry}, counted up to ``stop``.  For p = 2 each row becomes a Python
@@ -505,10 +497,11 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
     blocks, dim = _layout(bar, r1, r2, n)
     if n <= 0 or res is bar:  # the kernel route
         def rel(res, m):  # each part's relations on each of its cells
-            blocks, _ = _layout(res, r1, r2, m)
-            return la.columns(la.block_diag(*(
-                mat for (_, r, _, size), mat in zip(blocks, (rel1, rel2))
-                for _ in range(r and size // r))))
+            return [{off + i: x for i, x in c.items()}
+                    for (_, r, start, size), part in zip(
+                        _layout(res, r1, r2, m)[0], (rel1, rel2))
+                    for off in range(start, start + size, r or 1)
+                    for c in part]
 
         rows, width = tot(res, n)
         z = la.ColumnSpan(la.rows_transpose(rows, width) + rel(res, n + 1),
@@ -524,7 +517,7 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
 
         d, ncols = tot(res, n - 1)
         if n == 1 and not r1 and _torsion_free(
-                d, r2 - _fixed_rank(mats2, sub.order), sub.order):
+                d, r2 - fixed_rank(mats2, sub.order), sub.order):
             tc = None
         else:
             tc = la.torsion_cokernel(d, ncols)
@@ -617,7 +610,7 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
         # I_H L is spanned by the columns of the blocks M(s) - 1 side by
         # side
         rows = _minus_one_rows([mats[s] for s in sub.generators], rank)
-        if _torsion_free(rows, rank - _fixed_rank(mats, sub.order),
+        if _torsion_free(rows, rank - fixed_rank(mats, sub.order),
                          sub.order):
             # the zero group span(num)/span(num): ``reduce`` still
             # refuses a vector off span(num)

@@ -27,8 +27,8 @@ from .cohomology import group_cohomology, tate_cohomology
 from .frozen import Frozen
 from .groups import coset_action, enumerate_subgroups, subgroup
 from .intlinalg import IntMatrix
-from .lattice import (FgModule, GLattice, LatticeMap, direct_sum,
-                      dual_lattice, dual_map, fixed_points,
+from .lattice import (FgModule, GLattice, LatticeMap, Rows, direct_sum,
+                      dual_lattice, dual_map, fixed_points, fixed_rank,
                       induced_action_on_sublattice, is_equivariant,
                       make_permutation_lattice)
 
@@ -80,18 +80,19 @@ class TwoTermComplex(Frozen):
         return f"TwoTermComplex([{self.l1.rank} -> {self.l2.rank}])"
 
 
-def _cycles(t: TwoTermComplex):
-    """The columns of d, their echelon, tracked, and the basis of
-    H^-1 = ker d it gives."""
-    n = t.l1.rank
-    cols = la.columns(t.differential.matrix, n)
+def _cycles(d: Rows, n: int):
+    """The columns of the differential d with these sparse rows on an
+    L1 of rank n, their echelon, tracked, and the basis of H^-1 = ker d
+    it gives, each column {index: entry}."""
+    cols = la.rows_transpose(d, n)
     span = la.ColumnSpan(cols, track=n)
-    return cols, span, span.kernel()
+    return cols, span, span.sparse_kernel()
 
 
 def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
     """(H^-1, H^0): the saturated kernel lattice and the cokernel module."""
-    hminus = induced_action_on_sublattice(t.l1, _cycles(t)[2])
+    hminus = induced_action_on_sublattice(t.l1, _cycles(
+        la.sparse_rows(t.differential.matrix), t.l1.rank)[2])
     h0 = FgModule(t.group, t.l2.rank, t.differential.matrix, t.l2.action)
     return hminus, h0
 
@@ -126,7 +127,8 @@ def verify_square(src: TwoTermComplex, tgt: TwoTermComplex,
     that generator index s means the same element on both sides.
     comp_minus1 must be a map L1 -> L1' and comp0 a map L2 -> L2' by
     shape, each equivariant (``lattice.is_equivariant``), and
-    comp0 d = d' comp_minus1 must hold exactly, all on sparse rows.
+    comp0 d = d' comp_minus1 must hold exactly, all on sparse rows: each
+    map is converted to them once, and its columns are their transpose.
     H^-1 is free on the cycle bases, so its map is an isomorphism iff its
     matrix on them is square and unimodular.  H^0 is
     Z^m / span(d) -> Z^n / span(d'): it is onto iff the columns of
@@ -139,25 +141,25 @@ def verify_square(src: TwoTermComplex, tgt: TwoTermComplex,
     if not all(src.l1.group.same_presentation(x.group)
                for x in (src.l2, tgt.l1, tgt.l2)):
         return MoveEvidence(False, False)
+    cm1, c0 = la.sparse_rows(comp_minus1), la.sparse_rows(comp0)
+    d_src = la.sparse_rows(src.differential.matrix)
+    d_tgt = la.sparse_rows(tgt.differential.matrix)
     if not (_shaped(comp_minus1, tgt.l1.rank, src.l1.rank)
             and _shaped(comp0, tgt.l2.rank, src.l2.rank)
-            and is_equivariant(comp_minus1, src.l1, tgt.l1)
-            and is_equivariant(comp0, src.l2, tgt.l2)):
+            and is_equivariant(cm1, src.l1, tgt.l1)
+            and is_equivariant(c0, src.l2, tgt.l2)
+            and la.rows_mul(c0, d_src) == la.rows_mul(d_tgt, cm1)):
         return MoveEvidence(False, False)
-    cm1 = la.sparse_rows(comp_minus1)
-    if la.rows_mul(la.sparse_rows(comp0),
-                   la.sparse_rows(src.differential.matrix)) \
-            != la.rows_mul(la.sparse_rows(tgt.differential.matrix), cm1):
-        return MoveEvidence(False, False)
-    _, s, ks = _cycles(src)
-    t_cols, _, kt = _cycles(tgt)
-    imgs = [la.rows_apply(cm1, k) for k in ks]
+    _, s, ks = _cycles(d_src, src.l1.rank)
+    t_cols, _, kt = _cycles(d_tgt, tgt.l1.rank)
+    imgs = la.rows_transpose(la.rows_mul(
+        cm1, la.rows_transpose(ks, src.l1.rank)), len(ks))
     try:
         mat = la.from_columns(la.solve_columns(kt, imgs), len(kt))
         hminus_ok = len(ks) == len(kt) and la.is_unimodular(mat)
     except la.SolveError:
         hminus_ok = False
-    h0 = la.ColumnSpan(la.columns(comp0, src.l2.rank) + t_cols,
+    h0 = la.ColumnSpan(la.rows_transpose(c0, src.l2.rank) + t_cols,
                        track=src.l2.rank)
     h0_ok = h0.spans(tgt.l2.rank) and s.contains(h0.sparse_kernel())
     return MoveEvidence(hminus_ok, h0_ok)
@@ -238,13 +240,12 @@ def pushout_square(f: LatticeMap, d: LatticeMap) -> PushoutResult:
     # a slice of pr.
     k = len(coker.factors)
     pr_rows = coker._rows
-    pr = la.dense_rows(pr_rows, n)
     sec = la.transpose_shaped(coker.generators, n, k)
     sec_rows = la.sparse_rows(sec)
-    action = tuple(
-        la.dense_rows(la.rows_mul(la.rows_mul(pr_rows, m), sec_rows), k)
-        for m in direct_sum(aprime, b).action_rows())
-    quo = GLattice(a.group, k, action)
+    quo = GLattice.from_rows(a.group, k, tuple(
+        la.rows_mul(la.rows_mul(pr_rows, m), sec_rows)
+        for m in direct_sum(aprime, b).action_rows()))
+    pr = la.dense_rows(pr_rows, n)  # for the two maps' matrices
     d_tgt = LatticeMap(aprime, quo, tuple(row[:aprime.rank] for row in pr))
     move = _square_move("pushout-mono", TwoTermComplex(a, b, d),
                         TwoTermComplex(aprime, quo, d_tgt),
@@ -274,10 +275,11 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
         raise PreconditionError("pullback requires an epimorphism")
     amb = direct_sum(bprime, aprime)
     diff = la.hstack(g.matrix, la.mat_neg(dprime.matrix))
-    kb = la.ColumnSpan(la.columns(diff, amb.rank), track=amb.rank).kernel()
+    kb = la.ColumnSpan(la.columns(diff, amb.rank),
+                       track=amb.rank).sparse_kernel()
     fibre = induced_action_on_sublattice(amb, kb)
     # the fibre basis in B' + A' coordinates, cut into its two parts
-    incl = la.from_columns(kb, amb.rank)
+    incl = la.dense_rows(la.rows_transpose(kb, amb.rank), len(kb))
     top, bottom = incl[:bprime.rank], incl[bprime.rank:]
     src = TwoTermComplex(fibre, bprime, LatticeMap(fibre, bprime, top))
     return PullbackResult(src, _square_move(
@@ -295,7 +297,8 @@ def _cohomology(kind: str, h, lat: GLattice):
 
 
 _TABLE_KINDS = {
-    "fixed_rank": lambda h, lat: len(fixed_points(lat, h)),
+    "fixed_rank": lambda h, lat: fixed_rank(
+        [lat.element_rows()[m] for m in h.members], h.order),
     "h1": lambda h, lat: _cohomology("h1", h, lat).invariant_factors,
     "tate_minus1":
         lambda h, lat: _cohomology("tate_minus1", h, lat).invariant_factors,
@@ -391,11 +394,13 @@ def cts_cover_coflasque(m: GLattice) -> CoverSequence:
             summands.append((k, cs, [la.rows_apply(rows[rep], gen)
                                      for rep in cs.representatives]))
     q = make_permutation_lattice(group, [h for h, _, _ in summands])
-    proj_mat = la.from_columns(
-        [img for _, _, images in summands for img in images], m.rank)
-    cb = la.kernel_basis(proj_mat)
+    images = [img for _, _, images in summands for img in images]
+    # the kernel C of Q -> M, eliminated straight from the image columns
+    cb = la.ColumnSpan(images, track=q.rank).sparse_kernel()
     c = induced_action_on_sublattice(q, cb)
-    inclusion = LatticeMap(c, q, la.from_columns(cb, q.rank))
+    inclusion = LatticeMap(c, q, la.dense_rows(
+        la.rows_transpose(cb, q.rank), len(cb)))
+    proj_mat = la.from_columns(images, m.rank)
     _require(c, "coflasque", "cover kernel")
     return CoverSequence(q, c, inclusion, LatticeMap(q, m, proj_mat))
 
@@ -467,20 +472,16 @@ class ResolutionCertificate(NamedTuple):
 def _content(t: TwoTermComplex) -> tuple:
     """A complex by value: a loaded certificate holds fresh objects, so
     its complexes are compared by content."""
-    def rows(m):  # a tuple of tuples is returned as it is, not copied
-        return tuple(map(tuple, m))
-
     return (t.group.table, t.group.generators, t.l1.rank,
-            tuple(map(rows, t.l1.action)), rows(t.differential.matrix),
-            t.l2.rank, tuple(map(rows, t.l2.action)))
+            t.l1.action_rows(), tuple(map(tuple, t.differential.matrix)),
+            t.l2.rank, t.l2.action_rows())
 
 
 def _contragredient(e: GLattice, c1: GLattice) -> bool:
     """Whether ``c1`` is the dual of ``e``: the same group table and
     generators, the same rank, and M_C1(s)^T M_E(s) = 1 for every
     generator index s, on sparse rows."""
-    if not e.group.same_presentation(c1.group) \
-            or e.rank != c1.rank or len(e.action) != len(c1.action):
+    if not e.group.same_presentation(c1.group) or e.rank != c1.rank:
         return False
     ident = tuple({i: 1} for i in range(c1.rank))
     return all(

@@ -142,20 +142,6 @@ def vstack(*mats: Sequence[Sequence[int]]) -> IntMatrix:
     return tuple(tuple(row) for m in mats for row in m)
 
 
-def block_diag(*mats: Sequence[Sequence[int]]) -> IntMatrix:
-    rows = sum(shape(m)[0] for m in mats)
-    cols = sum(shape(m)[1] for m in mats)
-    out = [[0] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        mr, mc = shape(m)
-        for i in range(mr):
-            out[r0 + i][c0:c0 + mc] = m[i]
-        r0 += mr
-        c0 += mc
-    return freeze(out)
-
-
 def columns(m: Sequence[Sequence[int]],
             ncols: int = 0) -> list[list[int]]:
     """Matrix as a list of column vectors.  A matrix with no rows cannot
@@ -858,6 +844,6 @@ def hom_cokernel(matrix: Sequence[Sequence[int]],
     factors, ``_smith`` runs on the rows of ``matrix`` itself."""
     tr, _ = shape(matrix)
     tgt_rel = relation_columns(tgt_factors, tr)
-    full = columns(identity(tr))
+    full = [{i: 1} for i in range(tr)]
     return abgroup_from_subquotient(full, columns(matrix) + tgt_rel, tr)
 

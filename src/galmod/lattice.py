@@ -1,18 +1,22 @@
 """G-lattices and equivariant maps: exact integer modules with a group
 action by unimodular matrices.
 
-A GLattice stores one matrix per group generator.  The matrices of all
-elements are kept once per lattice (or module) as sparse rows, each a
-dict {column: nonzero entry} (``intlinalg.SparseRow``): element matrices
-of lattices have few nonzeros per row, and fixed points, permutation
-covers, squares and cohomology all read them in that form.  The rows
-come from sparse products along the BFS spanning tree
-``FiniteGroup.tree()``.  They are shared, not copied (a generator's rows
-are an element's, and a monomial row of a product is a row of the right
-factor), so no reader mutates one.  Dense element matrices
+A GLattice stores one matrix per group generator as sparse rows, each a
+dict {column: nonzero entry} (``intlinalg.SparseRow``): the builders
+here and in ``complexes`` make those rows (``GLattice.from_rows``), and
+``action``, the dense matrices, is a view built on first read, for JSON
+and the CLI; a lattice given dense matrices reads its rows off them
+once.  The matrices of all elements are kept once per lattice (or
+module) as sparse rows too: fixed points, permutation covers, squares
+and cohomology all read them in that form.  The rows come from sparse
+products along the BFS spanning tree ``FiniteGroup.tree()``.  They are
+shared, not copied (a generator's rows are an element's, a summand's
+are the direct sum's, and a monomial row of a product is a row of the
+right factor), so no reader mutates one.  Dense element matrices
 (``element_matrices``) are read off the rows on request and not kept.
-FgModule is the only torsion-capable type (cokernels live there);
-lattices are always free.
+A sublattice basis may be dense or {index: entry} columns, such as
+``ColumnSpan.sparse_kernel()``.  FgModule is the only torsion-capable
+type (cokernels live there); lattices are always free.
 """
 
 from __future__ import annotations
@@ -82,6 +86,26 @@ class GLattice(_ElementRows):
         vars(self).update(group=group, rank=rank, action=action,
                           permutation_subgroups=permutation_subgroups)
 
+    @classmethod
+    def from_rows(cls, group: FiniteGroup, rank: int,
+                  rows: Sequence[Rows],
+                  permutation_subgroups: Optional[
+                      tuple[SubgroupHandle, ...]] = None) -> "GLattice":
+        """The lattice with these sparse generator rows, kept as
+        ``action_rows()`` (not copied: zero-free, and never mutated)."""
+        if len(rows) != len(group.generators) \
+                or any(len(m) != rank for m in rows):
+            raise ValueError("one rank x rank action matrix per generator")
+        lat = cls.__new__(cls)
+        vars(lat).update(group=group, rank=rank, _action_rows=tuple(rows),
+                         permutation_subgroups=permutation_subgroups)
+        return lat
+
+    @cached_property
+    def action(self) -> tuple[IntMatrix, ...]:
+        """The dense generator matrices, read off ``from_rows``' rows."""
+        return tuple(la.dense_rows(m, self.rank) for m in self._action_rows)
+
     def validate(self) -> None:
         """Check unimodularity and that the action respects the full
         multiplication table.
@@ -92,11 +116,12 @@ class GLattice(_ElementRows):
         M(a) M(c) = M(a c) for all a, c.  A repeated generator is still
         checked: its edge lies off the tree.
         """
-        for m in self.action:
-            if self.rank and not la.is_unimodular(m):
+        gens = self.action_rows()
+        for m in gens:
+            # the rows of M are the columns of M^T, unimodular iff M is
+            if self.rank and not la.ColumnSpan(m).spans(self.rank):
                 raise EquivarianceError("action matrix is not unimodular")
         rows = self.element_rows()
-        gens = self.action_rows()
         g = self.group
         for a, t in g.loop_edges():
             s = g.generators[t]
@@ -130,7 +155,8 @@ class LatticeMap(Frozen):
         vars(self).update(source=source, target=target, matrix=matrix)
 
     def validate(self) -> None:
-        if not is_equivariant(self.matrix, self.source, self.target):
+        if not is_equivariant(la.sparse_rows(self.matrix), self.source,
+                              self.target):
             raise EquivarianceError("map is not equivariant")
 
     def is_zero(self) -> bool:
@@ -173,12 +199,10 @@ class FgModule(_ElementRows):
         return self.ngens
 
 
-def is_equivariant(matrix: IntMatrix, source: GLattice,
-                   target: GLattice) -> bool:
-    """Whether ``matrix`` M(s) = M'(s) ``matrix`` for every generator
-    index s, with M and M' the actions of ``source`` and ``target``, on
-    sparse rows."""
-    comp = la.sparse_rows(matrix)
+def is_equivariant(comp: Rows, source: GLattice, target: GLattice) -> bool:
+    """Whether the map C with the sparse rows ``comp`` has C M(s) =
+    M'(s) C for every generator index s, with M and M' the actions of
+    ``source`` and ``target``, on sparse rows."""
     return all(la.rows_mul(comp, ms) == la.rows_mul(mt, comp)
                for ms, mt in zip(source.action_rows(), target.action_rows()))
 
@@ -204,15 +228,15 @@ def make_permutation_lattice(group: FiniteGroup,
     rank = sum(cs.size for cs in spaces)
     action = []
     for gen in group.generators:
-        m = [[0] * rank for _ in range(rank)]
+        m: list = [None] * rank
         off = 0
         for cs in spaces:
             for c in range(cs.size):
-                m[off + cs.act(gen, c)][off + c] = 1
+                m[off + cs.act(gen, c)] = {off + c: 1}
             off += cs.size
-        action.append(la.freeze(m))
-    return GLattice(group, rank, tuple(action),
-                    permutation_subgroups=tuple(subgroups))
+        action.append(tuple(m))
+    return GLattice.from_rows(group, rank, action,
+                              permutation_subgroups=tuple(subgroups))
 
 
 def regular_lattice(group: FiniteGroup) -> GLattice:
@@ -231,15 +255,15 @@ def dual_lattice(lat: GLattice) -> GLattice:
     """Hom(L, Z) with the contragredient action (inverse transpose).
 
     For a group action M(s)^{-1} = M(s^{-1}), an element matrix, so
-    nothing is inverted.
+    nothing is inverted: the rows of M(s)^{-T} are the columns of
+    M(s^{-1}).
     """
     g = lat.group
     rows = lat.element_rows()
-    action = tuple(la.transpose(la.dense_rows(rows[g.inverses[s]], lat.rank))
+    action = tuple(tuple(la.rows_transpose(rows[g.inverses[s]], lat.rank))
                    for s in g.generators)
-    perm = lat.permutation_subgroups
-    return GLattice(lat.group, lat.rank, action,
-                    permutation_subgroups=perm)
+    return GLattice.from_rows(g, lat.rank, action,
+                              permutation_subgroups=lat.permutation_subgroups)
 
 
 def dual_map(f: LatticeMap) -> LatticeMap:
@@ -250,26 +274,37 @@ def dual_map(f: LatticeMap) -> LatticeMap:
 
 
 def direct_sum(a: GLattice, b: GLattice) -> GLattice:
+    """A + B: the rows of A's matrices, then those of B's shifted past
+    A's rank."""
     if not a.group.same_presentation(b.group):
         raise ValueError("summands over different groups")
-    action = tuple(la.block_diag(ma, mb)
-                   for ma, mb in zip(a.action, b.action))
+    k = a.rank
+    action = tuple(ma + tuple({k + j: x for j, x in row.items()} for row in mb)
+                   for ma, mb in zip(a.action_rows(), b.action_rows()))
     perm = None
     if a.permutation_subgroups is not None and b.permutation_subgroups is not None:
         perm = a.permutation_subgroups + b.permutation_subgroups
-    return GLattice(a.group, a.rank + b.rank, action, perm)
+    return GLattice.from_rows(a.group, a.rank + b.rank, action, perm)
 
 
 def induced_action_on_sublattice(lat: GLattice,
-                                 basis_cols: Sequence[Sequence[int]]) -> GLattice:
-    """Action on an invariant sublattice in terms of the given basis: the
-    images of the basis under every generator, in one solve."""
+                                 basis_cols: Sequence) -> GLattice:
+    """Action on an invariant sublattice in terms of the given basis,
+    whose columns are all dense or all {index: entry}: M(s) B is one
+    sparse product per generator on the rows of B, and each of its
+    columns is solved on one echelon of B."""
     k = len(basis_cols)
-    x = la.solve_columns(basis_cols, [
-        la.rows_apply(m, b) for m in lat.action_rows() for b in basis_cols])
-    return GLattice(lat.group, k, tuple(
-        la.from_columns(x[i * k:(i + 1) * k], k)
-        for i in range(len(lat.action))))
+    cols = basis_cols
+    if cols and not isinstance(cols[0], dict):
+        cols = la.sparse_rows(cols)
+    brows = la.rows_transpose(cols, lat.rank)
+    span = la.ColumnSpan(cols, track=k)
+    action = []
+    for m in lat.action_rows():
+        images = la.rows_transpose(la.rows_mul(m, brows), k)
+        action.append(tuple(la.rows_transpose(
+            la.sparse_rows(map(span.solve, images)), k)))
+    return GLattice.from_rows(lat.group, k, action)
 
 
 def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
@@ -290,6 +325,16 @@ def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
     last = max(h.to_parent(g) for g in h.as_group().generators)
     return common_fixed_points(
         [rows[m] for m in h.members if 0 < m <= last], lat.rank)
+
+
+def fixed_rank(mats: Sequence[Rows], order: int) -> int:
+    """rank L^H = (1/|H|) sum_h tr M(h), ``mats`` the sparse rows of all
+    of H's elements: the trace of the projection onto L^H (x) Q."""
+    trace = 0
+    for m in mats:
+        for i, row in enumerate(m):
+            trace += row.get(i, 0)
+    return trace // order
 
 
 def common_fixed_points(mats: Sequence[Rows], rank: int) -> list[list[int]]:
@@ -319,9 +364,8 @@ def restrict_lattice(lat: GLattice, h: SubgroupHandle) -> GLattice:
     """The same lattice viewed over a subgroup of its group."""
     sub = h.as_group()
     rows = lat.element_rows()
-    action = tuple(la.dense_rows(rows[h.to_parent(g)], lat.rank)
-                   for g in sub.generators)
-    return GLattice(sub, lat.rank, action, permutation_subgroups=None)
+    return GLattice.from_rows(sub, lat.rank, tuple(
+        rows[h.to_parent(g)] for g in sub.generators))
 
 
 def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
@@ -345,16 +389,15 @@ def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
     sub_rows = lat.element_rows()
     action = []
     for gen in gamma.generators:
-        m = [[0] * (n * r) for _ in range(n * r)]
+        m: list = [None] * (n * r)
         for j in range(n):
             tgt = cs.act(gen, j)
             # gen * reps[j] = reps[tgt] * hh with hh in H
             hh = gamma.mul(gamma.inv(reps[tgt]), gamma.mul(gen, reps[j]))
             for a, row in enumerate(sub_rows[to_sub(hh)]):
-                for b, x in row.items():
-                    m[tgt * r + a][j * r + b] = x
-        action.append(la.freeze(m))
-    return GLattice(gamma, n * r, tuple(action))
+                m[tgt * r + a] = {j * r + b: x for b, x in row.items()}
+        action.append(tuple(m))
+    return GLattice.from_rows(gamma, n * r, tuple(action))
 
 
 def conjugate_lattice(lat: GLattice, u: IntMatrix) -> GLattice:

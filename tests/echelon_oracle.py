@@ -40,6 +40,8 @@ def from_columns(cols, nrows=None):
 
 
 def block_diag(*mats):
+    """The dense direct sum of the matrices; ``lattice.direct_sum`` and
+    the cohomology relation columns build sparse rows instead."""
     rows = sum(shape(m)[0] for m in mats)
     cols = sum(shape(m)[1] for m in mats)
     out = [[0] * cols for _ in range(rows)]

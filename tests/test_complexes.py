@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from echelon_oracle import block_diag
 from lattice_strategies import (S4_LATTICES, small_lattices,
                                 unimodular_matrices)
 
@@ -24,7 +25,8 @@ from galmod.complexes import (ClassificationVerdict, GroupMismatchError,
                               cts_embed_coflasque, flasque_resolution,
                               homology, pullback_square, pushout_square,
                               r_equivalence_invariant, replay_certificate,
-                              uniqueness_invariants, verify_square)
+                              subgroup_table, uniqueness_invariants,
+                              verify_square)
 from galmod.groups import build_group, cyclic_group, enumerate_subgroups
 from galmod.lattice import (FgModule, LatticeMap, conjugate_lattice,
                             direct_sum, fixed_points, regular_lattice,
@@ -469,8 +471,10 @@ def test_subgroup_table_matches_per_class_loops():
     """``classify`` (table and witness) in both modes on every catalog
     lattice, every S4 lattice and both sides of every catalog
     resolution; the rows of ``uniqueness_invariants`` for the coflasque
-    against the flasque resolution of each catalog complex; and the table
-    of ``r_equivalence_invariant``: each as the loops over the class
+    against the flasque resolution of each catalog complex; the table
+    of ``r_equivalence_invariant``; and on every one of those lattices
+    the "fixed_rank" column, read off traces, against the length of the
+    ``fixed_points`` basis: each as the loops over the class
     representatives computed them."""
     lattices = list(fixtures.lattice_catalog().values())
     lattices += list(S4_LATTICES.values())
@@ -488,12 +492,18 @@ def test_subgroup_table_matches_per_class_loops():
             (h.members, tate_cohomology(h, f, -1).invariant_factors,
              group_cohomology(h, f, 1).invariant_factors)
             for h in enumerate_subgroups(t.group)[1])
+    pairs = 0
     for lat in lattices:
         for mode in ("flasque", "coflasque"):
             verdict = classify(lat, mode)
             assert verdict == _classify_by_loop(lat, mode)
             witnesses += verdict.witness is not None
+        reps = enumerate_subgroups(lat.group)[1]
+        assert subgroup_table(lat, "fixed_rank") == tuple(
+            (h.members, len(fixed_points(lat, h))) for h in reps)
+        pairs += len(reps)
     assert witnesses > 10
+    assert pairs > 600
 
 
 def test_battery_resolutions_replay():
@@ -595,3 +605,44 @@ def test_sparse_rows_stay_zero_free_and_unmutated():
     for lat in built:
         for rows in lat.element_rows() + lat.action_rows():
             assert _zero_free(rows)
+
+
+def _pushouts():
+    """The pushout of ``coflasque_resolution`` of each catalog complex
+    and of its dual, along the embedding of its L1."""
+    out = []
+    for t in fixtures.complex_catalog().values():
+        for c in (t, t.dual()):
+            out.append(pushout_square(cts_embed_coflasque(c.l1).inclusion,
+                                      c.differential))
+    return out
+
+
+def test_pushout_quotient_matches_dense_formula():
+    """The quotient's action is pr M(s) sec with M(s) the block-diagonal
+    action on A' + B, pr = [d' | comp0] the projection and sec the
+    section, as dense products."""
+    for po in _pushouts():
+        aprime, b = po.move.tgt.l1, po.move.src.l2
+        pr = la.hstack(po.tgt_differential.matrix, po.move.comp0)
+        assert "action" not in vars(po.quotient)
+        assert po.quotient.action == tuple(
+            la.mat_mul(la.mat_mul(pr, block_diag(ma, mb)), po.section)
+            for ma, mb in zip(aprime.action, b.action))
+
+
+def test_resolution_builds_no_dense_action():
+    """No dense round trip: after the coflasque resolution of a fresh
+    copy of each catalog complex, no lattice its moves hold other than
+    the complex's own holds a dense ``action``, nor do the lattices Q and
+    C of a permutation cover, which no certificate dumps."""
+    built = []
+    for t in fixtures.complex_catalog().values():
+        t = serialize.load_complex(serialize.dump_complex(t))
+        cert = coflasque_resolution(t)[1]
+        built += [x for m in cert.moves for side in (m.src, m.tgt)
+                  for x in (side.l1, side.l2) if x not in (t.l1, t.l2)]
+        cover = cts_cover_coflasque(t.l2)
+        built += [cover.q, cover.c]
+    assert len(built) > 100
+    assert [x for x in built if "action" in vars(x)] == []

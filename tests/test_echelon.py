@@ -133,7 +133,6 @@ def test_conversions_match_oracle(m):
     assert la.from_columns(cols) == oracle.from_columns(cols)
     assert la.from_columns(cols, len(m)) == oracle.from_columns(cols, len(m))
     assert la.freeze([list(row) for row in m]) == oracle.freeze(m)
-    assert la.block_diag(m, ((7,),), m) == oracle.block_diag(m, ((7,),), m)
     assert la.sparse_rows(m) == tuple(map(oracle.sparse, m))
     for row in m:
         assert la._sparse(row) == oracle.sparse(row)

@@ -5,19 +5,21 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from echelon_oracle import block_diag
 from lattice_strategies import S4_LATTICES, s4_lattices, small_lattices, \
     unimodular_matrices
 
 from galmod import fixtures
 from galmod import intlinalg as la
 from galmod.cohomology import group_cohomology
-from galmod.groups import (cyclic_group, dihedral_group_4,
+from galmod.groups import (coset_action, cyclic_group, dihedral_group_4,
                            enumerate_subgroups, group_from_table, subgroup,
                            symmetric_group_3, trivial_subgroup,
                            whole_subgroup)
 from galmod.lattice import (EquivarianceError, FgModule, GLattice,
                             LatticeMap, conjugate_lattice, direct_sum,
                             dual_lattice, dual_map, fixed_points, induce,
+                            induced_action_on_sublattice,
                             make_permutation_lattice,
                             regular_lattice, restrict_lattice,
                             sign_lattice, trivial_lattice, zero_lattice)
@@ -325,3 +327,138 @@ def test_element_matrices_property(lat):
     """Direct sums, duals and rebases of small lattices, and of S4
     permutation and augmentation lattices."""
     _assert_rows_match_dense(lat, lat.rank)
+
+
+# ---------------------------------------------------------------------------
+# Each builder keeps the sparse rows it makes; its dense ``action`` must be
+# the matrix the dense formula gives.
+
+def _oracle_lattices():
+    return (list(fixtures.lattice_catalog().values())
+            + list(S4_LATTICES.values()))
+
+
+def _permutation_dense(group, subgroups):
+    """The permutation action as rank x rank matrices with a 1 at
+    (off + gen c, off + c) per coset c of each summand."""
+    spaces = [coset_action(group, h) for h in subgroups]
+    rank = sum(cs.size for cs in spaces)
+    action = []
+    for gen in group.generators:
+        m = [[0] * rank for _ in range(rank)]
+        off = 0
+        for cs in spaces:
+            for c in range(cs.size):
+                m[off + cs.act(gen, c)][off + c] = 1
+            off += cs.size
+        action.append(la.freeze(m))
+    return tuple(action)
+
+
+def _induced_dense(lat, basis_cols):
+    """The induced action by solving each column of the dense product
+    M(s) B on the basis columns B."""
+    k = len(basis_cols)
+    b = la.from_columns(basis_cols, lat.rank)
+    x = la.solve_columns(basis_cols, [
+        img for m in lat.action for img in la.columns(la.mat_mul(m, b), k)])
+    return tuple(la.from_columns(x[i * k:(i + 1) * k], k)
+                 for i in range(len(lat.action)))
+
+
+def test_permutation_lattice_matches_dense_formula():
+    groups = {id(lat.group): lat.group for lat in _oracle_lattices()}
+    for g in groups.values():
+        reps = enumerate_subgroups(g)[1]
+        for h in reps:
+            lat = make_permutation_lattice(g, [h])
+            assert "action" not in vars(lat)
+            assert lat.action == _permutation_dense(g, [h])
+        pair = [reps[0], reps[-1]]
+        assert make_permutation_lattice(g, pair).action \
+            == _permutation_dense(g, pair)
+
+
+def test_dual_lattice_matches_dense_formula():
+    """M*(s) = M(s^{-1})^T, transposed dense."""
+    for lat in _oracle_lattices():
+        g = lat.group
+        mats = lat.element_matrices()
+        dual = dual_lattice(lat)
+        assert "action" not in vars(dual)
+        assert dual.action == tuple(la.transpose_shaped(
+            mats[g.inverses[s]], lat.rank, lat.rank) for s in g.generators)
+
+
+def test_direct_sum_matches_block_diag():
+    lats = _oracle_lattices()
+    for a in lats:
+        for b in lats:
+            if a.group is b.group and a.rank + b.rank <= 30:
+                s = direct_sum(a, b)
+                assert "action" not in vars(s)
+                assert s.action == tuple(
+                    block_diag(ma, mb)
+                    for ma, mb in zip(a.action, b.action))
+
+
+def test_restrict_lattice_matches_dense_formula():
+    for lat in _oracle_lattices():
+        mats = lat.element_matrices()
+        for h in enumerate_subgroups(lat.group)[1]:
+            res = restrict_lattice(lat, h)
+            assert res.action == tuple(
+                mats[h.to_parent(g)] for g in h.as_group().generators)
+
+
+def test_induce_matches_dense_formula():
+    """Induction from each subgroup class of S3 and D4: the block of
+    M(hh) at (coset gen.j, coset j), gen reps[j] = reps[gen.j] hh."""
+    for gamma in (symmetric_group_3(), dihedral_group_4()):
+        for h in enumerate_subgroups(gamma)[1]:
+            sub = h.as_group()
+            for lat in (regular_lattice(sub), trivial_lattice(sub, 2)):
+                cs = coset_action(gamma, h)
+                reps, r, n = cs.representatives, lat.rank, cs.size
+                mats = lat.element_matrices()
+                want = []
+                for gen in gamma.generators:
+                    m = [[0] * (n * r) for _ in range(n * r)]
+                    for j in range(n):
+                        tgt = cs.act(gen, j)
+                        hh = gamma.mul(gamma.inv(reps[tgt]),
+                                       gamma.mul(gen, reps[j]))
+                        for a in range(r):
+                            for b in range(r):
+                                m[tgt * r + a][j * r + b] = \
+                                    mats[h.from_parent(hh)][a][b]
+                    want.append(la.freeze(m))
+                assert induce(lat, h).action == tuple(want)
+
+
+def _invariant_bases(lat):
+    """Bases of G-invariant sublattices of ``lat``, each as (dense
+    columns, the same as {index: entry}): L^G, the whole lattice on a
+    basis other than the standard one, and for a permutation lattice the
+    augmentation kernel."""
+    whole = la.columns(la.identity(lat.rank))
+    if lat.rank > 1:
+        whole[0][1] = 1
+    bases = [fixed_points(lat, whole_subgroup(lat.group)), whole]
+    if lat.is_permutation_certified:
+        bases.append(la.kernel_basis([[1] * lat.rank]))
+    return [(basis, [{i: x for i, x in enumerate(c) if x} for c in basis])
+            for basis in bases]
+
+
+def test_induced_action_matches_dense_solve():
+    """Dense and {index: entry} basis columns give the action the dense
+    images, solved column by column, give."""
+    for lat in _oracle_lattices():
+        for dense, sparse in _invariant_bases(lat):
+            want = _induced_dense(lat, dense)
+            for basis in (dense, sparse):
+                sub = induced_action_on_sublattice(lat, basis)
+                assert "action" not in vars(sub)
+                assert sub.rank == len(dense)
+                assert sub.action == want
