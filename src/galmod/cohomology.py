@@ -91,8 +91,8 @@ from . import intlinalg as la
 from .groups import (FiniteGroup, MembershipError, SubgroupHandle,
                      prime_factors)
 from .intlinalg import AbGroupPresentation, IntMatrix, dense_rows
-from .lattice import (FgModule, GLattice, Rows, common_fixed_points,
-                      fixed_rank, induce)
+from .lattice import (FgModule, GLattice, Rows, _minus_one_entries,
+                      common_fixed_points, fixed_rank, induce)
 
 
 class UnsupportedDegreeError(Exception):
@@ -274,13 +274,10 @@ class _Bar:
                 faces += [(tup[:i] + (self.mul(tup[i], tup[i + 1]),)
                            + tup[i + 2:], 0) for i in range(m - 1)]
                 faces.append((tup[:-1], 0))
-                boundary: dict = {}
-                for i, (face, elem) in enumerate(faces):
-                    k = self.index(face)
-                    if k is not None:
-                        key = (k, elem)
-                        boundary[key] = boundary.get(key, 0) + (-1) ** i
-                yield self.index(tup), boundary
+                keys = [(self.index(face), elem) for face, elem in faces]
+                yield self.index(tup), _collect(
+                    (key, (-1) ** i) for i, key in enumerate(keys)
+                    if key[0] is not None)
 
     def to_bar(self, m: int, vec: Sequence[int], mats, rank: int):
         """The identity: its cochains are the bar cochains."""
@@ -347,8 +344,7 @@ class _Cayley:
                     g, cell = term
                     image = vec[cell * rank:(cell + 1) * rank]
                     if g:  # else M(1) c = c
-                        image = [sum(e * image[b] for b, e in mrow.items())
-                                 for mrow in mats[g]]
+                        image = la.rows_apply(mats[g], image)
                     images[term] = image
                 acc = [x + y for x, y in zip(acc, image)]
             out += acc
@@ -629,17 +625,8 @@ def _minus_one_rows(mats: Sequence[Rows], rank: int) -> list[dict]:
     """The rows {column: entry} of the blocks M - 1 side by side, each M
     given as sparse rows."""
     out: list[dict] = [{} for _ in range(rank)]
-    for k, m in enumerate(mats):
-        base = k * rank
-        for i, row in enumerate(m):
-            out_row = out[i]
-            for j, x in row.items():
-                out_row[base + j] = x
-            x = out_row.get(base + i, 0) - 1
-            if x:
-                out_row[base + i] = x
-            else:
-                del out_row[base + i]
+    for k, i, j, x in _minus_one_entries(mats):
+        out[i][k * rank + j] = x
     return out
 
 

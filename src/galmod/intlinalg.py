@@ -18,6 +18,28 @@ keys were added in.  Two invariants hold:
   a reader that changes a row copies it first (``ColumnSpan``,
   ``_smith`` and ``_along`` all do).
 
+Each sparse primitive has one body, which every caller uses:
+
+- ``_axpy`` (dst += k src, deleting the entries that cancel) for the
+  combinations of ``_sparse_echelon``, the residual of ``_along`` and
+  the U, V and W of ``_smith``; ``_axpy_indexed`` is the same update
+  that also keeps an index (entry -> keys) in step, for ``_smith``'s
+  rows and ``_sparse_echelon``'s columns.  They are two, not one with
+  an optional index, so neither branches on its caller.
+- ``rows_apply`` for a matrix times a vector: ``reduce``'s check, pull
+  and coordinate rows and the Cayley -> bar cochain map.
+- ``rows_mul`` for a product or a sparse combination of rows, and
+  ``dense_rows`` for a dense copy: ``mat_mul``, ``ColumnSpan.kernel``
+  and the generators of ``abgroup_from_subquotient`` and
+  ``torsion_cokernel``.
+
+A few loops stay inline on purpose.  ``rows_mul``'s accumulator is the
+product itself.  ``cohomology._rows`` writes at a block offset, and
+sharing a primitive would copy a shifted row per face in the hottest
+cohomology builder.  ``cohomology._rank_mod`` works mod p.
+``_smith``'s ``add_col`` is a column operation on row storage, and
+``ColumnSpan.solve`` accumulates into a dense x.
+
 The column echelon is read only through ``ColumnSpan``, which answers
 every span question (membership, rank, a basis, kernels and so
 preimages, solutions); ``kernel_basis`` and ``solve_columns`` are
@@ -92,8 +114,7 @@ def _check_rows(*mats: Sequence[Sequence[int]]) -> None:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    """Product a @ b, skipping zero entries: row i of the result adds
-    a[i][k] times the nonzero entries of row k of b."""
+    """Product a @ b, dense, through the sparse product ``rows_mul``."""
     _check_rows(a, b)
     ra, ca = shape(a)
     rb, cb = shape(b)
@@ -103,16 +124,7 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix
         if ca == 0 or rb == 0:
             return tuple((0,) * cb for _ in range(ra))
         raise ValueError(f"dimension mismatch {ra}x{ca} @ {rb}x{cb}")
-    bsparse = sparse_rows(b)
-    out = []
-    for arow in a:
-        acc = [0] * cb
-        for x, brow in zip(arow, bsparse):
-            if x:
-                for j, y in brow.items():
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
+    return dense_rows(rows_mul(sparse_rows(a), sparse_rows(b)), cb)
 
 
 def mat_add(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
@@ -267,17 +279,7 @@ def _smith(rows: Sequence[dict], ncols: int, track_u: bool = True,
     def add_row(src, dst, k):
         # row[dst] += k * row[src]; on U^{-1}, W[src] -= k * W[dst]
         a, b = rperm[src], rperm[dst]
-        rb = m[b]
-        for j, x in m[a].items():
-            y = rb.get(j)
-            if y is None:
-                rb[j] = k * x
-                colrows[j].add(b)
-            elif y + k * x:
-                rb[j] = y + k * x
-            else:
-                del rb[j]
-                colrows[j].discard(b)
+        _axpy_indexed(m[b], m[a], k, colrows, b)
         if u is not None:
             _axpy(u[b], u[a], k)
         if w is not None:
@@ -375,13 +377,31 @@ def _smith(rows: Sequence[dict], ncols: int, track_u: bool = True,
 
 
 def _axpy(dst: dict, src: dict, k: int) -> None:
-    """dst += k * src on sparse vectors {index: entry}."""
+    """dst += k * src on sparse vectors {index: nonzero entry}, k != 0,
+    deleting the entries that cancel."""
     for j, x in src.items():
         y = dst.get(j, 0) + k * x
         if y:
             dst[j] = y
         else:
             del dst[j]
+
+
+def _axpy_indexed(dst: dict, src: dict, k: int, index, key) -> None:
+    """``_axpy`` that keeps ``index`` (index -> set of keys) in step:
+    ``key`` joins index[j] when dst gains entry j and leaves it when dst
+    loses j.  ``_smith``'s rows with their column map and
+    ``_sparse_echelon``'s columns with their row map are kept so."""
+    for j, x in src.items():
+        y = dst.get(j)
+        if y is None:
+            dst[j] = k * x
+            index[j].add(key)
+        elif y + k * x:
+            dst[j] = y + k * x
+        else:
+            del dst[j]
+            index[j].discard(key)
 
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
@@ -456,26 +476,10 @@ def _sparse_echelon(sp: list[dict], track: int = 0):
                 if b == a:
                     continue
                 # col[b] -= q * col[a]; the row map follows col[b]'s support
-                sb = sp[b]
-                k = -(sb[row] // xa)
-                for r, x in sa.items():
-                    y = sb.get(r)
-                    if y is None:
-                        sb[r] = k * x
-                        rowmap[r].add(b)
-                    elif y + k * x:
-                        sb[r] = y + k * x
-                    else:
-                        del sb[r]
-                        rowmap[r].discard(b)
+                k = -(sp[b][row] // xa)
+                _axpy_indexed(sp[b], sa, k, rowmap, b)
                 if track:
-                    cb = combos[b]
-                    for r, x in ca.items():
-                        y = cb.get(r, 0) + k * x
-                        if y:
-                            cb[r] = y
-                        else:
-                            del cb[r]
+                    _axpy(combos[b], ca, k)
         (piv,) = cands
         col = sp[piv]
         if col[row] < 0:
@@ -514,12 +518,7 @@ def _along(echelon, vec: Sequence[int]) -> list[int] | None:
         if r:
             return None
         coeffs[t] = q
-        for i, y in col.items():
-            z = resid.get(i, 0) - q * y
-            if z:
-                resid[i] = z
-            else:
-                del resid[i]
+        _axpy(resid, col, -q)
     return None if resid else coeffs
 
 
@@ -563,8 +562,7 @@ class ColumnSpan:
         return list(map(list, dense_rows([c for _, c in self.echelon], rows)))
 
     def kernel(self) -> list[list[int]]:
-        return [[combo.get(i, 0) for i in range(self.track)]
-                for combo in self._kernel]
+        return list(map(list, dense_rows(self._kernel, self.track)))
 
     def sparse_kernel(self) -> list[dict]:
         return self._kernel
@@ -666,21 +664,20 @@ class AbGroupPresentation(Frozen):
     def reduce(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Coordinates of the class of ``vec`` on the stored generators.
 
-        Raises SolveError unless ``vec`` lies in span(num)."""
-        for row in self.check_rows():
-            if sum(x * vec[j] for j, x in row.items()):
-                raise SolveError("vector fails a check row of span(num)")
+        Raises ValueError unless ``vec`` has ``ambient_dim`` entries, and
+        SolveError unless it lies in span(num)."""
+        if len(vec) != self.ambient_dim:
+            raise ValueError(f"vector of length {len(vec)} in ambient "
+                             f"dimension {self.ambient_dim}")
+        if any(rows_apply(self.check_rows(), vec)):
+            raise SolveError("vector fails a check row of span(num)")
         if self._pull is not None:
-            vec = [sum(x * vec[j] for j, x in row.items())
-                   for row in self._pull]
+            vec = rows_apply(self._pull, vec)
         y = vec if self._basis is None else _along(self._basis, vec)
         if y is None:
             raise SolveError("vector is not in span(num)")
-        coords = []
-        for row, d in zip(self._rows, self.factors):
-            z = sum(x * y[j] for j, x in row.items())
-            coords.append(z % d if d else z)
-        return tuple(coords)
+        return tuple(z % d if d else z
+                     for z, d in zip(rows_apply(self._rows, y), self.factors))
 
 
 def _sparse(row: Sequence[int]) -> SparseRow:
@@ -765,14 +762,10 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     # factors, then 0s for free summands)
     diag = diagonal + [0] * (k - len(diagonal))
     keep = [i for i, d in enumerate(diag) if d != 1]
-    generators = []
-    for i in keep:
-        g: dict = {}
-        for r, c in w[i].items():
-            _axpy(g, echelon[r][1], c)
-        generators.append(tuple(g.get(r, 0) for r in range(ambient_dim)))
+    generators = dense_rows(rows_mul([w[i] for i in keep],
+                                     [col for _, col in echelon]), ambient_dim)
     return AbGroupPresentation(
-        ambient_dim, tuple(diag[i] for i in keep), tuple(generators),
+        ambient_dim, tuple(diag[i] for i in keep), generators,
         tuple(u[i] for i in keep), echelon)
 
 
@@ -792,23 +785,15 @@ def torsion_cokernel(rows: Sequence[SparseRow],
     saturation, and its rows turn echelon coordinates into the kept
     z_i."""
     diagonal, _, v, _ = _smith(rows, ncols, track_u=False)
-    m = len(rows)
-    acols = rows_transpose(rows, ncols)
-    gens = []
-    for d, vcol in zip(diagonal, v):
-        if not d:
-            break
-        g: dict = {}
-        for j, c in vcol.items():
-            _axpy(g, acols[j], c)
-        gens.append({r: x // d for r, x in g.items()})
-    keep = [i for i, d in enumerate(diagonal[:len(gens)]) if d > 1]
-    generators = tuple(tuple(gens[i].get(r, 0) for r in range(m))
-                       for i in keep)
-    span = ColumnSpan(gens, track=len(gens))
-    coeffs = rows_transpose(span._combos, len(gens))
+    rank = sum(map(bool, diagonal))
+    gens = [{r: x // d for r, x in g.items()} for d, g in
+            zip(diagonal, rows_mul(v[:rank], rows_transpose(rows, ncols)))]
+    keep = [i for i, d in enumerate(diagonal) if d > 1]
+    span = ColumnSpan(gens, track=rank)
+    coeffs = rows_transpose(span._combos, rank)
     return AbGroupPresentation(
-        m, tuple(diagonal[i] for i in keep), generators,
+        len(rows), tuple(diagonal[i] for i in keep),
+        dense_rows([gens[i] for i in keep], len(rows)),
         tuple(coeffs[i] for i in keep), span.echelon)
 
 

@@ -143,11 +143,14 @@ class GLattice(_ElementRows):
 
 class LatticeMap(Frozen):
     """Equivariant map of G-lattices; ``matrix`` is target.rank x
-    source.rank acting on column coordinate vectors."""
+    source.rank acting on column coordinate vectors.  Both lattices must
+    be over one group presentation, as in ``direct_sum``."""
 
     _fields = ("source", "target", "matrix")
 
     def __init__(self, source: GLattice, target: GLattice, matrix: IntMatrix):
+        if not source.group.same_presentation(target.group):
+            raise ValueError("source and target over different groups")
         r, c = la.shape(matrix)
         # zero-row matrices cannot carry a column count
         if r != target.rank or (r > 0 and c != source.rank):
@@ -181,13 +184,31 @@ class FgModule(_ElementRows):
                           action=action)
 
     def validate(self) -> None:
+        """Check that each generator maps span(relations) into itself and
+        that the action on the quotient respects the multiplication
+        table: M(a) M(s_t) - M(a s_t) maps into span(relations) at each
+        ``FiniteGroup.loop_edges()`` (a, t), which suffices by the lemma
+        there, as in ``GLattice.validate``."""
+        n = self.ngens
         for m in self.action:
-            if la.shape(m) != (self.ngens, self.ngens):
+            if la.shape(m) != (n, n):
                 raise ValueError("action matrix has wrong shape")
-        if not la.ColumnSpan(la.columns(self.relations)).contains(
-                col for m in self.action
-                for col in la.columns(la.mat_mul(m, self.relations))):
+        rel = la.sparse_rows(self.relations)
+        nrel = la.shape(self.relations)[1]
+        span = la.ColumnSpan(la.rows_transpose(rel, nrel))
+        gens, rows, g = self.action_rows(), self.element_rows(), self.group
+        if not span.contains(col for m in gens for col in
+                             la.rows_transpose(la.rows_mul(m, rel), nrel)):
             raise EquivarianceError("action does not preserve the relations")
+        for a, t in g.loop_edges():
+            s = g.generators[t]
+            # [M(a) | -1] [M(s); M(a s)] = M(a) M(s) - M(a s)
+            diff = la.rows_mul(
+                [{**row, n + i: -1} for i, row in enumerate(rows[a])],
+                gens[t] + rows[g.mul(a, s)])
+            if not span.contains(la.rows_transpose(diff, n)):
+                raise EquivarianceError(
+                    f"action violates the relation {a}*{s} on the quotient")
 
     @property
     def invariant_factors(self) -> tuple[int, ...]:
@@ -337,6 +358,21 @@ def fixed_rank(mats: Sequence[Rows], order: int) -> int:
     return trace // order
 
 
+def _minus_one_entries(mats: Sequence[Rows]):
+    """Yield (k, i, j, x) for each nonzero entry x at row i, column j of
+    M_k - 1, with M_k the k-th of ``mats`` given as sparse rows, row by
+    row."""
+    for k, m in enumerate(mats):
+        for i, row in enumerate(m):
+            for j, x in row.items():
+                if j == i:
+                    x -= 1
+                if x:
+                    yield k, i, j, x
+            if i not in row:
+                yield k, i, i, -1
+
+
 def common_fixed_points(mats: Sequence[Rows], rank: int) -> list[list[int]]:
     """Saturated basis (columns) of the vectors every M in ``mats``
     fixes, each M given as sparse rows: the kernel of the blocks M - 1
@@ -344,19 +380,8 @@ def common_fixed_points(mats: Sequence[Rows], rank: int) -> list[list[int]]:
     {row: entry} columns ``kernel_basis`` would build from its dense
     form, each filled in ascending row order."""
     cols: list[dict] = [{} for _ in range(rank)]
-    r = 0
-    for m in mats:
-        for i, row in enumerate(m):
-            diagonal = False
-            for j, x in row.items():
-                if j == i:
-                    x -= 1
-                    diagonal = True
-                if x:
-                    cols[j][r] = x
-            if not diagonal:
-                cols[i][r] = -1
-            r += 1
+    for k, i, j, x in _minus_one_entries(mats):
+        cols[j][k * rank + i] = x
     return la.ColumnSpan(cols, track=rank).kernel()
 
 

@@ -689,6 +689,24 @@ def test_h0_reduce_refuses_non_cocycles():
         h0.reduce([1])
 
 
+def test_reduce_refuses_a_vector_of_the_wrong_length():
+    """A vector longer or shorter than the cochain space is refused by
+    name, on a torsion presentation (H^2(V4, Z), ambient 9) and on a
+    vanishing one (H^1(V4, Z[V4]), ambient 12), not reduced as if its
+    extra entries were not there or failed with an IndexError."""
+    v4 = direct_product(cyclic_group(2), cyclic_group(2))
+    h2 = group_cohomology(v4, trivial_lattice(v4), 2)
+    assert h2.presentation.ambient_dim == 9 and h2.invariant_factors == (2, 2)
+    gen = h2.generators[0]
+    assert h2.reduce(gen) == (1, 0)
+    h1 = group_cohomology(v4, fixtures.lattice_catalog()["v4-regular"], 1)
+    assert h1.presentation.ambient_dim == 12 and h1.is_trivial
+    for cg, vec, n in ((h2, gen + (7, 7), 9), (h2, gen[:-1], 9),
+                       (h1, (0,) * 5, 12)):
+        with pytest.raises(ValueError, match=f"length {len(vec)}.*{n}"):
+            cg.reduce(vec)
+
+
 def test_cohomology_refuses_a_foreign_acting_group():
     """A group, or a subgroup handle, whose table is not the coefficient's
     is refused before the cache is read, so it cannot leave a wrong

@@ -355,6 +355,29 @@ def test_empty_span_reduce_refuses_nonzero_vectors():
         pres.reduce([1, 0, 0])
 
 
+_sparse_vectors = st.dictionaries(st.integers(0, 7),
+                                  st.integers(-4, 4).filter(bool), max_size=8)
+
+
+@given(_sparse_vectors, _sparse_vectors, st.integers(-3, 3).filter(bool))
+@settings(max_examples=300, deadline=None)
+def test_axpys_match_the_dense_update(dst, src, k):
+    """Both sparse axpys leave the dense dst + k src, with no zero entry;
+    ``_axpy_indexed`` also keeps ``key`` in index[j] exactly where dst
+    has an entry, and leaves every other key where it was."""
+    want = [dst.get(j, 0) + k * src.get(j, 0) for j in range(8)]
+    key, other = "b", "c"
+    index = [{key, other} if j in dst else {other} for j in range(8)]
+    plain, indexed = dict(dst), dict(dst)
+    la._axpy(plain, src, k)
+    la._axpy_indexed(indexed, src, k, index, key)
+    for out in (plain, indexed):
+        assert [out.get(j, 0) for j in range(8)] == want
+        assert 0 not in out.values()
+    assert [key in keys for keys in index] == [j in indexed for j in range(8)]
+    assert all(other in keys for keys in index)
+
+
 def _snf_unimodular(a):
     rows, cols = la.shape(a)
     res = la.smith_normal_form(a)

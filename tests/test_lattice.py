@@ -209,6 +209,47 @@ def test_module_relations_need_one_row_per_generator():
                     (la.identity(2),)).invariant_factors == (0, 0)
 
 
+def test_lattice_map_refuses_lattices_over_different_groups():
+    """A map from a Z2-lattice to a Z4-lattice is refused, so no two-term
+    complex pairs them (its hypercohomology would read Z4's element
+    matrices for Z2's elements); a group with the same table but another
+    generator list is refused too, and a twin with the same presentation
+    is accepted."""
+    z2, z4 = cyclic_group(2), cyclic_group(4)
+    sgn, reg = sign_lattice(z2, [-1]), regular_lattice(z4)
+    with pytest.raises(ValueError, match="different groups"):
+        LatticeMap(sgn, reg, ((0,),) * 4)
+    s3 = symmetric_group_3()
+    swapped = group_from_table(s3.table, tuple(reversed(s3.generators)))
+    twin = group_from_table(s3.table, s3.generators)
+    with pytest.raises(ValueError, match="different groups"):
+        LatticeMap(trivial_lattice(s3), trivial_lattice(swapped),
+                   la.identity(1))
+    LatticeMap(trivial_lattice(s3), trivial_lattice(twin),
+               la.identity(1)).validate()
+
+
+def test_module_validate_checks_the_group_action():
+    """Z with the generator of Z3 acting by 2 is no Z3-module (2^3 = 8),
+    though 2 preserves the relations; modulo 7 it is one (2^3 = 8 = 1).
+    A relation the action moves out of span(relations) is still
+    refused."""
+    z3 = cyclic_group(3)
+    with pytest.raises(EquivarianceError, match="quotient"):
+        FgModule(z3, 1, ((0,),), (((2,),),)).validate()
+    FgModule(z3, 1, ((7,),), (((2,),),)).validate()
+    with pytest.raises(EquivarianceError, match="preserve the relations"):
+        FgModule(cyclic_group(2), 2, ((2,), (0,)),
+                 (((0, 1), (1, 0)),)).validate()
+    d4 = dihedral_group_4()
+    for mod in (FgModule(d4, 2, ((2, 0), (0, 2)),
+                         (((1, 0), (0, -1)), ((0, -1), (1, 0)))),
+                FgModule(symmetric_group_3(), 2, ((3,), (0,)),
+                         (((-1, 0), (0, 1)), la.identity(2))),
+                FgModule(d4, 0, (), (la.zeros(0, 0),) * 2)):
+        mod.validate()
+
+
 def test_fixed_points():
     z2 = cyclic_group(2)
     assert len(fixed_points(sign_lattice(z2, [-1]), whole_subgroup(z2))) == 0
