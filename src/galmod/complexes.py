@@ -91,10 +91,14 @@ def _cycles(d: Rows, n: int):
 
 def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
     """(H^-1, H^0): the saturated kernel lattice and the cokernel module."""
-    hminus = induced_action_on_sublattice(t.l1, _cycles(
+    return _hminus_one(t), FgModule(t.group, t.l2.rank,
+                                    t.differential.matrix, t.l2.action)
+
+
+def _hminus_one(t: TwoTermComplex) -> GLattice:
+    """H^-1, the saturated kernel lattice of the differential."""
+    return induced_action_on_sublattice(t.l1, _cycles(
         la.sparse_rows(t.differential.matrix), t.l1.rank)[2])
-    h0 = FgModule(t.group, t.l2.rank, t.differential.matrix, t.l2.action)
-    return hminus, h0
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +172,12 @@ def verify_square(src: TwoTermComplex, tgt: TwoTermComplex,
 def _homology_stats(t: TwoTermComplex):
     """Observable homology data preserved by quasi-isomorphism: cokernel
     invariant factors, kernel rank, and per-subgroup fixed ranks of the
-    kernel lattice."""
-    hminus, h0 = homology(t)
+    kernel lattice.  The cokernel factors are those of H^0, read without
+    building its module, which would densify L2's action."""
+    hminus = _hminus_one(t)
     fixed_ranks = tuple(r for _, r in subgroup_table(hminus, "fixed_rank"))
-    return h0.invariant_factors, hminus.rank, fixed_ranks
+    h0_factors = la.hom_cokernel(t.differential.matrix, ()).factors
+    return h0_factors, hminus.rank, fixed_ranks
 
 
 class CertificateMove(NamedTuple):

@@ -162,9 +162,6 @@ class LatticeMap(Frozen):
                               self.target):
             raise EquivarianceError("map is not equivariant")
 
-    def is_zero(self) -> bool:
-        return la.is_zero(self.matrix)
-
 
 class FgModule(_ElementRows):
     """Finitely generated abelian group Z^n / span(relations) with a group

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Union
 from . import intlinalg as la
 from .cohomology import (HYPER_DEGREES, CohomologyGroup,
                          UnsupportedDegreeError, group_cohomology,
-                         restriction)
+                         hypercohomology, restriction)
 from .complexes import TwoTermComplex, flasque_resolution
 from .crossed import (DEFAULT_ENUMERATION_BOUND, FiniteCrossedModule,
                       HMinusOne, HZero, h_minus_one, h_zero)
@@ -146,9 +146,10 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
 
 
 # ---------------------------------------------------------------------------
-# Mayer-Vietoris columns (mv_columns and sha dispatch on the coefficient
-# type; group_cohomology and hypercohomology refuse the degrees they do
-# not support, mv_columns those of a crossed module).
+# Mayer-Vietoris columns: mv_columns walks the graph once for every kind
+# of coefficient, and the kind supplies only its columns, restriction
+# maps and row record.  group_cohomology and hypercohomology refuse the
+# degrees they do not support, mv_columns those of a crossed module.
 
 class MvColumns(NamedTuple):
     """One row of the Mayer-Vietoris diagram in a fixed degree.
@@ -204,7 +205,7 @@ class MvColumns(NamedTuple):
         ker_cols = la.ColumnSpan(
             la.columns(self.difference_matrix, mid_dim) + right_rel,
             track=mid_dim).kernel()
-        im_cols = la.columns(self.restriction_matrix) if self.left_dim else []
+        im_cols = la.columns(self.restriction_matrix)
         quot = la.abgroup_from_subquotient(ker_cols + mid_rel,
                                            im_cols + mid_rel, mid_dim)
         if quot.is_trivial:
@@ -217,56 +218,71 @@ class MvColumns(NamedTuple):
         left = self.left
         pres = la.hom_kernel(self.restriction_matrix, left.invariant_factors,
                              self.middle_factors)
-        gens = tuple(
-            tuple(sum(c * v for c, v in zip(coords, entries))
-                  for entries in zip(*left.generators))
-            for coords in pres.generators)
-        return CohomologyGroup(self.degree, pres.factors, gens,
+        return CohomologyGroup(self.degree, pres.factors,
+                               la.mat_mul(pres.generators, left.generators),
                                _KernelPresentation(left, pres))
 
 
 def mv_columns(graph: PatchingGraph, coeff: Coefficient, r: int,
                bound: int = DEFAULT_ENUMERATION_BOUND):
-    """Vertex and edge column products with restriction and difference
-    maps; dispatches on the coefficient type.  ``bound`` caps the cocycle
-    enumeration behind each crossed-module H^0."""
+    """One walk for every kind of coefficient: the columns of gamma, of
+    each vertex and of each edge, then the maps gamma -> vertex and head,
+    tail -> edge, each once.  The kind supplies only the column, the
+    restriction map and the row.  ``bound`` caps the cocycle enumeration
+    behind each crossed-module H^0."""
     crossed = isinstance(coeff, FiniteCrossedModule)
     if not crossed and not isinstance(coeff, (GLattice, TwoTermComplex)):
         raise TypeError(
             f"unsupported coefficient type {type(coeff).__name__}")
     if not (coeff.galois if crossed else coeff.group).same_table(graph.gamma):
         raise ModelError("coefficient lives over a different group")
-    if crossed:
-        if r not in CROSSED_DEGREES:
-            raise UnsupportedDegreeError(
-                f"crossed degree {r} not in {CROSSED_DEGREES}")
-        return _crossed_columns(graph, coeff, r, bound)
-    verts = graph.vertices
-    vertex_maps = [restriction(graph.gamma, h, coeff, r) for h in verts]
-    edge_maps = [(restriction(verts[head], h, coeff, r),
-                  restriction(verts[tail], h, coeff, r))
-                 for head, tail, h in graph.edges]
-    left = vertex_maps[0].source  # a graph has at least one vertex
-    middle = tuple(m.target for m in vertex_maps)
-    right = tuple(m.target for m, _ in edge_maps)
-    mid_offset = [0]
-    for cg in middle:
-        mid_offset.append(mid_offset[-1] + len(cg.invariant_factors))
+    if crossed and r not in CROSSED_DEGREES:
+        raise UnsupportedDegreeError(
+            f"crossed degree {r} not in {CROSSED_DEGREES}")
+    column, restrict, row = (_crossed_kind if crossed
+                             else _abelian_kind)(coeff, r, bound)
+    gamma, verts, edges = graph.gamma, graph.vertices, graph.edges
+    left = column(gamma)
+    middle = tuple(column(h) for h in verts)
+    right = tuple(column(h) for _, _, h in edges)
+    vertex_maps = tuple(restrict(gamma, left, h, col)
+                        for h, col in zip(verts, middle))
+    head_maps = tuple(restrict(verts[v], middle[v], h, col)
+                      for (v, _, h), col in zip(edges, right))
+    tail_maps = tuple(restrict(verts[v], middle[v], h, col)
+                      for (_, v, h), col in zip(edges, right))
+    return row(r, left, middle, right, vertex_maps, head_maps, tail_maps,
+               edges)
 
+
+def _abelian_kind(coeff: Union[GLattice, TwoTermComplex], r: int, _bound):
+    """Columns are H^r of the lattice or the complex, restrictions the
+    matrices of ``cohomology.restriction``."""
+    coh = group_cohomology if isinstance(coeff, GLattice) else hypercohomology
+    return ((lambda h: coh(h, coeff, r)),
+            (lambda src, _, h, __: restriction(src, h, coeff, r).matrix),
+            _abelian_row)
+
+
+def _abelian_row(r, left, middle, right, vertex_maps, head_maps, tail_maps,
+                 edges) -> MvColumns:
+    """Stack the vertex blocks; the difference is (x_i) -> (x_{l(k)}|_k -
+    x_{r(k)}|_k) on the vertex product."""
+    offset = [0]
+    for cg in middle:
+        offset.append(offset[-1] + len(cg.invariant_factors))
     diff_rows: list[list[int]] = []
-    for (head, tail, _), (head_map, tail_map) in zip(graph.edges,
-                                                     edge_maps):
-        for head_row, tail_row in zip(head_map.matrix, tail_map.matrix):
-            row = [0] * mid_offset[-1]
+    for (head, tail, _), head_map, tail_map in zip(edges, head_maps,
+                                                   tail_maps):
+        for head_row, tail_row in zip(head_map, tail_map):
+            row = [0] * offset[-1]
             for j, v in enumerate(head_row):
-                row[mid_offset[head] + j] += v
+                row[offset[head] + j] += v
             for j, v in enumerate(tail_row):
-                row[mid_offset[tail] + j] -= v
+                row[offset[tail] + j] -= v
             diff_rows.append(row)
-    return MvColumns(
-        r, left, middle, right,
-        la.vstack(*(m.matrix for m in vertex_maps)),
-        la.freeze(diff_rows))
+    return MvColumns(r, left, middle, right, la.vstack(*vertex_maps),
+                     la.freeze(diff_rows))
 
 
 class _KernelPresentation(NamedTuple):
@@ -386,16 +402,13 @@ class RemarkReport(NamedTuple):
 
 
 def remark_compare(graph: PatchingGraph, t: TwoTermComplex) -> RemarkReport:
+    sha1 = sha(graph, t, 1)  # refuses a complex over another group
     resolved, _cert = flasque_resolution(t)
     perm, flasque = resolved.l1, resolved.l2
-    sha1 = sha(graph, t, 1)
     sha2 = sha(graph, flasque, 2)
     cols0 = mv_columns(graph, t, 0)
-    if cols0.right_dim == 0:
-        coker_factors: tuple[int, ...] = ()
-    else:
-        coker_factors = la.hom_cokernel(
-            cols0.difference_matrix, cols0.right_factors).factors
+    coker_factors = la.hom_cokernel(cols0.difference_matrix,
+                                    cols0.right_factors).factors
     perm_h1 = tuple(
         group_cohomology(h, perm, 1).invariant_factors
         for h in graph.vertices)
@@ -492,48 +505,21 @@ def restrict_crossed(c: FiniteCrossedModule,
                                sub, on_g, on_h)
 
 
-def _crossed_h(c: FiniteCrossedModule, handle: Optional[SubgroupHandle],
-               r: int, bound: int):
-    mod = c if handle is None else restrict_crossed(c, handle)
-    return h_minus_one(mod) if r == -1 else h_zero(mod, bound)
+def _crossed_kind(c: FiniteCrossedModule, r: int, bound: int):
+    """Columns are H^r of ``c`` restricted to each subgroup, restrictions
+    index tables source class -> target class."""
+    def column(h):
+        mod = restrict_crossed(c, h) if isinstance(h, SubgroupHandle) else c
+        return h_minus_one(mod) if r == -1 else h_zero(mod, bound)
 
+    def restrict(src, src_col, h, tgt_col) -> tuple[int, ...]:
+        if r == -1:
+            return tuple(tgt_col.members.index(x) for x in src_col.members)
+        ids = h.ids_in(src)
+        return tuple(tgt_col.class_of[(tuple(alpha[s] for s in ids), hval)]
+                     for alpha, hval in src_col.representatives)
 
-def _crossed_restrict_index(src_col, tgt_col, src, tgt_handle,
-                            r: int, idx: int) -> int:
-    """Class index in the target column of the restriction of source
-    class ``idx``; ``src`` is gamma or the source vertex subgroup."""
-    if r == -1:
-        x = src_col.members[idx]
-        return tgt_col.members.index(x)
-    alpha, hval = src_col.representatives[idx]
-    restricted = tuple(alpha[s] for s in tgt_handle.ids_in(src))
-    return tgt_col.class_of[(restricted, hval)]
-
-
-def _crossed_columns(graph: PatchingGraph, c: FiniteCrossedModule,
-                     r: int, bound: int) -> CrossedMvColumns:
-    left = _crossed_h(c, None, r, bound)
-    middle = tuple(_crossed_h(c, h, r, bound) for h in graph.vertices)
-    right = tuple(_crossed_h(c, h, r, bound) for _, _, h in graph.edges)
-    vertex_maps = tuple(
-        tuple(_crossed_restrict_index(left, middle[i], graph.gamma,
-                                      graph.vertices[i], r, idx)
-              for idx in range(left.order))
-        for i in range(len(graph.vertices)))
-    head_maps = []
-    tail_maps = []
-    for k, (head, tail, h) in enumerate(graph.edges):
-        head_maps.append(tuple(
-            _crossed_restrict_index(middle[head], right[k],
-                                    graph.vertices[head], h, r, idx)
-            for idx in range(middle[head].order)))
-        tail_maps.append(tuple(
-            _crossed_restrict_index(middle[tail], right[k],
-                                    graph.vertices[tail], h, r, idx)
-            for idx in range(middle[tail].order)))
-    return CrossedMvColumns(r, left, middle, right, vertex_maps,
-                            tuple(head_maps), tuple(tail_maps),
-                            graph.edges, bound)
+    return column, restrict, lambda *row: CrossedMvColumns(*row, bound)
 
 
 class ShaCrossed(NamedTuple):
@@ -553,11 +539,6 @@ class ShaCrossed(NamedTuple):
 # ---------------------------------------------------------------------------
 # Refinement along a finite extension (a subgroup H of gamma).
 
-def _orbit_stabilizer(cs, handle: SubgroupHandle, point: int
-                      ) -> tuple[int, ...]:
-    return tuple(g for g in handle.members if cs.act(g, point) == point)
-
-
 def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
     """Split every vertex and edge into the orbits of its subgroup on
     the coset space of ``h``.
@@ -576,38 +557,42 @@ def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
         raise MembershipError("refinement subgroup belongs to a "
                               "different group")
     cs = coset_action(gamma, h)
+
+    def split(handle: SubgroupHandle):
+        """Per orbit of ``handle`` on the cosets: the orbit, its
+        stabilizer at the minimal coset, and the book entry (coset,
+        orbit size)."""
+        return [(orbit, tuple(g for g in handle.members
+                              if cs.act(g, orbit[0]) == orbit[0]),
+                 (orbit[0], len(orbit)))
+                for orbit in cs.orbits(handle.members)]
+
     new_vertices: list[SubgroupHandle] = []
     vertex_ids: list[dict[int, int]] = []  # per vertex: coset -> new id
     vertex_books = []
     witnesses = []  # per refined vertex: (original vertex, coset)
     for v, handle in enumerate(graph.vertices):
         ids: dict[int, int] = {}
-        book = []
-        for orbit in cs.orbits(handle.members):
-            rep = orbit[0]
-            stab = _orbit_stabilizer(cs, handle, rep)
+        orbits = split(handle)
+        for orbit, stab, (rep, _) in orbits:
             ids.update((c, len(new_vertices)) for c in orbit)
             new_vertices.append(SubgroupHandle(gamma, stab))
             witnesses.append((v, rep))
-            book.append((rep, len(orbit)))
         vertex_ids.append(ids)
-        vertex_books.append(tuple(book))
+        vertex_books.append(tuple(entry for *_, entry in orbits))
 
     new_edges = []
     edge_books = []
     for (head, tail, handle) in graph.edges:
-        book = []
-        for orbit in cs.orbits(handle.members):
-            rep = orbit[0]
-            stab = set(_orbit_stabilizer(cs, handle, rep))
+        orbits = split(handle)
+        for _, stab, (rep, _) in orbits:
             head_id = vertex_ids[head][rep]
             tail_id = vertex_ids[tail][rep]
-            members = (stab & set(new_vertices[head_id].members)
+            members = (set(stab) & set(new_vertices[head_id].members)
                        & set(new_vertices[tail_id].members))
             new_edges.append((head_id, tail_id,
                               SubgroupHandle(gamma, tuple(members))))
-            book.append((rep, len(orbit)))
-        edge_books.append(tuple(book))
+        edge_books.append(tuple(entry for *_, entry in orbits))
     components = _components(len(new_vertices), new_edges)
     if len(components) > 1:
         raise GraphSplitError(components, tuple(witnesses))

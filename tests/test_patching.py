@@ -27,20 +27,39 @@ def _a3(s3):
 
 def test_build_validation():
     z2 = cyclic_group(2)
-    s3 = symmetric_group_3()
     g = pa.build_patching_graph(z2, [whole_subgroup(z2)], [])
     assert g.n_vertices == 1 and g.n_edges == 0
-    with pytest.raises(pa.ModelError):
-        # edge subgroup not contained in the tail vertex
-        pa.build_patching_graph(
-            s3, [trivial_subgroup(s3), whole_subgroup(s3)],
-            [(0, 1, whole_subgroup(s3))])
-    with pytest.raises(pa.ModelError):
-        pa.build_patching_graph(
-            z2, [whole_subgroup(z2), whole_subgroup(z2)], [])
-    with pytest.raises(pa.ModelError):
-        pa.build_patching_graph(z2, [whole_subgroup(z2)],
-                                [(0, 0, whole_subgroup(z2))])
+
+
+def _refusals():
+    """(vertices, edges, message) for each refusal of
+    build_patching_graph, over Z2 or S3."""
+    z2, z3, s3 = cyclic_group(2), cyclic_group(3), symmetric_group_3()
+    w2, t2 = whole_subgroup(z2), trivial_subgroup(z2)
+    ws3, ts3 = whole_subgroup(s3), trivial_subgroup(s3)
+    return [
+        (z2, [], [], "a patching graph needs at least one vertex"),
+        (z2, [whole_subgroup(z3)], [],
+         "vertex 0 subgroup is not a subgroup of the ambient group"),
+        (z2, [w2], [(0, 0, w2)], "edge 0 is a loop"),
+        (z2, [w2, w2], [(0, 1, t2), (0, 2, t2)],
+         "edge 1 endpoint out of range"),
+        (z2, [w2, w2], [(0, 1, trivial_subgroup(z3))],
+         "edge 0 subgroup is not a subgroup of the ambient group"),
+        (s3, [ts3, ws3], [(0, 1, ws3)],
+         "edge 0 subgroup not contained in its head vertex subgroup"),
+        (s3, [ws3, ts3], [(0, 1, ws3)],
+         "edge 0 subgroup not contained in its tail vertex subgroup"),
+        (z2, [w2, w2], [], "patching graph is not connected"),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_build_refusals(case):
+    gamma, vertices, edges, message = _refusals()[case]
+    with pytest.raises(pa.ModelError) as err:
+        pa.build_patching_graph(gamma, vertices, edges)
+    assert str(err.value) == message
 
 
 def test_mv_columns_single_vertex():
@@ -198,6 +217,18 @@ def test_remark_compare_reads_the_cached_flasque_resolution(monkeypatch):
     rc = pa.remark_compare(fixtures.graph_catalog()["s3-two-vertex"], t)
     assert calls == []
     assert rc.flasque_lattice is flasque_resolution(t)[0].l2
+
+
+def test_remark_compare_refuses_before_resolving(monkeypatch):
+    """A complex over another group is refused before any flasque
+    resolution runs."""
+    def unreachable(t):
+        raise AssertionError("resolved a complex that is refused")
+
+    monkeypatch.setattr(pa, "flasque_resolution", unreachable)
+    with pytest.raises(pa.ModelError):
+        pa.remark_compare(fixtures.graph_catalog()["two-vertex-whole"],
+                          fixtures.complex_catalog()["s3-coset-aug"])
 
 
 def test_remark_compare_reports_disagreement():
@@ -483,6 +514,35 @@ def test_reports_build_each_row_once(monkeypatch):
             else:
                 assert alone.invariant_factors == s.invariant_factors
         degrees.clear()
+
+
+def test_walk_computes_each_column_and_map_once(monkeypatch):
+    """mv_columns computes 1 + |V| + |E| columns and |V| + 2|E|
+    restriction maps, for every kind of coefficient."""
+    columns, maps = [], []
+
+    def counted(name, calls):
+        real = getattr(pa, name)
+        monkeypatch.setattr(pa, name, lambda *a: calls.append(a) or real(*a))
+
+    for name in ("group_cohomology", "hypercohomology", "h_minus_one",
+                 "h_zero"):
+        counted(name, columns)
+    counted("restriction", maps)
+    for gname, cname, g, coeff, _rep in _catalog_reports():
+        crossed = isinstance(coeff, pa.FiniteCrossedModule)
+        for r in (-1, 0):
+            columns.clear()
+            maps.clear()
+            cols = pa.mv_columns(g, coeff, r)
+            assert len(columns) == 1 + g.n_vertices + g.n_edges, (gname, r)
+            if crossed:
+                tables = (cols.vertex_maps + cols.edge_head_maps
+                          + cols.edge_tail_maps)
+                assert maps == [] and len(tables) == \
+                    g.n_vertices + 2 * g.n_edges, (gname, cname, r)
+            else:
+                assert len(maps) == g.n_vertices + 2 * g.n_edges, (gname, r)
 
 
 def test_refine_s3_by_a3():
