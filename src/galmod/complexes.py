@@ -8,7 +8,10 @@ Every term is a lattice, as in Colliot-Thelene--Sansuc: a pushout whose
 quotient would carry torsion is refused.  Each move is a square of
 complexes, re-verified on the spot by ``verify_square`` and kept once, in
 its ``CertificateMove``; a pushout or pullback result adds only what the
-next step reads.  The full chain of moves is returned as a replayable
+next step reads.  The square's mapping cone decides it: two span tests
+and a rank count say whether the cone is acyclic, that is whether the
+square is a quasi-isomorphism.  Only a square that fails is taken apart
+into its maps on H^-1 and H^0, to say which of them it fails on.  The full chain of moves is returned as a replayable
 certificate; replay also checks that the moves lead from the original
 complex to the resolved one, the embedding move included: its target
 lattice must be the dual of the lattice the next pushout embeds into.
@@ -29,8 +32,8 @@ from .groups import coset_action, enumerate_subgroups, subgroup
 from .intlinalg import IntMatrix
 from .lattice import (FgModule, GLattice, LatticeMap, Rows, direct_sum,
                       dual_lattice, dual_map, fixed_points, fixed_rank,
-                      induced_action_on_sublattice, is_equivariant,
-                      make_permutation_lattice)
+                      has_shape, induced_action_on_sublattice,
+                      is_equivariant, make_permutation_lattice)
 
 
 class PreconditionError(Exception):
@@ -105,6 +108,12 @@ def _hminus_one(t: TwoTermComplex) -> GLattice:
 # Quasi-isomorphism verification.
 
 class MoveEvidence(NamedTuple):
+    """The verdict on a square: whether it induces isomorphisms on H^-1
+    and on H^0.  ``verify_square`` decides a square by its mapping cone
+    and gives (True, True) for an acyclic one; only a failing square is
+    taken apart, so its two fields say which homology group it fails
+    on."""
+
     hminus_ok: bool
     h0_ok: bool
 
@@ -113,47 +122,78 @@ class MoveEvidence(NamedTuple):
         return self.hminus_ok and self.h0_ok
 
 
-def _shaped(m: IntMatrix, rows: int, cols: int) -> bool:
-    """Whether ``m`` is rows x cols; one with no rows cannot carry its
-    column count."""
-    r, c = la.shape(m)
-    return r == rows and (not r or c == cols)
-
-
 def verify_square(src: TwoTermComplex, tgt: TwoTermComplex,
                   comp_minus1: IntMatrix, comp0: IntMatrix) -> MoveEvidence:
     """Check that a square [L1 -> L2] -> [L1' -> L2'] is a
     quasi-isomorphism of complexes of G-lattices: that its maps are
-    G-equivariant, that it commutes, and that the induced kernel and
-    cokernel maps are isomorphisms.
+    G-equivariant, that it commutes, and that its mapping cone is
+    acyclic.
 
     All four lattices must be over one group table and generators, so
     that generator index s means the same element on both sides.
     comp_minus1 must be a map L1 -> L1' and comp0 a map L2 -> L2' by
-    shape, each equivariant (``lattice.is_equivariant``), and
-    comp0 d = d' comp_minus1 must hold exactly, all on sparse rows: each
-    map is converted to them once, and its columns are their transpose.
-    H^-1 is free on the cycle bases, so its map is an isomorphism iff its
-    matrix on them is square and unimodular.  H^0 is
-    Z^m / span(d) -> Z^n / span(d'): it is onto iff the columns of
-    [comp0 | d'] span Z^n, and one-to-one iff the preimage of span(d')
-    under comp0 lies in span(d).  Each matrix is eliminated once: the
-    echelon of d gives the cycle basis of H^-1 (its kernel) and answers
-    membership in span(d), that of d' the cycle basis on the target, and
-    that of [comp0 | d'] both "onto" (its pivots) and the preimage (its
-    kernel, recorded on the first m coordinates).  No Smith form runs."""
+    shape, every row read (``lattice.has_shape``), each equivariant
+    (``lattice.is_equivariant``), and comp0 d = d' comp_minus1 must hold
+    exactly, all on sparse rows: each map is converted to them once, and
+    its columns are their transpose.  Any of these failing gives
+    (False, False).
+
+    With n, m, n', m' the ranks of L1, L2, L1', L2', the cone is
+    Z^n -> Z^m + Z^n' -> Z^m', with x -> (-d x, comp_minus1 x) and
+    (y, z) -> comp0 y + d' z; the square commutes, so it is a complex.
+    Lemma: the cone is acyclic iff (a) the rows of d and of comp_minus1
+    span Z^n, (b) the columns of [comp0 | d'] span Z^m', and (c)
+    n + m' = m + n'.  Proof: (a) says the first map has a left inverse,
+    so it is one-to-one with a saturated image I of rank n; (b) says the
+    last map is onto Z^m', which is free, so its kernel K is a direct
+    summand, saturated, of rank m + n' - m'.  The composite is zero, so
+    I lies in K, and by (c) they have one rank; I is saturated, so K / I
+    is torsion-free of rank 0, that is I = K.  Conversely an acyclic
+    cone is split exact (its terms are free), which gives (a) and (b),
+    and its ranks alternate to zero, which is (c).  By the long exact
+    sequence of the cone, H^k(src) -> H^k(tgt) -> H^k(cone) ->
+    H^(k+1)(src), the square is a quasi-isomorphism iff its cone is
+    acyclic.  (a) and (b) are one untracked echelon each, and no Smith
+    form runs.
+
+    A square whose cone is not acyclic is taken apart by
+    ``_split_evidence``, which says whether it fails on H^-1, on H^0 or
+    on both."""
     if not all(src.l1.group.same_presentation(x.group)
                for x in (src.l2, tgt.l1, tgt.l2)):
+        return MoveEvidence(False, False)
+    n, m, n_t, m_t = src.l1.rank, src.l2.rank, tgt.l1.rank, tgt.l2.rank
+    if not (has_shape(comp_minus1, n_t, n) and has_shape(comp0, m_t, m)):
         return MoveEvidence(False, False)
     cm1, c0 = la.sparse_rows(comp_minus1), la.sparse_rows(comp0)
     d_src = la.sparse_rows(src.differential.matrix)
     d_tgt = la.sparse_rows(tgt.differential.matrix)
-    if not (_shaped(comp_minus1, tgt.l1.rank, src.l1.rank)
-            and _shaped(comp0, tgt.l2.rank, src.l2.rank)
-            and is_equivariant(cm1, src.l1, tgt.l1)
+    if not (is_equivariant(cm1, src.l1, tgt.l1)
             and is_equivariant(c0, src.l2, tgt.l2)
             and la.rows_mul(c0, d_src) == la.rows_mul(d_tgt, cm1)):
         return MoveEvidence(False, False)
+    if n + m_t == m + n_t and la.ColumnSpan(d_src + cm1).spans(n) \
+            and la.ColumnSpan(la.rows_transpose(c0, m)
+                              + la.rows_transpose(d_tgt, n_t)).spans(m_t):
+        return MoveEvidence(True, True)
+    return _split_evidence(src, tgt, cm1, c0, d_src, d_tgt)
+
+
+def _split_evidence(src: TwoTermComplex, tgt: TwoTermComplex, cm1: Rows,
+                    c0: Rows, d_src: Rows, d_tgt: Rows) -> MoveEvidence:
+    """The evidence of a commuting square of equivariant maps, given as
+    sparse rows, with H^-1 and H^0 taken apart: ``verify_square`` calls
+    it only when the mapping cone is not acyclic, to say where the
+    square fails.
+
+    H^-1 is free on the cycle bases, so its map is an isomorphism iff its
+    matrix on them is square and unimodular.  H^0 is
+    Z^m / span(d) -> Z^m' / span(d'): it is onto iff the columns of
+    [comp0 | d'] span Z^m', and one-to-one iff the preimage of span(d')
+    under comp0 lies in span(d).  The echelon of d gives the cycle basis
+    of H^-1 (its kernel) and answers membership in span(d); one tracked
+    echelon of [comp0 | d'] answers "onto" (its pivots) and gives the
+    preimage (its kernel, recorded on the first m coordinates)."""
     _, s, ks = _cycles(d_src, src.l1.rank)
     t_cols, _, kt = _cycles(d_tgt, tgt.l1.rank)
     imgs = la.rows_transpose(la.rows_mul(

@@ -37,6 +37,12 @@ class EquivarianceError(Exception):
     """A map or action fails an equivariance / well-definedness check."""
 
 
+def has_shape(m: Sequence[Sequence[int]], rows: int, cols: int) -> bool:
+    """Whether ``m`` is rows x cols, every row read: a ragged matrix is
+    no matrix.  One with no rows cannot carry its column count."""
+    return len(m) == rows and all(len(row) == cols for row in m)
+
+
 class _ElementRows(Frozen):
     """The matrices of a GLattice or FgModule as sparse rows, built once:
     the generators' (``action``) and every group element's."""
@@ -80,9 +86,8 @@ class GLattice(_ElementRows):
                      tuple[SubgroupHandle, ...]] = None):
         if len(action) != len(group.generators):
             raise ValueError("one action matrix per generator required")
-        for m in action:
-            if la.shape(m) != (rank, rank):
-                raise ValueError("action matrix has wrong shape")
+        if not all(has_shape(m, rank, rank) for m in action):
+            raise ValueError("action matrix has wrong shape")
         vars(self).update(group=group, rank=rank, action=action,
                           permutation_subgroups=permutation_subgroups)
 
@@ -151,9 +156,7 @@ class LatticeMap(Frozen):
     def __init__(self, source: GLattice, target: GLattice, matrix: IntMatrix):
         if not source.group.same_presentation(target.group):
             raise ValueError("source and target over different groups")
-        r, c = la.shape(matrix)
-        # zero-row matrices cannot carry a column count
-        if r != target.rank or (r > 0 and c != source.rank):
+        if not has_shape(matrix, target.rank, source.rank):
             raise ValueError("map matrix has wrong shape")
         vars(self).update(source=source, target=target, matrix=matrix)
 
@@ -173,7 +176,8 @@ class FgModule(_ElementRows):
                  relations: IntMatrix,  # ngens x nrel, columns are relations
                  action: tuple[IntMatrix, ...]):
         # a relation matrix with no columns still has one row per generator
-        if len(relations) != ngens:
+        if not has_shape(relations, ngens,
+                         len(relations[0]) if relations else 0):
             raise ValueError("relations matrix has wrong shape")
         if len(action) != len(group.generators):
             raise ValueError("one action matrix per generator required")
@@ -187,9 +191,8 @@ class FgModule(_ElementRows):
         ``FiniteGroup.loop_edges()`` (a, t), which suffices by the lemma
         there, as in ``GLattice.validate``."""
         n = self.ngens
-        for m in self.action:
-            if la.shape(m) != (n, n):
-                raise ValueError("action matrix has wrong shape")
+        if not all(has_shape(m, n, n) for m in self.action):
+            raise ValueError("action matrix has wrong shape")
         rel = la.sparse_rows(self.relations)
         nrel = la.shape(self.relations)[1]
         span = la.ColumnSpan(la.rows_transpose(rel, nrel))

@@ -15,7 +15,7 @@ from lattice_strategies import (S4_LATTICES, small_lattices,
                                 unimodular_matrices)
 
 from galmod import intlinalg as la
-from galmod import fixtures, serialize
+from galmod import complexes, fixtures, serialize
 from galmod.cohomology import group_cohomology, hypercohomology, \
     tate_cohomology
 from galmod.complexes import (ClassificationVerdict, GroupMismatchError,
@@ -181,17 +181,19 @@ def test_verify_square_h0_decisions():
 
 
 def _misshapen(m):
-    """A matrix with a column or a row too many or too few."""
+    """A matrix with a column or a row too many or too few, or ragged:
+    its last row cut short, or lengthened by a nonzero entry."""
     rows = [list(row) for row in m]
     return [la.freeze(bad) for bad in (
         [row + [0] for row in rows], [row[:-1] for row in rows],
-        rows + [[0] * len(rows[0])], rows[:-1])]
+        rows + [[0] * len(rows[0])], rows[:-1],
+        rows[:-1] + [rows[-1][:-1]], rows[:-1] + [rows[-1] + [1]])]
 
 
 def test_verify_square_refuses_a_misshapen_comp_minus1():
     """A map A -> A', or a map B -> B', with a column or a row too many
-    or too few is no map of the square: the evidence is negative, not an
-    error."""
+    or too few, or with a row of another length than the others, is no
+    map of the square: the evidence is negative, not an error."""
     move = coflasque_resolution(fixtures.complex_catalog()["z3-aug"])[1] \
         .moves[-1]
     assert move.src.l1.rank and move.tgt.l1.rank
@@ -295,21 +297,29 @@ def _verify_square_by_separate_solves(src, tgt, comp_minus1, comp0):
     return MoveEvidence(hminus_ok, h0_ok)
 
 
+def _square_moves():
+    """The pushout and pullback moves of both resolutions of every
+    catalog complex."""
+    return [move for t in fixtures.complex_catalog().values()
+            for resolve in (coflasque_resolution, flasque_resolution)
+            for move in resolve(t)[1].moves if move.kind != "duality"]
+
+
+def _scaled_squares():
+    """Each of ``_square_moves`` with both maps scaled by 1, -1, 2 and 0
+    (the square still commutes), as (src, tgt, comp_minus1, comp0)."""
+    return [(move.src, move.tgt) + tuple(
+        tuple(tuple(k * x for x in row) for row in m)
+        for m in (move.comp_minus1, move.comp0))
+        for move in _square_moves() for k in (1, -1, 2, 0)]
+
+
 def test_h0_span_solves_match_smith_form_on_catalog_moves():
     """Every pushout and pullback move of the catalog resolutions, with
     both maps scaled by 1, -1, 2 and 0 (the square still commutes): the
     H^0 verdict agrees with the Smith form, and the whole evidence with
     the route that solves each question separately."""
-    squares = []
-    for t in fixtures.complex_catalog().values():
-        for resolve in (coflasque_resolution, flasque_resolution):
-            for move in resolve(t)[1].moves:
-                if move.kind == "duality":
-                    continue
-                for k in (1, -1, 2, 0):
-                    squares.append((move.src, move.tgt) + tuple(
-                        tuple(tuple(k * x for x in row) for row in m)
-                        for m in (move.comp_minus1, move.comp0)))
+    squares = _scaled_squares()
     assert len(squares) == 432
     verdicts = []
     for src, tgt, cm1, c0 in squares:
@@ -331,32 +341,75 @@ def _moved(m, i, k):
     return la.freeze(rows)
 
 
+def _forged_squares():
+    """Each of ``_square_moves`` with one entry of comp0, and separately
+    one of comp_minus1, moved by 1 and by -1, as (src, tgt, comp_minus1,
+    comp0)."""
+    squares = []
+    for i, move in enumerate(_square_moves()):
+        cm1, c0 = move.comp_minus1, move.comp0
+        for k in (1, -1):
+            if c0 and c0[0]:
+                squares.append((move.src, move.tgt, cm1, _moved(c0, i, k)))
+            if cm1 and cm1[0]:
+                squares.append((move.src, move.tgt, _moved(cm1, i, k), c0))
+    return squares
+
+
 def test_forged_squares_match_the_dense_oracle():
     """Every pushout and pullback move of the catalog resolutions, with
     one entry of comp0, and separately one of comp_minus1, moved by 1 and
     by -1: the evidence equals the dense route that solves each question
     separately.  Some forged squares fail on their maps, others pass them
     and fail only on H^0."""
-    moves = [move for t in fixtures.complex_catalog().values()
-             for resolve in (coflasque_resolution, flasque_resolution)
-             for move in resolve(t)[1].moves if move.kind != "duality"]
-    verdicts, forged = set(), 0
-    for i, move in enumerate(moves):
-        cm1, c0 = move.comp_minus1, move.comp0
-        squares = []
-        for k in (1, -1):
-            if c0 and c0[0]:
-                squares.append((cm1, _moved(c0, i, k)))
-            if cm1 and cm1[0]:
-                squares.append((_moved(cm1, i, k), c0))
-        for cm1_f, c0_f in squares:
-            got = verify_square(move.src, move.tgt, cm1_f, c0_f)
-            assert got == _verify_square_by_separate_solves(
-                _ab(move.src), _ab(move.tgt), cm1_f, c0_f)
-            verdicts.add(got)
-            forged += 1
-    assert forged > 300
+    squares = _forged_squares()
+    verdicts = set()
+    for src, tgt, cm1_f, c0_f in squares:
+        got = verify_square(src, tgt, cm1_f, c0_f)
+        assert got == _verify_square_by_separate_solves(
+            _ab(src), _ab(tgt), cm1_f, c0_f)
+        verdicts.add(got)
+    assert len(squares) > 300
     assert verdicts == {MoveEvidence(False, False), MoveEvidence(True, False)}
+
+
+def test_mapping_cone_decides_as_the_separate_solves(monkeypatch):
+    """On the scaled and the forged catalog squares, the mapping cone
+    alone (the split route answering (False, False) unasked) accepts
+    exactly the squares that the route solving each question separately
+    finds ``ok``: it accepts some and refuses others."""
+    squares = _scaled_squares() + _forged_squares()
+    monkeypatch.setattr(complexes, "_split_evidence",
+                        lambda *args: MoveEvidence(False, False))
+    verdicts = []
+    for src, tgt, cm1, c0 in squares:
+        got = verify_square(src, tgt, cm1, c0).ok
+        assert got == _verify_square_by_separate_solves(
+            _ab(src), _ab(tgt), cm1, c0).ok
+        verdicts.append(got)
+    assert set(verdicts) == {True, False}
+
+
+def test_no_catalog_move_reaches_the_split_code(monkeypatch):
+    """Every pushout and pullback move of both resolutions of every
+    catalog complex, built afresh and replayed after a JSON round trip,
+    is decided by its mapping cone: H^-1 and H^0 are never taken
+    apart."""
+    def unreachable(*args):
+        raise AssertionError("a catalog move reached the split code")
+
+    real, squares = verify_square, []
+    monkeypatch.setattr(complexes, "_split_evidence", unreachable)
+    monkeypatch.setattr(complexes, "verify_square",
+                        lambda *args: squares.append(args) or real(*args))
+    for name, t in fixtures.complex_catalog().items():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            cert = resolve(_copy(t))[1]
+            back = serialize.load_certificate(json.loads(serialize.to_json(
+                serialize.dump_certificate(cert))))
+            assert cert.valid and replay_certificate(back), name
+    # 108 moves, each verified when it is built and when it is replayed
+    assert len(squares) == 2 * 108
 
 
 def test_pushout_pullback_identity_squares():

@@ -33,6 +33,25 @@ def test_lattice_validation():
         GLattice(z2, 1, (((2,),),)).validate()  # not unimodular
 
 
+def test_ragged_matrices_are_refused():
+    """Every row of a matrix is read: an action or map matrix with one
+    row of another length is refused when it is built, as
+    ``serialize.load_lattice`` refuses it when it is loaded; a module
+    refuses ragged relations when built and a ragged action in
+    ``validate``."""
+    z2 = cyclic_group(2)
+    t = trivial_lattice(z2, 2)
+    for bad in (((0, 1), (1,)), ((0, 1), (1, 0, 1))):
+        with pytest.raises(ValueError, match="wrong shape"):
+            GLattice(z2, 2, (bad,))
+        with pytest.raises(ValueError, match="wrong shape"):
+            LatticeMap(t, t, bad)
+        with pytest.raises(ValueError, match="wrong shape"):
+            FgModule(z2, 2, ((), ()), (bad,)).validate()
+        with pytest.raises(ValueError, match="wrong shape"):
+            FgModule(z2, 2, bad, (la.identity(2),))
+
+
 def _respects_full_table(lat: GLattice) -> bool:
     """The exhaustive check M(a) M(b) = M(ab) over all pairs."""
     mats = lat.element_matrices()
