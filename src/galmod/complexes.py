@@ -9,12 +9,14 @@ quotient would carry torsion is refused.  Each move is a square of
 complexes, re-verified on the spot by ``verify_square`` and kept once, in
 its ``CertificateMove``; a pushout or pullback result adds only what the
 next step reads.  The square's mapping cone decides it: two span tests
-and a rank count say whether the cone is acyclic, that is whether the
-square is a quasi-isomorphism.  Only a square that fails is taken apart
-into its maps on H^-1 and H^0, to say which of them it fails on.  The full chain of moves is returned as a replayable
-certificate; replay also checks that the moves lead from the original
-complex to the resolved one, the embedding move included: its target
-lattice must be the dual of the lattice the next pushout embeds into.
+(``intlinalg.spans``, which keeps no echelon) and a rank count say
+whether the cone is acyclic, that is whether the square is a
+quasi-isomorphism.  Only a square that fails is taken apart into its
+maps on H^-1 and H^0, to say which of them it fails on.  The full chain
+of moves is returned as a replayable certificate; replay also checks
+that the moves lead from the original complex to the resolved one, the
+embedding move included: its target lattice must be the dual of the
+lattice the next pushout embeds into.
 Each complex keeps its two resolutions, computed once, as
 ``cached_property`` values; the certificate, which refers back to the
 complex, is built on each call, so the cache makes no reference cycle.
@@ -153,7 +155,8 @@ def verify_square(src: TwoTermComplex, tgt: TwoTermComplex,
     and its ranks alternate to zero, which is (c).  By the long exact
     sequence of the cone, H^k(src) -> H^k(tgt) -> H^k(cone) ->
     H^(k+1)(src), the square is a quasi-isomorphism iff its cone is
-    acyclic.  (a) and (b) are one untracked echelon each, and no Smith
+    acyclic.  (a) and (b) are one ``la.spans`` call each, a yes/no test
+    in a fill-reducing row order that keeps no echelon, and no Smith
     form runs.
 
     A square whose cone is not acyclic is taken apart by
@@ -172,9 +175,9 @@ def verify_square(src: TwoTermComplex, tgt: TwoTermComplex,
             and is_equivariant(c0, src.l2, tgt.l2)
             and la.rows_mul(c0, d_src) == la.rows_mul(d_tgt, cm1)):
         return MoveEvidence(False, False)
-    if n + m_t == m + n_t and la.ColumnSpan(d_src + cm1).spans(n) \
-            and la.ColumnSpan(la.rows_transpose(c0, m)
-                              + la.rows_transpose(d_tgt, n_t)).spans(m_t):
+    if n + m_t == m + n_t and la.spans(d_src + cm1, n) \
+            and la.spans(la.rows_transpose(c0, m)
+                         + la.rows_transpose(d_tgt, n_t), m_t):
         return MoveEvidence(True, True)
     return _split_evidence(src, tgt, cm1, c0, d_src, d_tgt)
 
@@ -317,7 +320,7 @@ def pullback_square(g: LatticeMap, dprime: LatticeMap) -> PullbackResult:
     if g.target is not dprime.target:
         raise GroupMismatchError("moves must share the corner lattice")
     bprime, b, aprime = g.source, g.target, dprime.source
-    if not la.ColumnSpan(la.columns(g.matrix)).spans(b.rank):
+    if not la.spans(la.columns(g.matrix), b.rank):
         raise PreconditionError("pullback requires an epimorphism")
     amb = direct_sum(bprime, aprime)
     diff = la.hstack(g.matrix, la.mat_neg(dprime.matrix))

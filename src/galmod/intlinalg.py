@@ -16,7 +16,7 @@ keys were added in.  Two invariants hold:
 - A cached row is never mutated.  ``rows_mul`` hands back a row of its
   right factor itself, and the element rows of a lattice share rows, so
   a reader that changes a row copies it first (``ColumnSpan``,
-  ``_smith`` and ``_along`` all do).
+  ``spans``, ``_smith`` and ``_along`` all do).
 
 Each sparse primitive has one body, which every caller uses:
 
@@ -24,8 +24,9 @@ Each sparse primitive has one body, which every caller uses:
   combinations of ``_sparse_echelon``, the residual of ``_along`` and
   the U, V and W of ``_smith``; ``_axpy_indexed`` is the same update
   that also keeps an index (entry -> keys) in step, for ``_smith``'s
-  rows and ``_sparse_echelon``'s columns.  They are two, not one with
-  an optional index, so neither branches on its caller.
+  rows and the columns of ``_sparse_echelon`` and ``spans``.  They are
+  two, not one with an optional index, so neither branches on its
+  caller.
 - ``rows_apply`` for a matrix times a vector: ``reduce``'s check, pull
   and coordinate rows and the Cayley -> bar cochain map.
 - ``rows_mul`` for a product or a sparse combination of rows, and
@@ -40,12 +41,18 @@ cohomology builder.  ``cohomology._rank_mod`` works mod p.
 ``_smith``'s ``add_col`` is a column operation on row storage, and
 ``ColumnSpan.solve`` accumulates into a dense x.
 
-The column echelon is read only through ``ColumnSpan``, which answers
-every span question (membership, rank, a basis, kernels and so
-preimages, solutions); ``kernel_basis`` and ``solve_columns`` are
-one-line faces of it.  The library reads the Smith form ``_smith``
-directly; ``smith_normal_form`` builds dense U, D and V for ``galmod
-snf`` and the tests.
+Two loops answer span questions, because a basis fixes the row order
+and a yes/no question does not.  The column echelon ``_sparse_echelon``
+takes rows in increasing order, and that order fixes every kernel and
+basis the library returns; it is read only through ``ColumnSpan``
+(membership, rank, a basis, kernels and so preimages, solutions), and
+``kernel_basis`` and ``solve_columns`` are one-line faces of it.
+``spans`` only says whether columns span Z^n: it keeps no basis, so it
+takes rows in a fill-reducing order and stops at the first row that
+decides, and every such question that reads no echelon goes to it.
+The library reads the Smith form ``_smith`` directly;
+``smith_normal_form`` builds dense U, D and V for ``galmod snf`` and
+the tests.
 
 The conversions between these forms run in C iterators: a sparse row is
 ``dict(compress(enumerate(row), row))`` (``_sparse``), a transpose is
@@ -390,8 +397,9 @@ def _axpy(dst: dict, src: dict, k: int) -> None:
 def _axpy_indexed(dst: dict, src: dict, k: int, index, key) -> None:
     """``_axpy`` that keeps ``index`` (index -> set of keys) in step:
     ``key`` joins index[j] when dst gains entry j and leaves it when dst
-    loses j.  ``_smith``'s rows with their column map and
-    ``_sparse_echelon``'s columns with their row map are kept so."""
+    loses j.  ``_smith``'s rows with their column map and the columns
+    of ``_sparse_echelon`` and ``spans`` with their row map are kept
+    so."""
     for j, x in src.items():
         y = dst.get(j)
         if y is None:
@@ -406,9 +414,9 @@ def _axpy_indexed(dst: dict, src: dict, k: int, index, key) -> None:
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     """Whether ``a`` is square with determinant ±1, that is, square with
-    columns that span Z^n (``ColumnSpan.spans``)."""
+    columns that span Z^n (``spans``)."""
     n, c = shape(a)
-    return n == c and ColumnSpan(columns(a)).spans(n)
+    return n == c and spans(columns(a), n)
 
 
 def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
@@ -431,9 +439,10 @@ def mat_inverse_unimodular(a: Sequence[Sequence[int]]) -> IntMatrix:
 # ---------------------------------------------------------------------------
 # Sparse column elimination.  Used for the large, sparse cochain matrices,
 # where a dense SNF would be too slow, and the one place where a vector is
-# reduced against a span: kernels, solves, span membership, unimodularity
-# and the subquotient presentations all read a stored echelon through
-# ``ColumnSpan`` or ``_along``.
+# reduced against a span: kernels, solves, span membership and the
+# subquotient presentations all read a stored echelon through
+# ``ColumnSpan`` or ``_along``; "do these columns span Z^n" alone is
+# ``spans``, which stores nothing.
 
 def _sparse_echelon(sp: list[dict], track: int = 0):
     """Reduce columns given as {row: entry}, in place, to column echelon
@@ -522,6 +531,63 @@ def _along(echelon, vec: Sequence[int]) -> list[int] | None:
     return None if resid else coeffs
 
 
+def spans(cols: Iterable, n: int) -> bool:
+    """Whether the columns, dense or {row: entry} with rows below ``n``,
+    span Z^n.  A yes/no question keeps no basis, so unlike
+    ``_sparse_echelon`` it takes rows in a fill-reducing order and stops
+    at the first row that decides it.
+
+    The rows are taken once, in increasing order of how many columns
+    meet them, ties by row.  At each row the active columns that meet
+    it are cleared by the one of least (|entry|, length, index): the
+    unit entry of the shortest column when there is one, otherwise
+    floor-quotient Euclid until one column is left, as in
+    ``_sparse_echelon``.  That column is frozen: it leaves the row map,
+    so no later row touches it.  The answer is False at the first row
+    that no active column meets, or whose last column there has an
+    entry other than ±1.
+
+    Proof.  Every step adds a multiple of one column to another, so the
+    span never changes.  When row r_t is reached, each active column is
+    zero on r_0..r_(t-1): it was cleared on each of them, and only
+    active columns were added to it since.  So a frozen column is zero
+    on the rows frozen before it.  If all n rows freeze a ±1 pivot, the
+    frozen columns, with their rows in the order r_0..r_(n-1), form a
+    triangular matrix with ±1 on its diagonal: a basis of Z^n inside
+    the span.  If no active column meets row r_t, or only one does,
+    with entry x, |x| > 1, project the span onto the rows r_0..r_t.
+    The other active columns project to zero, so the projection is
+    spanned by the t frozen columns and that one column: a triangular
+    matrix with diagonal ±1, .., ±1, x, or only t columns.  Either way
+    it is not Z^(t+1), so the span is not Z^n."""
+    sp = [dict(c) if isinstance(c, dict) else _sparse(c) for c in cols]
+    rowmap: dict[int, set[int]] = {}
+    for j, col in enumerate(sp):
+        for r in col:
+            rowmap.setdefault(r, set()).add(j)
+    if len(rowmap) != n or (n and max(rowmap) != n - 1):
+        # a row below n that no column meets, or a row past n
+        return False
+    for row in sorted(rowmap, key=lambda r: (len(rowmap[r]), r)):
+        cands = rowmap[row]
+        if not cands:
+            return False
+        while len(cands) > 1:
+            a = min(cands, key=lambda j: (abs(sp[j][row]), len(sp[j]), j))
+            sa = sp[a]
+            xa = sa[row]
+            for b in tuple(cands):
+                if b != a:
+                    _axpy_indexed(sp[b], sa, -(sp[b][row] // xa), rowmap, b)
+        (piv,) = cands
+        col = sp[piv]
+        if col[row] not in (1, -1):
+            return False
+        for r in col:
+            rowmap[r].discard(piv)
+    return True
+
+
 class ColumnSpan:
     """The integer span of a list of columns, read off one column echelon:
     the one face of the echelon that the library reads.
@@ -530,7 +596,9 @@ class ColumnSpan:
     reduced in place).  ``contains`` reduces vectors, dense or {index:
     entry}, along its pivots; ``rank`` counts them; ``spans(n)`` says
     whether the columns span all of Z^n: the echelon is lower triangular
-    with positive pivots, so it does iff it has n pivots and each is 1.
+    with positive pivots, so it does iff it has n pivots and each is 1
+    (asked where the echelon is read as well; the question alone goes
+    to ``spans``).
     ``basis(rows)`` lists the echelon columns, a basis of the span, as
     dense vectors.  With ``track`` = k the echelon also records the
     kernel of the matrix the columns form, cut to its first k
@@ -741,7 +809,7 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     """The group span(num)/span(den); den must lie inside span(num).
 
     den is written on the echelon basis of span(num).  When the columns
-    of that k x j matrix X span Z^k (``ColumnSpan.spans``), den spans
+    of that k x j matrix X span Z^k (``spans``), den spans
     span(num) and the group is trivial: the Smith form would give only
     d_i = 1, so none runs.  Otherwise ``_smith`` gives U X V = D on the
     rows of X, with no V and with the rows of W = (U^{-1})^T.  The
@@ -754,7 +822,7 @@ def abgroup_from_subquotient(num_cols: Sequence[Sequence[int]],
     x = [_along(echelon, c) for c in den_cols]
     if any(y is None for y in x):
         raise SolveError("den is not inside span(num)")
-    if ColumnSpan(x).spans(k):
+    if spans(x, k):
         return AbGroupPresentation(ambient_dim, (), (), (), echelon)
     diagonal, u, _, w = _smith(sparse_rows(from_columns(x, k)), len(x),
                                track_v=False, inverse=True)

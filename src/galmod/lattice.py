@@ -3,12 +3,12 @@ action by unimodular matrices.
 
 A GLattice stores one matrix per group generator as sparse rows, each a
 dict {column: nonzero entry} (``intlinalg.SparseRow``): the builders
-here and in ``complexes`` make those rows (``GLattice.from_rows``), and
-``action``, the dense matrices, is a view built on first read, for JSON
-and the CLI; a lattice given dense matrices reads its rows off them
-once.  The matrices of all elements are kept once per lattice (or
-module) as sparse rows too: fixed points, permutation covers, squares
-and cohomology all read them in that form.  The rows come from sparse
+here and in ``complexes``, and the loader in ``serialize``, make those
+rows (``GLattice.from_rows``), and ``action``, the dense matrices, is a
+view built on first read, for JSON and the CLI; a lattice given dense
+matrices reads its rows off them once.  The matrices of all elements
+are kept once per lattice (or module) as sparse rows too: fixed points,
+permutation covers, squares and cohomology all read them in that form.  The rows come from sparse
 products along the BFS spanning tree ``FiniteGroup.tree()``.  They are
 shared, not copied (a generator's rows are an element's, a summand's
 are the direct sum's, and a monomial row of a product is a row of the
@@ -22,6 +22,7 @@ type (cokernels live there); lattices are always free.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import intlinalg as la
@@ -41,6 +42,17 @@ def has_shape(m: Sequence[Sequence[int]], rows: int, cols: int) -> bool:
     """Whether ``m`` is rows x cols, every row read: a ragged matrix is
     no matrix.  One with no rows cannot carry its column count."""
     return len(m) == rows and all(len(row) == cols for row in m)
+
+
+def check_action(group: FiniteGroup, rank: int,
+                 action: Sequence[Sequence[Sequence[int]]]) -> None:
+    """Refuse, with ValueError, anything but one rank x rank matrix per
+    generator of ``group``: ``GLattice`` on its dense matrices, and
+    ``serialize`` on the ones it loads into sparse rows."""
+    if len(action) != len(group.generators):
+        raise ValueError("one action matrix per generator required")
+    if not all(has_shape(m, rank, rank) for m in action):
+        raise ValueError("action matrix has wrong shape")
 
 
 class _ElementRows(Frozen):
@@ -84,10 +96,7 @@ class GLattice(_ElementRows):
                  action: tuple[IntMatrix, ...],
                  permutation_subgroups: Optional[
                      tuple[SubgroupHandle, ...]] = None):
-        if len(action) != len(group.generators):
-            raise ValueError("one action matrix per generator required")
-        if not all(has_shape(m, rank, rank) for m in action):
-            raise ValueError("action matrix has wrong shape")
+        check_action(group, rank, action)
         vars(self).update(group=group, rank=rank, action=action,
                           permutation_subgroups=permutation_subgroups)
 
@@ -97,10 +106,17 @@ class GLattice(_ElementRows):
                   permutation_subgroups: Optional[
                       tuple[SubgroupHandle, ...]] = None) -> "GLattice":
         """The lattice with these sparse generator rows, kept as
-        ``action_rows()`` (not copied: zero-free, and never mutated)."""
+        ``action_rows()`` (not copied: zero-free, and never mutated).
+        Every row must name only columns in 0..rank-1: the columns all
+        rows name are gathered into one set in C, and its least and
+        largest are read."""
         if len(rows) != len(group.generators) \
                 or any(len(m) != rank for m in rows):
             raise ValueError("one rank x rank action matrix per generator")
+        named = set().union(*chain.from_iterable(rows))
+        if named and (min(named) < 0 or max(named) >= rank):
+            raise ValueError(
+                f"action row names a column outside 0..{rank - 1}")
         lat = cls.__new__(cls)
         vars(lat).update(group=group, rank=rank, _action_rows=tuple(rows),
                          permutation_subgroups=permutation_subgroups)
@@ -124,7 +140,7 @@ class GLattice(_ElementRows):
         gens = self.action_rows()
         for m in gens:
             # the rows of M are the columns of M^T, unimodular iff M is
-            if self.rank and not la.ColumnSpan(m).spans(self.rank):
+            if not la.spans(m, self.rank):
                 raise EquivarianceError("action matrix is not unimodular")
         rows = self.element_rows()
         g = self.group

@@ -17,7 +17,7 @@ from .complexes import (CertificateMove, MoveEvidence,
 from .crossed import FiniteCrossedModule
 from .groups import (DEFAULT_SIZE_LIMIT, FiniteGroup, SizeLimitError,
                      SubgroupHandle, group_from_cycles, group_from_table)
-from .lattice import GLattice, LatticeMap
+from .lattice import GLattice, LatticeMap, check_action
 from .patching import PatchingGraph, build_patching_graph
 
 GROUP_FORMAT = "galmod-group-1"
@@ -48,14 +48,19 @@ def _int(x, what: str) -> int:
     return x
 
 
-def _rows(m, what: str) -> list[list[int]]:
-    """Rows of integers read from input.  The entries' types are checked
-    as one set; only a refused matrix is walked, to name its first entry
-    that is not an int."""
-    rows = list(map(list, m))
+def _check_ints(rows, what: str) -> None:
+    """Refuse rows whose entries are not all ints.  The entries' types
+    are checked as one set; only refused rows are walked, to name their
+    first entry that is not an int."""
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         _int(next(x for x in chain.from_iterable(rows)
                   if type(x) is not int), what)
+
+
+def _rows(m, what: str) -> list[list[int]]:
+    """Rows of integers read from input."""
+    rows = list(map(list, m))
+    _check_ints(rows, what)
     return rows
 
 
@@ -83,14 +88,21 @@ def _id_rows(obj, n_rows: int, n_cols: int, bound: int,
     return rows
 
 
-def parse_matrix(obj, what: str) -> la.IntMatrix:
-    """A list of equally long lists of integers, as an IntMatrix."""
+def _matrix(obj, what: str) -> list[list[int]]:
+    """``obj`` itself, refused unless it is a list of equally long lists
+    of integers."""
     if not isinstance(obj, list) or not all(isinstance(row, list)
                                             for row in obj):
         raise FormatError(f"{what} must be a list of rows")
     if len({len(row) for row in obj}) > 1:
         raise FormatError(f"{what} has rows of different lengths")
-    return tuple(map(tuple, _rows(obj, f"{what} entry")))
+    _check_ints(obj, f"{what} entry")
+    return obj
+
+
+def parse_matrix(obj, what: str) -> la.IntMatrix:
+    """A list of equally long lists of integers, as an IntMatrix."""
+    return tuple(map(tuple, _matrix(obj, what)))
 
 
 def deep_tuple(x):
@@ -168,9 +180,14 @@ def _dump_lattice_body(lat: GLattice) -> dict:
 
 
 def _load_lattice_body(obj, group: FiniteGroup) -> GLattice:
+    """A lattice whose action matrices are read straight into sparse rows
+    (``GLattice.from_rows``), refused as ``GLattice`` refuses dense ones
+    (``lattice.check_action``).  Its dense ``action`` is built only if
+    something reads it."""
     rank = _int(obj["rank"], "rank")
-    action = tuple(parse_matrix(m, "action matrix") for m in obj["action"])
-    return GLattice(group, rank, action)
+    mats = [_matrix(m, "action matrix") for m in obj["action"]]
+    check_action(group, rank, mats)
+    return GLattice.from_rows(group, rank, tuple(map(la.sparse_rows, mats)))
 
 
 def dump_lattice(lat: GLattice) -> dict:

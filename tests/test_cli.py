@@ -283,6 +283,8 @@ MALFORMED = {
     "lattice-action-not-a-list": ("lattice", {"action": 5}),
     "lattice-ragged-action": ("lattice",
                               {"rank": 2, "action": [[[1, 0], [0]]]}),
+    "lattice-action-wrong-shape": ("lattice",
+                                   {"rank": 1, "action": [[[1, 0], [0, 1]]]}),
     "snf-ragged-stdin": ("snf", [[1, 2], [3]]),
 }
 

@@ -390,6 +390,31 @@ def test_mapping_cone_decides_as_the_separate_solves(monkeypatch):
     assert set(verdicts) == {True, False}
 
 
+def _cone_columns(src, tgt, cm1, c0):
+    """The columns of the two span tests of ``verify_square``, each with
+    the n of the Z^n they must span: (a) the rows of d and of
+    comp_minus1, (b) the columns of [comp0 | d']."""
+    d_src = la.sparse_rows(src.differential.matrix)
+    d_tgt = la.sparse_rows(tgt.differential.matrix)
+    return ((d_src + la.sparse_rows(cm1), src.l1.rank),
+            (la.rows_transpose(la.sparse_rows(c0), src.l2.rank)
+             + la.rows_transpose(d_tgt, tgt.l1.rank), tgt.l2.rank))
+
+
+def test_cone_span_tests_match_the_column_echelon():
+    """The (a) and (b) columns of every pushout and pullback move of both
+    resolutions of every catalog complex, and of the scaled and forged
+    squares: ``spans`` answers as the echelon ``ColumnSpan.spans`` does,
+    and both answers occur for each test."""
+    verdicts = [set(), set()]
+    for square in _scaled_squares() + _forged_squares():
+        for side, (cols, n) in enumerate(_cone_columns(*square)):
+            got = la.spans(cols, n)
+            assert got == la.ColumnSpan(cols).spans(n)
+            verdicts[side].add(got)
+    assert verdicts == [{True, False}, {True, False}]
+
+
 def test_no_catalog_move_reaches_the_split_code(monkeypatch):
     """Every pushout and pullback move of both resolutions of every
     catalog complex, built afresh and replayed after a JSON round trip,

@@ -412,6 +412,72 @@ def test_is_unimodular_matches_smith_form(n, data):
         assert not la.is_unimodular(u[1:])
 
 
+@st.composite
+def _span_questions(draw):
+    """(cols, n): columns with entries from -4 to 4 and rows below n.
+    They start from a row-permuted triangular matrix with ±1 on its
+    diagonal, so that many of them span Z^n, plus random columns; then
+    maybe a repeated column, an empty one, a row that no column meets or
+    one whose entries are all even, and a column dropped.  Each column
+    is dense or {row: entry}."""
+    n = draw(st.integers(0, 6))
+    entries = st.integers(-4, 4)
+    cols = []
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        for j in range(n):
+            col = [0] * n
+            col[order[j]] = draw(st.sampled_from([1, -1]))
+            for i in range(j + 1, n):
+                col[order[i]] = draw(entries)
+            cols.append(col)
+    cols += draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                          max_size=3))
+    if cols and draw(st.booleans()):
+        cols.append(list(draw(st.sampled_from(cols))))
+    if draw(st.booleans()):
+        cols.append([0] * n)
+    if n and cols and draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        even = st.sampled_from([0] * 4 + [-4, -2, 2, 4])
+        for col in cols:
+            col[r] = draw(even) if draw(st.booleans()) else 0
+    if cols and draw(st.booleans()):
+        del cols[draw(st.integers(0, len(cols) - 1))]
+    cols = draw(st.permutations(cols))
+    return [la._sparse(c) if draw(st.booleans()) else c for c in cols], n
+
+
+@given(_span_questions())
+@settings(max_examples=400, deadline=None)
+def test_spans_matches_the_column_echelon(question):
+    """``spans``, which freezes rows in a fill-reducing order, answers as
+    the echelon ``ColumnSpan(cols).spans(n)`` does, and leaves its input
+    as it was."""
+    cols, n = question
+    given_cols = [dict(c) if isinstance(c, dict) else list(c) for c in cols]
+    assert la.spans(cols, n) == la.ColumnSpan(cols).spans(n)
+    assert cols == given_cols
+
+
+def test_spans_refuses_a_pivot_of_two_and_a_row_left_empty():
+    """The two exits of ``spans``: a last pivot of ±2, and a row that
+    elimination leaves with no column (a repeated column, cleared by its
+    twin), besides a row that no column meets to begin with; and a row
+    past n."""
+    assert la.spans([[2, 1], [1, 1]], 2)
+    assert la.spans([{1: -1}, {0: 1, 1: 3}], 2)
+    assert not la.spans([[2, 0], [0, 1]], 2)
+    assert not la.spans([[2, 0], [0, 1], [0, 3]], 2)
+    assert not la.spans([{0: -2}, {0: 4}], 1)
+    assert not la.spans([{0: 1, 1: 1}, {0: 1, 1: 1}], 2)
+    assert not la.spans([[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1]], 3)
+    assert not la.spans([[1, 0], [1, 0]], 2)
+    assert not la.spans([{0: 1, 2: 1}, {1: 1}], 2)
+    assert la.spans([], 0) and la.spans([[]], 0)
+    assert not la.spans([], 1)
+
+
 @given(st.integers(1, 5), st.integers(0, 5), st.data())
 @settings(max_examples=120, deadline=None)
 def test_in_relation_span_matches_smith_form(m, k, data):

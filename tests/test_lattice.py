@@ -52,6 +52,28 @@ def test_ragged_matrices_are_refused():
             FgModule(z2, 2, bad, (la.identity(2),))
 
 
+def test_from_rows_refuses_a_column_outside_the_rank():
+    """A sparse action row that names a column outside 0..rank-1 is
+    refused when the lattice is built, before ``validate`` or ``action``
+    could index with it; an empty row is a row, so it is accepted, and
+    then ``validate`` refuses the action as not unimodular."""
+    z2 = cyclic_group(2)
+    for rows in ((({1: 1}, {5: 1}),), (({1: 1}, {0: 1, 2: 1}),),
+                 (({-1: 1}, {0: 1}),)):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            GLattice.from_rows(z2, 2, rows)
+    with pytest.raises(ValueError, match="outside 0..0"):
+        GLattice.from_rows(z2, 1, (({1: -1},),))
+    assert GLattice.from_rows(z2, 0, ((),)).action == ((),)
+    swap = GLattice.from_rows(z2, 2, (({1: 1}, {0: 1}),))
+    swap.validate()
+    assert swap.action == (((0, 1), (1, 0)),)
+    hollow = GLattice.from_rows(z2, 2, (({}, {1: 1}),))
+    with pytest.raises(EquivarianceError, match="not unimodular"):
+        hollow.validate()
+    assert hollow.action == (((0, 0), (0, 1)),)
+
+
 def _respects_full_table(lat: GLattice) -> bool:
     """The exhaustive check M(a) M(b) = M(ab) over all pairs."""
     mats = lat.element_matrices()

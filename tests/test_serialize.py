@@ -396,6 +396,51 @@ def test_catalog_certificates_load_and_replay():
     assert count == 36
 
 
+def test_loaded_lattices_hold_no_dense_action():
+    """The loader reads each action matrix straight into sparse rows, and
+    replay reads only those: after load and replay of the coflasque and
+    flasque certificates of all 18 catalog complexes, none of their 648
+    lattices has built its dense ``action``.  A dump reads it, and it
+    equals the matrices the lattice was loaded from."""
+    lattices = []
+    for t in fixtures.complex_catalog().values():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            obj = json.loads(se.to_json(se.dump_certificate(resolve(t)[1])))
+            cert = se.load_certificate(obj)
+            assert replay_certificate(cert)
+            sides = [cert.original, cert.resolved] + [
+                x for m in cert.moves for x in (m.src, m.tgt)]
+            lattices += [lat for x in sides for lat in (x.l1, x.l2)]
+    assert len(lattices) == 648
+    assert not [lat for lat in lattices if "action" in vars(lat)]
+    t = fixtures.complex_catalog()["s3-coset-aug"]
+    obj = json.loads(se.to_json(se.dump_certificate(
+        coflasque_resolution(t)[1])))
+    assert se.to_json(se.dump_certificate(se.load_certificate(obj))) \
+        == se.to_json(obj)
+
+
+def test_lattice_loader_keeps_the_dense_refusals():
+    """A lattice read into sparse rows is refused as a dense one was:
+    a non-integer entry, ragged rows, a matrix short and a matrix of the
+    wrong shape, with the same messages."""
+    obj = json.loads(se.to_json(se.dump_lattice(
+        fixtures.lattice_catalog()["s3-coset"])))
+    good = obj["action"]
+    assert obj["rank"] == 2 and len(good) == 2
+    for message, first in (("must be an integer", [[1.0, 0], [0, 1]]),
+                           ("rows of different lengths", [[1, 0], [0]]),
+                           ("one action matrix per generator", None),
+                           ("wrong shape", [[1, 0, 0], [0, 1, 0]]),
+                           ("wrong shape", [[1], [0]]),
+                           ("wrong shape", [[1, 0]])):
+        action = good[1:] if first is None else [first, good[1]]
+        with pytest.raises((se.FormatError, ValueError), match=message):
+            se.load_lattice({**obj, "action": action})
+    assert se.load_lattice(obj).action_rows() == tuple(
+        map(la.sparse_rows, good))
+
+
 def _trivialize(side):
     """Set every action matrix of a dumped complex to the identity."""
     for part in side.get("value", side).values():
