@@ -63,19 +63,31 @@ phi(.., c), and phi(.., y) = phi(.., 1) = 0.  Its rows are built by the
 first ``reduce`` and kept: the vanishing checks of ``complexes.classify``
 never reduce.
 
-Whether H^1(H, L) or Tate H^-1(H, L) vanishes is decided by ranks mod p,
-before any Smith form.  Let A be the matrix of the M(s) - 1: stacked for
-H^1, the torsion of coker(d^0); side by side for Tate H^-1 = ker N /
-I_H L, the torsion of Z^r / I_H L, since I_H L is spanned by A's columns
-and ker N is saturated of the same rank.  That torsion is killed by
-|H|, so it vanishes iff A has the same rank mod p, for every prime
-p | |H|, as over Q; and the rank over Q is r - rank L^H, with rank L^H =
-(1/|H|) sum_h tr M(h).  ``_rank_mod`` reads the rows of A as {column:
-entry}, as they are built (for p = 2, bits packed from the odd entries),
-so no vanishing test makes A dense.  When the ranks agree, H^1 keeps
-only the cocycle check rows, and Tate H^-1 an echelon of ker N; the
-``reduce`` of either still refuses a non-cocycle or a vector outside
-ker N.
+Whether H^1(H, L) or Tate H^-1(H, L) of a lattice vanishes is decided in
+one place, ``_vanishing``, by ranks mod p, before any Smith form and
+before ``_acting`` or ``_cayley`` runs.  It reads H's members and
+generators as ids of the group L lives over (``SubgroupHandle.members``
+and ``.generators``) and the rows of L's element matrices
+(``GLattice.element_rows``), so a subgroup that vanishes never gets a
+standalone group or a Cayley complex.  Let A be the matrix of the
+M(s) - 1, s over H's generators: stacked for H^1, the Cayley d^0, whose
+cokernel's torsion is H^1; side by side for Tate H^-1 = ker N / I_H L,
+the torsion of Z^r / I_H L, since I_H L is spanned by A's columns and
+ker N is saturated of the same rank.  (Mod p the two layouts are not
+interchangeable: their cokernels are H^1 of L and of L^*.)  That torsion
+is killed by |H|, so it vanishes iff A has the same rank mod p, for
+every prime p | |H|, as over Q; and the rank over Q is r - rank L^H,
+with rank L^H = (1/|H|) sum_h tr M(h).  ``_rank_mod`` reads the rows of
+A as {column: entry}, as they are built (for p = 2, bits packed from the
+odd entries), so no vanishing test makes A dense.  When the ranks agree,
+the zero group keeps only deferred check rows, so its ``reduce`` still
+refuses a non-cocycle or a vector outside ker N: for H^1 the cocycle
+check rows, built with H's standalone group on the first ``reduce``; for
+Tate H^-1 the rows of the norm N, which vanish exactly on ker N, so no
+kernel of N is computed.  The closures hold element rows, not L: L's
+cache holds the presentation, and a closure holding L would close a
+reference cycle.  A group that does not vanish, ``normalized=False``
+and module or complex coefficients take the routes above.
 
 Results are cached on the coefficient object (lattice, module or
 complex), keyed by the kind of cohomology, the subgroup's members (a
@@ -150,6 +162,14 @@ def _acting(h) -> tuple[FiniteGroup, list[int]]:
         sub = h.as_group()
         return sub, list(h.members_bfs())
     return h, list(h.elements())
+
+
+def _in_parent(h) -> tuple[Sequence[int], tuple[int, ...]]:
+    """The members and generators of a FiniteGroup or SubgroupHandle as
+    ids of the group it lives in, without a standalone group."""
+    if isinstance(h, SubgroupHandle):
+        return h.members, h.generators
+    return h.elements(), h.generators
 
 
 def _view(a, parent_ids: Sequence[int]):
@@ -467,10 +487,62 @@ def _torsion_free(rows: Sequence[dict], rank: int, order: int) -> bool:
     return all(_rank_mod(rows, p, rank) == rank for p in prime_factors(order))
 
 
+def _cocycle_checks(sub: FiniteGroup, parts, diff, n: int) -> list[dict]:
+    """The rows of the normalized bar d^n at the tuples that end in a
+    generator of ``sub``: a bar cochain is a cocycle iff they vanish on
+    it (module docstring).  ``parts`` and ``diff`` as in
+    ``_total_rows``."""
+    return _total_rows(_Bar(sub.order, True, sub.mul), *parts, diff, n,
+                       set(sub.generators) - {0})
+
+
+def _norm_rows(mats: Sequence[Rows], rank: int) -> list[dict]:
+    """The rows {column: entry} of the norm N, the sum of ``mats``."""
+    norm: list[dict] = [{} for _ in range(rank)]
+    for m in mats:
+        for out, row in zip(norm, m):
+            for j, x in row.items():
+                out[j] = out.get(j, 0) + x
+    return [{j: x for j, x in row.items() if x} for row in norm]
+
+
+def _vanishing(h, lat: GLattice, stacked: bool):
+    """The zero presentation of H^1(H, L) (``stacked``) or of Tate
+    H^-1(H, L) when that group vanishes, else None.
+
+    Decided by ranks mod p on the blocks M(s) - 1, s over H's
+    generators, stacked or side by side, read off the lattice's element
+    rows in parent ids (module docstring).  The check rows are deferred:
+    the bar cocycle rows, whose standalone group ``_acting`` builds on
+    the first ``reduce``, or the rows of N.  The closures hold element
+    rows, not ``lat``, whose cache holds the presentation."""
+    members, gens = _in_parent(h)
+    rows, rank, order = lat.element_rows(), lat.rank, len(members)
+    blocks = _minus_one_rows([rows[s] for s in gens], rank, stacked)
+    if not _torsion_free(blocks, rank - fixed_rank(
+            [rows[m] for m in members], order), order):
+        return None
+    if not stacked:
+        return la.AbGroupPresentation(rank, (), (), (), None, lambda: (
+            _norm_rows([rows[m] for m in members], rank)))
+
+    def checks():
+        sub, ids = _acting(h)
+        return _cocycle_checks(
+            sub, ((0, ()), (rank, tuple(rows[g] for g in ids))), None, 1)
+    return la.AbGroupPresentation(cochain_dim(order, rank, 1), (), (), (),
+                                  None, checks)
+
+
 def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
     """H^n of the total complex of ``a`` seen as [A1 -> A2] (``_view``),
     computed on one resolution and presented on bar cochains (module
-    docstring)."""
+    docstring).  A vanishing H^1 of a lattice is answered by
+    ``_vanishing`` before any of them is built."""
+    if n == 1 and normalized and isinstance(a, GLattice):
+        pres = _vanishing(h, a, stacked=True)
+        if pres is not None:
+            return CohomologyGroup(n, (), (), pres)
     sub, parent_ids = _acting(h)
     (r1, mats1, rel1), (r2, mats2, rel2), diff, lattices = _view(
         a, parent_ids)
@@ -507,18 +579,11 @@ def _cohomology(h, a, n: int, normalized: bool) -> CohomologyGroup:
             [to_bar(v) for v in z] + den, den, dim)
     else:  # the torsion route
         def checks():
-            # a bar cochain is a cocycle iff its coboundary vanishes at
-            # the tuples that end in a generator (module docstring)
-            return tot(bar, n, set(sub.generators) - {0})[0]
+            return _cocycle_checks(sub, parts, diff, n)
 
-        d, ncols = tot(res, n - 1)
-        if n == 1 and not r1 and _torsion_free(
-                d, r2 - fixed_rank(mats2, sub.order), sub.order):
-            tc = None
-        else:
-            tc = la.torsion_cokernel(d, ncols)
+        tc = la.torsion_cokernel(*tot(res, n - 1))
         # a vanishing H^n needs only the cocycle check
-        if tc is None or tc.is_trivial:
+        if tc.is_trivial:
             pres = la.AbGroupPresentation(dim, (), (), (), None, checks)
         else:
             # bar -> Cayley on Tot^n, one row per Cayley coordinate
@@ -592,41 +657,42 @@ def tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
 
 
 def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
-    sub, parent_ids = _acting(h)
-    _, (rank, mats, _), _, _ = _view(lat, parent_ids)
-    norm = [[0] * rank for _ in range(rank)]
-    for m in mats:
-        for i, row in enumerate(m):
-            for j, x in row.items():
-                norm[i][j] += x
+    if n == -1:
+        pres = _vanishing(h, lat, stacked=False)
+        if pres is not None:
+            return CohomologyGroup(n, (), (), pres)
+    members, gens = _in_parent(h)
+    rows, rank = lat.element_rows(), lat.rank
+    norm = la.dense_rows(_norm_rows([rows[m] for m in members], rank), rank)
     # the generators s alone give I_H L and L^H, since
     # (gs - 1)x = (g - 1)(sx) + (s - 1)x
     if n == -1:
         num = la.kernel_basis(norm)
         # I_H L is spanned by the columns of the blocks M(s) - 1 side by
         # side
-        rows = _minus_one_rows([mats[s] for s in sub.generators], rank)
-        if _torsion_free(rows, rank - fixed_rank(mats, sub.order),
-                         sub.order):
-            # the zero group span(num)/span(num): ``reduce`` still
-            # refuses a vector off span(num)
-            pres = la.AbGroupPresentation(rank, (), (), (),
-                                          la.ColumnSpan(num).echelon)
-            return CohomologyGroup(n, (), (), pres)
-        den = la.rows_transpose(rows, len(sub.generators) * rank)
+        den = la.rows_transpose(
+            _minus_one_rows([rows[s] for s in gens], rank, stacked=False),
+            len(gens) * rank)
     else:
-        num = common_fixed_points([mats[s] for s in sub.generators], rank)
+        num = common_fixed_points([rows[s] for s in gens], rank)
         den = la.columns(norm)
     pres = la.abgroup_from_subquotient(num, den, rank)
     return CohomologyGroup(n, pres.factors, pres.generators, pres)
 
 
-def _minus_one_rows(mats: Sequence[Rows], rank: int) -> list[dict]:
-    """The rows {column: entry} of the blocks M - 1 side by side, each M
-    given as sparse rows."""
-    out: list[dict] = [{} for _ in range(rank)]
-    for k, i, j, x in _minus_one_entries(mats):
-        out[i][k * rank + j] = x
+def _minus_one_rows(mats: Sequence[Rows], rank: int,
+                    stacked: bool) -> list[dict]:
+    """The rows {column: entry} of the blocks M - 1, each M given as
+    sparse rows: stacked, the Cayley d^0 whose cokernel's torsion is
+    H^1, or side by side, whose columns span I_H L."""
+    if stacked:
+        out: list[dict] = [{} for _ in range(len(mats) * rank)]
+        for k, i, j, x in _minus_one_entries(mats):
+            out[k * rank + i][j] = x
+    else:
+        out = [{} for _ in range(rank)]
+        for k, i, j, x in _minus_one_entries(mats):
+            out[i][k * rank + j] = x
     return out
 
 

@@ -16,7 +16,9 @@ maps on H^-1 and H^0, to say which of them it fails on.  The full chain
 of moves is returned as a replayable certificate; replay also checks
 that the moves lead from the original complex to the resolved one, the
 embedding move included: its target lattice must be the dual of the
-lattice the next pushout embeds into.
+lattice the next pushout embeds into, and that each generator permutes
+the basis of the resolved permutation lattice, which a loaded
+certificate records nowhere else.
 Each complex keeps its two resolutions, computed once, as
 ``cached_property`` values; the certificate, which refers back to the
 complex, is built on each call, so the cache makes no reference cycle.
@@ -566,15 +568,33 @@ def _connects(cert: ResolutionCertificate) -> bool:
         and _content(po.tgt) == _content(pb.tgt)
 
 
+def _permutes_basis(lat: GLattice) -> bool:
+    """Whether every generator of ``lat`` permutes its basis: each of its
+    rows holds one entry, 1, and no two rows name one column.  Then the
+    group permutes the basis, so ``lat`` is a permutation lattice."""
+    for m in lat.action_rows():
+        cols = set()
+        for row in m:
+            if len(row) != 1 or 1 not in row.values():
+                return False
+            cols.update(row)
+        if len(cols) != lat.rank:
+            return False
+    return True
+
+
 def replay_certificate(cert: ResolutionCertificate) -> bool:
-    """Check that the moves connect ``original`` to ``resolved``,
-    re-verify every move and recompute the vanishing table."""
-    if not _connects(cert):
+    """Check that the moves connect ``original`` to ``resolved``, that
+    the permutation side (Q of [C -> Q], P of [P -> F]) permutes its
+    basis, re-verify every move and recompute the vanishing table of the
+    other side."""
+    perm, side = (cert.resolved.l2, cert.resolved.l1) \
+        if cert.mode == "coflasque" else (cert.resolved.l1, cert.resolved.l2)
+    if not (_connects(cert) and _permutes_basis(perm)):
         return False
     for move in cert.moves:
         if not replay_move(move).ok:
             return False
-    side = cert.resolved.l1 if cert.mode == "coflasque" else cert.resolved.l2
     verdict = classify(side, cert.mode)
     return verdict.ok and verdict.table == cert.vanishing_table
 

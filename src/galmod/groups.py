@@ -7,7 +7,10 @@ deterministic and reproducible.  The same closure (``_bfs``) generates
 every subgroup from its generators, numbers the elements of a subgroup's
 standalone group and gives each group its BFS spanning tree,
 ``FiniteGroup.tree()``, along which the lattice, cohomology and
-crossed-module code walk the elements.
+crossed-module code walk the elements.  A ``SubgroupHandle`` gives its
+members and generators as ids of its parent; it builds its standalone
+group (``as_group``) and its coset space (``coset_action``) only when
+first asked, and keeps them.
 """
 
 from __future__ import annotations
@@ -355,11 +358,19 @@ class SubgroupHandle(Frozen):
         return any(self.parent.element_order(a) == self.order
                    for a in self.members)
 
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """The subgroup's minimal generators (``minimal_generators``), as
+        parent ids, like ``members``: ``as_group().generators`` are
+        their standalone ids, in the same order."""
+        return self._generators
+
     def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup.
+        """The subgroup as a standalone FiniteGroup, built on the first
+        call and kept.
 
         Element i corresponds to parent id ``self.members_bfs()[i]``;
-        ordering is BFS from the identity over a generating set, so the
+        ordering is BFS from the identity over ``generators``, so the
         standalone identity is 0.
         """
         return self._group
@@ -392,6 +403,25 @@ class SubgroupHandle(Frozen):
     @cached_property
     def _parent_index(self) -> dict[int, int]:
         return {g: i for i, g in enumerate(self._bfs_order)}
+
+    @cached_property
+    def _cosets(self) -> "CosetSpace":
+        """The space ``coset_action`` returns, built once."""
+        g, mem = self.parent, set(self.members)
+        coset_of: dict[int, int] = {}
+        cosets: list[tuple[int, ...]] = []
+        for x in g.elements():
+            if x in coset_of:
+                continue
+            cos = tuple(sorted(g.mul(x, m) for m in mem))
+            idx = len(cosets)
+            cosets.append(cos)
+            for y in cos:
+                coset_of[y] = idx
+        reps = [min(c) for c in cosets]
+        action = tuple(tuple(coset_of[g.mul(a, r)] for r in reps)
+                       for a in g.elements())
+        return CosetSpace(g, self, tuple(cosets), action)
 
     @cached_property
     def _group(self) -> FiniteGroup:
@@ -510,24 +540,12 @@ class CosetSpace(NamedTuple):
 
 
 def coset_action(g: FiniteGroup, h: SubgroupHandle) -> CosetSpace:
-    """Left cosets xH with g . xH = (gx)H; coset 0 is H itself."""
+    """Left cosets xH with g . xH = (gx)H; coset 0 is H itself.  ``g``
+    must have the table of ``h.parent``; the space is built once per
+    handle and kept on it, so its ``parent`` is ``h.parent``."""
     if not h.parent.same_table(g):
         raise MembershipError("subgroup belongs to a different group")
-    mem = set(h.members)
-    coset_of: dict[int, int] = {}
-    cosets: list[tuple[int, ...]] = []
-    for x in g.elements():
-        if x in coset_of:
-            continue
-        cos = tuple(sorted(g.mul(x, m) for m in mem))
-        idx = len(cosets)
-        cosets.append(cos)
-        for y in cos:
-            coset_of[y] = idx
-    reps = [min(c) for c in cosets]
-    action = tuple(tuple(coset_of[g.mul(a, r)] for r in reps)
-                   for a in g.elements())
-    return CosetSpace(g, h, tuple(cosets), action)
+    return h._cosets
 
 
 def prime_factors(n: int) -> list[int]:

@@ -596,7 +596,8 @@ class ColumnSpan:
     reduced in place).  ``contains`` reduces vectors, dense or {index:
     entry}, along its pivots; ``rank`` counts them; ``spans(n)`` says
     whether the columns span all of Z^n: the echelon is lower triangular
-    with positive pivots, so it does iff it has n pivots and each is 1
+    with positive pivots and spans what the columns span, so they do iff
+    it has n pivots, each is 1 and no column has an entry past row n - 1
     (asked where the echelon is read as well; the question alone goes
     to ``spans``).
     ``basis(rows)`` lists the echelon columns, a basis of the span, as
@@ -624,7 +625,7 @@ class ColumnSpan:
 
     def spans(self, n: int) -> bool:
         return len(self.echelon) == n and all(
-            col[row] == 1 for row, col in self.echelon)
+            col[row] == 1 and max(col) < n for row, col in self.echelon)
 
     def basis(self, rows: int) -> list[list[int]]:
         return list(map(list, dense_rows([c for _, c in self.echelon], rows)))

@@ -347,7 +347,7 @@ def induced_action_on_sublattice(lat: GLattice,
 def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
     """Saturated basis (columns) of the H-fixed sublattice: the kernel of
     the blocks M(h) - 1 stacked in the order of H's sorted members, up to
-    the largest of its minimal generators (``SubgroupHandle.as_group``).
+    the largest of its minimal generators (``SubgroupHandle.generators``).
 
     The blocks of the later members would not change the basis.  The
     column echelon behind the kernel walks rows in order, and after each
@@ -359,7 +359,7 @@ def fixed_points(lat: GLattice, h: SubgroupHandle) -> list[list[int]]:
     again, so the later rows find no column to eliminate, and the
     kernel is the same as that of the full stack."""
     rows = lat.element_rows()
-    last = max(h.to_parent(g) for g in h.as_group().generators)
+    last = max(h.generators)
     return common_fixed_points(
         [rows[m] for m in h.members if 0 < m <= last], lat.rank)
 

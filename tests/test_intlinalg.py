@@ -478,6 +478,41 @@ def test_spans_refuses_a_pivot_of_two_and_a_row_left_empty():
     assert not la.spans([], 1)
 
 
+@given(st.integers(0, 4), st.integers(1, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_both_span_faces_refuse_columns_reaching_past_n(n, extra, data):
+    """Columns with an entry in a row at or past n are not in Z^n, so
+    neither face says they span it: ``ColumnSpan([{0: 1, 1: 1}])
+    .spans(1)`` is False as ``spans`` is.  Drawn: n unit columns with
+    noise below the diagonal and a few more columns, all zero past row
+    n - 1, which span Z^n, and one column, put among them, with a
+    nonzero entry in a row from n to n + extra - 1; dense or {row:
+    entry}."""
+    assert not la.ColumnSpan([{0: 1, 1: 1}]).spans(1)
+    assert not la.ColumnSpan([[1, 1]]).spans(1)
+    height = n + extra
+
+    def column(entries):
+        return entries + [0] * (height - len(entries))
+
+    cols = [column([int(i == j) + (i > j) * data.draw(st.integers(-2, 2))
+                    for i in range(n)]) for j in range(n)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        cols.append(column([data.draw(st.integers(-2, 2))
+                            for _ in range(n)]))
+    reach = [data.draw(st.integers(-2, 2)) for _ in range(height)]
+    reach[data.draw(st.integers(n, height - 1))] = data.draw(
+        st.sampled_from([-2, -1, 1, 2]))
+    at = data.draw(st.integers(0, len(cols)))
+    cols.insert(at, reach)
+    if data.draw(st.booleans()):
+        cols = [{i: x for i, x in enumerate(c) if x} for c in cols]
+    assert not la.spans(cols, n)
+    assert not la.ColumnSpan(cols).spans(n)
+    short = cols[:at] + cols[at + 1:]
+    assert la.spans(short, n) and la.ColumnSpan(short).spans(n)
+
+
 @given(st.integers(1, 5), st.integers(0, 5), st.data())
 @settings(max_examples=120, deadline=None)
 def test_in_relation_span_matches_smith_form(m, k, data):

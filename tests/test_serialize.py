@@ -12,11 +12,13 @@ from galmod import intlinalg as la
 from galmod import serialize as se
 from galmod.complexes import (CertificateMove, MoveEvidence,
                               ResolutionCertificate, TwoTermComplex,
-                              coflasque_resolution, flasque_resolution,
-                              replay_certificate, replay_move)
+                              classify, coflasque_resolution,
+                              flasque_resolution, replay_certificate,
+                              replay_move, verify_square)
 from galmod.groups import (build_group, cyclic_group, parse_cycles,
                            symmetric_group_3)
-from galmod.lattice import LatticeMap, regular_lattice, trivial_lattice
+from galmod.lattice import (LatticeMap, conjugate_lattice, regular_lattice,
+                            trivial_lattice)
 
 
 def test_group_round_trip():
@@ -470,6 +472,95 @@ def test_replay_refuses_moves_that_are_not_equivariant():
         assert replay_certificate(se.load_certificate(obj)) != changed
         forged += changed
     assert forged == 15
+
+
+def _round_trip(cert):
+    return se.load_certificate(json.loads(se.to_json(
+        se.dump_certificate(cert))))
+
+
+def _forge_permutation_side(cert, k):
+    """``cert`` with its permutation lattice, Q of [C -> Q] or P of
+    [P -> F], conjugated by U = I + E_(0,k), or for k = None by the U
+    that negates the first basis vector a generator moves, which makes
+    it a signed permutation lattice: the differential and the
+    pullback square's map out of it follow U, and the square is
+    re-verified.  In flasque mode the pullback square is on the dual
+    side, where P^* is conjugated by U^-T, and the duality move ends at
+    the new resolved complex."""
+    resolved, pb = cert.resolved, cert.moves[-1]
+    if cert.mode == "flasque":
+        pb = cert.moves[-2]
+    perm = resolved.l2 if cert.mode == "coflasque" else resolved.l1
+    u = [[int(i == j) for j in range(perm.rank)] for i in range(perm.rank)]
+    if k is None:
+        moved = next(i for m in perm.action_rows()
+                     for i, row in enumerate(m) if row != {i: 1})
+        u[moved][moved] = -1
+    else:
+        u[0][k] = 1
+    uinv = la.mat_inverse_unimodular(u)
+    new = conjugate_lattice(perm, u)
+    d = resolved.differential.matrix
+    if cert.mode == "coflasque":
+        res = TwoTermComplex(resolved.l1, new, LatticeMap(
+            resolved.l1, new, la.mat_mul(u, d)))
+        src, comp0 = res, la.mat_mul(pb.comp0, uinv)
+    else:
+        res = TwoTermComplex(new, resolved.l2, LatticeMap(
+            new, resolved.l2, la.mat_mul(d, uinv)))
+        src, comp0 = res.dual(), la.mat_mul(pb.comp0, la.transpose(u))
+    square = CertificateMove(pb.kind, src, pb.tgt, pb.comp_minus1, comp0,
+                             verify_square(src, pb.tgt, pb.comp_minus1,
+                                           comp0))
+    assert square.evidence.ok
+    moves = cert.moves[:2] + (square,)
+    if cert.mode == "flasque":
+        dual = cert.moves[-1]
+        moves += (dual._replace(tgt=res),)
+    return cert._replace(resolved=res, moves=moves)
+
+
+@pytest.mark.parametrize("name, k", [("v4-aug", 8), ("z3-aug", 5),
+                                     ("v4-aug", None), ("z3-aug", None)])
+@pytest.mark.parametrize("resolve", [coflasque_resolution,
+                                     flasque_resolution])
+def test_replay_refuses_a_permutation_side_that_permutes_no_basis(
+        resolve, name, k):
+    """Conjugate the permutation lattice of a loaded certificate by
+    I + E_(0,k), or by a diagonal U that negates one moved basis vector
+    (k = None), and re-verify the pullback square.  The lattice is
+    isomorphic to a permutation lattice, every move verifies, the
+    certificate connects and the other side keeps its vanishing table;
+    but no generator's matrix needs to be a permutation any more, and a
+    loaded certificate records the permutation basis nowhere but in
+    those matrices.  Replay refuses the forgery after a JSON round trip,
+    and still passes the genuine certificate."""
+    back = _round_trip(resolve(fixtures.complex_catalog()[name])[1])
+    assert replay_certificate(back)
+    forged = _round_trip(_forge_permutation_side(back, k))
+    assert all(replay_move(m).ok for m in forged.moves)
+    side = forged.resolved.l1 if forged.mode == "coflasque" \
+        else forged.resolved.l2
+    assert classify(side, forged.mode).table == forged.vanishing_table
+    assert not replay_certificate(forged)
+
+
+def test_replay_builds_no_standalone_subgroup():
+    """Replaying a loaded coflasque and a loaded flasque certificate of
+    every catalog complex decides each subgroup class's vanishing on the
+    loaded group's own element rows: no class representative builds its
+    standalone group (``SubgroupHandle.as_group``) and no Cayley complex
+    is kept on the group."""
+    for t in fixtures.complex_catalog().values():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            cert = _round_trip(resolve(t)[1])
+            assert replay_certificate(cert)
+            g = cert.resolved.l1.group
+            reps = groups.enumerate_subgroups(g)[1]
+            assert len(reps) > 1
+            assert [h.members for h in reps if "_group" in vars(h)] == []
+            assert "_cayley_cache" not in vars(g)
 
 
 def test_to_json_is_deterministic():
