@@ -663,11 +663,13 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
             return CohomologyGroup(n, (), (), pres)
     members, gens = _in_parent(h)
     rows, rank = lat.element_rows(), lat.rank
-    norm = la.dense_rows(_norm_rows([rows[m] for m in members], rank), rank)
+    # the columns of the norm N, each {row: entry}
+    norm = la.rows_transpose(
+        _norm_rows([rows[m] for m in members], rank), rank)
     # the generators s alone give I_H L and L^H, since
     # (gs - 1)x = (g - 1)(sx) + (s - 1)x
     if n == -1:
-        num = la.kernel_basis(norm)
+        num = la.ColumnSpan(norm, track=rank).sparse_kernel()
         # I_H L is spanned by the columns of the blocks M(s) - 1 side by
         # side
         den = la.rows_transpose(
@@ -675,7 +677,7 @@ def _tate_cohomology(h, lat: GLattice, n: int) -> CohomologyGroup:
             len(gens) * rank)
     else:
         num = common_fixed_points([rows[s] for s in gens], rank)
-        den = la.columns(norm)
+        den = norm
     pres = la.abgroup_from_subquotient(num, den, rank)
     return CohomologyGroup(n, pres.factors, pres.generators, pres)
 

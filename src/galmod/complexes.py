@@ -16,9 +16,9 @@ maps on H^-1 and H^0, to say which of them it fails on.  The full chain
 of moves is returned as a replayable certificate; replay also checks
 that the moves lead from the original complex to the resolved one, the
 embedding move included: its target lattice must be the dual of the
-lattice the next pushout embeds into, and that each generator permutes
-the basis of the resolved permutation lattice, which a loaded
-certificate records nowhere else.
+lattice the next pushout embeds into, and that the resolved permutation
+lattice is one (``GLattice.is_permutation_certified``, read off its
+rows).
 Each complex keeps its two resolutions, computed once, as
 ``cached_property`` values; the certificate, which refers back to the
 complex, is built on each call, so the cache makes no reference cycle.
@@ -568,21 +568,6 @@ def _connects(cert: ResolutionCertificate) -> bool:
         and _content(po.tgt) == _content(pb.tgt)
 
 
-def _permutes_basis(lat: GLattice) -> bool:
-    """Whether every generator of ``lat`` permutes its basis: each of its
-    rows holds one entry, 1, and no two rows name one column.  Then the
-    group permutes the basis, so ``lat`` is a permutation lattice."""
-    for m in lat.action_rows():
-        cols = set()
-        for row in m:
-            if len(row) != 1 or 1 not in row.values():
-                return False
-            cols.update(row)
-        if len(cols) != lat.rank:
-            return False
-    return True
-
-
 def replay_certificate(cert: ResolutionCertificate) -> bool:
     """Check that the moves connect ``original`` to ``resolved``, that
     the permutation side (Q of [C -> Q], P of [P -> F]) permutes its
@@ -590,7 +575,7 @@ def replay_certificate(cert: ResolutionCertificate) -> bool:
     other side."""
     perm, side = (cert.resolved.l2, cert.resolved.l1) \
         if cert.mode == "coflasque" else (cert.resolved.l1, cert.resolved.l2)
-    if not (_connects(cert) and _permutes_basis(perm)):
+    if not (_connects(cert) and perm.is_permutation_certified):
         return False
     for move in cert.moves:
         if not replay_move(move).ok:

@@ -13,10 +13,11 @@ from __future__ import annotations
 class Frozen:
     """Base of a read-only type compared and hashed by identity.
 
-    ``__init__`` sets the fields, named in ``_fields``, straight into the
-    instance dictionary, as ``cached_property`` and the caches'
+    ``__init__`` sets the stored fields straight into the instance
+    dictionary, as ``cached_property`` and the caches'
     ``object.__setattr__`` writes do; assigning or deleting an attribute
-    in any other way raises AttributeError.  The repr lists ``_fields``.
+    in any other way raises AttributeError.  The repr lists ``_fields``,
+    the public fields, which may include a cached view.
     """
 
     __slots__ = ()

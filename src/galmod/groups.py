@@ -326,11 +326,16 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
 
 
 class SubgroupHandle(Frozen):
-    """A subgroup of ``parent`` given by its sorted member ids."""
+    """A subgroup of ``parent`` given by its sorted member ids, each an
+    ``int`` in 0..order-1."""
 
     _fields = ("parent", "members")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
+        members = tuple(members)
+        if not all(type(a) is int and 0 <= a < parent.order for a in members):
+            raise MembershipError("subgroup members must be element ids in "
+                                  f"0..{parent.order - 1}")
         vars(self).update(parent=parent, members=tuple(sorted(members)))
         mem = set(self.members)
         if len(mem) != len(self.members):
@@ -418,10 +423,10 @@ class SubgroupHandle(Frozen):
             cosets.append(cos)
             for y in cos:
                 coset_of[y] = idx
-        reps = [min(c) for c in cosets]
+        reps = tuple(c[0] for c in cosets)
         action = tuple(tuple(coset_of[g.mul(a, r)] for r in reps)
                        for a in g.elements())
-        return CosetSpace(g, self, tuple(cosets), action)
+        return CosetSpace(tuple(cosets), reps, action)
 
     @cached_property
     def _group(self) -> FiniteGroup:
@@ -508,20 +513,16 @@ def whole_subgroup(g: FiniteGroup) -> SubgroupHandle:
 
 
 class CosetSpace(NamedTuple):
-    """Left cosets of a subgroup with the left-translation action."""
+    """Left cosets of a subgroup, each sorted, with the left-translation
+    action."""
 
-    parent: FiniteGroup
-    subgroup: SubgroupHandle
     cosets: tuple[tuple[int, ...], ...]
+    representatives: tuple[int, ...]  # the least member of each coset
     action: tuple[tuple[int, ...], ...]  # action[g][c] -> coset index
 
     @property
     def size(self) -> int:
         return len(self.cosets)
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        return tuple(min(c) for c in self.cosets)
 
     def act(self, g: int, c: int) -> int:
         return self.action[g][c]
@@ -542,7 +543,7 @@ class CosetSpace(NamedTuple):
 def coset_action(g: FiniteGroup, h: SubgroupHandle) -> CosetSpace:
     """Left cosets xH with g . xH = (gx)H; coset 0 is H itself.  ``g``
     must have the table of ``h.parent``; the space is built once per
-    handle and kept on it, so its ``parent`` is ``h.parent``."""
+    handle and kept on it."""
     if not h.parent.same_table(g):
         raise MembershipError("subgroup belongs to a different group")
     return h._cosets

@@ -656,7 +656,8 @@ class ColumnSpan:
 
 def kernel_basis(a: Sequence[Sequence[int]]) -> list[list[int]]:
     """Basis (as column vectors) of the integer kernel {x : a @ x = 0},
-    a saturated sublattice of Z^cols."""
+    a saturated sublattice of Z^cols: the dense face of ``ColumnSpan``'s
+    kernel for tests and demos; the library reads ``ColumnSpan``."""
     return ColumnSpan(columns(a), track=shape(a)[1]).kernel()
 
 

@@ -1,19 +1,24 @@
 """G-lattices and equivariant maps: exact integer modules with a group
 action by unimodular matrices.
 
-A GLattice stores one matrix per group generator as sparse rows, each a
-dict {column: nonzero entry} (``intlinalg.SparseRow``): the builders
-here and in ``complexes``, and the loader in ``serialize``, make those
-rows (``GLattice.from_rows``), and ``action``, the dense matrices, is a
-view built on first read, for JSON and the CLI; a lattice given dense
-matrices reads its rows off them once.  The matrices of all elements
+A GLattice or FgModule stores one form of its action: one matrix per
+group generator as sparse rows, each a dict {column: nonzero entry}
+(``intlinalg.SparseRow``).  The builders here and in ``complexes`` make
+those rows (``GLattice.from_rows``); a lattice or module given dense
+matrices, loaded ones included, is checked (``check_action``) and reads
+its rows off them once, when built.  ``action``, the dense
+matrices, is a view built on first read, for JSON and
+``complexes.homology``.  Whether a lattice is a permutation lattice is
+read off the same rows (``GLattice.is_permutation_certified``), so a
+loaded lattice answers as the one dumped.  The matrices of all elements
 are kept once per lattice (or module) as sparse rows too: fixed points,
-permutation covers, squares and cohomology all read them in that form.  The rows come from sparse
-products along the BFS spanning tree ``FiniteGroup.tree()``.  They are
-shared, not copied (a generator's rows are an element's, a summand's
-are the direct sum's, and a monomial row of a product is a row of the
-right factor), so no reader mutates one.  Dense element matrices
-(``element_matrices``) are read off the rows on request and not kept.
+permutation covers, squares and cohomology all read them in that form.
+The rows come from sparse products along the BFS spanning tree
+``FiniteGroup.tree()``.  They are shared, not copied (a generator's rows
+are an element's, a summand's are the direct sum's, and a monomial row
+of a product is a row of the right factor), so no reader mutates one.
+Dense element matrices (``element_matrices``) are read off the rows on
+request and not kept.
 A sublattice basis may be dense or {index: entry} columns, such as
 ``ColumnSpan.sparse_kernel()``.  FgModule is the only torsion-capable
 type (cokernels live there); lattices are always free.
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import intlinalg as la
 from .frozen import Frozen
@@ -47,8 +52,8 @@ def has_shape(m: Sequence[Sequence[int]], rows: int, cols: int) -> bool:
 def check_action(group: FiniteGroup, rank: int,
                  action: Sequence[Sequence[Sequence[int]]]) -> None:
     """Refuse, with ValueError, anything but one rank x rank matrix per
-    generator of ``group``: ``GLattice`` on its dense matrices, and
-    ``serialize`` on the ones it loads into sparse rows."""
+    generator of ``group``: ``GLattice`` and ``FgModule`` on their dense
+    matrices, loaded ones included."""
     if len(action) != len(group.generators):
         raise ValueError("one action matrix per generator required")
     if not all(has_shape(m, rank, rank) for m in action):
@@ -56,12 +61,11 @@ def check_action(group: FiniteGroup, rank: int,
 
 
 class _ElementRows(Frozen):
-    """The matrices of a GLattice or FgModule as sparse rows, built once:
-    the generators' (``action``) and every group element's."""
+    """The matrices of a GLattice or FgModule as sparse rows: the
+    generators', stored, and every group element's, built once."""
 
     def action_rows(self) -> tuple[Rows, ...]:
-        """The generator matrices ``action`` as sparse rows, by generator
-        index."""
+        """The generator matrices as sparse rows, by generator index."""
         return self._action_rows
 
     def element_rows(self) -> tuple[Rows, ...]:
@@ -71,8 +75,9 @@ class _ElementRows(Frozen):
         return tuple(la.dense_rows(m, self._dim) for m in self.element_rows())
 
     @cached_property
-    def _action_rows(self) -> tuple[Rows, ...]:
-        return tuple(la.sparse_rows(m) for m in self.action)
+    def action(self) -> tuple[IntMatrix, ...]:
+        """The dense generator matrices, read off the rows on first read."""
+        return tuple(la.dense_rows(m, self._dim) for m in self._action_rows)
 
     @cached_property
     def _element_rows(self) -> tuple[Rows, ...]:
@@ -90,21 +95,17 @@ class GLattice(_ElementRows):
     """Free Z-module of finite rank with a group action by unimodular
     matrices (one per generator)."""
 
-    _fields = ("group", "rank", "action", "permutation_subgroups")
+    _fields = ("group", "rank", "action")
 
     def __init__(self, group: FiniteGroup, rank: int,
-                 action: tuple[IntMatrix, ...],
-                 permutation_subgroups: Optional[
-                     tuple[SubgroupHandle, ...]] = None):
+                 action: tuple[IntMatrix, ...]):
         check_action(group, rank, action)
-        vars(self).update(group=group, rank=rank, action=action,
-                          permutation_subgroups=permutation_subgroups)
+        vars(self).update(group=group, rank=rank,
+                          _action_rows=tuple(map(la.sparse_rows, action)))
 
     @classmethod
     def from_rows(cls, group: FiniteGroup, rank: int,
-                  rows: Sequence[Rows],
-                  permutation_subgroups: Optional[
-                      tuple[SubgroupHandle, ...]] = None) -> "GLattice":
+                  rows: Sequence[Rows]) -> "GLattice":
         """The lattice with these sparse generator rows, kept as
         ``action_rows()`` (not copied: zero-free, and never mutated).
         Every row must name only columns in 0..rank-1: the columns all
@@ -118,14 +119,8 @@ class GLattice(_ElementRows):
             raise ValueError(
                 f"action row names a column outside 0..{rank - 1}")
         lat = cls.__new__(cls)
-        vars(lat).update(group=group, rank=rank, _action_rows=tuple(rows),
-                         permutation_subgroups=permutation_subgroups)
+        vars(lat).update(group=group, rank=rank, _action_rows=tuple(rows))
         return lat
-
-    @cached_property
-    def action(self) -> tuple[IntMatrix, ...]:
-        """The dense generator matrices, read off ``from_rows``' rows."""
-        return tuple(la.dense_rows(m, self.rank) for m in self._action_rows)
 
     def validate(self) -> None:
         """Check unimodularity and that the action respects the full
@@ -156,7 +151,18 @@ class GLattice(_ElementRows):
 
     @property
     def is_permutation_certified(self) -> bool:
-        return self.permutation_subgroups is not None
+        """Whether every generator permutes the basis: each of its rows
+        holds one entry, 1, and no two rows name one column.  Then the
+        group permutes the basis, so this is a permutation lattice."""
+        for m in self._action_rows:
+            cols = set()
+            for row in m:
+                if len(row) != 1 or 1 not in row.values():
+                    return False
+                cols.update(row)
+            if len(cols) != self.rank:
+                return False
+        return True
 
     def __repr__(self):
         return f"GLattice(rank={self.rank}, group={self.group.name or self.group.order})"
@@ -195,10 +201,9 @@ class FgModule(_ElementRows):
         if not has_shape(relations, ngens,
                          len(relations[0]) if relations else 0):
             raise ValueError("relations matrix has wrong shape")
-        if len(action) != len(group.generators):
-            raise ValueError("one action matrix per generator required")
+        check_action(group, ngens, action)
         vars(self).update(group=group, ngens=ngens, relations=relations,
-                          action=action)
+                          _action_rows=tuple(map(la.sparse_rows, action)))
 
     def validate(self) -> None:
         """Check that each generator maps span(relations) into itself and
@@ -207,8 +212,6 @@ class FgModule(_ElementRows):
         ``FiniteGroup.loop_edges()`` (a, t), which suffices by the lemma
         there, as in ``GLattice.validate``."""
         n = self.ngens
-        if not all(has_shape(m, n, n) for m in self.action):
-            raise ValueError("action matrix has wrong shape")
         rel = la.sparse_rows(self.relations)
         nrel = la.shape(self.relations)[1]
         span = la.ColumnSpan(la.rows_transpose(rel, nrel))
@@ -255,8 +258,7 @@ def zero_lattice(group: FiniteGroup) -> GLattice:
 
 def make_permutation_lattice(group: FiniteGroup,
                              subgroups: Sequence[SubgroupHandle]) -> GLattice:
-    """Direct sum of coset lattices Z[G/H]; basis permuted by the group,
-    carrying a permutation certificate."""
+    """Direct sum of coset lattices Z[G/H]; basis permuted by the group."""
     spaces = []
     for h in subgroups:
         if not h.parent.same_table(group):
@@ -272,8 +274,7 @@ def make_permutation_lattice(group: FiniteGroup,
                 m[off + cs.act(gen, c)] = {off + c: 1}
             off += cs.size
         action.append(tuple(m))
-    return GLattice.from_rows(group, rank, action,
-                              permutation_subgroups=tuple(subgroups))
+    return GLattice.from_rows(group, rank, action)
 
 
 def regular_lattice(group: FiniteGroup) -> GLattice:
@@ -299,8 +300,7 @@ def dual_lattice(lat: GLattice) -> GLattice:
     rows = lat.element_rows()
     action = tuple(tuple(la.rows_transpose(rows[g.inverses[s]], lat.rank))
                    for s in g.generators)
-    return GLattice.from_rows(g, lat.rank, action,
-                              permutation_subgroups=lat.permutation_subgroups)
+    return GLattice.from_rows(g, lat.rank, action)
 
 
 def dual_map(f: LatticeMap) -> LatticeMap:
@@ -318,10 +318,7 @@ def direct_sum(a: GLattice, b: GLattice) -> GLattice:
     k = a.rank
     action = tuple(ma + tuple({k + j: x for j, x in row.items()} for row in mb)
                    for ma, mb in zip(a.action_rows(), b.action_rows()))
-    perm = None
-    if a.permutation_subgroups is not None and b.permutation_subgroups is not None:
-        perm = a.permutation_subgroups + b.permutation_subgroups
-    return GLattice.from_rows(a.group, a.rank + b.rank, action, perm)
+    return GLattice.from_rows(a.group, a.rank + b.rank, action)
 
 
 def induced_action_on_sublattice(lat: GLattice,
@@ -442,7 +439,9 @@ def induce(lat: GLattice, h: SubgroupHandle) -> GLattice:
 
 
 def conjugate_lattice(lat: GLattice, u: IntMatrix) -> GLattice:
-    """Change of basis by a unimodular matrix: action -> u a u^-1."""
-    uinv = la.mat_inverse_unimodular(u)
-    action = tuple(la.mat_mul(la.mat_mul(u, m), uinv) for m in lat.action)
-    return GLattice(lat.group, lat.rank, action)
+    """Change of basis by a unimodular matrix: M(s) -> u M(s) u^-1, on
+    sparse rows."""
+    urows = la.sparse_rows(u)
+    uinv = la.sparse_rows(la.mat_inverse_unimodular(u))
+    return GLattice.from_rows(lat.group, lat.rank, tuple(
+        la.rows_mul(la.rows_mul(urows, m), uinv) for m in lat.action_rows()))

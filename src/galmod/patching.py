@@ -176,10 +176,6 @@ class MvColumns(NamedTuple):
         return tuple(f for cg in self.right for f in cg.invariant_factors)
 
     @property
-    def left_dim(self) -> int:
-        return len(self.left.invariant_factors)
-
-    @property
     def mid_dim(self) -> int:
         return len(self.middle_factors)
 

@@ -17,7 +17,7 @@ from .complexes import (CertificateMove, MoveEvidence,
 from .crossed import FiniteCrossedModule
 from .groups import (DEFAULT_SIZE_LIMIT, FiniteGroup, SizeLimitError,
                      SubgroupHandle, group_from_cycles, group_from_table)
-from .lattice import GLattice, LatticeMap, check_action
+from .lattice import GLattice, LatticeMap
 from .patching import PatchingGraph, build_patching_graph
 
 GROUP_FORMAT = "galmod-group-1"
@@ -180,14 +180,11 @@ def _dump_lattice_body(lat: GLattice) -> dict:
 
 
 def _load_lattice_body(obj, group: FiniteGroup) -> GLattice:
-    """A lattice whose action matrices are read straight into sparse rows
-    (``GLattice.from_rows``), refused as ``GLattice`` refuses dense ones
-    (``lattice.check_action``).  Its dense ``action`` is built only if
-    something reads it."""
-    rank = _int(obj["rank"], "rank")
-    mats = [_matrix(m, "action matrix") for m in obj["action"]]
-    check_action(group, rank, mats)
-    return GLattice.from_rows(group, rank, tuple(map(la.sparse_rows, mats)))
+    """A lattice built from its parsed action matrices, which ``GLattice``
+    checks and reads into sparse rows; its dense ``action`` is built only
+    if something reads it."""
+    return GLattice(group, _int(obj["rank"], "rank"),
+                    [_matrix(m, "action matrix") for m in obj["action"]])
 
 
 def dump_lattice(lat: GLattice) -> dict:

@@ -743,8 +743,7 @@ def test_cache_keeps_generator_lists_apart():
 
         def fresh():  # a copy with an empty cache
             lat = fixtures.lattice_catalog()[name]
-            return GLattice(lat.group, lat.rank, lat.action,
-                            lat.permutation_subgroups)
+            return GLattice(lat.group, lat.rank, lat.action)
 
         lat = fresh()
         first = group_cohomology(alt, lat, 2)

@@ -5,13 +5,13 @@ from itertools import permutations, product
 import pytest
 
 from galmod import fixtures
-from galmod.groups import (MembershipError, SizeLimitError, build_group,
-                           coset_action, cyclic_group, dihedral_group_4,
-                           direct_product, enumerate_subgroups,
-                           group_from_table, klein_four, minimal_generators,
-                           parse_cycles, subgroup, sylow_all_cyclic,
-                           symmetric_group_3, trivial_subgroup,
-                           whole_subgroup)
+from galmod.groups import (MembershipError, SizeLimitError, SubgroupHandle,
+                           build_group, coset_action, cyclic_group,
+                           dihedral_group_4, direct_product,
+                           enumerate_subgroups, group_from_table, klein_four,
+                           minimal_generators, parse_cycles, subgroup,
+                           sylow_all_cyclic, symmetric_group_3,
+                           trivial_subgroup, whole_subgroup)
 
 
 def closure_of(g, seed):
@@ -342,6 +342,17 @@ def test_as_group_round_trip():
                     == list(h.members_bfs())
 
 
+def test_subgroup_members_must_be_element_ids():
+    """A member that is not an int in 0..order-1 is refused before the
+    closure check reads the table: -1 would index the table from its end
+    and 9 past it."""
+    z4 = cyclic_group(4)
+    for members in ((0, 1, 2, 3, -1), (0, 9), (0, 2.0), (0, True)):
+        with pytest.raises(MembershipError, match=r"element ids in 0\.\.3"):
+            SubgroupHandle(z4, members)
+    assert SubgroupHandle(z4, (2, 0)).members == (0, 2)
+
+
 def test_coset_action():
     s3 = symmetric_group_3()
     a3 = next(h for h in enumerate_subgroups(s3)[0] if h.order == 3)
@@ -351,6 +362,17 @@ def test_coset_action():
     for g in s3.elements():
         assert sorted(cs.action[g]) == [0, 1]
     assert any(cs.act(g, 0) == 1 for g in s3.elements())
+
+
+def test_coset_space_keeps_its_representatives():
+    """A coset space holds its sorted cosets, the least member of each
+    and the action, and nothing that points back at its subgroup."""
+    d4 = dihedral_group_4()
+    for h in enumerate_subgroups(d4)[0]:
+        cs = coset_action(d4, h)
+        assert cs._fields == ("cosets", "representatives", "action")
+        assert cs.representatives == tuple(min(c) for c in cs.cosets)
+        assert all(list(c) == sorted(c) for c in cs.cosets)
 
 
 def test_coset_orbits():

@@ -37,8 +37,7 @@ def test_ragged_matrices_are_refused():
     """Every row of a matrix is read: an action or map matrix with one
     row of another length is refused when it is built, as
     ``serialize.load_lattice`` refuses it when it is loaded; a module
-    refuses ragged relations when built and a ragged action in
-    ``validate``."""
+    refuses ragged relations and a ragged action when it is built."""
     z2 = cyclic_group(2)
     t = trivial_lattice(z2, 2)
     for bad in (((0, 1), (1,)), ((0, 1), (1, 0, 1))):
@@ -50,6 +49,17 @@ def test_ragged_matrices_are_refused():
             FgModule(z2, 2, ((), ()), (bad,)).validate()
         with pytest.raises(ValueError, match="wrong shape"):
             FgModule(z2, 2, bad, (la.identity(2),))
+
+
+def test_module_refuses_a_ragged_action_when_built():
+    """A module's action is checked, and read into sparse rows, when the
+    module is built: no ``validate`` call is needed to refuse it."""
+    z2 = cyclic_group(2)
+    for bad in (((0, 1), (1,)), ((0, 1), (1, 0, 1)), ((0, 1),)):
+        with pytest.raises(ValueError, match="wrong shape"):
+            FgModule(z2, 2, ((), ()), (bad,))
+    with pytest.raises(ValueError, match="one action matrix per generator"):
+        FgModule(z2, 2, ((), ()), ())
 
 
 def test_from_rows_refuses_a_column_outside_the_rank():
@@ -160,6 +170,45 @@ def test_permutation_lattice_is_certified():
     assert lat.is_permutation_certified
     for m in lat.element_matrices():
         assert all(sum(row) == 1 for row in m)
+
+
+PERMUTATION_CATALOG = ("z2-trivial", "z2-regular", "z3-regular",
+                       "z4-regular", "z4-coset2", "v4-regular", "v4-coset",
+                       "s3-coset", "s3-regular", "z6-coset", "z12-coset6")
+
+
+@pytest.mark.parametrize("name", PERMUTATION_CATALOG + (
+    "sign", "v4-character", "s3-sign"))
+def test_permutation_property_is_read_off_the_rows(name):
+    """A lattice is a permutation lattice exactly when every generator
+    permutes its basis: the coset lattices of the catalog and Z = Z[G/G]
+    are, the sign characters are not, and a matrix -1 is not, whatever
+    built it."""
+    lat = fixtures.lattice_catalog()[name]
+    assert lat.is_permutation_certified == (name in PERMUTATION_CATALOG)
+    copy = GLattice(lat.group, lat.rank, lat.action)
+    assert copy.is_permutation_certified == lat.is_permutation_certified
+    assert not GLattice(cyclic_group(2), 1, (((-1,),),)) \
+        .is_permutation_certified
+
+
+def test_dense_action_is_a_view_built_on_first_read():
+    """A lattice or module built from dense matrices keeps only their
+    sparse rows; ``action`` is read off them on first read and equals
+    the input."""
+    d4 = dihedral_group_4()
+    regular = regular_lattice(d4).action
+    swap = fixtures.lattice_catalog()["z4-coset2"].action
+    for make, mats in (
+            (lambda m: GLattice(d4, 8, m), regular),
+            (lambda m: FgModule(d4, 8, la.zeros(8, 0), m), regular),
+            (lambda m: FgModule(cyclic_group(4), 2, ((2, 0), (0, 2)), m),
+             swap)):
+        obj = make(mats)
+        assert "action" not in vars(obj)
+        assert obj.action_rows() == tuple(map(la.sparse_rows, mats))
+        assert obj.action == mats
+        assert "action" in vars(obj)
 
 
 def test_regular_lattice_rank():

@@ -546,6 +546,19 @@ def test_replay_refuses_a_permutation_side_that_permutes_no_basis(
     assert not replay_certificate(forged)
 
 
+def test_permutation_side_is_a_permutation_lattice_after_a_load():
+    """The permutation side of every catalog complex's coflasque (Q of
+    [C -> Q]) and flasque (P of [P -> F]) certificate is one, read off
+    its rows, in memory and after a JSON round trip."""
+    for t in fixtures.complex_catalog().values():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            cert = resolve(t)[1]
+            for c in (cert, _round_trip(cert)):
+                perm = c.resolved.l2 if c.mode == "coflasque" \
+                    else c.resolved.l1
+                assert perm.is_permutation_certified
+
+
 def test_replay_builds_no_standalone_subgroup():
     """Replaying a loaded coflasque and a loaded flasque certificate of
     every catalog complex decides each subgroup class's vanishing on the
