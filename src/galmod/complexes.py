@@ -98,8 +98,8 @@ def _cycles(d: Rows, n: int):
 
 def homology(t: TwoTermComplex) -> tuple[GLattice, FgModule]:
     """(H^-1, H^0): the saturated kernel lattice and the cokernel module."""
-    return _hminus_one(t), FgModule(t.group, t.l2.rank,
-                                    t.differential.matrix, t.l2.action)
+    return _hminus_one(t), FgModule.from_rows(
+        t.group, t.l2.rank, t.differential.matrix, t.l2.action_rows())
 
 
 def _hminus_one(t: TwoTermComplex) -> GLattice:

@@ -30,9 +30,10 @@ Each sparse primitive has one body, which every caller uses:
 - ``rows_apply`` for a matrix times a vector: ``reduce``'s check, pull
   and coordinate rows and the Cayley -> bar cochain map.
 - ``rows_mul`` for a product or a sparse combination of rows, and
-  ``dense_rows`` for a dense copy: ``mat_mul``, ``ColumnSpan.kernel``
-  and the generators of ``abgroup_from_subquotient`` and
-  ``torsion_cokernel``.
+  ``dense_lists`` for a dense copy, as lists (``ColumnSpan.kernel``,
+  ``serialize``'s dumps) or frozen by ``dense_rows`` (``mat_mul`` and
+  the generators of ``abgroup_from_subquotient`` and
+  ``torsion_cokernel``).
 
 A few loops stay inline on purpose.  ``rows_mul``'s accumulator is the
 product itself.  ``cohomology._rows`` writes at a block offset, and
@@ -229,15 +230,24 @@ def smith_normal_form(a: Sequence[Sequence[int]]) -> SnfResult:
                      transpose_shaped(dense_rows(v, cols), cols, cols))
 
 
-def dense_rows(rows: Sequence[SparseRow], ncols: int) -> IntMatrix:
-    """Sparse rows {column: entry} as a frozen dense matrix."""
-    out = []
+def _dense(rows: Sequence[SparseRow], ncols: int):
+    """Each sparse row {column: entry} as a new dense list, one at a
+    time."""
     for row in rows:
         vec = [0] * ncols
         for j, x in row.items():
             vec[j] = x
-        out.append(tuple(vec))
-    return tuple(out)
+        yield vec
+
+
+def dense_lists(rows: Sequence[SparseRow], ncols: int) -> list[list[int]]:
+    """Sparse rows {column: entry} as dense rows, each a new list."""
+    return list(_dense(rows, ncols))
+
+
+def dense_rows(rows: Sequence[SparseRow], ncols: int) -> IntMatrix:
+    """Sparse rows {column: entry} as a frozen dense matrix."""
+    return tuple(map(tuple, _dense(rows, ncols)))
 
 
 def _smith(rows: Sequence[dict], ncols: int, track_u: bool = True,
@@ -628,10 +638,10 @@ class ColumnSpan:
             col[row] == 1 and max(col) < n for row, col in self.echelon)
 
     def basis(self, rows: int) -> list[list[int]]:
-        return list(map(list, dense_rows([c for _, c in self.echelon], rows)))
+        return dense_lists([c for _, c in self.echelon], rows)
 
     def kernel(self) -> list[list[int]]:
-        return list(map(list, dense_rows(self._kernel, self.track)))
+        return dense_lists(self._kernel, self.track)
 
     def sparse_kernel(self) -> list[dict]:
         return self._kernel

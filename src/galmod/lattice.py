@@ -4,11 +4,13 @@ action by unimodular matrices.
 A GLattice or FgModule stores one form of its action: one matrix per
 group generator as sparse rows, each a dict {column: nonzero entry}
 (``intlinalg.SparseRow``).  The builders here and in ``complexes`` make
-those rows (``GLattice.from_rows``); a lattice or module given dense
-matrices, loaded ones included, is checked (``check_action``) and reads
-its rows off them once, when built.  ``action``, the dense
-matrices, is a view built on first read, for JSON and
-``complexes.homology``.  Whether a lattice is a permutation lattice is
+those rows (``GLattice.from_rows``, and ``FgModule.from_rows`` for the
+H^0 of ``complexes.homology``, through one row check); a lattice or
+module given dense matrices, loaded ones included, is checked
+(``check_action``) and reads its rows off them once, when built.
+``action``, the dense matrices, is a view built on first read; the
+library reads it nowhere (``serialize`` renders its JSON rows from the
+sparse rows and keeps none).  Whether a lattice is a permutation lattice is
 read off the same rows (``GLattice.is_permutation_certified``), so a
 loaded lattice answers as the one dumped.  The matrices of all elements
 are kept once per lattice (or module) as sparse rows too: fixed points,
@@ -79,6 +81,25 @@ class _ElementRows(Frozen):
         """The dense generator matrices, read off the rows on first read."""
         return tuple(la.dense_rows(m, self._dim) for m in self._action_rows)
 
+    @classmethod
+    def _from_rows(cls, group: FiniteGroup, dim: int, rows: Sequence[Rows],
+                   **fields):
+        """The object with these sparse generator rows, kept as
+        ``action_rows()`` (not copied: zero-free, and never mutated), and
+        the other ``fields``.  Every row must name only columns in
+        0..dim-1: the columns all rows name are gathered into one set in
+        C, and its least and largest are read."""
+        if len(rows) != len(group.generators) \
+                or any(len(m) != dim for m in rows):
+            raise ValueError("one rank x rank action matrix per generator")
+        named = set().union(*chain.from_iterable(rows))
+        if named and (min(named) < 0 or max(named) >= dim):
+            raise ValueError(
+                f"action row names a column outside 0..{dim - 1}")
+        obj = cls.__new__(cls)
+        vars(obj).update(group=group, _action_rows=tuple(rows), **fields)
+        return obj
+
     @cached_property
     def _element_rows(self) -> tuple[Rows, ...]:
         """Each entry (x, p, t) of ``FiniteGroup.tree()`` has x = p s_t, so
@@ -106,21 +127,9 @@ class GLattice(_ElementRows):
     @classmethod
     def from_rows(cls, group: FiniteGroup, rank: int,
                   rows: Sequence[Rows]) -> "GLattice":
-        """The lattice with these sparse generator rows, kept as
-        ``action_rows()`` (not copied: zero-free, and never mutated).
-        Every row must name only columns in 0..rank-1: the columns all
-        rows name are gathered into one set in C, and its least and
-        largest are read."""
-        if len(rows) != len(group.generators) \
-                or any(len(m) != rank for m in rows):
-            raise ValueError("one rank x rank action matrix per generator")
-        named = set().union(*chain.from_iterable(rows))
-        if named and (min(named) < 0 or max(named) >= rank):
-            raise ValueError(
-                f"action row names a column outside 0..{rank - 1}")
-        lat = cls.__new__(cls)
-        vars(lat).update(group=group, rank=rank, _action_rows=tuple(rows))
-        return lat
+        """The lattice with these sparse generator rows, checked and kept
+        as ``_ElementRows._from_rows`` says."""
+        return cls._from_rows(group, rank, rows, rank=rank)
 
     def validate(self) -> None:
         """Check unimodularity and that the action respects the full
@@ -197,13 +206,19 @@ class FgModule(_ElementRows):
     def __init__(self, group: FiniteGroup, ngens: int,
                  relations: IntMatrix,  # ngens x nrel, columns are relations
                  action: tuple[IntMatrix, ...]):
-        # a relation matrix with no columns still has one row per generator
-        if not has_shape(relations, ngens,
-                         len(relations[0]) if relations else 0):
-            raise ValueError("relations matrix has wrong shape")
+        _check_relations(relations, ngens)
         check_action(group, ngens, action)
         vars(self).update(group=group, ngens=ngens, relations=relations,
                           _action_rows=tuple(map(la.sparse_rows, action)))
+
+    @classmethod
+    def from_rows(cls, group: FiniteGroup, ngens: int, relations: IntMatrix,
+                  rows: Sequence[Rows]) -> "FgModule":
+        """The module with these relations and sparse generator rows,
+        checked and kept as ``GLattice.from_rows`` keeps its rows."""
+        _check_relations(relations, ngens)
+        return cls._from_rows(group, ngens, rows, ngens=ngens,
+                              relations=relations)
 
     def validate(self) -> None:
         """Check that each generator maps span(relations) into itself and
@@ -237,6 +252,12 @@ class FgModule(_ElementRows):
     @property
     def _dim(self) -> int:
         return self.ngens
+
+
+def _check_relations(relations: IntMatrix, ngens: int) -> None:
+    # a relation matrix with no columns still has one row per generator
+    if not has_shape(relations, ngens, len(relations[0]) if relations else 0):
+        raise ValueError("relations matrix has wrong shape")
 
 
 def is_equivariant(comp: Rows, source: GLattice, target: GLattice) -> bool:

@@ -4,12 +4,30 @@ emits.
 Each schema carries a top-level ``format`` version field.  Group fields
 accept either an inline group object, a ``fixtures:NAME`` reference, or
 (for input only) one-line cycle notation generators.
+
+A certificate crosses the JSON boundary with no dense or repeated copy:
+
+- ``to_json`` writes in pieces.  It walks a non-empty dict whose keys
+  are all ``str`` in sorted key order, and a non-empty list of dicts and
+  matrices element by element; every other value (a matrix, a scalar,
+  an int-keyed dict) goes whole through one encoder with the settings
+  of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.  The
+  walk writes what that encoder writes for those layouts (brackets,
+  separators, key order, ``encode_basestring_ascii`` key escapes), so
+  the bytes cannot differ; only the largest piece encoded at once does.
+- Dumps render each lattice's dense JSON rows from its sparse rows and
+  cache nothing on it; ``dump_certificate`` renders a lattice once per
+  call, and a lattice in several places puts one list in each.
+- ``load_certificate`` shares one FiniteGroup per distinct group dump
+  and one GLattice per distinct (group, rank, action) body, so replay
+  checks each group and fills each lattice's caches once.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import intlinalg as la
 from .complexes import (CertificateMove, MoveEvidence,
@@ -174,21 +192,35 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
 
 # --- lattices, modules, complexes ------------------------------------------
 
-def _dump_lattice_body(lat: GLattice) -> dict:
-    return {"rank": lat.rank,
-            "action": [_dumped(m) for m in lat.action]}
+def _action(lat: GLattice, memo: dict) -> list:
+    """The generator matrices of ``lat`` as JSON rows, rendered from its
+    sparse rows once per dump: ``memo`` maps each lattice the dump has
+    met to its rows, so a lattice met again puts the same list in the
+    dump.  The lattice keeps no dense copy."""
+    if lat not in memo:
+        memo[lat] = [la.dense_lists(m, lat.rank) for m in lat.action_rows()]
+    return memo[lat]
+
+
+def _dump_lattice_body(lat: GLattice, memo: dict) -> dict:
+    return {"rank": lat.rank, "action": _action(lat, memo)}
+
+
+def _lattice_body(obj) -> tuple[int, list]:
+    """The rank and the parsed action matrices of a lattice body."""
+    return (_int(obj["rank"], "rank"),
+            [_matrix(m, "action matrix") for m in obj["action"]])
 
 
 def _load_lattice_body(obj, group: FiniteGroup) -> GLattice:
     """A lattice built from its parsed action matrices, which ``GLattice``
     checks and reads into sparse rows; its dense ``action`` is built only
     if something reads it."""
-    return GLattice(group, _int(obj["rank"], "rank"),
-                    [_matrix(m, "action matrix") for m in obj["action"]])
+    return GLattice(group, *_lattice_body(obj))
 
 
 def dump_lattice(lat: GLattice) -> dict:
-    body = _dump_lattice_body(lat)
+    body = _dump_lattice_body(lat, {})
     body["format"] = LATTICE_FORMAT
     body["group"] = dump_group(lat.group)
     return body
@@ -201,11 +233,15 @@ def load_lattice(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> GLattice:
 
 
 def dump_complex(t: TwoTermComplex) -> dict:
+    return _dump_complex(t, {})
+
+
+def _dump_complex(t: TwoTermComplex, memo: dict) -> dict:
     return {
         "format": COMPLEX_FORMAT,
         "group": dump_group(t.group),
-        "l1": _dump_lattice_body(t.l1),
-        "l2": _dump_lattice_body(t.l2),
+        "l1": _dump_lattice_body(t.l1, memo),
+        "l2": _dump_lattice_body(t.l2, memo),
         "differential": _dumped(t.differential.matrix),
     }
 
@@ -215,12 +251,14 @@ def load_complex(obj, size_limit: int = DEFAULT_SIZE_LIMIT
     return _load_complex(obj, lambda g: load_group(g, size_limit))
 
 
-def _load_complex(obj, group_of) -> TwoTermComplex:
-    """A complex whose group dump ``group_of`` loads."""
+def _load_complex(obj, group_of,
+                  lattice_of=_load_lattice_body) -> TwoTermComplex:
+    """A complex whose group dump ``group_of`` loads and whose lattice
+    bodies ``lattice_of`` loads."""
     _expect(obj, COMPLEX_FORMAT)
     group = group_of(obj["group"])
-    l1 = _load_lattice_body(obj["l1"], group)
-    l2 = _load_lattice_body(obj["l2"], group)
+    l1 = lattice_of(obj["l1"], group)
+    l2 = lattice_of(obj["l2"], group)
     diff = parse_matrix(obj["differential"], "differential")
     return TwoTermComplex(l1, l2, LatticeMap(l1, l2, diff))
 
@@ -296,40 +334,45 @@ _SIDE_TYPE = {"pushout-mono": "half", "pullback-epi": "half",
               "duality": "complex"}
 
 
-def _dump_side(side: TwoTermComplex, kind: str) -> dict:
+def _dump_side(side: TwoTermComplex, kind: str, memo: dict) -> dict:
     if _SIDE_TYPE[kind] == "complex":
-        return {"type": "complex", "value": dump_complex(side)}
+        return {"type": "complex", "value": _dump_complex(side, memo)}
     b = side.l2
     return {"type": "half",
             "group": dump_group(side.group),
-            "a": _dump_lattice_body(side.l1),
+            "a": _dump_lattice_body(side.l1, memo),
             "d": _dumped(side.differential.matrix),
             "b": {"ngens": b.rank, "relations": [[] for _ in range(b.rank)],
-                  "action": [_dumped(m) for m in b.action]}}
+                  "action": _action(b, memo)}}
 
 
-def _load_side(obj, group_of) -> TwoTermComplex:
+def _load_side(obj, group_of, lattice_of=_load_lattice_body
+               ) -> TwoTermComplex:
     if obj["type"] == "complex":
-        return _load_complex(obj["value"], group_of)
+        return _load_complex(obj["value"], group_of, lattice_of)
     group = group_of(obj["group"])
     b = obj["b"]
     rank = _int(b["ngens"], "ngens")
     if parse_matrix(b["relations"], "relations") != ((),) * rank:
         raise FormatError("a half side's b must be a lattice: one empty "
                           "row of relations per generator")
-    a = _load_lattice_body(obj["a"], group)
-    l2 = _load_lattice_body({"rank": rank, "action": b["action"]}, group)
+    a = lattice_of(obj["a"], group)
+    l2 = lattice_of({"rank": rank, "action": b["action"]}, group)
     return TwoTermComplex(a, l2, LatticeMap(
         a, l2, parse_matrix(obj["d"], "half-complex differential")))
 
 
 def dump_certificate(cert: ResolutionCertificate) -> dict:
+    """The certificate as JSON data.  Each lattice's rows are rendered
+    once (``_action``): a lattice that several complexes share puts one
+    list in each of their dumps."""
+    memo: dict[GLattice, list] = {}
     moves = []
     for m in cert.moves:
         moves.append({
             "kind": m.kind,
-            "src": _dump_side(m.src, m.kind),
-            "tgt": _dump_side(m.tgt, m.kind),
+            "src": _dump_side(m.src, m.kind, memo),
+            "tgt": _dump_side(m.tgt, m.kind, memo),
             "comp_minus1": (None if m.comp_minus1 is None
                             else _dumped(m.comp_minus1)),
             "comp0": None if m.comp0 is None else _dumped(m.comp0),
@@ -338,8 +381,8 @@ def dump_certificate(cert: ResolutionCertificate) -> dict:
     return {
         "format": CERTIFICATE_FORMAT,
         "mode": cert.mode,
-        "original": dump_complex(cert.original),
-        "resolved": dump_complex(cert.resolved),
+        "original": _dump_complex(cert.original, memo),
+        "resolved": _dump_complex(cert.resolved, memo),
         "moves": moves,
         "vanishing_table": deep_list(cert.vanishing_table),
     }
@@ -350,7 +393,11 @@ def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
     """A certificate whose complexes share one FiniteGroup per distinct
     group dump, so that each group is checked once (``load_group``) and
     its tree, subgroup and Cayley caches serve every move.  Sides that
-    carry different dumps get different groups."""
+    carry different dumps get different groups.  Lattices are shared the
+    same way: a lattice body with the same group, rank and action
+    matrices (checked as integers first, then compared with ``==``) as
+    one loaded before gives that GLattice, so that replay fills each
+    lattice's caches once."""
     _expect(obj, CERTIFICATE_FORMAT)
     if obj["mode"] not in ("flasque", "coflasque"):
         raise FormatError(f"unknown certificate mode {obj['mode']!r}")
@@ -361,6 +408,18 @@ def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
         if key not in groups:
             groups[key] = load_group(dump, size_limit)
         return groups[key]
+
+    lattices: dict[tuple[FiniteGroup, int], list] = {}
+
+    def lattice_of(body, group):
+        rank, action = _lattice_body(body)
+        seen = lattices.setdefault((group, rank), [])
+        for known, lat in seen:
+            if known == action:
+                return lat
+        lat = GLattice(group, rank, action)
+        seen.append((action, lat))
+        return lat
 
     moves = []
     for m in obj["moves"]:
@@ -382,20 +441,59 @@ def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
                else parse_matrix(m["comp_minus1"], "comp_minus1"))
         c0 = None if m["comp0"] is None else parse_matrix(m["comp0"], "comp0")
         moves.append(CertificateMove(
-            kind, _load_side(m["src"], group_of),
-            _load_side(m["tgt"], group_of), cm1, c0, MoveEvidence(*ev)))
+            kind, _load_side(m["src"], group_of, lattice_of),
+            _load_side(m["tgt"], group_of, lattice_of), cm1, c0,
+            MoveEvidence(*ev)))
     return ResolutionCertificate(
-        obj["mode"], _load_complex(obj["original"], group_of),
-        _load_complex(obj["resolved"], group_of),
+        obj["mode"], _load_complex(obj["original"], group_of, lattice_of),
+        _load_complex(obj["resolved"], group_of, lattice_of),
         tuple(moves),
         deep_tuple(obj["vanishing_table"]))
 
 
 # --- file helpers -----------------------------------------------------------
 
-def to_json(obj: dict) -> str:
-    """Deterministic machine format: sorted keys, fixed separators."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def to_json(obj) -> str:
+    """Deterministic machine format: sorted keys, fixed separators; the
+    text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.
+
+    The encoder makes one string per scalar before it joins them, so the
+    text is built in pieces (``_write``) to bound that transient by the
+    largest piece, not by the whole certificate."""
+    out: list[str] = []
+    _write(obj, out.append)
+    return "".join(out)
+
+
+def _write(obj, put) -> None:
+    """Put the JSON text of ``obj`` in pieces.  A non-empty dict whose
+    keys are all ``str`` is walked in sorted key order, and a non-empty
+    list of dicts and matrices (lists of lists) element by element; these are the layouts
+    ``json.dumps`` writes with the same brackets, separators, key order
+    and key escapes (``encode_basestring_ascii``).  Every other value,
+    int-keyed dicts included, goes whole through one encoder with the
+    ``json.dumps`` settings, so no byte can differ."""
+    if type(obj) is dict and obj and all(type(k) is str for k in obj):
+        sep = "{"
+        for k in sorted(obj):
+            put(sep + encode_basestring_ascii(k) + ":")
+            _write(obj[k], put)
+            sep = ","
+        put("}")
+    elif type(obj) is list and obj and all(
+            type(x) is dict or (type(x) is list and all(
+                type(row) is list for row in x)) for x in obj):
+        sep = "["
+        for x in obj:
+            put(sep)
+            _write(x, put)
+            sep = ","
+        put("]")
+    else:
+        put(_ENCODE(obj))
 
 
 

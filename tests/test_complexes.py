@@ -56,6 +56,23 @@ def test_homology_of_augmentation_kernel():
     assert h0.invariant_factors == ()
 
 
+def test_homology_builds_h0_from_the_rows_of_l2():
+    """H^0 of every catalog complex is built on L2's generator rows: no
+    dense ``action`` is left on L2, and its invariant factors and
+    element rows are those of the module built from L2's dense
+    matrices.  Each complex is a loaded copy, so no other reader of the
+    catalog's lattices has built their dense view."""
+    for name, cat in fixtures.complex_catalog().items():
+        t = serialize.load_complex(serialize.dump_complex(cat))
+        h0 = homology(t)[1]
+        assert "action" not in vars(t.l2), name
+        dense = FgModule(t.group, t.l2.rank, t.differential.matrix,
+                         [la.dense_rows(m, t.l2.rank)
+                          for m in t.l2.action_rows()])
+        assert h0.invariant_factors == dense.invariant_factors, name
+        assert h0.element_rows() == dense.element_rows(), name
+
+
 def test_classify_modes():
     z2 = cyclic_group(2)
     sign = sign_lattice(z2, [-1])

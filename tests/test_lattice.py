@@ -84,6 +84,24 @@ def test_from_rows_refuses_a_column_outside_the_rank():
     assert hollow.action == (((0, 0), (0, 1)),)
 
 
+def test_module_from_rows_shares_the_lattice_row_checks():
+    """``FgModule.from_rows`` refuses what ``GLattice.from_rows`` refuses,
+    with the same messages, and a relation matrix of the wrong shape as
+    ``FgModule`` does; the rows it keeps are the ones it was given."""
+    z2 = cyclic_group(2)
+    with pytest.raises(ValueError, match="outside 0..1"):
+        FgModule.from_rows(z2, 2, ((), ()), (({1: 1}, {5: 1}),))
+    with pytest.raises(ValueError, match="one rank x rank action matrix"):
+        FgModule.from_rows(z2, 2, ((), ()), ())
+    with pytest.raises(ValueError, match="relations matrix has wrong shape"):
+        FgModule.from_rows(z2, 2, ((2,),), (({1: 1}, {0: 1}),))
+    rows = (({1: 1}, {0: 1}),)
+    m = FgModule.from_rows(z2, 2, ((2,), (2,)), rows)
+    assert m.action_rows() is rows and "action" not in vars(m)
+    m.validate()
+    assert m.invariant_factors == (2, 0)
+
+
 def _respects_full_table(lat: GLattice) -> bool:
     """The exhaustive check M(a) M(b) = M(ab) over all pairs."""
     mats = lat.element_matrices()

@@ -6,6 +6,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from galmod import fixtures, groups
 from galmod import intlinalg as la
@@ -282,10 +284,30 @@ def _load_each_side_alone(obj):
         se.deep_tuple(obj["vanishing_table"]))
 
 
+def _sides(cert) -> list:
+    return [cert.original, cert.resolved] + [
+        x for m in cert.moves for x in (m.src, m.tgt)]
+
+
 def _groups(cert) -> set:
     """The ids of the groups of a certificate's complexes."""
-    sides = [x for m in cert.moves for x in (m.src, m.tgt)]
-    return {id(x.group) for x in sides + [cert.original, cert.resolved]}
+    return {id(x.group) for x in _sides(cert)}
+
+
+def _lattices(cert) -> list:
+    """The lattices of a certificate's complexes, one per place."""
+    return [lat for x in _sides(cert) for lat in (x.l1, x.l2)]
+
+
+def _lattice_bodies(cert) -> dict:
+    """The ids of the lattices of ``cert`` by (group id, rank, dense
+    action matrices), the content a lattice body dumps."""
+    bodies: dict = {}
+    for lat in _lattices(cert):
+        key = (id(lat.group), lat.rank,
+               tuple(la.dense_rows(m, lat.rank) for m in lat.action_rows()))
+        bodies.setdefault(key, set()).add(id(lat))
+    return bodies
 
 
 def _group_dump(side):
@@ -311,22 +333,94 @@ def test_load_certificate_shares_one_group_per_dump():
     a relabelled table does not, as a square's sides must share one
     table and generators, and neither does a resolved complex over a
     relabelled table (the moves no longer connect)."""
-    catalog = fixtures.complex_catalog()
     verdicts = []
+    for text, forged in _forgeries():
+        assert len(_groups(se.load_certificate(json.loads(text)))) == 1
+        for obj in forged:
+            got = replay_certificate(se.load_certificate(obj))
+            assert got == replay_certificate(_load_each_side_alone(obj))
+            verdicts.append(got)
+        assert len(_groups(se.load_certificate(forged[1]))) == 2
+    assert verdicts == [True, True, False, False] * 4
+
+
+def _forgeries():
+    """(JSON text, four loaded copies) of the coflasque and flasque
+    certificates of z3-aug and s3-coset-aug.  The first copy is as
+    dumped; in the second a first move's side names its group "other",
+    in the third that side's group table is relabelled, and in the
+    fourth the resolved complex's."""
+    catalog = fixtures.complex_catalog()
     for name in ("z3-aug", "s3-coset-aug"):
         for resolve in (coflasque_resolution, flasque_resolution):
             text = se.to_json(se.dump_certificate(resolve(catalog[name])[1]))
-            assert len(_groups(se.load_certificate(json.loads(text)))) == 1
             forged = [json.loads(text) for _ in range(4)]
             _group_dump(forged[1]["moves"][0]["tgt"])["name"] = "other"
             _relabel(_group_dump(forged[2]["moves"][0]["src"]))
             _relabel(forged[3]["resolved"]["group"])
-            for obj in forged:
-                got = replay_certificate(se.load_certificate(obj))
-                assert got == replay_certificate(_load_each_side_alone(obj))
-                verdicts.append(got)
-            assert len(_groups(se.load_certificate(forged[1]))) == 2
+            yield text, forged
+
+
+def test_forged_certificates_share_lattices_and_keep_their_verdict():
+    """Each forged certificate of ``_forgeries`` loads one GLattice per
+    distinct (group, rank, action) body, fewer than its places, and
+    replays with the verdict of loading every side alone: a side over
+    another group gets its own lattices."""
+    verdicts = []
+    for _, forged in _forgeries():
+        for obj in forged:
+            cert = se.load_certificate(obj)
+            bodies = _lattice_bodies(cert)
+            assert all(len(ids) == 1 for ids in bodies.values())
+            assert len(bodies) < len(_lattices(cert))
+            got = replay_certificate(cert)
+            assert got == replay_certificate(_load_each_side_alone(obj))
+            verdicts.append(got)
     assert verdicts == [True, True, False, False] * 4
+
+
+def test_load_certificate_shares_one_lattice_per_body():
+    """A loaded certificate of every catalog complex holds one GLattice
+    per distinct (group, rank, action) body: the resolved complex's
+    lattices are those of the move that starts or ends at it, and a
+    lattice repeated across sides is one object, so replay fills its
+    caches once.  Over the 36 certificates the 648 places hold 173
+    lattices."""
+    places = distinct = 0
+    for t in fixtures.complex_catalog().values():
+        for resolve in (coflasque_resolution, flasque_resolution):
+            cert = _round_trip(resolve(t)[1])
+            bodies = _lattice_bodies(cert)
+            assert all(len(ids) == 1 for ids in bodies.values())
+            places += len(_lattices(cert))
+            distinct += len(bodies)
+            if cert.mode == "coflasque":
+                assert cert.resolved.l1 is cert.moves[2].src.l1
+                assert cert.resolved.l2 is cert.moves[2].src.l2
+            assert replay_certificate(cert)
+    assert (places, distinct) == (648, 173)
+
+
+def test_dump_certificate_builds_no_dense_action():
+    """A dump renders each lattice's JSON rows from its sparse rows and
+    keeps no dense copy on it: after dumping the certificates of every
+    catalog complex, resolved from a loaded copy so that no other reader
+    of the catalog has touched its lattices, none of their lattices
+    holds ``action``.  A lattice in several places of one certificate
+    puts one list in each."""
+    for t in fixtures.complex_catalog().values():
+        t = se.load_complex(se.dump_complex(t))
+        for resolve in (coflasque_resolution, flasque_resolution):
+            cert = resolve(t)[1]
+            obj = se.dump_certificate(cert)
+            assert not [lat for lat in _lattices(cert)
+                        if "action" in vars(lat)]
+            if cert.mode == "coflasque":
+                assert cert.resolved.l1 is cert.moves[2].src.l1
+                assert obj["resolved"]["l1"]["action"] \
+                    is obj["moves"][2]["src"]["a"]["action"]
+            assert se.to_json(obj) == json.dumps(
+                obj, sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("forge", [
@@ -402,17 +496,16 @@ def test_loaded_lattices_hold_no_dense_action():
     """The loader reads each action matrix straight into sparse rows, and
     replay reads only those: after load and replay of the coflasque and
     flasque certificates of all 18 catalog complexes, none of their 648
-    lattices has built its dense ``action``.  A dump reads it, and it
-    equals the matrices the lattice was loaded from."""
+    lattices has built its dense ``action`` (648 places, fewer
+    lattices).  A dump of the loaded certificate writes the text it was
+    loaded from."""
     lattices = []
     for t in fixtures.complex_catalog().values():
         for resolve in (coflasque_resolution, flasque_resolution):
             obj = json.loads(se.to_json(se.dump_certificate(resolve(t)[1])))
             cert = se.load_certificate(obj)
             assert replay_certificate(cert)
-            sides = [cert.original, cert.resolved] + [
-                x for m in cert.moves for x in (m.src, m.tgt)]
-            lattices += [lat for x in sides for lat in (x.l1, x.l2)]
+            lattices += _lattices(cert)
     assert len(lattices) == 648
     assert not [lat for lat in lattices if "action" in vars(lat)]
     t = fixtures.complex_catalog()["s3-coset-aug"]
@@ -574,6 +667,45 @@ def test_replay_builds_no_standalone_subgroup():
             assert len(reps) > 1
             assert [h.members for h in reps if "_group" in vars(h)] == []
             assert "_cayley_cache" not in vars(g)
+
+
+_KEYS = st.text() | st.sampled_from(
+    ["", "a\"b", "\\", "\n\t\x00", "\u00e9t\u00e9", "\u2603", "\U0001f600"])
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=2 ** 64, max_value=2 ** 200)
+            | st.integers(max_value=-2 ** 64, min_value=-2 ** 200)
+            | st.floats() | _KEYS)
+
+
+def _json_values(children):
+    return (st.lists(children, max_size=4)
+            | st.dictionaries(_KEYS, children, max_size=4)
+            | st.lists(st.dictionaries(_KEYS, children, max_size=3),
+                       max_size=3)
+            | st.lists(st.lists(st.lists(st.integers(), max_size=3),
+                                max_size=3), max_size=3)
+            | st.dictionaries(st.integers() | st.booleans(), children,
+                              max_size=3)
+            | st.dictionaries(st.integers() | _KEYS, children, max_size=3))
+
+
+def _dumps_or_error(dumps, x):
+    try:
+        return dumps(x)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+@given(st.recursive(_SCALARS, _json_values, max_leaves=40))
+def test_to_json_writes_the_bytes_of_json_dumps(x):
+    """``to_json`` writes ``json.dumps`` with sorted keys and fixed
+    separators byte for byte, whatever it walks in pieces: str keys with
+    escapes and non-ASCII characters, empty dicts and lists, lists
+    mixing dicts and scalars, lists of matrices, big ints, bools, None
+    and floats; an int-keyed or mixed-key dict gives the same bytes or
+    raises the same exception."""
+    assert _dumps_or_error(se.to_json, x) == _dumps_or_error(
+        lambda v: json.dumps(v, sort_keys=True, separators=(",", ":")), x)
 
 
 def test_to_json_is_deterministic():
