@@ -19,13 +19,15 @@ import itertools
 from typing import NamedTuple, Optional
 
 from .frozen import Frozen
-from .groups import FiniteGroup, SizeLimitError, group_from_table
+from .groups import FiniteGroup, SizeLimitError, bad_ids, group_from_table
 
 DEFAULT_ENUMERATION_BOUND = 10 ** 6
 
 
 class FiniteCrossedModule(Frozen):
-    """d: G -> H with an H-action on G and a Gamma-action on both."""
+    """d: G -> H with an H-action on G and a Gamma-action on both.  The
+    constructor refuses (ValueError) a table that is not one map of ids
+    per acting element; ``validate_crossed_module`` checks the axioms."""
 
     _fields = ("g", "h", "boundary", "h_action", "galois", "galois_on_g",
                "galois_on_h")
@@ -36,13 +38,18 @@ class FiniteCrossedModule(Frozen):
                  galois: FiniteGroup,
                  galois_on_g: tuple[tuple[int, ...], ...],  # per Gamma element
                  galois_on_h: tuple[tuple[int, ...], ...]):
-        if len(boundary) != g.order:
-            raise ValueError("boundary table has wrong length")
-        if len(h_action) != h.order:
-            raise ValueError("H-action table has wrong length")
-        if len(galois_on_g) != galois.order \
-                or len(galois_on_h) != galois.order:
-            raise ValueError("Galois action tables have wrong length")
+        for what, rows, n_rows, src, tgt in (
+                ("boundary", (boundary,), 1, g, h),
+                ("H-action", h_action, h.order, g, g),
+                ("Galois action on G", galois_on_g, galois.order, g, g),
+                ("Galois action on H", galois_on_h, galois.order, h, h)):
+            if len(rows) != n_rows or any(len(r) != src.order for r in rows):
+                raise ValueError(f"{what} table must be {n_rows} rows of "
+                                 f"{src.order} ids")
+            bad = bad_ids(itertools.chain.from_iterable(rows), tgt.order)
+            if bad:
+                raise ValueError(f"{what} table names {bad[0]!r}, not an "
+                                 f"element id in 0..{tgt.order - 1}")
         vars(self).update(g=g, h=h, boundary=boundary, h_action=h_action,
                           galois=galois, galois_on_g=galois_on_g,
                           galois_on_h=galois_on_h)
@@ -171,7 +178,6 @@ Cocycle = tuple[tuple[int, ...], int]  # (alpha value table over Gamma, h)
 class HZero(NamedTuple):
     """H^0 of a crossed module: cocycle classes with their group law."""
 
-    crossed: FiniteCrossedModule
     cocycles: tuple[Cocycle, ...]
     class_of: dict  # cocycle -> class index
     representatives: tuple[Cocycle, ...]  # lexicographic minimum per class
@@ -281,7 +287,7 @@ def h_zero(c: FiniteCrossedModule,
             if class_of[prod] != table[class_of[z1]][class_of[z2]]:
                 raise RuntimeError("group law not well defined on classes")
     group = group_from_table(table)
-    return HZero(c, cocycles, class_of, tuple(reps), table, group)
+    return HZero(cocycles, class_of, tuple(reps), table, group)
 
 
 # ---------------------------------------------------------------------------

@@ -152,22 +152,29 @@ class FiniteGroup(Frozen):
     def verify(self) -> None:
         """Check the group axioms; raises ValueError.
 
-        Associativity is tested only in the middle generators (Light's
-        test): (a s) c = a (s c) for every a, c and generator s, n^2 k
-        products.  That suffices: let T be the set of elements b with
-        (a b) c = a (b c) for all a, c.  T holds 0 and every generator.
-        If p and s are in T, so is p s: (a (p s)) c = ((a p) s) c =
-        (a p) (s c) = a (p (s c)) = a ((p s) c).  ``tree()`` reaches
-        every element from 0 by right multiplication by the generators,
-        so T is the whole table."""
+        Generators and rows are refused unless they are ``int`` ids,
+        before anything indexes with them.  Associativity is tested only
+        in the middle generators (Light's test): (a s) c = a (s c) for
+        every a, c and generator s, n^2 k products.  That suffices: let T
+        be the set of elements b with (a b) c = a (b c) for all a, c.  T
+        holds 0 and every generator.  If p and s are in T, so is p s:
+        (a (p s)) c = ((a p) s) c = (a p) (s c) = a (p (s c)) = a ((p s) c).
+        ``tree()`` reaches every element from 0 by right multiplication by
+        the generators, so T is the whole table."""
         n = self.order
-        for a in range(n):
-            if len(set(self.table[a])) != n:
+        bad = bad_ids(self.generators, n)
+        if bad:
+            raise ValueError(f"generator {bad[0]!r} is not an element id "
+                             f"in 0..{n - 1}")
+        for a, row in enumerate(self.table):
+            bad = bad_ids(row, n)
+            if bad:
+                raise ValueError(f"row {a} names {bad[0]!r}, not an element "
+                                 f"id in 0..{n - 1}")
+            if len(row) != n or len(set(row)) != n:
                 raise ValueError(f"row {a} is not a permutation")
-            if self.table[a][0] != a or self.table[0][a] != a:
+            if row[0] != a or self.table[0][a] != a:
                 raise ValueError("0 is not an identity")
-            if 0 not in self.table[a]:
-                raise ValueError(f"element {a} has no inverse")
         self.tree()  # raises unless the generators generate the group
         table = self.table
         for s in self.generators:
@@ -181,6 +188,12 @@ class FiniteGroup(Frozen):
     def __repr__(self):
         label = self.name or f"group{self.order}"
         return f"FiniteGroup({label}, order={self.order})"
+
+
+def bad_ids(values, n: int) -> list:
+    """The entries of ``values``, in order, that are not an ``int`` (a
+    ``bool`` is not one) in 0..n-1, such as the ids of a group's elements."""
+    return [x for x in values if type(x) is not int or not 0 <= x < n]
 
 
 def _bfs(start, gens, mul, size_limit=None) -> dict:
@@ -259,8 +272,9 @@ def _permutation_group(perms, size_limit: int, name: str,
 def group_from_table(table, generators=None, name: str = "",
                      labels=None) -> FiniteGroup:
     """A checked group from its multiplication table; generators default
-    to every non-identity element and labels to "0".."n-1"."""
-    tbl = tuple(tuple(int(x) for x in row) for row in table)
+    to every non-identity element and labels to "0".."n-1"; ``verify``
+    refuses an entry that is not an id."""
+    tbl = tuple(map(tuple, table))
     n = len(tbl)
     if generators is None:
         generators = tuple(range(1, n)) or (0,)
@@ -327,15 +341,16 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
 
 class SubgroupHandle(Frozen):
     """A subgroup of ``parent`` given by its sorted member ids, each an
-    ``int`` in 0..order-1."""
+    ``int`` in 0..order-1; the constructor checks them (MembershipError)."""
 
     _fields = ("parent", "members")
 
     def __init__(self, parent: FiniteGroup, members: tuple[int, ...]):
         members = tuple(members)
-        if not all(type(a) is int and 0 <= a < parent.order for a in members):
-            raise MembershipError("subgroup members must be element ids in "
-                                  f"0..{parent.order - 1}")
+        bad = bad_ids(members, parent.order)
+        if bad:
+            raise MembershipError(f"subgroup members {bad} are not elements "
+                                  f"of a group of order {parent.order}")
         vars(self).update(parent=parent, members=tuple(sorted(members)))
         mem = set(self.members)
         if len(mem) != len(self.members):

@@ -891,15 +891,16 @@ def relation_columns(factors: Sequence[int], dim: int) -> list[list[int]]:
 
 def hom_kernel(matrix: Sequence[Sequence[int]],
                src_factors: Sequence[int],
-               tgt_factors: Sequence[int]) -> AbGroupPresentation:
+               tgt_factors: Sequence[int],
+               image: Sequence = ()) -> AbGroupPresentation:
     """Kernel of a homomorphism of f.g. abelian groups in generator
-    coordinates."""
+    coordinates, modulo ``image``: source columns inside the kernel."""
     sc = len(src_factors)
     proj = ColumnSpan(
         columns(matrix, sc) + relation_columns(tgt_factors, len(tgt_factors)),
         track=sc).kernel()
     src_rel = relation_columns(src_factors, sc)
-    return abgroup_from_subquotient(proj + src_rel, src_rel, sc)
+    return abgroup_from_subquotient(proj + src_rel, [*image, *src_rel], sc)
 
 
 def hom_cokernel(matrix: Sequence[Sequence[int]],

@@ -24,7 +24,7 @@ from .complexes import TwoTermComplex, flasque_resolution
 from .crossed import (DEFAULT_ENUMERATION_BOUND, FiniteCrossedModule,
                       HMinusOne, HZero, h_minus_one, h_zero)
 from .groups import (FiniteGroup, MembershipError, SizeLimitError,
-                     SubgroupHandle, coset_action, group_from_table)
+                     SubgroupHandle, bad_ids, coset_action, group_from_table)
 from .intlinalg import AbGroupPresentation, IntMatrix
 from .lattice import GLattice
 
@@ -57,10 +57,8 @@ class Refinement(NamedTuple):
     """Orbit bookkeeping kept alongside a refined graph."""
 
     subgroup: SubgroupHandle
-    coset_count: int
     # per original vertex: ((representative coset, orbit size), ...)
     vertex_orbits: tuple[tuple[tuple[int, int], ...], ...]
-    edge_orbits: tuple[tuple[tuple[int, int], ...], ...]
 
 
 class PatchingGraph(NamedTuple):
@@ -113,7 +111,8 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
     """Validate vertex/edge decorations and connectivity.
 
     ``vertices`` is a sequence of SubgroupHandles of gamma; ``edges`` a
-    sequence of (head index, tail index, SubgroupHandle).  Loops are
+    sequence of (head index, tail index, SubgroupHandle), each index an
+    ``int`` vertex id (a ``bool`` or a float is out of range).  Loops are
     rejected, parallel edges are fine.
     """
     verts = tuple(vertices)
@@ -125,10 +124,10 @@ def build_patching_graph(gamma: FiniteGroup, vertices, edges,
                              "the ambient group")
     edge_list = []
     for k, (head, tail, h) in enumerate(edges):
+        if bad_ids((head, tail), len(verts)):
+            raise ModelError(f"edge {k} endpoint out of range")
         if head == tail:
             raise ModelError(f"edge {k} is a loop")
-        if not (0 <= head < len(verts) and 0 <= tail < len(verts)):
-            raise ModelError(f"edge {k} endpoint out of range")
         if not isinstance(h, SubgroupHandle) or not h.parent.same_table(gamma):
             raise ModelError(f"edge {k} subgroup is not a subgroup of "
                              "the ambient group")
@@ -193,17 +192,11 @@ class MvColumns(NamedTuple):
     def exact_at_middle(self) -> tuple[bool, Optional[tuple]]:
         """Compare ker(difference) with im(restriction) inside the vertex
         product; returns (exact, witness coordinates or None)."""
-        mid_dim = self.mid_dim
-        if mid_dim == 0:
+        if self.mid_dim == 0:
             return True, None
-        mid_rel = la.relation_columns(self.middle_factors, mid_dim)
-        right_rel = la.relation_columns(self.right_factors, self.right_dim)
-        ker_cols = la.ColumnSpan(
-            la.columns(self.difference_matrix, mid_dim) + right_rel,
-            track=mid_dim).kernel()
-        im_cols = la.columns(self.restriction_matrix)
-        quot = la.abgroup_from_subquotient(ker_cols + mid_rel,
-                                           im_cols + mid_rel, mid_dim)
+        quot = la.hom_kernel(self.difference_matrix, self.middle_factors,
+                             self.right_factors,
+                             la.columns(self.restriction_matrix))
         if quot.is_trivial:
             return True, None
         return False, quot.generators[0]
@@ -389,7 +382,6 @@ class RemarkReport(NamedTuple):
     perm_sha2: CohomologyGroup
     hypotheses_hold: bool
     flasque_lattice: GLattice
-    permutation_lattice: GLattice
 
     @property
     def all_agree(self) -> bool:
@@ -417,7 +409,7 @@ def remark_compare(graph: PatchingGraph, t: TwoTermComplex) -> RemarkReport:
         s1 == s2, s1 == coker_factors, s2 == coker_factors,
         perm_h1, perm_h1_ok, perm_sha2,
         perm_h1_ok and perm_sha2.is_trivial,
-        flasque, perm)
+        flasque)
 
 
 # ---------------------------------------------------------------------------
@@ -578,20 +570,16 @@ def refine_graph(graph: PatchingGraph, h: SubgroupHandle) -> PatchingGraph:
         vertex_books.append(tuple(entry for *_, entry in orbits))
 
     new_edges = []
-    edge_books = []
     for (head, tail, handle) in graph.edges:
-        orbits = split(handle)
-        for _, stab, (rep, _) in orbits:
+        for _, stab, (rep, _) in split(handle):
             head_id = vertex_ids[head][rep]
             tail_id = vertex_ids[tail][rep]
             members = (set(stab) & set(new_vertices[head_id].members)
                        & set(new_vertices[tail_id].members))
             new_edges.append((head_id, tail_id,
                               SubgroupHandle(gamma, tuple(members))))
-        edge_books.append(tuple(entry for *_, entry in orbits))
     components = _components(len(new_vertices), new_edges)
     if len(components) > 1:
         raise GraphSplitError(components, tuple(witnesses))
-    refinement = Refinement(h, cs.size, tuple(vertex_books),
-                            tuple(edge_books))
-    return build_patching_graph(gamma, new_vertices, new_edges, refinement)
+    return build_patching_graph(gamma, new_vertices, new_edges,
+                                Refinement(h, tuple(vertex_books)))

@@ -5,6 +5,12 @@ Each schema carries a top-level ``format`` version field.  Group fields
 accept either an inline group object, a ``fixtures:NAME`` reference, or
 (for input only) one-line cycle notation generators.
 
+The loaders check JSON types, ``format`` tags, the size bound and the
+structure of a certificate.  Element ids and table shapes are refused by
+the constructors that index with them (``FiniteGroup.verify``,
+``FiniteCrossedModule``, ``SubgroupHandle``, ``build_patching_graph``),
+so a library caller gets the refusal a file gets.
+
 A certificate crosses the JSON boundary with no dense or repeated copy:
 
 - ``to_json`` writes in pieces.  It walks a non-empty dict whose keys
@@ -75,35 +81,10 @@ def _check_ints(rows, what: str) -> None:
                   if type(x) is not int), what)
 
 
-def _rows(m, what: str) -> list[list[int]]:
-    """Rows of integers read from input."""
-    rows = list(map(list, m))
-    _check_ints(rows, what)
-    return rows
-
-
 def _dumped(m) -> list[list[int]]:
     """A library matrix or table as JSON rows; its entries are ints
     already."""
     return list(map(list, m))
-
-
-def _ids(values, bound: int, what: str) -> None:
-    bad = [x for x in values if not 0 <= x < bound]
-    if bad:
-        raise FormatError(f"{what} {bad[0]} is not an element id in "
-                          f"0..{bound - 1}")
-
-
-def _id_rows(obj, n_rows: int, n_cols: int, bound: int,
-             what: str) -> tuple[tuple[int, ...], ...]:
-    """A table of element ids: ``n_rows`` rows of ``n_cols`` ids, each in
-    0..bound-1, checked before anything indexes with them."""
-    rows = deep_tuple(_rows(obj, f"{what} entry"))
-    if len(rows) != n_rows or any(len(row) != n_cols for row in rows):
-        raise FormatError(f"{what} must be {n_rows} rows of {n_cols} ids")
-    _ids([x for row in rows for x in row], bound, f"{what} entry")
-    return rows
 
 
 def _matrix(obj, what: str) -> list[list[int]]:
@@ -158,7 +139,7 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
         raise FormatError(f"unrecognized group reference {obj!r}")
     if "table" in obj:
         _expect(obj, GROUP_FORMAT)
-        # bound the order and the ids before the axiom check, O(n^2 k)
+        # bound the order before any parse and the axiom check, O(n^2 k)
         # for k generators (every non-identity element when none given)
         n = len(obj["table"])
         if n > size_limit:
@@ -166,17 +147,14 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
                                  f"{size_limit}")
         if not n:
             raise FormatError("group table is empty")
-        table = _id_rows(obj["table"], n, n, n, "table")
+        table = parse_matrix(obj["table"], "table")
         labels = obj.get("labels")
         if labels is not None and (
                 not isinstance(labels, list) or len(labels) != n
                 or not all(isinstance(x, str) for x in labels)):
             raise FormatError(f"labels must be a list of {n} strings")
-        gens = obj.get("generators")
-        if gens is not None:
-            gens = tuple(_int(x, "generator") for x in gens)
-            _ids(gens, n, "generator")
-        return group_from_table(table, gens, obj.get("name", ""), labels)
+        return group_from_table(table, obj.get("generators"),
+                                obj.get("name", ""), labels)
     if "cycles" in obj:
         _expect(obj, GROUP_FORMAT)
         degree, texts = _int(obj["degree"], "degree"), obj["cycles"]
@@ -284,16 +262,11 @@ def load_crossed(obj, size_limit: int = DEFAULT_SIZE_LIMIT
     g = load_group(obj["g"], size_limit)
     h = load_group(obj["h"], size_limit)
     galois = load_group(obj["galois"], size_limit)
-    (boundary,) = _id_rows([obj["boundary"]], 1, g.order, h.order,
-                           "boundary")
+    (boundary,) = parse_matrix([obj["boundary"]], "boundary")
     return FiniteCrossedModule(
-        g, h, boundary,
-        _id_rows(obj["h_action"], h.order, g.order, g.order, "h_action"),
-        galois,
-        _id_rows(obj["galois_on_g"], galois.order, g.order, g.order,
-                 "galois_on_g"),
-        _id_rows(obj["galois_on_h"], galois.order, h.order, h.order,
-                 "galois_on_h"))
+        g, h, boundary, parse_matrix(obj["h_action"], "h_action"), galois,
+        parse_matrix(obj["galois_on_g"], "galois_on_g"),
+        parse_matrix(obj["galois_on_h"], "galois_on_h"))
 
 
 # --- patching graphs --------------------------------------------------------
@@ -311,15 +284,8 @@ def dump_graph(graph: PatchingGraph) -> dict:
 def load_graph(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> PatchingGraph:
     _expect(obj, GRAPH_FORMAT)
     gamma = load_group(obj["group"], size_limit)
-    def members(mem):
-        mem = tuple(_int(x, "subgroup member") for x in mem)
-        _ids(mem, gamma.order, "subgroup member")
-        return mem
-
-    vertices = [SubgroupHandle(gamma, members(mem))
-                for mem in obj["vertices"]]
-    edges = [(_int(head, "edge end"), _int(tail, "edge end"),
-              SubgroupHandle(gamma, members(mem)))
+    vertices = [SubgroupHandle(gamma, mem) for mem in obj["vertices"]]
+    edges = [(head, tail, SubgroupHandle(gamma, mem))
              for head, tail, mem in obj["edges"]]
     return build_patching_graph(gamma, vertices, edges)
 

@@ -12,7 +12,7 @@ from galmod.cli import main
 from galmod.complexes import TwoTermComplex
 from galmod.crossed import (FiniteCrossedModule, conjugation_h_action,
                             trivial_galois_action)
-from galmod.groups import cyclic_group, group_from_table
+from galmod.groups import cyclic_group, group_from_table, whole_subgroup
 from galmod.lattice import GLattice, LatticeMap, trivial_lattice
 
 
@@ -121,6 +121,26 @@ def test_shapiro_exit_codes(capsys):
     code, out, _ = run(capsys, "shapiro", "--group", "fixtures:S3",
                        "--subgroup", "0,2,5", "--degree", "1")
     assert code == 0
+    assert "isomorphic: True" in out
+
+
+def test_shapiro_whole_group_takes_a_lattice_over_the_group(capsys,
+                                                            tmp_path):
+    """A whole-group --subgroup takes a lattice over the group itself, as
+    ``induce`` does, also where the subgroup's standalone group numbers
+    the elements otherwise: Z4 with 1 = r, 2 = r^3 and 3 = r^2, and the
+    sign character r -> -1 on it."""
+    z4 = group_from_table(((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1),
+                           (3, 2, 1, 0)))
+    assert whole_subgroup(z4).as_group().table != z4.table
+    lat = GLattice(z4, 1, (((-1,),), ((-1,),), ((1,),)))
+    group_path, lattice_path = tmp_path / "z4.json", tmp_path / "sign.json"
+    group_path.write_text(serialize.to_json(serialize.dump_group(z4)))
+    lattice_path.write_text(serialize.to_json(serialize.dump_lattice(lat)))
+    code, out, err = run(capsys, "shapiro", "--group", str(group_path),
+                         "--subgroup", "0 1 2 3", "--lattice",
+                         str(lattice_path), "--degree", "1")
+    assert (code, err) == (0, "")
     assert "isomorphic: True" in out
 
 
@@ -414,8 +434,8 @@ def test_graph_member_out_of_range_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "sha", "--graph", str(path), "--lattice",
                        "fixtures:sign", "--degree", "1")
     assert code == 2
-    assert err.strip() == ("input error: subgroup member 7 is not an "
-                           "element id in 0..1")
+    assert err.strip() == ("input error: subgroup members [7] are not "
+                           "elements of a group of order 2")
 
 
 @pytest.mark.parametrize("labels", [["e"], [1, 2]],

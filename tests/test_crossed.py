@@ -34,6 +34,27 @@ def test_validation_rejects_bad_boundary():
     assert verdict.failure[0] == "boundary not a homomorphism"
 
 
+def test_tables_must_map_ids_to_ids():
+    """Each of the four tables is one row per acting element of ids of
+    its target, or the constructor refuses it before validation or H^0
+    indexes with it: a boundary naming -1 or |H|, a short H-action row,
+    a Galois row on H naming |H| and a bool entry."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    good = (z2, z3, (0, 0), trivial_h_action(z3, z2), z2,
+            trivial_galois_action(z2, z2), trivial_galois_action(z2, z3))
+    FiniteCrossedModule(*good)
+    for slot, table, message in (
+            (2, (0, -1), "boundary table names -1"),
+            (2, (0, 3), "boundary table names 3"),
+            (3, ((0, 1), (0,), (0, 1)), "H-action table must be 3 rows of 2"),
+            (6, ((0, 1, 2), (0, 1, 3)), "Galois action on H table names 3"),
+            (2, (0, True), "boundary table names True")):
+        args = list(good)
+        args[slot] = table
+        with pytest.raises(ValueError, match=message):
+            FiniteCrossedModule(*args)
+
+
 def test_validation_rejects_noncentral_kernel():
     """A noncentral kernel breaks the conjugation identity, which gives
     z b z^-1 = d(z).b = b for z in ker d."""

@@ -348,9 +348,24 @@ def test_subgroup_members_must_be_element_ids():
     and 9 past it."""
     z4 = cyclic_group(4)
     for members in ((0, 1, 2, 3, -1), (0, 9), (0, 2.0), (0, True)):
-        with pytest.raises(MembershipError, match=r"element ids in 0\.\.3"):
+        with pytest.raises(MembershipError,
+                           match=r"not elements of a group of order 4"):
             SubgroupHandle(z4, members)
     assert SubgroupHandle(z4, (2, 0)).members == (0, 2)
+
+
+def test_group_table_ids_are_checked():
+    """A generator or table entry that is not an int in 0..n-1 is refused
+    by ``verify``, naming the value, before the tree or the identity
+    check indexes with it: -1 would index the table from its end and 5
+    past it."""
+    z2 = ((0, 1), (1, 0))
+    for gen in (-1, 2, 1.0, True):
+        with pytest.raises(ValueError, match=rf"generator {gen!r} is not"):
+            group_from_table(z2, (gen,))
+    with pytest.raises(ValueError, match=r"row 1 names 5, not an element"):
+        group_from_table(((0, 1, 2), (1, 5, 0), (2, 0, 1)))
+    assert group_from_table(z2, (1,)).generators == (1,)
 
 
 def test_coset_action():

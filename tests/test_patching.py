@@ -44,6 +44,8 @@ def _refusals():
         (z2, [w2], [(0, 0, w2)], "edge 0 is a loop"),
         (z2, [w2, w2], [(0, 1, t2), (0, 2, t2)],
          "edge 1 endpoint out of range"),
+        (z2, [w2, w2], [(0, True, t2)], "edge 0 endpoint out of range"),
+        (z2, [w2, w2], [(1.0, 0, t2)], "edge 0 endpoint out of range"),
         (z2, [w2, w2], [(0, 1, trivial_subgroup(z3))],
          "edge 0 subgroup is not a subgroup of the ambient group"),
         (s3, [ts3, ws3], [(0, 1, ws3)],
@@ -54,7 +56,7 @@ def _refusals():
     ]
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(10))
 def test_build_refusals(case):
     gamma, vertices, edges, message = _refusals()[case]
     with pytest.raises(pa.ModelError) as err:
