@@ -152,6 +152,7 @@ class FiniteGroup(Frozen):
     def verify(self) -> None:
         """Check the group axioms; raises ValueError.
 
+        An empty table is refused first.
         Generators and rows are refused unless they are ``int`` ids,
         before anything indexes with them.  Associativity is tested only
         in the middle generators (Light's test): (a s) c = a (s c) for
@@ -162,6 +163,8 @@ class FiniteGroup(Frozen):
         ``tree()`` reaches every element from 0 by right multiplication by
         the generators, so T is the whole table."""
         n = self.order
+        if not n:
+            raise ValueError("group table is empty")
         bad = bad_ids(self.generators, n)
         if bad:
             raise ValueError(f"generator {bad[0]!r} is not an element id "

@@ -13,6 +13,14 @@ so a library caller gets the refusal a file gets.
 
 A certificate crosses the JSON boundary with no dense or repeated copy:
 
+- ``dump_certificate`` writes ``galmod-certificate-2``: the group once,
+  a ``lattices`` table that lists each distinct lattice (rank and
+  generator rows, keyed by content) once, and each complex as two
+  indices into it and its differential.  Every matrix is a list of
+  sparse rows, each the flat list [col, val, col, val, ...] of its
+  nonzero entries with columns strictly increasing, rendered from the
+  lattices' sparse rows and the maps' nonzero entries without a dense
+  row.
 - ``to_json`` writes in pieces.  It walks a non-empty dict whose keys
   are all ``str`` in sorted key order, and a non-empty list of dicts and
   matrices element by element; every other value (a matrix, a scalar,
@@ -21,18 +29,19 @@ A certificate crosses the JSON boundary with no dense or repeated copy:
   walk writes what that encoder writes for those layouts (brackets,
   separators, key order, ``encode_basestring_ascii`` key escapes), so
   the bytes cannot differ; only the largest piece encoded at once does.
-- Dumps render each lattice's dense JSON rows from its sparse rows and
-  cache nothing on it; ``dump_certificate`` renders a lattice once per
-  call, and a lattice in several places puts one list in each.
-- ``load_certificate`` shares one FiniteGroup per distinct group dump
-  and one GLattice per distinct (group, rank, action) body, so replay
-  checks each group and fills each lattice's caches once.
+- ``load_certificate`` reads format 2 or format 1 by the ``format``
+  tag.  Format 2 loads its group once and each table lattice once
+  (``GLattice.from_rows``), refusing rows off the grammar; format 1
+  (each complex with its group dump and dense lattice bodies, written
+  before format 2) shares one FiniteGroup per distinct group dump and
+  one GLattice per distinct (group, rank, action) body.  Either way
+  replay checks the group and fills each lattice's caches once.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 
 from . import intlinalg as la
@@ -49,7 +58,8 @@ LATTICE_FORMAT = "galmod-lattice-1"
 COMPLEX_FORMAT = "galmod-complex-1"
 CROSSED_FORMAT = "galmod-crossed-1"
 GRAPH_FORMAT = "galmod-graph-1"
-CERTIFICATE_FORMAT = "galmod-certificate-1"
+CERTIFICATE_FORMAT = "galmod-certificate-2"
+CERTIFICATE_FORMAT_1 = "galmod-certificate-1"  # still read
 
 
 class FormatError(Exception):
@@ -170,18 +180,11 @@ def load_group(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> FiniteGroup:
 
 # --- lattices, modules, complexes ------------------------------------------
 
-def _action(lat: GLattice, memo: dict) -> list:
-    """The generator matrices of ``lat`` as JSON rows, rendered from its
-    sparse rows once per dump: ``memo`` maps each lattice the dump has
-    met to its rows, so a lattice met again puts the same list in the
-    dump.  The lattice keeps no dense copy."""
-    if lat not in memo:
-        memo[lat] = [la.dense_lists(m, lat.rank) for m in lat.action_rows()]
-    return memo[lat]
-
-
-def _dump_lattice_body(lat: GLattice, memo: dict) -> dict:
-    return {"rank": lat.rank, "action": _action(lat, memo)}
+def _dump_lattice_body(lat: GLattice) -> dict:
+    """Rank and dense JSON action rows, rendered from the sparse rows; the
+    lattice keeps no dense copy."""
+    return {"rank": lat.rank, "action": [la.dense_lists(m, lat.rank)
+                                         for m in lat.action_rows()]}
 
 
 def _lattice_body(obj) -> tuple[int, list]:
@@ -198,7 +201,7 @@ def _load_lattice_body(obj, group: FiniteGroup) -> GLattice:
 
 
 def dump_lattice(lat: GLattice) -> dict:
-    body = _dump_lattice_body(lat, {})
+    body = _dump_lattice_body(lat)
     body["format"] = LATTICE_FORMAT
     body["group"] = dump_group(lat.group)
     return body
@@ -211,15 +214,11 @@ def load_lattice(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> GLattice:
 
 
 def dump_complex(t: TwoTermComplex) -> dict:
-    return _dump_complex(t, {})
-
-
-def _dump_complex(t: TwoTermComplex, memo: dict) -> dict:
     return {
         "format": COMPLEX_FORMAT,
         "group": dump_group(t.group),
-        "l1": _dump_lattice_body(t.l1, memo),
-        "l2": _dump_lattice_body(t.l2, memo),
+        "l1": _dump_lattice_body(t.l1),
+        "l2": _dump_lattice_body(t.l2),
         "differential": _dumped(t.differential.matrix),
     }
 
@@ -292,25 +291,160 @@ def load_graph(obj, size_limit: int = DEFAULT_SIZE_LIMIT) -> PatchingGraph:
 
 # --- resolution certificates ------------------------------------------------
 
-# the side type each move kind takes; a duality move alone has no maps.
-# Every side is a complex of lattices [A -> B]; a square's side is stored
-# in the "half" layout, its B as generators with one empty row of
-# relations each.
+# the move kinds, and the side type each takes in format 1; a duality
+# move alone has no maps.  Every side is a complex of lattices [A -> B];
+# a format-1 square's side is stored in the "half" layout, its B as
+# generators with one empty row of relations each.
 _SIDE_TYPE = {"pushout-mono": "half", "pullback-epi": "half",
               "duality": "complex"}
 
 
-def _dump_side(side: TwoTermComplex, kind: str, memo: dict) -> dict:
-    if _SIDE_TYPE[kind] == "complex":
-        return {"type": "complex", "value": _dump_complex(side, memo)}
-    b = side.l2
-    return {"type": "half",
-            "group": dump_group(side.group),
-            "a": _dump_lattice_body(side.l1, memo),
-            "d": _dumped(side.differential.matrix),
-            "b": {"ngens": b.rank, "relations": [[] for _ in range(b.rank)],
-                  "action": _action(b, memo)}}
+def _map_rows(m: la.IntMatrix) -> list[list[int]]:
+    """A dense library matrix as format-2 rows, read off its nonzero
+    entries."""
+    return [list(chain.from_iterable(compress(enumerate(row), row)))
+            for row in m]
 
+
+def dump_certificate(cert: ResolutionCertificate) -> dict:
+    """The certificate as format-2 JSON data.  Lattices enter the table
+    in order of first appearance over ``original``, ``resolved`` and each
+    move's ``src`` and ``tgt``, l1 before l2, and are keyed by content,
+    so equal lattices held as distinct objects are listed once.  Format 2
+    holds one group: complexes over another group table or generator
+    list raise ValueError."""
+    group = cert.original.group
+    table: list[dict] = []
+    index: dict[GLattice, int] = {}
+    by_content: dict[tuple, int] = {}
+
+    def lattice(lat: GLattice) -> int:
+        if lat not in index:
+            if not lat.group.same_presentation(group):
+                raise ValueError("a format-2 certificate holds one group: "
+                                 "its complexes must share one group table "
+                                 "and generators")
+            rows = [[list(chain.from_iterable(sorted(row.items())))
+                     for row in m] for m in lat.action_rows()]
+            index[lat] = by_content.setdefault(
+                (lat.rank, tuple(map(tuple, chain.from_iterable(rows)))),
+                len(table))
+            if index[lat] == len(table):
+                table.append({"rank": lat.rank, "action": rows})
+        return index[lat]
+
+    def complex_(t: TwoTermComplex) -> dict:
+        return {"l1": lattice(t.l1), "l2": lattice(t.l2),
+                "differential": _map_rows(t.differential.matrix)}
+
+    original, resolved = complex_(cert.original), complex_(cert.resolved)
+    moves = [{"kind": m.kind, "src": complex_(m.src), "tgt": complex_(m.tgt),
+              "comp_minus1": (None if m.comp_minus1 is None
+                              else _map_rows(m.comp_minus1)),
+              "comp0": None if m.comp0 is None else _map_rows(m.comp0),
+              "evidence": [m.evidence.hminus_ok, m.evidence.h0_ok]}
+             for m in cert.moves]
+    return {
+        "format": CERTIFICATE_FORMAT,
+        "mode": cert.mode,
+        "group": dump_group(group),
+        "lattices": table,
+        "original": original,
+        "resolved": resolved,
+        "moves": moves,
+        "vanishing_table": deep_list(cert.vanishing_table),
+    }
+
+
+def _rows(obj, nrows: int, ncols: int, what: str) -> tuple[dict, ...]:
+    """``nrows`` format-2 rows as sparse rows {column: entry}, refused
+    unless each is a flat list of ints [col, val, ...] whose columns
+    increase strictly within 0..ncols-1 and whose values are nonzero."""
+    if type(obj) is not list or len(obj) != nrows \
+            or not all(type(row) is list for row in obj):
+        raise FormatError(f"{what} must be a list of {nrows} rows")
+    _check_ints(obj, f"{what} entry")
+    rows = []
+    for row in obj:
+        cols, vals = row[::2], row[1::2]
+        # -1 < c_0 < c_1 < ... < ncols: increasing, and each in range
+        if len(cols) != len(vals) or 0 in vals or not all(
+                map(int.__lt__, [-1] + cols, cols + [ncols])):
+            raise FormatError(
+                f"{what} row {row} is not [column, value, ...] with columns "
+                f"increasing in 0..{ncols - 1} and nonzero values")
+        rows.append(dict(zip(cols, vals)))
+    return tuple(rows)
+
+
+def _load_certificate_2(obj, size_limit: int) -> ResolutionCertificate:
+    """A format-2 certificate: its group is loaded once and each table
+    lattice once (``GLattice.from_rows``), and complexes share them by
+    index; map rows become the dense ``LatticeMap`` and move matrices."""
+    if obj["mode"] not in ("flasque", "coflasque"):
+        raise FormatError(f"unknown certificate mode {obj['mode']!r}")
+    group = load_group(obj["group"], size_limit)
+    lattices = []
+    for body in obj["lattices"]:
+        rank, action = _int(body["rank"], "rank"), body["action"]
+        if type(action) is not list or len(action) != len(group.generators):
+            raise FormatError("a lattice must list one action matrix per "
+                              "group generator")
+        lattices.append(GLattice.from_rows(group, rank, [
+            _rows(m, rank, rank, "action matrix") for m in action]))
+
+    def lattice(i) -> GLattice:
+        if type(i) is not int or not 0 <= i < len(lattices):
+            raise FormatError(f"lattice index must be an integer in "
+                              f"0..{len(lattices) - 1}, found {i!r}")
+        return lattices[i]
+
+    def dense(rows, target: GLattice, source: GLattice, what: str):
+        return la.dense_rows(_rows(rows, target.rank, source.rank, what),
+                             source.rank)
+
+    def complex_(c) -> TwoTermComplex:
+        l1, l2 = lattice(c["l1"]), lattice(c["l2"])
+        return TwoTermComplex(l1, l2, LatticeMap(
+            l1, l2, dense(c["differential"], l2, l1, "differential")))
+
+    moves = []
+    for m in obj["moves"]:
+        kind, ev = m["kind"], m["evidence"]
+        if kind not in _SIDE_TYPE:
+            raise FormatError(f"unknown move kind {kind!r}")
+        square = kind != "duality"
+        if any((m[k] is None) == square for k in ("comp_minus1", "comp0")):
+            raise FormatError(f"a {kind} move takes "
+                              + ("both maps" if square else "no maps"))
+        if not isinstance(ev, list) or len(ev) != 2 \
+                or not all(type(x) is bool for x in ev):
+            raise FormatError(f"move evidence must be two booleans, "
+                              f"found {ev!r}")
+        src, tgt = complex_(m["src"]), complex_(m["tgt"])
+        cm1 = c0 = None
+        if square:
+            cm1 = dense(m["comp_minus1"], tgt.l1, src.l1, "comp_minus1")
+            c0 = dense(m["comp0"], tgt.l2, src.l2, "comp0")
+        moves.append(CertificateMove(kind, src, tgt, cm1, c0,
+                                     MoveEvidence(*ev)))
+    return ResolutionCertificate(
+        obj["mode"], complex_(obj["original"]), complex_(obj["resolved"]),
+        tuple(moves), deep_tuple(obj["vanishing_table"]))
+
+
+def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
+                     ) -> ResolutionCertificate:
+    """A certificate of format 2 (``_load_certificate_2``) or format 1
+    (``_load_certificate_1``), by its ``format`` tag."""
+    if isinstance(obj, dict) and obj.get("format") == CERTIFICATE_FORMAT_1:
+        return _load_certificate_1(obj, size_limit)
+    _expect(obj, CERTIFICATE_FORMAT)
+    return _load_certificate_2(obj, size_limit)
+
+
+# Format 1, still read: each complex carries its group dump and dense
+# lattice bodies.
 
 def _load_side(obj, group_of, lattice_of=_load_lattice_body
                ) -> TwoTermComplex:
@@ -328,43 +462,16 @@ def _load_side(obj, group_of, lattice_of=_load_lattice_body
         a, l2, parse_matrix(obj["d"], "half-complex differential")))
 
 
-def dump_certificate(cert: ResolutionCertificate) -> dict:
-    """The certificate as JSON data.  Each lattice's rows are rendered
-    once (``_action``): a lattice that several complexes share puts one
-    list in each of their dumps."""
-    memo: dict[GLattice, list] = {}
-    moves = []
-    for m in cert.moves:
-        moves.append({
-            "kind": m.kind,
-            "src": _dump_side(m.src, m.kind, memo),
-            "tgt": _dump_side(m.tgt, m.kind, memo),
-            "comp_minus1": (None if m.comp_minus1 is None
-                            else _dumped(m.comp_minus1)),
-            "comp0": None if m.comp0 is None else _dumped(m.comp0),
-            "evidence": [m.evidence.hminus_ok, m.evidence.h0_ok],
-        })
-    return {
-        "format": CERTIFICATE_FORMAT,
-        "mode": cert.mode,
-        "original": _dump_complex(cert.original, memo),
-        "resolved": _dump_complex(cert.resolved, memo),
-        "moves": moves,
-        "vanishing_table": deep_list(cert.vanishing_table),
-    }
-
-
-def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
-                     ) -> ResolutionCertificate:
-    """A certificate whose complexes share one FiniteGroup per distinct
-    group dump, so that each group is checked once (``load_group``) and
-    its tree, subgroup and Cayley caches serve every move.  Sides that
-    carry different dumps get different groups.  Lattices are shared the
-    same way: a lattice body with the same group, rank and action
-    matrices (checked as integers first, then compared with ``==``) as
-    one loaded before gives that GLattice, so that replay fills each
-    lattice's caches once."""
-    _expect(obj, CERTIFICATE_FORMAT)
+def _load_certificate_1(obj, size_limit: int) -> ResolutionCertificate:
+    """A format-1 certificate whose complexes share one FiniteGroup per
+    distinct group dump, so that each group is checked once
+    (``load_group``) and its tree, subgroup and Cayley caches serve every
+    move.  Sides that carry different dumps get different groups.
+    Lattices are shared the same way: a lattice body with the same group,
+    rank and action matrices (checked as integers first, then compared
+    with ``==``) as one loaded before gives that GLattice, so that replay
+    fills each lattice's caches once."""
+    _expect(obj, CERTIFICATE_FORMAT_1)
     if obj["mode"] not in ("flasque", "coflasque"):
         raise FormatError(f"unknown certificate mode {obj['mode']!r}")
     groups: dict[str, FiniteGroup] = {}

@@ -358,7 +358,11 @@ def test_group_table_ids_are_checked():
     """A generator or table entry that is not an int in 0..n-1 is refused
     by ``verify``, naming the value, before the tree or the identity
     check indexes with it: -1 would index the table from its end and 5
-    past it."""
+    past it.  An empty table is refused first, as the loader refuses it,
+    not by the generator its default list names."""
+    for gens in (None, (), (0,)):
+        with pytest.raises(ValueError, match="^group table is empty$"):
+            group_from_table([], gens)
     z2 = ((0, 1), (1, 0))
     for gen in (-1, 2, 1.0, True):
         with pytest.raises(ValueError, match=rf"generator {gen!r} is not"):

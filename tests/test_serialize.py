@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import certificate_v1
 from galmod import fixtures, groups
 from galmod import intlinalg as la
 from galmod import serialize as se
@@ -234,36 +235,106 @@ def test_replay_refuses_a_swapped_embedding_move():
             assert not replay_certificate(forged)
 
 
-def test_catalog_certificates_unchanged():
-    """The JSON of the coflasque and flasque certificates of all 18
-    catalog complexes hashes to the value computed before the moves'
-    span checks shared their eliminations: no change of route may change
-    a certificate."""
-    h = hashlib.sha256()
-    count = 0
+def _catalog_certificates():
+    """The coflasque and flasque certificates of all 18 catalog
+    complexes."""
     for t in fixtures.complex_catalog().values():
         for resolve in (coflasque_resolution, flasque_resolution):
-            h.update(se.to_json(se.dump_certificate(resolve(t)[1])).encode())
-            count += 1
-    assert count == 36
-    assert h.hexdigest() == (
-        "80060c29d448c13b03528bc76153235565c1180cac87f7e17a9fc9564eac8108")
+            yield resolve(t)[1]
 
 
-def test_s4_augmentation_certificate_unchanged():
-    """The flasque resolution of [Z[S4] -> Z] (regular lattice,
-    augmentation) runs echelons and Smith forms of rank near 100, which
-    no catalog complex reaches; its certificate's JSON hashes to the
-    value computed before the echelon loop and the matrix conversions
-    were rewritten."""
+@pytest.fixture(scope="module")
+def s4_certificate():
+    """The flasque certificate of [Z[S4] -> Z] (regular lattice,
+    augmentation), whose echelons and Smith forms reach rank near 100,
+    which no catalog complex does."""
     s4 = build_group([(1, 0, 2, 3), (1, 2, 3, 0)])
     reg, triv = regular_lattice(s4), trivial_lattice(s4)
     aug = TwoTermComplex(reg, triv, LatticeMap(reg, triv, ((1,) * 24,)))
     resolved, cert = flasque_resolution(aug)
     assert (resolved.l1.rank, resolved.l2.rank) == (105, 82)
-    assert hashlib.sha256(se.to_json(se.dump_certificate(cert)).encode()
-                          ).hexdigest() == (
+    return cert
+
+
+def _v1_round_trip_text(cert) -> str:
+    """The format-1 text of ``cert`` after a format-2 JSON round trip."""
+    return certificate_v1.text(_round_trip(cert))
+
+
+def test_catalog_certificates_unchanged():
+    """The format-1 JSON of the coflasque and flasque certificates of all
+    18 catalog complexes hashes to the value computed before the moves'
+    span checks shared their eliminations: no change of route or of
+    format may change a certificate.  A format-2 round trip gives back
+    the same format-1 bytes."""
+    h = hashlib.sha256()
+    count = 0
+    for cert in _catalog_certificates():
+        text = certificate_v1.text(cert)
+        h.update(text.encode())
+        assert _v1_round_trip_text(cert) == text
+        count += 1
+    assert count == 36
+    assert h.hexdigest() == (
+        "80060c29d448c13b03528bc76153235565c1180cac87f7e17a9fc9564eac8108")
+
+
+def test_catalog_certificates_format_2_pinned():
+    """The format-2 JSON of the 36 catalog certificates hashes to the
+    value computed when the format was introduced."""
+    h = hashlib.sha256()
+    for cert in _catalog_certificates():
+        h.update(se.to_json(se.dump_certificate(cert)).encode())
+    assert h.hexdigest() == (
+        "d79bf558baacd9fb12064014257e8b63791849eb3e987a7c5d88a0cd55e36fad")
+
+
+def test_s4_augmentation_certificate_unchanged(s4_certificate):
+    """The format-1 JSON of the flasque certificate of [Z[S4] -> Z]
+    hashes to the value computed before the echelon loop and the matrix
+    conversions were rewritten, and again after a format-2 round
+    trip."""
+    text = certificate_v1.text(s4_certificate)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
         "82e07e6a9785bcc07946d9c78747fe8d40f9e0b1ff832f45868b0afad0d51e2d")
+    assert _v1_round_trip_text(s4_certificate) == text
+
+
+def test_s4_augmentation_certificate_format_2_pinned(s4_certificate):
+    """The format-2 JSON of the flasque certificate of [Z[S4] -> Z]
+    hashes to the value computed when the format was introduced."""
+    text = se.to_json(se.dump_certificate(s4_certificate))
+    assert len(text) == 38987
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3807ac82b0bf3aa5462a9ffd849e865f030785c07985f154436430b030b818c8")
+
+
+def test_format_2_round_trip_writes_the_same_text():
+    """Each catalog certificate's format-2 text loads and dumps back to
+    itself, and its format-1 text, loaded, dumps the same format-2
+    text."""
+    for cert in _catalog_certificates():
+        text = se.to_json(se.dump_certificate(cert))
+        for loaded in (text, certificate_v1.text(cert)):
+            back = se.load_certificate(json.loads(loaded))
+            assert se.to_json(se.dump_certificate(back)) == text
+
+
+def test_dump_certificate_refuses_two_group_presentations():
+    """Format 2 writes one group: a certificate whose complexes are over
+    another generator list of the same table, or over another table, is
+    refused with ValueError."""
+    t = fixtures.complex_catalog()["s3-coset-aug"]
+    cert = coflasque_resolution(t)[1]
+    obj = se.dump_complex(t)
+    obj["group"]["generators"].reverse()
+    for part in ("l1", "l2"):
+        obj[part]["action"].reverse()
+    other = se.load_complex(obj)
+    z3 = coflasque_resolution(fixtures.complex_catalog()["z3-aug"])[1]
+    for original in (other, z3.original):
+        with pytest.raises(ValueError, match="one group"):
+            se.dump_certificate(cert._replace(original=original))
 
 
 def _load_each_side_alone(obj):
@@ -345,15 +416,15 @@ def test_load_certificate_shares_one_group_per_dump():
 
 
 def _forgeries():
-    """(JSON text, four loaded copies) of the coflasque and flasque
-    certificates of z3-aug and s3-coset-aug.  The first copy is as
+    """(format-1 JSON text, four loaded copies) of the coflasque and
+    flasque certificates of z3-aug and s3-coset-aug.  The first copy is as
     dumped; in the second a first move's side names its group "other",
     in the third that side's group table is relabelled, and in the
     fourth the resolved complex's."""
     catalog = fixtures.complex_catalog()
     for name in ("z3-aug", "s3-coset-aug"):
         for resolve in (coflasque_resolution, flasque_resolution):
-            text = se.to_json(se.dump_certificate(resolve(catalog[name])[1]))
+            text = certificate_v1.text(resolve(catalog[name])[1])
             forged = [json.loads(text) for _ in range(4)]
             _group_dump(forged[1]["moves"][0]["tgt"])["name"] = "other"
             _relabel(_group_dump(forged[2]["moves"][0]["src"]))
@@ -380,25 +451,27 @@ def test_forged_certificates_share_lattices_and_keep_their_verdict():
 
 
 def test_load_certificate_shares_one_lattice_per_body():
-    """A loaded certificate of every catalog complex holds one GLattice
-    per distinct (group, rank, action) body: the resolved complex's
-    lattices are those of the move that starts or ends at it, and a
-    lattice repeated across sides is one object, so replay fills its
-    caches once.  Over the 36 certificates the 648 places hold 173
-    lattices."""
-    places = distinct = 0
-    for t in fixtures.complex_catalog().values():
-        for resolve in (coflasque_resolution, flasque_resolution):
-            cert = _round_trip(resolve(t)[1])
-            bodies = _lattice_bodies(cert)
+    """A certificate of every catalog complex, loaded from format 1, holds
+    one GLattice per distinct (group, rank, action) body: the resolved
+    complex's lattices are those of the move that starts or ends at it,
+    and a lattice repeated across sides is one object, so replay fills
+    its caches once.  Over the 36 certificates the 648 places hold 173
+    lattices; the format-2 tables list the same 173, and a format-2 load
+    shares them as a format-1 load does."""
+    places = distinct = listed = 0
+    for cert in _catalog_certificates():
+        listed += len(se.dump_certificate(cert)["lattices"])
+        for back in (se.load_certificate(json.loads(
+                certificate_v1.text(cert))), _round_trip(cert)):
+            bodies = _lattice_bodies(back)
             assert all(len(ids) == 1 for ids in bodies.values())
-            places += len(_lattices(cert))
+            places += len(_lattices(back))
             distinct += len(bodies)
-            if cert.mode == "coflasque":
-                assert cert.resolved.l1 is cert.moves[2].src.l1
-                assert cert.resolved.l2 is cert.moves[2].src.l2
-            assert replay_certificate(cert)
-    assert (places, distinct) == (648, 173)
+            if back.mode == "coflasque":
+                assert back.resolved.l1 is back.moves[2].src.l1
+                assert back.resolved.l2 is back.moves[2].src.l2
+            assert replay_certificate(back)
+    assert (places, distinct, listed) == (2 * 648, 2 * 173, 173)
 
 
 def test_dump_certificate_builds_no_dense_action():
@@ -407,7 +480,8 @@ def test_dump_certificate_builds_no_dense_action():
     catalog complex, resolved from a loaded copy so that no other reader
     of the catalog has touched its lattices, none of their lattices
     holds ``action``.  A lattice in several places of one certificate
-    puts one list in each."""
+    is listed once in the format-2 table, and each place names its
+    index."""
     for t in fixtures.complex_catalog().values():
         t = se.load_complex(se.dump_complex(t))
         for resolve in (coflasque_resolution, flasque_resolution):
@@ -417,8 +491,7 @@ def test_dump_certificate_builds_no_dense_action():
                         if "action" in vars(lat)]
             if cert.mode == "coflasque":
                 assert cert.resolved.l1 is cert.moves[2].src.l1
-                assert obj["resolved"]["l1"]["action"] \
-                    is obj["moves"][2]["src"]["a"]["action"]
+                assert obj["resolved"]["l1"] == obj["moves"][2]["src"]["l1"]
             assert se.to_json(obj) == json.dumps(
                 obj, sort_keys=True, separators=(",", ":"))
 
@@ -436,25 +509,84 @@ def test_dump_certificate_builds_no_dense_action():
         "duality-as-pushout", "map-missing", "evidence-not-bool",
         "evidence-three"])
 def test_load_certificate_refuses_forged_structure(forge):
-    """A certificate with an unknown mode, move kind or side type, a kind
-    whose sides or maps do not match it, or evidence that is not two
-    booleans is refused on load, before replay reads it."""
+    """A format-1 certificate with an unknown mode, move kind or side
+    type, a kind whose sides or maps do not match it, or evidence that is
+    not two booleans is refused on load, before replay reads it."""
     t = fixtures.complex_catalog()["z2-aug"]
-    obj = json.loads(se.to_json(se.dump_certificate(
-        flasque_resolution(t)[1])))
+    obj = json.loads(certificate_v1.text(flasque_resolution(t)[1]))
     forge(obj)
     with pytest.raises(se.FormatError):
         se.load_certificate(obj)
 
 
+def _set_row(rows, row):
+    rows[0] = row
+
+
+@pytest.mark.parametrize("forge", [
+    lambda obj: _set_row(obj["lattices"][0]["action"][0], [1]),
+    lambda obj: _set_row(obj["moves"][2]["comp0"], [0, 1, 0, 1]),
+    lambda obj: _set_row(obj["original"]["differential"], [1, 1, 0, 1]),
+    lambda obj: _set_row(obj["lattices"][0]["action"][0], [1, 0]),
+    lambda obj: _set_row(obj["lattices"][0]["action"][0], [2, 1]),
+    lambda obj: _set_row(obj["lattices"][0]["action"][0], [-1, 1]),
+    lambda obj: _set_row(obj["original"]["differential"], [0, 1, 2, 1]),
+    lambda obj: _set_row(obj["lattices"][0]["action"][0], [True, 1]),
+    lambda obj: _set_row(obj["lattices"][0]["action"][0], [1, 1.0]),
+    lambda obj: obj["original"].update(l2=True),
+    lambda obj: obj["original"].update(l2=1.0),
+    lambda obj: obj["original"].update(l2=5),
+    lambda obj: obj["original"].update(l2=-1),
+    lambda obj: obj["original"].update(differential=[]),
+    lambda obj: obj["moves"][1].update(comp_minus1=[]),
+    lambda obj: obj["lattices"][0]["action"][0].pop(),
+    lambda obj: obj["lattices"][0]["action"].append([[1, 1], [0, 1]]),
+    lambda obj: obj["moves"][0].update(comp0=None),
+    lambda obj: obj["moves"][3].update(comp0=[[0, 1]]),
+    lambda obj: obj["moves"][0].update(evidence=["no", 0]),
+    lambda obj: obj["moves"][0].update(evidence=[True]),
+    lambda obj: obj["moves"][0].update(kind="pushout"),
+    lambda obj: obj.update(mode="bogus"),
+    lambda obj: obj["group"]["table"].extend([[0, 1]] * 63),
+], ids=["row-odd-length", "column-repeated", "column-decreasing",
+        "value-zero", "column-at-rank", "column-negative",
+        "column-at-source-rank", "entry-bool", "entry-float", "index-bool",
+        "index-float", "index-past-table", "index-negative",
+        "differential-rows", "map-rows", "action-rows",
+        "action-past-generators", "map-missing",
+        "duality-with-map", "evidence-not-bool", "evidence-one",
+        "kind-unknown", "mode-bogus", "group-past-size-limit"])
+def test_load_certificate_2_refuses_off_grammar(forge):
+    """A format-2 certificate off the grammar is refused on load with
+    FormatError, before replay reads it: a row of odd length, a repeated
+    or decreasing column, a zero value, a column out of 0..rank-1 (or
+    0..source rank-1 for a map), a bool or float entry or lattice index,
+    an index out of the table, a matrix with the wrong row count, a
+    lattice with more action matrices than generators, a square move
+    short of a map or a duality move with one, evidence that
+    is not two booleans, an unknown kind or mode.  A group past the size
+    limit raises SizeLimitError."""
+    t = fixtures.complex_catalog()["z2-aug"]
+    obj = json.loads(se.to_json(se.dump_certificate(
+        flasque_resolution(t)[1])))
+    assert [m["kind"] for m in obj["moves"]] == [
+        "pushout-mono", "pushout-mono", "pullback-epi", "duality"]
+    assert (obj["original"]["l1"], obj["original"]["l2"]) == (0, 1)
+    assert replay_certificate(se.load_certificate(obj))
+    forge(obj)
+    with pytest.raises((se.FormatError, groups.SizeLimitError)) as err:
+        se.load_certificate(obj)
+    assert (err.type is groups.SizeLimitError) \
+        == (len(obj["group"]["table"]) > groups.DEFAULT_SIZE_LIMIT)
+
+
 def test_load_certificate_refuses_a_module_short_of_action_matrices():
     """Drop the second action matrix of the middle module B' of the
-    coflasque certificate of s3-coset-aug, in the pushout and the
+    format-1 coflasque certificate of s3-coset-aug, in the pushout and the
     pullback that end at it.  Its squares would then be checked on one
     generator of S3's two and pass; the module is refused on load."""
     t = fixtures.complex_catalog()["s3-coset-aug"]
-    obj = json.loads(se.to_json(se.dump_certificate(
-        coflasque_resolution(t)[1])))
+    obj = json.loads(certificate_v1.text(coflasque_resolution(t)[1]))
     for move in obj["moves"][1:]:
         del move["tgt"]["b"]["action"][1]
     with pytest.raises(ValueError, match="one action matrix per generator"):
@@ -462,12 +594,11 @@ def test_load_certificate_refuses_a_module_short_of_action_matrices():
 
 
 def test_load_certificate_refuses_a_half_side_with_relations():
-    """Every side of a square is a complex of lattices: a half side whose
-    B carries a relation, or whose relation rows do not match its
+    """Every side of a square is a complex of lattices: a format-1 half
+    side whose B carries a relation, or whose relation rows do not match its
     generators, is refused on load."""
     t = fixtures.complex_catalog()["z3-aug"]
-    obj = json.loads(se.to_json(se.dump_certificate(
-        coflasque_resolution(t)[1])))
+    obj = json.loads(certificate_v1.text(coflasque_resolution(t)[1]))
     assert replay_certificate(se.load_certificate(obj))
     for forge in (lambda rows: [[2 * (i == 0)] for i in range(len(rows))],
                   lambda rows: rows[1:]):
@@ -537,7 +668,8 @@ def test_lattice_loader_keeps_the_dense_refusals():
 
 
 def _trivialize(side):
-    """Set every action matrix of a dumped complex to the identity."""
+    """Set every action matrix of a complex dumped in format 1 to the
+    identity."""
     for part in side.get("value", side).values():
         if isinstance(part, dict) and "action" in part:
             part["action"] = [[[int(i == j) for j in range(len(m))]
@@ -555,8 +687,7 @@ def test_replay_refuses_moves_that_are_not_equivariant():
     certificate and replays."""
     forged = 0
     for t in fixtures.complex_catalog().values():
-        obj = json.loads(se.to_json(se.dump_certificate(
-            coflasque_resolution(t)[1])))
+        obj = json.loads(certificate_v1.text(coflasque_resolution(t)[1]))
         genuine = se.to_json(obj)
         po, pb = obj["moves"][-2:]
         for side in (obj["resolved"], po["tgt"], pb["src"], pb["tgt"]):
