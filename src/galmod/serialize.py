@@ -11,38 +11,26 @@ the constructors that index with them (``FiniteGroup.verify``,
 ``FiniteCrossedModule``, ``SubgroupHandle``, ``build_patching_graph``),
 so a library caller gets the refusal a file gets.
 
-A certificate crosses the JSON boundary with no dense or repeated copy:
-
-- ``dump_certificate`` writes ``galmod-certificate-2``: the group once,
-  a ``lattices`` table that lists each distinct lattice (rank and
-  generator rows, keyed by content) once, and each complex as two
-  indices into it and its differential.  Every matrix is a list of
-  sparse rows, each the flat list [col, val, col, val, ...] of its
-  nonzero entries with columns strictly increasing, rendered from the
-  lattices' sparse rows and the maps' nonzero entries without a dense
-  row.
-- ``to_json`` writes in pieces.  It walks a non-empty dict whose keys
-  are all ``str`` in sorted key order, and a non-empty list of dicts and
-  matrices element by element; every other value (a matrix, a scalar,
-  an int-keyed dict) goes whole through one encoder with the settings
-  of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.  The
-  walk writes what that encoder writes for those layouts (brackets,
-  separators, key order, ``encode_basestring_ascii`` key escapes), so
-  the bytes cannot differ; only the largest piece encoded at once does.
-- ``load_certificate`` reads format 2 or format 1 by the ``format``
-  tag.  Format 2 loads its group once and each table lattice once
-  (``GLattice.from_rows``), refusing rows off the grammar; format 1
-  (each complex with its group dump and dense lattice bodies, written
-  before format 2) shares one FiniteGroup per distinct group dump and
-  one GLattice per distinct (group, rank, action) body.  Either way
-  replay checks the group and fills each lattice's caches once.
+A certificate crosses the JSON boundary with no dense or repeated copy.
+``dump_certificate`` writes ``galmod-certificate-2``: the group once, a
+``lattices`` table that lists each distinct lattice (rank and generator
+rows, keyed by content) once, and each complex as two indices into it and
+its differential.  Every matrix is a list of sparse rows, each the flat
+list [col, val, col, val, ...] of its nonzero entries with columns
+strictly increasing, rendered from the lattices' sparse rows and the
+maps' nonzero entries without a dense row.  ``to_json`` is one
+``json.dumps`` with sorted keys and fixed separators.  ``load_certificate``
+loads the group once and each table lattice once (``GLattice.from_rows``),
+refusing rows off the grammar.  A format-1 certificate (each complex with
+its group dump and dense lattice bodies, written before format 2) is read
+by translation into format-2 data, so one loader checks both; its
+complexes must share one group table and generators.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain, compress
-from json.encoder import encode_basestring_ascii
 
 from . import intlinalg as la
 from .complexes import (CertificateMove, MoveEvidence,
@@ -79,6 +67,14 @@ def _int(x, what: str) -> int:
     truncated."""
     if type(x) is not int:
         raise FormatError(f"{what} must be an integer, found {x!r}")
+    return x
+
+
+def _container(x, kind: type, what: str):
+    """``x`` itself, refused unless its type is ``kind``: dict or list."""
+    if type(x) is not kind:
+        raise FormatError(f"{what} must be a {kind.__name__}, found "
+                          f"{type(x).__name__}")
     return x
 
 
@@ -187,17 +183,12 @@ def _dump_lattice_body(lat: GLattice) -> dict:
                                          for m in lat.action_rows()]}
 
 
-def _lattice_body(obj) -> tuple[int, list]:
-    """The rank and the parsed action matrices of a lattice body."""
-    return (_int(obj["rank"], "rank"),
-            [_matrix(m, "action matrix") for m in obj["action"]])
-
-
 def _load_lattice_body(obj, group: FiniteGroup) -> GLattice:
     """A lattice built from its parsed action matrices, which ``GLattice``
     checks and reads into sparse rows; its dense ``action`` is built only
     if something reads it."""
-    return GLattice(group, *_lattice_body(obj))
+    return GLattice(group, _int(obj["rank"], "rank"),
+                    [_matrix(m, "action matrix") for m in obj["action"]])
 
 
 def dump_lattice(lat: GLattice) -> dict:
@@ -225,17 +216,10 @@ def dump_complex(t: TwoTermComplex) -> dict:
 
 def load_complex(obj, size_limit: int = DEFAULT_SIZE_LIMIT
                  ) -> TwoTermComplex:
-    return _load_complex(obj, lambda g: load_group(g, size_limit))
-
-
-def _load_complex(obj, group_of,
-                  lattice_of=_load_lattice_body) -> TwoTermComplex:
-    """A complex whose group dump ``group_of`` loads and whose lattice
-    bodies ``lattice_of`` loads."""
     _expect(obj, COMPLEX_FORMAT)
-    group = group_of(obj["group"])
-    l1 = lattice_of(obj["l1"], group)
-    l2 = lattice_of(obj["l2"], group)
+    group = load_group(obj["group"], size_limit)
+    l1 = _load_lattice_body(obj["l1"], group)
+    l2 = _load_lattice_body(obj["l2"], group)
     diff = parse_matrix(obj["differential"], "differential")
     return TwoTermComplex(l1, l2, LatticeMap(l1, l2, diff))
 
@@ -377,15 +361,15 @@ def _rows(obj, nrows: int, ncols: int, what: str) -> tuple[dict, ...]:
     return tuple(rows)
 
 
-def _load_certificate_2(obj, size_limit: int) -> ResolutionCertificate:
-    """A format-2 certificate: its group is loaded once and each table
-    lattice once (``GLattice.from_rows``), and complexes share them by
-    index; map rows become the dense ``LatticeMap`` and move matrices."""
+def _load_certificate_2(obj, group: FiniteGroup) -> ResolutionCertificate:
+    """Format-2 data over ``group``: each table lattice is loaded once
+    (``GLattice.from_rows``), and complexes share them by index; map rows
+    become the dense ``LatticeMap`` and move matrices."""
     if obj["mode"] not in ("flasque", "coflasque"):
         raise FormatError(f"unknown certificate mode {obj['mode']!r}")
-    group = load_group(obj["group"], size_limit)
     lattices = []
-    for body in obj["lattices"]:
+    for body in _container(obj["lattices"], list, "lattices"):
+        body = _container(body, dict, "a lattice")
         rank, action = _int(body["rank"], "rank"), body["action"]
         if type(action) is not list or len(action) != len(group.generators):
             raise FormatError("a lattice must list one action matrix per "
@@ -404,14 +388,16 @@ def _load_certificate_2(obj, size_limit: int) -> ResolutionCertificate:
                              source.rank)
 
     def complex_(c) -> TwoTermComplex:
+        c = _container(c, dict, "a complex")
         l1, l2 = lattice(c["l1"]), lattice(c["l2"])
         return TwoTermComplex(l1, l2, LatticeMap(
             l1, l2, dense(c["differential"], l2, l1, "differential")))
 
     moves = []
-    for m in obj["moves"]:
+    for m in _container(obj["moves"], list, "moves"):
+        m = _container(m, dict, "a move")
         kind, ev = m["kind"], m["evidence"]
-        if kind not in _SIDE_TYPE:
+        if type(kind) is not str or kind not in _SIDE_TYPE:
             raise FormatError(f"unknown move kind {kind!r}")
         square = kind != "duality"
         if any((m[k] is None) == square for k in ("comp_minus1", "comp0")):
@@ -433,141 +419,105 @@ def _load_certificate_2(obj, size_limit: int) -> ResolutionCertificate:
         tuple(moves), deep_tuple(obj["vanishing_table"]))
 
 
+def _shaped(obj, nrows: int, ncols: int, what: str) -> list[list[int]]:
+    """``obj`` itself, refused unless it is an ``nrows`` x ``ncols`` matrix
+    of integers: a short dense row is not read as zeros."""
+    rows = _matrix(obj, what)
+    if len(rows) != nrows or any(len(row) != ncols for row in rows):
+        raise FormatError(f"{what} must be a {nrows} x {ncols} matrix")
+    return rows
+
+
+def _format_1_as_2(obj, size_limit: int) -> tuple[dict, FiniteGroup]:
+    """A format-1 certificate as format-2 data and its one group.  Each
+    distinct group dump (by ``==``, then its numbers checked as ints) is
+    loaded once, and all must share one table and generators; equal
+    lattice bodies share one table entry.  Refused here, as format 2
+    cannot say them: a side of another type than its move kind takes, and
+    a half side whose b has relations."""
+    _expect(obj, CERTIFICATE_FORMAT_1)
+    dumps, bodies, table = [], [], []
+
+    def lattice(body) -> int:
+        body = _container(body, dict, "a lattice")
+        rank = _int(body["rank"], "rank")
+        action = [_shaped(m, rank, rank, "action matrix")
+                  for m in _container(body["action"], list, "action")]
+        if (rank, action) not in bodies:
+            bodies.append((rank, action))
+            table.append({"rank": rank,
+                          "action": list(map(_map_rows, action))})
+        return bodies.index((rank, action))
+
+    def complex_(c) -> dict:
+        _expect(c, COMPLEX_FORMAT)
+        dumps.append(c["group"])
+        i, j = lattice(c["l1"]), lattice(c["l2"])
+        return {"l1": i, "l2": j, "differential": _map_rows(_shaped(
+            c["differential"], table[j]["rank"], table[i]["rank"],
+            "differential"))}
+
+    def side(s, kind) -> dict:
+        s = _container(s, dict, "a side")
+        if kind in _SIDE_TYPE and s["type"] != _SIDE_TYPE[kind]:
+            raise FormatError(f"a {kind} move takes {_SIDE_TYPE[kind]} sides")
+        if s["type"] == "complex":
+            return complex_(s["value"])
+        if s["type"] != "half":
+            raise FormatError(f"unknown side type {s['type']!r}")
+        b = _container(s["b"], dict, "a half side's b")
+        rank = _int(b["ngens"], "ngens")
+        if parse_matrix(b["relations"], "relations") != ((),) * rank:
+            raise FormatError("a half side's b must be a lattice: one empty "
+                              "row of relations per generator")
+        return complex_({"format": COMPLEX_FORMAT, "group": s["group"],
+                         "l1": s["a"], "differential": s["d"],
+                         "l2": {"rank": rank, "action": b["action"]}})
+
+    def move(m) -> dict:
+        m = _container(m, dict, "a move")
+        kind = m["kind"] if type(m["kind"]) is str else None
+        src, tgt = side(m["src"], kind), side(m["tgt"], kind)
+
+        def map_(k: str, part: str):
+            return None if m[k] is None else _map_rows(_shaped(
+                m[k], table[tgt[part]]["rank"], table[src[part]]["rank"], k))
+        return {**m, "src": src, "tgt": tgt,
+                "comp_minus1": map_("comp_minus1", "l1"),
+                "comp0": map_("comp0", "l2")}
+
+    data = {"mode": obj["mode"], "lattices": table,
+            "original": complex_(obj["original"]),
+            "resolved": complex_(obj["resolved"]),
+            "moves": list(map(move, _container(obj["moves"], list, "moves"))),
+            "vanishing_table": obj["vanishing_table"]}
+    distinct = [d for i, d in enumerate(dumps) if d not in dumps[:i]]
+    group, *others = [load_group(d, size_limit) for d in distinct]
+    if not all(map(group.same_presentation, others)):
+        raise FormatError("a certificate holds one group: its complexes "
+                          "must share one group table and generators")
+    for d in dumps:  # equal to a loaded dump, but maybe by a bool or float
+        if type(d) is dict:
+            _check_ints([[d.get("degree", 1), *(d.get("generators") or ())],
+                         *d.get("table", ())], "group entry")
+    return data, group
+
+
 def load_certificate(obj, size_limit: int = DEFAULT_SIZE_LIMIT
                      ) -> ResolutionCertificate:
-    """A certificate of format 2 (``_load_certificate_2``) or format 1
-    (``_load_certificate_1``), by its ``format`` tag."""
+    """A certificate of format 2, or of format 1 translated into format-2
+    data (``_format_1_as_2``); both load through ``_load_certificate_2``."""
     if isinstance(obj, dict) and obj.get("format") == CERTIFICATE_FORMAT_1:
-        return _load_certificate_1(obj, size_limit)
+        return _load_certificate_2(*_format_1_as_2(obj, size_limit))
     _expect(obj, CERTIFICATE_FORMAT)
-    return _load_certificate_2(obj, size_limit)
-
-
-# Format 1, still read: each complex carries its group dump and dense
-# lattice bodies.
-
-def _load_side(obj, group_of, lattice_of=_load_lattice_body
-               ) -> TwoTermComplex:
-    if obj["type"] == "complex":
-        return _load_complex(obj["value"], group_of, lattice_of)
-    group = group_of(obj["group"])
-    b = obj["b"]
-    rank = _int(b["ngens"], "ngens")
-    if parse_matrix(b["relations"], "relations") != ((),) * rank:
-        raise FormatError("a half side's b must be a lattice: one empty "
-                          "row of relations per generator")
-    a = lattice_of(obj["a"], group)
-    l2 = lattice_of({"rank": rank, "action": b["action"]}, group)
-    return TwoTermComplex(a, l2, LatticeMap(
-        a, l2, parse_matrix(obj["d"], "half-complex differential")))
-
-
-def _load_certificate_1(obj, size_limit: int) -> ResolutionCertificate:
-    """A format-1 certificate whose complexes share one FiniteGroup per
-    distinct group dump, so that each group is checked once
-    (``load_group``) and its tree, subgroup and Cayley caches serve every
-    move.  Sides that carry different dumps get different groups.
-    Lattices are shared the same way: a lattice body with the same group,
-    rank and action matrices (checked as integers first, then compared
-    with ``==``) as one loaded before gives that GLattice, so that replay
-    fills each lattice's caches once."""
-    _expect(obj, CERTIFICATE_FORMAT_1)
-    if obj["mode"] not in ("flasque", "coflasque"):
-        raise FormatError(f"unknown certificate mode {obj['mode']!r}")
-    groups: dict[str, FiniteGroup] = {}
-
-    def group_of(dump):
-        key = to_json(dump)
-        if key not in groups:
-            groups[key] = load_group(dump, size_limit)
-        return groups[key]
-
-    lattices: dict[tuple[FiniteGroup, int], list] = {}
-
-    def lattice_of(body, group):
-        rank, action = _lattice_body(body)
-        seen = lattices.setdefault((group, rank), [])
-        for known, lat in seen:
-            if known == action:
-                return lat
-        lat = GLattice(group, rank, action)
-        seen.append((action, lat))
-        return lat
-
-    moves = []
-    for m in obj["moves"]:
-        kind, ev = m["kind"], m["evidence"]
-        if kind not in _SIDE_TYPE:
-            raise FormatError(f"unknown move kind {kind!r}")
-        square = kind != "duality"
-        if any(m[k]["type"] != _SIDE_TYPE[kind] for k in ("src", "tgt")) \
-                or any((m[k] is None) == square
-                       for k in ("comp_minus1", "comp0")):
-            raise FormatError(
-                f"a {kind} move takes {_SIDE_TYPE[kind]} sides and "
-                + ("both maps" if square else "no maps"))
-        if not isinstance(ev, list) or len(ev) != 2 \
-                or not all(type(x) is bool for x in ev):
-            raise FormatError(f"move evidence must be two booleans, "
-                              f"found {ev!r}")
-        cm1 = (None if m["comp_minus1"] is None
-               else parse_matrix(m["comp_minus1"], "comp_minus1"))
-        c0 = None if m["comp0"] is None else parse_matrix(m["comp0"], "comp0")
-        moves.append(CertificateMove(
-            kind, _load_side(m["src"], group_of, lattice_of),
-            _load_side(m["tgt"], group_of, lattice_of), cm1, c0,
-            MoveEvidence(*ev)))
-    return ResolutionCertificate(
-        obj["mode"], _load_complex(obj["original"], group_of, lattice_of),
-        _load_complex(obj["resolved"], group_of, lattice_of),
-        tuple(moves),
-        deep_tuple(obj["vanishing_table"]))
+    return _load_certificate_2(obj, load_group(obj["group"], size_limit))
 
 
 # --- file helpers -----------------------------------------------------------
 
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def to_json(obj) -> str:
-    """Deterministic machine format: sorted keys, fixed separators; the
-    text of ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.
-
-    The encoder makes one string per scalar before it joins them, so the
-    text is built in pieces (``_write``) to bound that transient by the
-    largest piece, not by the whole certificate."""
-    out: list[str] = []
-    _write(obj, out.append)
-    return "".join(out)
-
-
-def _write(obj, put) -> None:
-    """Put the JSON text of ``obj`` in pieces.  A non-empty dict whose
-    keys are all ``str`` is walked in sorted key order, and a non-empty
-    list of dicts and matrices (lists of lists) element by element; these are the layouts
-    ``json.dumps`` writes with the same brackets, separators, key order
-    and key escapes (``encode_basestring_ascii``).  Every other value,
-    int-keyed dicts included, goes whole through one encoder with the
-    ``json.dumps`` settings, so no byte can differ."""
-    if type(obj) is dict and obj and all(type(k) is str for k in obj):
-        sep = "{"
-        for k in sorted(obj):
-            put(sep + encode_basestring_ascii(k) + ":")
-            _write(obj[k], put)
-            sep = ","
-        put("}")
-    elif type(obj) is list and obj and all(
-            type(x) is dict or (type(x) is list and all(
-                type(row) is list for row in x)) for x in obj):
-        sep = "["
-        for x in obj:
-            put(sep)
-            _write(x, put)
-            sep = ","
-        put("]")
-    else:
-        put(_ENCODE(obj))
-
+    """Deterministic machine format: sorted keys, fixed separators."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def read_file(path: str) -> dict:
